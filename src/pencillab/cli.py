@@ -2,11 +2,11 @@
 
 Six subcommands (numerology, monodromy, pencil, severi, dimlab, reproduce)
 print JSON by default, CSV for flat tabular payloads.  Exit codes: 0 success,
-1 domain failure (infeasible profile, empty family, ...) with an
-{"error", "detail"} object on stdout, 2 usage errors.  Output is byte-stable
+1 domain failure (infeasible profile, empty family, a value pencillab
+rejects, ...) with an {"error", "detail"} object on stdout, 2 usage errors
+that argparse catches.  Output is byte-stable
 for identical invocations: keys are sorted and all core paths are exact, so
-caching and diffing runs is safe.  --seed is accepted everywhere and ignored
-(reserved; nothing here is randomized).
+caching and diffing runs is safe.
 """
 
 from __future__ import annotations
@@ -112,7 +112,10 @@ def _parse_constraint(args) -> severi_degeneration.SearchConstraint:
     )
 
 
-def _cache_dir(args) -> str:
+def _cache_dir(args) -> str | None:
+    """Where searches cache their results; None under --no-cache."""
+    if args.no_cache:
+        return None
     return os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
 
 
@@ -329,7 +332,6 @@ def _cmd_dimlab_search(args):
         budget=args.budget,
         jobs=args.jobs,
         cache_dir=_cache_dir(args),
-        use_cache=not args.no_cache,
         report_strata=args.strata,
     )
     payload = result.to_json_dict()
@@ -371,7 +373,6 @@ def _cmd_reproduce(args):
             constraint,
             jobs=args.jobs,
             cache_dir=_cache_dir(args),
-            use_cache=not args.no_cache,
         )
         return {
             "k": 2,
@@ -391,16 +392,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
-    common.add_argument(
-        "--seed", type=int, default=None, help="reserved; all core paths deterministic"
-    )
 
     search_common = argparse.ArgumentParser(add_help=False)
     search_common.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1, help="worker processes"
     )
     search_common.add_argument(
-        "--no-cache", action="store_true", help="recompute even if cached"
+        "--no-cache", action="store_true", help="neither read nor write the cache"
     )
     search_common.add_argument(
         "--budget",
@@ -558,7 +556,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _snake(name: str) -> str:
-    return re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
+    """CamelCase to snake_case, keeping acronyms whole: JSONDecodeError -> json_decode_error."""
+    return re.sub(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])", "_", name).lower()
 
 
 def _emit_json(payload) -> None:

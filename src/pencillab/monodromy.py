@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations as iter_permutations
+from functools import reduce
+from itertools import combinations, permutations as iter_permutations, product as iter_product
 
 from .errors import ProfileInfeasible, ResourceLimit
 
@@ -299,6 +300,53 @@ def _cayley_distance(p: Permutation) -> int:
     return p.degree - p.orbit_count()
 
 
+def _guarded_orders(k: int, e, max_k: int, max_n: int) -> tuple[int, ...]:
+    e = _validate_orders(k, e)
+    if k > max_k or len(e) > max_n:
+        raise ResourceLimit(f"k={k}, n={len(e)} beyond guard k<={max_k}, n<={max_n}")
+    return e
+
+
+def _pruned_walk(k: int, e: tuple[int, ...], fix_first: bool = False):
+    """Yield every identity-product transitive tuple of e-cycles, lexicographically.
+
+    Positions are filled in order; a prefix survives only if the Cayley
+    distance of its product fits, with the right parity, in the weight
+    sum(e_i - 1) still to place, and the last cycle is solved from the
+    partial product.  fix_first restricts position 0 to the cycle (1 2 .. e_1).
+    """
+    n = len(e)
+    if n < 2:
+        return  # one cycle is never the identity; zero cycles are not transitive
+    if fix_first:
+        first = [Permutation.from_cycle(tuple(range(1, e[0] + 1)), k)]
+    else:
+        first = _cycles_of_order(k, e[0])
+    candidates = [first] + [_cycles_of_order(k, ei) for ei in e[1:]]
+    capacities = [sum(ei - 1 for ei in e[pos + 1:]) for pos in range(n)]
+
+    def walk(pos: int, prefix: Permutation, chosen: list[Permutation]):
+        if pos == n - 1:
+            last = prefix.inverse()
+            cyc = last.single_cycle()
+            if cyc is not None and len(cyc) == e[pos]:
+                full = tuple(chosen) + (last,)
+                if _transitive(k, full):
+                    yield full
+            return
+        capacity = capacities[pos]
+        for sigma in candidates[pos]:
+            nxt = prefix.then(sigma)
+            dist = _cayley_distance(nxt)
+            if dist > capacity or (capacity - dist) % 2 != 0:
+                continue
+            chosen.append(sigma)
+            yield from walk(pos + 1, nxt, chosen)
+            chosen.pop()
+
+    yield from walk(0, Permutation.identity(k), [])
+
+
 def enumerate_tuples(
     k: int,
     e,
@@ -310,56 +358,19 @@ def enumerate_tuples(
 
     Nondisjointness of consecutive cycles is NOT required here.  Results come in
     lexicographic order of the concatenated image tuples.  The default search
-    solves the last position from the partial product and prunes on Cayley
-    distance and parity; exhaustive=True disables every shortcut and filters the
-    full product space (ground-truth oracle for tests).
+    is the pruned walk shared with count_tuples; exhaustive=True disables every
+    shortcut and filters the full product space (ground-truth oracle for tests).
     """
-    e = _validate_orders(k, e)
-    if k > max_k or len(e) > max_n:
-        raise ResourceLimit(f"k={k}, n={len(e)} beyond guard k<={max_k}, n<={max_n}")
-    candidates = [_cycles_of_order(k, ei) for ei in e]
-    results: list[MonodromyTuple] = []
-
-    if exhaustive:
-        def walk_all(pos: int, chosen: list[Permutation]):
-            if pos == len(e):
-                prod = Permutation.identity(k)
-                for sigma in chosen:
-                    prod = prod.then(sigma)
-                if prod.is_identity() and _transitive(k, chosen):
-                    results.append(MonodromyTuple(k=k, cycles=tuple(chosen)))
-                return
-            for sigma in candidates[pos]:
-                chosen.append(sigma)
-                walk_all(pos + 1, chosen)
-                chosen.pop()
-
-        walk_all(0, [])
-        return results
-
-    n = len(e)
-
-    def walk(pos: int, prefix: Permutation, chosen: list[Permutation]):
-        if pos == n - 1:
-            last = prefix.inverse()
-            cyc = last.single_cycle()
-            if cyc is not None and len(cyc) == e[pos]:
-                full = chosen + [last]
-                if _transitive(k, full):
-                    results.append(MonodromyTuple(k=k, cycles=tuple(full)))
-            return
-        capacity = sum(ei - 1 for ei in e[pos + 1:])
-        for sigma in candidates[pos]:
-            nxt = prefix.then(sigma)
-            dist = _cayley_distance(nxt)
-            if dist > capacity or (capacity - dist) % 2 != 0:
-                continue
-            chosen.append(sigma)
-            walk(pos + 1, nxt, chosen)
-            chosen.pop()
-
-    walk(0, Permutation.identity(k), [])
-    return results
+    e = _guarded_orders(k, e, max_k, max_n)
+    if not exhaustive:
+        return [MonodromyTuple(k=k, cycles=full) for full in _pruned_walk(k, e)]
+    identity = Permutation.identity(k)
+    return [
+        MonodromyTuple(k=k, cycles=chosen)
+        for chosen in iter_product(*(_cycles_of_order(k, ei) for ei in e))
+        if reduce(Permutation.then, chosen, identity).is_identity()
+        and _transitive(k, chosen)
+    ]
 
 
 def count_tuples(k: int, e, max_k: int = 6, max_n: int = 6) -> int:
@@ -369,35 +380,9 @@ def count_tuples(k: int, e, max_k: int = 6, max_n: int = 6) -> int:
     conjugacy class (simultaneous conjugation preserves all three conditions),
     so the total is that count times the number of e_1-cycles.
     """
-    e = _validate_orders(k, e)
-    if k > max_k or len(e) > max_n:
-        raise ResourceLimit(f"k={k}, n={len(e)} beyond guard k<={max_k}, n<={max_n}")
-    if len(e) == 1:
+    e = _guarded_orders(k, e, max_k, max_n)
+    hits = sum(1 for _ in _pruned_walk(k, e, fix_first=True))
+    if not hits:
         return 0
-    first = Permutation.from_cycle(tuple(range(1, e[0] + 1)), k)
     class_size = math.factorial(k) // (e[0] * math.factorial(k - e[0]))
-    candidates = [_cycles_of_order(k, ei) for ei in e]
-    n = len(e)
-    hits = 0
-
-    def walk(pos: int, prefix: Permutation, chosen: list[Permutation]):
-        nonlocal hits
-        if pos == n - 1:
-            last = prefix.inverse()
-            cyc = last.single_cycle()
-            if cyc is not None and len(cyc) == e[pos]:
-                if _transitive(k, chosen + [last]):
-                    hits += 1
-            return
-        capacity = sum(ei - 1 for ei in e[pos + 1:])
-        for sigma in candidates[pos]:
-            nxt = prefix.then(sigma)
-            dist = _cayley_distance(nxt)
-            if dist > capacity or (capacity - dist) % 2 != 0:
-                continue
-            chosen.append(sigma)
-            walk(pos + 1, nxt, chosen)
-            chosen.pop()
-
-    walk(1, first, [first])
     return hits * class_size

@@ -16,7 +16,6 @@ compared on every call.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,10 +24,6 @@ from .errors import FormulationMismatch, RiemannHurwitzViolation
 #: Inputs are capped at this magnitude.  Python integers cannot overflow, so the
 #: cap is an interface guard, not an arithmetic necessity.
 MAGNITUDE_CAP = 2**31
-
-
-class UpwardClosureWarning(UserWarning):
-    """Nonemptiness failed for some delta above the least nonempty one."""
 
 
 def _check_magnitude(**values: int) -> None:
@@ -192,30 +187,31 @@ def severi_nonempty(p: int, delta: int, k: int) -> bool:
     return via_rho
 
 
-def delta_zero(p: int, k: int, check_upward_closure: bool = True) -> int | None:
+def delta_zero(p: int, k: int) -> int | None:
     """Least delta in 0..p-1 with severi_nonempty(p, delta, k), or None.
 
-    Nonemptiness is expected to be upward-closed in delta; that is checked on
-    the remaining range rather than assumed, and a violation triggers an
-    UpwardClosureWarning.
+    A binary search, exact because nonemptiness is upward-closed in delta.
+    Write m = p - delta and alpha = floor(m / 2(k-1)); the test reads
+    p - m >= alpha * (m - (k-1)(alpha+1)).  The left side strictly decreases
+    in m.  The right side never decreases in m: for fixed alpha it is linear
+    of slope alpha >= 0, and where alpha steps up at m = 2(k-1)(alpha+1) both
+    alpha and alpha+1 give (k-1)alpha(alpha+1), so it has no downward jump.
+    Raising delta lowers m, so the test, once true, stays true.
     """
     _check_magnitude(p=p, k=k)
-    least = None
-    for delta in range(p):
-        if severi_nonempty(p, delta, k):
-            least = delta
-            break
-    if least is not None and check_upward_closure:
-        for delta in range(least + 1, p):
-            if not severi_nonempty(p, delta, k):
-                warnings.warn(
-                    f"nonemptiness not upward-closed at (p={p}, k={k}): "
-                    f"holds at delta={least} but fails at delta={delta}",
-                    UpwardClosureWarning,
-                    stacklevel=2,
-                )
-        # the delta = p boundary (rational curves) is outside the contract range
-    return least
+    if p <= 0:
+        return None
+    # delta = p - 1 is the top of the range; this call also validates p and k
+    if not severi_nonempty(p, p - 1, k):
+        return None
+    lo, hi = 0, p - 1  # the answer lies in lo..hi, and hi is nonempty
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if severi_nonempty(p, mid, k):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def profile_report(profile: RamificationProfile) -> dict:

@@ -855,10 +855,11 @@ def _variable_has_repeated_factor(curve: PlaneCurve, var: int) -> bool | None:
     on specialization lines: one squarefree specialization (at full degree)
     witnesses a nonzero discriminant; deg*(2*deg - 1) + 1 full-degree
     specializations that are all non-squarefree prove it vanishes identically.
-    Returns None when the field has too few points to conclude.
+    The lines are (t : 1) for t = 0, 1, 2, ... and then (1 : 0); at most deg of
+    them drop the degree, so over Q, where t runs to deg*(2*deg - 1) + deg,
+    the scan always concludes.  Returns None when F_q has too few points.
     """
     F = curve.field
-    q = F.q
     d = curve.degree
     var_degree = max(
         (expo[var] for expo, c in zip(curve_monomials(d), curve.coeffs) if not F.is_zero(c)),
@@ -868,7 +869,8 @@ def _variable_has_repeated_factor(curve: PlaneCurve, var: int) -> bool | None:
         return False  # a repeated factor would need degree >= 2 here
     needed = d * (2 * d - 1) + 1
     seen = 0
-    for pt in [(t, F.one) for t in range(q)] + [(F.one, F.zero)]:
+    ts = range(F.q) if F.q else range(needed + d)
+    for pt in [(t, F.one) for t in ts] + [(F.one, F.zero)]:
         special = _trim(F, _specialized_coeffs(curve, var, F.coerce(pt[0]), pt[1]))
         if len(special) - 1 != var_degree:
             continue  # leading coefficient vanished; specialization dishonest
@@ -883,10 +885,10 @@ def _variable_has_repeated_factor(curve: PlaneCurve, var: int) -> bool | None:
 def is_reduced_curve(curve: PlaneCurve) -> bool:
     """Whether the curve is squarefree (no repeated factor).
 
-    Over the rationals this is a gcd with the partial derivatives.  Over F_q
-    (valid for q > degree, else CharacteristicObstruction) each variable is
-    cleared by a discriminant specialization scan, falling back to a direct
-    modular gcd when q is too small to carry the scan.
+    Each variable is cleared by a discriminant specialization scan, over Q and
+    over F_q alike (F_q needs q > degree, else CharacteristicObstruction).
+    When F_q has too few points to carry the scan, a modular gcd with the
+    partial derivatives decides instead.
     """
     if curve.is_zero():
         raise ValueError("zero curve")
@@ -895,14 +897,15 @@ def is_reduced_curve(curve: PlaneCurve) -> bool:
         raise CharacteristicObstruction(
             f"characteristic {q} too small for degree {curve.degree}"
         )
-    if q > 0:
-        verdicts = [_variable_has_repeated_factor(curve, var) for var in range(3)]
-        if any(v is True for v in verdicts):
+    undecided = False
+    for var in range(3):
+        verdict = _variable_has_repeated_factor(curve, var)
+        if verdict:
             return False
-        if all(v is False for v in verdicts):
-            return True
-    opts = {"modulus": q} if q else {}
-    poly = sympy.Poly(curve_to_sympy(curve), _SYM_U, _SYM_V, _SYM_W, **opts)
+        undecided = undecided or verdict is None
+    if not undecided:
+        return True
+    poly = sympy.Poly(curve_to_sympy(curve), _SYM_U, _SYM_V, _SYM_W, modulus=q)
     g = poly
     for s in (_SYM_U, _SYM_V, _SYM_W):
         g = g.gcd(poly.diff(s))

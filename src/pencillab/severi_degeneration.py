@@ -24,7 +24,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 import numpy as np
 import sympy
@@ -104,50 +103,41 @@ class AlphaTuple:
         }
 
 
-def enumerate_alpha(p: int, delta: int, k: int) -> list[AlphaTuple]:
-    """All tuples with sum j*a_j = p, sum (j-1)*a_j = delta, a_j <= 2(k-1).
+def _alpha_walk(p: int, delta: int, k: int):
+    """Yield each (a_1..a_p) with sum j*a_j = p, sum (j-1)*a_j = delta, a_j <= 2(k-1).
 
-    Returned in lexicographic order of (a_1..a_p).  An empty list is a valid
-    answer; it matches the emptiness of the corresponding nodal family.
+    a_p is chosen first, down to a_2; a_1 is then forced to the remaining p.
     """
     if not 0 <= delta < p:
         raise ValueError("need 0 <= delta < p")
     if k < 2:
         raise ValueError("k must be at least 2")
     cap = 2 * (k - 1)
-    found: list[tuple] = []
 
-    def walk(j: int, rem_p: int, rem_delta: int, acc: list) -> None:
+    def walk(j: int, rem_p: int, rem_delta: int, acc: tuple):
         if j == 1:
             if rem_delta == 0 and rem_p <= cap:
-                found.append(tuple([rem_p] + acc))
+                yield (rem_p,) + acc
             return
         top = min(cap, rem_p // j, rem_delta // (j - 1))
         for a in range(top + 1):
-            walk(j - 1, rem_p - j * a, rem_delta - (j - 1) * a, [a] + acc)
+            yield from walk(j - 1, rem_p - j * a, rem_delta - (j - 1) * a, (a,) + acc)
 
-    walk(p, p, delta, [])
-    return [AlphaTuple(p, t) for t in sorted(found)]
+    yield from walk(p, p, delta, ())
+
+
+def enumerate_alpha(p: int, delta: int, k: int) -> list[AlphaTuple]:
+    """All tuples with sum j*a_j = p, sum (j-1)*a_j = delta, a_j <= 2(k-1).
+
+    Returned in lexicographic order of (a_1..a_p).  An empty list is a valid
+    answer; it matches the emptiness of the corresponding nodal family.
+    """
+    return [AlphaTuple(p, t) for t in sorted(_alpha_walk(p, delta, k))]
 
 
 def exists_alpha(p: int, delta: int, k: int) -> bool:
-    """Nonemptiness of enumerate_alpha, with early exit."""
-    if not 0 <= delta < p:
-        raise ValueError("need 0 <= delta < p")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    cap = 2 * (k - 1)
-
-    def walk(j: int, rem_p: int, rem_delta: int) -> bool:
-        if j == 1:
-            return rem_delta == 0 and rem_p <= cap
-        top = min(cap, rem_p // j, rem_delta // (j - 1))
-        return any(
-            walk(j - 1, rem_p - j * a, rem_delta - (j - 1) * a)
-            for a in range(top + 1)
-        )
-
-    return walk(p, p, delta)
+    """Nonemptiness of enumerate_alpha: stops at the first tuple found."""
+    return next(_alpha_walk(p, delta, k), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +411,24 @@ def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> list:
     return mats
 
 
-def _assignments(q: int, width: int) -> np.ndarray:
-    """All width-tuples over 0..q-1, lexicographic, first coordinate most significant."""
-    if width == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.array(list(iter_product(range(q), repeat=width)), dtype=np.int64)
+def _digits(idx, q: int, width: int) -> np.ndarray:
+    """Base-q digits of an index (or an array of them), most significant first.
+
+    This is the one codec between enumeration order and coordinates: index t
+    of a cell's f-range (or g-range) stands for the free coordinates digits(t),
+    so ranges of indices are lexicographic ranges of coordinate tuples.
+    """
+    idx = np.array(idx, dtype=np.int64)
+    out = np.empty(idx.shape + (width,), dtype=np.int64)
+    for pos in range(width - 1, -1, -1):
+        idx, out[..., pos] = np.divmod(idx, q)
+    return out
 
 
-def _pencil_from_indices(
+def _echelon_pencil(
     field: Field, k: int, cell: tuple[int, int], f_vals, g_vals
 ) -> Pencil:
+    """The pencil of a cell's echelon pair with the given free coordinates."""
     i, j = cell
     cols0, cols1 = _free_columns(k, i, j)
     f = [0] * (k + 1)
@@ -457,8 +455,8 @@ def _search_shard(payload) -> tuple[int, list, dict]:
     field = Field(q)
     mats = [np.array(m, dtype=np.int64) for m in mats_raw]
     cols0, cols1 = _free_columns(k, i, j)
-    f_assign = _assignments(q, len(cols0))[f_lo:f_hi]
-    g_assign = _assignments(q, len(cols1))
+    f_assign = _digits(np.arange(f_lo, f_hi), q, len(cols0))
+    g_assign = _digits(np.arange(q ** len(cols1)), q, len(cols1))
     n_g = g_assign.shape[0]
     count = 0
     samples: list[tuple] = []
@@ -484,7 +482,7 @@ def _search_shard(payload) -> tuple[int, list, dict]:
             for b, gi in zip(rows.tolist(), cols.tolist()):
                 f_idx = f_lo + lo + b
                 if want_strata:
-                    pencil = _pencil_from_indices(
+                    pencil = _echelon_pencil(
                         field, k, (i, j), f_assign[lo + b], g_assign[gi]
                     )
                     name = _classify_stratum(pencil)
@@ -503,7 +501,6 @@ def search_pencils_ffield(
     budget: int = DEFAULT_SEARCH_BUDGET,
     jobs: int = 1,
     cache_dir: str | None = None,
-    use_cache: bool = True,
     report_strata: bool = False,
 ) -> SearchResult:
     """Count pencils over F_q meeting the constraint, with up to 20 samples.
@@ -518,7 +515,8 @@ def search_pencils_ffield(
     divisor at Python speed: keep it to small q.
 
     With cache_dir set, results persist as JSON keyed by a content hash of
-    (k, q, constraint); use_cache=False recomputes and refreshes the entry.
+    (k, q, constraint); an entry is used only if it records that same question.
+    With cache_dir None the cache is neither read nor written.
     """
     field = Field(q)  # rejects q = 2 and composites
     if k < 1:
@@ -528,18 +526,22 @@ def search_pencils_ffield(
     cache_path = None
     if cache_dir is not None:
         cache_path = _cache_path(cache_dir, k, q, constraint)
-        if use_cache and os.path.exists(cache_path):
-            cached = _load_cached(field, k, cache_path, report_strata)
-            if cached is not None:
-                return cached
+        cached = _load_cached(cache_path, k, q, constraint, report_strata)
+        if cached is not None:
+            return cached
     cells = _cells(k)
-    cell_sizes = [
-        q ** (len(c0) + len(c1)) for c0, c1 in (_free_columns(k, i, j) for i, j in cells)
-    ]
-    total = sum(cell_sizes)
+    widths = [_free_columns(k, i, j) for i, j in cells]
+    total = sum(q ** (len(c0) + len(c1)) for c0, c1 in widths)
     if constraint.is_empty() and not report_strata:
-        samples = _prefix_samples(field, k, q, SAMPLE_LIMIT)
-        result = SearchResult(count=total, samples=tuple(samples), strata=None)
+        # every pencil matches: the samples are the first keys in order
+        keys = []
+        for cell_idx, (c0, c1) in enumerate(widths):
+            n_g = q ** len(c1)
+            for flat in range(min(q ** len(c0) * n_g, SAMPLE_LIMIT - len(keys))):
+                keys.append((cell_idx, *divmod(flat, n_g)))
+        result = SearchResult(
+            count=total, samples=_decode_samples(field, k, keys), strata=None
+        )
         if cache_path is not None:
             _store_cached(cache_path, k, q, constraint, result)
         return result
@@ -550,8 +552,7 @@ def search_pencils_ffield(
     mats = compile_constraint(k, q, constraint)
     mats_raw = [tuple(map(tuple, A.tolist())) for A in mats]
     tasks = []
-    for cell_idx, (i, j) in enumerate(cells):
-        cols0, _ = _free_columns(k, i, j)
+    for cell_idx, ((i, j), (cols0, _)) in enumerate(zip(cells, widths)):
         n_f = q ** len(cols0)
         shards = max(1, min(jobs, n_f // 4)) if jobs > 1 else 1
         bounds = [round(s * n_f / shards) for s in range(shards + 1)]
@@ -571,47 +572,27 @@ def search_pencils_ffield(
     for _, _, part in outcomes:
         for name, val in part.items():
             strata[name] = strata.get(name, 0) + val
-    samples = []
-    for cell_idx, f_idx, g_idx in keys[:SAMPLE_LIMIT]:
-        i, j = cells[cell_idx]
-        cols0, cols1 = _free_columns(k, i, j)
-        f_vals = _digits(f_idx, q, len(cols0))
-        g_vals = _digits(g_idx, q, len(cols1))
-        samples.append(_pencil_from_indices(field, k, (i, j), f_vals, g_vals))
     result = SearchResult(
-        count=count, samples=tuple(samples), strata=strata if report_strata else None
+        count=count,
+        samples=_decode_samples(field, k, keys[:SAMPLE_LIMIT]),
+        strata=strata if report_strata else None,
     )
     if cache_path is not None:
         _store_cached(cache_path, k, q, constraint, result)
     return result
 
 
-def _digits(idx: int, q: int, width: int) -> list[int]:
-    out = [0] * width
-    for pos in range(width - 1, -1, -1):
-        out[pos] = idx % q
-        idx //= q
-    return out
-
-
-def _prefix_samples(field: Field, k: int, q: int, cap: int) -> list[Pencil]:
-    out: list[Pencil] = []
-    for cell in _cells(k):
-        cols0, cols1 = _free_columns(k, *cell)
-        for f_idx in range(q ** len(cols0)):
-            for g_idx in range(q ** len(cols1)):
-                out.append(
-                    _pencil_from_indices(
-                        field,
-                        k,
-                        cell,
-                        _digits(f_idx, q, len(cols0)),
-                        _digits(g_idx, q, len(cols1)),
-                    )
-                )
-                if len(out) == cap:
-                    return out
-    return out
+def _decode_samples(field: Field, k: int, keys) -> tuple:
+    """The pencils that (cell index, f index, g index) keys stand for."""
+    cells = _cells(k)
+    samples = []
+    for cell_idx, f_idx, g_idx in keys:
+        cols0, cols1 = _free_columns(k, *cells[cell_idx])
+        samples.append(_echelon_pencil(
+            field, k, cells[cell_idx],
+            _digits(f_idx, field.q, len(cols0)), _digits(g_idx, field.q, len(cols1)),
+        ))
+    return tuple(samples)
 
 
 # --- cache plumbing ---
@@ -624,7 +605,6 @@ def _cache_key(k: int, q: int, constraint: SearchConstraint) -> str:
 
 
 def _cache_path(cache_dir: str, k: int, q: int, constraint: SearchConstraint) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
     return os.path.join(cache_dir, f"search-{_cache_key(k, q, constraint)[:24]}.json")
 
 
@@ -640,6 +620,7 @@ def _store_cached(
         "samples": [p.to_json_dict() for p in result.samples],
         "strata": result.strata,
     }
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
@@ -647,8 +628,9 @@ def _store_cached(
 
 
 def _load_cached(
-    field: Field, k: int, path: str, report_strata: bool
+    path: str, k: int, q: int, constraint: SearchConstraint, report_strata: bool
 ) -> SearchResult | None:
+    """The stored result, or None if absent, unreadable or for another question."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -656,8 +638,12 @@ def _load_cached(
         return None
     if doc.get("schema") != 1:
         return None
+    stored = (doc.get("k"), doc.get("q"), doc.get("constraint"))
+    if stored != (k, q, constraint.to_json_dict()):
+        return None  # a colliding or doctored entry; recompute
     if report_strata and doc.get("strata") is None:
         return None  # cached run lacks the strata breakdown; recompute
+    field = Field(q)
     samples = tuple(
         Pencil(
             BinaryForm.from_json_dict(field, s["f"]),

@@ -178,7 +178,7 @@ def test_criterion_7_unique_two_point_pencil():
             for k in (2, 3):
                 for a, b in itertools.combinations(pts, 2):
                     constraint = SearchConstraint(ramifications=((a, k), (b, k)))
-                    res = search_pencils_ffield(k, q, constraint, use_cache=False)
+                    res = search_pencils_ffield(k, q, constraint)
                     assert res.count == 1, (q, k, a, b)
                     found = res.samples[0]
                     assert has_ramification_at(found, a, k)
@@ -206,7 +206,7 @@ def test_criterion_8_dimension_ladder():
             ladder = []
             for c in range(0, 5):
                 constraint = SearchConstraint(incidences=tuple(xis[:c]))
-                res = search_pencils_ffield(3, q, constraint, use_cache=False)
+                res = search_pencils_ffield(3, q, constraint)
                 ladder.append(res.count)
             assert ladder[0] == grassmannian_pencil_count(3, q)
             assert tuple(ladder) == LADDERS[q]

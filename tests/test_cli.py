@@ -1,10 +1,14 @@
 """End-to-end command line checks: output shape, exit codes, determinism."""
 
 import json
+import os
+import shlex
 
 import pytest
 
 from pencillab.cli import main
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 @pytest.fixture(autouse=True)
@@ -62,6 +66,25 @@ def test_usage_error_exit_code(capsys):
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run(["numerology", "--g", "1", "--k", "2", "--wat", "3"], capsys)
     assert code == 2
+
+
+def test_seed_flag_is_gone(capsys):
+    code, _, err = run(["numerology", "--g", "4", "--k", "2", "--seed", "1"], capsys)
+    assert code == 2
+    assert "--seed" in err
+
+
+def test_value_rejected_by_pencillab_exits_one(capsys):
+    # argparse accepts the string; parsing it as orders fails
+    doc = run_json(["numerology", "--g", "4", "--k", "2", "--e", "2,x"], capsys,
+                   expect_code=1)
+    assert doc["error"] == "value_error"
+
+
+def test_error_names_keep_acronyms_whole(capsys):
+    doc = run_json(["monodromy", "verify", "--k", "3", "--cycles", "[1,2"], capsys,
+                   expect_code=1)
+    assert doc["error"] == "json_decode_error"
 
 
 def test_monodromy_construct(capsys):
@@ -165,6 +188,18 @@ def test_dimlab_search_incidence(capsys):
     assert len(doc["samples"]) == 6
 
 
+def test_no_cache_neither_reads_nor_writes(capsys, tmp_path):
+    argv = ["dimlab", "search", "--k", "2", "--q", "5", "--incidence", "1,1,0"]
+    first = run_json(argv + ["--no-cache"], capsys)
+    assert not (tmp_path / "cache").exists()
+    assert run_json(argv, capsys) == first
+    (entry,) = (tmp_path / "cache").glob("search-*.json")
+    doc = json.loads(entry.read_text())
+    entry.write_text(json.dumps(dict(doc, samples=[])))
+    assert run_json(argv + ["--no-cache"], capsys) == first
+    assert run_json(argv, capsys)["samples"] == []  # the entry is read without the flag
+
+
 def test_dimlab_search_empty_result_exit_one(capsys):
     doc = run_json(
         ["dimlab", "search", "--k", "2", "--q", "5",
@@ -203,3 +238,22 @@ def test_output_byte_stable(capsys):
     _, first, _ = run(args, capsys)
     _, second, _ = run(args, capsys)
     assert first == second
+
+
+def readme_examples():
+    """(argv, stdout) of each `$ pencillab ...` line in README.md and the line after it."""
+    with open(README) as fh:
+        lines = fh.read().splitlines()
+    return [
+        (shlex.split(line[len("$ pencillab "):]), lines[i + 1] + "\n")
+        for i, line in enumerate(lines)
+        if line.startswith("$ pencillab ")
+    ]
+
+
+def test_readme_examples_match_the_cli(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 5
+    for argv, expected in examples:
+        _, out, _ = run(argv, capsys)
+        assert out == expected, argv

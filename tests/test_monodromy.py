@@ -153,6 +153,15 @@ def test_exhaustive_mode_agrees_with_pruned():
 def test_count_matches_enumeration():
     for k, e in [(2, (2, 2)), (3, (3, 3)), (3, (2, 2, 2, 2)), (4, (3, 3, 2))]:
         assert count_tuples(k, e) == len(enumerate_tuples(k, e))
+    for k in range(2, 6):
+        for e in balanced_profiles(k, max_n=5):
+            assert count_tuples(k, e) == len(enumerate_tuples(k, e)), (k, e)
+
+
+def test_fewer_than_two_cycles_give_nothing():
+    for e in [(), (2,), (3,)]:
+        assert enumerate_tuples(3, e) == enumerate_tuples(3, e, exhaustive=True) == []
+        assert count_tuples(3, e) == 0
 
 
 def test_genus_zero_iff_balanced():

@@ -1,6 +1,7 @@
 """Closed-form invariants: expected dimensions, verdicts, nodal-curve bounds."""
 
 import random
+import time
 
 import pytest
 
@@ -204,6 +205,34 @@ def test_delta_zero_is_least_and_upward_closed():
                 assert not severi_nonempty(p, delta, k)
             for delta in range(d0, p):
                 assert severi_nonempty(p, delta, k)
+
+
+def _delta_zero_scan(p, k):
+    """Least nonempty delta by linear scan: the oracle for delta_zero's binary search."""
+    return next((d for d in range(p) if severi_nonempty(p, d, k)), None)
+
+
+def test_delta_zero_matches_linear_scan():
+    for p in range(2, 400):
+        for k in range(2, 12):
+            assert delta_zero(p, k) == _delta_zero_scan(p, k), (p, k)
+
+
+def test_delta_zero_at_the_input_cap_is_prompt():
+    start = time.perf_counter()
+    d0 = delta_zero(2**31, 3)
+    assert time.perf_counter() - start < 0.5
+    assert not severi_nonempty(2**31, d0 - 1, 3)
+    assert severi_nonempty(2**31, d0, 3)
+
+
+def test_delta_zero_edge_cases():
+    assert delta_zero(0, 2) is None
+    assert delta_zero(-7, 2) is None
+    with pytest.raises(ValueError):
+        delta_zero(1, 2)
+    with pytest.raises(ValueError):
+        delta_zero(5, 1)
 
 
 def test_profile_report_shape():

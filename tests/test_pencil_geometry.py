@@ -34,6 +34,7 @@ from pencillab import (
     wronskian,
 )
 from pencillab.fields import QQ, Field
+from pencillab.pencil_geometry import _variable_has_repeated_factor
 
 from conftest import form, point, random_pencil
 
@@ -232,6 +233,42 @@ class TestReducedness:
                     pen = random_pencil(field, k, rng)
                     curve = bezoutian_curve(pen)
                     assert is_reduced_curve(curve) == (not has_multiple_base_points(pen))
+
+    def test_small_field_fallback(self):
+        # F_5 and F_7 have fewer than the 16 points a cubic's scan needs, so
+        # curves the scan cannot clear go to the modular gcd
+        rng = random.Random(12)
+        fallbacks = 0
+        for q in (5, 7):
+            F = Field(q)
+            for i in range(20):
+                if i % 2:
+                    square = linear_form(point(F, 1, rng.randrange(q)))
+                    square = square.multiply(square)
+                    try:
+                        pen = Pencil(*(form(F, [rng.randrange(q) for _ in range(3)])
+                                       .multiply(square) for _ in range(2)))
+                    except DegeneratePencil:
+                        continue
+                else:
+                    pen = random_pencil(F, 4, rng)
+                curve = bezoutian_curve(pen)
+                verdicts = [_variable_has_repeated_factor(curve, var) for var in range(3)]
+                fallbacks += True not in verdicts and None in verdicts
+                assert is_reduced_curve(curve) == (not has_multiple_base_points(pen))
+        assert fallbacks > 0
+
+    def test_rational_scan_always_concludes(self):
+        rng = random.Random(13)
+        for k in (3, 5, 7):
+            pen = random_pencil(QQ, k - 2, rng)
+            square = linear_form(point(QQ, 1, rng.randint(-9, 9)))
+            square = square.multiply(square)
+            doubled = Pencil(pen.f.multiply(square), pen.g.multiply(square))
+            for p in (random_pencil(QQ, k, rng), doubled):
+                curve = bezoutian_curve(p)
+                for var in range(3):
+                    assert _variable_has_repeated_factor(curve, var) is not None
 
     def test_small_characteristic_refused(self):
         curve = PlaneCurve.from_monomial_dict(Field(3), 3, {(3, 0, 0): 1, (0, 3, 0): 1})

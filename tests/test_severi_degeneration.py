@@ -1,8 +1,12 @@
 """Alpha-tuple combinatorics, limit-curve descent, finite-field pencil searches."""
 
+import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pencillab import (
@@ -30,6 +34,7 @@ from pencillab import (
     sym_point,
     total_ramification_pencil,
 )
+from pencillab import severi_degeneration
 from pencillab.pencil_geometry import PlaneCurve
 from pencillab.fields import QQ, Field
 
@@ -209,7 +214,7 @@ class TestGrassmannianCount:
 class TestSearch:
     def test_empty_constraint_equals_closed_form(self):
         for k, q in [(2, 5), (2, 7), (3, 5), (3, 7), (3, 11), (4, 5), (4, 11)]:
-            res = search_pencils_ffield(k, q, SearchConstraint(), use_cache=False)
+            res = search_pencils_ffield(k, q, SearchConstraint())
             assert res.count == grassmannian_pencil_count(k, q)
 
     def test_unique_total_ramification_pencil(self):
@@ -217,7 +222,7 @@ class TestSearch:
         constraint = SearchConstraint(
             ramifications=((point(F, 1, 0), 2), (point(F, 0, 1), 2))
         )
-        res = search_pencils_ffield(2, 5, constraint, use_cache=False)
+        res = search_pencils_ffield(2, 5, constraint)
         assert res.count == 1
         found = res.samples[0]
         assert found.f.coeffs == (1, 0, 0)
@@ -226,8 +231,7 @@ class TestSearch:
     def test_one_incidence_regression(self):
         F = Field(5)
         xi = sym_point(point(F, 1, 0), point(F, 1, 1))
-        res = search_pencils_ffield(2, 5, SearchConstraint(incidences=(xi,)),
-                                    use_cache=False)
+        res = search_pencils_ffield(2, 5, SearchConstraint(incidences=(xi,)))
         assert res.count == 6  # lines through a point of the dual plane
 
     def test_constraints_never_increase_count(self):
@@ -235,7 +239,7 @@ class TestSearch:
         xi1 = sym_point(point(F, 1, 0), point(F, 1, 1))
         xi2 = sym_point(point(F, 1, 2), point(F, 1, 3))
         counts = [
-            search_pencils_ffield(2, 7, c, use_cache=False).count
+            search_pencils_ffield(2, 7, c).count
             for c in (
                 SearchConstraint(),
                 SearchConstraint(incidences=(xi1,)),
@@ -247,15 +251,13 @@ class TestSearch:
     def test_samples_satisfy_constraint(self):
         F = Field(7)
         xi = sym_point(point(F, 1, 2), point(F, 1, 3))
-        res = search_pencils_ffield(3, 7, SearchConstraint(incidences=(xi,)),
-                                    use_cache=False)
+        res = search_pencils_ffield(3, 7, SearchConstraint(incidences=(xi,)))
         assert 0 < len(res.samples) <= 20
         for pen in res.samples:
             assert bezoutian_curve(pen).contains(xi)
 
     def test_strata_partition_the_count(self):
-        res = search_pencils_ffield(2, 5, SearchConstraint(), report_strata=True,
-                                    use_cache=False)
+        res = search_pencils_ffield(2, 5, SearchConstraint(), report_strata=True)
         assert res.strata == {"base_point_free": 25, "simple_base_divisor": 6}
         assert sum(res.strata.values()) == res.count
 
@@ -263,8 +265,8 @@ class TestSearch:
         F = Field(7)
         xi = sym_point(point(F, 1, 1), point(F, 1, 5))
         constraint = SearchConstraint(incidences=(xi,))
-        serial = search_pencils_ffield(2, 7, constraint, use_cache=False)
-        parallel = search_pencils_ffield(2, 7, constraint, jobs=3, use_cache=False)
+        serial = search_pencils_ffield(2, 7, constraint)
+        parallel = search_pencils_ffield(2, 7, constraint, jobs=3)
         assert serial.count == parallel.count
         assert serial.samples == parallel.samples
 
@@ -274,7 +276,7 @@ class TestSearch:
                                   SearchConstraint(incidences=(
                                       sym_point(point(Field(11), 1, 1),
                                                 point(Field(11), 1, 2)),)),
-                                  budget=10, use_cache=False)
+                                  budget=10)
 
     def test_field_guards(self):
         with pytest.raises(ValueError):
@@ -292,6 +294,37 @@ class TestSearch:
         second = search_pencils_ffield(2, 5, constraint, cache_dir=str(tmp_path))
         assert first.count == second.count
         assert first.samples == second.samples
+
+    def test_index_codec_is_lexicographic(self):
+        for q, width in [(3, 0), (5, 1), (7, 3)]:
+            rows = severi_degeneration._digits(np.arange(q**width), q, width)
+            assert rows.tolist() == [list(t) for t in itertools.product(range(q), repeat=width)]
+            assert severi_degeneration._digits(q**width - 1, q, width).tolist() == [q - 1] * width
+
+    def test_doctored_cache_entry_is_recomputed(self, tmp_path):
+        F = Field(5)
+        xi = sym_point(point(F, 1, 0), point(F, 1, 2))
+        constraint = SearchConstraint(incidences=(xi,))
+        truth = search_pencils_ffield(2, 5, constraint, cache_dir=str(tmp_path))
+        (path,) = tmp_path.glob("search-*.json")
+        honest = json.loads(path.read_text())
+        for key, value in [("k", 3), ("q", 7), ("constraint", SearchConstraint().to_json_dict())]:
+            doc = dict(honest, count=truth.count + 1, samples=[])
+            doc[key] = value
+            path.write_text(json.dumps(doc))
+            again = search_pencils_ffield(2, 5, constraint, cache_dir=str(tmp_path))
+            assert again.count == truth.count, key
+            assert again.samples == truth.samples, key
+
+    def test_cache_lookup_creates_no_directory(self, tmp_path):
+        cache = tmp_path / "cache"
+        F = Field(5)
+        constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 0), point(F, 1, 2)),))
+        path = severi_degeneration._cache_path(str(cache), 2, 5, constraint)
+        assert severi_degeneration._load_cached(path, 2, 5, constraint, False) is None
+        assert not cache.exists()
+        search_pencils_ffield(2, 5, constraint, cache_dir=str(cache))
+        assert [p.name for p in cache.iterdir()] == [os.path.basename(path)]
 
 
 class TestDimensionEstimate:
