@@ -2,10 +2,11 @@
 
 If a family has dimension d, its point count over F_q grows like q^d.  The
 demo counts pencils of cubic binary forms subject to 0..4 incidence
-conditions on their pair curves, over two primes, and fits the exponent.
-Each generic incidence condition should cost exactly one dimension.
+conditions on their pair curves, over three primes, and fits the exponent by
+least squares.  Each generic incidence condition should cost exactly one
+dimension.
 
-Run:  python3 demos/dimension_experiment.py   (a few seconds)
+Run:  python3 demos/dimension_experiment.py   (about a second)
 """
 
 from pencillab import (
@@ -22,7 +23,7 @@ from pencillab.pencil_geometry import ProjPoint
 # with rational solutions, so the exponent ladder is clean at every prime
 PAIRS = (((1, 0), (1, 1)), ((1, -1), (1, 2)), ((1, 3), (0, 1)), ((1, 4), (1, -3)))
 
-PRIMES = (31, 101)
+PRIMES = (31, 101, 211)
 K = 3
 
 

@@ -1,5 +1,5 @@
 """pencillab: pencils of binary forms, their plane-curve geometry, and the
-combinatorics of nodal limits, with exhaustive finite-field experiments.
+combinatorics of nodal limits, with exact finite-field point counts.
 
 Subpackages by theme: numerology (expected dimensions and nonemptiness
 numerics), monodromy (cycle tuples realizing genus-0 covers), pencil_geometry

@@ -6,13 +6,15 @@ delta, alpha_j <= 2(k-1)) and packages chains plus marked points into nodal
 limit-curve models.  The descent layer asks whether a pencil on the line
 descends to such a model: every node pair must lie in a single member and
 every marked point must carry the prescribed ramification.  The experimental
-layer counts pencils over F_q satisfying incidence/ramification constraints
-by exhaustive, exactly-once enumeration of 2-dimensional subspaces, and fits
-a dimension exponent to counts across primes.
+layer counts pencils over F_q satisfying incidence/ramification constraints,
+each 2-dimensional subspace exactly once through its echelon basis pair, and
+fits a dimension exponent to counts across primes.
 
 Search constraints compile to antisymmetric bilinear forms on coefficient
-vectors, so a subspace matches iff one (hence any) basis pair (f, g) does;
-the inner loop is a vectorized evaluation of those forms over numpy int64.
+vectors, so a subspace matches iff one (hence any) basis pair (f, g) does.
+With f fixed the forms are linear in g, so counts come from the ranks of
+batched linear systems mod q in numpy int64; g is enumerated by brute force
+only to decode samples and to classify strata.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     ResourceLimit,
     ZeroCount,
 )
-from .fields import Field
+from .fields import Field, _is_prime
 from .pencil_geometry import (
     BinaryForm,
     Pencil,
@@ -52,13 +54,16 @@ from .pencil_geometry import (
 
 SAMPLE_LIMIT = 20
 
-# Candidate budget for exhaustive searches.  The k=3 Grassmannian over F_101
-# holds 105,111,206 pencils, which the dimension experiments walk constraint
-# by constraint, so the default sits above that but still refuses anything
-# an order of magnitude larger.
+# Work budget of a search, in the units search_pencils_ffield documents.  The
+# k=4 ladder over F_101 takes about 2.1*10^7 steps at one condition and
+# 4.6*10^7 at six; the default leaves room for that and for strata searches
+# of the k=3 Grassmannian over F_101 (105,111,206 pencils), and refuses
+# anything an order of magnitude larger.
 DEFAULT_SEARCH_BUDGET = 200_000_000
 
-_CHUNK_ROWS = 256
+_CHUNK_ROWS = 256  # f-rows per brute-force block, each tested against every g
+_RANK_CHUNK_ROWS = 8192  # f-rows per batch of the rank kernel
+_G_CHUNK = 1 << 14  # g-vectors per block of sample decoding
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +348,14 @@ class SearchResult:
 
 
 def grassmannian_pencil_count(k: int, q: int) -> int:
-    """Number of pencils of degree-k forms over F_q: lines in P^k(F_q)."""
+    """Number of pencils of degree-k forms over F_q: lines in P^k(F_q).
+
+    q = 2 is allowed: the count needs no conic, unlike the rest of F_q work.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if not _is_prime(q):
+        raise ValueError(f"modulus {q} is not prime")
     N = k + 1
     num = (q**N - 1) * (q**N - q)
     den = (q**2 - 1) * (q**2 - q)
@@ -449,32 +459,45 @@ def _classify_stratum(pencil: Pencil) -> str:
     return "simple_base_divisor" if squarefree_form(locus) else "multiple_base_points"
 
 
+def _f_rows(k: int, i: int, cols0: list[int], f_digits: np.ndarray) -> np.ndarray:
+    """Echelon rows f with f[i] = 1 and the given free coordinates in cols0."""
+    F_rows = np.zeros((f_digits.shape[0], k + 1), dtype=np.int64)
+    F_rows[:, i] = 1
+    if cols0:
+        F_rows[:, cols0] = f_digits
+    return F_rows
+
+
+def _match_mask(F_rows, mats, q: int, j: int, cols1: list[int], g_digits) -> np.ndarray:
+    """Rows x g-vectors mask of the echelon pairs with f^T A g = 0 for every A."""
+    mask = np.ones((F_rows.shape[0], g_digits.shape[0]), dtype=bool)
+    for A in mats:
+        R = (F_rows @ A) % q
+        vals = R[:, [j]]
+        if cols1:
+            vals = vals + R[:, cols1] @ g_digits.T
+        mask &= (vals % q) == 0
+    return mask
+
+
 def _search_shard(payload) -> tuple[int, list, dict]:
-    """Count matches for one cell's f-index range; top-level for pickling."""
+    """Brute-force one cell's f-index range, testing every g; top-level for pickling.
+
+    This serves strata requests, which must see every matching pencil, and it
+    is the oracle the rank kernel of _count_shard is tested against.
+    """
     (q, k, cell_idx, i, j, f_lo, f_hi, mats_raw, want_strata, sample_cap) = payload
     field = Field(q)
     mats = [np.array(m, dtype=np.int64) for m in mats_raw]
     cols0, cols1 = _free_columns(k, i, j)
     f_assign = _digits(np.arange(f_lo, f_hi), q, len(cols0))
     g_assign = _digits(np.arange(q ** len(cols1)), q, len(cols1))
-    n_g = g_assign.shape[0]
     count = 0
     samples: list[tuple] = []
     strata: dict[str, int] = {}
     for lo in range(0, f_assign.shape[0], _CHUNK_ROWS):
         chunk = f_assign[lo : lo + _CHUNK_ROWS]
-        B = chunk.shape[0]
-        F_rows = np.zeros((B, k + 1), dtype=np.int64)
-        F_rows[:, i] = 1
-        if cols0:
-            F_rows[:, cols0] = chunk
-        mask = np.ones((B, n_g), dtype=bool)
-        for A in mats:
-            R = (F_rows @ A) % q
-            vals = R[:, [j]]
-            if cols1:
-                vals = vals + R[:, cols1] @ g_assign.T
-            mask &= (vals % q) == 0
+        mask = _match_mask(_f_rows(k, i, cols0, chunk), mats, q, j, cols1, g_assign)
         hits = int(mask.sum())
         count += hits
         if hits and (len(samples) < sample_cap or want_strata):
@@ -494,6 +517,89 @@ def _search_shard(payload) -> tuple[int, list, dict]:
     return count, samples, strata
 
 
+def _solution_ranks(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and solvability of a batch of linear systems over F_q.
+
+    S is B x m x (n+1): B augmented systems of m equations in n unknowns, the
+    last column holding the constants.  Gaussian elimination runs on all B
+    systems at once, one unknown at a time, each system taking as pivot its
+    first unused equation with a nonzero coefficient.  Every equation r is
+    then replaced fraction-free by p*r - r[c]*pivot, p the pivot entry, so no
+    inverse mod q is needed and no product exceeds (q-1)^2; the pivot itself
+    drops to zero, which is harmless since it is never looked at again.  A
+    system is solvable iff no unused equation keeps a nonzero constant.
+    """
+    B, m, width = S.shape
+    used = np.zeros((B, m), dtype=bool)
+    rank = np.zeros(B, dtype=np.int64)
+    batch = np.arange(B)
+    for c in range(width - 1):
+        candidates = (S[:, :, c] != 0) & ~used
+        has = candidates.any(axis=1)
+        if not has.any():
+            continue
+        piv = candidates.argmax(axis=1)
+        pivot = np.where(has[:, None], S[batch, piv], 0)
+        scale = np.where(has, pivot[:, c], 1)
+        S = (scale[:, None, None] * S - S[:, :, c, None] * pivot[:, None, :]) % q
+        used[batch[has], piv[has]] = True
+        rank += has
+    solvable = ~((S[:, :, -1] != 0) & ~used).any(axis=1)
+    return rank, solvable
+
+
+def _count_shard(payload) -> tuple[int, list[tuple]]:
+    """Count one cell's f-index range by rank; top-level for pickling.
+
+    With f fixed, each f^T A g = 0 (g[j] = 1) is one linear equation in g's
+    n = |cols1| free coordinates, so the row has q^(n - rank) matches if its
+    system is solvable and none otherwise.  Also returns the (cell, f) keys of
+    the first row_cap rows with a match, from which the samples are decoded.
+    """
+    (q, k, cell_idx, i, j, f_lo, f_hi, mats_raw, row_cap) = payload
+    mats = np.array(mats_raw, dtype=np.int64)
+    cols0, cols1 = _free_columns(k, i, j)
+    n, m = len(cols1), mats.shape[0]
+    # columns of every A that meet g: the n unknowns, then the constant g[j] = 1
+    system = mats[:, :, cols1 + [j]].transpose(1, 0, 2).reshape(k + 1, m * (n + 1))
+    by_rank = np.zeros(n + 1, dtype=np.int64)
+    rows: list[tuple] = []
+    for lo in range(f_lo, f_hi, _RANK_CHUNK_ROWS):
+        f_idx = np.arange(lo, min(lo + _RANK_CHUNK_ROWS, f_hi))
+        F_rows = _f_rows(k, i, cols0, _digits(f_idx, q, len(cols0)))
+        S = ((F_rows @ system) % q).reshape(-1, m, n + 1)
+        rank, solvable = _solution_ranks(S, q)
+        by_rank += np.bincount(rank[solvable], minlength=n + 1)
+        if len(rows) < row_cap:
+            rows.extend(
+                (cell_idx, f) for f in f_idx[solvable][: row_cap - len(rows)].tolist()
+            )
+    count = sum(int(c) * q ** (n - r) for r, c in enumerate(by_rank.tolist()))
+    return count, rows
+
+
+def _sample_keys(q: int, k: int, mats, rows) -> list[tuple]:
+    """The first SAMPLE_LIMIT (cell, f, g) keys of the given (cell, f) rows, in order.
+
+    Each row is known to hold a match, so the g-range of each is scanned by
+    brute force, a bounded chunk at a time, until the samples are complete.
+    """
+    cells = _cells(k)
+    keys: list[tuple] = []
+    for cell_idx, f_idx in rows:
+        i, j = cells[cell_idx]
+        cols0, cols1 = _free_columns(k, i, j)
+        F_row = _f_rows(k, i, cols0, _digits([f_idx], q, len(cols0)))
+        n_g = q ** len(cols1)
+        for lo in range(0, n_g, _G_CHUNK):
+            g_idx = np.arange(lo, min(lo + _G_CHUNK, n_g))
+            hit = _match_mask(F_row, mats, q, j, cols1, _digits(g_idx, q, len(cols1)))[0]
+            keys.extend((cell_idx, f_idx, g) for g in g_idx[hit].tolist())
+            if len(keys) >= SAMPLE_LIMIT:
+                return keys[:SAMPLE_LIMIT]
+    return keys
+
+
 def search_pencils_ffield(
     k: int,
     q: int,
@@ -505,14 +611,22 @@ def search_pencils_ffield(
 ) -> SearchResult:
     """Count pencils over F_q meeting the constraint, with up to 20 samples.
 
-    Every 2-dimensional subspace of degree-k forms is visited exactly once
-    through reduced-row-echelon representatives, grouped into cells by pivot
-    pair.  With no constraint (and no strata request) the per-cell counts are
-    summed arithmetically instead of iterated; any actual enumeration larger
-    than the budget raises ResourceLimit first.  Samples are the first
-    matches in (cell, f, g) lexicographic order, so results are independent
-    of jobs.  Strata reporting classifies every matching pencil by its base
-    divisor at Python speed: keep it to small q.
+    Every 2-dimensional subspace of degree-k forms is counted exactly once
+    through reduced-row-echelon representatives (f, g), grouped into cells by
+    pivot pair.  With no constraint (and no strata request) the per-cell
+    counts are summed arithmetically.  Otherwise each f-row's matches are
+    counted by the rank of a linear system in g (see _count_shard), and the
+    samples, the first matches in (cell, f, g) lexicographic order, are
+    decoded by brute force over the g-ranges of the first rows that have
+    matches; so results are independent of jobs.  Strata reporting tests and
+    classifies every pencil by its base divisor at Python speed: keep it to
+    small q.
+
+    budget bounds the work the chosen path does, computed before it starts:
+    f-rows times compiled conditions, summed over cells, plus SAMPLE_LIMIT
+    g-ranges of the largest cell for the samples; for strata, the number of
+    pencils enumerated.  A larger figure raises ResourceLimit, as does a q so
+    large that (k+1)(q-1)^2 would overflow int64.
 
     With cache_dir set, results persist as JSON keyed by a content hash of
     (k, q, constraint); an entry is used only if it records that same question.
@@ -523,6 +637,11 @@ def search_pencils_ffield(
         raise ValueError("k must be at least 1")
     if q <= k:
         raise ValueError("need q > k so that distinct ramification points exist")
+    if (k + 1) * (q - 1) ** 2 >= 2**63:
+        raise ResourceLimit(
+            f"q = {q} is too large for int64 arithmetic at k = {k}: "
+            "need (k+1)(q-1)^2 < 2^63"
+        )
     cache_path = None
     if cache_dir is not None:
         cache_path = _cache_path(cache_dir, k, q, constraint)
@@ -545,11 +664,17 @@ def search_pencils_ffield(
         if cache_path is not None:
             _store_cached(cache_path, k, q, constraint, result)
         return result
-    if total > budget:
-        raise ResourceLimit(
-            f"enumerating {total} pencils exceeds the budget of {budget}"
-        )
     mats = compile_constraint(k, q, constraint)
+    if report_strata:
+        kernel, extra = _search_shard, (True, SAMPLE_LIMIT)
+        work, what = total, "enumerating pencils"
+    else:
+        kernel, extra = _count_shard, (SAMPLE_LIMIT,)
+        work = len(mats) * sum(q ** len(c0) for c0, _ in widths)
+        work += SAMPLE_LIMIT * max(q ** len(c1) for _, c1 in widths)
+        what = "counting by rank"
+    if work > budget:
+        raise ResourceLimit(f"{what} takes {work} steps, over the budget of {budget}")
     mats_raw = [tuple(map(tuple, A.tolist())) for A in mats]
     tasks = []
     for cell_idx, ((i, j), (cols0, _)) in enumerate(zip(cells, widths)):
@@ -558,24 +683,27 @@ def search_pencils_ffield(
         bounds = [round(s * n_f / shards) for s in range(shards + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             if lo < hi:
-                tasks.append(
-                    (q, k, cell_idx, i, j, lo, hi, mats_raw, report_strata, SAMPLE_LIMIT)
-                )
+                tasks.append((q, k, cell_idx, i, j, lo, hi, mats_raw) + extra)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_search_shard, tasks))
+            outcomes = list(pool.map(kernel, tasks))
     else:
-        outcomes = [_search_shard(t) for t in tasks]
-    count = sum(c for c, _, _ in outcomes)
-    keys = sorted(key for _, sample_keys, _ in outcomes for key in sample_keys)
-    strata: dict[str, int] = {}
-    for _, _, part in outcomes:
-        for name, val in part.items():
-            strata[name] = strata.get(name, 0) + val
+        outcomes = [kernel(t) for t in tasks]
+    count = sum(outcome[0] for outcome in outcomes)
+    found = sorted(key for outcome in outcomes for key in outcome[1])
+    strata = None
+    if report_strata:
+        keys = found
+        strata = {}
+        for _, _, part in outcomes:
+            for name, val in part.items():
+                strata[name] = strata.get(name, 0) + val
+    else:
+        keys = _sample_keys(q, k, mats, found[:SAMPLE_LIMIT])
     result = SearchResult(
         count=count,
         samples=_decode_samples(field, k, keys[:SAMPLE_LIMIT]),
-        strata=strata if report_strata else None,
+        strata=strata,
     )
     if cache_path is not None:
         _store_cached(cache_path, k, q, constraint, result)

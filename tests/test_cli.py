@@ -178,6 +178,14 @@ def test_dimlab_grassmannian(capsys):
     assert doc == {"count": 31, "k": 2, "q": 5}
 
 
+def test_dimlab_grassmannian_rejects_composite_q(capsys):
+    doc = run_json(["dimlab", "grassmannian", "--k", "2", "--q", "4"], capsys, expect_code=1)
+    assert doc == {"error": "value_error", "detail": "modulus 4 is not prime"}
+    # the count needs no conic, so characteristic 2 keeps its answer
+    doc = run_json(["dimlab", "grassmannian", "--k", "2", "--q", "2"], capsys)
+    assert doc == {"count": 7, "k": 2, "q": 2}
+
+
 def test_dimlab_search_incidence(capsys):
     doc = run_json(
         ["dimlab", "search", "--k", "2", "--q", "5", "--incidence", "1,1,0",

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -325,6 +326,100 @@ class TestSearch:
         assert not cache.exists()
         search_pencils_ffield(2, 5, constraint, cache_dir=str(cache))
         assert [p.name for p in cache.iterdir()] == [os.path.basename(path)]
+
+
+def brute_force_search(k, q, constraint):
+    """Count and samples from testing every echelon pair: the rank kernel's oracle."""
+    mats = [tuple(map(tuple, A.tolist()))
+            for A in severi_degeneration.compile_constraint(k, q, constraint)]
+    count, keys = 0, []
+    for cell_idx, (i, j) in enumerate(severi_degeneration._cells(k)):
+        cols0, _ = severi_degeneration._free_columns(k, i, j)
+        found, cell_keys, _ = severi_degeneration._search_shard(
+            (q, k, cell_idx, i, j, 0, q ** len(cols0), mats, False, 20))
+        count += found
+        keys += cell_keys
+    return count, severi_degeneration._decode_samples(Field(q), k, sorted(keys)[:20])
+
+
+def oracle_constraints(F, k, rng):
+    """Seeded constraints of every kind the rank kernel must count: (name, constraint)."""
+    pts = projective_points(F)
+
+    def xi():
+        return sym_point(*rng.sample(pts, 2))
+
+    def ram(e):
+        return (rng.choice(pts), e)
+
+    first = xi()
+    a, b, c = rng.sample(pts, 3)
+    return [
+        ("incidence", SearchConstraint(incidences=(first,))),
+        ("two incidences", SearchConstraint(incidences=(first, xi()))),
+        ("repeated incidence", SearchConstraint(incidences=(first, first))),
+        ("ramification", SearchConstraint(ramifications=(ram(rng.randint(2, k)),))),
+        ("mixed", SearchConstraint(incidences=(xi(),), ramifications=(ram(2),))),
+        # Riemann-Hurwitz leaves no pencil totally ramified at three points
+        ("inconsistent", SearchConstraint(ramifications=((a, k), (b, k), (c, k)))),
+    ]
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_rank_kernel_matches_brute_force(k, q):
+    rng = random.Random(f"rank-oracle:{k}:{q}")
+    counts = {}
+    for name, constraint in oracle_constraints(Field(q), k, rng):
+        want_count, want_samples = brute_force_search(k, q, constraint)
+        for jobs in (1, 2):
+            got = search_pencils_ffield(k, q, constraint, jobs=jobs)
+            assert got.count == want_count, (name, jobs)
+            assert got.samples == want_samples, (name, jobs)
+        counts[name] = want_count
+    assert counts["repeated incidence"] == counts["incidence"] > 0
+    assert counts["inconsistent"] == 0
+
+
+def test_budget_counts_the_rank_work():
+    F = Field(11)
+    constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 1), point(F, 1, 2)),))
+    # k = 3: 11^2 + 11^2 + 11^2 + 11 + 11 + 1 rows, one condition; 20 * 11^2 to decode
+    work = 3 * 121 + 2 * 11 + 1 + 20 * 121
+    assert search_pencils_ffield(3, 11, constraint, budget=work).count > 0
+    with pytest.raises(ResourceLimit):
+        search_pencils_ffield(3, 11, constraint, budget=work - 1)
+    # strata enumerate every pencil
+    with pytest.raises(ResourceLimit):
+        search_pencils_ffield(3, 11, constraint, budget=work, report_strata=True)
+
+
+def test_int64_guard_refuses_before_searching(monkeypatch):
+    q = 2**31 - 1  # prime; 3 (q-1)^2 >= 2^63, while 2 (q-1)^2 < 2^63
+    F = Field(q)
+    constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 0), point(F, 1, 1)),))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(severi_degeneration, "compile_constraint", no_search)
+    with pytest.raises(ResourceLimit, match="int64"):
+        search_pencils_ffield(2, q, constraint, budget=10**30)
+    with pytest.raises(AssertionError, match="the search started"):
+        search_pencils_ffield(1, q, constraint, budget=10**30)
+
+
+def test_k4_over_f101_is_prompt():
+    # 1.07 * 10^12 pencils: far past the default budget if each were visited
+    F = Field(101)
+    xi = sym_point(point(F, 1, 0), point(F, 1, 1))
+    start = time.perf_counter()
+    res = search_pencils_ffield(4, 101, SearchConstraint(incidences=(xi,)))
+    elapsed = time.perf_counter() - start
+    assert res.count == 10720302409
+    assert len(res.samples) == 20
+    assert all(bezoutian_curve(pen).contains(xi) for pen in res.samples)
+    assert elapsed < 20, elapsed
 
 
 class TestDimensionEstimate:
