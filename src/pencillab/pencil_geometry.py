@@ -24,8 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-import sympy
-
 from .errors import (
     BasePointAmbiguity,
     BasePointPresent,
@@ -817,11 +815,12 @@ def total_ramification_pencil(a: ProjPoint, b: ProjPoint, k: int) -> Pencil:
 # ---------------------------------------------------------------------------
 # reducedness of plane curves (gcd with partial derivatives)
 
-_SYM_U, _SYM_V, _SYM_W = sympy.symbols("u v w")
-
 
 def curve_to_sympy(curve: PlaneCurve):
     """The curve as a sympy expression in (u, v, w); exact in both fields."""
+    import sympy
+
+    u, v, w = sympy.symbols("u v w")
     F = curve.field
     expr = sympy.Integer(0)
     for (a, b, c), coef in zip(curve_monomials(curve.degree), curve.coeffs):
@@ -831,7 +830,7 @@ def curve_to_sympy(curve: PlaneCurve):
             s = sympy.Rational(coef.numerator, coef.denominator)
         else:
             s = sympy.Integer(int(coef))
-        expr += s * _SYM_U**a * _SYM_V**b * _SYM_W**c
+        expr += s * u**a * v**b * w**c
     return expr
 
 
@@ -905,8 +904,11 @@ def is_reduced_curve(curve: PlaneCurve) -> bool:
         undecided = undecided or verdict is None
     if not undecided:
         return True
-    poly = sympy.Poly(curve_to_sympy(curve), _SYM_U, _SYM_V, _SYM_W, modulus=q)
+    import sympy
+
+    symbols = sympy.symbols("u v w")
+    poly = sympy.Poly(curve_to_sympy(curve), *symbols, modulus=q)
     g = poly
-    for s in (_SYM_U, _SYM_V, _SYM_W):
+    for s in symbols:
         g = g.gcd(poly.diff(s))
     return g.total_degree() == 0

@@ -23,12 +23,8 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-import sympy
 
 from .errors import (
     ChainMismatch,
@@ -64,6 +60,11 @@ DEFAULT_SEARCH_BUDGET = 200_000_000
 _CHUNK_ROWS = 256  # f-rows per brute-force block, each tested against every g
 _RANK_CHUNK_ROWS = 8192  # f-rows per batch of the rank kernel
 _G_CHUNK = 1 << 14  # g-vectors per block of sample decoding
+# A count whose f-rows x conditions figure is below this runs in one process
+# whatever jobs is.  On 2 cores a pool of two lost 3-8 ms per search below
+# 3*10^5 (k = 3 over F_101: 2.4 ms alone, 6 ms pooled), broke about even from
+# 2.5*10^5 to 10^6 (sooner at k = 4), and won 1.3-2x above 10^6.
+_POOL_MIN_ROW_WORK = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +394,8 @@ def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> list:
     has_ramification_at checks.  Basis invariance is automatic: antisymmetric
     bilinear values rescale by the determinant under basis change.
     """
+    import numpy as np
+
     field = Field(q)
     mats: list[np.ndarray] = []
     for sp in constraint.incidences:
@@ -428,6 +431,8 @@ def _digits(idx, q: int, width: int) -> np.ndarray:
     of a cell's f-range (or g-range) stands for the free coordinates digits(t),
     so ranges of indices are lexicographic ranges of coordinate tuples.
     """
+    import numpy as np
+
     idx = np.array(idx, dtype=np.int64)
     out = np.empty(idx.shape + (width,), dtype=np.int64)
     for pos in range(width - 1, -1, -1):
@@ -461,6 +466,8 @@ def _classify_stratum(pencil: Pencil) -> str:
 
 def _f_rows(k: int, i: int, cols0: list[int], f_digits: np.ndarray) -> np.ndarray:
     """Echelon rows f with f[i] = 1 and the given free coordinates in cols0."""
+    import numpy as np
+
     F_rows = np.zeros((f_digits.shape[0], k + 1), dtype=np.int64)
     F_rows[:, i] = 1
     if cols0:
@@ -470,6 +477,8 @@ def _f_rows(k: int, i: int, cols0: list[int], f_digits: np.ndarray) -> np.ndarra
 
 def _match_mask(F_rows, mats, q: int, j: int, cols1: list[int], g_digits) -> np.ndarray:
     """Rows x g-vectors mask of the echelon pairs with f^T A g = 0 for every A."""
+    import numpy as np
+
     mask = np.ones((F_rows.shape[0], g_digits.shape[0]), dtype=bool)
     for A in mats:
         R = (F_rows @ A) % q
@@ -486,6 +495,8 @@ def _search_shard(payload) -> tuple[int, list, dict]:
     This serves strata requests, which must see every matching pencil, and it
     is the oracle the rank kernel of _count_shard is tested against.
     """
+    import numpy as np
+
     (q, k, cell_idx, i, j, f_lo, f_hi, mats_raw, want_strata, sample_cap) = payload
     field = Field(q)
     mats = [np.array(m, dtype=np.int64) for m in mats_raw]
@@ -529,6 +540,8 @@ def _solution_ranks(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     drops to zero, which is harmless since it is never looked at again.  A
     system is solvable iff no unused equation keeps a nonzero constant.
     """
+    import numpy as np
+
     B, m, width = S.shape
     used = np.zeros((B, m), dtype=bool)
     rank = np.zeros(B, dtype=np.int64)
@@ -556,6 +569,8 @@ def _count_shard(payload) -> tuple[int, list[tuple]]:
     system is solvable and none otherwise.  Also returns the (cell, f) keys of
     the first row_cap rows with a match, from which the samples are decoded.
     """
+    import numpy as np
+
     (q, k, cell_idx, i, j, f_lo, f_hi, mats_raw, row_cap) = payload
     mats = np.array(mats_raw, dtype=np.int64)
     cols0, cols1 = _free_columns(k, i, j)
@@ -584,6 +599,8 @@ def _sample_keys(q: int, k: int, mats, rows) -> list[tuple]:
     Each row is known to hold a match, so the g-range of each is scanned by
     brute force, a bounded chunk at a time, until the samples are complete.
     """
+    import numpy as np
+
     cells = _cells(k)
     keys: list[tuple] = []
     for cell_idx, f_idx in rows:
@@ -618,9 +635,11 @@ def search_pencils_ffield(
     counted by the rank of a linear system in g (see _count_shard), and the
     samples, the first matches in (cell, f, g) lexicographic order, are
     decoded by brute force over the g-ranges of the first rows that have
-    matches; so results are independent of jobs.  Strata reporting tests and
-    classifies every pencil by its base divisor at Python speed: keep it to
-    small q.
+    matches; so results are independent of jobs.  jobs > 1 shards the work
+    over a process pool, except for a count whose f-rows times conditions
+    figure is below _POOL_MIN_ROW_WORK, which runs in this process whatever
+    jobs is.  Strata reporting tests and classifies every pencil by its base
+    divisor at Python speed: keep it to small q.
 
     budget bounds the work the chosen path does, computed before it starts:
     f-rows times compiled conditions, summed over cells, plus SAMPLE_LIMIT
@@ -670,9 +689,11 @@ def search_pencils_ffield(
         work, what = total, "enumerating pencils"
     else:
         kernel, extra = _count_shard, (SAMPLE_LIMIT,)
-        work = len(mats) * sum(q ** len(c0) for c0, _ in widths)
-        work += SAMPLE_LIMIT * max(q ** len(c1) for _, c1 in widths)
+        row_work = len(mats) * sum(q ** len(c0) for c0, _ in widths)
+        work = row_work + SAMPLE_LIMIT * max(q ** len(c1) for _, c1 in widths)
         what = "counting by rank"
+        if row_work < _POOL_MIN_ROW_WORK:
+            jobs = 1  # forking a pool would cost more than the count
     if work > budget:
         raise ResourceLimit(f"{what} takes {work} steps, over the budget of {budget}")
     mats_raw = [tuple(map(tuple, A.tolist())) for A in mats]
@@ -685,6 +706,8 @@ def search_pencils_ffield(
             if lo < hi:
                 tasks.append((q, k, cell_idx, i, j, lo, hi, mats_raw) + extra)
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(kernel, tasks))
     else:
@@ -884,6 +907,8 @@ def intersect_with_conic(curve: PlaneCurve, conic: PlaneCurve) -> ConicSectionRe
         raise ValueError("field mismatch")
     if curve.is_zero() or conic.is_zero():
         raise ValueError("zero input")
+    import sympy
+
     field = curve.field
     u, v, w = sympy.symbols("u v w")
     e1 = curve_to_sympy(curve)

@@ -3,12 +3,15 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
 from pencillab.cli import main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 @pytest.fixture(autouse=True)
@@ -265,3 +268,44 @@ def test_readme_examples_match_the_cli(capsys):
     for argv, expected in examples:
         _, out, _ = run(argv, capsys)
         assert out == expected, argv
+
+
+
+HEAVY = ("numpy", "sympy", "concurrent.futures.process")
+
+# Run in a fresh interpreter: imports pencillab, then runs each command in
+# turn, and prints which HEAVY modules are loaded after each of these steps.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import pencillab, pencillab.cli
+heavy = %r
+loaded = [[m for m in heavy if m in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        pencillab.cli.main(argv)
+    loaded.append([m for m in heavy if m in sys.modules])
+print(json.dumps(loaded))
+""" % (HEAVY,)
+
+
+def test_heavy_modules_load_only_where_used(tmp_path):
+    pure = [
+        ["numerology", "--g", "4", "--k", "2", "--e", "2,2"],
+        ["monodromy", "count", "--k", "5", "--e", "3,3,3,3"],
+        ["severi", "delta0", "--p", "20000", "--k", "3"],
+        ["pencil", "reduced", "--f", "1,2,3", "--g", "0,1,1"],  # reduced
+        ["pencil", "reduced", "--f", "1,0,0,0", "--g", "0,1,0,0"],  # not reduced
+    ]
+    search = ["dimlab", "search", "--no-cache", "--k", "2", "--q", "7", "--incidence", "5,0,1"]
+    conic = ["pencil", "conic-section", "--f", "1,2,3", "--g", "0,1,1"]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(pure + [search, conic])],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    loaded = json.loads(proc.stdout)
+    assert loaded[: len(pure) + 1] == [[]] * (len(pure) + 1)
+    # a search this small runs in one process at the default --jobs
+    assert loaded[-2] == ["numpy"]
+    assert "sympy" in loaded[-1]

@@ -1,5 +1,6 @@
 """Alpha-tuple combinatorics, limit-curve descent, finite-field pencil searches."""
 
+import concurrent.futures
 import itertools
 import json
 import os
@@ -367,7 +368,8 @@ def oracle_constraints(F, k, rng):
 
 @pytest.mark.parametrize("q", [5, 7, 11])
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_rank_kernel_matches_brute_force(k, q):
+def test_rank_kernel_matches_brute_force(k, q, monkeypatch):
+    monkeypatch.setattr(severi_degeneration, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks
     rng = random.Random(f"rank-oracle:{k}:{q}")
     counts = {}
     for name, constraint in oracle_constraints(Field(q), k, rng):
@@ -379,6 +381,20 @@ def test_rank_kernel_matches_brute_force(k, q):
         counts[name] = want_count
     assert counts["repeated incidence"] == counts["incidence"] > 0
     assert counts["inconsistent"] == 0
+
+
+def test_small_count_forks_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was forked")
+
+    F = Field(11)
+    constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 1), point(F, 1, 2)),))
+    alone = search_pencils_ffield(3, 11, constraint, jobs=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert search_pencils_ffield(3, 11, constraint, jobs=2) == alone
+    monkeypatch.setattr(severi_degeneration, "_POOL_MIN_ROW_WORK", 0)
+    with pytest.raises(AssertionError, match="a pool was forked"):
+        search_pencils_ffield(3, 11, constraint, jobs=2)
 
 
 def test_budget_counts_the_rank_work():
