@@ -31,7 +31,7 @@ from .errors import (
     CoincidentPoints,
     DegeneratePencil,
 )
-from .fields import Element, Field
+from .fields import QQ, Element, Field
 
 # ---------------------------------------------------------------------------
 # points
@@ -813,25 +813,90 @@ def total_ramification_pencil(a: ProjPoint, b: ProjPoint, k: int) -> Pencil:
 
 
 # ---------------------------------------------------------------------------
-# reducedness of plane curves (gcd with partial derivatives)
+# elimination and reducedness of plane curves
 
 
-def curve_to_sympy(curve: PlaneCurve):
-    """The curve as a sympy expression in (u, v, w); exact in both fields."""
-    import sympy
-
-    u, v, w = sympy.symbols("u v w")
+def _var_degree(curve: PlaneCurve, var: int) -> int:
+    """The actual degree of the curve in the chosen variable."""
     F = curve.field
-    expr = sympy.Integer(0)
-    for (a, b, c), coef in zip(curve_monomials(curve.degree), curve.coeffs):
-        if F.is_zero(coef):
-            continue
-        if F.q == 0:
-            s = sympy.Rational(coef.numerator, coef.denominator)
-        else:
-            s = sympy.Integer(int(coef))
-        expr += s * u**a * v**b * w**c
-    return expr
+    return max(
+        (expo[var] for expo, c in zip(curve_monomials(curve.degree), curve.coeffs)
+         if not F.is_zero(c)),
+        default=0,
+    )
+
+
+def _det(rows: list) -> Fraction:
+    """Determinant of a square matrix of rationals, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det *= pivot
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] / pivot
+            if factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+def _interpolate(values: list) -> list:
+    """Ascending coefficients of the polynomial of degree < len(values) that
+    takes values[t] at t = 0, 1, 2, ... (Newton divided differences)."""
+    c = [Fraction(v) for v in values]
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / j
+    poly: list = []
+    for i in range(len(c) - 1, -1, -1):  # Horner: poly * (x - i) + c[i]
+        poly = [s - i * p for s, p in zip([Fraction(0)] + poly, poly + [0])]
+        poly[0] += c[i]
+    return poly
+
+
+def curve_resultant(a: PlaneCurve, b: PlaneCurve, var: int) -> list:
+    """Res_var(a, b) of two curves over one field, as a binary form's coefficients.
+
+    With m and n the actual degrees of a and b in the variable, the resultant
+    is the determinant of their (m+n) x (m+n) Sylvester matrix, a form of
+    degree D = deg(a)*n + deg(b)*m - m*n in the other two variables (p0, p1),
+    taken in (u, v, w) order.  It is evaluated at (p0 : p1) = (1 : t) for
+    t = 0..D and interpolated; entry i of the result is the coefficient of
+    p0^(D-i) * p1^i, in the curves' field.
+
+    The arithmetic is over Q.  Over F_q each residue is lifted to 0..q-1 and
+    the integer resultant is coerced at the end.  That is exact: a lift is
+    nonzero exactly when its residue is, so m and n are the degrees over F_q
+    too, and the determinant is an integer polynomial in the matrix entries.
+    The evaluation points are distinct rationals, so F_q needs no D+1 points.
+    """
+    m, n = _var_degree(a, var), _var_degree(b, var)
+    lifts = [PlaneCurve(QQ, c.degree, c.coeffs) for c in (a, b)]
+    values = []
+    for t in range(a.degree * n + b.degree * m - m * n + 1):
+        ca, cb = (_specialized_coeffs(c, var, QQ.one, QQ.coerce(t)) for c in lifts)
+        rows = [[0] * i + ca[m::-1] + [0] * (n - 1 - i) for i in range(n)]
+        rows += [[0] * i + cb[n::-1] + [0] * (m - 1 - i) for i in range(m)]
+        values.append(_det(rows))
+    return [a.field.coerce(c) for c in _interpolate(values)]
+
+
+def _partial(curve: PlaneCurve, var: int) -> PlaneCurve:
+    """The partial derivative of the curve in the chosen variable."""
+    F = curve.field
+    data = {}
+    for expo, c in curve.monomial_dict().items():
+        if expo[var]:
+            lowered = list(expo)
+            lowered[var] -= 1
+            data[tuple(lowered)] = F.mul(F.coerce(expo[var]), c)
+    return PlaneCurve.from_monomial_dict(F, curve.degree - 1, data)
 
 
 def _specialized_coeffs(curve: PlaneCurve, var: int, p0, p1) -> list:
@@ -860,10 +925,7 @@ def _variable_has_repeated_factor(curve: PlaneCurve, var: int) -> bool | None:
     """
     F = curve.field
     d = curve.degree
-    var_degree = max(
-        (expo[var] for expo, c in zip(curve_monomials(d), curve.coeffs) if not F.is_zero(c)),
-        default=0,
-    )
+    var_degree = _var_degree(curve, var)
     if var_degree <= 1:
         return False  # a repeated factor would need degree >= 2 here
     needed = d * (2 * d - 1) + 1
@@ -886,29 +948,24 @@ def is_reduced_curve(curve: PlaneCurve) -> bool:
 
     Each variable is cleared by a discriminant specialization scan, over Q and
     over F_q alike (F_q needs q > degree, else CharacteristicObstruction).
-    When F_q has too few points to carry the scan, a modular gcd with the
-    partial derivatives decides instead.
+    When F_q has too few points to carry the scan for a variable, the
+    discriminant is computed instead: some repeated factor involves the
+    variable exactly when Res_var(F, dF/dvar) vanishes identically over F_q.
+    That is exact because q > degree keeps the derivative's leading
+    coefficient nonzero and makes every factor (of degree below q) separable.
     """
     if curve.is_zero():
         raise ValueError("zero curve")
-    q = curve.field.q
-    if 0 < q <= curve.degree:
+    F = curve.field
+    if 0 < F.q <= curve.degree:
         raise CharacteristicObstruction(
-            f"characteristic {q} too small for degree {curve.degree}"
+            f"characteristic {F.q} too small for degree {curve.degree}"
         )
-    undecided = False
     for var in range(3):
         verdict = _variable_has_repeated_factor(curve, var)
+        if verdict is None:
+            disc = curve_resultant(curve, _partial(curve, var), var)
+            verdict = all(F.is_zero(c) for c in disc)
         if verdict:
             return False
-        undecided = undecided or verdict is None
-    if not undecided:
-        return True
-    import sympy
-
-    symbols = sympy.symbols("u v w")
-    poly = sympy.Poly(curve_to_sympy(curve), *symbols, modulus=q)
-    g = poly
-    for s in symbols:
-        g = g.gcd(poly.diff(s))
-    return g.total_degree() == 0
+    return True

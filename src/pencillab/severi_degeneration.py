@@ -43,7 +43,7 @@ from .pencil_geometry import (
     _poly_squarefree,
     _trim,
     base_locus,
-    curve_to_sympy,
+    curve_resultant,
     squarefree_form,
     wedge_basis_curve,
 )
@@ -872,6 +872,9 @@ class ConicSectionReport:
     """Resultant-based summary of curve-conic intersection.
 
     transversal is a proxy: full expected degree and a squarefree resultant.
+    A resultant of two forms is itself a form, so homogeneous is true exactly
+    when the resultant is nonzero; the field is kept so the JSON output keeps
+    its keys.
     """
 
     expected_degree: int
@@ -897,9 +900,16 @@ def intersect_with_conic(curve: PlaneCurve, conic: PlaneCurve) -> ConicSectionRe
 
     Transversal intersection shows up as a squarefree resultant of degree
     2 * deg(curve): each of the 2*deg intersection points contributes one
-    simple root.  Coefficients stay exact; over F_q the integer resultant is
-    reduced mod q, which is valid because the stored residues are already the
-    field elements and the construction is polynomial in them.
+    simple root.  With m and n the actual w-degrees of the curve and the
+    conic, the resultant is a form of degree D = deg(curve)*n + 2*m - m*n in
+    (u, v), which is 2*deg(curve) when the conic has a w^2 term.
+    curve_resultant evaluates the Sylvester determinant at (u : v) = (1 : t)
+    for t = 0..D and interpolates.  Over F_q it computes the integer
+    resultant of the residues lifted to 0..q-1 and reduces it mod q; that is
+    exact because lifting keeps m and n and the determinant is an integer
+    polynomial in the matrix entries, and it needs no D+1 points of F_q.
+    A resultant that vanishes (over F_q: one divisible by q) means a shared
+    component and is reported with degree -1.
     """
     if conic.degree != 2:
         raise ValueError("second argument must be a conic")
@@ -907,43 +917,10 @@ def intersect_with_conic(curve: PlaneCurve, conic: PlaneCurve) -> ConicSectionRe
         raise ValueError("field mismatch")
     if curve.is_zero() or conic.is_zero():
         raise ValueError("zero input")
-    import sympy
-
     field = curve.field
-    u, v, w = sympy.symbols("u v w")
-    e1 = curve_to_sympy(curve)
-    e2 = curve_to_sympy(conic)
-    res = sympy.expand(sympy.resultant(e1, e2, w))
     expected = 2 * curve.degree
-    if res == 0:
-        return ConicSectionReport(
-            expected_degree=expected,
-            degree=-1,
-            homogeneous=False,
-            squarefree=None,
-            transversal=False,
-            resultant=None,
-        )
-    poly = sympy.Poly(res, u, v)
-    degrees = {sum(mon) for mon in poly.monoms()}
-    homogeneous = len(degrees) == 1
-    degree = max(degrees)
-    if not homogeneous:
-        return ConicSectionReport(
-            expected_degree=expected,
-            degree=degree,
-            homogeneous=False,
-            squarefree=None,
-            transversal=False,
-            resultant=None,
-        )
-    coeffs = [field.zero] * (degree + 1)
-    for mon, c in zip(poly.monoms(), poly.coeffs()):
-        rat = sympy.Rational(c)
-        val = field.coerce(Fraction(int(rat.p), int(rat.q)))
-        coeffs[mon[1]] = val
+    coeffs = curve_resultant(curve, conic, 2)
     if all(field.is_zero(c) for c in coeffs):
-        # the integer resultant reduced to zero: shared root over the closure
         return ConicSectionReport(
             expected_degree=expected,
             degree=-1,
@@ -952,16 +929,16 @@ def intersect_with_conic(curve: PlaneCurve, conic: PlaneCurve) -> ConicSectionRe
             transversal=False,
             resultant=None,
         )
-    form = BinaryForm(field, degree, tuple(coeffs))
+    form = BinaryForm.from_coeffs(field, coeffs)
     chart = _trim(field, list(form.coeffs))
     x0_mult = form.degree - (len(chart) - 1)
     sqf = x0_mult <= 1 and _poly_squarefree(field, chart)
     return ConicSectionReport(
         expected_degree=expected,
-        degree=degree,
-        homogeneous=homogeneous,
+        degree=form.degree,
+        homogeneous=True,
         squarefree=sqf,
-        transversal=homogeneous and degree == expected and sqf,
+        transversal=form.degree == expected and sqf,
         resultant=form,
     )
 

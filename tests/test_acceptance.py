@@ -6,6 +6,7 @@ from exhaustive runs of the enumeration oracle.
 """
 
 import itertools
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -190,17 +191,24 @@ def test_criterion_7_unique_two_point_pencil():
 # the q^(4-c) ladder at every good prime.  Chosen by a one-off search.
 INCIDENCE_PAIRS = (((1, 0), (1, 1)), ((1, -1), (1, 2)), ((1, 3), (0, 1)), ((1, 4), (1, -3)))
 
+# The F_1009 rungs come from the rank-counting kernel alone; F_31 and F_101
+# agree with the brute-force search.
 LADDERS = {
     31: (955266, 31745, 1024, 32, 2),
     101: (105111206, 1050805, 10404, 102, 2),
+    1009: (1037518203462, 1029280901, 1020100, 1010, 2),
 }
+
+# The same four incidence conditions on pencils of quartics over F_101: the
+# c = 4 rung is q^2 + 4q + 1, as at q = 17 and 23 where brute force agrees.
+K4_LADDER_F101 = (1072240453010, 10720302409, 107171808, 1071207, 10606)
 
 
 def test_criterion_8_dimension_ladder():
-    """Counts over two primes drop one exponent per added incidence condition."""
+    """Counts over three primes drop one exponent per added incidence condition."""
     with deadline("8 (dimension experiment)", 600.0):
         counts = {}
-        for q in (31, 101):
+        for q in LADDERS:
             F = Field(q)
             xis = [sym_point(point(F, *a), point(F, *b)) for a, b in INCIDENCE_PAIRS]
             ladder = []
@@ -212,7 +220,7 @@ def test_criterion_8_dimension_ladder():
             assert tuple(ladder) == LADDERS[q]
             counts[q] = ladder
         for c in range(1, 5):
-            est = dimension_estimate([(31, counts[31][c]), (101, counts[101][c])])
+            est = dimension_estimate([(q, counts[q][c]) for q in LADDERS])
             assert abs(est.raw - (4 - c)) <= 0.35, (c, est.raw)
 
 
@@ -224,3 +232,19 @@ def test_criterion_9_total_ramification_identity():
                 prof = RamificationProfile(g, k, (k, k))
                 assert adjusted_rho(prof) == -g
                 assert hurwitz_to_moduli_verdict(prof).tag is not VerdictTag.UNKNOWN
+
+
+def test_criterion_10_quartic_dimension_ladder():
+    """Pencils of quartics over F_101 drop one exponent per incidence condition."""
+    with deadline("10 (quartic dimension ladder)", 60.0):
+        q = 101
+        F = Field(q)
+        xis = [sym_point(point(F, *a), point(F, *b)) for a, b in INCIDENCE_PAIRS]
+        ladder = [
+            search_pencils_ffield(4, q, SearchConstraint(incidences=tuple(xis[:c]))).count
+            for c in range(0, 5)
+        ]
+        assert ladder[0] == grassmannian_pencil_count(4, q)
+        assert tuple(ladder) == K4_LADDER_F101
+        for c in range(1, 5):
+            assert round(math.log(ladder[c], q)) == 6 - c, (c, ladder[c])

@@ -34,7 +34,12 @@ from pencillab import (
     wronskian,
 )
 from pencillab.fields import QQ, Field
-from pencillab.pencil_geometry import _variable_has_repeated_factor
+from pencillab.pencil_geometry import (
+    _partial,
+    _variable_has_repeated_factor,
+    curve_monomials,
+    curve_resultant,
+)
 
 from conftest import form, point, random_pencil
 
@@ -293,6 +298,152 @@ class TestReducedness:
                 assert is_reduced_curve(bezoutian_curve(pen_q)) == is_reduced_curve(
                     bezoutian_curve(pen_f)
                 )
+
+
+def _poly_mul(F, a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = (ea[0] + eb[0], ea[1] + eb[1])
+            out[e] = F.add(out.get(e, F.zero), F.mul(ca, cb))
+    return {e: c for e, c in out.items() if not F.is_zero(c)}
+
+
+def _poly_add(F, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = F.add(out.get(e, F.zero), c)
+    return {e: c for e, c in out.items() if not F.is_zero(c)}
+
+
+def cofactor_resultant(a, b, var):
+    """Res_var(a, b) over the curves' own field, as {(i, j): c} for
+    p0^i * p1^j: Laplace expansion of the Sylvester matrix whose entries are
+    polynomials in the other two variables (p0, p1)."""
+    F = a.field
+
+    def coeffs_in_var(curve):
+        by_power = {}
+        for expo, c in curve.monomial_dict().items():
+            rest = tuple(e for i, e in enumerate(expo) if i != var)
+            by_power.setdefault(expo[var], {})[rest] = c
+        deg = max(by_power, default=0)
+        return [by_power.get(j, {}) for j in range(deg, -1, -1)], deg
+
+    ca, m = coeffs_in_var(a)
+    cb, n = coeffs_in_var(b)
+    size = m + n
+    rows = [[{}] * i + ca + [{}] * (n - 1 - i) for i in range(n)]
+    rows += [[{}] * i + cb + [{}] * (m - 1 - i) for i in range(m)]
+    memo = {}
+
+    def minor(r, used):
+        # expand along row r over the columns not in the bitmask used
+        if r == size:
+            return {(0, 0): F.one}
+        if used not in memo:
+            acc, sign = {}, 1
+            for col in range(size):
+                if used >> col & 1:
+                    continue
+                if rows[r][col]:
+                    term = _poly_mul(F, rows[r][col], minor(r + 1, used | 1 << col))
+                    if sign < 0:
+                        term = {e: F.neg(c) for e, c in term.items()}
+                    acc = _poly_add(F, acc, term)
+                sign = -sign
+            memo[used] = acc
+        return memo[used]
+
+    return minor(0, 0)
+
+
+def assert_resultant_matches_oracle(a, b, var):
+    got = curve_resultant(a, b, var)
+    want = cofactor_resultant(a, b, var)
+    D = len(got) - 1
+    assert all(i + j == D for i, j in want), "the resultant is a form of degree D"
+    assert got == [want.get((D - j, j), a.field.zero) for j in range(D + 1)]
+
+
+def sparse_curve(F, degree, rng, density=0.5):
+    data = {m: rng.randint(-5, 5) for m in curve_monomials(degree) if rng.random() < density}
+    curve = PlaneCurve.from_monomial_dict(F, degree, data)
+    return curve if not curve.is_zero() else sparse_curve(F, degree, rng, density)
+
+
+RESULTANT_FIELDS = (QQ, Field(3), Field(5), Field(7), Field(101))
+
+
+class TestResultant:
+    def test_matches_cofactor_expansion(self):
+        rng = random.Random(31)
+        for F in RESULTANT_FIELDS:
+            for k in range(2, 7):
+                for trial in range(4):
+                    curve = bezoutian_curve(random_pencil(F, k, rng))
+                    if curve.is_zero():
+                        continue
+                    conic = sparse_curve(F, 2, rng, density=0.4)
+                    assert_resultant_matches_oracle(curve, conic, trial % 3)
+                    assert_resultant_matches_oracle(curve, diagonal_conic(F), 2)
+                    if 0 < F.q <= curve.degree:
+                        continue
+                    assert_resultant_matches_oracle(curve, _partial(curve, trial % 3), trial % 3)
+
+    def test_edge_cases_match_cofactor_expansion(self):
+        rng = random.Random(32)
+        for F in RESULTANT_FIELDS:
+            w_free = PlaneCurve(F, 2, (1, 0, 0, 1, 0, 0))
+            for degree in (0, 1):
+                for _ in range(3):
+                    low = sparse_curve(F, degree, rng, density=0.7)
+                    for conic in (w_free, diagonal_conic(F)):
+                        assert_resultant_matches_oracle(low, conic, 2)
+                        assert_resultant_matches_oracle(conic, low, 2)
+            both = PlaneCurve.from_monomial_dict(F, 3, {(3, 0, 0): 1, (1, 2, 0): 2})
+            assert curve_resultant(both, w_free, 2) == [F.one]
+            assert_resultant_matches_oracle(both, w_free, 2)
+
+    def test_small_field_needs_no_extra_points(self):
+        # `pencil conic-section --q 3 --f 1,2,0,1 --g 0,1,1,0`: D = 4, so the
+        # evaluation points 0..4 repeat mod 3; the integer lift still gives
+        # the resultant the sympy implementation printed
+        F = Field(3)
+        curve = bezoutian_curve(Pencil(form(F, [1, 2, 0, 1]), form(F, [0, 1, 1, 0])))
+        assert curve_resultant(curve, diagonal_conic(F), 2) == [1, 1, 2, 2, 2]
+        assert_resultant_matches_oracle(curve, diagonal_conic(F), 2)
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols("u v w")
+
+        def expr(curve):
+            u, v, w = symbols
+            return sum(
+                (sympy.Rational(str(c)) * u**a * v**b * w**e
+                 for (a, b, e), c in curve.monomial_dict().items()),
+                sympy.Integer(0),
+            )
+
+        rng = random.Random(33)
+        for F in RESULTANT_FIELDS:
+            for k in range(2, 7):
+                curve = bezoutian_curve(random_pencil(F, k, rng))
+                if curve.is_zero():
+                    continue
+                conic = sparse_curve(F, 2, rng, density=0.4)
+                var = k % 3
+                res = sympy.expand(sympy.resultant(expr(curve), expr(conic), symbols[var]))
+                got = curve_resultant(curve, conic, var)
+                rest = [s for i, s in enumerate(symbols) if i != var]
+                D = len(got) - 1
+                poly = sympy.Poly(res, *rest)
+                want = [F.zero] * (D + 1)
+                for (i, j), c in zip(poly.monoms(), poly.coeffs()):
+                    assert i + j == D
+                    want[j] = F.coerce(Fraction(str(c)))
+                assert got == want
 
 
 class TestWronskian:

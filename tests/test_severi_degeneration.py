@@ -23,6 +23,7 @@ from pencillab import (
     ZeroCount,
     bezoutian_curve,
     build_limit_curve,
+    change_basis,
     descends,
     diagonal_conic,
     dimension_estimate,
@@ -40,7 +41,7 @@ from pencillab import severi_degeneration
 from pencillab.pencil_geometry import PlaneCurve
 from pencillab.fields import QQ, Field
 
-from conftest import form, point, projective_points
+from conftest import form, point, projective_points, random_pencil
 
 
 def alphas_as_dict(tup):
@@ -486,6 +487,32 @@ class TestConicSections:
         assert rep.degree == 4
         assert rep.homogeneous and rep.squarefree and rep.transversal
         assert rep.resultant.coeffs == tuple(QQ.coerce(c) for c in (1, 0, 1, 0, 1))
+
+    def test_invariant_under_change_of_basis(self):
+        # a change of basis scales the Bezoutian curve, so the section by the
+        # diagonal conic keeps its degree and its transversality
+        rng = random.Random(44)
+        seen = set()
+        for field in (QQ, Field(7), Field(101)):
+            diag = diagonal_conic(field)
+            for k in range(2, 7):
+                for trial in range(6):
+                    pen = random_pencil(field, k, rng)
+                    if trial == 0 and k > 2:  # a double base point
+                        square = linear_form(point(field, 1, rng.randint(0, 6)))
+                        square = square.multiply(square)
+                        pen = random_pencil(field, k - 2, rng)
+                        pen = Pencil(pen.f.multiply(square), pen.g.multiply(square))
+                    first = intersect_with_conic(bezoutian_curve(pen), diag)
+                    second = intersect_with_conic(
+                        bezoutian_curve(change_basis(pen, 2, 3, 1, 2)), diag
+                    )
+                    assert first.expected_degree == 2 * (k - 1)
+                    assert (first.degree, first.transversal) == (
+                        second.degree, second.transversal
+                    )
+                    seen.add(first.transversal)
+        assert seen == {True, False}
 
     def test_degree_validation(self):
         curve = bezoutian_curve(
