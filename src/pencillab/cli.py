@@ -404,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=severi_degeneration.DEFAULT_SEARCH_BUDGET,
-        help="max work a search may do: f-rows x conditions plus sample decoding, "
-        "or pencils enumerated with --strata",
+        help="max work a search may do: f-rows x conditions, "
+        "or pencils in the Grassmannian with --strata",
     )
 
     parser = argparse.ArgumentParser(

@@ -12,17 +12,20 @@ fits a dimension exponent to counts across primes.
 
 Search constraints compile to antisymmetric bilinear forms on coefficient
 vectors, so a subspace matches iff one (hence any) basis pair (f, g) does.
-With f fixed the forms are linear in g, so counts come from the ranks of
-batched linear systems mod q in numpy int64; g is enumerated by brute force
-only to decode samples and to classify strata.
+With f fixed the forms are linear in g, so each f-row's matches are the
+solutions of a linear system mod q, eliminated in batches in numpy int64.
+Counts come from the ranks; samples and strata from solving for the
+matches, in lexicographic order.  No g is listed by brute force.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,9 +60,7 @@ SAMPLE_LIMIT = 20
 # anything an order of magnitude larger.
 DEFAULT_SEARCH_BUDGET = 200_000_000
 
-_CHUNK_ROWS = 256  # f-rows per brute-force block, each tested against every g
 _RANK_CHUNK_ROWS = 8192  # f-rows per batch of the rank kernel
-_G_CHUNK = 1 << 14  # g-vectors per block of sample decoding
 # A count whose f-rows x conditions figure is below this runs in one process
 # whatever jobs is.  On 2 cores a pool of two lost 3-8 ms per search below
 # 3*10^5 (k = 3 over F_101: 2.4 ms alone, 6 ms pooled), broke about even from
@@ -464,157 +465,159 @@ def _classify_stratum(pencil: Pencil) -> str:
     return "simple_base_divisor" if squarefree_form(locus) else "multiple_base_points"
 
 
-def _f_rows(k: int, i: int, cols0: list[int], f_digits: np.ndarray) -> np.ndarray:
-    """Echelon rows f with f[i] = 1 and the given free coordinates in cols0."""
-    import numpy as np
+def _row_systems(q: int, k: int, cell: tuple[int, int], mats, f_idx):
+    """A cell's f-rows with the given indices, and their linear systems in g.
 
-    F_rows = np.zeros((f_digits.shape[0], k + 1), dtype=np.int64)
-    F_rows[:, i] = 1
-    if cols0:
-        F_rows[:, cols0] = f_digits
-    return F_rows
-
-
-def _match_mask(F_rows, mats, q: int, j: int, cols1: list[int], g_digits) -> np.ndarray:
-    """Rows x g-vectors mask of the echelon pairs with f^T A g = 0 for every A."""
-    import numpy as np
-
-    mask = np.ones((F_rows.shape[0], g_digits.shape[0]), dtype=bool)
-    for A in mats:
-        R = (F_rows @ A) % q
-        vals = R[:, [j]]
-        if cols1:
-            vals = vals + R[:, cols1] @ g_digits.T
-        mask &= (vals % q) == 0
-    return mask
-
-
-def _search_shard(payload) -> tuple[int, list, dict]:
-    """Brute-force one cell's f-index range, testing every g; top-level for pickling.
-
-    This serves strata requests, which must see every matching pencil, and it
-    is the oracle the rank kernel of _count_shard is tested against.
+    With f fixed, each compiled f^T A g = 0 (g[j] = 1) is one equation in g's
+    n = |cols1| free coordinates: the systems come back as B x m x (n+1), the
+    last column holding the constants.
     """
     import numpy as np
 
-    (q, k, cell_idx, i, j, f_lo, f_hi, mats_raw, want_strata, sample_cap) = payload
-    field = Field(q)
-    mats = [np.array(m, dtype=np.int64) for m in mats_raw]
+    i, j = cell
     cols0, cols1 = _free_columns(k, i, j)
-    f_assign = _digits(np.arange(f_lo, f_hi), q, len(cols0))
-    g_assign = _digits(np.arange(q ** len(cols1)), q, len(cols1))
-    count = 0
-    samples: list[tuple] = []
-    strata: dict[str, int] = {}
-    for lo in range(0, f_assign.shape[0], _CHUNK_ROWS):
-        chunk = f_assign[lo : lo + _CHUNK_ROWS]
-        mask = _match_mask(_f_rows(k, i, cols0, chunk), mats, q, j, cols1, g_assign)
-        hits = int(mask.sum())
-        count += hits
-        if hits and (len(samples) < sample_cap or want_strata):
-            rows, cols = np.nonzero(mask)
-            for b, gi in zip(rows.tolist(), cols.tolist()):
-                f_idx = f_lo + lo + b
-                if want_strata:
-                    pencil = _echelon_pencil(
-                        field, k, (i, j), f_assign[lo + b], g_assign[gi]
-                    )
-                    name = _classify_stratum(pencil)
-                    strata[name] = strata.get(name, 0) + 1
-                if len(samples) < sample_cap:
-                    samples.append((cell_idx, f_idx, gi))
-                elif not want_strata:
-                    break
-    return count, samples, strata
+    mats = np.array(mats, dtype=np.int64).reshape(-1, k + 1, k + 1)
+    n, m = len(cols1), len(mats)
+    # columns of every A that meet g: the n unknowns, then the constant g[j] = 1
+    system = mats[:, :, cols1 + [j]].transpose(1, 0, 2).reshape(k + 1, m * (n + 1))
+    F_rows = np.zeros((len(f_idx), k + 1), dtype=np.int64)
+    F_rows[:, i] = 1
+    F_rows[:, cols0] = _digits(f_idx, q, len(cols0))
+    return F_rows, ((F_rows @ system) % q).reshape(len(F_rows), m, n + 1)
 
 
-def _solution_ranks(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank and solvability of a batch of linear systems over F_q.
+def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot equations and solvability of a batch of linear systems over F_q.
 
     S is B x m x (n+1): B augmented systems of m equations in n unknowns, the
     last column holding the constants.  Gaussian elimination runs on all B
-    systems at once, one unknown at a time, each system taking as pivot its
-    first unused equation with a nonzero coefficient.  Every equation r is
-    then replaced fraction-free by p*r - r[c]*pivot, p the pivot entry, so no
-    inverse mod q is needed and no product exceeds (q-1)^2; the pivot itself
-    drops to zero, which is harmless since it is never looked at again.  A
-    system is solvable iff no unused equation keeps a nonzero constant.
+    systems at once, from the last unknown to the first, each system taking
+    as pivot its first unused equation with a nonzero coefficient.  Every
+    equation r is then replaced fraction-free by p*r - r[c]*pivot, p the pivot
+    entry, so no inverse mod q is needed and no product exceeds (q-1)^2.
+    Row c of the returned B x n x (n+1) array is the pivot equation of
+    unknown c as chosen, so it involves c and only the more significant
+    unknowns before it; it is zero where c is free, and the rank is the number
+    of nonzero diagonal entries.  A system is solvable iff no unused equation
+    keeps a nonzero constant.
     """
     import numpy as np
 
     B, m, width = S.shape
     used = np.zeros((B, m), dtype=bool)
-    rank = np.zeros(B, dtype=np.int64)
+    pivots = np.zeros((B, width - 1, width), dtype=np.int64)
     batch = np.arange(B)
-    for c in range(width - 1):
+    for c in range(width - 2, -1, -1):
         candidates = (S[:, :, c] != 0) & ~used
         has = candidates.any(axis=1)
         if not has.any():
             continue
         piv = candidates.argmax(axis=1)
-        pivot = np.where(has[:, None], S[batch, piv], 0)
-        scale = np.where(has, pivot[:, c], 1)
-        S = (scale[:, None, None] * S - S[:, :, c, None] * pivot[:, None, :]) % q
+        pivots[:, c] = np.where(has[:, None], S[batch, piv], 0)
+        scale = np.where(has, pivots[:, c, c], 1)
+        S = (scale[:, None, None] * S - S[:, :, c, None] * pivots[:, None, c]) % q
         used[batch[has], piv[has]] = True
-        rank += has
     solvable = ~((S[:, :, -1] != 0) & ~used).any(axis=1)
-    return rank, solvable
+    return pivots, solvable
 
 
-def _count_shard(payload) -> tuple[int, list[tuple]]:
-    """Count one cell's f-index range by rank; top-level for pickling.
+def _solutions(pivots: np.ndarray, q: int, cap: int):
+    """Yield (row positions, R x count x n solutions) for the solvable systems given.
 
-    With f fixed, each f^T A g = 0 (g[j] = 1) is one linear equation in g's
-    n = |cols1| free coordinates, so the row has q^(n - rank) matches if its
-    system is solvable and none otherwise.  Also returns the (cell, f) keys of
-    the first row_cap rows with a match, from which the samples are decoded.
+    pivots comes from _eliminate.  Rows are grouped by their free unknowns,
+    and each gets its first count = min(q^free, cap) solutions, about
+    _RANK_CHUNK_ROWS solutions per batch.  The free unknowns run through
+    base-q order and each pivot unknown is solved from the more significant
+    ones, so two solutions first differ in a free unknown: the order is
+    lexicographic.
     """
     import numpy as np
 
-    (q, k, cell_idx, i, j, f_lo, f_hi, mats_raw, row_cap) = payload
-    mats = np.array(mats_raw, dtype=np.int64)
-    cols0, cols1 = _free_columns(k, i, j)
-    n, m = len(cols1), mats.shape[0]
-    # columns of every A that meet g: the n unknowns, then the constant g[j] = 1
-    system = mats[:, :, cols1 + [j]].transpose(1, 0, 2).reshape(k + 1, m * (n + 1))
+    n = pivots.shape[1]
+    free = np.diagonal(pivots, axis1=1, axis2=2) == 0
+    pattern = free @ (1 << np.arange(n))
+    for pat in set(pattern.tolist()):
+        rows = np.flatnonzero(pattern == pat)
+        mask = free[rows[0]]
+        count = min(q ** int(mask.sum()), cap)
+        step = max(1, _RANK_CHUNK_ROWS // count)
+        for lo in range(0, len(rows), step):
+            part = rows[lo : lo + step]
+            G = np.zeros((len(part), count, n), dtype=np.int64)
+            G[:, :, mask] = _digits(np.arange(count), q, int(mask.sum()))
+            for c in np.flatnonzero(~mask).tolist():
+                eq = pivots[part, c]
+                inv = np.array([pow(a, -1, q) for a in eq[:, c].tolist()], dtype=np.int64)
+                rhs = (G[:, :, :c] @ eq[:, :c, None])[:, :, 0] + eq[:, None, n]
+                G[:, :, c] = (-rhs % q) * inv[:, None] % q
+            yield part, G
+
+
+def _tally_strata(field: Field, k: int, cell, F_rows, pivots, strata: Counter) -> None:
+    """Add the stratum of every solution of each solvable row to strata."""
+    import numpy as np
+
+    i, j = cell
+    cols1 = _free_columns(k, i, j)[1]
+    for part, G in _solutions(pivots, field.q, field.q ** len(cols1)):
+        g_rows = np.zeros(G.shape[:2] + (k + 1,), dtype=np.int64)
+        g_rows[:, :, j] = 1
+        g_rows[:, :, cols1] = G
+        for f, gs in zip(F_rows[part].tolist(), g_rows.tolist()):
+            f_form = BinaryForm(field, k, tuple(f))  # once per row, not per match
+            for g in gs:
+                pencil = Pencil(f_form, BinaryForm(field, k, tuple(g)))
+                strata[_classify_stratum(pencil)] += 1
+
+
+def _search_shard(payload) -> tuple[int, list[tuple], Counter | None]:
+    """Search one cell's f-index range; top-level for pickling.
+
+    A row has q^(n - rank) matches if its system is solvable and none
+    otherwise.  Returns the count, the (cell, f) keys of the first
+    SAMPLE_LIMIT rows with a match, and, if asked, the strata of every match.
+    """
+    import numpy as np
+
+    (q, k, cell_idx, i, j, f_lo, f_hi, mats, want_strata) = payload
+    n = len(_free_columns(k, i, j)[1])
+    if not mats and not want_strata:  # no conditions: every row has rank 0
+        rows = [(cell_idx, f) for f in range(f_lo, min(f_hi, f_lo + SAMPLE_LIMIT))]
+        return (f_hi - f_lo) * q**n, rows, None
     by_rank = np.zeros(n + 1, dtype=np.int64)
-    rows: list[tuple] = []
+    rows = []
+    strata = Counter() if want_strata else None
     for lo in range(f_lo, f_hi, _RANK_CHUNK_ROWS):
         f_idx = np.arange(lo, min(lo + _RANK_CHUNK_ROWS, f_hi))
-        F_rows = _f_rows(k, i, cols0, _digits(f_idx, q, len(cols0)))
-        S = ((F_rows @ system) % q).reshape(-1, m, n + 1)
-        rank, solvable = _solution_ranks(S, q)
+        F_rows, S = _row_systems(q, k, (i, j), mats, f_idx)
+        pivots, solvable = _eliminate(S, q)
+        rank = (np.diagonal(pivots, axis1=1, axis2=2) != 0).sum(axis=1)
         by_rank += np.bincount(rank[solvable], minlength=n + 1)
-        if len(rows) < row_cap:
-            rows.extend(
-                (cell_idx, f) for f in f_idx[solvable][: row_cap - len(rows)].tolist()
-            )
+        first = f_idx[solvable][: SAMPLE_LIMIT - len(rows)].tolist()
+        rows += [(cell_idx, f) for f in first]
+        if want_strata:
+            _tally_strata(Field(q), k, (i, j), F_rows[solvable], pivots[solvable], strata)
     count = sum(int(c) * q ** (n - r) for r, c in enumerate(by_rank.tolist()))
-    return count, rows
+    return count, rows, strata
 
 
 def _sample_keys(q: int, k: int, mats, rows) -> list[tuple]:
-    """The first SAMPLE_LIMIT (cell, f, g) keys of the given (cell, f) rows, in order.
+    """The first SAMPLE_LIMIT (cell, f, g) keys of the sorted (cell, f) rows given.
 
-    Each row is known to hold a match, so the g-range of each is scanned by
-    brute force, a bounded chunk at a time, until the samples are complete.
+    Each row holds a match; its first matches are solved for, not scanned.
     """
     import numpy as np
 
-    cells = _cells(k)
-    keys: list[tuple] = []
-    for cell_idx, f_idx in rows:
-        i, j = cells[cell_idx]
-        cols0, cols1 = _free_columns(k, i, j)
-        F_row = _f_rows(k, i, cols0, _digits([f_idx], q, len(cols0)))
-        n_g = q ** len(cols1)
-        for lo in range(0, n_g, _G_CHUNK):
-            g_idx = np.arange(lo, min(lo + _G_CHUNK, n_g))
-            hit = _match_mask(F_row, mats, q, j, cols1, _digits(g_idx, q, len(cols1)))[0]
-            keys.extend((cell_idx, f_idx, g) for g in g_idx[hit].tolist())
-            if len(keys) >= SAMPLE_LIMIT:
-                return keys[:SAMPLE_LIMIT]
-    return keys
+    found = {}
+    for cell_idx, group in itertools.groupby(rows, key=lambda row: row[0]):
+        f_idx = [f for _, f in group]
+        _, S = _row_systems(q, k, _cells(k)[cell_idx], mats, f_idx)
+        pivots, _ = _eliminate(S, q)
+        place = q ** np.arange(pivots.shape[1] - 1, -1, -1, dtype=np.int64)
+        for part, G in _solutions(pivots, q, SAMPLE_LIMIT):
+            for b, g_idx in zip(part.tolist(), (G @ place).tolist()):
+                found[cell_idx, f_idx[b]] = g_idx
+    return [(c, f, g) for c, f in rows for g in found[c, f]][:SAMPLE_LIMIT]
 
 
 def search_pencils_ffield(
@@ -631,21 +634,22 @@ def search_pencils_ffield(
     Every 2-dimensional subspace of degree-k forms is counted exactly once
     through reduced-row-echelon representatives (f, g), grouped into cells by
     pivot pair.  With no constraint (and no strata request) the per-cell
-    counts are summed arithmetically.  Otherwise each f-row's matches are
-    counted by the rank of a linear system in g (see _count_shard), and the
-    samples, the first matches in (cell, f, g) lexicographic order, are
-    decoded by brute force over the g-ranges of the first rows that have
-    matches; so results are independent of jobs.  jobs > 1 shards the work
-    over a process pool, except for a count whose f-rows times conditions
-    figure is below _POOL_MIN_ROW_WORK, which runs in this process whatever
-    jobs is.  Strata reporting tests and classifies every pencil by its base
-    divisor at Python speed: keep it to small q.
+    counts are summed arithmetically.  Otherwise each f-row's conditions form
+    a linear system in g (see _row_systems), eliminated in batches by
+    _eliminate: the row has q^(n - rank) matches if the system is solvable
+    and none otherwise.  The samples, the first matches in (cell, f, g)
+    lexicographic order, are solved for from the first rows that have
+    matches (see _solutions); so results are independent of jobs.  jobs > 1
+    shards the work over a process pool, except for a count whose f-rows
+    times conditions figure is below _POOL_MIN_ROW_WORK, which runs in this
+    process whatever jobs is.  Strata reporting solves for every match and
+    classifies it by its base divisor at Python speed: keep it to small q.
 
     budget bounds the work the chosen path does, computed before it starts:
-    f-rows times compiled conditions, summed over cells, plus SAMPLE_LIMIT
-    g-ranges of the largest cell for the samples; for strata, the number of
-    pencils enumerated.  A larger figure raises ResourceLimit, as does a q so
-    large that (k+1)(q-1)^2 would overflow int64.
+    f-rows times compiled conditions, summed over cells; for strata, the
+    number of pencils in the Grassmannian.  A larger figure raises
+    ResourceLimit, as does a q so large that (k+1)(q-1)^2 would overflow
+    int64.
 
     With cache_dir set, results persist as JSON keyed by a content hash of
     (k, q, constraint); an entry is used only if it records that same question.
@@ -670,29 +674,13 @@ def search_pencils_ffield(
     cells = _cells(k)
     widths = [_free_columns(k, i, j) for i, j in cells]
     total = sum(q ** (len(c0) + len(c1)) for c0, c1 in widths)
-    if constraint.is_empty() and not report_strata:
-        # every pencil matches: the samples are the first keys in order
-        keys = []
-        for cell_idx, (c0, c1) in enumerate(widths):
-            n_g = q ** len(c1)
-            for flat in range(min(q ** len(c0) * n_g, SAMPLE_LIMIT - len(keys))):
-                keys.append((cell_idx, *divmod(flat, n_g)))
-        result = SearchResult(
-            count=total, samples=_decode_samples(field, k, keys), strata=None
-        )
-        if cache_path is not None:
-            _store_cached(cache_path, k, q, constraint, result)
-        return result
     mats = compile_constraint(k, q, constraint)
     if report_strata:
-        kernel, extra = _search_shard, (True, SAMPLE_LIMIT)
-        work, what = total, "enumerating pencils"
+        work, what = total, "classifying strata"
     else:
-        kernel, extra = _count_shard, (SAMPLE_LIMIT,)
-        row_work = len(mats) * sum(q ** len(c0) for c0, _ in widths)
-        work = row_work + SAMPLE_LIMIT * max(q ** len(c1) for _, c1 in widths)
+        work = len(mats) * sum(q ** len(c0) for c0, _ in widths)
         what = "counting by rank"
-        if row_work < _POOL_MIN_ROW_WORK:
+        if work < _POOL_MIN_ROW_WORK:
             jobs = 1  # forking a pool would cost more than the count
     if work > budget:
         raise ResourceLimit(f"{what} takes {work} steps, over the budget of {budget}")
@@ -704,30 +692,22 @@ def search_pencils_ffield(
         bounds = [round(s * n_f / shards) for s in range(shards + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             if lo < hi:
-                tasks.append((q, k, cell_idx, i, j, lo, hi, mats_raw) + extra)
+                tasks.append((q, k, cell_idx, i, j, lo, hi, mats_raw, report_strata))
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(kernel, tasks))
+            outcomes = list(pool.map(_search_shard, tasks))
     else:
-        outcomes = [kernel(t) for t in tasks]
+        outcomes = [_search_shard(t) for t in tasks]
     count = sum(outcome[0] for outcome in outcomes)
-    found = sorted(key for outcome in outcomes for key in outcome[1])
+    rows = sorted(key for outcome in outcomes for key in outcome[1])
+    keys = _sample_keys(q, k, mats_raw, rows[:SAMPLE_LIMIT])
     strata = None
     if report_strata:
-        keys = found
-        strata = {}
-        for _, _, part in outcomes:
-            for name, val in part.items():
-                strata[name] = strata.get(name, 0) + val
-    else:
-        keys = _sample_keys(q, k, mats, found[:SAMPLE_LIMIT])
-    result = SearchResult(
-        count=count,
-        samples=_decode_samples(field, k, keys[:SAMPLE_LIMIT]),
-        strata=strata,
-    )
+        strata = dict(sum((outcome[2] for outcome in outcomes), Counter()))
+    samples = _decode_samples(field, k, keys)
+    result = SearchResult(count=count, samples=samples, strata=strata)
     if cache_path is not None:
         _store_cached(cache_path, k, q, constraint, result)
     return result
@@ -781,7 +761,11 @@ def _store_cached(
 def _load_cached(
     path: str, k: int, q: int, constraint: SearchConstraint, report_strata: bool
 ) -> SearchResult | None:
-    """The stored result, or None if absent, unreadable or for another question."""
+    """The stored result, or None if absent, unreadable or for another question.
+
+    Stored strata are returned only when report_strata asks for them, so a
+    hit prints what a fresh search would.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -802,7 +786,8 @@ def _load_cached(
         )
         for s in doc["samples"]
     )
-    return SearchResult(count=doc["count"], samples=samples, strata=doc.get("strata"))
+    strata = doc.get("strata") if report_strata else None
+    return SearchResult(count=doc["count"], samples=samples, strata=strata)
 
 
 # ---------------------------------------------------------------------------

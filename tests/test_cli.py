@@ -11,6 +11,7 @@ import pytest
 from pencillab.cli import main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+FROZEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected.json")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
@@ -211,6 +212,16 @@ def test_no_cache_neither_reads_nor_writes(capsys, tmp_path):
     assert run_json(argv, capsys)["samples"] == []  # the entry is read without the flag
 
 
+def test_cached_strata_do_not_leak_into_a_plain_search(capsys):
+    argv = ["dimlab", "search", "--k", "2", "--q", "7", "--incidence", "4,3,5"]
+    fresh = [run(argv + extra + ["--no-cache"], capsys) for extra in ([], ["--strata"])]
+    assert json.loads(fresh[1][1])["strata"] == {"base_point_free": 8}
+    # the strata run writes the entry that the plain run then hits
+    assert run(argv + ["--strata"], capsys) == fresh[1]
+    assert run(argv, capsys) == fresh[0]
+    assert run(argv + ["--strata"], capsys) == fresh[1]
+
+
 def test_dimlab_search_empty_result_exit_one(capsys):
     doc = run_json(
         ["dimlab", "search", "--k", "2", "--q", "5",
@@ -269,6 +280,22 @@ def test_readme_examples_match_the_cli(capsys):
         _, out, _ = run(argv, capsys)
         assert out == expected, argv
 
+
+def frozen_invocations():
+    """The CLI invocations frozen in perfbench/expected.json: dicts of argv, exit, stdout."""
+    with open(FROZEN) as fh:
+        cli = json.load(fh)["cli"]
+    return cli["fixed"] + [entry for pool in cli["pools"].values() for entry in pool]
+
+
+def test_frozen_invocations_replay_byte_identical(capsys):
+    entries = frozen_invocations()
+    assert len(entries) == 40
+    # the second pass reads the cache entries the first one wrote
+    for attempt in ("cold cache", "warm cache"):
+        for entry in entries:
+            code, out, _ = run(entry["argv"], capsys)
+            assert (code, out) == (entry["exit"], entry["stdout"]), (attempt, entry["argv"])
 
 
 HEAVY = ("numpy", "sympy", "concurrent.futures.process")

@@ -20,6 +20,7 @@ from pencillab import (
     PointCollision,
     ResourceLimit,
     SearchConstraint,
+    SearchResult,
     ZeroCount,
     bezoutian_curve,
     build_limit_curve,
@@ -330,18 +331,37 @@ class TestSearch:
         assert [p.name for p in cache.iterdir()] == [os.path.basename(path)]
 
 
-def brute_force_search(k, q, constraint):
-    """Count and samples from testing every echelon pair: the rank kernel's oracle."""
-    mats = [tuple(map(tuple, A.tolist()))
-            for A in severi_degeneration.compile_constraint(k, q, constraint)]
-    count, keys = 0, []
-    for cell_idx, (i, j) in enumerate(severi_degeneration._cells(k)):
-        cols0, _ = severi_degeneration._free_columns(k, i, j)
-        found, cell_keys, _ = severi_degeneration._search_shard(
-            (q, k, cell_idx, i, j, 0, q ** len(cols0), mats, False, 20))
-        count += found
-        keys += cell_keys
-    return count, severi_degeneration._decode_samples(Field(q), k, sorted(keys)[:20])
+def brute_force_search(k, q, constraint, strata=True):
+    """Count, samples and strata from testing every echelon pair: the search's oracle.
+
+    Every f-row of every cell is tested against every g, so the matches come
+    out in (cell, f, g) order; with strata, each is classified by its base
+    divisor, and otherwise strata is None.
+    """
+    sd = severi_degeneration
+    field = Field(q)
+    mats = sd.compile_constraint(k, q, constraint)
+    count, keys, found = 0, [], {} if strata else None
+    for cell_idx, (i, j) in enumerate(sd._cells(k)):
+        cols0, cols1 = sd._free_columns(k, i, j)
+        f_assign = sd._digits(np.arange(q ** len(cols0)), q, len(cols0))
+        g_assign = sd._digits(np.arange(q ** len(cols1)), q, len(cols1))
+        F_rows = np.zeros((len(f_assign), k + 1), dtype=np.int64)
+        F_rows[:, i] = 1
+        F_rows[:, cols0] = f_assign
+        mask = np.ones((len(f_assign), len(g_assign)), dtype=bool)
+        for A in mats:
+            R = (F_rows @ A) % q
+            mask &= (R[:, [j]] + R[:, cols1] @ g_assign.T) % q == 0
+        f_hit, g_hit = np.nonzero(mask)
+        count += len(f_hit)
+        keys += [(cell_idx, f, g) for f, g in zip(f_hit[:20], g_hit[:20])]
+        if strata:
+            for f, g in zip(f_hit, g_hit):
+                pencil = sd._echelon_pencil(field, k, (i, j), f_assign[f], g_assign[g])
+                name = sd._classify_stratum(pencil)
+                found[name] = found.get(name, 0) + 1
+    return count, sd._decode_samples(field, k, keys[:20]), found
 
 
 def oracle_constraints(F, k, rng):
@@ -367,19 +387,29 @@ def oracle_constraints(F, k, rng):
     ]
 
 
+# Strata classify each match in Python, about 15 us apiece, so they are
+# compared where the count is at most this; above it a comparison takes seconds.
+STRATA_CAP = 5000
+
+
 @pytest.mark.parametrize("q", [5, 7, 11])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_rank_kernel_matches_brute_force(k, q, monkeypatch):
     monkeypatch.setattr(severi_degeneration, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks
     rng = random.Random(f"rank-oracle:{k}:{q}")
     counts = {}
-    for name, constraint in oracle_constraints(Field(q), k, rng):
-        want_count, want_samples = brute_force_search(k, q, constraint)
+    grid = oracle_constraints(Field(q), k, rng) + [("empty", SearchConstraint())]
+    for name, constraint in grid:
+        want = SearchResult(*brute_force_search(k, q, constraint, strata=False))
         for jobs in (1, 2):
-            got = search_pencils_ffield(k, q, constraint, jobs=jobs)
-            assert got.count == want_count, (name, jobs)
-            assert got.samples == want_samples, (name, jobs)
-        counts[name] = want_count
+            assert search_pencils_ffield(k, q, constraint, jobs=jobs) == want, (name, jobs)
+        if want.count <= STRATA_CAP:
+            want = SearchResult(*brute_force_search(k, q, constraint))
+            assert sum(want.strata.values()) == want.count, name
+            for jobs in (1, 2):
+                got = search_pencils_ffield(k, q, constraint, jobs=jobs, report_strata=True)
+                assert got == want, (name, jobs)
+        counts[name] = want.count
     assert counts["repeated incidence"] == counts["incidence"] > 0
     assert counts["inconsistent"] == 0
 
@@ -401,8 +431,8 @@ def test_small_count_forks_no_pool(monkeypatch):
 def test_budget_counts_the_rank_work():
     F = Field(11)
     constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 1), point(F, 1, 2)),))
-    # k = 3: 11^2 + 11^2 + 11^2 + 11 + 11 + 1 rows, one condition; 20 * 11^2 to decode
-    work = 3 * 121 + 2 * 11 + 1 + 20 * 121
+    # k = 3: 11^2 + 11^2 + 11^2 + 11 + 11 + 1 rows, one condition; samples are solved for
+    work = 3 * 121 + 2 * 11 + 1
     assert search_pencils_ffield(3, 11, constraint, budget=work).count > 0
     with pytest.raises(ResourceLimit):
         search_pencils_ffield(3, 11, constraint, budget=work - 1)
