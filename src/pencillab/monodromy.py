@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, permutations as iter_permutations, product as iter_product
 
 from .errors import ProfileInfeasible, ResourceLimit
@@ -79,6 +79,11 @@ class Permutation:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each rotated minimum-first, sorted by minimum."""
+        return self._cycles
+
+    @cached_property
+    def _cycles(self) -> tuple[tuple[int, ...], ...]:
+        # computed once per object: the walk's candidate cycles recur in every tuple
         seen = set()
         out = []
         for start in range(1, len(self.images) + 1):
@@ -102,15 +107,16 @@ class Permutation:
     def order(self) -> int:
         return math.lcm(1, *(len(c) for c in self.cycles()))
 
-    def orbit_count(self) -> int:
-        """Number of orbits on 1..k, fixed points included: one pass, no cycles()."""
-        images, seen, orbits = self.images, [False] * len(self.images), 0
-        for s in range(len(images)):
-            orbits += not seen[s]
-            while not seen[s]:
-                seen[s] = True
-                s = images[s] - 1
-        return orbits
+
+def _orbit_count(images: tuple[int, ...]) -> int:
+    """Orbits on 1..k of the permutation with these images, fixed points included."""
+    seen, orbits = [False] * len(images), 0
+    for s in range(len(images)):
+        orbits += not seen[s]
+        while not seen[s]:
+            seen[s] = True
+            s = images[s] - 1
+    return orbits
 
 
 @dataclass(frozen=True)
@@ -301,11 +307,6 @@ def _cycles_of_order(k: int, e: int) -> list[Permutation]:
     return out
 
 
-def _cayley_distance(p: Permutation) -> int:
-    """Least number of transpositions whose product is p."""
-    return p.degree - p.orbit_count()
-
-
 def _guarded_orders(k: int, e, max_k: int, max_n: int) -> tuple[int, ...]:
     e = _validate_orders(k, e)
     if k > max_k or len(e) > max_n:
@@ -317,9 +318,11 @@ def _pruned_walk(k: int, e: tuple[int, ...], fix_first: bool = False):
     """Yield every identity-product transitive tuple of e-cycles, lexicographically.
 
     Positions are filled in order; a prefix survives only if the Cayley
-    distance of its product fits, with the right parity, in the weight
-    sum(e_i - 1) still to place, and the last cycle is solved from the
+    distance k - orbits of its product fits, with the right parity, in the
+    weight sum(e_i - 1) still to place, and the last cycle is solved from the
     partial product.  fix_first restricts position 0 to the cycle (1 2 .. e_1).
+    Products are composed on image tuples; Permutations are built only for
+    the last cycle of a tuple that is yielded.
     """
     n = len(e)
     if n < 2:
@@ -328,29 +331,46 @@ def _pruned_walk(k: int, e: tuple[int, ...], fix_first: bool = False):
         first = [Permutation.from_cycle(tuple(range(1, e[0] + 1)), k)]
     else:
         first = _cycles_of_order(k, e[0])
-    candidates = [first] + [_cycles_of_order(k, ei) for ei in e[1:]]
+    candidates = [[(sigma, sigma.images) for sigma in cands]
+                  for cands in [first] + [_cycles_of_order(k, ei) for ei in e[1:]]]
     capacities = [sum(ei - 1 for ei in e[pos + 1:]) for pos in range(n)]
+    last_order = e[-1]
 
-    def walk(pos: int, prefix: Permutation, chosen: list[Permutation]):
+    def walk(pos: int, prefix: tuple, chosen: list, chosen_images: list):
         if pos == n - 1:
-            last = prefix.inverse()
-            cyc = last.single_cycle()
-            if cyc is not None and len(cyc) == e[pos]:
-                full = tuple(chosen) + (last,)
-                if _transitive(k, full):
-                    yield full
+            # the last cycle is prefix^-1: an e_n-cycle iff prefix moves e_n
+            # symbols in one orbit, and it lies in the group the others generate
+            moved = sum(img != s for s, img in enumerate(prefix, start=1))
+            if (moved == last_order and _orbit_count(prefix) == k - last_order + 1
+                    and _orbit_of_one(k, chosen_images) == k):
+                yield tuple(chosen) + (Permutation(prefix).inverse(),)
             return
         capacity = capacities[pos]
-        for sigma in candidates[pos]:
-            nxt = prefix.then(sigma)
-            dist = _cayley_distance(nxt)
+        for sigma, images in candidates[pos]:
+            nxt = tuple(images[s - 1] for s in prefix)
+            dist = k - _orbit_count(nxt)
             if dist > capacity or (capacity - dist) % 2 != 0:
                 continue
             chosen.append(sigma)
-            yield from walk(pos + 1, nxt, chosen)
+            chosen_images.append(images)
+            yield from walk(pos + 1, nxt, chosen, chosen_images)
             chosen.pop()
+            chosen_images.pop()
 
-    yield from walk(0, Permutation.identity(k), [])
+    yield from walk(0, tuple(range(1, k + 1)), [], [])
+
+
+def _orbit_of_one(k: int, generators: list) -> int:
+    """Size of the orbit of symbol 1 under the permutations with these image tuples."""
+    seen, stack = {1}, [1]
+    while stack:
+        s = stack.pop()
+        for images in generators:
+            t = images[s - 1]
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return len(seen)
 
 
 def enumerate_tuples(

@@ -15,7 +15,9 @@ vectors, so a subspace matches iff one (hence any) basis pair (f, g) does.
 With f fixed the forms are linear in g, so each f-row's matches are the
 solutions of a linear system mod q, eliminated in batches in numpy int64.
 Counts come from the ranks; samples and strata from solving for the
-matches, in lexicographic order.  No g is listed by brute force.
+matches, in lexicographic order.  No g is listed by brute force.  Strata
+classify each batch of matches by two more ranks mod q, through the same
+elimination.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import itertools
 import json
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,9 +46,7 @@ from .pencil_geometry import (
     _move_to_origin,
     _poly_squarefree,
     _trim,
-    base_locus,
     curve_resultant,
-    squarefree_form,
     wedge_basis_curve,
 )
 
@@ -66,6 +65,12 @@ _RANK_CHUNK_ROWS = 8192  # f-rows per batch of the rank kernel
 # 3*10^5 (k = 3 over F_101: 2.4 ms alone, 6 ms pooled), broke about even from
 # 2.5*10^5 to 10^6 (sooner at k = 4), and won 1.3-2x above 10^6.
 _POOL_MIN_ROW_WORK = 500_000
+# A strata search of a Grassmannian with fewer pencils than this runs in one
+# process whatever jobs is.  Unconstrained, on 2 cores, alone against a pool
+# of two: k = 2 over F_101 (10303 pencils) 6.2 vs 7.8 ms, k = 2 over F_127
+# (16257) 9.6 vs 12.2 ms, k = 3 over F_11 (16226) about 22 ms either way,
+# k = 4 over F_5 (20306) 59 vs 40 ms and k = 3 over F_13 (31110) 39 vs 32 ms.
+_POOL_MIN_STRATA_PENCILS = 16_000
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +463,6 @@ def _echelon_pencil(
     return Pencil(BinaryForm(field, k, tuple(f)), BinaryForm(field, k, tuple(g)))
 
 
-def _classify_stratum(pencil: Pencil) -> str:
-    locus = base_locus(pencil)
-    if locus.degree == 0:
-        return "base_point_free"
-    return "simple_base_divisor" if squarefree_form(locus) else "multiple_base_points"
-
-
 def _row_systems(q: int, k: int, cell: tuple[int, int], mats, f_idx):
     """A cell's f-rows with the given indices, and their linear systems in g.
 
@@ -521,6 +519,13 @@ def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return pivots, solvable
 
 
+def _rank(pivots: np.ndarray) -> np.ndarray:
+    """Rank of each system's coefficient matrix, from _eliminate's pivots."""
+    import numpy as np
+
+    return (np.diagonal(pivots, axis1=1, axis2=2) != 0).sum(axis=1)
+
+
 def _solutions(pivots: np.ndarray, q: int, cap: int):
     """Yield (row positions, R x count x n solutions) for the solvable systems given.
 
@@ -553,29 +558,79 @@ def _solutions(pivots: np.ndarray, q: int, cap: int):
             yield part, G
 
 
-def _tally_strata(field: Field, k: int, cell, F_rows, pivots, strata: Counter) -> None:
-    """Add the stratum of every solution of each solvable row to strata."""
+# Base-divisor strata, in the order of _strata_codes
+_STRATA = ("base_point_free", "simple_base_divisor", "multiple_base_points")
+
+
+def _multiples(forms: np.ndarray, shifts: int) -> np.ndarray:
+    """The products of each batch's forms with the monomials of degree shifts - 1.
+
+    forms is B x r x (d+1), r forms of degree d per batch.  Multiplying by a
+    monomial shifts a coefficient vector, so the result is the B x (r*shifts)
+    x (d+shifts) matrix of those products, with a zero constant column
+    appended for _eliminate.
+    """
+    import numpy as np
+
+    B, r, width = forms.shape
+    out = np.zeros((B, r * shifts, width + shifts), dtype=np.int64)
+    for a in range(shifts):
+        out[:, a::shifts, a : a + width] = forms
+    return out
+
+
+def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Index into _STRATA of the base divisor of each pencil span(F[b], G[b]).
+
+    F and G are B x (k+1) coefficient rows mod q of independent forms.  Two
+    ranks, both through _eliminate, decide it.  deg gcd(f, g) is 2k minus the
+    rank of the Sylvester matrix of f and g times the monomials of degree
+    k-1.  Where that degree is positive, a base point is multiple iff it is a
+    root of the four partials d0f, d1f, d0g, d1g: with q > k, Euler's
+    relation k*f = x0*d0f + x1*d1f makes those the roots of f and g of
+    multiplicity at least 2.  Forms of degree k-1 share a root iff their
+    multiples by the monomials of degree k-2 span less than all 2k-2 forms of
+    degree 2k-3.
+    """
+    import numpy as np
+
+    codes = np.zeros(len(F), dtype=np.int64)
+    sylvester = _multiples(np.stack([F, G], axis=1), k)
+    based = np.flatnonzero(_rank(_eliminate(sylvester, q)[0]) < 2 * k)
+    if based.size:  # never at k = 1, where independent forms are coprime
+        t = np.arange(k + 1)
+        f, g = F[based], G[based]
+        partials = np.stack([
+            f[:, :-1] * t[::-1][:-1], f[:, 1:] * t[1:],
+            g[:, :-1] * t[::-1][:-1], g[:, 1:] * t[1:],
+        ], axis=1) % q
+        ranks = _rank(_eliminate(_multiples(partials, k - 1), q)[0])
+        codes[based] = np.where(ranks < 2 * k - 2, 2, 1)
+    return codes
+
+
+def _tally_strata(q: int, k: int, cell, F_rows, pivots, tally: np.ndarray) -> None:
+    """Add to tally, per stratum, the pencils of every solution of each solvable row."""
     import numpy as np
 
     i, j = cell
     cols1 = _free_columns(k, i, j)[1]
-    for part, G in _solutions(pivots, field.q, field.q ** len(cols1)):
+    for part, G in _solutions(pivots, q, q ** len(cols1)):
         g_rows = np.zeros(G.shape[:2] + (k + 1,), dtype=np.int64)
         g_rows[:, :, j] = 1
         g_rows[:, :, cols1] = G
-        for f, gs in zip(F_rows[part].tolist(), g_rows.tolist()):
-            f_form = BinaryForm(field, k, tuple(f))  # once per row, not per match
-            for g in gs:
-                pencil = Pencil(f_form, BinaryForm(field, k, tuple(g)))
-                strata[_classify_stratum(pencil)] += 1
+        f_rows = np.broadcast_to(F_rows[part, None], g_rows.shape)
+        codes = _strata_codes(q, k, f_rows.reshape(-1, k + 1), g_rows.reshape(-1, k + 1))
+        tally += np.bincount(codes, minlength=len(_STRATA))
 
 
-def _search_shard(payload) -> tuple[int, list[tuple], Counter | None]:
+def _search_shard(payload) -> tuple[int, list[tuple], list[int] | None]:
     """Search one cell's f-index range; top-level for pickling.
 
     A row has q^(n - rank) matches if its system is solvable and none
     otherwise.  Returns the count, the (cell, f) keys of the first
-    SAMPLE_LIMIT rows with a match, and, if asked, the strata of every match.
+    SAMPLE_LIMIT rows with a match, and, if asked, the matches in each
+    stratum of _STRATA.
     """
     import numpy as np
 
@@ -586,19 +641,18 @@ def _search_shard(payload) -> tuple[int, list[tuple], Counter | None]:
         return (f_hi - f_lo) * q**n, rows, None
     by_rank = np.zeros(n + 1, dtype=np.int64)
     rows = []
-    strata = Counter() if want_strata else None
+    tally = np.zeros(len(_STRATA), dtype=np.int64)
     for lo in range(f_lo, f_hi, _RANK_CHUNK_ROWS):
         f_idx = np.arange(lo, min(lo + _RANK_CHUNK_ROWS, f_hi))
         F_rows, S = _row_systems(q, k, (i, j), mats, f_idx)
         pivots, solvable = _eliminate(S, q)
-        rank = (np.diagonal(pivots, axis1=1, axis2=2) != 0).sum(axis=1)
-        by_rank += np.bincount(rank[solvable], minlength=n + 1)
+        by_rank += np.bincount(_rank(pivots)[solvable], minlength=n + 1)
         first = f_idx[solvable][: SAMPLE_LIMIT - len(rows)].tolist()
         rows += [(cell_idx, f) for f in first]
         if want_strata:
-            _tally_strata(Field(q), k, (i, j), F_rows[solvable], pivots[solvable], strata)
+            _tally_strata(q, k, (i, j), F_rows[solvable], pivots[solvable], tally)
     count = sum(int(c) * q ** (n - r) for r, c in enumerate(by_rank.tolist()))
-    return count, rows, strata
+    return count, rows, tally.tolist() if want_strata else None
 
 
 def _sample_keys(q: int, k: int, mats, rows) -> list[tuple]:
@@ -641,9 +695,13 @@ def search_pencils_ffield(
     lexicographic order, are solved for from the first rows that have
     matches (see _solutions); so results are independent of jobs.  jobs > 1
     shards the work over a process pool, except for a count whose f-rows
-    times conditions figure is below _POOL_MIN_ROW_WORK, which runs in this
-    process whatever jobs is.  Strata reporting solves for every match and
-    classifies it by its base divisor at Python speed: keep it to small q.
+    times conditions figure is below _POOL_MIN_ROW_WORK, or a strata search
+    of a Grassmannian with fewer than _POOL_MIN_STRATA_PENCILS pencils,
+    which run in this process whatever jobs is.  Strata reporting solves for
+    every match and classifies the matches of a batch together by two ranks
+    mod q (see _strata_codes): a Sylvester rank gives the degree of the base
+    divisor, and a rank of the multiples of the four partials tells a
+    multiple base point from simple ones.
 
     budget bounds the work the chosen path does, computed before it starts:
     f-rows times compiled conditions, summed over cells; for strata, the
@@ -676,12 +734,12 @@ def search_pencils_ffield(
     total = sum(q ** (len(c0) + len(c1)) for c0, c1 in widths)
     mats = compile_constraint(k, q, constraint)
     if report_strata:
-        work, what = total, "classifying strata"
+        work, what, pool_min = total, "classifying strata", _POOL_MIN_STRATA_PENCILS
     else:
         work = len(mats) * sum(q ** len(c0) for c0, _ in widths)
-        what = "counting by rank"
-        if work < _POOL_MIN_ROW_WORK:
-            jobs = 1  # forking a pool would cost more than the count
+        what, pool_min = "counting by rank", _POOL_MIN_ROW_WORK
+    if work < pool_min:
+        jobs = 1  # forking a pool would cost more than the search
     if work > budget:
         raise ResourceLimit(f"{what} takes {work} steps, over the budget of {budget}")
     mats_raw = [tuple(map(tuple, A.tolist())) for A in mats]
@@ -705,7 +763,8 @@ def search_pencils_ffield(
     keys = _sample_keys(q, k, mats_raw, rows[:SAMPLE_LIMIT])
     strata = None
     if report_strata:
-        strata = dict(sum((outcome[2] for outcome in outcomes), Counter()))
+        tally = [sum(outcome[2][s] for outcome in outcomes) for s in range(len(_STRATA))]
+        strata = {name: c for name, c in zip(_STRATA, tally) if c}
     samples = _decode_samples(field, k, keys)
     result = SearchResult(count=count, samples=samples, strata=strata)
     if cache_path is not None:

@@ -15,6 +15,7 @@ from pencillab import (
     AlphaTuple,
     ChainMismatch,
     ChainSpec,
+    DegeneratePencil,
     LimitCurveModel,
     Pencil,
     PointCollision,
@@ -39,10 +40,10 @@ from pencillab import (
     total_ramification_pencil,
 )
 from pencillab import severi_degeneration
-from pencillab.pencil_geometry import PlaneCurve
+from pencillab.pencil_geometry import PlaneCurve, base_locus, squarefree_form
 from pencillab.fields import QQ, Field
 
-from conftest import form, point, projective_points, random_pencil
+from conftest import form, point, projective_points, random_form, random_pencil
 
 
 def alphas_as_dict(tup):
@@ -331,6 +332,14 @@ class TestSearch:
         assert [p.name for p in cache.iterdir()] == [os.path.basename(path)]
 
 
+def classify_stratum(pencil):
+    """The stratum of a pencil's base divisor, from its gcd in Python: the classifier's oracle."""
+    locus = base_locus(pencil)
+    if locus.degree == 0:
+        return "base_point_free"
+    return "simple_base_divisor" if squarefree_form(locus) else "multiple_base_points"
+
+
 def brute_force_search(k, q, constraint, strata=True):
     """Count, samples and strata from testing every echelon pair: the search's oracle.
 
@@ -359,7 +368,7 @@ def brute_force_search(k, q, constraint, strata=True):
         if strata:
             for f, g in zip(f_hit, g_hit):
                 pencil = sd._echelon_pencil(field, k, (i, j), f_assign[f], g_assign[g])
-                name = sd._classify_stratum(pencil)
+                name = classify_stratum(pencil)
                 found[name] = found.get(name, 0) + 1
     return count, sd._decode_samples(field, k, keys[:20]), found
 
@@ -387,8 +396,10 @@ def oracle_constraints(F, k, rng):
     ]
 
 
-# Strata classify each match in Python, about 15 us apiece, so they are
-# compared where the count is at most this; above it a comparison takes seconds.
+# The oracle classifies each match in Python, about 15 us apiece, so strata
+# are compared where the count is at most this; above it a comparison takes
+# seconds.  test_strata_codes_on_a_whole_grassmannian checks the classifier
+# itself on a larger family.
 STRATA_CAP = 5000
 
 
@@ -414,6 +425,87 @@ def test_rank_kernel_matches_brute_force(k, q, monkeypatch):
     assert counts["inconsistent"] == 0
 
 
+def pencil_with_common_factor(F, k, rng):
+    """A seeded pencil of degree k whose generators share a factor of random degree.
+
+    The factor multiplies linear forms, often repeated and often vanishing at
+    [0:1] or [1:0], and random forms of degree up to 2, which may be irreducible.
+    """
+    pts = projective_points(F)
+    special = [point(F, 1, 0), point(F, 0, 1)]
+    while True:
+        h = form(F, [1])
+        for _ in range(rng.randint(0, k - 1)):
+            if rng.random() < 0.3:
+                piece = random_form(F, rng.randint(1, 2), rng)
+            else:
+                piece = linear_form(rng.choice(pts + special * 3))
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                h = h.multiply(piece)
+        if h.is_zero() or h.degree >= k:
+            continue
+        rest = k - h.degree
+        try:
+            return Pencil(h.multiply(random_form(F, rest, rng)),
+                          h.multiply(random_form(F, rest, rng)))
+        except DegeneratePencil:
+            continue
+
+
+def assert_codes_match_oracle(q, k, pencils):
+    F_rows = np.array([pen.f.coeffs for pen in pencils], dtype=np.int64).reshape(-1, k + 1)
+    G_rows = np.array([pen.g.coeffs for pen in pencils], dtype=np.int64).reshape(-1, k + 1)
+    codes = severi_degeneration._strata_codes(q, k, F_rows, G_rows)
+    got = [severi_degeneration._STRATA[c] for c in codes.tolist()]
+    assert got == [classify_stratum(pen) for pen in pencils]
+    return set(got)
+
+
+@pytest.mark.parametrize("k,q", [(k, q) for k in range(1, 7) for q in (7, 11, 13)]
+                         + [(2, 3), (3, 5), (4, 5)])
+def test_strata_codes_match_the_oracle(k, q):
+    F = Field(q)
+    rng = random.Random(f"strata-codes:{k}:{q}")
+    pencils = [pencil_with_common_factor(F, k, rng) for _ in range(300)]
+    pencils += [random_pencil(F, k, rng) for _ in range(50)]
+    seen = assert_codes_match_oracle(q, k, pencils)
+    # two independent forms of degree k share at most k - 1 roots
+    assert seen == set(severi_degeneration._STRATA[: min(k, 3)])
+
+
+def test_strata_codes_on_a_whole_grassmannian():
+    k, q = 4, 5
+    sd = severi_degeneration
+    pencils = []
+    for cell in sd._cells(k):
+        cols0, cols1 = sd._free_columns(k, *cell)
+        for f_vals in itertools.product(range(q), repeat=len(cols0)):
+            for g_vals in itertools.product(range(q), repeat=len(cols1)):
+                pencils.append(sd._echelon_pencil(Field(q), k, cell, f_vals, g_vals))
+    assert len(pencils) == grassmannian_pencil_count(k, q)
+    assert assert_codes_match_oracle(q, k, pencils) == set(sd._STRATA)
+
+
+def test_ladder_strata_match_the_frozen_answers(monkeypatch):
+    """The strata search of every ladder variant against perfbench/expected.json."""
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    with open(os.path.join(bench, "expected.json")) as fh:
+        frozen = json.load(fh)["ladder"]
+    monkeypatch.syspath_prepend(bench)
+    import pencillab
+    from pencillab import fields
+    from workloads import LADDER_VARIANTS, ladder_searches
+
+    assert len(frozen["strata"]) == LADDER_VARIANTS
+    for variant in range(LADDER_VARIANTS):
+        searches = ladder_searches(pencillab, fields, severi_degeneration, variant,
+                                   frozen["incidence_pairs"])
+        (label, _, q, constraint, jobs, _), = [s for s in searches if s[5]]
+        res = search_pencils_ffield(3, q, constraint, jobs=jobs, report_strata=True)
+        assert res.count == frozen["counts"][variant][label], variant
+        assert res.strata == frozen["strata"][variant], variant
+
+
 def test_small_count_forks_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was forked")
@@ -421,11 +513,19 @@ def test_small_count_forks_no_pool(monkeypatch):
     F = Field(11)
     constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 1), point(F, 1, 2)),))
     alone = search_pencils_ffield(3, 11, constraint, jobs=1)
+    # k = 3 over F_7: 2850 pencils in the Grassmannian
+    F7 = Field(7)
+    small = SearchConstraint(incidences=(sym_point(point(F7, 1, 4), point(F7, 1, 3)),))
+    strata_alone = search_pencils_ffield(3, 7, small, jobs=1, report_strata=True)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert search_pencils_ffield(3, 11, constraint, jobs=2) == alone
+    assert search_pencils_ffield(3, 7, small, jobs=2, report_strata=True) == strata_alone
     monkeypatch.setattr(severi_degeneration, "_POOL_MIN_ROW_WORK", 0)
     with pytest.raises(AssertionError, match="a pool was forked"):
         search_pencils_ffield(3, 11, constraint, jobs=2)
+    monkeypatch.setattr(severi_degeneration, "_POOL_MIN_STRATA_PENCILS", 0)
+    with pytest.raises(AssertionError, match="a pool was forked"):
+        search_pencils_ffield(3, 7, small, jobs=2, report_strata=True)
 
 
 def test_budget_counts_the_rank_work():
