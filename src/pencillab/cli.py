@@ -7,6 +7,10 @@ rejects, ...) with an {"error", "detail"} object on stdout, 2 usage errors
 that argparse catches.  Output is byte-stable
 for identical invocations: keys are sorted and all core paths are exact, so
 caching and diffing runs is safe.
+
+Each handler imports the pencillab modules it calls, so a command loads only
+those: `numerology` or `severi exists` never reads the pencil geometry or the
+search code.
 """
 
 from __future__ import annotations
@@ -17,10 +21,13 @@ import json
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import monodromy, numerology, pencil_geometry, severi_degeneration
 from .errors import PencillabError
 from .fields import QQ, Field
+
+if TYPE_CHECKING:
+    from . import pencil_geometry, severi_degeneration
 
 CACHE_ENV = "PENCILLAB_CACHE"
 DEFAULT_CACHE_DIR = "./.pencillab-cache"
@@ -43,11 +50,15 @@ def _field_of(args) -> Field:
 
 
 def _parse_form(field: Field, text: str) -> pencil_geometry.BinaryForm:
+    from . import pencil_geometry
+
     coeffs = [tok.strip() for tok in text.split(",")]
     return pencil_geometry.BinaryForm(field, len(coeffs) - 1, tuple(coeffs))
 
 
 def _parse_pencil(args) -> pencil_geometry.Pencil:
+    from . import pencil_geometry
+
     field = _field_of(args)
     return pencil_geometry.Pencil(
         _parse_form(field, args.f), _parse_form(field, args.g)
@@ -55,6 +66,8 @@ def _parse_pencil(args) -> pencil_geometry.Pencil:
 
 
 def _parse_point(field: Field, text: str) -> pencil_geometry.ProjPoint:
+    from . import pencil_geometry
+
     parts = [tok.strip() for tok in text.split(",")]
     if len(parts) != 2:
         raise ValueError(f"point needs two coordinates, got {text!r}")
@@ -62,6 +75,8 @@ def _parse_point(field: Field, text: str) -> pencil_geometry.ProjPoint:
 
 
 def _parse_sym_point(field: Field, text: str) -> pencil_geometry.SymPoint:
+    from . import pencil_geometry
+
     parts = [tok.strip() for tok in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"plane point needs three coordinates, got {text!r}")
@@ -99,6 +114,8 @@ def _parse_counts(text: str) -> list[tuple[int, int]]:
 
 
 def _parse_constraint(args) -> severi_degeneration.SearchConstraint:
+    from . import severi_degeneration
+
     field = Field(args.q)
     incidences = []
     if args.incidence:
@@ -119,11 +136,21 @@ def _cache_dir(args) -> str | None:
     return os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
 
 
+def _search_options(args) -> dict:
+    """search_pencils_ffield keywords set by --jobs, --no-cache and --budget."""
+    options = {"jobs": args.jobs, "cache_dir": _cache_dir(args)}
+    if args.budget is not None:  # omitted: the search's DEFAULT_SEARCH_BUDGET
+        options["budget"] = args.budget
+    return options
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (payload, exit_code)
 
 
 def _cmd_numerology(args):
+    from . import numerology
+
     e = tuple(_parse_int_list(args.e)) if args.e is not None else ()
     if args.n is not None and args.n != len(e):
         raise ValueError(f"--n {args.n} disagrees with {len(e)} orders in --e")
@@ -132,6 +159,8 @@ def _cmd_numerology(args):
 
 
 def _cmd_monodromy_construct(args):
+    from . import monodromy
+
     mt = monodromy.construct_tuple(args.k, _parse_int_list(args.e))
     report = monodromy.verify_tuple(mt)
     payload = mt.to_json_dict()
@@ -144,6 +173,8 @@ def _cmd_monodromy_construct(args):
 
 
 def _cmd_monodromy_verify(args):
+    from . import monodromy
+
     cycles = json.loads(args.cycles)
     mt = monodromy.MonodromyTuple.from_json_dict({"k": args.k, "cycles": cycles})
     report = monodromy.verify_tuple(mt)
@@ -157,6 +188,8 @@ def _cmd_monodromy_verify(args):
 
 
 def _cmd_monodromy_enumerate(args):
+    from . import monodromy
+
     tuples = monodromy.enumerate_tuples(
         args.k, _parse_int_list(args.e), exhaustive=args.exhaustive
     )
@@ -165,15 +198,21 @@ def _cmd_monodromy_enumerate(args):
 
 
 def _cmd_monodromy_count(args):
+    from . import monodromy
+
     return {"count": monodromy.count_tuples(args.k, _parse_int_list(args.e))}, 0
 
 
 def _cmd_monodromy_pad(args):
+    from . import monodromy
+
     padded = monodromy.pad_profile(args.k, _parse_int_list(args.e))
     return {"k": args.k, "e": list(padded)}, 0
 
 
 def _cmd_pencil_bezoutian(args):
+    from . import pencil_geometry
+
     curve = pencil_geometry.bezoutian_curve(_parse_pencil(args))
     payload = curve.to_json_dict()
     payload["field"] = curve.field.label()
@@ -182,6 +221,8 @@ def _cmd_pencil_bezoutian(args):
 
 
 def _cmd_pencil_wronskian(args):
+    from . import pencil_geometry
+
     pencil = _parse_pencil(args)
     w = pencil_geometry.wronskian(pencil)
     payload = w.to_json_dict()
@@ -194,6 +235,8 @@ def _cmd_pencil_wronskian(args):
 
 
 def _cmd_pencil_base_locus(args):
+    from . import pencil_geometry
+
     pencil = _parse_pencil(args)
     locus = pencil_geometry.base_locus(pencil)
     return {
@@ -205,12 +248,16 @@ def _cmd_pencil_base_locus(args):
 
 
 def _cmd_pencil_reduced(args):
+    from . import pencil_geometry
+
     pencil = _parse_pencil(args)
     curve = pencil_geometry.bezoutian_curve(pencil)
     return {"reduced": pencil_geometry.is_reduced_curve(curve)}, 0
 
 
 def _cmd_pencil_same_fiber(args):
+    from . import pencil_geometry
+
     pencil = _parse_pencil(args)
     field = pencil.field
     p = _parse_point(field, args.P)
@@ -225,6 +272,8 @@ def _cmd_pencil_same_fiber(args):
 
 
 def _cmd_pencil_ramification(args):
+    from . import pencil_geometry
+
     pencil = _parse_pencil(args)
     point = _parse_point(pencil.field, args.P)
     return {
@@ -236,6 +285,8 @@ def _cmd_pencil_ramification(args):
 
 
 def _cmd_pencil_total_ram(args):
+    from . import pencil_geometry
+
     field = _field_of(args)
     pencil = pencil_geometry.total_ramification_pencil(
         _parse_point(field, args.a), _parse_point(field, args.b), args.k
@@ -244,6 +295,8 @@ def _cmd_pencil_total_ram(args):
 
 
 def _cmd_pencil_sym_point(args):
+    from . import pencil_geometry
+
     field = _field_of(args)
     sp = pencil_geometry.sym_point(
         _parse_point(field, args.P), _parse_point(field, args.Q)
@@ -252,6 +305,8 @@ def _cmd_pencil_sym_point(args):
 
 
 def _cmd_pencil_conic_section(args):
+    from . import pencil_geometry, severi_degeneration
+
     pencil = _parse_pencil(args)
     curve = pencil_geometry.bezoutian_curve(pencil)
     if args.conic is None:
@@ -264,21 +319,29 @@ def _cmd_pencil_conic_section(args):
 
 
 def _cmd_severi_exists(args):
-    verdict = severi_degeneration.exists_alpha(args.p, args.delta, args.k)
+    from . import numerology
+
+    verdict = numerology.exists_alpha(args.p, args.delta, args.k)
     return {"exists": verdict}, 0 if verdict else 1
 
 
 def _cmd_severi_alphas(args):
-    tuples = severi_degeneration.enumerate_alpha(args.p, args.delta, args.k)
+    from . import numerology
+
+    tuples = numerology.enumerate_alpha(args.p, args.delta, args.k)
     return [t.to_json_dict() for t in tuples], 0
 
 
 def _cmd_severi_delta0(args):
+    from . import numerology
+
     least = numerology.delta_zero(args.p, args.k)
     return {"p": args.p, "k": args.k, "delta0": least}, 0 if least is not None else 1
 
 
 def _cmd_severi_descends(args):
+    from . import pencil_geometry, severi_degeneration
+
     field = _field_of(args)
     pairs = _parse_pairs(field, args.pairs) if args.pairs else []
     marked = _parse_marked(field, args.marked) if args.marked else []
@@ -298,6 +361,8 @@ def _cmd_severi_descends(args):
 
 
 def _cmd_severi_limit_curve(args):
+    from . import severi_degeneration
+
     field = _field_of(args)
     alphas = _parse_int_list(args.alphas)
     alpha = severi_degeneration.AlphaTuple(p=len(alphas), alphas=tuple(alphas))
@@ -324,15 +389,11 @@ def _cmd_severi_limit_curve(args):
 
 
 def _cmd_dimlab_search(args):
+    from . import severi_degeneration
+
     constraint = _parse_constraint(args)
     result = severi_degeneration.search_pencils_ffield(
-        args.k,
-        args.q,
-        constraint,
-        budget=args.budget,
-        jobs=args.jobs,
-        cache_dir=_cache_dir(args),
-        report_strata=args.strata,
+        args.k, args.q, constraint, report_strata=args.strata, **_search_options(args)
     )
     payload = result.to_json_dict()
     payload["k"] = args.k
@@ -341,25 +402,33 @@ def _cmd_dimlab_search(args):
 
 
 def _cmd_dimlab_estimate(args):
+    from . import severi_degeneration
+
     est = severi_degeneration.dimension_estimate(_parse_counts(args.counts))
     return est.to_json_dict(), 0
 
 
 def _cmd_dimlab_grassmannian(args):
+    from . import numerology
+
     return {
         "k": args.k,
         "q": args.q,
-        "count": severi_degeneration.grassmannian_pencil_count(args.k, args.q),
+        "count": numerology.grassmannian_pencil_count(args.k, args.q),
     }, 0
 
 
 def _cmd_reproduce(args):
     if args.target == "example-p345":
+        from . import numerology
+
         rows = []
         for p, k in [(3, 2), (4, 2), (5, 2), (5, 3)]:
             rows.append({"p": p, "k": k, "delta0": numerology.delta_zero(p, k)})
         return rows, 0
     if args.target == "unique-pencil":
+        from . import pencil_geometry, severi_degeneration
+
         field = Field(5)
         constraint = severi_degeneration.SearchConstraint(
             ramifications=(
@@ -368,11 +437,7 @@ def _cmd_reproduce(args):
             )
         )
         result = severi_degeneration.search_pencils_ffield(
-            2,
-            5,
-            constraint,
-            jobs=args.jobs,
-            cache_dir=_cache_dir(args),
+            2, 5, constraint, **_search_options(args)
         )
         return {
             "k": 2,
@@ -403,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search_common.add_argument(
         "--budget",
         type=int,
-        default=severi_degeneration.DEFAULT_SEARCH_BUDGET,
+        default=None,
         help="max work a search may do: f-rows x conditions, "
         "or pencils in the Grassmannian with --strata",
     )

@@ -11,7 +11,9 @@ which specializes to the classical rho(g, 1, k) = 2k - 2 - g when n = 0.
 Severi-style nonemptiness for nodal curves of arithmetic genus p with delta
 nodes cut by degree-k pencils is decided by a floor-divided Brill-Noether
 inequality; two algebraically equivalent formulations are both evaluated and
-compared on every call.
+compared on every call.  The alpha-tuples behind that test (chain
+multiplicities of a degenerate p-section) are enumerated here too, as is the
+closed-form count of pencils of degree-k forms over F_q.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import FormulationMismatch, RiemannHurwitzViolation
+from .fields import _is_prime
 
 #: Inputs are capped at this magnitude.  Python integers cannot overflow, so the
 #: cap is an interface guard, not an arithmetic necessity.
@@ -229,3 +232,102 @@ def profile_report(profile: RamificationProfile) -> dict:
         "codim": expected_codimension(profile),
         "verdict": verdict.tag.value,
     }
+
+
+# ---------------------------------------------------------------------------
+# alpha-tuples
+
+
+@dataclass(frozen=True)
+class AlphaTuple:
+    """Chain multiplicities (alpha_1..alpha_p) of a degenerate p-section."""
+
+    p: int
+    alphas: tuple
+
+    def __post_init__(self):
+        alphas = tuple(int(a) for a in self.alphas)
+        if self.p < 1:
+            raise ValueError("p must be positive")
+        if len(alphas) != self.p:
+            raise ValueError(f"need exactly {self.p} multiplicities")
+        if any(a < 0 for a in alphas):
+            raise ValueError("multiplicities must be nonnegative")
+        if sum(j * a for j, a in enumerate(alphas, start=1)) != self.p:
+            raise ValueError("weighted chain lengths must sum to p")
+        object.__setattr__(self, "alphas", alphas)
+        # g = sum alpha_j and p - delta count the same nodes two ways
+        assert self.genus == self.p - self.delta
+
+    @property
+    def delta(self) -> int:
+        return sum((j - 1) * a for j, a in enumerate(self.alphas, start=1))
+
+    @property
+    def genus(self) -> int:
+        return sum(self.alphas)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "p": self.p,
+            "alphas": list(self.alphas),
+            "delta": self.delta,
+            "genus": self.genus,
+        }
+
+
+def _alpha_walk(p: int, delta: int, k: int):
+    """Yield each (a_1..a_p) with sum j*a_j = p, sum (j-1)*a_j = delta, a_j <= 2(k-1).
+
+    a_p is chosen first, down to a_2; a_1 is then forced to the remaining p.
+    """
+    if not 0 <= delta < p:
+        raise ValueError("need 0 <= delta < p")
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    cap = 2 * (k - 1)
+
+    def walk(j: int, rem_p: int, rem_delta: int, acc: tuple):
+        if j == 1:
+            if rem_delta == 0 and rem_p <= cap:
+                yield (rem_p,) + acc
+            return
+        top = min(cap, rem_p // j, rem_delta // (j - 1))
+        for a in range(top + 1):
+            yield from walk(j - 1, rem_p - j * a, rem_delta - (j - 1) * a, (a,) + acc)
+
+    yield from walk(p, p, delta, ())
+
+
+def enumerate_alpha(p: int, delta: int, k: int) -> list[AlphaTuple]:
+    """All tuples with sum j*a_j = p, sum (j-1)*a_j = delta, a_j <= 2(k-1).
+
+    Returned in lexicographic order of (a_1..a_p).  An empty list is a valid
+    answer; it matches the emptiness of the corresponding nodal family.
+    """
+    return [AlphaTuple(p, t) for t in sorted(_alpha_walk(p, delta, k))]
+
+
+def exists_alpha(p: int, delta: int, k: int) -> bool:
+    """Nonemptiness of enumerate_alpha: stops at the first tuple found."""
+    return next(_alpha_walk(p, delta, k), None) is not None
+
+
+# ---------------------------------------------------------------------------
+# pencils over F_q
+
+
+def grassmannian_pencil_count(k: int, q: int) -> int:
+    """Number of pencils of degree-k forms over F_q: lines in P^k(F_q).
+
+    q = 2 is allowed: the count needs no conic, unlike the rest of F_q work.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not _is_prime(q):
+        raise ValueError(f"modulus {q} is not prime")
+    N = k + 1
+    num = (q**N - 1) * (q**N - q)
+    den = (q**2 - 1) * (q**2 - q)
+    assert num % den == 0
+    return num // den

@@ -1,11 +1,11 @@
 """Limit-curve combinatorics and finite-field dimension experiments.
 
-Three layers live here.  The combinatorial layer enumerates alpha-tuples
-(chain multiplicities constrained by sum j*alpha_j = p, sum (j-1)*alpha_j =
-delta, alpha_j <= 2(k-1)) and packages chains plus marked points into nodal
-limit-curve models.  The descent layer asks whether a pencil on the line
-descends to such a model: every node pair must lie in a single member and
-every marked point must carry the prescribed ramification.  The experimental
+Three layers live here.  The combinatorial layer packages chains plus marked
+points into nodal limit-curve models, indexed by the alpha-tuples that
+numerology enumerates (this module re-exports them, and the Grassmannian
+count).  The descent layer asks whether a pencil on the line descends to such
+a model: every node pair must lie in a single member and every marked point
+must carry the prescribed ramification.  The experimental
 layer counts pencils over F_q satisfying incidence/ramification constraints,
 each 2-dimensional subspace exactly once through its echelon basis pair, and
 fits a dimension exponent to counts across primes.
@@ -36,7 +36,13 @@ from .errors import (
     ResourceLimit,
     ZeroCount,
 )
-from .fields import Field, _is_prime
+from .fields import Field
+from .numerology import (  # re-exported for callers of this module
+    AlphaTuple,
+    enumerate_alpha,
+    exists_alpha,
+    grassmannian_pencil_count,
+)
 from .pencil_geometry import (
     BinaryForm,
     Pencil,
@@ -71,85 +77,6 @@ _POOL_MIN_ROW_WORK = 500_000
 # (16257) 9.6 vs 12.2 ms, k = 3 over F_11 (16226) about 22 ms either way,
 # k = 4 over F_5 (20306) 59 vs 40 ms and k = 3 over F_13 (31110) 39 vs 32 ms.
 _POOL_MIN_STRATA_PENCILS = 16_000
-
-
-# ---------------------------------------------------------------------------
-# alpha-tuples
-
-
-@dataclass(frozen=True)
-class AlphaTuple:
-    """Chain multiplicities (alpha_1..alpha_p) of a degenerate p-section."""
-
-    p: int
-    alphas: tuple
-
-    def __post_init__(self):
-        alphas = tuple(int(a) for a in self.alphas)
-        if self.p < 1:
-            raise ValueError("p must be positive")
-        if len(alphas) != self.p:
-            raise ValueError(f"need exactly {self.p} multiplicities")
-        if any(a < 0 for a in alphas):
-            raise ValueError("multiplicities must be nonnegative")
-        if sum(j * a for j, a in enumerate(alphas, start=1)) != self.p:
-            raise ValueError("weighted chain lengths must sum to p")
-        object.__setattr__(self, "alphas", alphas)
-        # g = sum alpha_j and p - delta count the same nodes two ways
-        assert self.genus == self.p - self.delta
-
-    @property
-    def delta(self) -> int:
-        return sum((j - 1) * a for j, a in enumerate(self.alphas, start=1))
-
-    @property
-    def genus(self) -> int:
-        return sum(self.alphas)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "alphas": list(self.alphas),
-            "delta": self.delta,
-            "genus": self.genus,
-        }
-
-
-def _alpha_walk(p: int, delta: int, k: int):
-    """Yield each (a_1..a_p) with sum j*a_j = p, sum (j-1)*a_j = delta, a_j <= 2(k-1).
-
-    a_p is chosen first, down to a_2; a_1 is then forced to the remaining p.
-    """
-    if not 0 <= delta < p:
-        raise ValueError("need 0 <= delta < p")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    cap = 2 * (k - 1)
-
-    def walk(j: int, rem_p: int, rem_delta: int, acc: tuple):
-        if j == 1:
-            if rem_delta == 0 and rem_p <= cap:
-                yield (rem_p,) + acc
-            return
-        top = min(cap, rem_p // j, rem_delta // (j - 1))
-        for a in range(top + 1):
-            yield from walk(j - 1, rem_p - j * a, rem_delta - (j - 1) * a, (a,) + acc)
-
-    yield from walk(p, p, delta, ())
-
-
-def enumerate_alpha(p: int, delta: int, k: int) -> list[AlphaTuple]:
-    """All tuples with sum j*a_j = p, sum (j-1)*a_j = delta, a_j <= 2(k-1).
-
-    Returned in lexicographic order of (a_1..a_p).  An empty list is a valid
-    answer; it matches the emptiness of the corresponding nodal family.
-    """
-    return [AlphaTuple(p, t) for t in sorted(_alpha_walk(p, delta, k))]
-
-
-def exists_alpha(p: int, delta: int, k: int) -> bool:
-    """Nonemptiness of enumerate_alpha: stops at the first tuple found."""
-    return next(_alpha_walk(p, delta, k), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +279,6 @@ class SearchResult:
             "samples": [p.to_json_dict() for p in self.samples],
             "strata": self.strata,
         }
-
-
-def grassmannian_pencil_count(k: int, q: int) -> int:
-    """Number of pencils of degree-k forms over F_q: lines in P^k(F_q).
-
-    q = 2 is allowed: the count needs no conic, unlike the rest of F_q work.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not _is_prime(q):
-        raise ValueError(f"modulus {q} is not prime")
-    N = k + 1
-    num = (q**N - 1) * (q**N - q)
-    den = (q**2 - 1) * (q**2 - q)
-    assert num % den == 0
-    return num // den
 
 
 def _cells(k: int) -> list[tuple[int, int]]:

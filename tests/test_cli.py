@@ -232,6 +232,27 @@ def test_dimlab_search_empty_result_exit_one(capsys):
     assert doc["count"] == 0
 
 
+def test_omitted_budget_is_the_search_default(capsys):
+    from pencillab.severi_degeneration import DEFAULT_SEARCH_BUDGET
+
+    # the strata budget of the k=3 Grassmannian over F_211 is about 2*10^9 pencils
+    argv = ["dimlab", "search", "--k", "3", "--q", "211", "--strata", "--no-cache"]
+    doc = run_json(argv, capsys, expect_code=1)
+    assert doc["error"] == "resource_limit"
+    assert doc["detail"].endswith(f"over the budget of {DEFAULT_SEARCH_BUDGET}")
+    doc = run_json(argv + ["--budget", "1000"], capsys, expect_code=1)
+    assert doc["detail"].endswith("over the budget of 1000")
+    code, out, _ = run(["dimlab", "search", "--help"], capsys)
+    assert code == 0
+    assert "--budget" in out
+
+
+def test_reproduce_search_honours_budget(capsys):
+    doc = run_json(["reproduce", "unique-pencil", "--no-cache", "--budget", "3"],
+                   capsys, expect_code=1)
+    assert doc["error"] == "resource_limit"
+
+
 def test_dimlab_estimate(capsys):
     doc = run_json(["dimlab", "estimate", "--counts", "5:806,7:2850"], capsys)
     assert doc["nearest"] == 4
@@ -299,42 +320,70 @@ def test_frozen_invocations_replay_byte_identical(capsys):
 
 
 HEAVY = ("numpy", "sympy", "concurrent.futures.process")
+THEMES = tuple(
+    f"pencillab.{m}"
+    for m in ("numerology", "monodromy", "pencil_geometry", "severi_degeneration")
+)
 
-# Run in a fresh interpreter: imports pencillab, then runs each command in
-# turn, and prints which HEAVY modules are loaded after each of these steps.
+# Run in a fresh interpreter: imports pencillab, then pencillab.cli, then runs
+# each command in turn, and prints which HEAVY and THEMES modules are loaded
+# after each of these steps.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
-import pencillab, pencillab.cli
-heavy = %r
-loaded = [[m for m in heavy if m in sys.modules]]
+watched = %r
+def loaded():
+    return [m for m in watched if m in sys.modules]
+import pencillab
+steps = [loaded()]
+import pencillab.cli
+steps.append(loaded())
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         pencillab.cli.main(argv)
-    loaded.append([m for m in heavy if m in sys.modules])
-print(json.dumps(loaded))
-""" % (HEAVY,)
+    steps.append(loaded())
+print(json.dumps(steps))
+""" % (HEAVY + THEMES,)
+
+
+def probe_loads(tmp_path, commands):
+    """Watched modules loaded after each IMPORT_PROBE step; loads only accumulate."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    return [set(step) for step in json.loads(proc.stdout)]
 
 
 def test_heavy_modules_load_only_where_used(tmp_path):
-    pure = [
+    integer = [
         ["numerology", "--g", "4", "--k", "2", "--e", "2,2"],
+        ["monodromy", "construct", "--k", "3", "--e", "3,3"],
         ["monodromy", "count", "--k", "5", "--e", "3,3,3,3"],
+        ["severi", "exists", "--p", "5", "--delta", "1", "--k", "2"],
+        ["severi", "alphas", "--p", "5", "--delta", "2", "--k", "2"],
         ["severi", "delta0", "--p", "20000", "--k", "3"],
+        ["dimlab", "grassmannian", "--k", "2", "--q", "5"],
+        ["reproduce", "example-p345"],
+    ]
+    conic = ["pencil", "conic-section", "--f", "1,2,3", "--g", "0,1,1"]
+    search = ["dimlab", "search", "--no-cache", "--k", "2", "--q", "7", "--incidence", "5,0,1"]
+    steps = probe_loads(tmp_path, integer + [conic, search])
+    # import pencillab, then import pencillab.cli: no theme module, nothing heavy
+    assert steps[:2] == [set(), set()]
+    # the integer commands need neither the pencil geometry nor the search code
+    assert steps[1 + len(integer)] == {"pencillab.numerology", "pencillab.monodromy"}
+    assert not steps[-2] & set(HEAVY)
+    # a search this small runs in one process at the default --jobs
+    assert steps[-1] & set(HEAVY) == {"numpy"}
+
+    geometry = [
+        ["pencil", "bezoutian", "--f", "0,1,0", "--g", "0,0,1"],
         ["pencil", "reduced", "--f", "1,2,3", "--g", "0,1,1"],  # reduced
         ["pencil", "reduced", "--f", "1,0,0,0", "--g", "0,1,0,0"],  # not reduced
         # F_5 has too few points for the w-scan: the small-field fallback
         ["pencil", "reduced", "--q", "5", "--f", "0,0,0,1", "--g", "0,0,1,0"],
-        ["pencil", "conic-section", "--f", "1,2,3", "--g", "0,1,1"],
     ]
-    search = ["dimlab", "search", "--no-cache", "--k", "2", "--q", "7", "--incidence", "5,0,1"]
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(pure + [search])],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True,
-    )
-    loaded = json.loads(proc.stdout)
-    assert loaded[: len(pure) + 1] == [[]] * (len(pure) + 1)
-    # a search this small runs in one process at the default --jobs
-    assert loaded[-1] == ["numpy"]
-    assert not any("sympy" in step for step in loaded)
+    steps = probe_loads(tmp_path, geometry)
+    assert steps[-1] == {"pencillab.pencil_geometry"}
