@@ -190,6 +190,8 @@ def _cmd_monodromy_verify(args):
 def _cmd_monodromy_enumerate(args):
     from . import monodromy
 
+    if args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     tuples = monodromy.enumerate_tuples(
         args.k, _parse_int_list(args.e), exhaustive=args.exhaustive
     )
@@ -342,6 +344,8 @@ def _cmd_severi_delta0(args):
 def _cmd_severi_descends(args):
     from . import pencil_geometry, severi_degeneration
 
+    if (args.f2 is None) != (args.g2 is None):
+        raise ValueError("the second pencil needs both --f2 and --g2")
     field = _field_of(args)
     pairs = _parse_pairs(field, args.pairs) if args.pairs else []
     marked = _parse_marked(field, args.marked) if args.marked else []
@@ -352,7 +356,7 @@ def _cmd_severi_descends(args):
     )
     pencil = _parse_pencil(args)
     second = None
-    if args.f2 and args.g2:
+    if args.f2 is not None:
         second = pencil_geometry.Pencil(
             _parse_form(field, args.f2), _parse_form(field, args.g2)
         )

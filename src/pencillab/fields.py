@@ -53,10 +53,6 @@ class Field:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    @property
-    def characteristic(self) -> int:
-        return self.q
-
     def label(self):
         """JSON form: "Q" or {"q": q}."""
         return "Q" if self.q == 0 else {"q": self.q}
@@ -133,12 +129,3 @@ QQ = Field(0)
 
 def prime_field(q: int) -> Field:
     return Field(q)
-
-
-def field_from_label(label) -> Field:
-    """Inverse of Field.label: "Q" -> rationals, {"q": p} -> F_p."""
-    if label == "Q":
-        return QQ
-    if isinstance(label, dict) and set(label) == {"q"}:
-        return Field(int(label["q"]))
-    raise ValueError(f"unrecognized field label {label!r}")

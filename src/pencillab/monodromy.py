@@ -21,6 +21,11 @@ from itertools import combinations, permutations as iter_permutations, product a
 
 from .errors import ProfileInfeasible, ResourceLimit
 
+# enumerate_tuples and count_tuples refuse k > MAX_K or more than MAX_N orders:
+# the walk visits up to prod_i (number of e_i-cycles) prefixes.
+MAX_K = 6
+MAX_N = 6
+
 
 @dataclass(frozen=True, order=True)
 class Permutation:
@@ -307,10 +312,10 @@ def _cycles_of_order(k: int, e: int) -> list[Permutation]:
     return out
 
 
-def _guarded_orders(k: int, e, max_k: int, max_n: int) -> tuple[int, ...]:
+def _guarded_orders(k: int, e) -> tuple[int, ...]:
     e = _validate_orders(k, e)
-    if k > max_k or len(e) > max_n:
-        raise ResourceLimit(f"k={k}, n={len(e)} beyond guard k<={max_k}, n<={max_n}")
+    if k > MAX_K or len(e) > MAX_N:
+        raise ResourceLimit(f"k={k}, n={len(e)} beyond guard k<={MAX_K}, n<={MAX_N}")
     return e
 
 
@@ -373,21 +378,16 @@ def _orbit_of_one(k: int, generators: list) -> int:
     return len(seen)
 
 
-def enumerate_tuples(
-    k: int,
-    e,
-    exhaustive: bool = False,
-    max_k: int = 6,
-    max_n: int = 6,
-) -> list[MonodromyTuple]:
+def enumerate_tuples(k: int, e, exhaustive: bool = False) -> list[MonodromyTuple]:
     """All cycle tuples of the given orders with identity product and transitivity.
 
     Nondisjointness of consecutive cycles is NOT required here.  Results come in
     lexicographic order of the concatenated image tuples.  The default search
     is the pruned walk shared with count_tuples; exhaustive=True disables every
     shortcut and filters the full product space (ground-truth oracle for tests).
+    k > MAX_K or more than MAX_N orders raise ResourceLimit.
     """
-    e = _guarded_orders(k, e, max_k, max_n)
+    e = _guarded_orders(k, e)
     if not exhaustive:
         return [MonodromyTuple(k=k, cycles=full) for full in _pruned_walk(k, e)]
     identity = Permutation.identity(k)
@@ -399,14 +399,15 @@ def enumerate_tuples(
     ]
 
 
-def count_tuples(k: int, e, max_k: int = 6, max_n: int = 6) -> int:
+def count_tuples(k: int, e) -> int:
     """Number of tuples enumerate_tuples would return, via conjugation symmetry.
 
     The count of solutions with a prescribed first cycle is constant on the
     conjugacy class (simultaneous conjugation preserves all three conditions),
-    so the total is that count times the number of e_1-cycles.
+    so the total is that count times the number of e_1-cycles.  The same
+    MAX_K / MAX_N guard as enumerate_tuples applies.
     """
-    e = _guarded_orders(k, e, max_k, max_n)
+    e = _guarded_orders(k, e)
     hits = sum(1 for _ in _pruned_walk(k, e, fix_first=True))
     if not hits:
         return 0

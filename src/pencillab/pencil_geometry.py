@@ -622,94 +622,53 @@ def plucker_coordinates(pencil: Pencil) -> dict[tuple[int, int], Element]:
 
 
 @lru_cache(maxsize=None)
-def _power_sum_table(m: int) -> tuple[int, ...]:
-    """Coefficients c_l with A^m + B^m = sum_l c_l (A+B)^(m-2l) (AB)^l."""
-    if m == 0:
-        return (2,)
-    if m == 1:
-        return (1,)
-    prev, prev2 = _power_sum_table(m - 1), _power_sum_table(m - 2)
-    out = []
-    for l in range(m // 2 + 1):
-        val = prev[l] if l < len(prev) else 0
-        if l >= 1:
-            val -= prev2[l - 1]
-        out.append(val)
-    return tuple(out)
+def _wedge_terms(k: int, i: int, j: int) -> tuple:
+    """Monomials (a, b, c) and integer coefficients of wedge_basis_curve(k, i, j).
 
-
-@lru_cache(maxsize=None)
-def _complete_homogeneous_table(m: int) -> tuple[int, ...]:
-    """Coefficients c_l with sum_t A^(m-t) B^t = sum_l c_l (A+B)^(m-2l) (AB)^l."""
-    return tuple((-1) ** l * comb(m - l, l) for l in range(m // 2 + 1))
+    With A = x0*y1, B = x1*y0 and m = j-i-1, the coordinate pencil's
+    f(x)g(y) - f(y)g(x) is u^(k-j) w^i (A^(m+1) - B^(m+1)).  Divided by
+    A - B it is u^(k-j) w^i sum_t A^(m-t) B^t, and that sum is
+    sum_l (-1)^l C(m-l, l) (A+B)^(m-2l) (AB)^l with A + B = v and AB = uw.
+    """
+    m = j - i - 1
+    return tuple(
+        ((k - j + l, m - 2 * l, i + l), (-1) ** l * comb(m - l, l))
+        for l in range(m // 2 + 1)
+    )
 
 
 def bezoutian_curve(pencil: Pencil) -> PlaneCurve:
     """The degree k-1 plane curve swept by the pairs lying in single members.
 
-    Divides f(x)g(y) - f(y)g(x) by x0*y1 - x1*y0 (the remainder must vanish
-    identically, which is asserted), then rewrites the symmetric quotient in
-    (u, v, w) through power sums in x0*y1 and x1*y0.  The result is normalized
+    f(x)g(y) - f(y)g(x) is the sum over i < j of the Plucker coordinate
+    f_i g_j - f_j g_i times the same expression for the coordinate pencil
+    (x0^(k-i) x1^i, x0^(k-j) x1^j).  So its quotient by x0*y1 - x1*y0 is the
+    Plucker-coordinate combination of the wedge_basis_curve terms.  It is
+    nonzero because Pencil refuses dependent generators, and it is normalized
     so its first nonzero coefficient is 1.
     """
     F = pencil.field
     k = pencil.degree
-    f, g = pencil.f.coeffs, pencil.g.coeffs
-    M = [
-        [F.sub(F.mul(f[i], g[j]), F.mul(f[j], g[i])) for j in range(k + 1)]
-        for i in range(k + 1)
-    ]
-    # solve M[i][j] = Q[i][j-1] - Q[i-1][j] for the k x k quotient Q
-    Q = [[F.zero] * k for _ in range(k)]
-    for b in range(k):
-        Q[0][b] = M[0][b + 1]
-    for i in range(1, k):
-        for b in range(k):
-            above = Q[i - 1][b + 1] if b + 1 < k else F.zero
-            Q[i][b] = F.add(M[i][b + 1], above)
-    # zero-remainder checks: the defining equations not consumed above
-    for i in range(1, k + 1):
-        if not F.eq(M[i][0], F.neg(Q[i - 1][0])):
-            raise AssertionError("nonzero remainder dividing by the diagonal")
-    for j in range(1, k):
-        if not F.eq(M[k][j], F.neg(Q[k - 1][j])):
-            raise AssertionError("nonzero remainder dividing by the diagonal")
-    acc: dict[tuple[int, int, int], Element] = {}
-
-    def bump(expo, val):
-        acc[expo] = F.add(acc[expo], val) if expo in acc else val
-
-    for a in range(k):
-        if not F.is_zero(Q[a][a]):
-            bump((k - 1 - a, 0, a), Q[a][a])
-        for b in range(a + 1, k):
-            coef = Q[a][b]
-            if F.is_zero(coef):
-                continue
-            m = b - a
-            for l, c_l in enumerate(_power_sum_table(m)):
-                bump((k - 1 - b + l, m - 2 * l, a + l), F.mul(coef, F.coerce(c_l)))
-    curve = PlaneCurve.from_monomial_dict(F, k - 1, acc)
-    if curve.is_zero():
-        raise DegeneratePencil("zero quotient: generators were dependent")
-    return curve.normalized()
+    index = {expo: n for n, expo in enumerate(curve_monomials(k - 1))}
+    coeffs = [F.zero] * len(index)
+    for (i, j), p in plucker_coordinates(pencil).items():
+        if F.is_zero(p):
+            continue
+        for expo, c in _wedge_terms(k, i, j):
+            coeffs[index[expo]] = F.add(coeffs[index[expo]], F.mul(p, c))
+    return PlaneCurve(F, k - 1, tuple(coeffs)).normalized()
 
 
 def wedge_basis_curve(field: Field, k: int, i: int, j: int) -> PlaneCurve:
     """Plane curve induced by the coordinate pencil (x0^(k-i) x1^i, x0^(k-j) x1^j).
 
-    Any pencil's curve is the Plucker-coordinate combination of these, which
-    gives a second code path independent of polynomial division; the incidence
-    compiler of the finite-field search is built on it.
+    Any pencil's curve is the Plucker-coordinate combination of these (see
+    bezoutian_curve); the incidence compiler of the finite-field search
+    evaluates them.
     """
     if not 0 <= i < j <= k:
         raise ValueError("need 0 <= i < j <= k")
-    m = j - i - 1
-    acc: dict[tuple[int, int, int], int] = {}
-    for l, c_l in enumerate(_complete_homogeneous_table(m)):
-        expo = (k - j + l, m - 2 * l, i + l)
-        acc[expo] = acc.get(expo, 0) + c_l
-    return PlaneCurve.from_monomial_dict(field, k - 1, acc)
+    return PlaneCurve.from_monomial_dict(field, k - 1, dict(_wedge_terms(k, i, j)))
 
 
 # ---------------------------------------------------------------------------

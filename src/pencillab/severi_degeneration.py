@@ -23,7 +23,6 @@ elimination.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -50,9 +49,8 @@ from .pencil_geometry import (
     ProjPoint,
     SymPoint,
     _move_to_origin,
-    _poly_squarefree,
-    _trim,
     curve_resultant,
+    squarefree_form,
     wedge_basis_curve,
 )
 
@@ -99,10 +97,6 @@ class ChainSpec:
         if a == b:
             raise PointCollision("distinguished pair must be two distinct points")
         object.__setattr__(self, "pair", (a, b))
-
-    @property
-    def length(self) -> int:
-        return 2 * self.m - 1
 
 
 @dataclass(frozen=True)
@@ -256,9 +250,6 @@ class SearchConstraint:
                 raise ValueError("ramification orders must be at least 2")
         object.__setattr__(self, "incidences", inc)
         object.__setattr__(self, "ramifications", ram)
-
-    def is_empty(self) -> bool:
-        return not self.incidences and not self.ramifications
 
     def to_json_dict(self) -> dict:
         return {
@@ -539,50 +530,41 @@ def _search_shard(payload) -> tuple[int, list[tuple], list[int] | None]:
     """Search one cell's f-index range; top-level for pickling.
 
     A row has q^(n - rank) matches if its system is solvable and none
-    otherwise.  Returns the count, the (cell, f) keys of the first
-    SAMPLE_LIMIT rows with a match, and, if asked, the matches in each
-    stratum of _STRATA.
+    otherwise.  Returns the count, the (cell, f index, g coordinates) keys of
+    the first SAMPLE_LIMIT matches, solved for from the first rows that have
+    any, and, if asked, the matches in each stratum of _STRATA.
     """
     import numpy as np
 
     (q, k, cell_idx, i, j, f_lo, f_hi, mats, want_strata) = payload
     n = len(_free_columns(k, i, j)[1])
     if not mats and not want_strata:  # no conditions: every row has rank 0
-        rows = [(cell_idx, f) for f in range(f_lo, min(f_hi, f_lo + SAMPLE_LIMIT))]
-        return (f_hi - f_lo) * q**n, rows, None
+        g_first = _digits(np.arange(min(q**n, SAMPLE_LIMIT)), q, n).tolist()
+        f_first = range(f_lo, min(f_hi, f_lo + SAMPLE_LIMIT))
+        keys = [(cell_idx, f, tuple(g)) for f in f_first for g in g_first]
+        return (f_hi - f_lo) * q**n, keys[:SAMPLE_LIMIT], None
     by_rank = np.zeros(n + 1, dtype=np.int64)
-    rows = []
+    keys = []
     tally = np.zeros(len(_STRATA), dtype=np.int64)
     for lo in range(f_lo, f_hi, _RANK_CHUNK_ROWS):
         f_idx = np.arange(lo, min(lo + _RANK_CHUNK_ROWS, f_hi))
         F_rows, S = _row_systems(q, k, (i, j), mats, f_idx)
         pivots, solvable = _eliminate(S, q)
         by_rank += np.bincount(_rank(pivots)[solvable], minlength=n + 1)
-        first = f_idx[solvable][: SAMPLE_LIMIT - len(rows)].tolist()
-        rows += [(cell_idx, f) for f in first]
+        need = SAMPLE_LIMIT - len(keys)
+        hits = np.flatnonzero(solvable)[:need]
+        if hits.size:
+            found = {}
+            for part, G in _solutions(pivots[hits], q, need):
+                found.update(zip(part.tolist(), G.tolist()))
+            keys += [
+                (cell_idx, int(f_idx[h]), tuple(g))
+                for b, h in enumerate(hits.tolist()) for g in found[b]
+            ][:need]
         if want_strata:
             _tally_strata(q, k, (i, j), F_rows[solvable], pivots[solvable], tally)
     count = sum(int(c) * q ** (n - r) for r, c in enumerate(by_rank.tolist()))
-    return count, rows, tally.tolist() if want_strata else None
-
-
-def _sample_keys(q: int, k: int, mats, rows) -> list[tuple]:
-    """The first SAMPLE_LIMIT (cell, f, g) keys of the sorted (cell, f) rows given.
-
-    Each row holds a match; its first matches are solved for, not scanned.
-    """
-    import numpy as np
-
-    found = {}
-    for cell_idx, group in itertools.groupby(rows, key=lambda row: row[0]):
-        f_idx = [f for _, f in group]
-        _, S = _row_systems(q, k, _cells(k)[cell_idx], mats, f_idx)
-        pivots, _ = _eliminate(S, q)
-        place = q ** np.arange(pivots.shape[1] - 1, -1, -1, dtype=np.int64)
-        for part, G in _solutions(pivots, q, SAMPLE_LIMIT):
-            for b, g_idx in zip(part.tolist(), (G @ place).tolist()):
-                found[cell_idx, f_idx[b]] = g_idx
-    return [(c, f, g) for c, f in rows for g in found[c, f]][:SAMPLE_LIMIT]
+    return count, keys, tally.tolist() if want_strata else None
 
 
 def search_pencils_ffield(
@@ -670,30 +652,19 @@ def search_pencils_ffield(
     else:
         outcomes = [_search_shard(t) for t in tasks]
     count = sum(outcome[0] for outcome in outcomes)
-    rows = sorted(key for outcome in outcomes for key in outcome[1])
-    keys = _sample_keys(q, k, mats_raw, rows[:SAMPLE_LIMIT])
+    keys = sorted(key for outcome in outcomes for key in outcome[1])
+    samples = tuple(
+        _echelon_pencil(field, k, cells[c], _digits(f, q, len(widths[c][0])), g)
+        for c, f, g in keys[:SAMPLE_LIMIT]
+    )
     strata = None
     if report_strata:
         tally = [sum(outcome[2][s] for outcome in outcomes) for s in range(len(_STRATA))]
         strata = {name: c for name, c in zip(_STRATA, tally) if c}
-    samples = _decode_samples(field, k, keys)
     result = SearchResult(count=count, samples=samples, strata=strata)
     if cache_path is not None:
         _store_cached(cache_path, k, q, constraint, result)
     return result
-
-
-def _decode_samples(field: Field, k: int, keys) -> tuple:
-    """The pencils that (cell index, f index, g index) keys stand for."""
-    cells = _cells(k)
-    samples = []
-    for cell_idx, f_idx, g_idx in keys:
-        cols0, cols1 = _free_columns(k, *cells[cell_idx])
-        samples.append(_echelon_pencil(
-            field, k, cells[cell_idx],
-            _digits(f_idx, field.q, len(cols0)), _digits(g_idx, field.q, len(cols1)),
-        ))
-    return tuple(samples)
 
 
 # --- cache plumbing ---
@@ -885,9 +856,7 @@ def intersect_with_conic(curve: PlaneCurve, conic: PlaneCurve) -> ConicSectionRe
             resultant=None,
         )
     form = BinaryForm.from_coeffs(field, coeffs)
-    chart = _trim(field, list(form.coeffs))
-    x0_mult = form.degree - (len(chart) - 1)
-    sqf = x0_mult <= 1 and _poly_squarefree(field, chart)
+    sqf = squarefree_form(form)
     return ConicSectionReport(
         expected_degree=expected,
         degree=form.degree,

@@ -112,6 +112,39 @@ def test_monodromy_enumerate_count(capsys):
     assert doc["count"] == 2
 
 
+def test_monodromy_enumerate_limit(capsys):
+    argv = ["monodromy", "enumerate", "--k", "3", "--e", "2,2,2,2"]
+    doc = run_json(argv + ["--limit", "0"], capsys)
+    assert (doc["count"], doc["tuples"], doc["truncated"]) == (24, [], True)
+    doc = run_json(argv + ["--limit", "-1"], capsys, expect_code=1)
+    assert doc["error"] == "value_error"
+    assert "--limit" in doc["detail"]
+
+
+def test_monodromy_guard_is_documented(capsys):
+    for action in ("enumerate", "count"):
+        doc = run_json(
+            ["monodromy", action, "--k", "7", "--e", "2,2,2,2,2,2,2,2,2,2,2,2"],
+            capsys, expect_code=1,
+        )
+        assert doc["error"] == "resource_limit", action
+        doc = run_json(
+            ["monodromy", action, "--k", "3", "--e", "2,2,2,2,2,2,2"], capsys, expect_code=1
+        )
+        assert doc["error"] == "resource_limit", action
+
+
+def test_severi_descends_needs_both_second_generators(capsys):
+    base = ["severi", "descends", "--f", "1,0,-1", "--g", "0,1,0", "--pairs", "1,1:1,-1"]
+    doc = run_json(base + ["--f2", "1,0,0", "--g2", "0,0,1"], capsys)
+    assert doc["non_neutral"] == [False]
+    for half in (["--f2", "1,0,0"], ["--g2", "0,0,1"]):
+        doc = run_json(base + half, capsys, expect_code=1)
+        assert doc["error"] == "value_error", half
+        assert "--f2 and --g2" in doc["detail"]
+    assert run_json(base, capsys)["non_neutral"] is None
+
+
 def test_monodromy_infeasible(capsys):
     doc = run_json(
         ["monodromy", "construct", "--k", "3", "--e", "2,2"], capsys, expect_code=1

@@ -1,7 +1,9 @@
 """The package surface: the names `pencillab` serves, and the demos built on them."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -13,6 +15,7 @@ from pencillab import numerology, severi_degeneration
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 DEMOS = os.path.join(ROOT, "demos")
 SRC = os.path.join(ROOT, "src")
+PACKAGE = os.path.join(SRC, "pencillab")
 
 EXPORTED = (
     "AlphaTuple BasePointAmbiguity BasePointPresent BinaryForm ChainMismatch "
@@ -78,3 +81,58 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def _modules():
+    """Each module of the package: its name and its parsed source."""
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                yield name, ast.parse(fh.read())
+
+
+def _names_used(tree):
+    """Every name the tree loads, reads as an attribute or imports from elsewhere."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _listed_in_all(filename):
+    """The __all__ of the module in that file, or nothing if it has none."""
+    stem = filename[: -len(".py")]
+    module = importlib.import_module("pencillab" if stem == "__init__" else f"pencillab.{stem}")
+    return set(getattr(module, "__all__", ()))
+
+
+def test_no_dead_definitions_or_imports():
+    """A module-level function or class is exported or named somewhere in the
+    package; a module-level import is used in its module or listed in its __all__."""
+    trees = dict(_modules())
+    used_anywhere = set().union(*(_names_used(tree) for tree in trees.values()))
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:  # console-script entry points
+        used_anywhere.update(re.findall(r'"pencillab\.\w+:(\w+)"', fh.read()))
+    unused = []
+    for name, tree in trees.items():
+        used_here = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = _listed_in_all(name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if re.fullmatch(r"__\w+__", node.name):
+                    continue  # module hooks such as __getattr__, called by Python
+                if node.name not in pencillab.__all__ and node.name not in used_anywhere:
+                    unused.append(f"{name}: {node.name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used_here and bound not in exported:
+                        unused.append(f"{name}: import {bound}")
+    assert unused == []

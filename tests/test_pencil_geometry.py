@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -140,6 +141,45 @@ class TestBezoutian:
             pen = random_pencil(QQ, k, rng)
             other = change_basis(pen, 2, 3, 1, 2)  # det 1
             assert bezoutian_curve(pen).normalized() == bezoutian_curve(other).normalized()
+
+    @pytest.mark.parametrize("q", [0, 101])
+    def test_defining_identity(self, q):
+        """f(x)g(y) - f(y)g(x) = lam * (x0 y1 - x1 y0) * C(x0 y0, x0 y1 + x1 y0, x1 y1).
+
+        Checked on raw coordinate pairs with one lam per pencil, by plain
+        evaluation of f, g and the curve's monomials.
+        """
+        F = Field(q)
+        rng = random.Random(f"defining-identity:{q}")
+
+        def total(terms):
+            return reduce(F.add, terms, F.zero)
+
+        def at(coeffs, x0, x1):
+            k = len(coeffs) - 1
+            return total(F.mul(c, F.mul(F.pow(x0, k - i), F.pow(x1, i)))
+                         for i, c in enumerate(coeffs))
+
+        for k in range(1, 8):
+            for _ in range(4):
+                pen = random_pencil(F, k, rng)
+                f, g = pen.f.coeffs, pen.g.coeffs
+                curve = bezoutian_curve(pen).monomial_dict().items()
+                ratios = set()
+                for _ in range(12):
+                    x0, x1, y0, y1 = (F.coerce(rng.randint(-20, 20)) for _ in range(4))
+                    lhs = F.sub(F.mul(at(f, x0, x1), at(g, y0, y1)),
+                                F.mul(at(f, y0, y1), at(g, x0, x1)))
+                    u, v, w = F.mul(x0, y0), F.add(F.mul(x0, y1), F.mul(x1, y0)), F.mul(x1, y1)
+                    c_uvw = total(F.mul(coef, F.mul(F.pow(u, a), F.mul(F.pow(v, b), F.pow(w, c))))
+                                  for (a, b, c), coef in curve)
+                    rhs = F.mul(F.sub(F.mul(x0, y1), F.mul(x1, y0)), c_uvw)
+                    if F.is_zero(rhs):
+                        assert F.is_zero(lhs), (k, pen)
+                    else:
+                        ratios.add(F.div(lhs, rhs))
+                assert len(ratios) == 1, (k, pen, ratios)
+                assert not F.is_zero(ratios.pop())
 
     def test_singular_change_of_basis_rejected(self):
         pen = Pencil(form(QQ, [1, 0, 0]), form(QQ, [0, 0, 1]))

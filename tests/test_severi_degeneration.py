@@ -350,8 +350,8 @@ def brute_force_search(k, q, constraint, strata=True):
     sd = severi_degeneration
     field = Field(q)
     mats = sd.compile_constraint(k, q, constraint)
-    count, keys, found = 0, [], {} if strata else None
-    for cell_idx, (i, j) in enumerate(sd._cells(k)):
+    count, samples, found = 0, [], {} if strata else None
+    for i, j in sd._cells(k):
         cols0, cols1 = sd._free_columns(k, i, j)
         f_assign = sd._digits(np.arange(q ** len(cols0)), q, len(cols0))
         g_assign = sd._digits(np.arange(q ** len(cols1)), q, len(cols1))
@@ -364,13 +364,16 @@ def brute_force_search(k, q, constraint, strata=True):
             mask &= (R[:, [j]] + R[:, cols1] @ g_assign.T) % q == 0
         f_hit, g_hit = np.nonzero(mask)
         count += len(f_hit)
-        keys += [(cell_idx, f, g) for f, g in zip(f_hit[:20], g_hit[:20])]
+        samples += [
+            sd._echelon_pencil(field, k, (i, j), f_assign[f], g_assign[g])
+            for f, g in zip(f_hit[:20], g_hit[:20])
+        ]
         if strata:
             for f, g in zip(f_hit, g_hit):
                 pencil = sd._echelon_pencil(field, k, (i, j), f_assign[f], g_assign[g])
                 name = classify_stratum(pencil)
                 found[name] = found.get(name, 0) + 1
-    return count, sd._decode_samples(field, k, keys[:20]), found
+    return count, tuple(samples[:20]), found
 
 
 def oracle_constraints(F, k, rng):
