@@ -664,7 +664,7 @@ def wedge_basis_curve(field: Field, k: int, i: int, j: int) -> PlaneCurve:
 
     Any pencil's curve is the Plucker-coordinate combination of these (see
     bezoutian_curve); the incidence compiler of the finite-field search
-    evaluates them.
+    evaluates their _wedge_terms at a point.
     """
     if not 0 <= i < j <= k:
         raise ValueError("need 0 <= i < j <= k")

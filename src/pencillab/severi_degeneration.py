@@ -17,7 +17,8 @@ solutions of a linear system mod q, eliminated in batches in numpy int64.
 Counts come from the ranks; samples and strata from solving for the
 matches, in lexicographic order.  No g is listed by brute force.  Strata
 classify each batch of matches by two more ranks mod q, through the same
-elimination.
+elimination: the rank of the pencil's Bezout matrix, and, where that shows a
+base point, the rank of the multiples of the four partials.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from .pencil_geometry import (
     ProjPoint,
     SymPoint,
     _move_to_origin,
+    _wedge_terms,
     curve_resultant,
     squarefree_form,
-    wedge_basis_curve,
 )
 
 SAMPLE_LIMIT = 20
@@ -65,16 +66,21 @@ DEFAULT_SEARCH_BUDGET = 200_000_000
 
 _RANK_CHUNK_ROWS = 8192  # f-rows per batch of the rank kernel
 # A count whose f-rows x conditions figure is below this runs in one process
-# whatever jobs is.  On 2 cores a pool of two lost 3-8 ms per search below
-# 3*10^5 (k = 3 over F_101: 2.4 ms alone, 6 ms pooled), broke about even from
-# 2.5*10^5 to 10^6 (sooner at k = 4), and won 1.3-2x above 10^6.
+# whatever jobs is.  On 2 cores, alone against a pool of two, with four
+# incidences at k = 3 and three at k = 4: k = 3 over F_101 (1.2*10^5) 3.3 vs
+# 9.5 ms, over F_211 (5.4*10^5) 10.5 vs 13.8 ms, over F_251 (7.6*10^5) 14.3
+# vs 13.8 ms, over F_353 (1.5*10^6) 27 vs 19 ms; k = 4 over F_31 (3.7*10^5)
+# 14.4 vs 15.5 ms, over F_37 (6.2*10^5) 18.4 vs 15.7 ms, over F_41
+# (8.4*10^5) 25 vs 20 ms.  So the pool breaks even near 7.5*10^5 at k = 3
+# and between 3.7*10^5 and 6.2*10^5 at k = 4.
 _POOL_MIN_ROW_WORK = 500_000
 # A strata search of a Grassmannian with fewer pencils than this runs in one
 # process whatever jobs is.  Unconstrained, on 2 cores, alone against a pool
-# of two: k = 2 over F_101 (10303 pencils) 6.2 vs 7.8 ms, k = 2 over F_127
-# (16257) 9.6 vs 12.2 ms, k = 3 over F_11 (16226) about 22 ms either way,
-# k = 4 over F_5 (20306) 59 vs 40 ms and k = 3 over F_13 (31110) 39 vs 32 ms.
-_POOL_MIN_STRATA_PENCILS = 16_000
+# of two: k = 2 over F_127 (16257 pencils) 2.7 vs 9.9 ms and over F_307
+# (94557) 7.0 vs 7.9 ms; k = 3 over F_13 (31110) 8.6 vs 9.9 ms and over F_17
+# (89030) 21 vs 17 ms; k = 4 over F_5 (20306) 15.8 vs 15.7 ms and over F_7
+# (140050) 79 vs 51 ms.
+_POOL_MIN_STRATA_PENCILS = 32_000
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +302,10 @@ def _taylor_rows(field: Field, k: int, p: ProjPoint, order: int) -> list[list[in
 def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> list:
     """Antisymmetric matrices A with: pencil span(f, g) matches iff f^T A g = 0 for all A.
 
-    Incidence at a SymPoint contributes one matrix, built from the coordinate
-    wedge-basis curves (so the test agrees with bezoutian_curve evaluation).
+    Incidence at a SymPoint contributes one matrix: entry (i, j) is the
+    coordinate wedge-basis curve of (i, j) evaluated at the point, summed
+    straight from its _wedge_terms (so the test agrees with bezoutian_curve
+    evaluation).
     Ramification of order e contributes the C(e, 2) Taylor minors that
     has_ramification_at checks.  Basis invariance is automatic: antisymmetric
     bilinear values rescale by the determinant under basis change.
@@ -309,10 +317,14 @@ def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> list:
     for sp in constraint.incidences:
         if sp.field != field:
             raise ValueError("incidence point field does not match q")
+        powers = [[pow(x, e, q) for e in range(k)] for x in sp.coords()]
         A = np.zeros((k + 1, k + 1), dtype=np.int64)
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
-                val = int(wedge_basis_curve(field, k, i, j).evaluate(sp))
+                val = sum(
+                    coef * powers[0][a] * powers[1][b] * powers[2][c]
+                    for (a, b, c), coef in _wedge_terms(k, i, j)
+                ) % q
                 A[i, j] = val
                 A[j, i] = (-val) % q
         mats.append(A)
@@ -392,32 +404,42 @@ def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     S is B x m x (n+1): B augmented systems of m equations in n unknowns, the
     last column holding the constants.  Gaussian elimination runs on all B
     systems at once, from the last unknown to the first, each system taking
-    as pivot its first unused equation with a nonzero coefficient.  Every
-    equation r is then replaced fraction-free by p*r - r[c]*pivot, p the pivot
-    entry, so no inverse mod q is needed and no product exceeds (q-1)^2.
+    as pivot its first equation with a nonzero coefficient.  Every equation r
+    is then replaced fraction-free by p*r - r[c]*pivot, p the pivot entry, so
+    no inverse mod q is needed and no product exceeds (q-1)^2.  That update
+    zeroes the pivot equation itself, so it is never chosen again, and it
+    zeroes column c in every equation, so column c is dropped.  While it
+    runs, the batch is the last axis and the constants the first column.
     Row c of the returned B x n x (n+1) array is the pivot equation of
     unknown c as chosen, so it involves c and only the more significant
     unknowns before it; it is zero where c is free, and the rank is the number
-    of nonzero diagonal entries.  A system is solvable iff no unused equation
-    keeps a nonzero constant.
+    of nonzero diagonal entries.  A system is solvable iff no equation keeps a
+    nonzero constant.
     """
     import numpy as np
 
     B, m, width = S.shape
-    used = np.zeros((B, m), dtype=bool)
-    pivots = np.zeros((B, width - 1, width), dtype=np.int64)
-    batch = np.arange(B)
-    for c in range(width - 2, -1, -1):
-        candidates = (S[:, :, c] != 0) & ~used
-        has = candidates.any(axis=1)
+    n = width - 1
+    # m x (n+1) x B: column 0 the constants, column c+1 unknown c
+    W = np.empty((m, width, B), dtype=np.int64)
+    W[:, 0] = S[:, :, n].T
+    W[:, 1:] = S[:, :, :n].transpose(1, 2, 0)
+    pivots = np.zeros((B, n, width), dtype=np.int64)
+    for c in range(n, 0, -1):
+        col = W[:, c]
+        nonzero = col != 0
+        has = nonzero.any(axis=0)
         if not has.any():
+            W = W[:, :c]
             continue
-        piv = candidates.argmax(axis=1)
-        pivots[:, c] = np.where(has[:, None], S[batch, piv], 0)
-        scale = np.where(has, pivots[:, c, c], 1)
-        S = (scale[:, None, None] * S - S[:, :, c, None] * pivots[:, None, c]) % q
-        used[batch[has], piv[has]] = True
-    solvable = ~((S[:, :, -1] != 0) & ~used).any(axis=1)
+        P = np.zeros((c + 1, B), dtype=np.int64)  # the first equation with col != 0
+        for r in range(m - 1, -1, -1):
+            np.copyto(P, W[r], where=nonzero[r])
+        pivots[:, c - 1, :c] = P[1:].T
+        pivots[:, c - 1, n] = P[0]
+        scale = np.where(has, P[c], 1)
+        W = (scale * W[:, :c] - col[:, None] * P[:c]) % q
+    solvable = ~(W[:, 0] != 0).any(axis=0)
     return pivots, solvable
 
 
@@ -481,24 +503,45 @@ def _multiples(forms: np.ndarray, shifts: int) -> np.ndarray:
     return out
 
 
+def _bezout_matrices(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The k x k Bezout matrix mod q of each pencil span(F[b], G[b]), as a batch.
+
+    The coordinate pencil (x0^(k-i) x1^i, x0^(k-j) x1^j) has Bezoutian
+    (f(x)g(y) - f(y)g(x)) / (x0*y1 - x1*y0) equal to the sum of x^a y^b over
+    a + b = i + j - 1 and i <= a, b <= j - 1 (x^a standing for x0^(k-1-a)
+    x1^a), so a pencil's Bezout matrix is the sum of those terms weighted by
+    its Plucker coordinates p_ij = f_i g_j - f_j g_i, as in bezoutian_curve.
+    The result is B x k x (k+1), with a zero constant column for _eliminate.
+    """
+    import numpy as np
+
+    pairs = _cells(k)
+    first, second = np.array(pairs).T
+    plucker = F[:, first] * G[:, second] - F[:, second] * G[:, first]
+    out = np.zeros((len(F), k, k + 1), dtype=np.int64)
+    for t, (i, j) in enumerate(pairs):
+        for a in range(i, j):
+            out[:, a, i + j - 1 - a] += plucker[:, t]
+    return out % q
+
+
 def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Index into _STRATA of the base divisor of each pencil span(F[b], G[b]).
 
     F and G are B x (k+1) coefficient rows mod q of independent forms.  Two
-    ranks, both through _eliminate, decide it.  deg gcd(f, g) is 2k minus the
-    rank of the Sylvester matrix of f and g times the monomials of degree
-    k-1.  Where that degree is positive, a base point is multiple iff it is a
-    root of the four partials d0f, d1f, d0g, d1g: with q > k, Euler's
-    relation k*f = x0*d0f + x1*d1f makes those the roots of f and g of
-    multiplicity at least 2.  Forms of degree k-1 share a root iff their
-    multiples by the monomials of degree k-2 span less than all 2k-2 forms of
-    degree 2k-3.
+    ranks, both through _eliminate, decide it.  deg gcd(f, g) is k minus the
+    rank of the k x k Bezout matrix of f and g, the coefficient matrix of the
+    pencil's pair curve (see _bezout_matrices).  Where that degree is
+    positive, a base point is multiple iff it is a root of the four partials
+    d0f, d1f, d0g, d1g: with q > k, Euler's relation k*f = x0*d0f + x1*d1f
+    makes those the roots of f and g of multiplicity at least 2.  Forms of
+    degree k-1 share a root iff their multiples by the monomials of degree k-2
+    span less than all 2k-2 forms of degree 2k-3.
     """
     import numpy as np
 
     codes = np.zeros(len(F), dtype=np.int64)
-    sylvester = _multiples(np.stack([F, G], axis=1), k)
-    based = np.flatnonzero(_rank(_eliminate(sylvester, q)[0]) < 2 * k)
+    based = np.flatnonzero(_rank(_eliminate(_bezout_matrices(q, k, F, G), q)[0]) < k)
     if based.size:  # never at k = 1, where independent forms are coprime
         t = np.arange(k + 1)
         f, g = F[based], G[based]
@@ -586,15 +629,16 @@ def search_pencils_ffield(
     _eliminate: the row has q^(n - rank) matches if the system is solvable
     and none otherwise.  The samples, the first matches in (cell, f, g)
     lexicographic order, are solved for from the first rows that have
-    matches (see _solutions); so results are independent of jobs.  jobs > 1
-    shards the work over a process pool, except for a count whose f-rows
-    times conditions figure is below _POOL_MIN_ROW_WORK, or a strata search
-    of a Grassmannian with fewer than _POOL_MIN_STRATA_PENCILS pencils,
-    which run in this process whatever jobs is.  Strata reporting solves for
+    matches (see _solutions); so results are independent of jobs, which
+    must be at least 1.  jobs > 1 shards the work over a process pool,
+    except for a count whose f-rows times conditions figure is below
+    _POOL_MIN_ROW_WORK, or a strata search of a Grassmannian with fewer than
+    _POOL_MIN_STRATA_PENCILS pencils, which run in this process whatever jobs
+    is.  Strata reporting solves for
     every match and classifies the matches of a batch together by two ranks
-    mod q (see _strata_codes): a Sylvester rank gives the degree of the base
-    divisor, and a rank of the multiples of the four partials tells a
-    multiple base point from simple ones.
+    mod q (see _strata_codes): the rank of the k x k Bezout matrix gives the
+    degree of the base divisor, and a rank of the multiples of the four
+    partials tells a multiple base point from simple ones.
 
     budget bounds the work the chosen path does, computed before it starts:
     f-rows times compiled conditions, summed over cells; for strata, the
@@ -609,6 +653,8 @@ def search_pencils_ffield(
     field = Field(q)  # rejects q = 2 and composites
     if k < 1:
         raise ValueError("k must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if q <= k:
         raise ValueError("need q > k so that distinct ramification points exist")
     if (k + 1) * (q - 1) ** 2 >= 2**63:
@@ -694,8 +740,8 @@ def _store_cached(
     }
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+    with open(tmp, "w") as fh:  # json.dump would encode in pure Python
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     os.replace(tmp, path)
 
 

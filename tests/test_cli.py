@@ -145,6 +145,14 @@ def test_severi_descends_needs_both_second_generators(capsys):
     assert run_json(base, capsys)["non_neutral"] is None
 
 
+def test_search_jobs_must_be_positive(capsys):
+    argv = ["dimlab", "search", "--k", "2", "--q", "7", "--incidence", "1,2,3", "--no-cache"]
+    assert run_json(argv + ["--jobs", "1"], capsys)["count"] == 8
+    for jobs in ("0", "-3"):
+        doc = run_json(argv + ["--jobs", jobs], capsys, expect_code=1)
+        assert doc == {"error": "value_error", "detail": "jobs must be at least 1"}, jobs
+
+
 def test_monodromy_infeasible(capsys):
     doc = run_json(
         ["monodromy", "construct", "--k", "3", "--e", "2,2"], capsys, expect_code=1

@@ -489,6 +489,126 @@ def test_strata_codes_on_a_whole_grassmannian():
     assert assert_codes_match_oracle(q, k, pencils) == set(sd._STRATA)
 
 
+def oracle_rank(rows, q):
+    """Rank mod q of a list of integer rows, by Gaussian elimination in Python."""
+    rows = [[x % q for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, q)
+        rows[rank] = [x * inv % q for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                factor = rows[r][c]
+                rows[r] = [(x - factor * y) % q for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def seeded_systems(rng, q, m, width, count=12):
+    """Augmented systems mod q: random, sparse, all zero, and with a repeated equation."""
+    systems = []
+    for t in range(count):
+        zero_frac = (0.0, 0.5, 0.8, 1.0)[t % 4]
+        rows = [[0 if rng.random() < zero_frac else rng.randrange(q) for _ in range(width)]
+                for _ in range(m)]
+        if m > 1 and t % 3 == 0:
+            rows[rng.randrange(m)] = list(rows[rng.randrange(m)])
+        if m > 1 and t % 5 == 0:  # a multiple of another equation
+            a, b = rng.sample(range(m), 2)
+            rows[a] = [rng.randrange(q) * x % q for x in rows[b]]
+        systems.append(rows)
+    return systems
+
+
+# the largest prime p with (p-1)^2 < 2^63, the bound of the fraction-free update
+INT64_EDGE_PRIME = 3037000493
+
+
+@pytest.mark.parametrize("q", [3, 5, 101, 2**31 - 1, INT64_EDGE_PRIME])
+def test_eliminate_matches_the_python_oracle(q):
+    rng = random.Random(f"eliminate:{q}")
+    for m in range(0, 7):
+        for width in range(1, 7):
+            systems = seeded_systems(rng, q, m, width)
+            S = np.array(systems, dtype=np.int64).reshape(len(systems), m, width)
+            pivots, solvable = severi_degeneration._eliminate(S.copy(), q)
+            n = width - 1
+            assert pivots.shape == (len(systems), n, width)
+            ranks = severi_degeneration._rank(pivots)
+            for b, rows in enumerate(systems):
+                coeffs = [row[:n] for row in rows]
+                rank = oracle_rank(coeffs, q)
+                assert ranks[b] == rank, (m, width, b)
+                assert solvable[b] == (oracle_rank(rows, q) == rank), (m, width, b)
+                eqs = pivots[b].tolist()
+                assert all(0 <= x < q for eq in eqs for x in eq)
+                for c, eq in enumerate(eqs):
+                    # only its own unknown and more significant ones
+                    assert not any(eq[c + 1 : n]), (m, width, b, c)
+                    if eq[c] == 0:
+                        assert not any(eq), (m, width, b, c)
+                # the pivot equations lie in the row space, and span it when solvable
+                assert oracle_rank(rows + eqs, q) == oracle_rank(rows, q)
+                if solvable[b]:
+                    assert oracle_rank(eqs, q) == oracle_rank(rows, q)
+
+
+def bezout_by_division(pencil, q):
+    """Coefficients Q[a][b] of x^a y^b in (f(x)g(y) - f(y)g(x)) / (y - x), dehomogenized.
+
+    (y - x) Q = N reads N[a][b] = Q[a][b-1] - Q[a-1][b], solved for Q row by
+    row; the remainder of the division is checked to vanish.
+    """
+    f = [int(c) for c in pencil.f.coeffs]
+    g = [int(c) for c in pencil.g.coeffs]
+    k = len(f) - 1
+    N = [[(f[a] * g[b] - f[b] * g[a]) % q for b in range(k + 1)] for a in range(k + 1)]
+    Q = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            Q[a][b] = (N[a][b + 1] + (Q[a - 1][b + 1] if a and b + 1 < k else 0)) % q
+    for a in range(k + 1):
+        for b in range(k + 1):
+            left = Q[a][b - 1] if a < k and b else 0
+            below = Q[a - 1][b] if a and b < k else 0
+            assert (left - below - N[a][b]) % q == 0, "y - x does not divide"
+    return Q
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_bezout_rank_gives_the_base_locus_degree(k):
+    sd = severi_degeneration
+    for q in (7, 13):
+        F = Field(q)
+        rng = random.Random(f"bezout:{k}:{q}")
+        pencils = [pencil_with_common_factor(F, k, rng) for _ in range(80)]
+        pencils += [random_pencil(F, k, rng) for _ in range(20)]
+        # common factors vanishing at [0:1] and at [1:0]
+        for special in (point(F, 0, 1), point(F, 1, 0)):
+            for e in range(1, k):
+                h = linear_form(special)
+                for _ in range(e - 1):
+                    h = h.multiply(linear_form(special))
+                pen = random_pencil(F, k - e, rng)
+                pencils.append(Pencil(pen.f.multiply(h), pen.g.multiply(h)))
+        F_rows = np.array([p.f.coeffs for p in pencils], dtype=np.int64).reshape(-1, k + 1)
+        G_rows = np.array([p.g.coeffs for p in pencils], dtype=np.int64).reshape(-1, k + 1)
+        batch = sd._bezout_matrices(q, k, F_rows, G_rows)
+        assert not batch[:, :, k].any()
+        degrees = set()
+        for pencil, bezout in zip(pencils, batch):
+            want = bezout_by_division(pencil, q)
+            assert bezout[:, :k].tolist() == want
+            degree = base_locus(pencil).degree
+            assert k - oracle_rank(want, q) == degree
+            degrees.add(degree)
+        assert degrees == set(range(k))
+
+
 def test_ladder_strata_match_the_frozen_answers(monkeypatch):
     """The strata search of every ladder variant against perfbench/expected.json."""
     bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
