@@ -276,27 +276,65 @@ class AlphaTuple:
         }
 
 
-def _alpha_walk(p: int, delta: int, k: int):
-    """Yield each (a_1..a_p) with sum j*a_j = p, sum (j-1)*a_j = delta, a_j <= 2(k-1).
-
-    a_p is chosen first, down to a_2; a_1 is then forced to the remaining p.
-    """
+def _check_alpha_args(p: int, delta: int, k: int) -> None:
     if not 0 <= delta < p:
         raise ValueError("need 0 <= delta < p")
     if k < 2:
         raise ValueError("k must be at least 2")
+
+
+def _least_sum(count: int, cap: int) -> int:
+    """Least total of count positive lengths, each used at most cap times.
+
+    It fills lengths 1, 2, ... with cap each: writing count = cap*m + r with
+    0 <= r < cap, that is cap*m(m+1)/2 + r(m+1).
+    """
+    m, r = divmod(count, cap)
+    return cap * m * (m + 1) // 2 + r * (m + 1)
+
+
+def _can_fill(count: int, total: int, top: int, cap: int) -> bool:
+    """Whether count lengths from 1..top, each used at most cap times, can sum to total.
+
+    The least total fills from length 1 up and the greatest, by the symmetry
+    s -> top + 1 - s, from top down.  Every total between is reached: unless
+    the lengths are already filled from the top, some length s < top is used
+    while s + 1 is used fewer than cap times, and moving one s to s + 1 adds 1.
+    """
+    least = _least_sum(count, cap)
+    return count <= cap * top and least <= total <= count * (top + 1) - least
+
+
+def _alpha_walk(p: int, delta: int, k: int):
+    """Yield each (a_1..a_p) with sum j*a_j = p, sum (j-1)*a_j = delta, a_j <= 2(k-1).
+
+    Such a tuple is g = p - delta chains whose lengths sum to p.  a_p is
+    chosen first, down to a_1, and a choice a_j = a is entered only if the
+    chains left can still take lengths 1..j-1 summing to the rest of p
+    (_can_fill), so every branch entered yields a tuple.  The walk keeps its
+    own stack, so its depth p never meets Python's recursion limit.
+    """
+    _check_alpha_args(p, delta, k)
     cap = 2 * (k - 1)
+    alphas = [0] * p
 
-    def walk(j: int, rem_p: int, rem_delta: int, acc: tuple):
-        if j == 1:
-            if rem_delta == 0 and rem_p <= cap:
-                yield (rem_p,) + acc
-            return
-        top = min(cap, rem_p // j, rem_delta // (j - 1))
-        for a in range(top + 1):
-            yield from walk(j - 1, rem_p - j * a, rem_delta - (j - 1) * a, (a,) + acc)
+    def frame(j: int, rem_p: int, rem_g: int):
+        top = min(cap, rem_g, rem_p // j)
+        fits = [a for a in range(top + 1) if _can_fill(rem_g - a, rem_p - j * a, j - 1, cap)]
+        return j, rem_p, rem_g, iter(fits)
 
-    yield from walk(p, p, delta, ())
+    stack = [frame(p, p, p - delta)]
+    while stack:
+        j, rem_p, rem_g, fits = stack[-1]
+        a = next(fits, None)
+        if a is None:
+            stack.pop()
+            continue
+        alphas[j - 1] = a
+        if j > 1:
+            stack.append(frame(j - 1, rem_p - j * a, rem_g - a))
+        else:
+            yield tuple(alphas)
 
 
 def enumerate_alpha(p: int, delta: int, k: int) -> list[AlphaTuple]:
@@ -309,8 +347,19 @@ def enumerate_alpha(p: int, delta: int, k: int) -> list[AlphaTuple]:
 
 
 def exists_alpha(p: int, delta: int, k: int) -> bool:
-    """Nonemptiness of enumerate_alpha: stops at the first tuple found."""
-    return next(_alpha_walk(p, delta, k), None) is not None
+    """Nonemptiness of enumerate_alpha, in closed form.
+
+    A tuple is g = p - delta chains with lengths summing to p, at most
+    c = 2(k-1) chains of each length.  Write g = c*m + r with 0 <= r < c.  The
+    least total fills lengths 1..m with c chains each and length m+1 with r,
+    so tuples exist only if c*m(m+1)/2 + r(m+1) <= p.  Conversely, lengthening
+    the longest chain one step at a time keeps every multiplicity within c
+    and reaches every total above the least, p among them.  With m =
+    severi_alpha(p, delta, k) this is severi_nonempty's inequality
+    delta >= m*(g - (k-1)(m+1)), rearranged.
+    """
+    _check_alpha_args(p, delta, k)
+    return _least_sum(p - delta, 2 * (k - 1)) <= p
 
 
 # ---------------------------------------------------------------------------

@@ -876,18 +876,24 @@ def _variable_has_repeated_factor(curve: PlaneCurve, var: int) -> bool | None:
 
     Decided through the discriminant with respect to that variable, evaluated
     on specialization lines: one squarefree specialization (at full degree)
-    witnesses a nonzero discriminant; deg*(2*deg - 1) + 1 full-degree
+    witnesses a nonzero discriminant; d*(d - 1) + 1 full-degree
     specializations that are all non-squarefree prove it vanishes identically.
-    The lines are (t : 1) for t = 0, 1, 2, ... and then (1 : 0); at most deg of
-    them drop the degree, so over Q, where t runs to deg*(2*deg - 1) + deg,
-    the scan always concludes.  Returns None when F_q has too few points.
+    That is because, with d the degree and m the degree in the variable, the
+    coefficient of var^i is a form of degree d - i in the other two variables,
+    so Res_var(F, dF/dvar) is a form of degree d(m-1) + (d-1)m - m(m-1) =
+    2dm - d - m^2 <= d(d-1) in them.  At a full-degree specialization it is
+    the discriminant up to a nonzero factor, so if it is not identically zero
+    it vanishes on at most d(d-1) of the lines.  The lines are (t : 1) for
+    t = 0, 1, 2, ... and then (1 : 0); at most d of them drop the degree, so
+    over Q, where t runs to d*(d - 1) + d, the scan always concludes.
+    Returns None when F_q has too few points.
     """
     F = curve.field
     d = curve.degree
     var_degree = _var_degree(curve, var)
     if var_degree <= 1:
         return False  # a repeated factor would need degree >= 2 here
-    needed = d * (2 * d - 1) + 1
+    needed = d * (d - 1) + 1
     seen = 0
     ts = range(F.q) if F.q else range(needed + d)
     for pt in [(t, F.one) for t in ts] + [(F.one, F.zero)]:

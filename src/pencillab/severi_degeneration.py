@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .errors import (
     ChainMismatch,
+    PencillabError,
     PointCollision,
     ResourceLimit,
     ZeroCount,
@@ -299,49 +300,45 @@ def _taylor_rows(field: Field, k: int, p: ProjPoint, order: int) -> list[list[in
     return rows
 
 
-def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> list:
-    """Antisymmetric matrices A with: pencil span(f, g) matches iff f^T A g = 0 for all A.
+def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> np.ndarray:
+    """The m x (k+1) x (k+1) antisymmetric matrices A of the constraint, as one int64 array.
 
-    Incidence at a SymPoint contributes one matrix: entry (i, j) is the
-    coordinate wedge-basis curve of (i, j) evaluated at the point, summed
-    straight from its _wedge_terms (so the test agrees with bezoutian_curve
-    evaluation).
+    A pencil span(f, g) matches iff f^T A g = 0 mod q for every A.  Incidence
+    at a SymPoint contributes one matrix: entry (i, j) is the coordinate
+    wedge-basis curve of (i, j) evaluated at the point, summed straight from
+    its _wedge_terms (so the test agrees with bezoutian_curve evaluation).
     Ramification of order e contributes the C(e, 2) Taylor minors that
-    has_ramification_at checks.  Basis invariance is automatic: antisymmetric
-    bilinear values rescale by the determinant under basis change.
+    has_ramification_at checks, each the antisymmetrized outer product of two
+    Taylor rows.  Basis invariance is automatic: antisymmetric bilinear
+    values rescale by the determinant under basis change.  No conditions give
+    m = 0, so test for them with len(), never with the array's truth value.
     """
     import numpy as np
 
     field = Field(q)
-    mats: list[np.ndarray] = []
+    mats = []
     for sp in constraint.incidences:
         if sp.field != field:
             raise ValueError("incidence point field does not match q")
         powers = [[pow(x, e, q) for e in range(k)] for x in sp.coords()]
         A = np.zeros((k + 1, k + 1), dtype=np.int64)
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                val = sum(
-                    coef * powers[0][a] * powers[1][b] * powers[2][c]
-                    for (a, b, c), coef in _wedge_terms(k, i, j)
-                ) % q
-                A[i, j] = val
-                A[j, i] = (-val) % q
+        for i, j in _cells(k):
+            val = sum(
+                coef * powers[0][a] * powers[1][b] * powers[2][c]
+                for (a, b, c), coef in _wedge_terms(k, i, j)
+            ) % q
+            A[i, j] = val
+            A[j, i] = (-val) % q
         mats.append(A)
     for pt, order in constraint.ramifications:
         if pt.field != field:
             raise ValueError("ramification point field does not match q")
         if order > k:
             raise ValueError("ramification order exceeds the degree")
-        T = _taylor_rows(field, k, pt, order)
-        for a in range(order):
-            for b in range(a + 1, order):
-                A = np.zeros((k + 1, k + 1), dtype=np.int64)
-                for i in range(k + 1):
-                    for l in range(k + 1):
-                        A[i, l] = (T[a][i] * T[b][l] - T[b][i] * T[a][l]) % q
-                mats.append(A)
-    return mats
+        T = np.array(_taylor_rows(field, k, pt, order), dtype=np.int64)
+        a, b = np.triu_indices(order, 1)
+        mats += list((T[a, :, None] * T[b, None] - T[b, :, None] * T[a, None]) % q)
+    return np.array(mats, dtype=np.int64).reshape(-1, k + 1, k + 1)
 
 
 def _digits(idx, q: int, width: int) -> np.ndarray:
@@ -360,42 +357,19 @@ def _digits(idx, q: int, width: int) -> np.ndarray:
     return out
 
 
-def _echelon_pencil(
-    field: Field, k: int, cell: tuple[int, int], f_vals, g_vals
-) -> Pencil:
-    """The pencil of a cell's echelon pair with the given free coordinates."""
-    i, j = cell
-    cols0, cols1 = _free_columns(k, i, j)
-    f = [0] * (k + 1)
-    g = [0] * (k + 1)
-    f[i] = 1
-    g[j] = 1
-    for c, v in zip(cols0, f_vals):
-        f[c] = int(v)
-    for c, v in zip(cols1, g_vals):
-        g[c] = int(v)
-    return Pencil(BinaryForm(field, k, tuple(f)), BinaryForm(field, k, tuple(g)))
+def _echelon_rows(k: int, pivot: int, cols: list[int], coords) -> np.ndarray:
+    """Echelon coefficient rows: 1 at pivot, coords (... x len(cols)) at cols, 0 elsewhere.
 
-
-def _row_systems(q: int, k: int, cell: tuple[int, int], mats, f_idx):
-    """A cell's f-rows with the given indices, and their linear systems in g.
-
-    With f fixed, each compiled f^T A g = 0 (g[j] = 1) is one equation in g's
-    n = |cols1| free coordinates: the systems come back as B x m x (n+1), the
-    last column holding the constants.
+    Within a cell only the free columns vary, so the rows of lexicographically
+    ordered coordinates are themselves in lexicographic order.
     """
     import numpy as np
 
-    i, j = cell
-    cols0, cols1 = _free_columns(k, i, j)
-    mats = np.array(mats, dtype=np.int64).reshape(-1, k + 1, k + 1)
-    n, m = len(cols1), len(mats)
-    # columns of every A that meet g: the n unknowns, then the constant g[j] = 1
-    system = mats[:, :, cols1 + [j]].transpose(1, 0, 2).reshape(k + 1, m * (n + 1))
-    F_rows = np.zeros((len(f_idx), k + 1), dtype=np.int64)
-    F_rows[:, i] = 1
-    F_rows[:, cols0] = _digits(f_idx, q, len(cols0))
-    return F_rows, ((F_rows @ system) % q).reshape(len(F_rows), m, n + 1)
+    coords = np.asarray(coords, dtype=np.int64)
+    rows = np.zeros(coords.shape[:-1] + (k + 1,), dtype=np.int64)
+    rows[..., pivot] = 1
+    rows[..., cols] = coords
+    return rows
 
 
 def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -554,44 +528,47 @@ def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _tally_strata(q: int, k: int, cell, F_rows, pivots, tally: np.ndarray) -> None:
+def _tally_strata(q: int, k: int, j: int, cols1, F_rows, pivots, tally: np.ndarray) -> None:
     """Add to tally, per stratum, the pencils of every solution of each solvable row."""
     import numpy as np
 
-    i, j = cell
-    cols1 = _free_columns(k, i, j)[1]
     for part, G in _solutions(pivots, q, q ** len(cols1)):
-        g_rows = np.zeros(G.shape[:2] + (k + 1,), dtype=np.int64)
-        g_rows[:, :, j] = 1
-        g_rows[:, :, cols1] = G
+        g_rows = _echelon_rows(k, j, cols1, G)
         f_rows = np.broadcast_to(F_rows[part, None], g_rows.shape)
         codes = _strata_codes(q, k, f_rows.reshape(-1, k + 1), g_rows.reshape(-1, k + 1))
         tally += np.bincount(codes, minlength=len(_STRATA))
 
 
 def _search_shard(payload) -> tuple[int, list[tuple], list[int] | None]:
-    """Search one cell's f-index range; top-level for pickling.
+    """Search a contiguous range of one cell's f-rows; top-level for pickling.
 
-    A row has q^(n - rank) matches if its system is solvable and none
-    otherwise.  Returns the count, the (cell, f index, g coordinates) keys of
-    the first SAMPLE_LIMIT matches, solved for from the first rows that have
-    any, and, if asked, the matches in each stratum of _STRATA.
+    With f fixed, each compiled f^T A g = 0 (g[j] = 1) is one equation in g's
+    n free coordinates, so a row has q^(n - rank) matches if its system is
+    solvable and none otherwise.  Returns the count, the (cell, f row, g row)
+    keys of the first SAMPLE_LIMIT matches, solved for from the first rows
+    that have any, and, if asked, the matches in each stratum of _STRATA.
     """
     import numpy as np
 
     (q, k, cell_idx, i, j, f_lo, f_hi, mats, want_strata) = payload
-    n = len(_free_columns(k, i, j)[1])
-    if not mats and not want_strata:  # no conditions: every row has rank 0
-        g_first = _digits(np.arange(min(q**n, SAMPLE_LIMIT)), q, n).tolist()
-        f_first = range(f_lo, min(f_hi, f_lo + SAMPLE_LIMIT))
-        keys = [(cell_idx, f, tuple(g)) for f in f_first for g in g_first]
+    cols0, cols1 = _free_columns(k, i, j)
+    n, m = len(cols1), len(mats)
+    if not m and not want_strata:  # no conditions: every row has rank 0
+        f_idx = np.arange(f_lo, min(f_hi, f_lo + SAMPLE_LIMIT))
+        f_first = _echelon_rows(k, i, cols0, _digits(f_idx, q, len(cols0))).tolist()
+        g_idx = np.arange(min(q**n, SAMPLE_LIMIT))
+        g_first = _echelon_rows(k, j, cols1, _digits(g_idx, q, n)).tolist()
+        keys = [(cell_idx, tuple(f), tuple(g)) for f in f_first for g in g_first]
         return (f_hi - f_lo) * q**n, keys[:SAMPLE_LIMIT], None
+    # columns of every A that meet g: the n unknowns, then the constant g[j] = 1
+    system = mats[:, :, cols1 + [j]].transpose(1, 0, 2).reshape(k + 1, m * (n + 1))
     by_rank = np.zeros(n + 1, dtype=np.int64)
     keys = []
     tally = np.zeros(len(_STRATA), dtype=np.int64)
     for lo in range(f_lo, f_hi, _RANK_CHUNK_ROWS):
         f_idx = np.arange(lo, min(lo + _RANK_CHUNK_ROWS, f_hi))
-        F_rows, S = _row_systems(q, k, (i, j), mats, f_idx)
+        F_rows = _echelon_rows(k, i, cols0, _digits(f_idx, q, len(cols0)))
+        S = (F_rows @ system % q).reshape(len(F_rows), m, n + 1)
         pivots, solvable = _eliminate(S, q)
         by_rank += np.bincount(_rank(pivots)[solvable], minlength=n + 1)
         need = SAMPLE_LIMIT - len(keys)
@@ -599,13 +576,13 @@ def _search_shard(payload) -> tuple[int, list[tuple], list[int] | None]:
         if hits.size:
             found = {}
             for part, G in _solutions(pivots[hits], q, need):
-                found.update(zip(part.tolist(), G.tolist()))
+                found.update(zip(part.tolist(), _echelon_rows(k, j, cols1, G).tolist()))
             keys += [
-                (cell_idx, int(f_idx[h]), tuple(g))
-                for b, h in enumerate(hits.tolist()) for g in found[b]
+                (cell_idx, tuple(f), tuple(g))
+                for b, f in enumerate(F_rows[hits].tolist()) for g in found[b]
             ][:need]
         if want_strata:
-            _tally_strata(q, k, (i, j), F_rows[solvable], pivots[solvable], tally)
+            _tally_strata(q, k, j, cols1, F_rows[solvable], pivots[solvable], tally)
     count = sum(int(c) * q ** (n - r) for r, c in enumerate(by_rank.tolist()))
     return count, keys, tally.tolist() if want_strata else None
 
@@ -625,7 +602,7 @@ def search_pencils_ffield(
     through reduced-row-echelon representatives (f, g), grouped into cells by
     pivot pair.  With no constraint (and no strata request) the per-cell
     counts are summed arithmetically.  Otherwise each f-row's conditions form
-    a linear system in g (see _row_systems), eliminated in batches by
+    a linear system in g (see _search_shard), eliminated in batches by
     _eliminate: the row has q^(n - rank) matches if the system is solvable
     and none otherwise.  The samples, the first matches in (cell, f, g)
     lexicographic order, are solved for from the first rows that have
@@ -681,7 +658,6 @@ def search_pencils_ffield(
         jobs = 1  # forking a pool would cost more than the search
     if work > budget:
         raise ResourceLimit(f"{what} takes {work} steps, over the budget of {budget}")
-    mats_raw = [tuple(map(tuple, A.tolist())) for A in mats]
     tasks = []
     for cell_idx, ((i, j), (cols0, _)) in enumerate(zip(cells, widths)):
         n_f = q ** len(cols0)
@@ -689,7 +665,7 @@ def search_pencils_ffield(
         bounds = [round(s * n_f / shards) for s in range(shards + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             if lo < hi:
-                tasks.append((q, k, cell_idx, i, j, lo, hi, mats_raw, report_strata))
+                tasks.append((q, k, cell_idx, i, j, lo, hi, mats, report_strata))
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -700,8 +676,8 @@ def search_pencils_ffield(
     count = sum(outcome[0] for outcome in outcomes)
     keys = sorted(key for outcome in outcomes for key in outcome[1])
     samples = tuple(
-        _echelon_pencil(field, k, cells[c], _digits(f, q, len(widths[c][0])), g)
-        for c, f, g in keys[:SAMPLE_LIMIT]
+        Pencil(BinaryForm(field, k, f), BinaryForm(field, k, g))
+        for _, f, g in keys[:SAMPLE_LIMIT]
     )
     strata = None
     if report_strata:
@@ -745,36 +721,55 @@ def _store_cached(
     os.replace(tmp, path)
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0  # bool is an int subclass
+
+
 def _load_cached(
     path: str, k: int, q: int, constraint: SearchConstraint, report_strata: bool
 ) -> SearchResult | None:
-    """The stored result, or None if absent, unreadable or for another question.
+    """The stored result, or None if absent, unreadable, malformed or for another question.
 
-    Stored strata are returned only when report_strata asks for them, so a
-    hit prints what a fresh search would.
+    An entry must hold a nonnegative int count, strata that are None or
+    stratum names mapped to such counts, and samples that decode to pencils
+    of degree k; anything else is recomputed.  Stored strata are returned
+    only when report_strata asks for them, so a hit prints what a fresh
+    search would.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, ValueError):
         return None
-    if doc.get("schema") != 1:
+    if not isinstance(doc, dict) or doc.get("schema") != 1:
         return None
     stored = (doc.get("k"), doc.get("q"), doc.get("constraint"))
     if stored != (k, q, constraint.to_json_dict()):
         return None  # a colliding or doctored entry; recompute
-    if report_strata and doc.get("strata") is None:
+    strata = doc.get("strata")
+    if report_strata and strata is None:
         return None  # cached run lacks the strata breakdown; recompute
-    field = Field(q)
-    samples = tuple(
-        Pencil(
-            BinaryForm.from_json_dict(field, s["f"]),
-            BinaryForm.from_json_dict(field, s["g"]),
-        )
-        for s in doc["samples"]
+    strata_ok = strata is None or isinstance(strata, dict) and all(
+        name in _STRATA and _is_count(c) for name, c in strata.items()
     )
-    strata = doc.get("strata") if report_strata else None
-    return SearchResult(count=doc["count"], samples=samples, strata=strata)
+    if not (strata_ok and _is_count(doc.get("count"))):
+        return None  # malformed; recompute
+    field = Field(q)
+    try:
+        samples = tuple(
+            Pencil(
+                BinaryForm.from_json_dict(field, s["f"]),
+                BinaryForm.from_json_dict(field, s["g"]),
+            )
+            for s in doc["samples"]
+        )
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, PencillabError):
+        return None
+    if any(p.degree != k for p in samples):
+        return None
+    return SearchResult(
+        count=doc["count"], samples=samples, strata=strata if report_strata else None
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,34 @@ def test_severi_alpha_listing(capsys):
     assert all(row["genus"] == 3 for row in doc)
 
 
+# Inputs that once hung or overflowed the stack: (argv, exit code, stdout
+# check).  Each runs in its own process under a timeout, so a regression
+# fails the suite instead of stalling it.
+FORMER_HANGS = [
+    (["severi", "exists", "--p", "300", "--delta", "150", "--k", "2"], 1,
+     lambda doc: doc == {"exists": False}),
+    (["severi", "exists", "--p", "3000", "--delta", "2990", "--k", "2"], 0,
+     lambda doc: doc == {"exists": True}),
+    (["severi", "alphas", "--p", "150", "--delta", "149", "--k", "2"], 0,
+     lambda doc: len(doc) == 1),
+    (["severi", "alphas", "--p", "1000", "--delta", "999", "--k", "2"], 0,
+     lambda doc: len(doc) == 1),
+]
+
+
+@pytest.mark.parametrize("argv,code,check", FORMER_HANGS,
+                         ids=[" ".join(argv[1:]) for argv, _, _ in FORMER_HANGS])
+def test_former_hangs_return_promptly(argv, code, check, tmp_path):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pencillab.cli", *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert check(json.loads(proc.stdout))
+
+
 def test_severi_delta0(capsys):
     doc = run_json(["severi", "delta0", "--p", "5", "--k", "2"], capsys)
     assert doc == {"delta0": 2, "k": 2, "p": 5}
@@ -261,6 +289,22 @@ def test_cached_strata_do_not_leak_into_a_plain_search(capsys):
     assert run(argv + ["--strata"], capsys) == fresh[1]
     assert run(argv, capsys) == fresh[0]
     assert run(argv + ["--strata"], capsys) == fresh[1]
+
+
+@pytest.mark.parametrize("doctor", [
+    lambda doc: [doc],
+    lambda doc: dict(doc, samples=[dict(doc["samples"][0], g={"degree": 2})]),
+    lambda doc: dict(doc, count="lots"),
+], ids=["not an object", "sample without coeffs", "count not a number"])
+def test_malformed_cache_entry_prints_a_fresh_search(doctor, capsys, tmp_path):
+    argv = ["dimlab", "search", "--k", "2", "--q", "5", "--incidence", "1,1,0"]
+    fresh = run(argv + ["--no-cache"], capsys)
+    assert run(argv, capsys) == fresh
+    (entry,) = (tmp_path / "cache").glob("search-*.json")
+    honest = json.loads(entry.read_text())
+    entry.write_text(json.dumps(doctor(honest)))
+    assert run(argv, capsys) == fresh
+    assert json.loads(entry.read_text()) == honest
 
 
 def test_dimlab_search_empty_result_exit_one(capsys):
@@ -423,8 +467,8 @@ def test_heavy_modules_load_only_where_used(tmp_path):
         ["pencil", "bezoutian", "--f", "0,1,0", "--g", "0,0,1"],
         ["pencil", "reduced", "--f", "1,2,3", "--g", "0,1,1"],  # reduced
         ["pencil", "reduced", "--f", "1,0,0,0", "--g", "0,1,0,0"],  # not reduced
-        # F_5 has too few points for the w-scan: the small-field fallback
-        ["pencil", "reduced", "--q", "5", "--f", "0,0,0,1", "--g", "0,0,1,0"],
+        # F_5 has too few points for a cubic's w-scan: the small-field fallback
+        ["pencil", "reduced", "--q", "5", "--f", "0,0,0,0,1", "--g", "0,0,0,1,0"],
     ]
     steps = probe_loads(tmp_path, geometry)
     assert steps[-1] == {"pencillab.pencil_geometry"}

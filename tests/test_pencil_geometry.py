@@ -1,5 +1,6 @@
 """Bezoutian curves, ramification and base loci of binary-form pencils."""
 
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -280,8 +281,9 @@ class TestReducedness:
                     assert is_reduced_curve(curve) == (not has_multiple_base_points(pen))
 
     def test_small_field_fallback(self):
-        # F_5 and F_7 have fewer than the 16 points a cubic's scan needs, so
-        # curves the scan cannot clear go to the modular gcd
+        # A cubic's scan needs 7 full-degree lines: F_5 has only 6 points, and
+        # F_7 can lose some of its 8 to a dropped degree, so curves the scan
+        # cannot clear go to the modular gcd
         rng = random.Random(12)
         fallbacks = 0
         for q in (5, 7):
@@ -314,6 +316,29 @@ class TestReducedness:
                 curve = bezoutian_curve(p)
                 for var in range(3):
                     assert _variable_has_repeated_factor(curve, var) is not None
+
+    @pytest.mark.parametrize("q", [0, 7, 11, 13, 101])
+    def test_scan_agrees_with_the_resultant(self, q):
+        # the scan stops after d(d-1)+1 full-degree lines; the discriminant's
+        # resultant decides the same question outright
+        field = QQ if q == 0 else Field(q)
+        rng = random.Random(f"scan-bound:{q}")
+        seen = set()
+        for k, doubled, _ in itertools.product((3, 4, 5), (False, True), range(4)):
+            pen = random_pencil(field, k - 2 if doubled else k, rng, span=3)
+            if doubled:
+                square = linear_form(point(field, 1, rng.randint(-3, 3)))
+                square = square.multiply(square)
+                pen = Pencil(pen.f.multiply(square), pen.g.multiply(square))
+            curve = bezoutian_curve(pen)
+            for var in range(3):
+                verdict = _variable_has_repeated_factor(curve, var)
+                if verdict is None:
+                    continue
+                disc = curve_resultant(curve, _partial(curve, var), var)
+                assert verdict == all(field.is_zero(c) for c in disc), (k, doubled, var)
+                seen.add(verdict)
+        assert seen == {False, True}
 
     def test_small_characteristic_refused(self):
         curve = PlaneCurve.from_monomial_dict(Field(3), 3, {(3, 0, 0): 1, (0, 3, 0): 1})

@@ -46,6 +46,26 @@ from pencillab.fields import QQ, Field
 from conftest import form, point, projective_points, random_form, random_pencil
 
 
+def oracle_alpha_walk(p, delta, k):
+    """Every (a_1..a_p) with sum j*a_j = p, sum (j-1)*a_j = delta, a_j <= 2(k-1), unpruned.
+
+    a_p is chosen first, down to a_2, over every value the remaining p and
+    delta allow; a_1 is then forced to the remaining p.
+    """
+    cap = 2 * (k - 1)
+
+    def walk(j, rem_p, rem_delta, acc):
+        if j == 1:
+            if rem_delta == 0 and rem_p <= cap:
+                yield (rem_p,) + acc
+            return
+        top = min(cap, rem_p // j, rem_delta // (j - 1))
+        for a in range(top + 1):
+            yield from walk(j - 1, rem_p - j * a, rem_delta - (j - 1) * a, (a,) + acc)
+
+    yield from walk(p, p, delta, ())
+
+
 def alphas_as_dict(tup):
     return {j + 1: a for j, a in enumerate(tup.alphas) if a}
 
@@ -92,6 +112,14 @@ class TestAlphaTuples:
         assert exists_alpha(5, 2, 2)
         assert exists_alpha(3, 1, 2)
         assert not exists_alpha(4, 0, 2)
+
+    def test_pruned_walk_and_closed_form_match_the_oracle_walk(self):
+        for p in range(1, 26):
+            for delta in range(p):
+                for k in range(2, 6):
+                    want = sorted(oracle_alpha_walk(p, delta, k))
+                    assert [t.alphas for t in enumerate_alpha(p, delta, k)] == want
+                    assert exists_alpha(p, delta, k) == bool(want), (p, delta, k)
 
     def test_exists_matches_enumeration(self):
         for p in range(2, 14):
@@ -301,10 +329,20 @@ class TestSearch:
         assert first.samples == second.samples
 
     def test_index_codec_is_lexicographic(self):
+        sd = severi_degeneration
         for q, width in [(3, 0), (5, 1), (7, 3)]:
-            rows = severi_degeneration._digits(np.arange(q**width), q, width)
+            rows = sd._digits(np.arange(q**width), q, width)
             assert rows.tolist() == [list(t) for t in itertools.product(range(q), repeat=width)]
-            assert severi_degeneration._digits(q**width - 1, q, width).tolist() == [q - 1] * width
+            assert sd._digits(q**width - 1, q, width).tolist() == [q - 1] * width
+        # a cell's echelon rows keep that order, so sample keys sort as the matches do
+        q, k = 5, 4
+        for cell in sd._cells(k):
+            for pivot, cols in zip(cell, sd._free_columns(k, *cell)):
+                coords = sd._digits(np.arange(q ** len(cols)), q, len(cols))
+                rows = sd._echelon_rows(k, pivot, cols, coords)
+                assert rows[:, pivot].tolist() == [1] * len(rows)
+                assert rows[:, cols].tolist() == coords.tolist()
+                assert sorted(map(tuple, rows.tolist())) == list(map(tuple, rows.tolist()))
 
     def test_doctored_cache_entry_is_recomputed(self, tmp_path):
         F = Field(5)
@@ -320,6 +358,19 @@ class TestSearch:
             again = search_pencils_ffield(2, 5, constraint, cache_dir=str(tmp_path))
             assert again.count == truth.count, key
             assert again.samples == truth.samples, key
+        # the question matches, but what it stores does not decode
+        sample = honest["samples"][0]
+        malformed = [
+            ("not an object", [honest]),
+            ("sample without coeffs", dict(honest, samples=[dict(sample, f={"degree": 2})])),
+            ("count not a number", dict(honest, count="lots")),
+            ("count a bool", dict(honest, count=True)),
+            ("unknown stratum", dict(honest, strata={"cuspidal": 1})),
+        ]
+        for name, doc in malformed:
+            path.write_text(json.dumps(doc))
+            assert search_pencils_ffield(2, 5, constraint, cache_dir=str(tmp_path)) == truth, name
+            assert json.loads(path.read_text()) == honest, name
 
     def test_cache_lookup_creates_no_directory(self, tmp_path):
         cache = tmp_path / "cache"
@@ -338,6 +389,16 @@ def classify_stratum(pencil):
     if locus.degree == 0:
         return "base_point_free"
     return "simple_base_divisor" if squarefree_form(locus) else "multiple_base_points"
+
+
+def echelon_pencil(F, k, cell, f_vals, g_vals):
+    """The pencil of a cell's echelon pair with the given free coordinates."""
+    i, j = cell
+    cols0, cols1 = severi_degeneration._free_columns(k, i, j)
+    f, g = dict(zip(cols0, f_vals)), dict(zip(cols1, g_vals))
+    f[i] = g[j] = 1
+    return Pencil(form(F, [int(f.get(c, 0)) for c in range(k + 1)]),
+                  form(F, [int(g.get(c, 0)) for c in range(k + 1)]))
 
 
 def brute_force_search(k, q, constraint, strata=True):
@@ -365,12 +426,12 @@ def brute_force_search(k, q, constraint, strata=True):
         f_hit, g_hit = np.nonzero(mask)
         count += len(f_hit)
         samples += [
-            sd._echelon_pencil(field, k, (i, j), f_assign[f], g_assign[g])
+            echelon_pencil(field, k, (i, j), f_assign[f], g_assign[g])
             for f, g in zip(f_hit[:20], g_hit[:20])
         ]
         if strata:
             for f, g in zip(f_hit, g_hit):
-                pencil = sd._echelon_pencil(field, k, (i, j), f_assign[f], g_assign[g])
+                pencil = echelon_pencil(field, k, (i, j), f_assign[f], g_assign[g])
                 name = classify_stratum(pencil)
                 found[name] = found.get(name, 0) + 1
     return count, tuple(samples[:20]), found
@@ -484,7 +545,7 @@ def test_strata_codes_on_a_whole_grassmannian():
         cols0, cols1 = sd._free_columns(k, *cell)
         for f_vals in itertools.product(range(q), repeat=len(cols0)):
             for g_vals in itertools.product(range(q), repeat=len(cols1)):
-                pencils.append(sd._echelon_pencil(Field(q), k, cell, f_vals, g_vals))
+                pencils.append(echelon_pencil(Field(q), k, cell, f_vals, g_vals))
     assert len(pencils) == grassmannian_pencil_count(k, q)
     assert assert_codes_match_oracle(q, k, pencils) == set(sd._STRATA)
 
