@@ -473,8 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="max work a search may do: f-rows x conditions, "
-        "or pencils in the Grassmannian with --strata",
+        help="max work a search may do: g-rows x conditions, "
+        "plus the matches to classify with --strata",
     )
 
     parser = argparse.ArgumentParser(

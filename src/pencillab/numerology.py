@@ -20,13 +20,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import add
 
-from .errors import FormulationMismatch, RiemannHurwitzViolation
+from .errors import FormulationMismatch, ResourceLimit, RiemannHurwitzViolation
 from .fields import _is_prime
 
 #: Inputs are capped at this magnitude.  Python integers cannot overflow, so the
 #: cap is an interface guard, not an arithmetic necessity.
 MAGNITUDE_CAP = 2**31
+
+
+# enumerate_alpha refuses with ResourceLimit to list more than MAX_ALPHA_TUPLES
+# tuples, or to count them (_count_alpha) in more than MAX_ALPHA_STEPS steps,
+# g * min(g, 2(k-1)) * (delta + 1) for g = p - delta chains.  That also bounds
+# p by about MAX_ALPHA_STEPS, and the walk that lists a tuple visits all p
+# lengths, about 6 us each.
+MAX_ALPHA_TUPLES = 100_000
+MAX_ALPHA_STEPS = 250_000
 
 
 def _check_magnitude(**values: int) -> None:
@@ -337,12 +348,61 @@ def _alpha_walk(p: int, delta: int, k: int):
             yield tuple(alphas)
 
 
+def _count_alpha(p: int, delta: int, k: int) -> int:
+    """The number of tuples _alpha_walk yields, by a dynamic program.
+
+    A tuple is g = p - delta chains whose lengths sum to p, each length used
+    at most cap = 2(k-1) times.  Less one step each, the c = g - a_1 chains
+    longer than 1 are a partition of delta into c parts, each size used at
+    most cap times, and a_1 <= cap.  Let f_c(n) count those partitions of n.
+    Either no part is 1, and lowering every part by one leaves a partition of
+    n - c into c parts, or m = 1..cap parts are 1, and lowering the others
+    leaves one of n - c into c - m parts:
+
+        f_c(n) = f_c(n - c) + sum_{m=1..min(cap, c)} f_{c-m}(n - c),  f_0(n) = [n = 0],
+
+    so column c is a running sum, along each residue class mod c, of the cap
+    columns before it, and the answer is the sum of f_c(delta) over
+    g - cap <= c <= g: about g * min(g, cap) * (delta + 1) steps.
+    """
+    _check_alpha_args(p, delta, k)
+    g, cap = p - delta, min(p - delta, 2 * (k - 1))
+    window = [[1] + [0] * delta]  # f_{c-cap} .. f_{c-1}
+    total = window[0][delta] if g <= cap else 0
+    for c in range(1, g + 1):
+        f = [0] * (delta + 1)
+        for prev in window:
+            f[c:] = map(add, f[c:], prev)
+        for r in range(min(c, delta + 1)):
+            f[r::c] = accumulate(f[r::c])
+        window = (window + [f])[-cap:]
+        if c >= g - cap:
+            total += f[delta]
+    return total
+
+
 def enumerate_alpha(p: int, delta: int, k: int) -> list[AlphaTuple]:
     """All tuples with sum j*a_j = p, sum (j-1)*a_j = delta, a_j <= 2(k-1).
 
     Returned in lexicographic order of (a_1..a_p).  An empty list is a valid
-    answer; it matches the emptiness of the corresponding nodal family.
+    answer; it matches the emptiness of the corresponding nodal family.  The
+    tuples are counted first (_count_alpha), and more than MAX_ALPHA_TUPLES
+    of them, or a count of more than MAX_ALPHA_STEPS steps, raise
+    ResourceLimit before any is listed.
     """
+    if not exists_alpha(p, delta, k):
+        return []
+    g = p - delta
+    steps = g * min(g, 2 * (k - 1)) * (delta + 1)
+    if steps > MAX_ALPHA_STEPS:
+        raise ResourceLimit(
+            f"counting the alpha-tuples takes {steps} steps, beyond the guard of {MAX_ALPHA_STEPS}"
+        )
+    count = _count_alpha(p, delta, k)
+    if count > MAX_ALPHA_TUPLES:
+        raise ResourceLimit(
+            f"{count} alpha-tuples, beyond the guard of {MAX_ALPHA_TUPLES}"
+        )
     return [AlphaTuple(p, t) for t in sorted(_alpha_walk(p, delta, k))]
 
 

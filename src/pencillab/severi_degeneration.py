@@ -12,13 +12,16 @@ fits a dimension exponent to counts across primes.
 
 Search constraints compile to antisymmetric bilinear forms on coefficient
 vectors, so a subspace matches iff one (hence any) basis pair (f, g) does.
-With f fixed the forms are linear in g, so each f-row's matches are the
-solutions of a linear system mod q, eliminated in batches in numpy int64.
-Counts come from the ranks; samples and strata from solving for the
-matches, in lexicographic order.  No g is listed by brute force.  Strata
-classify each batch of matches by two more ranks mod q, through the same
-elimination: the rank of the pencil's Bezout matrix, and, where that shows a
-base point, the rank of the multiples of the four partials.
+In each echelon cell g has no more free coordinates than f, so g is fixed:
+the forms are then linear in f, and each g-row's matches are the solutions
+of a linear system mod q, eliminated in batches in numpy int64.  Counts come
+from the ranks.  The samples, the first matches in (cell, f, g) order, are
+solved for per g-row where the cell is sparse, and found by walking the
+f-rows, with g solved for, where it is dense.  No pencil is listed by brute
+force.  Strata solve for every match and classify the matches together by
+two more ranks mod q, through the same elimination: the rank of the pencil's
+Bezout matrix, and, where that shows a base point, the rank of the multiples
+of the four partials.
 """
 
 from __future__ import annotations
@@ -58,29 +61,32 @@ from .pencil_geometry import (
 
 SAMPLE_LIMIT = 20
 
-# Work budget of a search, in the units search_pencils_ffield documents.  The
-# k=4 ladder over F_101 takes about 2.1*10^7 steps at one condition and
-# 4.6*10^7 at six; the default leaves room for that and for strata searches
-# of the k=3 Grassmannian over F_101 (105,111,206 pencils), and refuses
-# anything an order of magnitude larger.
+# Work budget of a search, in the units search_pencils_ffield documents.  A
+# k=4 count over F_101 takes about 1.05*10^6 steps per condition; the default
+# leaves room for that and for strata searches that classify up to the k=3
+# Grassmannian over F_101 (105,111,206 pencils), and refuses anything an
+# order of magnitude larger.
 DEFAULT_SEARCH_BUDGET = 200_000_000
 
-_RANK_CHUNK_ROWS = 8192  # f-rows per batch of the rank kernel
-# A count whose f-rows x conditions figure is below this runs in one process
-# whatever jobs is.  On 2 cores, alone against a pool of two, with four
-# incidences at k = 3 and three at k = 4: k = 3 over F_101 (1.2*10^5) 3.3 vs
-# 9.5 ms, over F_211 (5.4*10^5) 10.5 vs 13.8 ms, over F_251 (7.6*10^5) 14.3
-# vs 13.8 ms, over F_353 (1.5*10^6) 27 vs 19 ms; k = 4 over F_31 (3.7*10^5)
-# 14.4 vs 15.5 ms, over F_37 (6.2*10^5) 18.4 vs 15.7 ms, over F_41
-# (8.4*10^5) 25 vs 20 ms.  So the pool breaks even near 7.5*10^5 at k = 3
-# and between 3.7*10^5 and 6.2*10^5 at k = 4.
-_POOL_MIN_ROW_WORK = 500_000
-# A strata search of a Grassmannian with fewer pencils than this runs in one
-# process whatever jobs is.  Unconstrained, on 2 cores, alone against a pool
-# of two: k = 2 over F_127 (16257 pencils) 2.7 vs 9.9 ms and over F_307
-# (94557) 7.0 vs 7.9 ms; k = 3 over F_13 (31110) 8.6 vs 9.9 ms and over F_17
-# (89030) 21 vs 17 ms; k = 4 over F_5 (20306) 15.8 vs 15.7 ms and over F_7
-# (140050) 79 vs 51 ms.
+_RANK_CHUNK_ROWS = 8192  # rows per batch of the rank kernel
+_STRATA_BATCH = 4096  # pencils _strata_shard gathers before it classifies them
+# A search runs its rank pass in one process whatever jobs is while g-rows x
+# conditions x C(k, 2) is below this.  C(k, 2) counts the columns that one
+# g-row's elimination visits in the largest cell, with k - 1 unknowns, so the
+# figure follows the time.  On 2 cores, alone against a pool of two (after a
+# warm-up pool), with four incidences at k = 3 and three at k = 4, by g-rows x
+# conditions: k = 3 over F_307 (3.8*10^5) 44 vs 49 ms, over F_353 (5.0*10^5)
+# 58 vs 51 ms, over F_401 (6.5*10^5) 72 vs 56 ms; k = 4 over F_37 (1.6*10^5)
+# 36 vs 40 ms, over F_41 (2.2*10^5) 47 vs 47 ms, over F_47 (3.3*10^5) 68 vs
+# 59 ms.  So the pool breaks even near 4.3*10^5 at k = 3 and 2.2*10^5 at
+# k = 4, both near 1.3*10^6 once weighted by C(3, 2) = 3 and C(4, 2) = 6.
+_POOL_MIN_ROW_WORK = 1_300_000
+# A strata search with fewer matches than this classifies them in one
+# process whatever jobs is.  Unconstrained (every pencil matches), on 2
+# cores, alone against a pool of two (after a warm-up pool): k = 2 over F_127
+# (16257 matches) 9.4 vs 28.3 ms and over F_307 (94557) 38 vs 61 ms; k = 3
+# over F_13 (31110) 31 vs 59 ms and over F_17 (89030) 80 vs 63 ms; k = 4 over
+# F_5 (20306) 59 vs 50 ms and over F_7 (140050) 312 vs 176 ms.
 _POOL_MIN_STRATA_PENCILS = 32_000
 
 
@@ -528,63 +534,192 @@ def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _tally_strata(q: int, k: int, j: int, cols1, F_rows, pivots, tally: np.ndarray) -> None:
-    """Add to tally, per stratum, the pencils of every solution of each solvable row."""
-    import numpy as np
+def _matches(q: int, k: int, cell_idx: int, G_rows, pivots, cap: int):
+    """Yield (F, G) batches of matched coefficient rows: each g-row's first cap f's.
 
-    for part, G in _solutions(pivots, q, q ** len(cols1)):
-        g_rows = _echelon_rows(k, j, cols1, G)
-        f_rows = np.broadcast_to(F_rows[part, None], g_rows.shape)
-        codes = _strata_codes(q, k, f_rows.reshape(-1, k + 1), g_rows.reshape(-1, k + 1))
-        tally += np.bincount(codes, minlength=len(_STRATA))
-
-
-def _search_shard(payload) -> tuple[int, list[tuple], list[int] | None]:
-    """Search a contiguous range of one cell's f-rows; top-level for pickling.
-
-    With f fixed, each compiled f^T A g = 0 (g[j] = 1) is one equation in g's
-    n free coordinates, so a row has q^(n - rank) matches if its system is
-    solvable and none otherwise.  Returns the count, the (cell, f row, g row)
-    keys of the first SAMPLE_LIMIT matches, solved for from the first rows
-    that have any, and, if asked, the matches in each stratum of _STRATA.
+    G_rows are solvable g-rows of the cell and pivots their systems from
+    _eliminate, whose unknowns are f's free coordinates (f[i] = 1), so
+    _solutions lists each row's matches in lexicographic f order.
     """
     import numpy as np
 
-    (q, k, cell_idx, i, j, f_lo, f_hi, mats, want_strata) = payload
+    i, j = _cells(k)[cell_idx]
+    cols0, _ = _free_columns(k, i, j)
+    for part, X in _solutions(pivots, q, cap):
+        F = _echelon_rows(k, i, cols0, X).reshape(-1, k + 1)
+        yield F, np.repeat(G_rows[part], X.shape[1], axis=0)
+
+
+def _first_keys(cell_idx: int, F, G) -> list[tuple]:
+    """(cell, f row, g row) keys of the SAMPLE_LIMIT first of the given matches of one cell.
+
+    A cell's rows differ only in its free columns, so whole rows sort as the
+    matches do.
+    """
+    import numpy as np
+
+    order = np.lexsort(np.concatenate([F, G], axis=1).T[::-1])[:SAMPLE_LIMIT]
+    return [(cell_idx, tuple(f), tuple(g)) for f, g in zip(F[order].tolist(), G[order].tolist())]
+
+
+def _walk_f_rows(q: int, k: int, cell_idx: int, mats, start: int) -> list[tuple]:
+    """Keys of a cell's first SAMPLE_LIMIT matches, walking its f-rows in order.
+
+    With f fixed, each condition is one linear equation in g's free
+    coordinates (g[j] = 1), so each f-row's first matches are solved for in
+    lexicographic g order.  The first chunk has start rows, each next one four
+    times more up to _RANK_CHUNK_ROWS, and the walk stops at SAMPLE_LIMIT
+    matches.
+    """
+    import numpy as np
+
+    i, j = _cells(k)[cell_idx]
     cols0, cols1 = _free_columns(k, i, j)
-    n, m = len(cols1), len(mats)
-    if not m and not want_strata:  # no conditions: every row has rank 0
-        f_idx = np.arange(f_lo, min(f_hi, f_lo + SAMPLE_LIMIT))
-        f_first = _echelon_rows(k, i, cols0, _digits(f_idx, q, len(cols0))).tolist()
-        g_idx = np.arange(min(q**n, SAMPLE_LIMIT))
-        g_first = _echelon_rows(k, j, cols1, _digits(g_idx, q, n)).tolist()
-        keys = [(cell_idx, tuple(f), tuple(g)) for f in f_first for g in g_first]
-        return (f_hi - f_lo) * q**n, keys[:SAMPLE_LIMIT], None
+    n, m, n_f = len(cols1), len(mats), q ** len(cols0)
     # columns of every A that meet g: the n unknowns, then the constant g[j] = 1
     system = mats[:, :, cols1 + [j]].transpose(1, 0, 2).reshape(k + 1, m * (n + 1))
-    by_rank = np.zeros(n + 1, dtype=np.int64)
-    keys = []
-    tally = np.zeros(len(_STRATA), dtype=np.int64)
-    for lo in range(f_lo, f_hi, _RANK_CHUNK_ROWS):
-        f_idx = np.arange(lo, min(lo + _RANK_CHUNK_ROWS, f_hi))
+    keys: list[tuple] = []
+    lo, size = 0, start
+    while lo < n_f and len(keys) < SAMPLE_LIMIT:
+        f_idx = np.arange(lo, min(lo + size, n_f))
         F_rows = _echelon_rows(k, i, cols0, _digits(f_idx, q, len(cols0)))
         S = (F_rows @ system % q).reshape(len(F_rows), m, n + 1)
         pivots, solvable = _eliminate(S, q)
-        by_rank += np.bincount(_rank(pivots)[solvable], minlength=n + 1)
         need = SAMPLE_LIMIT - len(keys)
         hits = np.flatnonzero(solvable)[:need]
-        if hits.size:
-            found = {}
-            for part, G in _solutions(pivots[hits], q, need):
-                found.update(zip(part.tolist(), _echelon_rows(k, j, cols1, G).tolist()))
-            keys += [
-                (cell_idx, tuple(f), tuple(g))
-                for b, f in enumerate(F_rows[hits].tolist()) for g in found[b]
-            ][:need]
-        if want_strata:
-            _tally_strata(q, k, j, cols1, F_rows[solvable], pivots[solvable], tally)
-    count = sum(int(c) * q ** (n - r) for r, c in enumerate(by_rank.tolist()))
-    return count, keys, tally.tolist() if want_strata else None
+        found = {}
+        for part, G in _solutions(pivots[hits], q, need):
+            found.update(zip(part.tolist(), _echelon_rows(k, j, cols1, G).tolist()))
+        keys += [
+            (cell_idx, tuple(f), tuple(g))
+            for b, f in enumerate(F_rows[hits].tolist()) for g in found[b]
+        ][:need]
+        lo, size = lo + len(f_idx), min(4 * size, _RANK_CHUNK_ROWS)
+    return keys
+
+
+def _search_shard(payload) -> tuple[int, list[tuple], tuple | None]:
+    """Search a contiguous range of one cell's g-rows; top-level for pickling.
+
+    With g fixed, each compiled f^T A g = 0 (f[i] = 1) is one equation in f's
+    n free coordinates, so a g-row has q^(n - rank) matches if its system is
+    solvable and none otherwise.  Returns the count, sample keys and, for
+    strata, the part (cell index, solvable g-rows, their pivots) that
+    _strata_shard classifies.
+
+    The keys are those of the first SAMPLE_LIMIT matches of the range, or of
+    the whole cell, by one of two exact routes chosen from what
+    the ranks give: the count, and the sparse cost, the number of f's the
+    first route solves for.  A sparse range solves each solvable g-row for
+    its first SAMPLE_LIMIT f's and merges them (each of the range's first
+    SAMPLE_LIMIT matches is among its own g-row's first SAMPLE_LIMIT).  A
+    dense one, where that costs more than walking the f-rows would if the
+    matches were spread evenly over them, walks the cell's f-rows until it
+    has SAMPLE_LIMIT matches (_walk_f_rows).
+    """
+    import numpy as np
+
+    (q, k, cell_idx, i, j, g_lo, g_hi, mats, want_strata) = payload
+    cols0, cols1 = _free_columns(k, i, j)
+    n, m, n_f = len(cols0), len(mats), q ** len(cols0)
+    if not m and not want_strata:  # no conditions: every row has rank 0
+        f_idx = np.arange(min(n_f, SAMPLE_LIMIT))
+        f_first = _echelon_rows(k, i, cols0, _digits(f_idx, q, n)).tolist()
+        g_idx = np.arange(g_lo, min(g_hi, g_lo + SAMPLE_LIMIT))
+        g_first = _echelon_rows(k, j, cols1, _digits(g_idx, q, len(cols1))).tolist()
+        keys = [(cell_idx, tuple(f), tuple(g)) for f in f_first for g in g_first]
+        return (g_hi - g_lo) * n_f, keys[:SAMPLE_LIMIT], None
+    # rows of every A that meet f: the n unknowns, then the constant f[i] = 1
+    system = mats[:, cols0 + [i], :].transpose(2, 0, 1).reshape(k + 1, m * (n + 1))
+    by_rank = np.zeros(n + 1, dtype=np.int64)
+    kept_G, kept_pivots = [], []
+    for lo in range(g_lo, g_hi, _RANK_CHUNK_ROWS):
+        g_idx = np.arange(lo, min(lo + _RANK_CHUNK_ROWS, g_hi))
+        G_rows = _echelon_rows(k, j, cols1, _digits(g_idx, q, len(cols1)))
+        S = (G_rows @ system % q).reshape(len(G_rows), m, n + 1)
+        pivots, solvable = _eliminate(S, q)
+        by_rank += np.bincount(_rank(pivots)[solvable], minlength=n + 1)
+        per_rank = list(enumerate(by_rank.tolist()))
+        count = sum(c * q ** (n - r) for r, c in per_rank)
+        sparse = sum(c * min(q ** (n - r), SAMPLE_LIMIT) for r, c in per_rank)
+        dense = sparse * count > SAMPLE_LIMIT * n_f
+        if want_strata or not dense:  # a dense range needs no rows kept
+            kept_G.append(G_rows[solvable])
+            kept_pivots.append(pivots[solvable])
+    if not count:
+        return 0, [], None
+    part = None
+    if want_strata or not dense:
+        part = (cell_idx, np.concatenate(kept_G), np.concatenate(kept_pivots))
+    if dense:
+        start = min(_RANK_CHUNK_ROWS, 2 * SAMPLE_LIMIT * n_f // count + 1)
+        keys = _walk_f_rows(q, k, cell_idx, mats, start)
+    else:
+        F, G = (np.concatenate(rows) for rows in zip(*_matches(q, k, *part, SAMPLE_LIMIT)))
+        keys = _first_keys(cell_idx, F, G)
+    return count, keys, part if want_strata else None
+
+
+def _strata_shard(payload) -> list[int]:
+    """Matches per stratum of _STRATA among some parts' solvable g-rows.
+
+    payload is (q, k, parts), each part a cell index with solvable g-rows and
+    their pivots.  Every match is solved for, in _solutions batches of about
+    _RANK_CHUNK_ROWS, and the matches of all parts are classified together by
+    _strata_codes once at least _STRATA_BATCH are gathered, and at the end:
+    a small search takes one call, and a large one calls it per batch.
+    """
+    import numpy as np
+
+    q, k, parts = payload
+    tally = np.zeros(len(_STRATA), dtype=np.int64)
+    pending: list[tuple] = []
+
+    def classify():
+        F, G = (np.concatenate(rows) for rows in zip(*pending))
+        tally[:] += np.bincount(_strata_codes(q, k, F, G), minlength=len(_STRATA))
+        pending.clear()
+
+    for cell_idx, G_rows, pivots in parts:
+        n = len(_free_columns(k, *_cells(k)[cell_idx])[0])
+        for batch in _matches(q, k, cell_idx, G_rows, pivots, q**n):
+            pending.append(batch)
+            if sum(len(F) for F, _ in pending) >= _STRATA_BATCH:
+                classify()
+    if pending:
+        classify()
+    return tally.tolist()
+
+
+def _strata_tasks(q: int, k: int, outcomes: list, count: int, workers: int) -> list[tuple]:
+    """_strata_shard payloads from the rank pass: all parts in one, or pieces for a pool.
+
+    Each part with matches is cut into contiguous runs of its g-rows, as many
+    as its share of workers * count matches, so the pieces hold about
+    count / workers matches each.
+    """
+    import numpy as np
+
+    parts = [(part_count, part) for part_count, _, part in outcomes if part_count]
+    if workers == 1:
+        return [(q, k, [part for _, part in parts])]
+    return [
+        (q, k, [(cell_idx, G, P)])
+        for part_count, (cell_idx, G_rows, pivots) in parts
+        for G, P in zip(*(np.array_split(rows, math.ceil(workers * part_count / count))
+                          for rows in (G_rows, pivots)))
+        if len(G)
+    ]
+
+
+def _run(fn, tasks: list, jobs: int) -> list:
+    """fn over tasks: in a pool of jobs processes if jobs > 1 and there is more than one task."""
+    if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def search_pencils_ffield(
@@ -601,25 +736,27 @@ def search_pencils_ffield(
     Every 2-dimensional subspace of degree-k forms is counted exactly once
     through reduced-row-echelon representatives (f, g), grouped into cells by
     pivot pair.  With no constraint (and no strata request) the per-cell
-    counts are summed arithmetically.  Otherwise each f-row's conditions form
-    a linear system in g (see _search_shard), eliminated in batches by
-    _eliminate: the row has q^(n - rank) matches if the system is solvable
-    and none otherwise.  The samples, the first matches in (cell, f, g)
-    lexicographic order, are solved for from the first rows that have
-    matches (see _solutions); so results are independent of jobs, which
-    must be at least 1.  jobs > 1 shards the work over a process pool,
-    except for a count whose f-rows times conditions figure is below
-    _POOL_MIN_ROW_WORK, or a strata search of a Grassmannian with fewer than
-    _POOL_MIN_STRATA_PENCILS pencils, which run in this process whatever jobs
-    is.  Strata reporting solves for
-    every match and classifies the matches of a batch together by two ranks
+    counts are summed arithmetically.  Otherwise each g-row's conditions form
+    a linear system in f, the side with at least as many free coordinates
+    (see _search_shard), eliminated in batches by _eliminate: the row has
+    q^(n - rank) matches if the system is solvable and none otherwise.  The
+    samples are the first matches in (cell, f, g) lexicographic order.  A
+    sparse cell solves each solvable g-row for its first 20 f's and merges
+    them; a dense one, where that would cost more, walks its f-rows with g
+    solved for and stops at 20 matches.  Both are exact, so results are
+    independent of jobs, which must be at least 1.  jobs > 1 shards the
+    g-rows over a process pool, except while g-rows times conditions times
+    C(k, 2) is below _POOL_MIN_ROW_WORK.  Strata take a second pass: it
+    solves for every match and classifies the matches together by two ranks
     mod q (see _strata_codes): the rank of the k x k Bezout matrix gives the
     degree of the base divisor, and a rank of the multiples of the four
-    partials tells a multiple base point from simple ones.
+    partials tells a multiple base point from simple ones.  It runs in this
+    process below _POOL_MIN_STRATA_PENCILS matches.
 
-    budget bounds the work the chosen path does, computed before it starts:
-    f-rows times compiled conditions, summed over cells; for strata, the
-    number of pencils in the Grassmannian.  A larger figure raises
+    budget bounds the work: g-rows times compiled conditions, summed over
+    cells, checked before the search starts; with report_strata, that plus
+    the matches to classify, checked again between the two passes (with no
+    conditions every pencil matches, so at once).  A larger figure raises
     ResourceLimit, as does a q so large that (k+1)(q-1)^2 would overflow
     int64.
 
@@ -649,44 +786,44 @@ def search_pencils_ffield(
     widths = [_free_columns(k, i, j) for i, j in cells]
     total = sum(q ** (len(c0) + len(c1)) for c0, c1 in widths)
     mats = compile_constraint(k, q, constraint)
-    if report_strata:
-        work, what, pool_min = total, "classifying strata", _POOL_MIN_STRATA_PENCILS
-    else:
-        work = len(mats) * sum(q ** len(c0) for c0, _ in widths)
-        what, pool_min = "counting by rank", _POOL_MIN_ROW_WORK
-    if work < pool_min:
-        jobs = 1  # forking a pool would cost more than the search
+    work = len(mats) * sum(q ** len(c1) for _, c1 in widths)
     if work > budget:
-        raise ResourceLimit(f"{what} takes {work} steps, over the budget of {budget}")
+        raise ResourceLimit(f"counting by rank takes {work} steps, over the budget of {budget}")
+    if report_strata:  # with no conditions every pencil matches: the count is known now
+        _check_strata_budget(work + (0 if len(mats) else total), budget)
+    # below the threshold a pool costs more than it shares
+    workers = jobs if work * math.comb(k, 2) >= _POOL_MIN_ROW_WORK else 1
     tasks = []
-    for cell_idx, ((i, j), (cols0, _)) in enumerate(zip(cells, widths)):
-        n_f = q ** len(cols0)
-        shards = max(1, min(jobs, n_f // 4)) if jobs > 1 else 1
-        bounds = [round(s * n_f / shards) for s in range(shards + 1)]
+    for cell_idx, ((i, j), (_, cols1)) in enumerate(zip(cells, widths)):
+        n_g = q ** len(cols1)
+        shards = max(1, min(workers, n_g // 4))
+        bounds = [round(s * n_g / shards) for s in range(shards + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             if lo < hi:
                 tasks.append((q, k, cell_idx, i, j, lo, hi, mats, report_strata))
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_search_shard, tasks))
-    else:
-        outcomes = [_search_shard(t) for t in tasks]
+    outcomes = _run(_search_shard, tasks, workers)
     count = sum(outcome[0] for outcome in outcomes)
-    keys = sorted(key for outcome in outcomes for key in outcome[1])
+    keys = sorted({key for outcome in outcomes for key in outcome[1]})
     samples = tuple(
         Pencil(BinaryForm(field, k, f), BinaryForm(field, k, g))
         for _, f, g in keys[:SAMPLE_LIMIT]
     )
     strata = None
     if report_strata:
-        tally = [sum(outcome[2][s] for outcome in outcomes) for s in range(len(_STRATA))]
+        _check_strata_budget(work + count, budget)
+        workers = jobs if count >= _POOL_MIN_STRATA_PENCILS else 1
+        tasks = _strata_tasks(q, k, outcomes, count, workers)
+        tally = [sum(c) for c in zip(*_run(_strata_shard, tasks, workers))]
         strata = {name: c for name, c in zip(_STRATA, tally) if c}
     result = SearchResult(count=count, samples=samples, strata=strata)
     if cache_path is not None:
         _store_cached(cache_path, k, q, constraint, result)
     return result
+
+
+def _check_strata_budget(steps: int, budget: int) -> None:
+    if steps > budget:
+        raise ResourceLimit(f"classifying strata takes {steps} steps, over the budget of {budget}")
 
 
 # --- cache plumbing ---

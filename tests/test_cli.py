@@ -190,6 +190,14 @@ FORMER_HANGS = [
      lambda doc: len(doc) == 1),
     (["severi", "alphas", "--p", "1000", "--delta", "999", "--k", "2"], 0,
      lambda doc: len(doc) == 1),
+    # 21408078129 tuples: counted, then refused before any is listed
+    (["severi", "alphas", "--p", "300", "--delta", "290", "--k", "2"], 1,
+     lambda doc: doc["error"] == "resource_limit"),
+    # four incidences leave no pencil; the strata budget counts g-rows and
+    # matches, not the 1991602626 pencils of the Grassmannian (exit 1: count 0)
+    (["dimlab", "search", "--k", "3", "--q", "211", "--incidence", "1,2,3;4,5,6;7,8,10;2,9,5",
+      "--strata", "--no-cache"], 1,
+     lambda doc: doc["count"] == 0 and doc["strata"] == {}),
 ]
 
 
@@ -320,7 +328,8 @@ def test_dimlab_search_empty_result_exit_one(capsys):
 def test_omitted_budget_is_the_search_default(capsys):
     from pencillab.severi_degeneration import DEFAULT_SEARCH_BUDGET
 
-    # the strata budget of the k=3 Grassmannian over F_211 is about 2*10^9 pencils
+    # with no conditions every one of the k=3 Grassmannian's 2*10^9 pencils over
+    # F_211 matches, so the strata budget refuses before the search starts
     argv = ["dimlab", "search", "--k", "3", "--q", "211", "--strata", "--no-cache"]
     doc = run_json(argv, capsys, expect_code=1)
     assert doc["error"] == "resource_limit"

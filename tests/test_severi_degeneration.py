@@ -39,7 +39,7 @@ from pencillab import (
     sym_point,
     total_ramification_pencil,
 )
-from pencillab import severi_degeneration
+from pencillab import numerology, severi_degeneration
 from pencillab.pencil_geometry import PlaneCurve, base_locus, squarefree_form
 from pencillab.fields import QQ, Field
 
@@ -120,6 +120,22 @@ class TestAlphaTuples:
                     want = sorted(oracle_alpha_walk(p, delta, k))
                     assert [t.alphas for t in enumerate_alpha(p, delta, k)] == want
                     assert exists_alpha(p, delta, k) == bool(want), (p, delta, k)
+                    assert numerology._count_alpha(p, delta, k) == len(want), (p, delta, k)
+
+    def test_size_guard_counts_before_listing(self):
+        assert len(enumerate_alpha(100, 95, 2)) == 37425
+        # dynamic-programming counts far past anything listable
+        assert numerology._count_alpha(200, 192, 2) == 80364812
+        assert numerology._count_alpha(300, 290, 2) == 21408078129
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="21408078129 alpha-tuples"):
+            enumerate_alpha(300, 290, 2)
+        # one tuple, but a count (and a walk) of about p steps
+        with pytest.raises(ResourceLimit, match="steps"):
+            enumerate_alpha(numerology.MAX_ALPHA_STEPS + 1, numerology.MAX_ALPHA_STEPS, 2)
+        assert time.perf_counter() - start < 1
+        # an empty family is answered before either guard
+        assert enumerate_alpha(3000, 1500, 2) == []
 
     def test_exists_matches_enumeration(self):
         for p in range(2, 14):
@@ -401,6 +417,24 @@ def echelon_pencil(F, k, cell, f_vals, g_vals):
                   form(F, [int(g.get(c, 0)) for c in range(k + 1)]))
 
 
+def oracle_cell_matches(k, q, mats, cell):
+    """Free coordinates (f, g) of a cell's matches, in (f, g) order, from testing every pair."""
+    sd = severi_degeneration
+    i, j = cell
+    cols0, cols1 = sd._free_columns(k, i, j)
+    f_assign = sd._digits(np.arange(q ** len(cols0)), q, len(cols0))
+    g_assign = sd._digits(np.arange(q ** len(cols1)), q, len(cols1))
+    F_rows = np.zeros((len(f_assign), k + 1), dtype=np.int64)
+    F_rows[:, i] = 1
+    F_rows[:, cols0] = f_assign
+    mask = np.ones((len(f_assign), len(g_assign)), dtype=bool)
+    for A in mats:
+        R = (F_rows @ A) % q
+        mask &= (R[:, [j]] + R[:, cols1] @ g_assign.T) % q == 0
+    f_hit, g_hit = np.nonzero(mask)
+    return list(zip(f_assign[f_hit], g_assign[g_hit]))
+
+
 def brute_force_search(k, q, constraint, strata=True):
     """Count, samples and strata from testing every echelon pair: the search's oracle.
 
@@ -412,27 +446,13 @@ def brute_force_search(k, q, constraint, strata=True):
     field = Field(q)
     mats = sd.compile_constraint(k, q, constraint)
     count, samples, found = 0, [], {} if strata else None
-    for i, j in sd._cells(k):
-        cols0, cols1 = sd._free_columns(k, i, j)
-        f_assign = sd._digits(np.arange(q ** len(cols0)), q, len(cols0))
-        g_assign = sd._digits(np.arange(q ** len(cols1)), q, len(cols1))
-        F_rows = np.zeros((len(f_assign), k + 1), dtype=np.int64)
-        F_rows[:, i] = 1
-        F_rows[:, cols0] = f_assign
-        mask = np.ones((len(f_assign), len(g_assign)), dtype=bool)
-        for A in mats:
-            R = (F_rows @ A) % q
-            mask &= (R[:, [j]] + R[:, cols1] @ g_assign.T) % q == 0
-        f_hit, g_hit = np.nonzero(mask)
-        count += len(f_hit)
-        samples += [
-            echelon_pencil(field, k, (i, j), f_assign[f], g_assign[g])
-            for f, g in zip(f_hit[:20], g_hit[:20])
-        ]
+    for cell in sd._cells(k):
+        matches = oracle_cell_matches(k, q, mats, cell)
+        count += len(matches)
+        samples += [echelon_pencil(field, k, cell, f, g) for f, g in matches[:20]]
         if strata:
-            for f, g in zip(f_hit, g_hit):
-                pencil = echelon_pencil(field, k, (i, j), f_assign[f], g_assign[g])
-                name = classify_stratum(pencil)
+            for f, g in matches:
+                name = classify_stratum(echelon_pencil(field, k, cell, f, g))
                 found[name] = found.get(name, 0) + 1
     return count, tuple(samples[:20]), found
 
@@ -487,6 +507,77 @@ def test_rank_kernel_matches_brute_force(k, q, monkeypatch):
         counts[name] = want.count
     assert counts["repeated incidence"] == counts["incidence"] > 0
     assert counts["inconsistent"] == 0
+
+
+def seeded_search_grid(rng, size):
+    """(k, q, constraint) drawn from k = 2..4, q = 5..31, 0-5 incidences, some ramifications.
+
+    The oracle tests about q^(2k-2) echelon pairs in the largest cell, so k = 4
+    keeps to q <= 11.
+    """
+    primes = [5, 7, 11, 13, 17, 19, 23, 29, 31]
+    for _ in range(size):
+        k = rng.randint(2, 4)
+        q = rng.choice(primes[:3] if k == 4 else primes)
+        pts = projective_points(Field(q))
+        incidences = tuple(sym_point(*rng.sample(pts, 2)) for _ in range(rng.randint(0, 5)))
+        rams = ((rng.choice(pts), rng.randint(2, k)),) if rng.random() < 0.3 else ()
+        yield k, q, SearchConstraint(incidences=incidences, ramifications=rams)
+
+
+def test_g_side_search_matches_brute_force(monkeypatch):
+    """Counts, the 20 samples in order, and strata against the oracle, at jobs 1 and 2.
+
+    The grid holds dense cells (a single ramification, and seeded searches
+    with few conditions), whose samples come from the f-row walk, and sparse
+    ones (four incidences, and seeded searches with more), whose samples are
+    solved for per g-row; both routes must run.  The walk alone, from one
+    f-row up, must also find every cell's first matches.
+    """
+    sd = severi_degeneration
+    monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks for both passes
+    monkeypatch.setattr(sd, "_POOL_MIN_STRATA_PENCILS", 0)
+    routes = {"dense": 0, "sparse": 0}
+    walk, matches = sd._walk_f_rows, sd._matches
+
+    def counted_walk(*args):
+        routes["dense"] += 1
+        return walk(*args)
+
+    def counted_matches(*args):
+        routes["sparse"] += args[-1] == sd.SAMPLE_LIMIT  # the strata pass takes every match
+        return matches(*args)
+
+    monkeypatch.setattr(sd, "_walk_f_rows", counted_walk)
+    monkeypatch.setattr(sd, "_matches", counted_matches)
+    F13 = Field(13)
+    pts = projective_points(F13)
+    rng = random.Random("g-side oracle")
+    grid = [
+        (3, 13, SearchConstraint(ramifications=((pts[5], 2),))),
+        (3, 7, SearchConstraint()),
+        (3, 13, SearchConstraint(incidences=tuple(
+            sym_point(*rng.sample(pts, 2)) for _ in range(4)))),
+    ] + list(seeded_search_grid(rng, 24))
+    for k, q, constraint in grid:
+        name = (k, q, constraint.to_json_dict())
+        # the walk alone, from one f-row up, finds each cell's first matches
+        mats = sd.compile_constraint(k, q, constraint)
+        for cell_idx, cell in enumerate(sd._cells(k)):
+            want = [echelon_pencil(Field(q), k, cell, f, g)
+                    for f, g in oracle_cell_matches(k, q, mats, cell)[:sd.SAMPLE_LIMIT]]
+            got = [Pencil(form(Field(q), f), form(Field(q), g))
+                   for _, f, g in walk(q, k, cell_idx, mats, 1)]
+            assert got == want, (name, cell)
+        want = SearchResult(*brute_force_search(k, q, constraint, strata=False))
+        for jobs in (1, 2):
+            assert search_pencils_ffield(k, q, constraint, jobs=jobs) == want, (name, jobs)
+        if want.count <= STRATA_CAP:
+            want = SearchResult(*brute_force_search(k, q, constraint))
+            for jobs in (1, 2):
+                got = search_pencils_ffield(k, q, constraint, jobs=jobs, report_strata=True)
+                assert got == want, (name, jobs)
+    assert routes["dense"] and routes["sparse"], routes
 
 
 def pencil_with_common_factor(F, k, rng):
@@ -715,12 +806,12 @@ def test_small_count_forks_no_pool(monkeypatch):
 def test_budget_counts_the_rank_work():
     F = Field(11)
     constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 1), point(F, 1, 2)),))
-    # k = 3: 11^2 + 11^2 + 11^2 + 11 + 11 + 1 rows, one condition; samples are solved for
-    work = 3 * 121 + 2 * 11 + 1
+    # k = 3: 11^2 + 11 + 1 + 11 + 1 + 1 g-rows, one condition; samples are solved for
+    work = 121 + 2 * 11 + 3
     assert search_pencils_ffield(3, 11, constraint, budget=work).count > 0
     with pytest.raises(ResourceLimit):
         search_pencils_ffield(3, 11, constraint, budget=work - 1)
-    # strata enumerate every pencil
+    # strata classify every match on top of that
     with pytest.raises(ResourceLimit):
         search_pencils_ffield(3, 11, constraint, budget=work, report_strata=True)
 
