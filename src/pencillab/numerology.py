@@ -33,11 +33,12 @@ MAGNITUDE_CAP = 2**31
 
 # enumerate_alpha refuses with ResourceLimit to list more than MAX_ALPHA_TUPLES
 # tuples, or to count them (_count_alpha) in more than MAX_ALPHA_STEPS steps,
-# g * min(g, 2(k-1)) * (delta + 1) for g = p - delta chains.  That also bounds
-# p by about MAX_ALPHA_STEPS, and the walk that lists a tuple visits all p
-# lengths, about 6 us each.
+# g * min(g, 2(k-1)) * (delta + 1) for g = p - delta chains.  A step of the
+# count took 60-130 ns on a shared 2-vCPU VM (more as the counts grow long),
+# so the count stays near 0.5 s; the listing took about 70 us a tuple at
+# (100, 95, 2), so up to about 7 s at the tuple cap.
 MAX_ALPHA_TUPLES = 100_000
-MAX_ALPHA_STEPS = 250_000
+MAX_ALPHA_STEPS = 4_000_000
 
 
 def _check_magnitude(**values: int) -> None:
@@ -322,19 +323,26 @@ def _alpha_walk(p: int, delta: int, k: int):
     Such a tuple is g = p - delta chains whose lengths sum to p.  a_p is
     chosen first, down to a_1, and a choice a_j = a is entered only if the
     chains left can still take lengths 1..j-1 summing to the rest of p
-    (_can_fill), so every branch entered yields a tuple.  The walk keeps its
-    own stack, so its depth p never meets Python's recursion limit.
+    (_can_fill), so every branch entered yields a tuple.  A chain longer than
+    the rest of p less the least total of the other chains left cannot fit,
+    so the walk sets those lengths to 0 at once and goes on from the longest
+    that can: a tuple opens at most one frame per length up to its longest
+    chain, not one per length up to p.  The walk keeps its own stack, so its
+    depth never meets Python's recursion limit.
     """
     _check_alpha_args(p, delta, k)
     cap = 2 * (k - 1)
     alphas = [0] * p
+
+    def longest(rem_p: int, rem_g: int) -> int:
+        return rem_p - _least_sum(rem_g - 1, cap) if rem_g else 0
 
     def frame(j: int, rem_p: int, rem_g: int):
         top = min(cap, rem_g, rem_p // j)
         fits = [a for a in range(top + 1) if _can_fill(rem_g - a, rem_p - j * a, j - 1, cap)]
         return j, rem_p, rem_g, iter(fits)
 
-    stack = [frame(p, p, p - delta)]
+    stack = [frame(longest(p, p - delta), p, p - delta)]
     while stack:
         j, rem_p, rem_g, fits = stack[-1]
         a = next(fits, None)
@@ -342,8 +350,11 @@ def _alpha_walk(p: int, delta: int, k: int):
             stack.pop()
             continue
         alphas[j - 1] = a
-        if j > 1:
-            stack.append(frame(j - 1, rem_p - j * a, rem_g - a))
+        rest_p, rest_g = rem_p - j * a, rem_g - a
+        top = min(j - 1, longest(rest_p, rest_g))
+        alphas[top : j - 1] = [0] * (j - 1 - top)
+        if top:
+            stack.append(frame(top, rest_p, rest_g))
         else:
             yield tuple(alphas)
 

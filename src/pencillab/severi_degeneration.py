@@ -18,10 +18,11 @@ of a linear system mod q, eliminated in batches in numpy int64.  Counts come
 from the ranks.  The samples, the first matches in (cell, f, g) order, are
 solved for per g-row where the cell is sparse, and found by walking the
 f-rows, with g solved for, where it is dense.  No pencil is listed by brute
-force.  Strata solve for every match and classify the matches together by
-two more ranks mod q, through the same elimination: the rank of the pencil's
-Bezout matrix, and, where that shows a base point, the rank of the multiples
-of the four partials.
+force.  Strata solve for every match, from the g-rows that the count kept
+or eliminated again, and classify the matches together by two more ranks
+mod q, through the same elimination: the rank of the pencil's Bezout
+matrix, and, where that shows a base point, the rank of the multiples of
+the four partials.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ SAMPLE_LIMIT = 20
 DEFAULT_SEARCH_BUDGET = 200_000_000
 
 _RANK_CHUNK_ROWS = 8192  # rows per batch of the rank kernel
-_STRATA_BATCH = 4096  # pencils _strata_shard gathers before it classifies them
 # A search runs its rank pass in one process whatever jobs is while g-rows x
 # conditions x C(k, 2) is below this.  C(k, 2) counts the columns that one
 # g-row's elimination visits in the largest cell, with k - 1 unknowns, so the
@@ -86,7 +86,10 @@ _POOL_MIN_ROW_WORK = 1_300_000
 # cores, alone against a pool of two (after a warm-up pool): k = 2 over F_127
 # (16257 matches) 9.4 vs 28.3 ms and over F_307 (94557) 38 vs 61 ms; k = 3
 # over F_13 (31110) 31 vs 59 ms and over F_17 (89030) 80 vs 63 ms; k = 4 over
-# F_5 (20306) 59 vs 50 ms and over F_7 (140050) 312 vs 176 ms.
+# F_5 (20306) 59 vs 50 ms and over F_7 (140050) 312 vs 176 ms.  It is also
+# the most matches whose g-rows a rank-pass shard keeps for the strata pass:
+# a search past it eliminates its g-rows again, which costs little beside
+# classifying that many matches, and so holds no more rows in memory.
 _POOL_MIN_STRATA_PENCILS = 32_000
 
 
@@ -598,14 +601,34 @@ def _walk_f_rows(q: int, k: int, cell_idx: int, mats, start: int) -> list[tuple]
     return keys
 
 
+def _g_systems(q: int, k: int, i: int, j: int, g_lo: int, g_hi: int, mats):
+    """Yield (g-rows, pivots, solvable) for g-rows g_lo..g_hi-1 of cell (i, j), a chunk at a time.
+
+    With g fixed, each compiled f^T A g = 0 (f[i] = 1) is one equation in f's
+    free coordinates, so each g-row's conditions are one linear system,
+    eliminated by _eliminate _RANK_CHUNK_ROWS rows at a time.
+    """
+    import numpy as np
+
+    cols0, cols1 = _free_columns(k, i, j)
+    n, m = len(cols0), len(mats)
+    # rows of every A that meet f: the n unknowns, then the constant f[i] = 1
+    system = mats[:, cols0 + [i], :].transpose(2, 0, 1).reshape(k + 1, m * (n + 1))
+    for lo in range(g_lo, g_hi, _RANK_CHUNK_ROWS):
+        g_idx = np.arange(lo, min(lo + _RANK_CHUNK_ROWS, g_hi))
+        G_rows = _echelon_rows(k, j, cols1, _digits(g_idx, q, len(cols1)))
+        S = (G_rows @ system % q).reshape(len(G_rows), m, n + 1)
+        yield (G_rows, *_eliminate(S, q))
+
+
 def _search_shard(payload) -> tuple[int, list[tuple], tuple | None]:
     """Search a contiguous range of one cell's g-rows; top-level for pickling.
 
-    With g fixed, each compiled f^T A g = 0 (f[i] = 1) is one equation in f's
-    n free coordinates, so a g-row has q^(n - rank) matches if its system is
-    solvable and none otherwise.  Returns the count, sample keys and, for
-    strata, the part (cell index, solvable g-rows, their pivots) that
-    _strata_shard classifies.
+    A g-row has q^(n - rank) matches if its system (_g_systems) is solvable
+    and none otherwise, n the number of f's free coordinates.  Returns the
+    count, sample keys and, for strata, the part that _strata_shard
+    classifies: (cell index, the range, and its solvable g-rows with their
+    pivots, or None if they were not kept).
 
     The keys are those of the first SAMPLE_LIMIT matches of the range, or of
     the whole cell, by one of two exact routes chosen from what
@@ -616,12 +639,20 @@ def _search_shard(payload) -> tuple[int, list[tuple], tuple | None]:
     dense one, where that costs more than walking the f-rows would if the
     matches were spread evenly over them, walks the cell's f-rows until it
     has SAMPLE_LIMIT matches (_walk_f_rows).
+
+    The solvable g-rows are kept while the sparse route needs them, or, for
+    strata, while the range has at most _POOL_MIN_STRATA_PENCILS matches, so
+    at most that many rows: a search with more has the strata pass eliminate
+    them again.  strata_budget is None for a plain search; with strata it is
+    (work, budget) of search_pencils_ffield, and a range whose matches alone
+    take the work past the budget raises ResourceLimit at once.
     """
     import numpy as np
 
-    (q, k, cell_idx, i, j, g_lo, g_hi, mats, want_strata) = payload
+    (q, k, cell_idx, i, j, g_lo, g_hi, mats, strata_budget) = payload
     cols0, cols1 = _free_columns(k, i, j)
     n, m, n_f = len(cols0), len(mats), q ** len(cols0)
+    want_strata = strata_budget is not None
     if not m and not want_strata:  # no conditions: every row has rank 0
         f_idx = np.arange(min(n_f, SAMPLE_LIMIT))
         f_first = _echelon_rows(k, i, cols0, _digits(f_idx, q, n)).tolist()
@@ -629,49 +660,46 @@ def _search_shard(payload) -> tuple[int, list[tuple], tuple | None]:
         g_first = _echelon_rows(k, j, cols1, _digits(g_idx, q, len(cols1))).tolist()
         keys = [(cell_idx, tuple(f), tuple(g)) for f in f_first for g in g_first]
         return (g_hi - g_lo) * n_f, keys[:SAMPLE_LIMIT], None
-    # rows of every A that meet f: the n unknowns, then the constant f[i] = 1
-    system = mats[:, cols0 + [i], :].transpose(2, 0, 1).reshape(k + 1, m * (n + 1))
     by_rank = np.zeros(n + 1, dtype=np.int64)
-    kept_G, kept_pivots = [], []
-    for lo in range(g_lo, g_hi, _RANK_CHUNK_ROWS):
-        g_idx = np.arange(lo, min(lo + _RANK_CHUNK_ROWS, g_hi))
-        G_rows = _echelon_rows(k, j, cols1, _digits(g_idx, q, len(cols1)))
-        S = (G_rows @ system % q).reshape(len(G_rows), m, n + 1)
-        pivots, solvable = _eliminate(S, q)
+    kept: list | None = []  # (g-rows, pivots) of the solvable rows; None once dropped
+    for G_rows, pivots, solvable in _g_systems(q, k, i, j, g_lo, g_hi, mats):
         by_rank += np.bincount(_rank(pivots)[solvable], minlength=n + 1)
         per_rank = list(enumerate(by_rank.tolist()))
         count = sum(c * q ** (n - r) for r, c in per_rank)
+        if want_strata:
+            _check_strata_budget(strata_budget[0] + count, strata_budget[1])
         sparse = sum(c * min(q ** (n - r), SAMPLE_LIMIT) for r, c in per_rank)
         dense = sparse * count > SAMPLE_LIMIT * n_f
-        if want_strata or not dense:  # a dense range needs no rows kept
-            kept_G.append(G_rows[solvable])
-            kept_pivots.append(pivots[solvable])
+        if kept is not None and (not dense or want_strata and count <= _POOL_MIN_STRATA_PENCILS):
+            kept.append((G_rows[solvable], pivots[solvable]))
+        else:
+            kept = None
     if not count:
         return 0, [], None
-    part = None
-    if want_strata or not dense:
-        part = (cell_idx, np.concatenate(kept_G), np.concatenate(kept_pivots))
+    rows = None if kept is None else tuple(np.concatenate(r) for r in zip(*kept))
     if dense:
         start = min(_RANK_CHUNK_ROWS, 2 * SAMPLE_LIMIT * n_f // count + 1)
         keys = _walk_f_rows(q, k, cell_idx, mats, start)
     else:
-        F, G = (np.concatenate(rows) for rows in zip(*_matches(q, k, *part, SAMPLE_LIMIT)))
+        F, G = (np.concatenate(b) for b in zip(*_matches(q, k, cell_idx, *rows, SAMPLE_LIMIT)))
         keys = _first_keys(cell_idx, F, G)
-    return count, keys, part if want_strata else None
+    return count, keys, (cell_idx, g_lo, g_hi, rows) if want_strata else None
 
 
 def _strata_shard(payload) -> list[int]:
-    """Matches per stratum of _STRATA among some parts' solvable g-rows.
+    """Matches per stratum of _STRATA among some parts' g-ranges.
 
-    payload is (q, k, parts), each part a cell index with solvable g-rows and
-    their pivots.  Every match is solved for, in _solutions batches of about
-    _RANK_CHUNK_ROWS, and the matches of all parts are classified together by
-    _strata_codes once at least _STRATA_BATCH are gathered, and at the end:
-    a small search takes one call, and a large one calls it per batch.
+    payload is (q, k, mats, parts), each part a cell index, a range of its
+    g-rows and their solvable rows with pivots, or None to eliminate the range
+    again (_g_systems).  Every match is solved for, in _solutions batches of
+    about _RANK_CHUNK_ROWS, and the matches of all parts are classified
+    together by _strata_codes once at least _RANK_CHUNK_ROWS are gathered,
+    and at the end: a small search takes one call, and a large one calls it
+    per batch.
     """
     import numpy as np
 
-    q, k, parts = payload
+    q, k, mats, parts = payload
     tally = np.zeros(len(_STRATA), dtype=np.int64)
     pending: list[tuple] = []
 
@@ -680,36 +708,40 @@ def _strata_shard(payload) -> list[int]:
         tally[:] += np.bincount(_strata_codes(q, k, F, G), minlength=len(_STRATA))
         pending.clear()
 
-    for cell_idx, G_rows, pivots in parts:
-        n = len(_free_columns(k, *_cells(k)[cell_idx])[0])
-        for batch in _matches(q, k, cell_idx, G_rows, pivots, q**n):
-            pending.append(batch)
-            if sum(len(F) for F, _ in pending) >= _STRATA_BATCH:
-                classify()
+    for cell_idx, g_lo, g_hi, rows in parts:
+        i, j = _cells(k)[cell_idx]
+        if rows is None:
+            rows = ((G[ok], P[ok]) for G, P, ok in _g_systems(q, k, i, j, g_lo, g_hi, mats))
+        else:
+            rows = [rows]
+        n = len(_free_columns(k, i, j)[0])
+        for G_rows, pivots in rows:
+            for batch in _matches(q, k, cell_idx, G_rows, pivots, q**n):
+                pending.append(batch)
+                if sum(len(F) for F, _ in pending) >= _RANK_CHUNK_ROWS:
+                    classify()
     if pending:
         classify()
     return tally.tolist()
 
 
-def _strata_tasks(q: int, k: int, outcomes: list, count: int, workers: int) -> list[tuple]:
-    """_strata_shard payloads from the rank pass: all parts in one, or pieces for a pool.
+def _strata_tasks(q: int, k: int, mats, outcomes: list, count: int, workers: int) -> list[tuple]:
+    """_strata_shard payloads from the rank pass: all parts in one, or g-ranges for a pool.
 
-    Each part with matches is cut into contiguous runs of its g-rows, as many
-    as its share of workers * count matches, so the pieces hold about
-    count / workers matches each.
+    For a pool each part with matches is cut into contiguous g-ranges, as
+    many as its share of workers * count matches, each eliminated again in
+    its worker, so the pieces hold about count / workers matches each if the
+    matches are spread evenly over the g-rows.
     """
-    import numpy as np
-
     parts = [(part_count, part) for part_count, _, part in outcomes if part_count]
     if workers == 1:
-        return [(q, k, [part for _, part in parts])]
-    return [
-        (q, k, [(cell_idx, G, P)])
-        for part_count, (cell_idx, G_rows, pivots) in parts
-        for G, P in zip(*(np.array_split(rows, math.ceil(workers * part_count / count))
-                          for rows in (G_rows, pivots)))
-        if len(G)
-    ]
+        return [(q, k, mats, [part for _, part in parts])]
+    tasks = []
+    for part_count, (cell_idx, g_lo, g_hi, _) in parts:
+        pieces = min(g_hi - g_lo, math.ceil(workers * part_count / count))
+        bounds = [g_lo + round(s * (g_hi - g_lo) / pieces) for s in range(pieces + 1)]
+        tasks += [(q, k, mats, [(cell_idx, lo, hi, None)]) for lo, hi in zip(bounds, bounds[1:])]
+    return tasks
 
 
 def _run(fn, tasks: list, jobs: int) -> list:
@@ -751,11 +783,13 @@ def search_pencils_ffield(
     mod q (see _strata_codes): the rank of the k x k Bezout matrix gives the
     degree of the base divisor, and a rank of the multiples of the four
     partials tells a multiple base point from simple ones.  It runs in this
-    process below _POOL_MIN_STRATA_PENCILS matches.
+    process below _POOL_MIN_STRATA_PENCILS matches, on the solvable g-rows
+    the first pass kept; a larger search eliminates its g-rows again, so
+    neither pass holds more than that many rows.
 
     budget bounds the work: g-rows times compiled conditions, summed over
     cells, checked before the search starts; with report_strata, that plus
-    the matches to classify, checked again between the two passes (with no
+    the matches to classify, checked as the first pass counts them (with no
     conditions every pencil matches, so at once).  A larger figure raises
     ResourceLimit, as does a q so large that (k+1)(q-1)^2 would overflow
     int64.
@@ -789,8 +823,10 @@ def search_pencils_ffield(
     work = len(mats) * sum(q ** len(c1) for _, c1 in widths)
     if work > budget:
         raise ResourceLimit(f"counting by rank takes {work} steps, over the budget of {budget}")
+    strata_budget = None
     if report_strata:  # with no conditions every pencil matches: the count is known now
         _check_strata_budget(work + (0 if len(mats) else total), budget)
+        strata_budget = (work, budget)
     # below the threshold a pool costs more than it shares
     workers = jobs if work * math.comb(k, 2) >= _POOL_MIN_ROW_WORK else 1
     tasks = []
@@ -800,7 +836,7 @@ def search_pencils_ffield(
         bounds = [round(s * n_g / shards) for s in range(shards + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             if lo < hi:
-                tasks.append((q, k, cell_idx, i, j, lo, hi, mats, report_strata))
+                tasks.append((q, k, cell_idx, i, j, lo, hi, mats, strata_budget))
     outcomes = _run(_search_shard, tasks, workers)
     count = sum(outcome[0] for outcome in outcomes)
     keys = sorted({key for outcome in outcomes for key in outcome[1]})
@@ -812,7 +848,7 @@ def search_pencils_ffield(
     if report_strata:
         _check_strata_budget(work + count, budget)
         workers = jobs if count >= _POOL_MIN_STRATA_PENCILS else 1
-        tasks = _strata_tasks(q, k, outcomes, count, workers)
+        tasks = _strata_tasks(q, k, mats, outcomes, count, workers)
         tally = [sum(c) for c in zip(*_run(_strata_shard, tasks, workers))]
         strata = {name: c for name, c in zip(_STRATA, tally) if c}
     result = SearchResult(count=count, samples=samples, strata=strata)
@@ -823,7 +859,9 @@ def search_pencils_ffield(
 
 def _check_strata_budget(steps: int, budget: int) -> None:
     if steps > budget:
-        raise ResourceLimit(f"classifying strata takes {steps} steps, over the budget of {budget}")
+        raise ResourceLimit(
+            f"classifying strata takes at least {steps} steps, over the budget of {budget}"
+        )
 
 
 # --- cache plumbing ---

@@ -190,6 +190,9 @@ FORMER_HANGS = [
      lambda doc: len(doc) == 1),
     (["severi", "alphas", "--p", "1000", "--delta", "999", "--k", "2"], 0,
      lambda doc: len(doc) == 1),
+    # one tuple of length 2970, walked from its longest chain (54), not from 2970
+    (["severi", "alphas", "--p", "2970", "--delta", "2862", "--k", "2"], 0,
+     lambda doc: len(doc) == 1 and doc[0]["genus"] == 108),
     # 21408078129 tuples: counted, then refused before any is listed
     (["severi", "alphas", "--p", "300", "--delta", "290", "--k", "2"], 1,
      lambda doc: doc["error"] == "resource_limit"),
@@ -198,6 +201,11 @@ FORMER_HANGS = [
     (["dimlab", "search", "--k", "3", "--q", "211", "--incidence", "1,2,3;4,5,6;7,8,10;2,9,5",
       "--strata", "--no-cache"], 1,
      lambda doc: doc["count"] == 0 and doc["strata"] == {}),
+    # 9.5 * 10^6 g-rows x conditions fit the budget, about 211^7 matches do not:
+    # refused as the first g-rows are counted, before the rest are eliminated
+    (["dimlab", "search", "--k", "4", "--q", "211", "--incidence", "1,2,3",
+      "--strata", "--no-cache"], 1,
+     lambda doc: doc["error"] == "resource_limit"),
 ]
 
 

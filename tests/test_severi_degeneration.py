@@ -130,12 +130,18 @@ class TestAlphaTuples:
         start = time.perf_counter()
         with pytest.raises(ResourceLimit, match="21408078129 alpha-tuples"):
             enumerate_alpha(300, 290, 2)
-        # one tuple, but a count (and a walk) of about p steps
+        # one tuple, but a count of about p steps
         with pytest.raises(ResourceLimit, match="steps"):
             enumerate_alpha(numerology.MAX_ALPHA_STEPS + 1, numerology.MAX_ALPHA_STEPS, 2)
         assert time.perf_counter() - start < 1
         # an empty family is answered before either guard
         assert enumerate_alpha(3000, 1500, 2) == []
+        # g = 108 chains, two of each length 1..54, sum to p = 2970: one tuple,
+        # counted in 618,408 steps and walked straight down from length 54
+        start = time.perf_counter()
+        (only,) = enumerate_alpha(2970, 2862, 2)
+        assert only.alphas == (2,) * 54 + (0,) * (2970 - 54)
+        assert time.perf_counter() - start < 1
 
     def test_exists_matches_enumeration(self):
         for p in range(2, 14):
@@ -532,9 +538,12 @@ def test_g_side_search_matches_brute_force(monkeypatch):
     with few conditions), whose samples come from the f-row walk, and sparse
     ones (four incidences, and seeded searches with more), whose samples are
     solved for per g-row; both routes must run.  The walk alone, from one
-    f-row up, must also find every cell's first matches.
+    f-row up, must also find every cell's first matches.  Strata come from
+    g-rows eliminated again (pooled, and dense cells with the threshold at 0)
+    and from the g-rows the count kept (the default threshold).
     """
     sd = severi_degeneration
+    keep_rows = sd._POOL_MIN_STRATA_PENCILS
     monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks for both passes
     monkeypatch.setattr(sd, "_POOL_MIN_STRATA_PENCILS", 0)
     routes = {"dense": 0, "sparse": 0}
@@ -577,6 +586,9 @@ def test_g_side_search_matches_brute_force(monkeypatch):
             for jobs in (1, 2):
                 got = search_pencils_ffield(k, q, constraint, jobs=jobs, report_strata=True)
                 assert got == want, (name, jobs)
+            with monkeypatch.context() as m:
+                m.setattr(sd, "_POOL_MIN_STRATA_PENCILS", keep_rows)
+                assert search_pencils_ffield(k, q, constraint, report_strata=True) == want, name
     assert routes["dense"] and routes["sparse"], routes
 
 
@@ -814,6 +826,25 @@ def test_budget_counts_the_rank_work():
     # strata classify every match on top of that
     with pytest.raises(ResourceLimit):
         search_pencils_ffield(3, 11, constraint, budget=work, report_strata=True)
+
+
+def test_strata_budget_refuses_as_the_matches_are_counted(monkeypatch):
+    # k = 4 over F_211, one incidence: 9.5 * 10^6 g-rows x conditions fit the
+    # default budget, but about q^7 matches do not, and the first chunk of
+    # g-rows shows it, before any more rows are eliminated or kept
+    F = Field(211)
+    constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 2), point(F, 1, 3)),))
+    eliminated = []
+    eliminate = severi_degeneration._eliminate
+
+    def counted(S, q):
+        eliminated.append(len(S))
+        return eliminate(S, q)
+
+    monkeypatch.setattr(severi_degeneration, "_eliminate", counted)
+    with pytest.raises(ResourceLimit, match="classifying strata"):
+        search_pencils_ffield(4, 211, constraint, report_strata=True)
+    assert sum(eliminated) <= severi_degeneration._RANK_CHUNK_ROWS
 
 
 def test_int64_guard_refuses_before_searching(monkeypatch):
