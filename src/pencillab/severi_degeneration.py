@@ -693,9 +693,8 @@ def _strata_shard(payload) -> list[int]:
     g-rows and their solvable rows with pivots, or None to eliminate the range
     again (_g_systems).  Every match is solved for, in _solutions batches of
     about _RANK_CHUNK_ROWS, and the matches of all parts are classified
-    together by _strata_codes once at least _RANK_CHUNK_ROWS are gathered,
-    and at the end: a small search takes one call, and a large one calls it
-    per batch.
+    together by _strata_codes, gathered up to _RANK_CHUNK_ROWS: a small
+    search takes one call, and a large one about one per batch.
     """
     import numpy as np
 
@@ -717,9 +716,9 @@ def _strata_shard(payload) -> list[int]:
         n = len(_free_columns(k, i, j)[0])
         for G_rows, pivots in rows:
             for batch in _matches(q, k, cell_idx, G_rows, pivots, q**n):
-                pending.append(batch)
-                if sum(len(F) for F, _ in pending) >= _RANK_CHUNK_ROWS:
+                if pending and sum(len(F) for F, _ in pending + [batch]) > _RANK_CHUNK_ROWS:
                     classify()
+                pending.append(batch)
     if pending:
         classify()
     return tally.tolist()
