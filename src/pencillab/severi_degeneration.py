@@ -74,22 +74,24 @@ _RANK_CHUNK_ROWS = 8192  # rows per batch of the rank kernel
 # conditions x C(k, 2) is below this.  C(k, 2) counts the columns that one
 # g-row's elimination visits in the largest cell, with k - 1 unknowns, so the
 # figure follows the time.  On 2 cores, alone against a pool of two (after a
-# warm-up pool), with four incidences at k = 3 and three at k = 4, by g-rows x
-# conditions: k = 3 over F_307 (3.8*10^5) 44 vs 49 ms, over F_353 (5.0*10^5)
-# 58 vs 51 ms, over F_401 (6.5*10^5) 72 vs 56 ms; k = 4 over F_37 (1.6*10^5)
-# 36 vs 40 ms, over F_41 (2.2*10^5) 47 vs 47 ms, over F_47 (3.3*10^5) 68 vs
-# 59 ms.  So the pool breaks even near 4.3*10^5 at k = 3 and 2.2*10^5 at
-# k = 4, both near 1.3*10^6 once weighted by C(3, 2) = 3 and C(4, 2) = 6.
-_POOL_MIN_ROW_WORK = 1_300_000
+# warm-up pool, median of 15), with four incidences at k = 3 and three at
+# k = 4, by g-rows x conditions: k = 3 over F_263 (2.8*10^5) 34 vs 60 ms, over
+# F_281 (3.2*10^5) 37 vs 35 ms, over F_307 (3.8*10^5) 44 vs 39 ms; k = 4 over
+# F_37 (1.6*10^5) 34 vs 41 ms, over F_41 (2.2*10^5) 43 vs 42 ms, over F_43
+# (2.5*10^5) 53 vs 48 ms.  So the pool breaks even near 3.0*10^5 at k = 3 and
+# 2.0*10^5 at k = 4, 9*10^5 and 1.2*10^6 once weighted by C(3, 2) = 3 and
+# C(4, 2) = 6; the threshold sits between them.
+_POOL_MIN_ROW_WORK = 1_100_000
 # A strata search with fewer matches than this classifies them in one
 # process whatever jobs is.  Unconstrained (every pencil matches), on 2
-# cores, alone against a pool of two (after a warm-up pool): k = 2 over F_127
-# (16257 matches) 9.4 vs 28.3 ms and over F_307 (94557) 38 vs 61 ms; k = 3
-# over F_13 (31110) 31 vs 59 ms and over F_17 (89030) 80 vs 63 ms; k = 4 over
-# F_5 (20306) 59 vs 50 ms and over F_7 (140050) 312 vs 176 ms.  It is also
-# the most matches whose g-rows a rank-pass shard keeps for the strata pass:
-# a search past it eliminates its g-rows again, which costs little beside
-# classifying that many matches, and so holds no more rows in memory.
+# cores, alone against a pool of two (after a warm-up pool, median of 11):
+# k = 2 over F_127 (16257 matches) 8.2 vs 26.6 ms and over F_307 (94557) 26 vs
+# 44 ms; k = 3 over F_13 (31110) 30 vs 37 ms and over F_17 (89030) 71 vs
+# 56 ms; k = 4 over F_5 (20306) 55 vs 48 ms and over F_7 (140050) 293 vs
+# 161 ms.  It is also the most matches whose g-rows a rank-pass shard keeps
+# for the strata pass: a search past it eliminates its g-rows again, which
+# costs little beside classifying that many matches, and so holds no more
+# rows in memory.
 _POOL_MIN_STRATA_PENCILS = 32_000
 
 
