@@ -60,6 +60,9 @@ class Field:
     # -- element construction -------------------------------------------------
 
     def coerce(self, value) -> Element:
+        # plain ints first: the Fraction test below goes through ABCMeta
+        if type(value) is int:
+            return Fraction(value) if self.q == 0 else value % self.q
         if isinstance(value, str):
             value = Fraction(value)
         if isinstance(value, Fraction):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from operator import add
+from operator import add, mul
 
 from .errors import FormulationMismatch, ResourceLimit, RiemannHurwitzViolation
 from .fields import _is_prime
@@ -258,14 +258,18 @@ class AlphaTuple:
     alphas: tuple
 
     def __post_init__(self):
-        alphas = tuple(int(a) for a in self.alphas)
+        # every pass below runs in C, so long tuples are checked at C speed;
+        # int() costs a call an entry, so it runs only on tuples that need it
+        alphas = tuple(self.alphas)
+        if set(map(type, alphas)) != {int}:
+            alphas = tuple(map(int, alphas))
         if self.p < 1:
             raise ValueError("p must be positive")
         if len(alphas) != self.p:
             raise ValueError(f"need exactly {self.p} multiplicities")
-        if any(a < 0 for a in alphas):
+        if min(alphas) < 0:
             raise ValueError("multiplicities must be nonnegative")
-        if sum(j * a for j, a in enumerate(alphas, start=1)) != self.p:
+        if sum(map(mul, range(1, self.p + 1), alphas)) != self.p:
             raise ValueError("weighted chain lengths must sum to p")
         object.__setattr__(self, "alphas", alphas)
         # g = sum alpha_j and p - delta count the same nodes two ways
@@ -273,7 +277,7 @@ class AlphaTuple:
 
     @property
     def delta(self) -> int:
-        return sum((j - 1) * a for j, a in enumerate(self.alphas, start=1))
+        return sum(map(mul, range(self.p), self.alphas))
 
     @property
     def genus(self) -> int:

@@ -190,31 +190,9 @@ class BinaryForm:
         out = tuple(F.mul(F.coerce(i), self.coeffs[i]) for i in range(1, d + 1))
         return BinaryForm(F, d - 1, out)
 
-    def substituted(self, a, b, c, d) -> "BinaryForm":
-        """f(a*X + b*Y, c*X + d*Y) as a form in (X, Y) of the same degree."""
-        F, deg = self.field, self.degree
-        a, b, c, d = (F.coerce(t) for t in (a, b, c, d))
-        pow1 = [[F.one]]
-        pow2 = [[F.one]]
-        for _ in range(deg):
-            pow1.append(_linear_multiply(F, pow1[-1], a, b))
-            pow2.append(_linear_multiply(F, pow2[-1], c, d))
-        out = [F.zero] * (deg + 1)
-        for i, fi in enumerate(self.coeffs):
-            if F.is_zero(fi):
-                continue
-            p1, p2 = pow1[deg - i], pow2[i]
-            for s, cs in enumerate(p1):
-                if F.is_zero(cs):
-                    continue
-                for t, ct in enumerate(p2):
-                    out[s + t] = F.add(out[s + t], F.mul(fi, F.mul(cs, ct)))
-        return BinaryForm(F, deg, tuple(out))
-
     def vanishing_order_at(self, p: ProjPoint) -> int:
         """Multiplicity of p as a root (0 if none); degree+1 flags the zero form."""
-        moved = _move_to_origin(self, p)
-        for i, c in enumerate(moved.coeffs):
+        for i, c in enumerate(_move_to_origin(self, p)):
             if not self.field.is_zero(c):
                 return i
         return self.degree + 1
@@ -230,20 +208,26 @@ class BinaryForm:
         return cls(field, int(data["degree"]), tuple(data["coeffs"]))
 
 
-def _linear_multiply(F: Field, coeffs: list, a, b) -> list:
-    """Multiply a coefficient list (over Y-degree) by (a*X + b*Y)."""
-    out = [F.zero] * (len(coeffs) + 1)
-    for t, c in enumerate(coeffs):
-        out[t] = F.add(out[t], F.mul(a, c))
-        out[t + 1] = F.add(out[t + 1], F.mul(b, c))
-    return out
+def _move_to_origin(form: BinaryForm, p: ProjPoint, order: int | None = None) -> list:
+    """The first order (default all) Taylor coefficients of the form at p.
 
-
-def _move_to_origin(form: BinaryForm, p: ProjPoint) -> BinaryForm:
-    """Substitute so p becomes [1:0]; coefficients become Taylor coefficients at p."""
-    if not form.field.is_zero(p.x0):
-        return form.substituted(p.x0, 0, p.x1, 1)
-    return form.substituted(p.x0, 1, p.x1, 0)
+    They are the coefficients of the form with p moved to [1:0]: of
+    f(x0*X, x1*X + Y), and of f(Y, x1*X) at [0:1].  So coefficient t is the
+    sum over i >= t of c_i C(i, t) x0^(k-i) x1^(i-t), and c_(k-t) x1^(k-t)
+    at [0:1].  A ProjPoint is normalized to [1:x1] or [0:1].  At [0:1] they
+    are the coefficients reversed.  At [1:x1] they are the chart polynomial
+    sum c_i y^i shifted to y = x1, by repeated Horner steps (step t leaves
+    coefficient t final), reduced mod q once at the end.
+    """
+    F, k = form.field, form.degree
+    order = k + 1 if order is None else order
+    if F.is_zero(p.x0):
+        return list(form.coeffs[::-1][:order])
+    d, x1 = list(form.coeffs), p.x1
+    for t in range(min(order, k)):
+        for i in range(k - 1, t - 1, -1):
+            d[i] += x1 * d[i + 1]
+    return [c % F.q for c in d[:order]] if F.q else d[:order]
 
 
 def linear_form(p: ProjPoint) -> BinaryForm:
@@ -401,21 +385,26 @@ def total_vanishing_multiplicity(f: BinaryForm) -> int:
 def rational_roots(f: BinaryForm) -> list[tuple[ProjPoint, int]]:
     """Roots defined over the base field, with multiplicities.
 
-    Over F_q all q+1 points are scanned.  Over Q the divisor candidates of the
-    cleared trailing and leading coefficients are walked, so this is meant for
-    small hand-built forms; irrational roots are simply not reported (they stay
-    visible through squarefree decompositions instead).
+    Over F_q the form is evaluated at all q+1 points, by Horner on plain
+    residues, and the multiplicity is taken at the roots only.  Over Q the
+    divisor candidates of the cleared trailing and leading coefficients are
+    walked, so this is meant for small hand-built forms; irrational roots are
+    simply not reported (they stay visible through squarefree decompositions
+    instead).
     """
     F = f.field
     if f.is_zero():
         raise ValueError("zero form")
     out: list[tuple[ProjPoint, int]] = []
     if F.q != 0:
-        for pt in [ProjPoint(F, 0, 1)] + [ProjPoint(F, 1, t) for t in range(F.q)]:
-            m = f.vanishing_order_at(pt)
-            if m > 0:
-                out.append((pt, m))
-        return out
+        q, top = F.q, f.coeffs[-1]
+        values = [top] * q  # f(1, t) for t = 0..q-1, the form's value at [1:t]
+        for c in reversed(f.coeffs[:-1]):
+            values = [(v * t + c) % q for t, v in enumerate(values)]
+        roots = ([ProjPoint(F, 0, 1)] if top == 0 else []) + [
+            ProjPoint(F, 1, t) for t, v in enumerate(values) if v == 0
+        ]
+        return [(pt, f.vanishing_order_at(pt)) for pt in roots]
     p = _trim(F, list(f.coeffs))
     x0_mult = f.degree - (len(p) - 1)
     if x0_mult > 0:
@@ -500,15 +489,12 @@ class PlaneCurve:
         F = self.field
         if sp.field != F:
             raise ValueError("point and curve fields differ")
-        acc = F.zero
+        u, v, w = sp.coords()
+        acc = F.zero  # plain products and sums, reduced mod q once at the end
         for (a, b, c), coef in zip(curve_monomials(self.degree), self.coeffs):
-            if F.is_zero(coef):
-                continue
-            term = F.mul(
-                coef, F.mul(F.pow(sp.u, a), F.mul(F.pow(sp.v, b), F.pow(sp.w, c)))
-            )
-            acc = F.add(acc, term)
-        return acc
+            if coef:
+                acc += coef * u**a * v**b * w**c
+        return acc % F.q if F.q else acc
 
     def contains(self, sp: SymPoint) -> bool:
         return self.field.is_zero(self.evaluate(sp))
@@ -649,13 +635,15 @@ def bezoutian_curve(pencil: Pencil) -> PlaneCurve:
     """
     F = pencil.field
     k = pencil.degree
+    f, g = pencil.f.coeffs, pencil.g.coeffs
     index = {expo: n for n, expo in enumerate(curve_monomials(k - 1))}
-    coeffs = [F.zero] * len(index)
-    for (i, j), p in plucker_coordinates(pencil).items():
-        if F.is_zero(p):
-            continue
-        for expo, c in _wedge_terms(k, i, j):
-            coeffs[index[expo]] = F.add(coeffs[index[expo]], F.mul(p, c))
+    coeffs = [F.zero] * len(index)  # plain sums; PlaneCurve reduces them mod q
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            p = f[i] * g[j] - f[j] * g[i]  # the Plucker coordinate
+            if p:
+                for expo, c in _wedge_terms(k, i, j):
+                    coeffs[index[expo]] += p * c
     return PlaneCurve(F, k - 1, tuple(coeffs)).normalized()
 
 
@@ -749,8 +737,8 @@ def has_ramification_at(pencil: Pencil, p: ProjPoint, order: int) -> bool:
     if not 2 <= order <= pencil.degree:
         raise ValueError(f"order must lie in 2..{pencil.degree}")
     F = pencil.field
-    ft = _move_to_origin(pencil.f, p).coeffs[:order]
-    gt = _move_to_origin(pencil.g, p).coeffs[:order]
+    ft = _move_to_origin(pencil.f, p, order)
+    gt = _move_to_origin(pencil.g, p, order)
     for a in range(order):
         for b in range(a + 1, order):
             if not F.is_zero(F.sub(F.mul(ft[a], gt[b]), F.mul(ft[b], gt[a]))):

@@ -69,30 +69,43 @@ SAMPLE_LIMIT = 20
 # order of magnitude larger.
 DEFAULT_SEARCH_BUDGET = 200_000_000
 
-_RANK_CHUNK_ROWS = 8192  # rows per batch of the rank kernel
+# Rows per call of the kernel.  A g-range's first _BATCH_ROWS rows are
+# eliminated _RANK_CHUNK_ROWS at a time and the rest _BATCH_ROWS at a time:
+# a small search pays for the first touch of its temporaries, which grow with
+# the chunk, and a long range for the calls, which shrink with it.  Cold, on
+# 2 cores, the ladder's F_101 counts (at most 10,201 g-rows a cell) ran 5-10%
+# faster in 2048-row chunks than in 8192-row ones, with a third of the page
+# faults, while the k = 4 count over F_101 (about 10^6 g-rows) ran about 15%
+# slower.  _BATCH_ROWS also bounds a _solutions batch and a _strata_codes
+# call; strata calls of 16k and 32k pencils were 5-20% slower.
+_RANK_CHUNK_ROWS = 2048
+_BATCH_ROWS = 8192
 # A search runs its rank pass in one process whatever jobs is while g-rows x
 # conditions x C(k, 2) is below this.  C(k, 2) counts the columns that one
 # g-row's elimination visits in the largest cell, with k - 1 unknowns, so the
 # figure follows the time.  On 2 cores, alone against a pool of two (after a
-# warm-up pool, median of 15), with four incidences at k = 3 and three at
-# k = 4, by g-rows x conditions: k = 3 over F_263 (2.8*10^5) 34 vs 60 ms, over
-# F_281 (3.2*10^5) 37 vs 35 ms, over F_307 (3.8*10^5) 44 vs 39 ms; k = 4 over
-# F_37 (1.6*10^5) 34 vs 41 ms, over F_41 (2.2*10^5) 43 vs 42 ms, over F_43
-# (2.5*10^5) 53 vs 48 ms.  So the pool breaks even near 3.0*10^5 at k = 3 and
-# 2.0*10^5 at k = 4, 9*10^5 and 1.2*10^6 once weighted by C(3, 2) = 3 and
-# C(4, 2) = 6; the threshold sits between them.
-_POOL_MIN_ROW_WORK = 1_100_000
-# A strata search with fewer matches than this classifies them in one
-# process whatever jobs is.  Unconstrained (every pencil matches), on 2
-# cores, alone against a pool of two (after a warm-up pool, median of 11):
-# k = 2 over F_127 (16257 matches) 8.2 vs 26.6 ms and over F_307 (94557) 26 vs
-# 44 ms; k = 3 over F_13 (31110) 30 vs 37 ms and over F_17 (89030) 71 vs
-# 56 ms; k = 4 over F_5 (20306) 55 vs 48 ms and over F_7 (140050) 293 vs
-# 161 ms.  It is also the most matches whose g-rows a rank-pass shard keeps
-# for the strata pass: a search past it eliminates its g-rows again, which
-# costs little beside classifying that many matches, and so holds no more
-# rows in memory.
-_POOL_MIN_STRATA_PENCILS = 32_000
+# warm-up pool, median of 9), with four incidences at k = 3 and three at
+# k = 4, by g-rows x conditions: k = 3 over F_401 (6.5*10^5) 56 vs 63 ms and
+# over F_449 (8.1*10^5) 66 vs 62 ms; k = 4 over F_53 (4.6*10^5) 74 vs 76 ms
+# and over F_59 (6.4*10^5) 100 vs 80 ms.  So the pool breaks even near
+# 7.3*10^5 at k = 3 and 5*10^5 at k = 4, 2.2*10^6 and 3.0*10^6 once weighted
+# by C(3, 2) = 3 and C(4, 2) = 6; the threshold sits between them.
+_POOL_MIN_ROW_WORK = 2_500_000
+# A strata search classifies its matches in one process whatever jobs is
+# while matches x (k - 1) is below this.  A match costs more to classify as k
+# grows, and the pool's break-even in matches falls about as 1 / (k - 1).
+# On 2 cores, alone against a pool of two (after a warm-up pool, median of 7
+# or 9), unconstrained unless incidences are named: k = 2 over F_307 (94557
+# matches) 26 vs 38 ms and over F_509 (259591) 59 vs 60 ms; k = 3 over F_17
+# (89030) 64 vs 67 ms and over F_19 (137922) 76 vs 72 ms; k = 4 over F_5
+# (20306) 53 vs 63 ms, over F_13 with two incidences (35504) 78 vs 141 ms,
+# over F_17 with two (98856) 205 vs 187 ms and over F_7 (140050) 252 vs
+# 169 ms.  Weighted, the break-evens are near 2.6*10^5, 2.3*10^5 and
+# 2.6*10^5.  A rank-pass shard also keeps the g-rows of its matches for the
+# strata pass while its weighted matches are within this, so it holds at
+# most this many rows; a larger search eliminates its g-rows again, which
+# costs little beside classifying that many matches.
+_POOL_MIN_STRATA_WORK = 250_000
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +315,11 @@ def _free_columns(k: int, i: int, j: int) -> tuple[list[int], list[int]]:
 
 def _taylor_rows(field: Field, k: int, p: ProjPoint, order: int) -> list[list[int]]:
     """Rows a < order of the matrix taking coefficients to Taylor coefficients at p."""
-    rows = [[0] * (k + 1) for _ in range(order)]
-    for col in range(k + 1):
-        unit = BinaryForm(field, k, tuple(1 if t == col else 0 for t in range(k + 1)))
-        moved = _move_to_origin(unit, p)
-        for a in range(order):
-            rows[a][col] = int(moved.coeffs[a])
-    return rows
+    columns = [
+        _move_to_origin(BinaryForm(field, k, tuple(int(t == col) for t in range(k + 1))), p, order)
+        for col in range(k + 1)
+    ]
+    return [list(row) for row in zip(*columns)]
 
 
 def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> np.ndarray:
@@ -348,7 +359,7 @@ def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> np.ndarr
             raise ValueError("ramification order exceeds the degree")
         T = np.array(_taylor_rows(field, k, pt, order), dtype=np.int64)
         a, b = np.triu_indices(order, 1)
-        mats += list((T[a, :, None] * T[b, None] - T[b, :, None] * T[a, None]) % q)
+        mats += list(_mod(T[a, :, None] * T[b, None] - T[b, :, None] * T[a, None], q))
     return np.array(mats, dtype=np.int64).reshape(-1, k + 1, k + 1)
 
 
@@ -383,6 +394,23 @@ def _echelon_rows(k: int, pivot: int, cols: list[int], coords) -> np.ndarray:
     return rows
 
 
+def _mod(a: np.ndarray, q: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """a mod q, in place in a, an int64 array the caller owns; scratch is a buffer of its shape.
+
+    numpy's int64 % by a scalar divides in hardware, element by element; its
+    // by a scalar does not, so a - (a // q) * q costs about half as much.
+    The quotient is the floor, so negative entries reduce into 0..q-1 as with
+    %.  (a // q) * q lies less than q below a; within q of -2^63 it wraps
+    modulo 2^64, and the subtraction wraps back, so every int64 a is exact.
+    """
+    import numpy as np
+
+    t = np.floor_divide(a, q, out=scratch)
+    t *= q
+    a -= t
+    return a
+
+
 def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Pivot equations and solvability of a batch of linear systems over F_q.
 
@@ -405,10 +433,12 @@ def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 
     B, m, width = S.shape
     n = width - 1
-    # m x (n+1) x B: column 0 the constants, column c+1 unknown c
+    # m x (n+1) x B: column 0 the constants, column c+1 unknown c; each step
+    # updates the first c columns in place, through one scratch buffer
     W = np.empty((m, width, B), dtype=np.int64)
     W[:, 0] = S[:, :, n].T
     W[:, 1:] = S[:, :, :n].transpose(1, 2, 0)
+    scratch = np.empty_like(W)
     pivots = np.zeros((B, n, width), dtype=np.int64)
     for c in range(n, 0, -1):
         col = W[:, c]
@@ -422,8 +452,10 @@ def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
             np.copyto(P, W[r], where=nonzero[r])
         pivots[:, c - 1, :c] = P[1:].T
         pivots[:, c - 1, n] = P[0]
-        scale = np.where(has, P[c], 1)
-        W = (scale * W[:, :c] - col[:, None] * P[:c]) % q
+        W, T = W[:, :c], scratch[:, :c]
+        W *= np.where(has, P[c], 1)
+        W -= np.multiply(col[:, None], P[:c], out=T)
+        _mod(W, q, T)
     solvable = ~(W[:, 0] != 0).any(axis=0)
     return pivots, solvable
 
@@ -440,7 +472,7 @@ def _solutions(pivots: np.ndarray, q: int, cap: int):
 
     pivots comes from _eliminate.  Rows are grouped by their free unknowns,
     and each gets its first count = min(q^free, cap) solutions, about
-    _RANK_CHUNK_ROWS solutions per batch.  The free unknowns run through
+    _BATCH_ROWS solutions per batch.  The free unknowns run through
     base-q order and each pivot unknown is solved from the more significant
     ones, so two solutions first differ in a free unknown: the order is
     lexicographic.
@@ -454,7 +486,7 @@ def _solutions(pivots: np.ndarray, q: int, cap: int):
         rows = np.flatnonzero(pattern == pat)
         mask = free[rows[0]]
         count = min(q ** int(mask.sum()), cap)
-        step = max(1, _RANK_CHUNK_ROWS // count)
+        step = max(1, _BATCH_ROWS // count)
         for lo in range(0, len(rows), step):
             part = rows[lo : lo + step]
             G = np.zeros((len(part), count, n), dtype=np.int64)
@@ -463,7 +495,7 @@ def _solutions(pivots: np.ndarray, q: int, cap: int):
                 eq = pivots[part, c]
                 inv = np.array([pow(a, -1, q) for a in eq[:, c].tolist()], dtype=np.int64)
                 rhs = (G[:, :, :c] @ eq[:, :c, None])[:, :, 0] + eq[:, None, n]
-                G[:, :, c] = (-rhs % q) * inv[:, None] % q
+                G[:, :, c] = _mod(_mod(-rhs, q) * inv[:, None], q)
             yield part, G
 
 
@@ -507,7 +539,7 @@ def _bezout_matrices(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray
     for t, (i, j) in enumerate(pairs):
         for a in range(i, j):
             out[:, a, i + j - 1 - a] += plucker[:, t]
-    return out % q
+    return _mod(out, q)
 
 
 def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -530,10 +562,10 @@ def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     if based.size:  # never at k = 1, where independent forms are coprime
         t = np.arange(k + 1)
         f, g = F[based], G[based]
-        partials = np.stack([
+        partials = _mod(np.stack([
             f[:, :-1] * t[::-1][:-1], f[:, 1:] * t[1:],
             g[:, :-1] * t[::-1][:-1], g[:, 1:] * t[1:],
-        ], axis=1) % q
+        ], axis=1), q)
         ranks = _rank(_eliminate(_multiples(partials, k - 1), q)[0])
         codes[based] = np.where(ranks < 2 * k - 2, 2, 1)
     return codes
@@ -573,7 +605,7 @@ def _walk_f_rows(q: int, k: int, cell_idx: int, mats, start: int) -> list[tuple]
     With f fixed, each condition is one linear equation in g's free
     coordinates (g[j] = 1), so each f-row's first matches are solved for in
     lexicographic g order.  The first chunk has start rows, each next one four
-    times more up to _RANK_CHUNK_ROWS, and the walk stops at SAMPLE_LIMIT
+    times more up to _BATCH_ROWS, and the walk stops at SAMPLE_LIMIT
     matches.
     """
     import numpy as np
@@ -588,7 +620,7 @@ def _walk_f_rows(q: int, k: int, cell_idx: int, mats, start: int) -> list[tuple]
     while lo < n_f and len(keys) < SAMPLE_LIMIT:
         f_idx = np.arange(lo, min(lo + size, n_f))
         F_rows = _echelon_rows(k, i, cols0, _digits(f_idx, q, len(cols0)))
-        S = (F_rows @ system % q).reshape(len(F_rows), m, n + 1)
+        S = _mod(F_rows @ system, q).reshape(len(F_rows), m, n + 1)
         pivots, solvable = _eliminate(S, q)
         need = SAMPLE_LIMIT - len(keys)
         hits = np.flatnonzero(solvable)[:need]
@@ -599,7 +631,7 @@ def _walk_f_rows(q: int, k: int, cell_idx: int, mats, start: int) -> list[tuple]
             (cell_idx, tuple(f), tuple(g))
             for b, f in enumerate(F_rows[hits].tolist()) for g in found[b]
         ][:need]
-        lo, size = lo + len(f_idx), min(4 * size, _RANK_CHUNK_ROWS)
+        lo, size = lo + len(f_idx), min(4 * size, _BATCH_ROWS)
     return keys
 
 
@@ -608,7 +640,8 @@ def _g_systems(q: int, k: int, i: int, j: int, g_lo: int, g_hi: int, mats):
 
     With g fixed, each compiled f^T A g = 0 (f[i] = 1) is one equation in f's
     free coordinates, so each g-row's conditions are one linear system,
-    eliminated by _eliminate _RANK_CHUNK_ROWS rows at a time.
+    eliminated by _eliminate in chunks of _RANK_CHUNK_ROWS rows, or of
+    _BATCH_ROWS once _BATCH_ROWS rows of the range are done.
     """
     import numpy as np
 
@@ -616,10 +649,13 @@ def _g_systems(q: int, k: int, i: int, j: int, g_lo: int, g_hi: int, mats):
     n, m = len(cols0), len(mats)
     # rows of every A that meet f: the n unknowns, then the constant f[i] = 1
     system = mats[:, cols0 + [i], :].transpose(2, 0, 1).reshape(k + 1, m * (n + 1))
-    for lo in range(g_lo, g_hi, _RANK_CHUNK_ROWS):
-        g_idx = np.arange(lo, min(lo + _RANK_CHUNK_ROWS, g_hi))
+    lo = g_lo
+    while lo < g_hi:
+        size = _RANK_CHUNK_ROWS if lo - g_lo < _BATCH_ROWS else _BATCH_ROWS
+        g_idx = np.arange(lo, min(lo + size, g_hi))
+        lo += len(g_idx)
         G_rows = _echelon_rows(k, j, cols1, _digits(g_idx, q, len(cols1)))
-        S = (G_rows @ system % q).reshape(len(G_rows), m, n + 1)
+        S = _mod(G_rows @ system, q).reshape(len(G_rows), m, n + 1)
         yield (G_rows, *_eliminate(S, q))
 
 
@@ -643,9 +679,9 @@ def _search_shard(payload) -> tuple[int, list[tuple], tuple | None]:
     has SAMPLE_LIMIT matches (_walk_f_rows).
 
     The solvable g-rows are kept while the sparse route needs them, or, for
-    strata, while the range has at most _POOL_MIN_STRATA_PENCILS matches, so
-    at most that many rows: a search with more has the strata pass eliminate
-    them again.  strata_budget is None for a plain search; with strata it is
+    strata, while the range's matches times k - 1 are within
+    _POOL_MIN_STRATA_WORK, so at most that many rows: a search with more has
+    the strata pass eliminate them again.  strata_budget is None for a plain search; with strata it is
     (work, budget) of search_pencils_ffield, and a range whose matches alone
     take the work past the budget raises ResourceLimit at once.
     """
@@ -672,7 +708,8 @@ def _search_shard(payload) -> tuple[int, list[tuple], tuple | None]:
             _check_strata_budget(strata_budget[0] + count, strata_budget[1])
         sparse = sum(c * min(q ** (n - r), SAMPLE_LIMIT) for r, c in per_rank)
         dense = sparse * count > SAMPLE_LIMIT * n_f
-        if kept is not None and (not dense or want_strata and count <= _POOL_MIN_STRATA_PENCILS):
+        keep_for_strata = want_strata and count * (k - 1) <= _POOL_MIN_STRATA_WORK
+        if kept is not None and (not dense or keep_for_strata):
             kept.append((G_rows[solvable], pivots[solvable]))
         else:
             kept = None
@@ -680,7 +717,7 @@ def _search_shard(payload) -> tuple[int, list[tuple], tuple | None]:
         return 0, [], None
     rows = None if kept is None else tuple(np.concatenate(r) for r in zip(*kept))
     if dense:
-        start = min(_RANK_CHUNK_ROWS, 2 * SAMPLE_LIMIT * n_f // count + 1)
+        start = min(_BATCH_ROWS, 2 * SAMPLE_LIMIT * n_f // count + 1)
         keys = _walk_f_rows(q, k, cell_idx, mats, start)
     else:
         F, G = (np.concatenate(b) for b in zip(*_matches(q, k, cell_idx, *rows, SAMPLE_LIMIT)))
@@ -694,8 +731,8 @@ def _strata_shard(payload) -> list[int]:
     payload is (q, k, mats, parts), each part a cell index, a range of its
     g-rows and their solvable rows with pivots, or None to eliminate the range
     again (_g_systems).  Every match is solved for, in _solutions batches of
-    about _RANK_CHUNK_ROWS, and the matches of all parts are classified
-    together by _strata_codes, gathered up to _RANK_CHUNK_ROWS: a small
+    about _BATCH_ROWS, and the matches of all parts are classified
+    together by _strata_codes, gathered up to _BATCH_ROWS: a small
     search takes one call, and a large one about one per batch.
     """
     import numpy as np
@@ -718,7 +755,7 @@ def _strata_shard(payload) -> list[int]:
         n = len(_free_columns(k, i, j)[0])
         for G_rows, pivots in rows:
             for batch in _matches(q, k, cell_idx, G_rows, pivots, q**n):
-                if pending and sum(len(F) for F, _ in pending + [batch]) > _RANK_CHUNK_ROWS:
+                if pending and sum(len(F) for F, _ in pending + [batch]) > _BATCH_ROWS:
                     classify()
                 pending.append(batch)
     if pending:
@@ -784,9 +821,9 @@ def search_pencils_ffield(
     mod q (see _strata_codes): the rank of the k x k Bezout matrix gives the
     degree of the base divisor, and a rank of the multiples of the four
     partials tells a multiple base point from simple ones.  It runs in this
-    process below _POOL_MIN_STRATA_PENCILS matches, on the solvable g-rows
-    the first pass kept; a larger search eliminates its g-rows again, so
-    neither pass holds more than that many rows.
+    process while matches times k - 1 are below _POOL_MIN_STRATA_WORK, on
+    the solvable g-rows the first pass kept; a larger search eliminates its
+    g-rows again, so neither pass holds more than that many rows.
 
     budget bounds the work: g-rows times compiled conditions, summed over
     cells, checked before the search starts; with report_strata, that plus
@@ -848,7 +885,7 @@ def search_pencils_ffield(
     strata = None
     if report_strata:
         _check_strata_budget(work + count, budget)
-        workers = jobs if count >= _POOL_MIN_STRATA_PENCILS else 1
+        workers = jobs if count * (k - 1) >= _POOL_MIN_STRATA_WORK else 1
         tasks = _strata_tasks(q, k, mats, outcomes, count, workers)
         tally = [sum(c) for c in zip(*_run(_strata_shard, tasks, workers))]
         strata = {name: c for name, c in zip(_STRATA, tally) if c}

@@ -1,0 +1,22 @@
+"""tools/bench_layers.py runs: one repeat of its smallest case, in its own process."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SCRIPT = os.path.join(ROOT, "tools", "bench_layers.py")
+
+
+def test_bench_layers_prints_its_medians(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--repeats", "1", "--only", "Field.coerce"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["nproc"] >= 1 and doc["repeats"] == 1
+    assert doc["ms"] == {}
+    (label, value), = doc["us_per_call"].items()
+    assert label.startswith("Field.coerce") and value > 0

@@ -206,6 +206,10 @@ FORMER_HANGS = [
     (["dimlab", "search", "--k", "4", "--q", "211", "--incidence", "1,2,3",
       "--strata", "--no-cache"], 1,
      lambda doc: doc["error"] == "resource_limit"),
+    # the Wronskian's roots over F_q: evaluated by Horner at all q + 1 points,
+    # multiplicities taken at the roots only (once a Taylor shift per point)
+    (["pencil", "wronskian", "--q", "100003", "--f", "1,2,3", "--g", "0,1,1"], 0,
+     lambda doc: doc["degree"] == 2 and doc["roots"] == []),
 ]
 
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from pencillab import (
@@ -37,13 +38,14 @@ from pencillab import (
 )
 from pencillab.fields import QQ, Field
 from pencillab.pencil_geometry import (
+    _move_to_origin,
     _partial,
     _variable_has_repeated_factor,
     curve_monomials,
     curve_resultant,
 )
 
-from conftest import form, point, random_pencil
+from conftest import form, point, projective_points, random_form, random_pencil
 
 
 def curve_dict(curve):
@@ -62,6 +64,21 @@ class TestFields:
         assert F.coerce(9) == 2
         assert F.coerce(Fraction(1, 2)) == 4  # inverse of 2 mod 7
         assert F.label() == {"q": 7}
+
+    def test_coerce_types(self):
+        F = Field(7)
+        for field, one in [(F, 1), (QQ, Fraction(1))]:
+            got = field.coerce(True)  # a bool is an int, but not of type int
+            assert got == one and type(got) is type(one)
+            assert type(field.coerce(5)) is type(one)
+            assert field.coerce("3/2") == field.coerce(Fraction(3, 2))
+            with pytest.raises(TypeError):
+                field.coerce(np.int64(3))
+            with pytest.raises(TypeError):
+                field.coerce(1.5)
+        assert F.coerce(-1) == 6
+        assert F.coerce("3/2") == 5
+        assert QQ.coerce(-1) == Fraction(-1)
 
     def test_characteristic_two_rejected(self):
         with pytest.raises(CharacteristicObstruction):
@@ -637,6 +654,55 @@ class TestDiagonal:
             assert not conic.contains(sym_point(p, point(QQ, 1, t + 1)))
 
 
+def _linear_multiply(F, coeffs, a, b):
+    """Multiply a coefficient list (over Y-degree) by (a*X + b*Y)."""
+    out = [F.zero] * (len(coeffs) + 1)
+    for t, c in enumerate(coeffs):
+        out[t] = F.add(out[t], F.mul(a, c))
+        out[t + 1] = F.add(out[t + 1], F.mul(b, c))
+    return out
+
+
+def substituted(f, a, b, c, d):
+    """f(a*X + b*Y, c*X + d*Y) as a coefficient list, by expanding the powers.
+
+    The oracle of _move_to_origin's Taylor shift: moving p to [1:0] is this
+    substitution with (a, b, c, d) = (x0, 0, x1, 1), or (x0, 1, x1, 0) at [0:1].
+    """
+    F, deg = f.field, f.degree
+    a, b, c, d = (F.coerce(t) for t in (a, b, c, d))
+    pow1, pow2 = [[F.one]], [[F.one]]
+    for _ in range(deg):
+        pow1.append(_linear_multiply(F, pow1[-1], a, b))
+        pow2.append(_linear_multiply(F, pow2[-1], c, d))
+    out = [F.zero] * (deg + 1)
+    for i, fi in enumerate(f.coeffs):
+        for s, cs in enumerate(pow1[deg - i]):
+            for t, ct in enumerate(pow2[i]):
+                out[s + t] = F.add(out[s + t], F.mul(fi, F.mul(cs, ct)))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7), Field(101)], ids=str)
+def test_taylor_shift_matches_the_substitution(field):
+    rng = random.Random(f"taylor:{field}")
+    if field.q:
+        pts = projective_points(field)
+    else:
+        pts = [point(QQ, 0, 1), point(QQ, 1, 0), point(QQ, 1, 1), point(QQ, 1, -3),
+               point(QQ, 2, 5), point(QQ, 1, Fraction(-7, 4))]
+    for k in range(1, 9):
+        forms = [random_form(field, k, rng) for _ in range(2)] + [form(field, [0] * k + [1])]
+        for f in forms:
+            for p in pts:
+                b, d = (1, 0) if field.is_zero(p.x0) else (0, 1)
+                want = substituted(f, p.x0, b, p.x1, d)
+                got = _move_to_origin(f, p)
+                assert got == want and [type(c) for c in got] == [type(c) for c in want]
+                for order in range(1, k + 1):
+                    assert _move_to_origin(f, p, order) == want[:order]
+
+
 class TestFormUtilities:
     def test_squarefree_form(self):
         assert squarefree_form(form(QQ, [0, 1, -1, 0]))  # x0 x1 (x0 - x1)
@@ -645,6 +711,23 @@ class TestFormUtilities:
     def test_rational_roots_with_multiplicity(self):
         f = form(QQ, [0, 0, 2, -4, 2])  # 2 x1^2 (x1 - x0)^2
         assert dict(rational_roots(f)) == {point(QQ, 1, 0): 2, point(QQ, 1, 1): 2}
+
+    def test_rational_roots_match_a_scan_of_every_point(self):
+        rng = random.Random("roots")
+        for q in (7, 13):
+            F = Field(q)
+            for k in range(1, 7):
+                f = random_form(F, k, rng)
+                # a form with roots of several multiplicities, one at [0:1]
+                g = reduce(lambda a, b: a.multiply(b), [
+                    linear_form(point(F, 0, 1)), linear_form(point(F, 1, 2)),
+                    linear_form(point(F, 1, 2)), random_form(F, k - 1, rng)])
+                for h in (f, g):
+                    if h.is_zero():
+                        continue
+                    want = [(p, h.vanishing_order_at(p)) for p in
+                            [point(F, 0, 1)] + [point(F, 1, t) for t in range(q)]]
+                    assert rational_roots(h) == [(p, m) for p, m in want if m > 0]
 
     def test_rational_roots_finite_field(self):
         F = Field(7)

@@ -543,9 +543,9 @@ def test_g_side_search_matches_brute_force(monkeypatch):
     and from the g-rows the count kept (the default threshold).
     """
     sd = severi_degeneration
-    keep_rows = sd._POOL_MIN_STRATA_PENCILS
+    keep_rows = sd._POOL_MIN_STRATA_WORK
     monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks for both passes
-    monkeypatch.setattr(sd, "_POOL_MIN_STRATA_PENCILS", 0)
+    monkeypatch.setattr(sd, "_POOL_MIN_STRATA_WORK", 0)
     routes = {"dense": 0, "sparse": 0}
     walk, matches = sd._walk_f_rows, sd._matches
 
@@ -587,7 +587,7 @@ def test_g_side_search_matches_brute_force(monkeypatch):
                 got = search_pencils_ffield(k, q, constraint, jobs=jobs, report_strata=True)
                 assert got == want, (name, jobs)
             with monkeypatch.context() as m:
-                m.setattr(sd, "_POOL_MIN_STRATA_PENCILS", keep_rows)
+                m.setattr(sd, "_POOL_MIN_STRATA_WORK", keep_rows)
                 assert search_pencils_ffield(k, q, constraint, report_strata=True) == want, name
     assert routes["dense"] and routes["sparse"], routes
 
@@ -743,6 +743,24 @@ def bezout_by_division(pencil, q):
     return Q
 
 
+@pytest.mark.parametrize("q", [3, 101, 2**31 - 1, INT64_EDGE_PRIME])
+def test_mod_matches_the_remainder_operator(q):
+    # the kernel's entries stay within (k+1)(q-1)^2 < 2^63 in size, so draw
+    # from the whole int64 range, with the extremes and the multiples of q
+    rng = np.random.default_rng(q)
+    top = np.iinfo(np.int64)
+    edges = [top.min, top.min + 1, top.max, 0, 1, -1, q, -q, q - 1, 1 - q, (q - 1) ** 2,
+             -((q - 1) ** 2), 2 * q, -2 * q]
+    small = rng.integers(-5 * q, 5 * q, size=(64, 8), dtype=np.int64)
+    wide = rng.integers(top.min, top.max, size=(64, 8), dtype=np.int64, endpoint=True)
+    for a in [np.array(edges, dtype=np.int64), small, wide]:
+        want = a % q
+        got = severi_degeneration._mod(a.copy(), q)
+        assert np.array_equal(got, want)
+        scratch = np.empty_like(a)
+        assert np.array_equal(severi_degeneration._mod(a.copy(), q, scratch), want)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_bezout_rank_gives_the_base_locus_degree(k):
     sd = severi_degeneration
@@ -810,7 +828,7 @@ def test_small_count_forks_no_pool(monkeypatch):
     monkeypatch.setattr(severi_degeneration, "_POOL_MIN_ROW_WORK", 0)
     with pytest.raises(AssertionError, match="a pool was forked"):
         search_pencils_ffield(3, 11, constraint, jobs=2)
-    monkeypatch.setattr(severi_degeneration, "_POOL_MIN_STRATA_PENCILS", 0)
+    monkeypatch.setattr(severi_degeneration, "_POOL_MIN_STRATA_WORK", 0)
     with pytest.raises(AssertionError, match="a pool was forked"):
         search_pencils_ffield(3, 7, small, jobs=2, report_strata=True)
 
@@ -831,20 +849,30 @@ def test_budget_counts_the_rank_work():
 def test_strata_budget_refuses_as_the_matches_are_counted(monkeypatch):
     # k = 4 over F_211, one incidence: 9.5 * 10^6 g-rows x conditions fit the
     # default budget, but about q^7 matches do not, and the first chunk of
-    # g-rows shows it, before any more rows are eliminated or kept
-    F = Field(211)
+    # g-rows whose work plus matches pass the budget shows it, before any
+    # more rows are eliminated or kept
+    sd = severi_degeneration
+    q, k = 211, 4
+    F = Field(q)
     constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 2), point(F, 1, 3)),))
-    eliminated = []
-    eliminate = severi_degeneration._eliminate
+    chunks = []  # (unknowns, pivots, solvable) of each elimination, in order
+    eliminate = sd._eliminate
 
     def counted(S, q):
-        eliminated.append(len(S))
-        return eliminate(S, q)
+        pivots, solvable = eliminate(S, q)
+        chunks.append((S.shape[2] - 1, pivots, solvable))
+        return pivots, solvable
 
-    monkeypatch.setattr(severi_degeneration, "_eliminate", counted)
+    monkeypatch.setattr(sd, "_eliminate", counted)
     with pytest.raises(ResourceLimit, match="classifying strata"):
-        search_pencils_ffield(4, 211, constraint, report_strata=True)
-    assert sum(eliminated) <= severi_degeneration._RANK_CHUNK_ROWS
+        search_pencils_ffield(k, q, constraint, report_strata=True)
+    # one condition: the work is the number of g-rows; a solvable g-row has
+    # q^(n - rank) matches
+    work = sum(q ** len(sd._free_columns(k, i, j)[1]) for i, j in sd._cells(k))
+    matches = itertools.accumulate(
+        int((q ** (n - sd._rank(pivots)[solvable])).sum()) for n, pivots, solvable in chunks)
+    over = [work + count > sd.DEFAULT_SEARCH_BUDGET for count in matches]
+    assert over[-1] and not any(over[:-1]), over
 
 
 def test_int64_guard_refuses_before_searching(monkeypatch):

@@ -1,0 +1,146 @@
+"""Time the layers of the search path, cold, and print the medians as JSON.
+
+    python3 tools/bench_layers.py                      # every case, 5 repeats
+    python3 tools/bench_layers.py --repeats 1 --only coerce
+    python3 tools/bench_layers.py --src OTHER/src      # another checkout's tree
+
+Each timed call runs right after perfbench's reference jobs (a fresh
+`python -c pass` and a numpy sweep), as perfbench times its tasks, so that
+every call starts with cold caches and a disturbed allocator.  Warm loops of
+the same call read faster and flatter the kernel: an in-place kernel read
+0.70-0.79 of its parent in warm loops and 0.85-0.93 cold.
+
+The cases, in the order each repeat runs them:
+
+- `_eliminate` on fixed seeded chunks shaped like the F_101 count rungs'
+  largest cell (four conditions, two unknowns) at 2048 and 8192 rows;
+- `Field.coerce` of a plain int and `_move_to_origin` at k = 3 over F_31,
+  in microseconds per call over a loop of MICRO_CALLS calls;
+- each search of the `ladder` workload for variants 0-7, with its jobs and
+  no cache, the median taken over the variants and the repeats;
+- the k = 4 count over F_101 with four incidences (the ladder's incidence
+  pairs of variant 0) and the unconstrained k = 4 strata search over F_7.
+
+The output holds `nproc`, the versions, the tree measured, and `ms` (or
+`us_per_call`) by case.  Times are raw, not scaled to a reference speed, so
+compare two trees only within one machine and one hour, alternating them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+LADDER_VARIANTS = range(8)
+MICRO_CALLS = 2000
+
+
+def _eliminate_cases(sd):
+    import numpy as np
+
+    rng = np.random.default_rng(13)
+    for rows in (2048, 8192):
+        S = rng.integers(0, 101, size=(rows, 4, 3), dtype=np.int64)
+        yield f"_eliminate F_101 {rows}x4x3", "ms", lambda S=S: sd._eliminate(S, 101)
+
+
+def _micro_cases(P, fields):
+    F = fields.Field(31)
+    form = P.BinaryForm(F, 3, (3, 5, 7, 11))
+    pt = P.ProjPoint(F, 1, 17)
+    calls = range(MICRO_CALLS)
+
+    def coerce():
+        for _ in calls:
+            F.coerce(29)
+
+    def move():
+        for _ in calls:
+            P._move_to_origin(form, pt)
+
+    yield "Field.coerce(int) F_31", "us", coerce
+    yield "_move_to_origin k=3 F_31", "us", move
+
+
+def _ladder_cases(P, fields, sd, pairs):
+    import workloads  # perfbench's: the ladder's searches
+
+    by_label: dict[str, list] = {}
+    for variant in LADDER_VARIANTS:
+        for label, _, q, constraint, jobs, strata in workloads.ladder_searches(
+                P, fields, sd, variant, pairs):
+            by_label.setdefault(label, []).append(
+                lambda q=q, c=constraint, j=jobs, s=strata:
+                sd.search_pencils_ffield(3, q, c, jobs=j, report_strata=s))
+    for label, calls in by_label.items():
+        yield f"ladder {label}", "ms", calls
+
+
+def _large_cases(P, fields, sd, pairs):
+    F101 = fields.Field(101)
+    incidences = tuple(P.sym_point(P.ProjPoint(F101, *a), P.ProjPoint(F101, *b))
+                       for a, b in pairs)
+    four = sd.SearchConstraint(incidences=incidences)
+    yield "k=4 F_101 c=4 count", "ms", lambda: sd.search_pencils_ffield(4, 101, four)
+    yield "k=4 F_7 strata, no conditions", "ms", lambda: sd.search_pencils_ffield(
+        4, 7, sd.SearchConstraint(), report_strata=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--only", default="", help="run only the cases whose label contains this")
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="the pencillab tree to time")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    sys.path.insert(0, os.path.abspath(args.src))
+    import numpy as np
+
+    import pencillab.pencil_geometry as P
+    from pencillab import fields, severi_degeneration as sd
+
+    sys.path.insert(0, PERFBENCH)
+    from reference import reference_times  # perfbench's reference jobs
+
+    with open(os.path.join(PERFBENCH, "expected.json")) as fh:
+        pairs = json.load(fh)["ladder"]["incidence_pairs"]  # the ladder's, variant 0
+    cases = []
+    for group in (_eliminate_cases(sd), _micro_cases(P, fields),
+                  _ladder_cases(P, fields, sd, pairs), _large_cases(P, fields, sd, pairs)):
+        cases += [c for c in group if args.only in c[0]]
+    if not cases:
+        ap.error(f"no case matches {args.only!r}")
+    times: dict[str, list[float]] = {label: [] for label, _, _ in cases}
+    for _ in range(args.repeats):
+        for label, unit, fn in cases:
+            for call in fn if isinstance(fn, list) else [fn]:
+                reference_times()
+                start = time.perf_counter()
+                call()
+                elapsed = time.perf_counter() - start
+                times[label].append(elapsed * 1e6 / MICRO_CALLS if unit == "us" else elapsed * 1e3)
+    doc = {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "src": os.path.abspath(args.src),
+        "repeats": args.repeats,
+        "ms": {label: round(statistics.median(times[label]), 3)
+               for label, unit, _ in cases if unit == "ms"},
+        "us_per_call": {label: round(statistics.median(times[label]), 3)
+                        for label, unit, _ in cases if unit == "us"},
+    }
+    print(json.dumps(doc, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
