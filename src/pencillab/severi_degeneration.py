@@ -394,8 +394,8 @@ def _echelon_rows(k: int, pivot: int, cols: list[int], coords) -> np.ndarray:
     return rows
 
 
-def _mod(a: np.ndarray, q: int, scratch: np.ndarray | None = None) -> np.ndarray:
-    """a mod q, in place in a, an int64 array the caller owns; scratch is a buffer of its shape.
+def _mod(a: np.ndarray, q: int, work: np.ndarray | None = None) -> np.ndarray:
+    """a mod q, in place in a, an int64 array the caller owns; work is a buffer of its shape.
 
     numpy's int64 % by a scalar divides in hardware, element by element; its
     // by a scalar does not, so a - (a // q) * q costs about half as much.
@@ -405,7 +405,7 @@ def _mod(a: np.ndarray, q: int, scratch: np.ndarray | None = None) -> np.ndarray
     """
     import numpy as np
 
-    t = np.floor_divide(a, q, out=scratch)
+    t = np.floor_divide(a, q, out=work)
     t *= q
     a -= t
     return a
@@ -434,11 +434,11 @@ def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     B, m, width = S.shape
     n = width - 1
     # m x (n+1) x B: column 0 the constants, column c+1 unknown c; each step
-    # updates the first c columns in place, through one scratch buffer
+    # updates the first c columns in place, through one spare buffer
     W = np.empty((m, width, B), dtype=np.int64)
     W[:, 0] = S[:, :, n].T
     W[:, 1:] = S[:, :, :n].transpose(1, 2, 0)
-    scratch = np.empty_like(W)
+    spare = np.empty_like(W)
     pivots = np.zeros((B, n, width), dtype=np.int64)
     for c in range(n, 0, -1):
         col = W[:, c]
@@ -452,7 +452,7 @@ def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
             np.copyto(P, W[r], where=nonzero[r])
         pivots[:, c - 1, :c] = P[1:].T
         pivots[:, c - 1, n] = P[0]
-        W, T = W[:, :c], scratch[:, :c]
+        W, T = W[:, :c], spare[:, :c]
         W *= np.where(has, P[c], 1)
         W -= np.multiply(col[:, None], P[:c], out=T)
         _mod(W, q, T)

@@ -757,8 +757,8 @@ def test_mod_matches_the_remainder_operator(q):
         want = a % q
         got = severi_degeneration._mod(a.copy(), q)
         assert np.array_equal(got, want)
-        scratch = np.empty_like(a)
-        assert np.array_equal(severi_degeneration._mod(a.copy(), q, scratch), want)
+        work = np.empty_like(a)
+        assert np.array_equal(severi_degeneration._mod(a.copy(), q, work), want)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
