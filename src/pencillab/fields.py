@@ -60,8 +60,8 @@ class Field:
     # -- element construction -------------------------------------------------
 
     def coerce(self, value) -> Element:
-        # plain ints first: the Fraction test below goes through ABCMeta
-        if type(value) is int:
+        # ints first: the Fraction test below goes through ABCMeta
+        if isinstance(value, int):
             return Fraction(value) if self.q == 0 else value % self.q
         if isinstance(value, str):
             value = Fraction(value)
@@ -74,8 +74,6 @@ class Field:
                     f"denominator {den} not invertible mod {self.q}"
                 )
             return (num * pow(den, -1, self.q)) % self.q
-        if isinstance(value, int):
-            return Fraction(value) if self.q == 0 else value % self.q
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     @property

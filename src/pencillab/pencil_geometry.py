@@ -640,7 +640,9 @@ def bezoutian_curve(pencil: Pencil) -> PlaneCurve:
     coeffs = [F.zero] * len(index)  # plain sums; PlaneCurve reduces them mod q
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
-            p = f[i] * g[j] - f[j] * g[i]  # the Plucker coordinate
+            # the Plucker coordinate, unreduced: plucker_coordinates reduces
+            # each minor, which doubled this function's time at k = 3
+            p = f[i] * g[j] - f[j] * g[i]
             if p:
                 for expo, c in _wedge_terms(k, i, j):
                     coeffs[index[expo]] += p * c

@@ -76,8 +76,10 @@ DEFAULT_SEARCH_BUDGET = 200_000_000
 # 2 cores, the ladder's F_101 counts (at most 10,201 g-rows a cell) ran 5-10%
 # faster in 2048-row chunks than in 8192-row ones, with a third of the page
 # faults, while the k = 4 count over F_101 (about 10^6 g-rows) ran about 15%
-# slower.  _BATCH_ROWS also bounds a _solutions batch and a _strata_codes
-# call; strata calls of 16k and 32k pencils were 5-20% slower.
+# slower.  Only that k = 4 count, in tools/bench_layers.py, measures the
+# 8192-row side: no perfbench workload reaches it.  _BATCH_ROWS also bounds a
+# _solutions batch and a _strata_codes call; strata calls of 16k and 32k
+# pencils were 5-20% slower.
 _RANK_CHUNK_ROWS = 2048
 _BATCH_ROWS = 8192
 # A search runs its rank pass in one process whatever jobs is while g-rows x
