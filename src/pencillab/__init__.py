@@ -33,7 +33,7 @@ _EXPORTS = {
         "RiemannHurwitzViolation",
         "ZeroCount",
     ),
-    "fields": ("QQ", "Field", "prime_field"),
+    "fields": ("QQ", "Field"),
     "monodromy": (
         "MonodromyTuple",
         "Permutation",

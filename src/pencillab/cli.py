@@ -636,7 +636,9 @@ def _emit_json(payload) -> None:
 
 def _emit_csv(payload) -> bool:
     rows = payload if isinstance(payload, list) else [payload]
-    if not rows or not all(isinstance(r, dict) for r in rows):
+    if not rows:  # a table with no rows: nothing to print
+        return True
+    if not all(isinstance(r, dict) for r in rows):
         return False
     flat_rows = []
     for row in rows:

@@ -126,7 +126,3 @@ class Field:
 
 #: The rational field, shared default.
 QQ = Field(0)
-
-
-def prime_field(q: int) -> Field:
-    return Field(q)

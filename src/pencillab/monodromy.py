@@ -67,8 +67,6 @@ class Permutation:
         """Left-to-right product: apply self first, then other."""
         return Permutation(tuple(other.images[i - 1] for i in self.images))
 
-    __mul__ = then
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, img in enumerate(self.images):
@@ -108,9 +106,6 @@ class Permutation:
         """The unique nontrivial cycle if there is exactly one, else None."""
         cycs = self.cycles()
         return cycs[0] if len(cycs) == 1 else None
-
-    def order(self) -> int:
-        return math.lcm(1, *(len(c) for c in self.cycles()))
 
 
 def _orbit_count(images: tuple[int, ...]) -> int:

@@ -64,8 +64,8 @@ class RamificationProfile:
     e is the tuple of prescribed orders, one per marked point; each order lies
     in 2..k.  The profile must satisfy the Riemann-Hurwitz bound
     sum(e_i) <= 2(k - 1 + g) + n, otherwise no cover exists and the
-    constructor raises RiemannHurwitzViolation.  Genus 0 is allowed (the
-    classical range is g >= 1; see `classical`).
+    constructor raises RiemannHurwitzViolation.  Genus 0 is allowed, though
+    the classical range is g >= 1.
     """
 
     g: int
@@ -97,11 +97,6 @@ class RamificationProfile:
     @property
     def total_ramification(self) -> int:
         return sum(self.e)
-
-    @property
-    def classical(self) -> bool:
-        """Whether the profile sits in the usual g >= 1 range."""
-        return self.g >= 1
 
 
 def adjusted_rho(profile: RamificationProfile) -> int:

@@ -557,9 +557,6 @@ class Pencil:
     def degree(self) -> int:
         return self.f.degree
 
-    def member(self, lam, mu) -> BinaryForm:
-        return self.f.scale(lam).add(self.g.scale(mu))
-
     def to_json_dict(self) -> dict:
         return {
             "field": self.field.label(),

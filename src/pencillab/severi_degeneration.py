@@ -41,7 +41,7 @@ from .errors import (
     ResourceLimit,
     ZeroCount,
 )
-from .fields import Field
+from .fields import Field, _is_prime
 from .numerology import (  # re-exported for callers of this module
     AlphaTuple,
     enumerate_alpha,
@@ -69,10 +69,12 @@ SAMPLE_LIMIT = 20
 # order of magnitude larger.
 DEFAULT_SEARCH_BUDGET = 200_000_000
 
-# Rows per call of the kernel.  A g-range's first _BATCH_ROWS rows are
-# eliminated _RANK_CHUNK_ROWS at a time and the rest _BATCH_ROWS at a time:
-# a small search pays for the first touch of its temporaries, which grow with
-# the chunk, and a long range for the calls, which shrink with it.  Cold, on
+# Rows per call of the kernel (_systems).  A range's chunks grow fourfold from
+# their first size (_RANK_CHUNK_ROWS in the rank pass, less in the f-row walk)
+# to at most _RANK_CHUNK_ROWS within its first _BATCH_ROWS rows and
+# _BATCH_ROWS after that: a small search pays for the first touch of its
+# temporaries, which grow with the chunk, and a long range for the calls,
+# which shrink with it.  Cold, on
 # 2 cores, the ladder's F_101 counts (at most 10,201 g-rows a cell) ran 5-10%
 # faster in 2048-row chunks than in 8192-row ones, with a third of the page
 # faults, while the k = 4 count over F_101 (about 10^6 g-rows) ran about 15%
@@ -573,20 +575,56 @@ def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _matches(q: int, k: int, cell_idx: int, G_rows, pivots, cap: int):
-    """Yield (F, G) batches of matched coefficient rows: each g-row's first cap f's.
+def _sides(k: int, cell_idx: int, fixed: str) -> tuple[tuple, tuple]:
+    """(pivot, free columns) of the side held fixed, "f" or "g", then of the side solved for."""
+    i, j = _cells(k)[cell_idx]
+    cols0, cols1 = _free_columns(k, i, j)
+    f_side, g_side = (i, cols0), (j, cols1)
+    return (f_side, g_side) if fixed == "f" else (g_side, f_side)
 
-    G_rows are solvable g-rows of the cell and pivots their systems from
-    _eliminate, whose unknowns are f's free coordinates (f[i] = 1), so
-    _solutions lists each row's matches in lexicographic f order.
+
+def _systems(q: int, k: int, cell_idx: int, fixed: str, lo: int, hi: int, mats,
+             first: int = _RANK_CHUNK_ROWS):
+    """Yield (rows, pivots, solvable) for rows lo..hi-1 of a cell's fixed side, a chunk at a time.
+
+    fixed is "f" or "g".  For a fixed row h, each compiled f^T A g = 0 is one
+    linear equation in the other side's free coordinates: the entries of A h
+    there, its constant at that side's pivot 1.  With f fixed that reads
+    g^T A f = -f^T A g (A is antisymmetric), each equation negated, with the
+    same solutions and rank.  _eliminate takes chunks that start at first
+    rows and grow fourfold, to at most _RANK_CHUNK_ROWS within the range's
+    first _BATCH_ROWS rows and _BATCH_ROWS after that.
     """
     import numpy as np
 
-    i, j = _cells(k)[cell_idx]
-    cols0, _ = _free_columns(k, i, j)
+    (pivot, cols), (x_pivot, x_cols) = _sides(k, cell_idx, fixed)
+    n, m = len(x_cols), len(mats)
+    # rows of every A that meet the solved side: its n unknowns, then its pivot 1
+    system = mats[:, x_cols + [x_pivot], :].transpose(2, 0, 1).reshape(k + 1, m * (n + 1))
+    start, size = lo, first
+    while lo < hi:
+        size = min(size, _RANK_CHUNK_ROWS if lo - start < _BATCH_ROWS else _BATCH_ROWS)
+        idx = np.arange(lo, min(lo + size, hi))
+        lo, size = lo + len(idx), 4 * size
+        rows = _echelon_rows(k, pivot, cols, _digits(idx, q, len(cols)))
+        S = _mod(rows @ system, q).reshape(len(rows), m, n + 1)
+        yield (rows, *_eliminate(S, q))
+
+
+def _matches(q: int, k: int, cell_idx: int, fixed: str, rows, pivots, cap: int):
+    """Yield (F, G) batches of matched coefficient rows: each fixed row's first cap matches.
+
+    rows are solvable rows of the side held fixed and pivots their systems
+    from _systems, so _solutions lists each row's matches in lexicographic
+    order of the other side.
+    """
+    import numpy as np
+
+    _, (pivot, cols) = _sides(k, cell_idx, fixed)
     for part, X in _solutions(pivots, q, cap):
-        F = _echelon_rows(k, i, cols0, X).reshape(-1, k + 1)
-        yield F, np.repeat(G_rows[part], X.shape[1], axis=0)
+        solved = _echelon_rows(k, pivot, cols, X).reshape(-1, k + 1)
+        held = np.repeat(rows[part], X.shape[1], axis=0)
+        yield (held, solved) if fixed == "f" else (solved, held)
 
 
 def _first_keys(cell_idx: int, F, G) -> list[tuple]:
@@ -604,67 +642,30 @@ def _first_keys(cell_idx: int, F, G) -> list[tuple]:
 def _walk_f_rows(q: int, k: int, cell_idx: int, mats, start: int) -> list[tuple]:
     """Keys of a cell's first SAMPLE_LIMIT matches, walking its f-rows in order.
 
-    With f fixed, each condition is one linear equation in g's free
-    coordinates (g[j] = 1), so each f-row's first matches are solved for in
-    lexicographic g order.  The first chunk has start rows, each next one four
-    times more up to _BATCH_ROWS, and the walk stops at SAMPLE_LIMIT
-    matches.
+    Each f-row's first matches are solved for in g order, in _systems chunks
+    of start rows up, and the walk stops once it has SAMPLE_LIMIT.
     """
     import numpy as np
 
-    i, j = _cells(k)[cell_idx]
-    cols0, cols1 = _free_columns(k, i, j)
-    n, m, n_f = len(cols1), len(mats), q ** len(cols0)
-    # columns of every A that meet g: the n unknowns, then the constant g[j] = 1
-    system = mats[:, :, cols1 + [j]].transpose(1, 0, 2).reshape(k + 1, m * (n + 1))
-    keys: list[tuple] = []
-    lo, size = 0, start
-    while lo < n_f and len(keys) < SAMPLE_LIMIT:
-        f_idx = np.arange(lo, min(lo + size, n_f))
-        F_rows = _echelon_rows(k, i, cols0, _digits(f_idx, q, len(cols0)))
-        S = _mod(F_rows @ system, q).reshape(len(F_rows), m, n + 1)
-        pivots, solvable = _eliminate(S, q)
-        need = SAMPLE_LIMIT - len(keys)
+    (_, f_cols), _ = _sides(k, cell_idx, "f")
+    batches, found = [], 0
+    for F_rows, pivots, solvable in _systems(q, k, cell_idx, "f", 0, q ** len(f_cols), mats, start):
+        need = SAMPLE_LIMIT - found
         hits = np.flatnonzero(solvable)[:need]
-        found = {}
-        for part, G in _solutions(pivots[hits], q, need):
-            found.update(zip(part.tolist(), _echelon_rows(k, j, cols1, G).tolist()))
-        keys += [
-            (cell_idx, tuple(f), tuple(g))
-            for b, f in enumerate(F_rows[hits].tolist()) for g in found[b]
-        ][:need]
-        lo, size = lo + len(f_idx), min(4 * size, _BATCH_ROWS)
-    return keys
-
-
-def _g_systems(q: int, k: int, i: int, j: int, g_lo: int, g_hi: int, mats):
-    """Yield (g-rows, pivots, solvable) for g-rows g_lo..g_hi-1 of cell (i, j), a chunk at a time.
-
-    With g fixed, each compiled f^T A g = 0 (f[i] = 1) is one equation in f's
-    free coordinates, so each g-row's conditions are one linear system,
-    eliminated by _eliminate in chunks of _RANK_CHUNK_ROWS rows, or of
-    _BATCH_ROWS once _BATCH_ROWS rows of the range are done.
-    """
-    import numpy as np
-
-    cols0, cols1 = _free_columns(k, i, j)
-    n, m = len(cols0), len(mats)
-    # rows of every A that meet f: the n unknowns, then the constant f[i] = 1
-    system = mats[:, cols0 + [i], :].transpose(2, 0, 1).reshape(k + 1, m * (n + 1))
-    lo = g_lo
-    while lo < g_hi:
-        size = _RANK_CHUNK_ROWS if lo - g_lo < _BATCH_ROWS else _BATCH_ROWS
-        g_idx = np.arange(lo, min(lo + size, g_hi))
-        lo += len(g_idx)
-        G_rows = _echelon_rows(k, j, cols1, _digits(g_idx, q, len(cols1)))
-        S = _mod(G_rows @ system, q).reshape(len(G_rows), m, n + 1)
-        yield (G_rows, *_eliminate(S, q))
+        for batch in _matches(q, k, cell_idx, "f", F_rows[hits], pivots[hits], need):
+            batches.append(batch)
+            found += len(batch[0])
+        if found >= SAMPLE_LIMIT:
+            break
+    if not batches:
+        return []
+    return _first_keys(cell_idx, *(np.concatenate(b) for b in zip(*batches)))
 
 
 def _search_shard(payload) -> tuple[int, list[tuple], tuple | None]:
     """Search a contiguous range of one cell's g-rows; top-level for pickling.
 
-    A g-row has q^(n - rank) matches if its system (_g_systems) is solvable
+    A g-row has q^(n - rank) matches if its system (_systems) is solvable
     and none otherwise, n the number of f's free coordinates.  Returns the
     count, sample keys and, for strata, the part that _strata_shard
     classifies: (cell index, the range, and its solvable g-rows with their
@@ -683,13 +684,15 @@ def _search_shard(payload) -> tuple[int, list[tuple], tuple | None]:
     The solvable g-rows are kept while the sparse route needs them, or, for
     strata, while the range's matches times k - 1 are within
     _POOL_MIN_STRATA_WORK, so at most that many rows: a search with more has
-    the strata pass eliminate them again.  strata_budget is None for a plain search; with strata it is
-    (work, budget) of search_pencils_ffield, and a range whose matches alone
-    take the work past the budget raises ResourceLimit at once.
+    the strata pass eliminate them again.  strata_budget is None for a plain
+    search; with strata it is (work, budget) of search_pencils_ffield, and a
+    range whose matches alone take the work past the budget raises
+    ResourceLimit at once.
     """
     import numpy as np
 
-    (q, k, cell_idx, i, j, g_lo, g_hi, mats, strata_budget) = payload
+    (q, k, cell_idx, g_lo, g_hi, mats, strata_budget) = payload
+    i, j = _cells(k)[cell_idx]
     cols0, cols1 = _free_columns(k, i, j)
     n, m, n_f = len(cols0), len(mats), q ** len(cols0)
     want_strata = strata_budget is not None
@@ -702,7 +705,7 @@ def _search_shard(payload) -> tuple[int, list[tuple], tuple | None]:
         return (g_hi - g_lo) * n_f, keys[:SAMPLE_LIMIT], None
     by_rank = np.zeros(n + 1, dtype=np.int64)
     kept: list | None = []  # (g-rows, pivots) of the solvable rows; None once dropped
-    for G_rows, pivots, solvable in _g_systems(q, k, i, j, g_lo, g_hi, mats):
+    for G_rows, pivots, solvable in _systems(q, k, cell_idx, "g", g_lo, g_hi, mats):
         by_rank += np.bincount(_rank(pivots)[solvable], minlength=n + 1)
         per_rank = list(enumerate(by_rank.tolist()))
         count = sum(c * q ** (n - r) for r, c in per_rank)
@@ -719,10 +722,9 @@ def _search_shard(payload) -> tuple[int, list[tuple], tuple | None]:
         return 0, [], None
     rows = None if kept is None else tuple(np.concatenate(r) for r in zip(*kept))
     if dense:
-        start = min(_BATCH_ROWS, 2 * SAMPLE_LIMIT * n_f // count + 1)
-        keys = _walk_f_rows(q, k, cell_idx, mats, start)
+        keys = _walk_f_rows(q, k, cell_idx, mats, 2 * SAMPLE_LIMIT * n_f // count + 1)
     else:
-        F, G = (np.concatenate(b) for b in zip(*_matches(q, k, cell_idx, *rows, SAMPLE_LIMIT)))
+        F, G = (np.concatenate(b) for b in zip(*_matches(q, k, cell_idx, "g", *rows, SAMPLE_LIMIT)))
         keys = _first_keys(cell_idx, F, G)
     return count, keys, (cell_idx, g_lo, g_hi, rows) if want_strata else None
 
@@ -732,7 +734,7 @@ def _strata_shard(payload) -> list[int]:
 
     payload is (q, k, mats, parts), each part a cell index, a range of its
     g-rows and their solvable rows with pivots, or None to eliminate the range
-    again (_g_systems).  Every match is solved for, in _solutions batches of
+    again (_systems).  Every match is solved for, in _solutions batches of
     about _BATCH_ROWS, and the matches of all parts are classified
     together by _strata_codes, gathered up to _BATCH_ROWS: a small
     search takes one call, and a large one about one per batch.
@@ -749,14 +751,12 @@ def _strata_shard(payload) -> list[int]:
         pending.clear()
 
     for cell_idx, g_lo, g_hi, rows in parts:
-        i, j = _cells(k)[cell_idx]
         if rows is None:
-            rows = ((G[ok], P[ok]) for G, P, ok in _g_systems(q, k, i, j, g_lo, g_hi, mats))
+            rows = ((G[ok], P[ok]) for G, P, ok in _systems(q, k, cell_idx, "g", g_lo, g_hi, mats))
         else:
             rows = [rows]
-        n = len(_free_columns(k, i, j)[0])
         for G_rows, pivots in rows:
-            for batch in _matches(q, k, cell_idx, G_rows, pivots, q**n):
+            for batch in _matches(q, k, cell_idx, "g", G_rows, pivots, q ** pivots.shape[1]):
                 if pending and sum(len(F) for F, _ in pending + [batch]) > _BATCH_ROWS:
                     classify()
                 pending.append(batch)
@@ -827,12 +827,12 @@ def search_pencils_ffield(
     the solvable g-rows the first pass kept; a larger search eliminates its
     g-rows again, so neither pass holds more than that many rows.
 
-    budget bounds the work: g-rows times compiled conditions, summed over
-    cells, checked before the search starts; with report_strata, that plus
-    the matches to classify, checked as the first pass counts them (with no
-    conditions every pencil matches, so at once).  A larger figure raises
-    ResourceLimit, as does a q so large that (k+1)(q-1)^2 would overflow
-    int64.
+    budget, which must be at least 0, bounds the work: g-rows times compiled
+    conditions, summed over cells, checked before the search starts; with
+    report_strata, that plus the matches to classify, checked as the first
+    pass counts them (with no conditions every pencil matches, so at once).
+    A larger figure raises ResourceLimit, as does a q so large that
+    (k+1)(q-1)^2 would overflow int64.
 
     With cache_dir set, results persist as JSON keyed by a content hash of
     (k, q, constraint); an entry is used only if it records that same question.
@@ -843,6 +843,8 @@ def search_pencils_ffield(
         raise ValueError("k must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if budget < 0:
+        raise ValueError("budget must be at least 0")
     if q <= k:
         raise ValueError("need q > k so that distinct ramification points exist")
     if (k + 1) * (q - 1) ** 2 >= 2**63:
@@ -856,8 +858,7 @@ def search_pencils_ffield(
         cached = _load_cached(cache_path, k, q, constraint, report_strata)
         if cached is not None:
             return cached
-    cells = _cells(k)
-    widths = [_free_columns(k, i, j) for i, j in cells]
+    widths = [_free_columns(k, i, j) for i, j in _cells(k)]
     total = sum(q ** (len(c0) + len(c1)) for c0, c1 in widths)
     mats = compile_constraint(k, q, constraint)
     work = len(mats) * sum(q ** len(c1) for _, c1 in widths)
@@ -870,13 +871,13 @@ def search_pencils_ffield(
     # below the threshold a pool costs more than it shares
     workers = jobs if work * math.comb(k, 2) >= _POOL_MIN_ROW_WORK else 1
     tasks = []
-    for cell_idx, ((i, j), (_, cols1)) in enumerate(zip(cells, widths)):
+    for cell_idx, (_, cols1) in enumerate(widths):
         n_g = q ** len(cols1)
         shards = max(1, min(workers, n_g // 4))
         bounds = [round(s * n_g / shards) for s in range(shards + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             if lo < hi:
-                tasks.append((q, k, cell_idx, i, j, lo, hi, mats, strata_budget))
+                tasks.append((q, k, cell_idx, lo, hi, mats, strata_budget))
     outcomes = _run(_search_shard, tasks, workers)
     count = sum(outcome[0] for outcome in outcomes)
     keys = sorted({key for outcome in outcomes for key in outcome[1]})
@@ -1013,7 +1014,8 @@ def dimension_estimate(counts: list[tuple[int, int]]) -> DimensionEstimate:
     Two samples use the log-ratio directly; more use the least-squares slope
     of log(count) against log(q).  The rational field carries the same value
     with numerator and denominator rounded at 10^-6, making reports stable to
-    print and compare.  A zero count means the variety is empty and no
+    print and compare.  Each q must be prime, 2 included; a composite one
+    raises ValueError.  A zero count means the variety is empty and no
     dimension exists: that raises ZeroCount rather than returning -inf.
     """
     if len(counts) < 2:
@@ -1022,6 +1024,8 @@ def dimension_estimate(counts: list[tuple[int, int]]) -> DimensionEstimate:
     if len(set(qs)) != len(qs):
         raise ValueError("samples must use distinct primes")
     for q, c in counts:
+        if not _is_prime(q):
+            raise ValueError(f"modulus {q} is not prime")
         if c < 0:
             raise ValueError("counts cannot be negative")
         if c == 0:

@@ -98,6 +98,13 @@ def test_monodromy_construct(capsys):
     assert doc["genus"] == 0
 
 
+def test_empty_table_renders_as_empty_csv(capsys):
+    argv = ["severi", "alphas", "--p", "5", "--delta", "1", "--k", "2"]
+    assert run_json(argv, capsys) == []
+    # a table with no rows prints nothing, and the exit code is the handler's
+    assert run(argv + ["--format", "csv"], capsys) == (0, "", "")
+
+
 def test_monodromy_nested_payload_refuses_csv(capsys):
     code, _, err = run(
         ["monodromy", "construct", "--k", "3", "--e", "2,2,2,2", "--format", "csv"],
@@ -151,6 +158,15 @@ def test_search_jobs_must_be_positive(capsys):
     for jobs in ("0", "-3"):
         doc = run_json(argv + ["--jobs", jobs], capsys, expect_code=1)
         assert doc == {"error": "value_error", "detail": "jobs must be at least 1"}, jobs
+
+
+def test_search_budget_must_not_be_negative(capsys):
+    argv = ["dimlab", "search", "--k", "2", "--q", "7", "--no-cache"]
+    for command in (argv, ["reproduce", "unique-pencil", "--no-cache"]):
+        doc = run_json(command + ["--budget", "-5"], capsys, expect_code=1)
+        assert doc == {"error": "value_error", "detail": "budget must be at least 0"}, command
+    # a budget of 0 is valid: with no conditions the count takes no steps
+    assert run_json(argv + ["--budget", "0"], capsys)["count"] == 57
 
 
 def test_monodromy_infeasible(capsys):
@@ -363,6 +379,15 @@ def test_dimlab_estimate(capsys):
     doc = run_json(["dimlab", "estimate", "--counts", "5:806,7:2850"], capsys)
     assert doc["nearest"] == 4
     assert doc["raw"] == pytest.approx(3.7536, abs=1e-3)
+
+
+def test_dimlab_estimate_rejects_composite_q(capsys):
+    doc = run_json(["dimlab", "estimate", "--counts", "4:10,9:20"], capsys, expect_code=1)
+    assert doc == {"error": "value_error", "detail": "modulus 4 is not prime"}
+    doc = run_json(["dimlab", "estimate", "--counts", "5:806,9:20"], capsys, expect_code=1)
+    assert doc == {"error": "value_error", "detail": "modulus 9 is not prime"}
+    # 2 is prime: the pencils of conics over F_2 and F_5 fit the plane's dimension 2
+    assert run_json(["dimlab", "estimate", "--counts", "2:7,5:31"], capsys)["nearest"] == 2
 
 
 def test_reproduce_example_table(capsys):

@@ -31,7 +31,7 @@ EXPORTED = (
     "expected_pencil_dimension grassmannian_pencil_count has_multiple_base_points "
     "has_ramification_at hurwitz_dimension hurwitz_to_moduli_verdict "
     "intersect_with_conic is_balanced is_base_point is_reduced_curve linear_form "
-    "pad_profile plucker_coordinates prime_field profile_report rational_roots "
+    "pad_profile plucker_coordinates profile_report rational_roots "
     "same_fiber search_pencils_ffield severi_alpha severi_nonempty "
     "simple_branch_count squarefree_form sum_line sym_point "
     "total_ramification_pencil total_vanishing_multiplicity verify_tuple "
@@ -43,7 +43,7 @@ MOVED = ("AlphaTuple", "enumerate_alpha", "exists_alpha", "grassmannian_pencil_c
 
 
 def test_all_lists_exactly_the_exported_names():
-    assert len(EXPORTED) == 78
+    assert len(EXPORTED) == 77
     assert sorted(pencillab.__all__) == EXPORTED
 
 
@@ -104,6 +104,19 @@ def _names_used(tree):
     return used
 
 
+def _attributes_read(*dirs):
+    """Every name read as an attribute, .name, in the Python files under these directories."""
+    read = set()
+    for top in dirs:
+        for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(dirpath, name)) as fh:
+                        tree = ast.parse(fh.read())
+                    read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    return read
+
+
 def _listed_in_all(filename):
     """The __all__ of the module in that file, or nothing if it has none."""
     stem = filename[: -len(".py")]
@@ -113,11 +126,14 @@ def _listed_in_all(filename):
 
 def test_no_dead_definitions_or_imports():
     """A module-level function or class is exported or named somewhere in the
-    package; a module-level import is used in its module or listed in its __all__."""
+    package; a module-level import is used in its module or listed in its __all__.
+    A method or property of a class, dunders aside, is read as .name somewhere
+    in src, tests, demos, tools or perfbench."""
     trees = dict(_modules())
     used_anywhere = set().union(*(_names_used(tree) for tree in trees.values()))
     with open(os.path.join(ROOT, "pyproject.toml")) as fh:  # console-script entry points
         used_anywhere.update(re.findall(r'"pencillab\.\w+:(\w+)"', fh.read()))
+    attributes = _attributes_read("src", "tests", "demos", "tools", "perfbench")
     unused = []
     for name, tree in trees.items():
         used_here = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -128,6 +144,12 @@ def test_no_dead_definitions_or_imports():
                     continue  # module hooks such as __getattr__, called by Python
                 if node.name not in pencillab.__all__ and node.name not in used_anywhere:
                     unused.append(f"{name}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:  # dunders are called by Python
+                    if (isinstance(member, ast.FunctionDef)
+                            and not re.fullmatch(r"__\w+__", member.name)
+                            and member.name not in attributes):
+                        unused.append(f"{name}: {node.name}.{member.name}")
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 if getattr(node, "module", None) == "__future__":
                     continue

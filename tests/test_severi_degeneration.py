@@ -553,9 +553,11 @@ def test_g_side_search_matches_brute_force(monkeypatch):
         routes["dense"] += 1
         return walk(*args)
 
-    def counted_matches(*args):
-        routes["sparse"] += args[-1] == sd.SAMPLE_LIMIT  # the strata pass takes every match
-        return matches(*args)
+    def counted_matches(q, k, cell_idx, fixed, rows, pivots, cap):
+        # the sparse route solves g-fixed systems for SAMPLE_LIMIT f's each; the
+        # walk holds f fixed, and the strata pass takes every match
+        routes["sparse"] += fixed == "g" and cap == sd.SAMPLE_LIMIT
+        return matches(q, k, cell_idx, fixed, rows, pivots, cap)
 
     monkeypatch.setattr(sd, "_walk_f_rows", counted_walk)
     monkeypatch.setattr(sd, "_matches", counted_matches)
@@ -590,6 +592,61 @@ def test_g_side_search_matches_brute_force(monkeypatch):
                 m.setattr(sd, "_POOL_MIN_STRATA_WORK", keep_rows)
                 assert search_pencils_ffield(k, q, constraint, report_strata=True) == want, name
     assert routes["dense"] and routes["sparse"], routes
+
+
+def side_matches(k, q, mats, cell_idx, fixed):
+    """Every match of a cell, solved for with the given side held fixed: sorted f|g rows."""
+    sd = severi_degeneration
+    (_, cols), _ = sd._sides(k, cell_idx, fixed)
+    batches = [
+        np.concatenate(batch, axis=1)
+        for rows, pivots, ok in sd._systems(q, k, cell_idx, fixed, 0, q ** len(cols), mats)
+        for batch in sd._matches(q, k, cell_idx, fixed, rows[ok], pivots[ok],
+                                 q ** pivots.shape[1])
+    ]
+    found = np.concatenate(batches) if batches else np.zeros((0, 2 * k + 2), dtype=np.int64)
+    return found[np.lexsort(found.T[::-1])]
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_f_and_g_fixed_systems_find_the_same_matches(k, q):
+    """A^T = -A, so holding f fixed negates each g-fixed equation and keeps its solutions."""
+    sd = severi_degeneration
+    rng = random.Random(f"rank-oracle:{k}:{q}")
+    for name, constraint in oracle_constraints(Field(q), k, rng):
+        mats = sd.compile_constraint(k, q, constraint)
+        found = 0
+        for cell_idx in range(len(sd._cells(k))):
+            by_f = side_matches(k, q, mats, cell_idx, "f")
+            assert np.array_equal(by_f, side_matches(k, q, mats, cell_idx, "g")), (name, cell_idx)
+            found += len(by_f)
+        assert (found == 0) == (name == "inconsistent"), name
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_walk_keys_do_not_depend_on_the_first_chunk(k, q):
+    sd = severi_degeneration
+    rng = random.Random(f"rank-oracle:{k}:{q}")
+    for name, constraint in oracle_constraints(Field(q), k, rng):
+        mats = sd.compile_constraint(k, q, constraint)
+        for cell_idx in range(len(sd._cells(k))):
+            first = side_matches(k, q, mats, cell_idx, "g")[:sd.SAMPLE_LIMIT].tolist()
+            want = [(cell_idx, tuple(row[: k + 1]), tuple(row[k + 1 :])) for row in first]
+            for start in (1, 7, 2048):
+                assert sd._walk_f_rows(q, k, cell_idx, mats, start) == want, (name, start)
+
+
+def test_system_chunks_grow_fourfold_to_the_caps():
+    sd = severi_degeneration
+    no_conditions = np.zeros((0, 4, 4), dtype=np.int64)
+    # the f-row walk from one row: 2048 at most within the first 8192 rows
+    sizes = [len(rows) for rows, _, _ in sd._systems(101, 3, 0, "f", 0, 101**2, no_conditions, 1)]
+    assert sizes == [1, 4, 16, 64, 256, 1024, 2048, 2048, 2048, 2048, 644]
+    # the rank pass, on a g-range not starting at 0: 8192 once its first 8192 rows are done
+    sizes = [len(rows) for rows, _, _ in sd._systems(211, 3, 0, "g", 5, 211**2, no_conditions)]
+    assert sizes == [2048] * 4 + [8192] * 4 + [211**2 - 5 - 5 * 8192]
 
 
 def pencil_with_common_factor(F, k, rng):
