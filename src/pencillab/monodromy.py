@@ -44,7 +44,11 @@ class Permutation:
 
     @classmethod
     def from_cycle(cls, symbols, k: int) -> "Permutation":
-        """The cycle sending symbols[i] to symbols[i+1] (and the last to the first)."""
+        """The cycle sending symbols[i] to symbols[i+1] (and the last to the first);
+        the symbols are a list or tuple of ints in 1..k (bools refused), k >= 1."""
+        if (k < 1 or not isinstance(symbols, (list, tuple))
+                or any(type(s) is not int for s in symbols)):
+            raise ValueError(f"need k >= 1 and a cycle of integer symbols, got {k}, {symbols!r}")
         symbols = tuple(symbols)
         if len(set(symbols)) != len(symbols):
             raise ValueError(f"repeated symbol in cycle {symbols}")
@@ -128,6 +132,8 @@ class MonodromyTuple:
 
     def __post_init__(self):
         object.__setattr__(self, "cycles", tuple(self.cycles))
+        if self.k < 1:
+            raise ValueError(f"degree k must be at least 1, got {self.k}")
         for sigma in self.cycles:
             if sigma.degree != self.k:
                 raise ValueError("all cycles must act on the same 1..k")
@@ -149,8 +155,10 @@ class MonodromyTuple:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MonodromyTuple":
-        k = int(data["k"])
-        cycles = tuple(Permutation.from_cycle(c, k) for c in data["cycles"])
+        k, cycles = data["k"], data["cycles"]
+        if type(k) is not int or not isinstance(cycles, list):
+            raise ValueError(f"need an integer k and a list of cycles, got {k!r}, {cycles!r}")
+        cycles = tuple(Permutation.from_cycle(c, k) for c in cycles)
         return cls(k=k, cycles=cycles)
 
 

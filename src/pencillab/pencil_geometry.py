@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import mul
 
 from .errors import (
     BasePointAmbiguity,
@@ -31,7 +32,7 @@ from .errors import (
     CoincidentPoints,
     DegeneratePencil,
 )
-from .fields import QQ, Element, Field
+from .fields import Element, Field
 
 # ---------------------------------------------------------------------------
 # points
@@ -762,34 +763,23 @@ def total_ramification_pencil(a: ProjPoint, b: ProjPoint, k: int) -> Pencil:
 # elimination and reducedness of plane curves
 
 
-def _var_degree(curve: PlaneCurve, var: int) -> int:
-    """The actual degree of the curve in the chosen variable."""
-    F = curve.field
-    return max(
-        (expo[var] for expo, c in zip(curve_monomials(curve.degree), curve.coeffs)
-         if not F.is_zero(c)),
-        default=0,
-    )
-
-
-def _det(rows: list) -> Fraction:
-    """Determinant of a square matrix of rationals, by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(len(rows)):
-        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+def _integer_det(rows: list) -> int:
+    """Determinant of a square integer matrix, a list of rows that it may reorder,
+    by Bareiss's fraction-free elimination: each entry of the minor left after
+    a step is a minor of the matrix, so each division by the previous pivot
+    is exact."""
+    sign, prev = 1, 1
+    while rows:  # eliminate the first column, then go on with the minor left
+        p = next((i for i, row in enumerate(rows) if row[0]), None)
         if p is None:
-            return Fraction(0)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = -det
-        pivot = rows[c][c]
-        det *= pivot
-        for r in range(c + 1, len(rows)):
-            factor = rows[r][c] / pivot
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
-    return det
+            return 0
+        if p:
+            rows[0], rows[p] = rows[p], rows[0]
+            sign = -sign
+        (pivot, *tail), *rest = rows
+        rows = [[(pivot * e - row[0] * f) // prev for e, f in zip(row[1:], tail)] for row in rest]
+        prev = pivot
+    return sign * prev
 
 
 def _interpolate(values: list) -> list:
@@ -806,6 +796,43 @@ def _interpolate(values: list) -> list:
     return poly
 
 
+def _cleared(curve: PlaneCurve, var: int) -> tuple[list, int]:
+    """The curve as a polynomial in var with integer coefficients, and its scale.
+
+    Entry i is the coefficient of var^i at (p0 : p1) = (1 : t), the other
+    two variables taken in (u, v, w) order, as a list of degree + 1 integers
+    ascending in t; the list ends at the curve's degree in var.  Over Q the
+    scale is the lcm of the denominators, which clears them.  An F_q residue
+    is an integer in 0..q-1 already, nonzero exactly when the residue is,
+    and its scale is 1.
+    """
+    scale = lcm(*(c.denominator for c in curve.coeffs))
+    by_power = [[0] * (curve.degree + 1) for _ in range(curve.degree + 1)]
+    for expo, c in zip(curve_monomials(curve.degree), curve.coeffs):
+        rest = expo[:var] + expo[var + 1:]
+        by_power[expo[var]][rest[1]] = c.numerator * (scale // c.denominator)
+    while len(by_power) > 1 and not any(by_power[-1]):
+        by_power.pop()
+    return by_power, scale
+
+
+def _resultant_values(a: list, b: list):
+    """The resultant in var of two _cleared curves, at t = 0..D in order.
+
+    D is its degree (see curve_resultant).  Each value is the integer
+    determinant of their Sylvester matrix at t: the resultant of the integer
+    lifts, exact over Q once divided by the scales, and over F_q congruent
+    to the resultant there.
+    """
+    (m, da), (n, db) = ((len(c) - 1, len(c[0]) - 1) for c in (a, b))
+    for t in range(da * n + db * m - m * n + 1):
+        powers = [t**e for e in range(max(da, db) + 1)]
+        ca, cb = ([sum(map(mul, row, powers)) for row in reversed(c)] for c in (a, b))
+        rows = [[0] * i + ca + [0] * (n - 1 - i) for i in range(n)]
+        rows += [[0] * i + cb + [0] * (m - 1 - i) for i in range(m)]
+        yield _integer_det(rows)
+
+
 def curve_resultant(a: PlaneCurve, b: PlaneCurve, var: int) -> list:
     """Res_var(a, b) of two curves over one field, as a binary form's coefficients.
 
@@ -813,111 +840,59 @@ def curve_resultant(a: PlaneCurve, b: PlaneCurve, var: int) -> list:
     is the determinant of their (m+n) x (m+n) Sylvester matrix, a form of
     degree D = deg(a)*n + deg(b)*m - m*n in the other two variables (p0, p1),
     taken in (u, v, w) order.  It is evaluated at (p0 : p1) = (1 : t) for
-    t = 0..D and interpolated; entry i of the result is the coefficient of
-    p0^(D-i) * p1^i, in the curves' field.
+    t = 0..D and interpolated over Q; entry i of the result is the
+    coefficient of p0^(D-i) * p1^i, in the curves' field.  The curves'
+    coefficients are cleared to integers first (_cleared), and the
+    resultant, of degree n in a's coefficients and m in b's, is divided by
+    scale_a^n * scale_b^m at the end.
 
-    The arithmetic is over Q.  Over F_q each residue is lifted to 0..q-1 and
-    the integer resultant is coerced at the end.  That is exact: a lift is
-    nonzero exactly when its residue is, so m and n are the degrees over F_q
-    too, and the determinant is an integer polynomial in the matrix entries.
-    The evaluation points are distinct rationals, so F_q needs no D+1 points.
+    Over F_q each residue is lifted to 0..q-1 and the integer resultant is
+    reduced at the end.  That is exact: a lift is nonzero exactly when its
+    residue is, so m and n are the degrees over F_q too, and the determinant
+    is an integer polynomial in the matrix entries.  The evaluation points
+    are distinct integers, so F_q needs no D+1 points of its own; the values
+    mod q would not do once D >= q, as the points t then repeat mod q.
     """
-    m, n = _var_degree(a, var), _var_degree(b, var)
-    lifts = [PlaneCurve(QQ, c.degree, c.coeffs) for c in (a, b)]
-    values = []
-    for t in range(a.degree * n + b.degree * m - m * n + 1):
-        ca, cb = (_specialized_coeffs(c, var, QQ.one, QQ.coerce(t)) for c in lifts)
-        rows = [[0] * i + ca[m::-1] + [0] * (n - 1 - i) for i in range(n)]
-        rows += [[0] * i + cb[n::-1] + [0] * (m - 1 - i) for i in range(m)]
-        values.append(_det(rows))
-    return [a.field.coerce(c) for c in _interpolate(values)]
-
-
-def _partial(curve: PlaneCurve, var: int) -> PlaneCurve:
-    """The partial derivative of the curve in the chosen variable."""
-    F = curve.field
-    data = {}
-    for expo, c in curve.monomial_dict().items():
-        if expo[var]:
-            lowered = list(expo)
-            lowered[var] -= 1
-            data[tuple(lowered)] = F.mul(F.coerce(expo[var]), c)
-    return PlaneCurve.from_monomial_dict(F, curve.degree - 1, data)
-
-
-def _specialized_coeffs(curve: PlaneCurve, var: int, p0, p1) -> list:
-    """Coefficient list in the chosen variable after plugging the point into the
-    other two (taken in (u, v, w) order)."""
-    F = curve.field
-    out = [F.zero] * (curve.degree + 1)
-    for (a, b, c), coef in zip(curve_monomials(curve.degree), curve.coeffs):
-        expos = [a, b, c]
-        main = expos.pop(var)
-        term = F.mul(coef, F.mul(F.pow(p0, expos[0]), F.pow(p1, expos[1])))
-        out[main] = F.add(out[main], term)
-    return out
-
-
-def _variable_has_repeated_factor(curve: PlaneCurve, var: int) -> bool | None:
-    """Whether some repeated factor of the curve involves the chosen variable.
-
-    Decided through the discriminant with respect to that variable, evaluated
-    on specialization lines: one squarefree specialization (at full degree)
-    witnesses a nonzero discriminant; d*(d - 1) + 1 full-degree
-    specializations that are all non-squarefree prove it vanishes identically.
-    That is because, with d the degree and m the degree in the variable, the
-    coefficient of var^i is a form of degree d - i in the other two variables,
-    so Res_var(F, dF/dvar) is a form of degree d(m-1) + (d-1)m - m(m-1) =
-    2dm - d - m^2 <= d(d-1) in them.  At a full-degree specialization it is
-    the discriminant up to a nonzero factor, so if it is not identically zero
-    it vanishes on at most d(d-1) of the lines.  The lines are (t : 1) for
-    t = 0, 1, 2, ... and then (1 : 0); at most d of them drop the degree, so
-    over Q, where t runs to d*(d - 1) + d, the scan always concludes.
-    Returns None when F_q has too few points.
-    """
-    F = curve.field
-    d = curve.degree
-    var_degree = _var_degree(curve, var)
-    if var_degree <= 1:
-        return False  # a repeated factor would need degree >= 2 here
-    needed = d * (d - 1) + 1
-    seen = 0
-    ts = range(F.q) if F.q else range(needed + d)
-    for pt in [(t, F.one) for t in ts] + [(F.one, F.zero)]:
-        special = _trim(F, _specialized_coeffs(curve, var, F.coerce(pt[0]), pt[1]))
-        if len(special) - 1 != var_degree:
-            continue  # leading coefficient vanished; specialization dishonest
-        seen += 1
-        if _poly_squarefree(F, special):
-            return False
-        if seen >= needed:
-            return True
-    return None
+    (pa, sa), (pb, sb) = _cleared(a, var), _cleared(b, var)
+    m, n = len(pa) - 1, len(pb) - 1
+    values = list(_resultant_values(pa, pb))
+    return [a.field.coerce(c / (sa**n * sb**m)) for c in _interpolate(values)]
 
 
 def is_reduced_curve(curve: PlaneCurve) -> bool:
-    """Whether the curve is squarefree (no repeated factor).
+    """Whether the curve is squarefree (no repeated factor), over Q and F_q alike.
 
-    Each variable is cleared by a discriminant specialization scan, over Q and
-    over F_q alike (F_q needs q > degree, else CharacteristicObstruction).
-    When F_q has too few points to carry the scan for a variable, the
-    discriminant is computed instead: some repeated factor involves the
-    variable exactly when Res_var(F, dF/dvar) vanishes identically over F_q.
-    That is exact because q > degree keeps the derivative's leading
-    coefficient nonzero and makes every factor (of degree below q) separable.
+    Some repeated factor involves a variable exactly when the discriminant
+    Res_var(C, dC/dvar) vanishes identically.  Over F_q that needs q > the
+    degree d (else CharacteristicObstruction): dC/dvar keeps its degree and
+    every factor is separable.  Only variables of degree m >= 2 are tested,
+    as a repeated factor has degree 2 or more in each variable it involves.
+    The discriminant is a form of degree D = 2dm - d - m^2 <= d(d - 1) in
+    the other two variables; its values at (1 : t), t = 0..D, are taken in
+    order, on the curve cleared to integers as in curve_resultant, and the
+    first one nonzero in the field clears the variable.  If all vanish they
+    are interpolated and reduced: over Q, or F_q with D < q, that gives
+    zero, but once D >= q the points repeat mod q, and a nonzero form over
+    F_q can vanish at all of them.
     """
     if curve.is_zero():
         raise ValueError("zero curve")
-    F = curve.field
-    if 0 < F.q <= curve.degree:
-        raise CharacteristicObstruction(
-            f"characteristic {F.q} too small for degree {curve.degree}"
-        )
+    F, d = curve.field, curve.degree
+    if 0 < F.q <= d:
+        raise CharacteristicObstruction(f"characteristic {F.q} too small for degree {d}")
     for var in range(3):
-        verdict = _variable_has_repeated_factor(curve, var)
-        if verdict is None:
-            disc = curve_resultant(curve, _partial(curve, var), var)
-            verdict = all(F.is_zero(c) for c in disc)
-        if verdict:
-            return False
+        cleared, _ = _cleared(curve, var)
+        m = len(cleared) - 1
+        if m < 2:
+            continue
+        # dC/dvar cleared the same way: its degree is d - 1, and m < q keeps m - 1 in var
+        partial = [[i * c for c in row[:d]] for i, row in enumerate(cleared)][1:]
+        values = []
+        for value in _resultant_values(cleared, partial):
+            if F.coerce(value):
+                break
+            values.append(value)
+        else:
+            if not any(F.coerce(c) for c in _interpolate(values)):
+                return False
     return True

@@ -1,4 +1,4 @@
-"""tools/bench_layers.py runs: one repeat of its smallest case, in its own process."""
+"""tools/bench_layers.py runs: one repeat of a few cases, each run in its own process."""
 
 import json
 import os
@@ -20,3 +20,15 @@ def test_bench_layers_prints_its_medians(tmp_path):
     assert doc["ms"] == {}
     (label, value), = doc["us_per_call"].items()
     assert label.startswith("Field.coerce") and value > 0
+
+
+def test_bench_layers_times_the_frozen_geometry_pencils(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--repeats", "1", "--only", "8 cli"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert sorted(doc["ms"]) == ["intersect_with_conic, 8 cli conic pencils",
+                                 "is_reduced_curve, 8 cli reduced pencils"]
+    assert all(value > 0 for value in doc["ms"].values())

@@ -91,6 +91,21 @@ def test_error_names_keep_acronyms_whole(capsys):
     assert doc["error"] == "json_decode_error"
 
 
+@pytest.mark.parametrize("cycles", [
+    "[1]", "[[1,2],3]", "null", '"ab"', '[["1","2"]]', "[[1.5,2]]", "[[true,2]]", "{}",
+])
+def test_monodromy_verify_refuses_cycles_of_the_wrong_shape(cycles, capsys):
+    doc = run_json(["monodromy", "verify", "--k", "3", "--cycles", cycles], capsys,
+                   expect_code=1)
+    assert doc["error"] == "value_error", cycles
+
+
+def test_monodromy_verify_refuses_degree_zero(capsys):
+    doc = run_json(["monodromy", "verify", "--k", "0", "--cycles", "[]"], capsys,
+                   expect_code=1)
+    assert doc["error"] == "value_error"
+
+
 def test_monodromy_construct(capsys):
     doc = run_json(["monodromy", "construct", "--k", "3", "--e", "2,2,2,2"], capsys)
     assert doc["cycles"] == [[1, 2], [2, 3], [2, 3], [1, 2]]
@@ -273,6 +288,13 @@ def test_pencil_same_fiber(capsys):
         capsys,
     )
     assert doc["same_fiber"] is True
+
+
+def test_pencil_reduced_when_q_equals_k(capsys):
+    # <x0^5, x1^5> over F_5 has no base point, but in characteristic 5 its
+    # pair curve is (v^2 - 4uw)^2, so the base-locus law fails at q = k
+    argv = ["pencil", "reduced", "--q", "5", "--f", "1,0,0,0,0,0", "--g", "0,0,0,0,0,1"]
+    assert run(argv, capsys) == (0, '{"reduced": false}\n', "")
 
 
 def test_pencil_degenerate_error(capsys):
@@ -513,7 +535,8 @@ def test_heavy_modules_load_only_where_used(tmp_path):
         ["pencil", "bezoutian", "--f", "0,1,0", "--g", "0,0,1"],
         ["pencil", "reduced", "--f", "1,2,3", "--g", "0,1,1"],  # reduced
         ["pencil", "reduced", "--f", "1,0,0,0", "--g", "0,1,0,0"],  # not reduced
-        # F_5 has too few points for a cubic's w-scan: the small-field fallback
+        # not reduced over F_5, where a cubic's discriminants reach degree 6 >= q,
+        # so their vanishing values are interpolated
         ["pencil", "reduced", "--q", "5", "--f", "0,0,0,0,1", "--g", "0,0,0,1,0"],
     ]
     steps = probe_loads(tmp_path, geometry)

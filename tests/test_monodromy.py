@@ -195,3 +195,23 @@ def test_tuple_json_round_trip():
     mt = construct_tuple(4, (4, 4))
     again = MonodromyTuple.from_json_dict(mt.to_json_dict())
     assert again == mt
+
+
+@pytest.mark.parametrize("data", [
+    {"k": 3, "cycles": None}, {"k": 3, "cycles": {}}, {"k": 3, "cycles": "ab"},
+    {"k": 3, "cycles": [1]}, {"k": 3, "cycles": [[1, 2], 3]}, {"k": 3, "cycles": [["1", "2"]]},
+    {"k": 3, "cycles": [[1.5, 2]]}, {"k": 3, "cycles": [[True, 2]]},
+    {"k": 0, "cycles": []}, {"k": "3", "cycles": [[1, 2]]}, {"k": True, "cycles": []},
+])
+def test_tuple_json_of_the_wrong_shape_is_refused(data):
+    with pytest.raises(ValueError):
+        MonodromyTuple.from_json_dict(data)
+
+
+def test_cycle_needs_integer_symbols_and_a_positive_degree():
+    assert Permutation.from_cycle((1, 2), 2) == Permutation((2, 1))
+    with pytest.raises(ValueError):
+        MonodromyTuple(k=0, cycles=())
+    for symbols, k in [((1, True), 3), ([1.0, 2], 3), ((), 0), ("12", 3)]:
+        with pytest.raises(ValueError):
+            Permutation.from_cycle(symbols, k)

@@ -105,7 +105,9 @@ def _names_used(tree):
 
 
 def _attributes_read(*dirs):
-    """Every name read as an attribute, .name, in the Python files under these directories."""
+    """Every name read as an attribute, .name, in the Python files under these
+    directories, except on `args`: an argparse namespace's attributes are the
+    options (`args.order`), which would keep a same-named method alive."""
     read = set()
     for top in dirs:
         for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
@@ -113,7 +115,10 @@ def _attributes_read(*dirs):
                 if name.endswith(".py"):
                     with open(os.path.join(dirpath, name)) as fh:
                         tree = ast.parse(fh.read())
-                    read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+                    read.update(
+                        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                        and not (isinstance(n.value, ast.Name) and n.value.id == "args")
+                    )
     return read
 
 

@@ -36,11 +36,10 @@ from pencillab import (
     total_vanishing_multiplicity,
     wronskian,
 )
+from pencillab import pencil_geometry
 from pencillab.fields import QQ, Field
 from pencillab.pencil_geometry import (
     _move_to_origin,
-    _partial,
-    _variable_has_repeated_factor,
     curve_monomials,
     curve_resultant,
 )
@@ -283,6 +282,14 @@ class TestReducedness:
         double = PlaneCurve.from_monomial_dict(QQ, 2, {(0, 2, 0): 1})
         assert not is_reduced_curve(double)
 
+    def test_curve_free_of_a_variable(self):
+        # w does not occur, so no repeated factor involves it
+        for F in (QQ, Field(7)):
+            for degree, data in [(2, {(1, 1, 0): 1}), (2, {(2, 0, 0): 1, (0, 2, 0): 1}),
+                                 (3, {(3, 0, 0): 1, (0, 3, 0): 2})]:
+                assert is_reduced_curve(PlaneCurve.from_monomial_dict(F, degree, data)), data
+            assert not is_reduced_curve(PlaneCurve.from_monomial_dict(F, 3, {(1, 2, 0): 1}))
+
     def test_multiple_base_point_gives_nonreduced(self):
         pen = Pencil(form(QQ, [0, 1, 0, 0]), form(QQ, [-1, 1, 0, 0]))
         assert has_multiple_base_points(pen)
@@ -297,65 +304,81 @@ class TestReducedness:
                     curve = bezoutian_curve(pen)
                     assert is_reduced_curve(curve) == (not has_multiple_base_points(pen))
 
-    def test_small_field_fallback(self):
-        # A cubic's scan needs 7 full-degree lines: F_5 has only 6 points, and
-        # F_7 can lose some of its 8 to a dropped degree, so curves the scan
-        # cannot clear go to the modular gcd
-        rng = random.Random(12)
-        fallbacks = 0
-        for q in (5, 7):
-            F = Field(q)
-            for i in range(20):
-                if i % 2:
-                    square = linear_form(point(F, 1, rng.randrange(q)))
-                    square = square.multiply(square)
-                    try:
-                        pen = Pencil(*(form(F, [rng.randrange(q) for _ in range(3)])
-                                       .multiply(square) for _ in range(2)))
-                    except DegeneratePencil:
-                        continue
-                else:
-                    pen = random_pencil(F, 4, rng)
-                curve = bezoutian_curve(pen)
-                verdicts = [_variable_has_repeated_factor(curve, var) for var in range(3)]
-                fallbacks += True not in verdicts and None in verdicts
-                assert is_reduced_curve(curve) == (not has_multiple_base_points(pen))
-        assert fallbacks > 0
-
-    def test_rational_scan_always_concludes(self):
-        rng = random.Random(13)
-        for k in (3, 5, 7):
-            pen = random_pencil(QQ, k - 2, rng)
-            square = linear_form(point(QQ, 1, rng.randint(-9, 9)))
-            square = square.multiply(square)
-            doubled = Pencil(pen.f.multiply(square), pen.g.multiply(square))
-            for p in (random_pencil(QQ, k, rng), doubled):
-                curve = bezoutian_curve(p)
-                for var in range(3):
-                    assert _variable_has_repeated_factor(curve, var) is not None
-
-    @pytest.mark.parametrize("q", [0, 7, 11, 13, 101])
-    def test_scan_agrees_with_the_resultant(self, q):
-        # the scan stops after d(d-1)+1 full-degree lines; the discriminant's
-        # resultant decides the same question outright
-        field = QQ if q == 0 else Field(q)
-        rng = random.Random(f"scan-bound:{q}")
+    @pytest.mark.parametrize("q", [5, 7, 11])
+    def test_base_locus_law_over_small_fields(self, q):
+        F = Field(q)
+        rng = random.Random(f"small-field-law:{q}")
         seen = set()
-        for k, doubled, _ in itertools.product((3, 4, 5), (False, True), range(4)):
-            pen = random_pencil(field, k - 2 if doubled else k, rng, span=3)
+        for k, doubled, _ in itertools.product(range(3, min(q, 7)), (False, True), range(4)):
+            pen = random_pencil(F, k - 2 if doubled else k, rng)
             if doubled:
-                square = linear_form(point(field, 1, rng.randint(-3, 3)))
+                square = linear_form(point(F, 1, rng.randrange(q)))
                 square = square.multiply(square)
                 pen = Pencil(pen.f.multiply(square), pen.g.multiply(square))
-            curve = bezoutian_curve(pen)
-            for var in range(3):
-                verdict = _variable_has_repeated_factor(curve, var)
-                if verdict is None:
-                    continue
-                disc = curve_resultant(curve, _partial(curve, var), var)
-                assert verdict == all(field.is_zero(c) for c in disc), (k, doubled, var)
-                seen.add(verdict)
+            reduced = is_reduced_curve(bezoutian_curve(pen))
+            assert reduced == (not has_multiple_base_points(pen)), (k, doubled)
+            seen.add(reduced)
         assert seen == {False, True}
+
+    def test_matches_sympy_squarefree_decomposition(self):
+        sympy = pytest.importorskip("sympy")
+        u, v, w = sympy.symbols("u v w")
+
+        def to_sympy(curve):
+            return sum((int(c) * u**a * v**b * w**e
+                        for (a, b, e), c in curve.monomial_dict().items()), sympy.Integer(0))
+
+        def from_sympy(expr, degree):
+            terms = sympy.Poly(expr, u, v, w).terms()
+            return PlaneCurve.from_monomial_dict(QQ, degree, {m: int(c) for m, c in terms})
+
+        rng = random.Random(34)
+        seen = set()
+        for degree, _ in itertools.product((2, 3, 4), range(6)):
+            curve = sparse_curve(QQ, degree, rng, density=0.6)
+            line = sparse_curve(QQ, 1, rng, density=0.8)
+            # C * L^2 is never reduced
+            squared = from_sympy(sympy.expand(to_sympy(curve) * to_sympy(line) ** 2), degree + 2)
+            for c in (curve, squared):
+                _, parts = sympy.sqf_list(to_sympy(c))
+                want = all(mult == 1 for _, mult in parts)
+                assert is_reduced_curve(c) == want, c.monomial_dict()
+                seen.add(want)
+            assert not is_reduced_curve(squared)
+        assert seen == {False, True}
+
+    def test_interpolates_when_every_value_vanishes(self, monkeypatch):
+        # Over F_5, 2u^3 + uw^2 + 2v^2w has a u-discriminant of degree D = 6:
+        # its seven values at t = 0..6 are all 0 mod 5, yet it is
+        # t^6 - t^2 over F_5, which vanishes on F_5 but is not zero, and the
+        # curve is reduced
+        F = Field(5)
+        calls = []
+        interpolate = pencil_geometry._interpolate
+        monkeypatch.setattr(pencil_geometry, "_interpolate",
+                            lambda values: calls.append(values) or interpolate(values))
+        curve = PlaneCurve.from_monomial_dict(F, 3, {(3, 0, 0): 2, (1, 0, 2): 1, (0, 2, 1): 2})
+        assert is_reduced_curve(curve)
+        assert len(calls) == 1 and len(calls[0]) == 7
+        assert all(value % 5 == 0 for value in calls[0])
+        assert curve_resultant(curve, _partial(curve, 0), 0) == [0, 0, 4, 0, 0, 0, 1]
+        # on seeded three- and four-term curves of degree 3 and 4 the verdict
+        # matches the discriminants expanded over F_5, and the branch runs on
+        # reduced and non-reduced curves both
+        rng = random.Random(35)
+        branch = set()
+        for degree, terms, _ in itertools.product((3, 4), (3, 4), range(40)):
+            data = {m: rng.randrange(1, 5) for m in rng.sample(curve_monomials(degree), terms)}
+            curve = PlaneCurve.from_monomial_dict(F, degree, data)
+            want = all(
+                cofactor_resultant(curve, _partial(curve, var), var)
+                for var in range(3) if max(m[var] for m in data) >= 2
+            )
+            calls.clear()
+            assert is_reduced_curve(curve) == want, data
+            if calls:
+                branch.add(want)
+        assert branch == {False, True}
 
     def test_small_characteristic_refused(self):
         curve = PlaneCurve.from_monomial_dict(Field(3), 3, {(3, 0, 0): 1, (0, 3, 0): 1})
@@ -438,6 +461,18 @@ def cofactor_resultant(a, b, var):
         return memo[used]
 
     return minor(0, 0)
+
+
+def _partial(curve, var):
+    """The partial derivative of the curve in the chosen variable."""
+    F = curve.field
+    data = {}
+    for expo, c in curve.monomial_dict().items():
+        if expo[var]:
+            lowered = list(expo)
+            lowered[var] -= 1
+            data[tuple(lowered)] = F.mul(F.coerce(expo[var]), c)
+    return PlaneCurve.from_monomial_dict(F, curve.degree - 1, data)
 
 
 def assert_resultant_matches_oracle(a, b, var):

@@ -19,7 +19,10 @@ The cases, in the order each repeat runs them:
 - each search of the `ladder` workload for variants 0-7, with its jobs and
   no cache, the median taken over the variants and the repeats;
 - the k = 4 count over F_101 with four incidences (the ladder's incidence
-  pairs of variant 0) and the unconstrained k = 4 strata search over F_7.
+  pairs of variant 0) and the unconstrained k = 4 strata search over F_7;
+- `is_reduced_curve` on the pair curves of the 8 `pencil reduced` pencils
+  frozen for `cli_cold`, and `intersect_with_conic` with the diagonal conic
+  on those of its 8 `pencil conic-section` pencils, 8 calls a case.
 
 The output holds `nproc`, the versions, the tree measured, and `ms` (or
 `us_per_call`) by case.  Times are raw, not scaled to a reference speed, so
@@ -93,6 +96,23 @@ def _large_cases(P, fields, sd, pairs):
         4, 7, sd.SearchConstraint(), report_strata=True)
 
 
+def _geometry_cases(P, fields, sd, pools):
+    def curves(pool):
+        out = []
+        for entry in pools[pool]:  # argv holds --f=c0,c1,... and --g=...
+            opts = dict(a[2:].split("=", 1) for a in entry["argv"] if a.startswith("--"))
+            f, g = (P.BinaryForm.from_coeffs(fields.QQ, opts[n].split(",")) for n in "fg")
+            out.append(P.bezoutian_curve(P.Pencil(f, g)))
+        return out
+
+    reduced, conic = curves("reduced"), curves("conic")
+    diagonal = P.diagonal_conic(fields.QQ)
+    yield "is_reduced_curve, 8 cli reduced pencils", "ms", lambda: [
+        P.is_reduced_curve(c) for c in reduced]
+    yield "intersect_with_conic, 8 cli conic pencils", "ms", lambda: [
+        sd.intersect_with_conic(c, diagonal) for c in conic]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -111,10 +131,12 @@ def main(argv=None) -> int:
     from reference import reference_times  # perfbench's reference jobs
 
     with open(os.path.join(PERFBENCH, "expected.json")) as fh:
-        pairs = json.load(fh)["ladder"]["incidence_pairs"]  # the ladder's, variant 0
+        expected = json.load(fh)
+    pairs = expected["ladder"]["incidence_pairs"]  # the ladder's, variant 0
     cases = []
     for group in (_eliminate_cases(sd), _micro_cases(P, fields),
-                  _ladder_cases(P, fields, sd, pairs), _large_cases(P, fields, sd, pairs)):
+                  _ladder_cases(P, fields, sd, pairs), _large_cases(P, fields, sd, pairs),
+                  _geometry_cases(P, fields, sd, expected["cli"]["pools"])):
         cases += [c for c in group if args.only in c[0]]
     if not cases:
         ap.error(f"no case matches {args.only!r}")
