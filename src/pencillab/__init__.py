@@ -87,8 +87,6 @@ _EXPORTS = {
         "sum_line",
         "sym_point",
         "total_ramification_pencil",
-        "total_vanishing_multiplicity",
-        "wedge_basis_curve",
         "wronskian",
     ),
     "severi_degeneration": (

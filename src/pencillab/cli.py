@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import re
@@ -630,34 +631,36 @@ def _snake(name: str) -> str:
     return re.sub(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])", "_", name).lower()
 
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _emit_csv(payload) -> bool:
+def _csv_text(payload) -> str | None:
+    """The payload as a CSV table, or None when it is not flat and tabular."""
     rows = payload if isinstance(payload, list) else [payload]
     if not rows:  # a table with no rows: nothing to print
-        return True
+        return ""
     if not all(isinstance(r, dict) for r in rows):
-        return False
+        return None
     flat_rows = []
     for row in rows:
         flat = {}
         for key, val in row.items():
             if isinstance(val, dict):
-                return False
+                return None
             if isinstance(val, list):
                 if any(isinstance(x, (dict, list)) for x in val):
-                    return False
+                    return None
                 val = " ".join(str(x) for x in val)
             flat[key] = val
         flat_rows.append(flat)
     header = sorted({key for row in flat_rows for key in row})
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in flat_rows:
         writer.writerow([row.get(key, "") for key in header])
-    return True
+    return out.getvalue()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -665,15 +668,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.handler(args)
+        # rendered before any output, so an unprintable value (an int past
+        # Python's int-to-str digit limit) is an error
+        text = _csv_text(payload) if args.format == "csv" else _json_text(payload)
     except (PencillabError, ValueError, ZeroDivisionError) as exc:
-        _emit_json({"error": _snake(type(exc).__name__), "detail": str(exc)})
+        sys.stdout.write(_json_text({"error": _snake(type(exc).__name__), "detail": str(exc)}))
         return 1
-    if args.format == "csv":
-        if not _emit_csv(payload):
-            sys.stderr.write("csv output requires a flat tabular payload\n")
-            return 2
-    else:
-        _emit_json(payload)
+    if text is None:
+        sys.stderr.write("csv output requires a flat tabular payload\n")
+        return 2
+    sys.stdout.write(text)
     return code
 
 

@@ -15,21 +15,39 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import CharacteristicObstruction
+from .errors import CharacteristicObstruction, ResourceLimit
 
 Element = Union[Fraction, int]
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin on the twelve prime bases 2..37.
+
+    No strong pseudoprime to all twelve lies below 2^64 (Sorenson and
+    Webster, Math. Comp. 86, 2017), so the answer is exact there; n >= 2^64
+    raises ResourceLimit.
+    """
+    if n >= 1 << 64:
+        raise ResourceLimit(f"primality is decided below 2^64 only, not for {n}")
+    if n < 2 or any(n % b == 0 for b in _WITNESSES):
+        return n in _WITNESSES
+    if n < 41 * 41:  # a composite this small has a prime factor below 41
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, lcm
 from operator import mul
 
@@ -31,8 +32,17 @@ from .errors import (
     CharacteristicObstruction,
     CoincidentPoints,
     DegeneratePencil,
+    ResourceLimit,
 )
-from .fields import Element, Field
+from .fields import Element, Field, _is_prime
+
+# rational_roots refuses with ResourceLimit to scan F_q for roots in more than
+# MAX_ROOT_SCAN_STEPS steps, q times the chart polynomial's degree + 1.  Cold
+# `pencil wronskian` processes on a shared 2-vCPU VM took 0.76-0.91 s at
+# q = 1999993, degree 2 (5,999,979 steps), and 0.83-0.87 s at q = 1000003,
+# degree 4, each in 23 MB: the scan holds _SCAN_CHUNK values at a time.
+MAX_ROOT_SCAN_STEPS = 6_000_000
+_SCAN_CHUNK = 1 << 16
 
 # ---------------------------------------------------------------------------
 # points
@@ -304,37 +314,6 @@ def _poly_squarefree(F: Field, p: list) -> bool:
     return len(_poly_gcd(F, p, d)) == 1
 
 
-def _yun_decomposition(F: Field, p: list) -> list[tuple[list, int]]:
-    """Squarefree decomposition p = prod part^mult over a characteristic-0 field."""
-    if F.q != 0:
-        raise CharacteristicObstruction(
-            "multiplicity decomposition implemented for characteristic 0 only"
-        )
-    p = _trim(F, list(p))
-    if len(p) <= 1:
-        return []
-    dp = _poly_derivative(F, p)
-    a = _poly_gcd(F, p, dp)
-    b, _ = _poly_divmod(F, p, a)
-    c, _ = _poly_divmod(F, dp, a)
-    out = []
-    m = 1
-    while len(b) > 1:
-        d = _trim(F, [F.sub(x, y) for x, y in _zip_pad(F, c, _poly_derivative(F, b))])
-        part = _poly_gcd(F, b, d)
-        if len(part) > 1:
-            out.append((part, m))
-        b, _ = _poly_divmod(F, b, part)
-        c, _ = _poly_divmod(F, d, part)
-        m += 1
-    return out
-
-
-def _zip_pad(F: Field, a: list, b: list):
-    n = max(len(a), len(b))
-    return zip(a + [F.zero] * (n - len(a)), b + [F.zero] * (n - len(b)))
-
-
 def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Greatest common divisor of two binary forms, first nonzero coefficient 1.
 
@@ -367,79 +346,71 @@ def squarefree_form(f: BinaryForm) -> bool:
     return x0_mult <= 1 and _poly_squarefree(F, p)
 
 
-def total_vanishing_multiplicity(f: BinaryForm) -> int:
-    """Sum of root multiplicities over the algebraic closure (rationals only).
+def _value(p: list, t):
+    """p(t) for a coefficient list ascending in t, by Horner."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * t + c
+    return acc
 
-    Computed from the Yun squarefree decomposition plus the residual x0 power,
-    so it doubles as a consistency check on the factor bookkeeping: the result
-    equals the degree exactly when no factor was lost.
+
+def _roots_mod(q: int, p: list[int]) -> list[int]:
+    """The t in 0..q-1, ascending, with p(t) = 0 mod q, for integer coefficients p.
+
+    Horner at every t on plain residues, _SCAN_CHUNK values of t at a time.
     """
-    F = f.field
-    p = _trim(F, list(f.coeffs))
-    if not p:
-        raise ValueError("zero form")
-    x0_mult = f.degree - (len(p) - 1)
-    parts = _yun_decomposition(F, p)
-    return x0_mult + sum((len(part) - 1) * m for part, m in parts)
+    if q * len(p) > MAX_ROOT_SCAN_STEPS:
+        raise ResourceLimit(f"a root scan of F_{q} takes {q * len(p)} steps, "
+                            f"over the cap of {MAX_ROOT_SCAN_STEPS}")
+    roots: list[int] = []
+    for lo in range(0, q, _SCAN_CHUNK):
+        ts = range(lo, min(lo + _SCAN_CHUNK, q))
+        values = [p[-1] % q] * len(ts)
+        for c in reversed(p[:-1]):
+            values = [(v * t + c) % q for t, v in zip(ts, values)]
+        roots += [t for t, v in zip(ts, values) if v == 0]
+    return roots
 
 
 def rational_roots(f: BinaryForm) -> list[tuple[ProjPoint, int]]:
     """Roots defined over the base field, with multiplicities.
 
-    Over F_q the form is evaluated at all q+1 points, by Horner on plain
-    residues, and the multiplicity is taken at the roots only.  Over Q the
-    divisor candidates of the cleared trailing and leading coefficients are
-    walked, so this is meant for small hand-built forms; irrational roots are
-    simply not reported (they stay visible through squarefree decompositions
-    instead).
+    [0:1] is a root when p(t) = f(1, t) has lower degree than f.  The roots
+    [1:t] come from one root finder, _roots_mod.  Over F_q it scans F_q.  Over
+    Q it scans the squarefree part s of p, cleared to integers, mod the least
+    odd prime l dividing neither lc(s) nor disc(s); each root mod l is simple
+    and lifts l-adically, one digit per step.  lc(s) t is an integer of size at
+    most sum |s_i| (Cauchy's bound), so once the modulus passes twice that,
+    the symmetric residue of lc(s) times the lift is lc(s) t.  A candidate is
+    kept if s vanishes there exactly (Loos, SIAM J. Comput. 12, 1983).  The
+    order is [0:1], then t = 0, then the other t ascending.
     """
     F = f.field
-    if f.is_zero():
-        raise ValueError("zero form")
-    out: list[tuple[ProjPoint, int]] = []
-    if F.q != 0:
-        q, top = F.q, f.coeffs[-1]
-        values = [top] * q  # f(1, t) for t = 0..q-1, the form's value at [1:t]
-        for c in reversed(f.coeffs[:-1]):
-            values = [(v * t + c) % q for t, v in enumerate(values)]
-        roots = ([ProjPoint(F, 0, 1)] if top == 0 else []) + [
-            ProjPoint(F, 1, t) for t, v in enumerate(values) if v == 0
-        ]
-        return [(pt, f.vanishing_order_at(pt)) for pt in roots]
     p = _trim(F, list(f.coeffs))
-    x0_mult = f.degree - (len(p) - 1)
-    if x0_mult > 0:
-        out.append((ProjPoint(F, 0, 1), x0_mult))
-    m0 = next(i for i, c in enumerate(p) if not F.is_zero(c))
-    if m0 > 0:
-        out.append((ProjPoint(F, 1, 0), m0))
-        p = p[m0:]
-    if len(p) == 1:
-        return out
-    denominators = lcm(*(c.denominator for c in p))
-    ints = [int(c * denominators) for c in p]
-    candidates: set[Fraction] = set()
-    for num in _divisors(abs(ints[0])):
-        for den in _divisors(abs(ints[-1])):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    for t in sorted(candidates):
-        pt = ProjPoint(F, 1, t)
-        mult = f.vanishing_order_at(pt)
-        if mult > 0:
-            out.append((pt, mult))
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    if not p:
+        raise ValueError("zero form")
+    if F.q:
+        ts = _roots_mod(F.q, p)
+    else:
+        s, _ = _poly_divmod(F, p, _poly_gcd(F, p, _poly_derivative(F, p)))
+        scale = lcm(*(c.denominator for c in s))
+        s = [int(c * scale) for c in s]
+        lc, ell = s[-1], 3
+        while lc % ell == 0 or not _poly_squarefree(Field(ell), [c % ell for c in s]):
+            ell = next(n for n in count(ell + 2, 2) if _is_prime(n))
+        ds, bound, ts = [i * c for i, c in enumerate(s)][1:], 2 * sum(map(abs, s)), []
+        for r in _roots_mod(ell, s):
+            inv, m = pow(_value(ds, r), -1, ell), ell
+            while m <= bound:
+                m *= ell
+                r = (r - _value(s, r) * inv) % m
+            a = lc * r % m
+            t = Fraction(a - m if 2 * a > m else a, lc)
+            if _value(s, t) == 0:
+                ts.append(t)
+        ts.sort(key=lambda t: (t != 0, t))
+    points = [ProjPoint(F, 0, 1)] * (len(p) <= f.degree) + [ProjPoint(F, 1, t) for t in ts]
+    return [(pt, f.vanishing_order_at(pt)) for pt in points]
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +578,10 @@ def plucker_coordinates(pencil: Pencil) -> dict[tuple[int, int], Element]:
 
 @lru_cache(maxsize=None)
 def _wedge_terms(k: int, i: int, j: int) -> tuple:
-    """Monomials (a, b, c) and integer coefficients of wedge_basis_curve(k, i, j).
+    """Monomials (a, b, c) and integer coefficients of a coordinate pencil's curve.
+
+    The coordinate pencil is (x0^(k-i) x1^i, x0^(k-j) x1^j).  bezoutian_curve
+    combines these curves, and compile_constraint evaluates them at a point.
 
     With A = x0*y1, B = x1*y0 and m = j-i-1, the coordinate pencil's
     f(x)g(y) - f(y)g(x) is u^(k-j) w^i (A^(m+1) - B^(m+1)).  Divided by
@@ -627,7 +601,7 @@ def bezoutian_curve(pencil: Pencil) -> PlaneCurve:
     f(x)g(y) - f(y)g(x) is the sum over i < j of the Plucker coordinate
     f_i g_j - f_j g_i times the same expression for the coordinate pencil
     (x0^(k-i) x1^i, x0^(k-j) x1^j).  So its quotient by x0*y1 - x1*y0 is the
-    Plucker-coordinate combination of the wedge_basis_curve terms.  It is
+    Plucker-coordinate combination of the coordinate pencils' curves.  It is
     nonzero because Pencil refuses dependent generators, and it is normalized
     so its first nonzero coefficient is 1.
     """
@@ -645,18 +619,6 @@ def bezoutian_curve(pencil: Pencil) -> PlaneCurve:
                 for expo, c in _wedge_terms(k, i, j):
                     coeffs[index[expo]] += p * c
     return PlaneCurve(F, k - 1, tuple(coeffs)).normalized()
-
-
-def wedge_basis_curve(field: Field, k: int, i: int, j: int) -> PlaneCurve:
-    """Plane curve induced by the coordinate pencil (x0^(k-i) x1^i, x0^(k-j) x1^j).
-
-    Any pencil's curve is the Plucker-coordinate combination of these (see
-    bezoutian_curve); the incidence compiler of the finite-field search
-    evaluates their _wedge_terms at a point.
-    """
-    if not 0 <= i < j <= k:
-        raise ValueError("need 0 <= i < j <= k")
-    return PlaneCurve.from_monomial_dict(field, k - 1, dict(_wedge_terms(k, i, j)))
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,18 @@ def test_monodromy_construct(capsys):
     assert doc["genus"] == 0
 
 
+@pytest.mark.parametrize("k,code", [(500, 0), (501, 1)])
+def test_monodromy_construct_caps_k(k, code, capsys):
+    # _construct recurses once per symbol; MAX_CONSTRUCT_K keeps it far from
+    # the recursion limit, which k = 1000 used to hit
+    doc = run_json(["monodromy", "construct", "--k", str(k), "--e", f"{k},{k}"], capsys,
+                   expect_code=code)
+    if code:
+        assert doc["error"] == "resource_limit"
+    else:
+        assert doc["verified"] is True and len(doc["cycles"]) == 2
+
+
 def test_empty_table_renders_as_empty_csv(capsys):
     argv = ["severi", "alphas", "--p", "5", "--delta", "1", "--k", "2"]
     assert run_json(argv, capsys) == []
@@ -241,6 +253,18 @@ FORMER_HANGS = [
     # multiplicities taken at the roots only (once a Taylor shift per point)
     (["pencil", "wronskian", "--q", "100003", "--f", "1,2,3", "--g", "0,1,1"], 0,
      lambda doc: doc["degree"] == 2 and doc["roots"] == []),
+    # 2^61 - 1 is prime: Miller-Rabin, not trial division up to its square root
+    (["pencil", "bezoutian", "--q", "2305843009213693951", "--f", "1,0", "--g", "0,1"], 0,
+     lambda doc: doc["field"] == {"q": 2305843009213693951} and doc["coeffs"] == ["1"]),
+    # scanning all of F_(10^9 + 7) passes MAX_ROOT_SCAN_STEPS
+    (["pencil", "wronskian", "--q", "1000000007", "--f", "1,0,5", "--g", "0,1,0"], 1,
+     lambda doc: doc["error"] == "resource_limit"),
+    # roots over Q lift from a scan mod a small prime; no coefficient is factored
+    (["pencil", "wronskian", "--f", "963761198400,0,963761198400", "--g", "0,1,0"], 0,
+     lambda doc: doc["roots"] == [{"point": ["1", "-1"], "multiplicity": 1},
+                                  {"point": ["1", "1"], "multiplicity": 1}]),
+    (["pencil", "wronskian", "--f", "1,0,100000000000000000039", "--g", "0,1,0"], 0,
+     lambda doc: doc["degree"] == 2 and doc["roots"] == []),
 ]
 
 
@@ -315,6 +339,15 @@ def test_dimlab_grassmannian_rejects_composite_q(capsys):
     # the count needs no conic, so characteristic 2 keeps its answer
     doc = run_json(["dimlab", "grassmannian", "--k", "2", "--q", "2"], capsys)
     assert doc == {"count": 7, "k": 2, "q": 2}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unprintable_count_is_a_value_error(fmt, capsys):
+    # the count has more digits than Python's int-to-str limit: the payload is
+    # rendered before anything is written, so stdout holds the error alone
+    doc = run_json(["dimlab", "grassmannian", "--k", "4000", "--q", "7", "--format", fmt],
+                   capsys, expect_code=1)
+    assert doc["error"] == "value_error"
 
 
 def test_dimlab_search_incidence(capsys):

@@ -34,8 +34,7 @@ EXPORTED = (
     "pad_profile plucker_coordinates profile_report rational_roots "
     "same_fiber search_pencils_ffield severi_alpha severi_nonempty "
     "simple_branch_count squarefree_form sum_line sym_point "
-    "total_ramification_pencil total_vanishing_multiplicity verify_tuple "
-    "wedge_basis_curve wronskian"
+    "total_ramification_pencil verify_tuple wronskian"
 ).split()
 
 # alpha-tuples and the Grassmannian count moved to numerology
@@ -43,7 +42,7 @@ MOVED = ("AlphaTuple", "enumerate_alpha", "exists_alpha", "grassmannian_pencil_c
 
 
 def test_all_lists_exactly_the_exported_names():
-    assert len(EXPORTED) == 77
+    assert len(EXPORTED) == 75
     assert sorted(pencillab.__all__) == EXPORTED
 
 

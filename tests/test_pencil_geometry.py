@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import reduce
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pencillab import (
     Pencil,
     PlaneCurve,
     ProjPoint,
+    ResourceLimit,
     bezoutian_curve,
     base_locus,
     change_basis,
@@ -33,18 +35,71 @@ from pencillab import (
     sum_line,
     sym_point,
     total_ramification_pencil,
-    total_vanishing_multiplicity,
     wronskian,
 )
 from pencillab import pencil_geometry
-from pencillab.fields import QQ, Field
+from pencillab.fields import QQ, Field, _is_prime
 from pencillab.pencil_geometry import (
+    MAX_ROOT_SCAN_STEPS,
     _move_to_origin,
+    _roots_mod,
     curve_monomials,
     curve_resultant,
 )
 
 from conftest import form, point, projective_points, random_form, random_pencil
+
+
+def root_grid(F, rng, count):
+    """Seeded nonzero forms with repeated roots, roots at [0:1] and [1:0], and scalings."""
+    out = []
+    while len(out) < count:
+        factors = [random_form(F, rng.randint(0, 3), rng)]
+        for _ in range(rng.randint(0, 3)):
+            t = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            pt = rng.choice([point(F, 0, 1), point(F, 1, 0), point(F, 1, t)])
+            factors += [linear_form(pt)] * rng.randint(1, 3)
+        h = reduce(lambda a, b: a.multiply(b), factors)
+        if not h.is_zero():
+            scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 60))
+            out.append(h.scale(scale if F.q == 0 else rng.randrange(1, F.q)))
+    return out
+
+
+def scan_roots(h):
+    """Roots over F_q by the multiplicity at every point: the oracle over F_q."""
+    F = h.field
+    pts = [point(F, 0, 1)] + [point(F, 1, t) for t in range(F.q)]
+    return [(p, m) for p in pts if (m := h.vanishing_order_at(p)) > 0]
+
+
+def _divisors(n):
+    return sorted({e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)})
+
+
+def divisor_walk_roots(h):
+    """Roots over Q by the rational root theorem: the oracle over Q.
+
+    Every divisor of the cleared trailing coefficient over every divisor of
+    the cleared leading one, after [0:1] and [1:0], in the same order as
+    rational_roots.
+    """
+    p = list(h.coeffs)
+    while p[-1] == 0:
+        p.pop()
+    out = [(point(QQ, 0, 1), h.degree + 1 - len(p))] if len(p) <= h.degree else []
+    m0 = next(i for i, c in enumerate(p) if c != 0)
+    if m0:
+        out.append((point(QQ, 1, 0), m0))
+        p = p[m0:]
+    scale = lcm(*(c.denominator for c in p))
+    ints = [int(c * scale) for c in p]
+    candidates = {Fraction(sign * a, b) for a in _divisors(abs(ints[0]))
+                  for b in _divisors(abs(ints[-1])) for sign in (1, -1)}
+    for t in sorted(candidates):
+        if sum(c * t**i for i, c in enumerate(p)) == 0:
+            out.append((point(QQ, 1, t), h.vanishing_order_at(point(QQ, 1, t))))
+    return out
 
 
 def curve_dict(curve):
@@ -57,6 +112,24 @@ class TestFields:
         assert QQ.q == 0
         assert QQ.coerce("2/3") == Fraction(2, 3)
         assert QQ.label() == "Q"
+
+    def test_primality_matches_a_sieve(self):
+        n = 200_000
+        sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+        for d in range(2, isqrt(n) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = bytes(len(range(d * d, n, d)))
+        assert [m for m in range(n) if _is_prime(m)] == [m for m in range(n) if sieve[m]]
+
+    def test_primality_is_exact_below_2_64_and_refused_above(self):
+        assert not _is_prime(3215031751)  # a strong pseudoprime to 2, 3, 5 and 7
+        assert not _is_prime(3825123056546413051)  # ... to every base but 37
+        assert _is_prime(2**61 - 1) and _is_prime(2**64 - 59)
+        assert not _is_prime(2**64 - 1)
+        with pytest.raises(ResourceLimit):
+            _is_prime(2**64)
+        with pytest.raises(ResourceLimit):
+            Field(2**64 + 13)
 
     def test_prime_field(self):
         F = Field(7)
@@ -590,14 +663,6 @@ class TestWronskian:
         with pytest.raises(CharacteristicObstruction):
             wronskian(pen)
 
-    def test_total_multiplicity(self):
-        rng = random.Random(12)
-        for k in (2, 3, 4):
-            pen = random_pencil(QQ, k, rng)
-            while base_locus(pen).degree > 0:
-                pen = random_pencil(QQ, k, rng)
-            assert total_vanishing_multiplicity(wronskian(pen)) == 2 * k - 2
-
 
 class TestRamification:
     def test_total_ramification_detected(self):
@@ -749,7 +814,7 @@ class TestFormUtilities:
 
     def test_rational_roots_match_a_scan_of_every_point(self):
         rng = random.Random("roots")
-        for q in (7, 13):
+        for q in (7, 13, 101):
             F = Field(q)
             for k in range(1, 7):
                 f = random_form(F, k, rng)
@@ -758,11 +823,48 @@ class TestFormUtilities:
                     linear_form(point(F, 0, 1)), linear_form(point(F, 1, 2)),
                     linear_form(point(F, 1, 2)), random_form(F, k - 1, rng)])
                 for h in (f, g):
-                    if h.is_zero():
-                        continue
-                    want = [(p, h.vanishing_order_at(p)) for p in
-                            [point(F, 0, 1)] + [point(F, 1, t) for t in range(q)]]
-                    assert rational_roots(h) == [(p, m) for p, m in want if m > 0]
+                    if not h.is_zero():
+                        assert rational_roots(h) == scan_roots(h)
+            for h in root_grid(F, rng, 60):
+                assert rational_roots(h) == scan_roots(h)
+
+    def test_rational_roots_match_the_divisor_walk(self):
+        for h in root_grid(QQ, random.Random("walk"), 200):
+            assert rational_roots(h) == divisor_walk_roots(h)
+
+    def test_rational_roots_match_sympy_factor_list(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random("sympy")
+        x = sympy.Symbol("x")
+        for _ in range(150):
+            roots = [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+                     for _ in range(rng.randint(0, 3))]
+            factors = [linear_form(point(QQ, 1, t)) for t in roots
+                       for _ in range(rng.randint(1, 2))]
+            factors += [random_form(QQ, rng.randint(0, 3), rng, span=10**12)]
+            if rng.random() < 0.3:
+                factors.append(linear_form(point(QQ, 0, 1)))
+            h = reduce(lambda a, b: a.multiply(b), factors)
+            if h.is_zero():
+                continue
+            chart = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                                for c in reversed(h.coeffs)], x)
+            want = {}
+            if h.degree > chart.degree():
+                want[point(QQ, 0, 1)] = h.degree - chart.degree()
+            for factor, m in sympy.factor_list(chart)[1]:
+                if factor.degree() == 1:
+                    a, b = factor.all_coeffs()
+                    t = -b / a
+                    want[point(QQ, 1, Fraction(int(t.p), int(t.q)))] = m
+            assert dict(rational_roots(h)) == want
+
+    def test_root_scan_is_capped(self):
+        q = 1000003
+        assert q * 3 <= MAX_ROOT_SCAN_STEPS < q * 7
+        assert _roots_mod(q, [-4, 0, 1]) == [2, q - 2]
+        with pytest.raises(ResourceLimit):
+            _roots_mod(q, [1, 0, 0, 0, 0, 0, 1])
 
     def test_rational_roots_finite_field(self):
         F = Field(7)
