@@ -191,13 +191,20 @@ def is_balanced(k: int, e) -> bool:
 
 
 def pad_profile(k: int, e) -> tuple[int, ...]:
-    """Append simple orders (2's) until the profile is balanced."""
+    """Append simple orders (2's) until the profile is balanced.
+
+    The padded profile holds up to 2(k - 1) orders, and construct_tuple, which
+    builds its tuple, refuses k > MAX_CONSTRUCT_K; so does this, with
+    ResourceLimit, once the profile is known to be feasible.
+    """
     e = _validate_orders(k, e)
     deficit = 2 * (k - 1) - sum(ei - 1 for ei in e)
     if deficit < 0:
         raise ProfileInfeasible(
             f"sum(e_i - 1) = {sum(ei - 1 for ei in e)} already exceeds 2(k-1) = {2 * (k - 1)}"
         )
+    if k > MAX_CONSTRUCT_K:
+        raise ResourceLimit(f"k={k} beyond guard k<={MAX_CONSTRUCT_K}")
     return e + (2,) * deficit
 
 

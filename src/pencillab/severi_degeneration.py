@@ -17,12 +17,13 @@ the forms are then linear in f, and each g-row's matches are the solutions
 of a linear system mod q, eliminated in batches in numpy int64.  Counts come
 from the ranks.  The samples, the first matches in (cell, f, g) order, are
 solved for per g-row where the cell is sparse, and found by walking the
-f-rows, with g solved for, where it is dense.  No pencil is listed by brute
-force.  Strata solve for every match, from the g-rows that the count kept
-or eliminated again, and classify the matches together by two more ranks
-mod q, through the same elimination: the rank of the pencil's Bezout
-matrix, and, where that shows a base point, the rank of the multiples of
-the four partials.
+f-rows, with g solved for, where it is dense.  Strata solve for every
+match, from the g-rows that the count kept or eliminated again, and
+classify the matches together by two more ranks mod q, through the same
+elimination: the rank of the pencil's Bezout matrix, and, where that shows a
+base point, the rank of the multiples of the four partials.  Only small
+searches, of at most _BRUTE_FORCE_MAX_TESTS pencil tests, are brute-forced:
+every echelon pair is tested in pure Python, and numpy is never imported.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 from .errors import (
     ChainMismatch,
@@ -56,6 +58,7 @@ from .pencil_geometry import (
     SymPoint,
     _move_to_origin,
     _wedge_terms,
+    base_locus,
     curve_resultant,
     squarefree_form,
 )
@@ -110,6 +113,18 @@ _POOL_MIN_ROW_WORK = 2_500_000
 # most this many rows; a larger search eliminates its g-rows again, which
 # costs little beside classifying that many matches.
 _POOL_MIN_STRATA_WORK = 250_000
+# A search tests its echelon pairs one by one in Python (_brute_force), and
+# never imports numpy, while its Grassmannian's pencils x max(1, conditions)
+# are at most this.  A cold process saves the numpy import, 70-130 ms.  Warm,
+# in-process with numpy loaded (2 cores, median of 31), Python against the
+# kernel by pencil tests: 57 (k = 2 over F_7, one incidence) 0.21 vs 0.44 ms,
+# 133 (F_11) 0.37 vs 0.50 ms, 381 (F_19) 0.78 vs 0.54 ms, 553 (F_23) 0.98 vs
+# 0.44 ms, 806 (k = 3 over F_5) 1.5 vs 1.0 ms and 2850 (F_7) 4.2 vs 1.2 ms;
+# with strata, 381 (F_19) 1.1 vs 0.84 ms.  So a warm caller loses at most
+# about 0.5 ms here.  Python classifies a match by its gcd in about 20 us, so
+# a strata search with no conditions, where every pencil matches, takes the
+# kernel: 183 pencils (k = 2 over F_13) took 3.9 vs 0.91 ms.
+_BRUTE_FORCE_MAX_TESTS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +341,8 @@ def _taylor_rows(field: Field, k: int, p: ProjPoint, order: int) -> list[list[in
     return [list(row) for row in zip(*columns)]
 
 
-def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> np.ndarray:
-    """The m x (k+1) x (k+1) antisymmetric matrices A of the constraint, as one int64 array.
+def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> tuple:
+    """The m antisymmetric (k+1) x (k+1) matrices A of the constraint, as tuples of row tuples.
 
     A pencil span(f, g) matches iff f^T A g = 0 mod q for every A.  Incidence
     at a SymPoint contributes one matrix: entry (i, j) is the coordinate
@@ -336,35 +351,34 @@ def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> np.ndarr
     Ramification of order e contributes the C(e, 2) Taylor minors that
     has_ramification_at checks, each the antisymmetrized outer product of two
     Taylor rows.  Basis invariance is automatic: antisymmetric bilinear
-    values rescale by the determinant under basis change.  No conditions give
-    m = 0, so test for them with len(), never with the array's truth value.
+    values rescale by the determinant under basis change.  Entries are plain
+    ints in 0..q-1, so a search that brute-forces its pencils needs no numpy;
+    the rank kernel converts them to one m x (k+1) x (k+1) int64 array.
     """
-    import numpy as np
-
     field = Field(q)
     mats = []
     for sp in constraint.incidences:
         if sp.field != field:
             raise ValueError("incidence point field does not match q")
         powers = [[pow(x, e, q) for e in range(k)] for x in sp.coords()]
-        A = np.zeros((k + 1, k + 1), dtype=np.int64)
+        A = [[0] * (k + 1) for _ in range(k + 1)]
         for i, j in _cells(k):
             val = sum(
                 coef * powers[0][a] * powers[1][b] * powers[2][c]
                 for (a, b, c), coef in _wedge_terms(k, i, j)
             ) % q
-            A[i, j] = val
-            A[j, i] = (-val) % q
+            A[i][j], A[j][i] = val, -val % q
         mats.append(A)
+    span = range(k + 1)
     for pt, order in constraint.ramifications:
         if pt.field != field:
             raise ValueError("ramification point field does not match q")
         if order > k:
             raise ValueError("ramification order exceeds the degree")
-        T = np.array(_taylor_rows(field, k, pt, order), dtype=np.int64)
-        a, b = np.triu_indices(order, 1)
-        mats += list(_mod(T[a, :, None] * T[b, None] - T[b, :, None] * T[a, None], q))
-    return np.array(mats, dtype=np.int64).reshape(-1, k + 1, k + 1)
+        T = _taylor_rows(field, k, pt, order)
+        mats += [[[(T[a][r] * T[b][c] - T[b][r] * T[a][c]) % q for c in span] for r in span]
+                 for a, b in combinations(range(order), 2)]
+    return tuple(tuple(map(tuple, A)) for A in mats)
 
 
 def _digits(idx, q: int, width: int) -> np.ndarray:
@@ -807,8 +821,16 @@ def search_pencils_ffield(
 
     Every 2-dimensional subspace of degree-k forms is counted exactly once
     through reduced-row-echelon representatives (f, g), grouped into cells by
-    pivot pair.  With no constraint (and no strata request) the per-cell
-    counts are summed arithmetically.  Otherwise each g-row's conditions form
+    pivot pair.  A small search, whose Grassmannian's pencils times
+    max(1, compiled conditions) are at most _BRUTE_FORCE_MAX_TESTS, tests
+    every pair in pure Python (_brute_force), without numpy, and classifies
+    its matches for strata by their gcd; jobs has no effect there.  A strata
+    search with no conditions is never small in that sense, as it classifies
+    every pencil.
+
+    Above that size the rank kernel runs, in numpy int64.  With no
+    constraint (and no strata request) the per-cell counts are summed
+    arithmetically.  Otherwise each g-row's conditions form
     a linear system in f, the side with at least as many free coordinates
     (see _search_shard), eliminated in batches by _eliminate: the row has
     q^(n - rank) matches if the system is solvable and none otherwise.  The
@@ -868,11 +890,70 @@ def search_pencils_ffield(
     if report_strata:  # with no conditions every pencil matches: the count is known now
         _check_strata_budget(work + (0 if len(mats) else total), budget)
         strata_budget = (work, budget)
+    if total * max(1, len(mats)) <= _BRUTE_FORCE_MAX_TESTS and (len(mats) or not report_strata):
+        count, keys, tally = _brute_force(q, k, mats, strata_budget)
+    else:
+        count, keys, tally = _rank_search(q, k, mats, work, strata_budget, jobs)
+    samples = tuple(
+        Pencil(BinaryForm(field, k, f), BinaryForm(field, k, g))
+        for _, f, g in keys[:SAMPLE_LIMIT]
+    )
+    strata = None if tally is None else {name: c for name, c in zip(_STRATA, tally) if c}
+    result = SearchResult(count=count, samples=samples, strata=strata)
+    if cache_path is not None:
+        _store_cached(cache_path, k, q, constraint, result)
+    return result
+
+
+def _brute_force(q: int, k: int, mats: tuple, strata_budget) -> tuple[int, list, list | None]:
+    """Count, sample keys and strata tally of a search, testing every echelon pair in Python.
+
+    The pairs run in (cell, f, g) order, so the keys kept, those of the first
+    SAMPLE_LIMIT matches (of every match, for strata), are in key order.
+    Each f-row's forms f^T A are taken once, and every g of the cell tested
+    against them.  strata_budget is as for _search_shard; the count is
+    checked against it before the matches are classified by base_locus.
+    """
+
+    def row(pivot, cols, free):
+        out = [0] * (k + 1)
+        out[pivot] = 1
+        for c, x in zip(cols, free):
+            out[c] = x
+        return tuple(out)
+
+    count, keys = 0, []
+    for cell_idx, (i, j) in enumerate(_cells(k)):
+        cols0, cols1 = _free_columns(k, i, j)
+        for f_free in product(range(q), repeat=len(cols0)):
+            f = row(i, cols0, f_free)
+            forms = [[sum(x * a for x, a in zip(f, col)) % q for col in zip(*A)] for A in mats]
+            for g_free in product(range(q), repeat=len(cols1)):
+                if any((v[j] + sum(v[c] * x for c, x in zip(cols1, g_free))) % q for v in forms):
+                    continue
+                count += 1
+                if len(keys) < SAMPLE_LIMIT or strata_budget is not None:
+                    keys.append((cell_idx, f, row(j, cols1, g_free)))
+    if strata_budget is None:
+        return count, keys, None
+    _check_strata_budget(strata_budget[0] + count, strata_budget[1])
+    field, tally = Field(q), [0] * len(_STRATA)
+    for _, f, g in keys:
+        locus = base_locus(Pencil(BinaryForm(field, k, f), BinaryForm(field, k, g)))
+        tally[0 if locus.degree == 0 else 1 if squarefree_form(locus) else 2] += 1
+    return count, keys, tally
+
+
+def _rank_search(q: int, k: int, mats: tuple, work: int, strata_budget, jobs: int):
+    """Count, sorted sample keys and strata tally (or None) of a search, by the rank kernel."""
+    import numpy as np
+
+    mats = np.array(mats, dtype=np.int64).reshape(-1, k + 1, k + 1)
     # below the threshold a pool costs more than it shares
     workers = jobs if work * math.comb(k, 2) >= _POOL_MIN_ROW_WORK else 1
     tasks = []
-    for cell_idx, (_, cols1) in enumerate(widths):
-        n_g = q ** len(cols1)
+    for cell_idx, (i, j) in enumerate(_cells(k)):
+        n_g = q ** len(_free_columns(k, i, j)[1])
         shards = max(1, min(workers, n_g // 4))
         bounds = [round(s * n_g / shards) for s in range(shards + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
@@ -881,21 +962,12 @@ def search_pencils_ffield(
     outcomes = _run(_search_shard, tasks, workers)
     count = sum(outcome[0] for outcome in outcomes)
     keys = sorted({key for outcome in outcomes for key in outcome[1]})
-    samples = tuple(
-        Pencil(BinaryForm(field, k, f), BinaryForm(field, k, g))
-        for _, f, g in keys[:SAMPLE_LIMIT]
-    )
-    strata = None
-    if report_strata:
-        _check_strata_budget(work + count, budget)
-        workers = jobs if count * (k - 1) >= _POOL_MIN_STRATA_WORK else 1
-        tasks = _strata_tasks(q, k, mats, outcomes, count, workers)
-        tally = [sum(c) for c in zip(*_run(_strata_shard, tasks, workers))]
-        strata = {name: c for name, c in zip(_STRATA, tally) if c}
-    result = SearchResult(count=count, samples=samples, strata=strata)
-    if cache_path is not None:
-        _store_cached(cache_path, k, q, constraint, result)
-    return result
+    if strata_budget is None:
+        return count, keys, None
+    _check_strata_budget(strata_budget[0] + count, strata_budget[1])
+    workers = jobs if count * (k - 1) >= _POOL_MIN_STRATA_WORK else 1
+    tasks = _strata_tasks(q, k, mats, outcomes, count, workers)
+    return count, keys, [sum(c) for c in zip(*_run(_strata_shard, tasks, workers))]
 
 
 def _check_strata_budget(steps: int, budget: int) -> None:

@@ -32,3 +32,15 @@ def test_bench_layers_times_the_frozen_geometry_pencils(tmp_path):
     assert sorted(doc["ms"]) == ["intersect_with_conic, 8 cli conic pencils",
                                  "is_reduced_curve, 8 cli reduced pencils"]
     assert all(value > 0 for value in doc["ms"].values())
+
+
+def test_bench_layers_times_cold_searches_on_both_paths(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--repeats", "1", "--only", "cold dimlab search"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert sorted(doc["ms"]) == ["cold dimlab search k=2 F_7, 57 tests",
+                                 "cold dimlab search k=3 F_7, 2850 tests"]
+    assert all(value > 0 for value in doc["ms"].values())

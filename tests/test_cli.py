@@ -265,6 +265,13 @@ FORMER_HANGS = [
                                   {"point": ["1", "1"], "multiplicity": 1}]),
     (["pencil", "wronskian", "--f", "1,0,100000000000000000039", "--g", "0,1,0"], 0,
      lambda doc: doc["degree"] == 2 and doc["roots"] == []),
+    # a padded profile of 2 * 10^8 orders: refused past MAX_CONSTRUCT_K
+    (["monodromy", "pad", "--k", "100000000", "--e", "2"], 1,
+     lambda doc: doc["error"] == "resource_limit"),
+    # each k-th power took k multiplications, k^2 operations; past MAX_TOTAL_RAM_K
+    # the pencil is refused
+    (["pencil", "total-ram", "--a", "1,0", "--b", "0,1", "--k", "100000"], 1,
+     lambda doc: doc["error"] == "resource_limit"),
 ]
 
 
@@ -536,7 +543,8 @@ def probe_loads(tmp_path, commands):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path, PENCILLAB_CACHE=str(tmp_path / "cache")),
         capture_output=True, text=True, check=True,
     )
     return [set(step) for step in json.loads(proc.stdout)]
@@ -554,14 +562,19 @@ def test_heavy_modules_load_only_where_used(tmp_path):
         ["reproduce", "example-p345"],
     ]
     conic = ["pencil", "conic-section", "--f", "1,2,3", "--g", "0,1,1"]
-    search = ["dimlab", "search", "--no-cache", "--k", "2", "--q", "7", "--incidence", "5,0,1"]
-    steps = probe_loads(tmp_path, integer + [conic, search])
+    # 57 and 62 pencil tests are brute-forced in Python; 2850 take the rank kernel
+    small = ["dimlab", "search", "--no-cache", "--k", "2", "--q", "7", "--incidence", "5,0,1"]
+    unique = ["reproduce", "unique-pencil"]  # a cache miss: the cache starts empty
+    large = ["dimlab", "search", "--no-cache", "--k", "3", "--q", "7", "--incidence", "5,0,1"]
+    steps = probe_loads(tmp_path, integer + [conic, small, unique, large])
+    assert list((tmp_path / "cache").glob("search-*.json")), "unique-pencil wrote no entry"
     # import pencillab, then import pencillab.cli: no theme module, nothing heavy
     assert steps[:2] == [set(), set()]
     # the integer commands need neither the pencil geometry nor the search code
     assert steps[1 + len(integer)] == {"pencillab.numerology", "pencillab.monodromy"}
+    # loads accumulate: nothing heavy through the conic section and both small searches
     assert not steps[-2] & set(HEAVY)
-    # a search this small runs in one process at the default --jobs
+    # a search this large runs in one process at the default --jobs
     assert steps[-1] & set(HEAVY) == {"numpy"}
 
     geometry = [

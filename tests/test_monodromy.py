@@ -84,6 +84,17 @@ def test_pad_profile_examples():
         pad_profile(2, (2, 2, 2))
 
 
+def test_pad_profile_caps_k_as_construct_does():
+    from pencillab.monodromy import MAX_CONSTRUCT_K
+
+    k = MAX_CONSTRUCT_K
+    assert pad_profile(k, (k,)) == (k,) + (2,) * (k - 1)
+    with pytest.raises(ResourceLimit):
+        pad_profile(k + 1, (2,))
+    with pytest.raises(ProfileInfeasible):  # infeasible whatever its size
+        pad_profile(k + 1, (k + 1,) * 3)
+
+
 def test_pad_profile_always_balances():
     for k in range(2, 6):
         for n in range(0, 3):

@@ -41,10 +41,12 @@ from pencillab import pencil_geometry
 from pencillab.fields import QQ, Field, _is_prime
 from pencillab.pencil_geometry import (
     MAX_ROOT_SCAN_STEPS,
+    MAX_TOTAL_RAM_K,
     _move_to_origin,
     _roots_mod,
     curve_monomials,
     curve_resultant,
+    form_power,
 )
 
 from conftest import form, point, projective_points, random_form, random_pencil
@@ -718,6 +720,30 @@ class TestTotalRamificationPencil:
     def test_coincident_points_rejected(self):
         with pytest.raises(CoincidentPoints):
             total_ramification_pencil(point(QQ, 1, 2), point(QQ, 2, 4), 3)
+
+    def test_k_is_capped(self):
+        F = Field(101)
+        a, b = point(F, 1, 2), point(F, 3, 5)
+        assert total_ramification_pencil(a, b, MAX_TOTAL_RAM_K).degree == MAX_TOTAL_RAM_K
+        with pytest.raises(ResourceLimit):
+            total_ramification_pencil(a, b, MAX_TOTAL_RAM_K + 1)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7), Field(101)], ids=str)
+def test_form_power_matches_repeated_multiplication(field):
+    """The binomial expansion against k successive multiplications, k <= 12."""
+    rng = random.Random(f"form-power:{field}")
+    values = [0, 1, -1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+    for a, b in itertools.product(values, repeat=2):
+        if field.q and any(v.denominator % field.q == 0 for v in map(Fraction, (a, b))):
+            continue
+        linear = form(field, [a, b])
+        want = form(field, [1])
+        for k in range(13):
+            assert form_power(linear, k) == want, (a, b, k)
+            want = want.multiply(linear)
+    with pytest.raises(ValueError):
+        form_power(form(field, [1, 2, 3]), 2)
 
 
 class TestTangentLineLaw:

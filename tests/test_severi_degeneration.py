@@ -423,6 +423,12 @@ def echelon_pencil(F, k, cell, f_vals, g_vals):
                   form(F, [int(g.get(c, 0)) for c in range(k + 1)]))
 
 
+def kernel_mats(k, q, constraint):
+    """compile_constraint's matrices as the rank kernel takes them: one m x (k+1) x (k+1) array."""
+    mats = severi_degeneration.compile_constraint(k, q, constraint)
+    return np.array(mats, dtype=np.int64).reshape(-1, k + 1, k + 1)
+
+
 def oracle_cell_matches(k, q, mats, cell):
     """Free coordinates (f, g) of a cell's matches, in (f, g) order, from testing every pair."""
     sd = severi_degeneration
@@ -450,7 +456,7 @@ def brute_force_search(k, q, constraint, strata=True):
     """
     sd = severi_degeneration
     field = Field(q)
-    mats = sd.compile_constraint(k, q, constraint)
+    mats = kernel_mats(k, q, constraint)
     count, samples, found = 0, [], {} if strata else None
     for cell in sd._cells(k):
         matches = oracle_cell_matches(k, q, mats, cell)
@@ -491,25 +497,50 @@ def oracle_constraints(F, k, rng):
 # seconds.  test_strata_codes_on_a_whole_grassmannian checks the classifier
 # itself on a larger family.
 STRATA_CAP = 5000
+# The oracle comparisons run the search's own brute force too, with no size
+# limit, up to this many pencil tests (Grassmannian x max(1, conditions));
+# above it the Python loop takes seconds a search.
+PYTHON_PATH_CAP = 100_000
+
+
+def search_paths(monkeypatch, k, q, constraint):
+    """Yield (path, jobs) to compare, with _BRUTE_FORCE_MAX_TESTS set for the path.
+
+    The rank kernel runs at jobs 1 and 2 whatever the size; the brute force,
+    which ignores jobs, at jobs 1 up to PYTHON_PATH_CAP pencil tests.
+    """
+    sd = severi_degeneration
+    tests = grassmannian_pencil_count(k, q) * max(1, len(sd.compile_constraint(k, q, constraint)))
+    default = sd._BRUTE_FORCE_MAX_TESTS
+    paths = [("kernel", 0, (1, 2))]
+    if tests <= PYTHON_PATH_CAP:
+        paths.append(("python", float("inf"), (1,)))
+    for path, cap, jobs_values in paths:
+        monkeypatch.setattr(sd, "_BRUTE_FORCE_MAX_TESTS", cap)
+        for jobs in jobs_values:
+            yield path, jobs
+    monkeypatch.setattr(sd, "_BRUTE_FORCE_MAX_TESTS", default)
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_rank_kernel_matches_brute_force(k, q, monkeypatch):
+    """Both search paths against the oracle, the kernel at jobs 1 and 2."""
     monkeypatch.setattr(severi_degeneration, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks
     rng = random.Random(f"rank-oracle:{k}:{q}")
     counts = {}
     grid = oracle_constraints(Field(q), k, rng) + [("empty", SearchConstraint())]
     for name, constraint in grid:
         want = SearchResult(*brute_force_search(k, q, constraint, strata=False))
-        for jobs in (1, 2):
-            assert search_pencils_ffield(k, q, constraint, jobs=jobs) == want, (name, jobs)
+        for path, jobs in search_paths(monkeypatch, k, q, constraint):
+            got = search_pencils_ffield(k, q, constraint, jobs=jobs)
+            assert got == want, (name, path, jobs)
         if want.count <= STRATA_CAP:
             want = SearchResult(*brute_force_search(k, q, constraint))
             assert sum(want.strata.values()) == want.count, name
-            for jobs in (1, 2):
+            for path, jobs in search_paths(monkeypatch, k, q, constraint):
                 got = search_pencils_ffield(k, q, constraint, jobs=jobs, report_strata=True)
-                assert got == want, (name, jobs)
+                assert got == want, (name, path, jobs)
         counts[name] = want.count
     assert counts["repeated incidence"] == counts["incidence"] > 0
     assert counts["inconsistent"] == 0
@@ -532,7 +563,7 @@ def seeded_search_grid(rng, size):
 
 
 def test_g_side_search_matches_brute_force(monkeypatch):
-    """Counts, the 20 samples in order, and strata against the oracle, at jobs 1 and 2.
+    """Counts, the 20 samples in order, and strata against the oracle, on both search paths.
 
     The grid holds dense cells (a single ramification, and seeded searches
     with few conditions), whose samples come from the f-row walk, and sparse
@@ -573,7 +604,7 @@ def test_g_side_search_matches_brute_force(monkeypatch):
     for k, q, constraint in grid:
         name = (k, q, constraint.to_json_dict())
         # the walk alone, from one f-row up, finds each cell's first matches
-        mats = sd.compile_constraint(k, q, constraint)
+        mats = kernel_mats(k, q, constraint)
         for cell_idx, cell in enumerate(sd._cells(k)):
             want = [echelon_pencil(Field(q), k, cell, f, g)
                     for f, g in oracle_cell_matches(k, q, mats, cell)[:sd.SAMPLE_LIMIT]]
@@ -581,15 +612,17 @@ def test_g_side_search_matches_brute_force(monkeypatch):
                    for _, f, g in walk(q, k, cell_idx, mats, 1)]
             assert got == want, (name, cell)
         want = SearchResult(*brute_force_search(k, q, constraint, strata=False))
-        for jobs in (1, 2):
-            assert search_pencils_ffield(k, q, constraint, jobs=jobs) == want, (name, jobs)
+        for path, jobs in search_paths(monkeypatch, k, q, constraint):
+            got = search_pencils_ffield(k, q, constraint, jobs=jobs)
+            assert got == want, (name, path, jobs)
         if want.count <= STRATA_CAP:
             want = SearchResult(*brute_force_search(k, q, constraint))
-            for jobs in (1, 2):
+            for path, jobs in search_paths(monkeypatch, k, q, constraint):
                 got = search_pencils_ffield(k, q, constraint, jobs=jobs, report_strata=True)
-                assert got == want, (name, jobs)
+                assert got == want, (name, path, jobs)
             with monkeypatch.context() as m:
                 m.setattr(sd, "_POOL_MIN_STRATA_WORK", keep_rows)
+                m.setattr(sd, "_BRUTE_FORCE_MAX_TESTS", 0)
                 assert search_pencils_ffield(k, q, constraint, report_strata=True) == want, name
     assert routes["dense"] and routes["sparse"], routes
 
@@ -615,7 +648,7 @@ def test_f_and_g_fixed_systems_find_the_same_matches(k, q):
     sd = severi_degeneration
     rng = random.Random(f"rank-oracle:{k}:{q}")
     for name, constraint in oracle_constraints(Field(q), k, rng):
-        mats = sd.compile_constraint(k, q, constraint)
+        mats = kernel_mats(k, q, constraint)
         found = 0
         for cell_idx in range(len(sd._cells(k))):
             by_f = side_matches(k, q, mats, cell_idx, "f")
@@ -630,7 +663,7 @@ def test_walk_keys_do_not_depend_on_the_first_chunk(k, q):
     sd = severi_degeneration
     rng = random.Random(f"rank-oracle:{k}:{q}")
     for name, constraint in oracle_constraints(Field(q), k, rng):
-        mats = sd.compile_constraint(k, q, constraint)
+        mats = kernel_mats(k, q, constraint)
         for cell_idx in range(len(sd._cells(k))):
             first = side_matches(k, q, mats, cell_idx, "g")[:sd.SAMPLE_LIMIT].tolist()
             want = [(cell_idx, tuple(row[: k + 1]), tuple(row[k + 1 :])) for row in first]
@@ -866,6 +899,65 @@ def test_ladder_strata_match_the_frozen_answers(monkeypatch):
         res = search_pencils_ffield(3, q, constraint, jobs=jobs, report_strata=True)
         assert res.count == frozen["counts"][variant][label], variant
         assert res.strata == frozen["strata"][variant], variant
+
+
+def boundary_searches():
+    """(k, q, constraint, strata) of small searches, k = 1 included, for the path boundary."""
+    F3, F5, F7 = Field(3), Field(5), Field(7)
+    unique = ((point(F5, 1, 0), 2), (point(F5, 0, 1), 2))  # reproduce unique-pencil
+    two = tuple(sym_point(point(F5, 1, a), point(F5, 1, b)) for a, b in ((0, 1), (2, 4)))
+    return [
+        (1, 3, SearchConstraint(), False),  # the one pencil of the line
+        (1, 3, SearchConstraint(incidences=(sym_point(point(F3, 1, 0), point(F3, 1, 1)),)), True),
+        (2, 5, SearchConstraint(ramifications=unique), False),
+        (2, 5, SearchConstraint(ramifications=unique), True),
+        (2, 7, SearchConstraint(incidences=(sym_point(point(F7, 1, 5), point(F7, 0, 1)),)), True),
+        (2, 11, SearchConstraint(), False),
+        (3, 5, SearchConstraint(incidences=two), True),
+    ]
+
+
+def test_results_agree_on_both_sides_of_the_brute_force_size(monkeypatch, tmp_path):
+    """With the constant at a search's pencil tests it is brute-forced; one below, ranked.
+
+    Count, samples, strata and the cache entry's bytes agree, and so do the
+    budget refusals: one step short of the work, and with strata one short of
+    the work plus the matches.
+    """
+    sd = severi_degeneration
+    ran = []
+    for name in ("_brute_force", "_rank_search"):
+        def spy(*args, _fn=getattr(sd, name), _name=name):
+            ran.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(sd, name, spy)
+    for n, (k, q, constraint, strata) in enumerate(boundary_searches()):
+        label = (k, q, constraint.to_json_dict(), strata)
+        mats = sd.compile_constraint(k, q, constraint)
+        tests = grassmannian_pencil_count(k, q) * max(1, len(mats))
+        work = len(mats) * sum(q ** len(sd._free_columns(k, i, j)[1]) for i, j in sd._cells(k))
+        results, entries = [], []
+        for side, cap in (("_brute_force", tests), ("_rank_search", tests - 1)):
+            monkeypatch.setattr(sd, "_BRUTE_FORCE_MAX_TESTS", cap)
+            cache = tmp_path / f"{n}{side}"
+            ran.clear()
+            results.append(search_pencils_ffield(k, q, constraint, cache_dir=str(cache),
+                                                 report_strata=strata))
+            assert ran == [side], (label, ran)
+            entries.append([p.read_bytes() for p in cache.iterdir()])
+            count = results[-1].count
+            if work:
+                with pytest.raises(ResourceLimit, match="counting by rank"):
+                    search_pencils_ffield(k, q, constraint, budget=work - 1,
+                                          report_strata=strata)
+            if strata and count:
+                with pytest.raises(ResourceLimit, match="classifying strata"):
+                    search_pencils_ffield(k, q, constraint, budget=work + count - 1,
+                                          report_strata=True)
+                assert search_pencils_ffield(k, q, constraint, budget=work + count,
+                                             report_strata=True) == results[-1], label
+        assert results[0] == results[1], label
+        assert entries[0] == entries[1] and len(entries[0]) == 1, label
 
 
 def test_small_count_forks_no_pool(monkeypatch):

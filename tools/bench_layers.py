@@ -22,7 +22,12 @@ The cases, in the order each repeat runs them:
   pairs of variant 0) and the unconstrained k = 4 strata search over F_7;
 - `is_reduced_curve` on the pair curves of the 8 `pencil reduced` pencils
   frozen for `cli_cold`, and `intersect_with_conic` with the diagonal conic
-  on those of its 8 `pencil conic-section` pencils, 8 calls a case.
+  on those of its 8 `pencil conic-section` pencils, 8 calls a case;
+- a cold `pencillab dimlab search --no-cache` process on each side of
+  `_BRUTE_FORCE_MAX_TESTS`: k = 2 over F_7 with one incidence (57 pencil
+  tests, brute-forced in Python without numpy) and k = 3 over F_7 with one
+  incidence (2850 tests, the numpy rank kernel).  Python's bytecode cache
+  follows the environment (`PYTHONDONTWRITEBYTECODE`).
 
 The output holds `nproc`, the versions, the tree measured, and `ms` (or
 `us_per_call`) by case.  Times are raw, not scaled to a reference speed, so
@@ -36,6 +41,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -113,6 +119,17 @@ def _geometry_cases(P, fields, sd, pools):
         sd.intersect_with_conic(c, diagonal) for c in conic]
 
 
+def _cold_cases(src):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    for k, tests in ((2, 57), (3, 2850)):
+        argv = [sys.executable, "-m", "pencillab.cli", "dimlab", "search", "--no-cache",
+                "--k", str(k), "--q", "7", "--incidence", "5,0,1"]
+        yield (f"cold dimlab search k={k} F_7, {tests} tests", "ms",
+               lambda argv=argv: subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
+                                                check=True))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -136,7 +153,8 @@ def main(argv=None) -> int:
     cases = []
     for group in (_eliminate_cases(sd), _micro_cases(P, fields),
                   _ladder_cases(P, fields, sd, pairs), _large_cases(P, fields, sd, pairs),
-                  _geometry_cases(P, fields, sd, expected["cli"]["pools"])):
+                  _geometry_cases(P, fields, sd, expected["cli"]["pools"]),
+                  _cold_cases(args.src)):
         cases += [c for c in group if args.only in c[0]]
     if not cases:
         ap.error(f"no case matches {args.only!r}")
