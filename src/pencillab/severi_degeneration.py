@@ -14,8 +14,11 @@ Search constraints compile to antisymmetric bilinear forms on coefficient
 vectors, so a subspace matches iff one (hence any) basis pair (f, g) does.
 In each echelon cell g has no more free coordinates than f, so g is fixed:
 the forms are then linear in f, and each g-row's matches are the solutions
-of a linear system mod q, eliminated in batches in numpy int64.  Counts come
-from the ranks.  The samples, the first matches in (cell, f, g) order, are
+of a linear system mod q.  The g-rows of every cell are numbered in one
+packed index, their systems padded to one width, and eliminated together in
+batches in numpy, in int32 where (k+1)(q-1)^2 < 2^31 and in int64 otherwise.
+Counts come from the ranks.  The samples, the first matches in (cell, f, g)
+order, are worked out after the count, cell by cell until there are enough:
 solved for per g-row where the cell is sparse, and found by walking the
 f-rows, with g solved for, where it is dense.  Strata solve for every
 match, from the g-rows that the count kept or eliminated again, and
@@ -32,9 +35,10 @@ import hashlib
 import json
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .errors import (
     ChainMismatch,
@@ -73,28 +77,27 @@ SAMPLE_LIMIT = 20
 DEFAULT_SEARCH_BUDGET = 200_000_000
 
 # Rows per call of the kernel (_systems).  A range's chunks grow fourfold from
-# their first size (_RANK_CHUNK_ROWS in the rank pass, less in the f-row walk)
-# to at most _RANK_CHUNK_ROWS within its first _BATCH_ROWS rows and
-# _BATCH_ROWS after that: a small search pays for the first touch of its
-# temporaries, which grow with the chunk, and a long range for the calls,
-# which shrink with it.  Cold, on
-# 2 cores, the ladder's F_101 counts (at most 10,201 g-rows a cell) ran 5-10%
-# faster in 2048-row chunks than in 8192-row ones, with a third of the page
-# faults, while the k = 4 count over F_101 (about 10^6 g-rows) ran about 15%
-# slower.  Only that k = 4 count, in tools/bench_layers.py, measures the
-# 8192-row side: no perfbench workload reaches it.  _BATCH_ROWS also bounds a
-# _solutions batch and a _strata_codes call; strata calls of 16k and 32k
-# pencils were 5-20% slower.
+# their first size (_RANK_CHUNK_ROWS in the rank pass over the packed g index,
+# less in the f-row walk) to at most _RANK_CHUNK_ROWS within its first
+# _BATCH_ROWS rows and _BATCH_ROWS after that: a small search pays for the
+# first touch of its temporaries, which grow with the chunk, and a long range
+# for the calls, which shrink with it.  Cold, on 2 cores, the ladder's F_101
+# counts (at most 10,201 g-rows a cell) ran 5-10% faster in 2048-row chunks
+# than in 8192-row ones, with a third of the page faults, while the k = 4
+# count over F_101 (about 10^6 g-rows) ran about 15% slower.  Only that k = 4
+# count, in tools/bench_layers.py, measures the 8192-row side: no perfbench
+# workload reaches it.  _BATCH_ROWS also bounds a _solutions batch and a
+# _strata_codes call; strata calls of 16k and 32k pencils were 5-20% slower.
 _RANK_CHUNK_ROWS = 2048
 _BATCH_ROWS = 8192
 # A search runs its rank pass in one process whatever jobs is while g-rows x
 # conditions x C(k, 2) is below this.  C(k, 2) counts the columns that one
-# g-row's elimination visits in the largest cell, with k - 1 unknowns, so the
-# figure follows the time.  On 2 cores, alone against a pool of two (after a
-# warm-up pool, median of 9), with four incidences at k = 3 and three at
-# k = 4, by g-rows x conditions: k = 3 over F_401 (6.5*10^5) 56 vs 63 ms and
-# over F_449 (8.1*10^5) 66 vs 62 ms; k = 4 over F_53 (4.6*10^5) 74 vs 76 ms
-# and over F_59 (6.4*10^5) 100 vs 80 ms.  So the pool breaks even near
+# g-row's elimination visits, padded to the k - 1 unknowns of the largest
+# cell, so the figure follows the time.  On 2 cores, alone against a pool of
+# two (after a warm-up pool, median of 9), with four incidences at k = 3 and
+# three at k = 4, by g-rows x conditions: k = 3 over F_401 (6.5*10^5) 56 vs
+# 63 ms and over F_449 (8.1*10^5) 66 vs 62 ms; k = 4 over F_53 (4.6*10^5) 74
+# vs 76 ms and over F_59 (6.4*10^5) 100 vs 80 ms.  So the pool breaks even near
 # 7.3*10^5 at k = 3 and 5*10^5 at k = 4, 2.2*10^6 and 3.0*10^6 once weighted
 # by C(3, 2) = 3 and C(4, 2) = 6; the threshold sits between them.
 _POOL_MIN_ROW_WORK = 2_500_000
@@ -108,9 +111,9 @@ _POOL_MIN_ROW_WORK = 2_500_000
 # (20306) 53 vs 63 ms, over F_13 with two incidences (35504) 78 vs 141 ms,
 # over F_17 with two (98856) 205 vs 187 ms and over F_7 (140050) 252 vs
 # 169 ms.  Weighted, the break-evens are near 2.6*10^5, 2.3*10^5 and
-# 2.6*10^5.  A rank-pass shard also keeps the g-rows of its matches for the
-# strata pass while its weighted matches are within this, so it holds at
-# most this many rows; a larger search eliminates its g-rows again, which
+# 2.6*10^5.  The rank pass also keeps every solvable g-row for the strata
+# pass while a range's weighted matches are within this, so it holds at most
+# about this many rows; a larger search eliminates its g-rows again, which
 # costs little beside classifying that many matches.
 _POOL_MIN_STRATA_WORK = 250_000
 # A search tests its echelon pairs one by one in Python (_brute_force), and
@@ -353,7 +356,8 @@ def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> tuple:
     Taylor rows.  Basis invariance is automatic: antisymmetric bilinear
     values rescale by the determinant under basis change.  Entries are plain
     ints in 0..q-1, so a search that brute-forces its pencils needs no numpy;
-    the rank kernel converts them to one m x (k+1) x (k+1) int64 array.
+    the rank kernel converts them to one m x (k+1) x (k+1) array of its dtype
+    (_kernel_dtype).
     """
     field = Field(q)
     mats = []
@@ -401,25 +405,27 @@ def _echelon_rows(k: int, pivot: int, cols: list[int], coords) -> np.ndarray:
     """Echelon coefficient rows: 1 at pivot, coords (... x len(cols)) at cols, 0 elsewhere.
 
     Within a cell only the free columns vary, so the rows of lexicographically
-    ordered coordinates are themselves in lexicographic order.
+    ordered coordinates are themselves in lexicographic order.  The rows have
+    the dtype of coords.
     """
     import numpy as np
 
-    coords = np.asarray(coords, dtype=np.int64)
-    rows = np.zeros(coords.shape[:-1] + (k + 1,), dtype=np.int64)
+    coords = np.asarray(coords)
+    rows = np.zeros(coords.shape[:-1] + (k + 1,), dtype=coords.dtype)
     rows[..., pivot] = 1
     rows[..., cols] = coords
     return rows
 
 
 def _mod(a: np.ndarray, q: int, work: np.ndarray | None = None) -> np.ndarray:
-    """a mod q, in place in a, an int64 array the caller owns; work is a buffer of its shape.
+    """a mod q, in place in a, an int32 or int64 array the caller owns; work is a buffer like it.
 
-    numpy's int64 % by a scalar divides in hardware, element by element; its
+    numpy's integer % by a scalar divides in hardware, element by element; its
     // by a scalar does not, so a - (a // q) * q costs about half as much.
     The quotient is the floor, so negative entries reduce into 0..q-1 as with
-    %.  (a // q) * q lies less than q below a; within q of -2^63 it wraps
-    modulo 2^64, and the subtraction wraps back, so every int64 a is exact.
+    %.  (a // q) * q lies less than q below a; within q of the dtype's least
+    value it wraps modulo 2^32 or 2^64, and the subtraction wraps back, so
+    every entry of either dtype is exact.
     """
     import numpy as np
 
@@ -427,6 +433,22 @@ def _mod(a: np.ndarray, q: int, work: np.ndarray | None = None) -> np.ndarray:
     t *= q
     a -= t
     return a
+
+
+def _kernel_dtype(k: int, q: int):
+    """The rank kernel's integer dtype at (k, q): int32 if (k+1)(q-1)^2 < 2^31, else int64.
+
+    Every array of a search is built in it, and each helper takes the dtype
+    of its input.  No entry exceeds (k+1)(q-1)^2 in size: a system's entries
+    sum k+1 products of residues (_systems), the fraction-free update of
+    _eliminate forms differences of two products, a Bezout matrix entry sums
+    fewer than k + 1 Plucker coordinates, and a solved coordinate sums fewer
+    than k products.  Half the bytes make the kernel's temporaries cheaper
+    to touch.
+    """
+    import numpy as np
+
+    return np.int32 if (k + 1) * (q - 1) ** 2 < 2**31 else np.int64
 
 
 def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -445,7 +467,7 @@ def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     unknown c as chosen, so it involves c and only the more significant
     unknowns before it; it is zero where c is free, and the rank is the number
     of nonzero diagonal entries.  A system is solvable iff no equation keeps a
-    nonzero constant.
+    nonzero constant.  The arrays returned have the dtype of S.
     """
     import numpy as np
 
@@ -453,11 +475,11 @@ def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     n = width - 1
     # m x (n+1) x B: column 0 the constants, column c+1 unknown c; each step
     # updates the first c columns in place, through one spare buffer
-    W = np.empty((m, width, B), dtype=np.int64)
+    W = np.empty((m, width, B), dtype=S.dtype)
     W[:, 0] = S[:, :, n].T
     W[:, 1:] = S[:, :, :n].transpose(1, 2, 0)
     spare = np.empty_like(W)
-    pivots = np.zeros((B, n, width), dtype=np.int64)
+    pivots = np.zeros((B, n, width), dtype=S.dtype)
     for c in range(n, 0, -1):
         col = W[:, c]
         nonzero = col != 0
@@ -465,7 +487,7 @@ def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
         if not has.any():
             W = W[:, :c]
             continue
-        P = np.zeros((c + 1, B), dtype=np.int64)  # the first equation with col != 0
+        P = np.zeros((c + 1, B), dtype=S.dtype)  # the first equation with col != 0
         for r in range(m - 1, -1, -1):
             np.copyto(P, W[r], where=nonzero[r])
         pivots[:, c - 1, :c] = P[1:].T
@@ -507,11 +529,11 @@ def _solutions(pivots: np.ndarray, q: int, cap: int):
         step = max(1, _BATCH_ROWS // count)
         for lo in range(0, len(rows), step):
             part = rows[lo : lo + step]
-            G = np.zeros((len(part), count, n), dtype=np.int64)
+            G = np.zeros((len(part), count, n), dtype=pivots.dtype)
             G[:, :, mask] = _digits(np.arange(count), q, int(mask.sum()))
             for c in np.flatnonzero(~mask).tolist():
                 eq = pivots[part, c]
-                inv = np.array([pow(a, -1, q) for a in eq[:, c].tolist()], dtype=np.int64)
+                inv = np.array([pow(a, -1, q) for a in eq[:, c].tolist()], dtype=pivots.dtype)
                 rhs = (G[:, :, :c] @ eq[:, :c, None])[:, :, 0] + eq[:, None, n]
                 G[:, :, c] = _mod(_mod(-rhs, q) * inv[:, None], q)
             yield part, G
@@ -532,7 +554,7 @@ def _multiples(forms: np.ndarray, shifts: int) -> np.ndarray:
     import numpy as np
 
     B, r, width = forms.shape
-    out = np.zeros((B, r * shifts, width + shifts), dtype=np.int64)
+    out = np.zeros((B, r * shifts, width + shifts), dtype=forms.dtype)
     for a in range(shifts):
         out[:, a::shifts, a : a + width] = forms
     return out
@@ -553,7 +575,7 @@ def _bezout_matrices(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray
     pairs = _cells(k)
     first, second = np.array(pairs).T
     plucker = F[:, first] * G[:, second] - F[:, second] * G[:, first]
-    out = np.zeros((len(F), k, k + 1), dtype=np.int64)
+    out = np.zeros((len(F), k, k + 1), dtype=F.dtype)
     for t, (i, j) in enumerate(pairs):
         for a in range(i, j):
             out[:, a, i + j - 1 - a] += plucker[:, t]
@@ -578,7 +600,7 @@ def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     codes = np.zeros(len(F), dtype=np.int64)
     based = np.flatnonzero(_rank(_eliminate(_bezout_matrices(q, k, F, G), q)[0]) < k)
     if based.size:  # never at k = 1, where independent forms are coprime
-        t = np.arange(k + 1)
+        t = np.arange(k + 1, dtype=F.dtype)
         f, g = F[based], G[based]
         partials = _mod(np.stack([
             f[:, :-1] * t[::-1][:-1], f[:, 1:] * t[1:],
@@ -597,40 +619,94 @@ def _sides(k: int, cell_idx: int, fixed: str) -> tuple[tuple, tuple]:
     return (f_side, g_side) if fixed == "f" else (g_side, f_side)
 
 
-def _systems(q: int, k: int, cell_idx: int, fixed: str, lo: int, hi: int, mats,
+def _systems(q: int, k: int, cells, fixed: str, lo: int, hi: int, mats,
              first: int = _RANK_CHUNK_ROWS):
-    """Yield (rows, pivots, solvable) for rows lo..hi-1 of a cell's fixed side, a chunk at a time.
+    """Yield (cell, rows, pivots, solvable) for rows lo..hi-1 of the cells' fixed side, by chunks.
 
-    fixed is "f" or "g".  For a fixed row h, each compiled f^T A g = 0 is one
-    linear equation in the other side's free coordinates: the entries of A h
-    there, its constant at that side's pivot 1.  With f fixed that reads
-    g^T A f = -f^T A g (A is antisymmetric), each equation negated, with the
-    same solutions and rank.  _eliminate takes chunks that start at first
-    rows and grow fourfold, to at most _RANK_CHUNK_ROWS within the range's
-    first _BATCH_ROWS rows and _BATCH_ROWS after that.
+    fixed is "f" or "g", and cells a sequence of cell indices.  The fixed
+    side's rows of the cells are numbered one cell after another, each cell's
+    in index order (_digits): a range of that packed index runs over whole
+    and partial cells, each chunk of it is eliminated in one call, and the
+    yielded cell[r] is the cell of row r.  For a fixed row h, each compiled
+    f^T A g = 0 is one linear equation in the other side's free coordinates:
+    the entries of A h there, its constant at that side's pivot 1.  With f
+    fixed that reads g^T A f = -f^T A g (A is antisymmetric), each equation
+    negated, with the same solutions and rank.  Every system has the n
+    unknowns of the cells' widest, a cell with n_c taking n - n_c zero
+    columns first: zero columns are never pivots, so the cell's pivots are
+    pivots[:, n - n_c:, n - n_c:], as its own elimination would give them,
+    and its rank and solvability are the shared ones.  _eliminate takes
+    chunks that start at first rows and grow fourfold, to at most
+    _RANK_CHUNK_ROWS within the range's first _BATCH_ROWS rows and
+    _BATCH_ROWS after that.  The arrays have the dtype of mats.
     """
     import numpy as np
 
-    (pivot, cols), (x_pivot, x_cols) = _sides(k, cell_idx, fixed)
-    n, m = len(x_cols), len(mats)
-    # rows of every A that meet the solved side: its n unknowns, then its pivot 1
-    system = mats[:, x_cols + [x_pivot], :].transpose(2, 0, 1).reshape(k + 1, m * (n + 1))
+    sides = [_sides(k, c, fixed) for c in cells]
+    starts = list(accumulate((q ** len(cols) for (_, cols), _ in sides), initial=0))
+    n, m = max(len(x_cols) for _, (_, x_cols) in sides), len(mats)
+    # each cell's rows of every A that meet the solved side, row k + 1 being
+    # zero: zero columns, its unknowns, its pivot 1
+    picks = [[k + 1] * (n - len(x_cols)) + x_cols + [x_pivot] for _, (x_pivot, x_cols) in sides]
+    padded = np.concatenate([mats, np.zeros((m, 1, k + 1), dtype=mats.dtype)], axis=1)
+    systems = padded[:, picks, :].transpose(1, 3, 0, 2).reshape(len(sides), k + 1, m * (n + 1))
     start, size = lo, first
     while lo < hi:
         size = min(size, _RANK_CHUNK_ROWS if lo - start < _BATCH_ROWS else _BATCH_ROWS)
-        idx = np.arange(lo, min(lo + size, hi))
-        lo, size = lo + len(idx), 4 * size
-        rows = _echelon_rows(k, pivot, cols, _digits(idx, q, len(cols)))
-        S = _mod(rows @ system, q).reshape(len(rows), m, n + 1)
-        yield (rows, *_eliminate(S, q))
+        stop = min(lo + size, hi)
+        rows = np.zeros((stop - lo, k + 1), dtype=mats.dtype)
+        S = np.empty((stop - lo, m * (n + 1)), dtype=mats.dtype)
+        cell = np.empty(stop - lo, dtype=np.intp)
+        t = bisect_right(starts, lo) - 1
+        while starts[t] < stop:
+            a, b = max(lo, starts[t]), min(stop, starts[t + 1])
+            part = slice(a - lo, b - lo)
+            (pivot, cols), _ = sides[t]
+            rows[part, pivot] = 1
+            rows[part, cols] = _digits(np.arange(a - starts[t], b - starts[t]), q, len(cols))
+            # integer einsum beats matmul in int32: 2048 x 4 rows by 4 x 12 took
+            # 66 against 93 us, and 8192 rows 226 against 402 us (warm, 2 cores)
+            np.einsum("bc,cx->bx", rows[part], systems[t], out=S[part])
+            cell[part] = cells[t]
+            t += 1
+        lo, size = stop, 4 * size
+        yield (cell, rows, *_eliminate(_mod(S, q).reshape(len(rows), m, n + 1), q))
+
+
+def _g_systems(q: int, k: int, lo: int, hi: int, mats):
+    """_systems of every cell's g-rows lo..hi-1: the packed g index of a search.
+
+    Each system has the k - 1 unknowns of cell (0, 1), and cell (i, j)'s f
+    has k - 1 - i free coordinates, so it takes i zero columns.
+    """
+    return _systems(q, k, range(len(_cells(k))), "g", lo, hi, mats)
+
+
+def _cell_parts(k: int, chunks, cells=None):
+    """Yield (cell index, g-rows, pivots) of the given cells (default all) from packed chunks.
+
+    chunks are (cell, g-rows, pivots) of rows in packed order, as _g_systems
+    numbers them; each part is a run of one cell's rows, with the pivots cut
+    to that cell's unknowns.
+    """
+    import numpy as np
+
+    pads = [i for i, _ in _cells(k)]
+    cells = range(len(pads)) if cells is None else cells
+    for cell, rows, pivots in chunks:
+        ends = np.searchsorted(cell, np.arange(len(pads) + 1)).tolist()
+        for c in cells:
+            a, b, pad = ends[c], ends[c + 1], pads[c]
+            if a < b:
+                yield c, rows[a:b], pivots[a:b, pad:, pad:]
 
 
 def _matches(q: int, k: int, cell_idx: int, fixed: str, rows, pivots, cap: int):
     """Yield (F, G) batches of matched coefficient rows: each fixed row's first cap matches.
 
     rows are solvable rows of the side held fixed and pivots their systems
-    from _systems, so _solutions lists each row's matches in lexicographic
-    order of the other side.
+    from _systems, cut to the cell's unknowns, so _solutions lists each
+    row's matches in lexicographic order of the other side.
     """
     import numpy as np
 
@@ -663,7 +739,8 @@ def _walk_f_rows(q: int, k: int, cell_idx: int, mats, start: int) -> list[tuple]
 
     (_, f_cols), _ = _sides(k, cell_idx, "f")
     batches, found = [], 0
-    for F_rows, pivots, solvable in _systems(q, k, cell_idx, "f", 0, q ** len(f_cols), mats, start):
+    for _, F_rows, pivots, solvable in _systems(q, k, [cell_idx], "f", 0, q ** len(f_cols),
+                                                mats, start):
         need = SAMPLE_LIMIT - found
         hits = np.flatnonzero(solvable)[:need]
         for batch in _matches(q, k, cell_idx, "f", F_rows[hits], pivots[hits], need):
@@ -676,86 +753,141 @@ def _walk_f_rows(q: int, k: int, cell_idx: int, mats, start: int) -> list[tuple]
     return _first_keys(cell_idx, *(np.concatenate(b) for b in zip(*batches)))
 
 
-def _search_shard(payload) -> tuple[int, list[tuple], tuple | None]:
-    """Search a contiguous range of one cell's g-rows; top-level for pickling.
+def _cell_figures(q: int, by_exp: list[int]) -> tuple[int, int]:
+    """(matches, sparse cost) of a cell's solvable g-rows, by_exp[e] of them with q^e matches each.
 
-    A g-row has q^(n - rank) matches if its system (_systems) is solvable
-    and none otherwise, n the number of f's free coordinates.  Returns the
-    count, sample keys and, for strata, the part that _strata_shard
-    classifies: (cell index, the range, and its solvable g-rows with their
-    pivots, or None if they were not kept).
+    The sparse cost is the number of f's the sparse sample route solves for,
+    at most SAMPLE_LIMIT per row.
+    """
+    count = sum(rows * q**e for e, rows in enumerate(by_exp))
+    return count, sum(rows * min(q**e, SAMPLE_LIMIT) for e, rows in enumerate(by_exp))
 
-    The keys are those of the first SAMPLE_LIMIT matches of the range, or of
-    the whole cell, by one of two exact routes chosen from what
-    the ranks give: the count, and the sparse cost, the number of f's the
-    first route solves for.  A sparse range solves each solvable g-row for
-    its first SAMPLE_LIMIT f's and merges them (each of the range's first
-    SAMPLE_LIMIT matches is among its own g-row's first SAMPLE_LIMIT).  A
-    dense one, where that costs more than walking the f-rows would if the
-    matches were spread evenly over them, walks the cell's f-rows until it
-    has SAMPLE_LIMIT matches (_walk_f_rows).
 
-    The solvable g-rows are kept while the sparse route needs them, or, for
-    strata, while the range's matches times k - 1 are within
-    _POOL_MIN_STRATA_WORK, so at most that many rows: a search with more has
-    the strata pass eliminate them again.  strata_budget is None for a plain
-    search; with strata it is (work, budget) of search_pencils_ffield, and a
-    range whose matches alone take the work past the budget raises
-    ResourceLimit at once.
+def _is_dense(q: int, k: int, cell_idx: int, by_exp: list[int]) -> bool:
+    """Whether solving each solvable g-row for its first f's costs more than walking the f-rows.
+
+    That is, more than the walk would if the matches were spread evenly over
+    the cell's f-rows.  Both figures only grow with the rows counted, so a
+    part of a cell that is dense shows the whole cell dense.
+    """
+    count, sparse = _cell_figures(q, by_exp)
+    return sparse * count > SAMPLE_LIMIT * q ** (k - 1 - _cells(k)[cell_idx][0])
+
+
+def _count_shard(payload) -> tuple[list, list, bool]:
+    """Count the matches of a range of the packed g index; top-level for pickling.
+
+    A g-row of cell (i, j), where f has k - 1 - i free coordinates, has
+    q^(k - 1 - i - rank) matches if its system is solvable and none
+    otherwise.  Returns each cell's solvable g-rows by that exponent, the
+    solvable g-rows kept, as packed (cell, g-rows, pivots) chunks, and
+    whether every solvable row was kept for strata.  A cell keeps its rows
+    until it shows dense (_is_dense), so while the sparse sample route may
+    want them.  With strata, every solvable row is kept while the range's
+    matches times k - 1 are within _POOL_MIN_STRATA_WORK, so at most that
+    many rows: a search with more has the strata pass eliminate its g-rows
+    again.  strata_budget is None for a plain search; with strata it is
+    (work, budget) of search_pencils_ffield, and a cell whose matches in the
+    range alone take the work past the budget raises ResourceLimit after the
+    chunk that shows it.
     """
     import numpy as np
 
-    (q, k, cell_idx, g_lo, g_hi, mats, strata_budget) = payload
-    i, j = _cells(k)[cell_idx]
-    cols0, cols1 = _free_columns(k, i, j)
-    n, m, n_f = len(cols0), len(mats), q ** len(cols0)
-    want_strata = strata_budget is not None
-    if not m and not want_strata:  # no conditions: every row has rank 0
-        f_idx = np.arange(min(n_f, SAMPLE_LIMIT))
-        f_first = _echelon_rows(k, i, cols0, _digits(f_idx, q, n)).tolist()
-        g_idx = np.arange(g_lo, min(g_hi, g_lo + SAMPLE_LIMIT))
-        g_first = _echelon_rows(k, j, cols1, _digits(g_idx, q, len(cols1))).tolist()
-        keys = [(cell_idx, tuple(f), tuple(g)) for f in f_first for g in g_first]
-        return (g_hi - g_lo) * n_f, keys[:SAMPLE_LIMIT], None
-    by_rank = np.zeros(n + 1, dtype=np.int64)
-    kept: list | None = []  # (g-rows, pivots) of the solvable rows; None once dropped
-    for G_rows, pivots, solvable in _systems(q, k, cell_idx, "g", g_lo, g_hi, mats):
-        by_rank += np.bincount(_rank(pivots)[solvable], minlength=n + 1)
-        per_rank = list(enumerate(by_rank.tolist()))
-        count = sum(c * q ** (n - r) for r, c in per_rank)
-        if want_strata:
-            _check_strata_budget(strata_budget[0] + count, strata_budget[1])
-        sparse = sum(c * min(q ** (n - r), SAMPLE_LIMIT) for r, c in per_rank)
-        dense = sparse * count > SAMPLE_LIMIT * n_f
-        keep_for_strata = want_strata and count * (k - 1) <= _POOL_MIN_STRATA_WORK
-        if kept is not None and (not dense or keep_for_strata):
-            kept.append((G_rows[solvable], pivots[solvable]))
-        else:
-            kept = None
-    if not count:
-        return 0, [], None
-    rows = None if kept is None else tuple(np.concatenate(r) for r in zip(*kept))
-    if dense:
-        keys = _walk_f_rows(q, k, cell_idx, mats, 2 * SAMPLE_LIMIT * n_f // count + 1)
-    else:
-        F, G = (np.concatenate(b) for b in zip(*_matches(q, k, cell_idx, "g", *rows, SAMPLE_LIMIT)))
-        keys = _first_keys(cell_idx, F, G)
-    return count, keys, (cell_idx, g_lo, g_hi, rows) if want_strata else None
+    q, k, lo, hi, mats, strata_budget = payload
+    cells = _cells(k)
+    n = k - 1
+    pads = np.array([i for i, _ in cells])
+    by_exp = [[0] * (n + 1) for _ in cells]
+    keep = np.ones(len(cells), dtype=bool)  # cells still sparse
+    keep_all = strata_budget is not None
+    kept, count = [], 0
+    for cell, rows, pivots, solvable in _g_systems(q, k, lo, hi, mats):
+        codes = cell * (n + 1) + (n - pads[cell] - _rank(pivots))
+        hist = np.bincount(codes[solvable], minlength=len(cells) * (n + 1)).tolist()
+        for c in range(int(cell[0]), int(cell[-1]) + 1):
+            row = hist[c * (n + 1) : (c + 1) * (n + 1)]
+            by_exp[c] = [a + b for a, b in zip(by_exp[c], row)]
+            count += _cell_figures(q, row)[0]
+            if strata_budget is not None:
+                _check_strata_budget(strata_budget[0] + _cell_figures(q, by_exp[c])[0],
+                                     strata_budget[1])
+            if keep[c] and _is_dense(q, k, c, by_exp[c]):
+                keep[c] = False
+        if keep_all and count * (k - 1) > _POOL_MIN_STRATA_WORK:
+            keep_all = False  # strata will eliminate again: keep the sparse cells' rows only
+            kept = [tuple(a[keep[chunk[0]]] for a in chunk) for chunk in kept]
+        wanted = solvable if keep_all else solvable & keep[cell]
+        if wanted.any():
+            kept.append((cell[wanted], rows[wanted], pivots[wanted]))
+    return by_exp, kept, keep_all
+
+
+def _sample_keys(q: int, k: int, mats, by_exp: list, kept: list) -> list[tuple]:
+    """Keys of the search's first SAMPLE_LIMIT matches, from the cells in order until it has them.
+
+    A cell's keys are those of its first SAMPLE_LIMIT matches, by one of two
+    exact routes chosen from its solvable g-rows by exponent.  A sparse cell
+    solves each solvable g-row, as the count kept it, for its first
+    SAMPLE_LIMIT f's and merges them (each of the cell's first SAMPLE_LIMIT
+    matches is among its own g-row's first SAMPLE_LIMIT).  A dense one
+    (_is_dense) walks its f-rows until it has SAMPLE_LIMIT matches
+    (_walk_f_rows), from a first chunk that should hold twice that many if
+    the matches were spread evenly.
+    """
+    import numpy as np
+
+    keys: list[tuple] = []
+    for cell_idx, (i, _) in enumerate(_cells(k)):
+        if len(keys) >= SAMPLE_LIMIT:
+            break
+        count = _cell_figures(q, by_exp[cell_idx])[0]
+        if not count:
+            continue
+        if _is_dense(q, k, cell_idx, by_exp[cell_idx]):
+            start = 2 * SAMPLE_LIMIT * q ** (k - 1 - i) // count + 1
+            keys += _walk_f_rows(q, k, cell_idx, mats, start)
+            continue
+        _, rows, pivots = zip(*_cell_parts(k, kept, [cell_idx]))
+        batches = _matches(q, k, cell_idx, "g", np.concatenate(rows), np.concatenate(pivots),
+                           SAMPLE_LIMIT)
+        F, G = (np.concatenate(b) for b in zip(*batches))
+        keys += _first_keys(cell_idx, F, G)
+    return keys[:SAMPLE_LIMIT]
+
+
+def _unconstrained_keys(q: int, k: int) -> list[tuple]:
+    """Keys of the first SAMPLE_LIMIT pencils in (cell, f, g) order: every pencil matches."""
+    import numpy as np
+
+    keys: list[tuple] = []
+    for cell_idx, (i, j) in enumerate(_cells(k)):
+        first = []
+        for pivot, cols in zip((i, j), _free_columns(k, i, j)):
+            idx = np.arange(min(q ** len(cols), SAMPLE_LIMIT))
+            first.append(_echelon_rows(k, pivot, cols, _digits(idx, q, len(cols))).tolist())
+        keys += [(cell_idx, tuple(f), tuple(g)) for f in first[0] for g in first[1]]
+        if len(keys) >= SAMPLE_LIMIT:
+            break
+    return keys[:SAMPLE_LIMIT]
 
 
 def _strata_shard(payload) -> list[int]:
-    """Matches per stratum of _STRATA among some parts' g-ranges.
+    """Matches per stratum of _STRATA among kept g-rows or packed g-ranges.
 
-    payload is (q, k, mats, parts), each part a cell index, a range of its
-    g-rows and their solvable rows with pivots, or None to eliminate the range
-    again (_systems).  Every match is solved for, in _solutions batches of
-    about _BATCH_ROWS, and the matches of all parts are classified
-    together by _strata_codes, gathered up to _BATCH_ROWS: a small
-    search takes one call, and a large one about one per batch.
+    payload is (q, k, mats, kept, ranges): the packed (cell, g-rows, pivots)
+    chunks of every solvable g-row, as the count kept them, or None to
+    eliminate the packed ranges again (_g_systems).  Every match is solved
+    for, in _solutions batches of about _BATCH_ROWS, and the matches of all
+    cells are classified together by _strata_codes, gathered up to
+    _BATCH_ROWS: a small search takes one call, and a large one about one per
+    batch.
     """
     import numpy as np
 
-    q, k, mats, parts = payload
+    q, k, mats, kept, ranges = payload
+    if kept is None:
+        kept = ((cell[ok], rows[ok], pivots[ok]) for lo, hi in ranges
+                for cell, rows, pivots, ok in _g_systems(q, k, lo, hi, mats))
     tally = np.zeros(len(_STRATA), dtype=np.int64)
     pending: list[tuple] = []
 
@@ -764,38 +896,42 @@ def _strata_shard(payload) -> list[int]:
         tally[:] += np.bincount(_strata_codes(q, k, F, G), minlength=len(_STRATA))
         pending.clear()
 
-    for cell_idx, g_lo, g_hi, rows in parts:
-        if rows is None:
-            rows = ((G[ok], P[ok]) for G, P, ok in _systems(q, k, cell_idx, "g", g_lo, g_hi, mats))
-        else:
-            rows = [rows]
-        for G_rows, pivots in rows:
-            for batch in _matches(q, k, cell_idx, "g", G_rows, pivots, q ** pivots.shape[1]):
-                if pending and sum(len(F) for F, _ in pending + [batch]) > _BATCH_ROWS:
-                    classify()
-                pending.append(batch)
+    for cell_idx, rows, pivots in _cell_parts(k, kept):
+        for batch in _matches(q, k, cell_idx, "g", rows, pivots, q ** pivots.shape[1]):
+            if pending and sum(len(F) for F, _ in pending + [batch]) > _BATCH_ROWS:
+                classify()
+            pending.append(batch)
     if pending:
         classify()
     return tally.tolist()
 
 
-def _strata_tasks(q: int, k: int, mats, outcomes: list, count: int, workers: int) -> list[tuple]:
-    """_strata_shard payloads from the rank pass: all parts in one, or g-ranges for a pool.
+def _strata_ranges(q: int, k: int, counts: list[int], workers: int) -> list[list[tuple]]:
+    """Packed g-ranges for the strata pass to eliminate again, as one list per task.
 
-    For a pool each part with matches is cut into contiguous g-ranges, as
-    many as its share of workers * count matches, each eliminated again in
-    its worker, so the pieces hold about count / workers matches each if the
-    matches are spread evenly over the g-rows.
+    Only the cells with matches are eliminated.  With one worker they run as
+    one task, adjacent cells in one range.  For a pool each such cell is cut into
+    contiguous g-ranges, as many as its share of workers * count matches,
+    each a task, so the pieces hold about count / workers matches each if
+    the matches are spread evenly over the g-rows.
     """
-    parts = [(part_count, part) for part_count, _, part in outcomes if part_count]
-    if workers == 1:
-        return [(q, k, mats, [part for _, part in parts])]
-    tasks = []
-    for part_count, (cell_idx, g_lo, g_hi, _) in parts:
-        pieces = min(g_hi - g_lo, math.ceil(workers * part_count / count))
-        bounds = [g_lo + round(s * (g_hi - g_lo) / pieces) for s in range(pieces + 1)]
-        tasks += [(q, k, mats, [(cell_idx, lo, hi, None)]) for lo, hi in zip(bounds, bounds[1:])]
-    return tasks
+    total, start, ranges = sum(counts), 0, []
+    for (_, j), count in zip(_cells(k), counts):
+        n_g = q ** (k - j)
+        if count:
+            pieces = 1 if workers == 1 else min(n_g, math.ceil(workers * count / total))
+            bounds = [start + round(s * n_g / pieces) for s in range(pieces + 1)]
+            ranges += zip(bounds, bounds[1:])
+        start += n_g
+    if workers > 1:
+        return [[r] for r in ranges]
+    merged = ranges[:1]
+    for lo, hi in ranges[1:]:
+        if merged[-1][1] == lo:
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return [merged]
 
 
 def _run(fn, tasks: list, jobs: int) -> list:
@@ -828,32 +964,39 @@ def search_pencils_ffield(
     search with no conditions is never small in that sense, as it classifies
     every pencil.
 
-    Above that size the rank kernel runs, in numpy int64.  With no
-    constraint (and no strata request) the per-cell counts are summed
-    arithmetically.  Otherwise each g-row's conditions form
-    a linear system in f, the side with at least as many free coordinates
-    (see _search_shard), eliminated in batches by _eliminate: the row has
-    q^(n - rank) matches if the system is solvable and none otherwise.  The
-    samples are the first matches in (cell, f, g) lexicographic order.  A
-    sparse cell solves each solvable g-row for its first 20 f's and merges
-    them; a dense one, where that would cost more, walks its f-rows with g
-    solved for and stops at 20 matches.  Both are exact, so results are
-    independent of jobs, which must be at least 1.  jobs > 1 shards the
-    g-rows over a process pool, except while g-rows times conditions times
-    C(k, 2) is below _POOL_MIN_ROW_WORK.  Strata take a second pass: it
-    solves for every match and classifies the matches together by two ranks
-    mod q (see _strata_codes): the rank of the k x k Bezout matrix gives the
-    degree of the base divisor, and a rank of the multiples of the four
-    partials tells a multiple base point from simple ones.  It runs in this
-    process while matches times k - 1 are below _POOL_MIN_STRATA_WORK, on
-    the solvable g-rows the first pass kept; a larger search eliminates its
-    g-rows again, so neither pass holds more than that many rows.
+    Above that size the rank kernel runs, in numpy int32 where
+    (k+1)(q-1)^2 < 2^31 and in int64 otherwise (_kernel_dtype).  With no
+    constraint (and no strata request) the counts are summed arithmetically.
+    Otherwise each g-row's conditions form a linear system in f, the side
+    with at least as many free coordinates (see _count_shard): the row has
+    q^(n - rank) matches if the system is solvable and none otherwise.  One
+    rank pass counts every cell: the g-rows of all cells are numbered in one
+    packed index, and their systems, padded to one width, are eliminated
+    together in batches by _eliminate (_g_systems).  jobs > 1 cuts that
+    index into contiguous ranges over a process pool, except while g-rows
+    times conditions times C(k, 2) is below _POOL_MIN_ROW_WORK.  The samples
+    are the first matches in (cell, f, g) lexicographic order, worked out
+    after the count for the cells in order until there are 20
+    (_sample_keys).  A sparse cell solves each solvable g-row for its first
+    20 f's and merges them; a dense one, where that would cost more, walks
+    its f-rows with g solved for and stops at 20 matches.  Both are exact,
+    so results are independent of jobs, which must be at least 1.  Strata
+    take a second pass: it solves for every match and classifies the
+    matches together by two ranks mod q (see _strata_codes): the rank of
+    the k x k Bezout matrix gives the degree of the base divisor, and a rank
+    of the multiples of the four partials tells a multiple base point from
+    simple ones.  It runs in this process while matches times k - 1 are
+    below _POOL_MIN_STRATA_WORK, on the solvable g-rows the first pass kept;
+    a larger search eliminates the g-rows of its cells with matches again,
+    so neither pass holds more than about that many rows.
 
     budget, which must be at least 0, bounds the work: g-rows times compiled
     conditions, summed over cells, checked before the search starts; with
     report_strata, that plus the matches to classify, checked as the first
-    pass counts them (with no conditions every pencil matches, so at once).
-    A larger figure raises ResourceLimit, as does a q so large that
+    pass counts them (with no conditions every pencil matches, so at once):
+    a cell whose matches so far in a range take the work past the budget
+    raises at once, and the whole count is checked after the pass.  A
+    larger figure raises ResourceLimit, as does a q so large that
     (k+1)(q-1)^2 would overflow int64.
 
     With cache_dir set, results persist as JSON keyed by a content hash of
@@ -911,7 +1054,7 @@ def _brute_force(q: int, k: int, mats: tuple, strata_budget) -> tuple[int, list,
     The pairs run in (cell, f, g) order, so the keys kept, those of the first
     SAMPLE_LIMIT matches (of every match, for strata), are in key order.
     Each f-row's forms f^T A are taken once, and every g of the cell tested
-    against them.  strata_budget is as for _search_shard; the count is
+    against them.  strata_budget is as for _count_shard; the count is
     checked against it before the matches are classified by base_locus.
     """
 
@@ -945,28 +1088,37 @@ def _brute_force(q: int, k: int, mats: tuple, strata_budget) -> tuple[int, list,
 
 
 def _rank_search(q: int, k: int, mats: tuple, work: int, strata_budget, jobs: int):
-    """Count, sorted sample keys and strata tally (or None) of a search, by the rank kernel."""
+    """Count, sample keys in order and strata tally (or None) of a search, by the rank kernel.
+
+    One rank pass counts every cell's g-rows, in ranges of the packed g index
+    (_g_systems), one per worker; the samples and the strata follow from it.
+    """
     import numpy as np
 
-    mats = np.array(mats, dtype=np.int64).reshape(-1, k + 1, k + 1)
+    mats = np.array(mats, dtype=_kernel_dtype(k, q)).reshape(-1, k + 1, k + 1)
+    if not len(mats) and strata_budget is None:  # every pencil matches
+        return grassmannian_pencil_count(k, q), _unconstrained_keys(q, k), None
     # below the threshold a pool costs more than it shares
     workers = jobs if work * math.comb(k, 2) >= _POOL_MIN_ROW_WORK else 1
-    tasks = []
-    for cell_idx, (i, j) in enumerate(_cells(k)):
-        n_g = q ** len(_free_columns(k, i, j)[1])
-        shards = max(1, min(workers, n_g // 4))
-        bounds = [round(s * n_g / shards) for s in range(shards + 1)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo < hi:
-                tasks.append((q, k, cell_idx, lo, hi, mats, strata_budget))
-    outcomes = _run(_search_shard, tasks, workers)
-    count = sum(outcome[0] for outcome in outcomes)
-    keys = sorted({key for outcome in outcomes for key in outcome[1]})
+    total = sum(q ** (k - j) for _, j in _cells(k))
+    bounds = [round(s * total / workers) for s in range(workers + 1)]
+    tasks = [(q, k, lo, hi, mats, strata_budget) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    by_exp_parts, kept_parts, kept_all = zip(*_run(_count_shard, tasks, workers))
+    # each cell's solvable g-rows by exponent, summed over the ranges
+    by_exp = [[sum(rows) for rows in zip(*cell_parts)] for cell_parts in zip(*by_exp_parts)]
+    counts = [_cell_figures(q, rows)[0] for rows in by_exp]
+    count = sum(counts)
+    if strata_budget is not None:
+        _check_strata_budget(strata_budget[0] + count, strata_budget[1])
+    kept = [chunk for part in kept_parts for chunk in part]
+    keys = _sample_keys(q, k, mats, by_exp, kept)
     if strata_budget is None:
         return count, keys, None
-    _check_strata_budget(strata_budget[0] + count, strata_budget[1])
     workers = jobs if count * (k - 1) >= _POOL_MIN_STRATA_WORK else 1
-    tasks = _strata_tasks(q, k, mats, outcomes, count, workers)
+    if workers == 1 and all(kept_all):
+        tasks = [(q, k, mats, kept, None)]
+    else:
+        tasks = [(q, k, mats, None, ranges) for ranges in _strata_ranges(q, k, counts, workers)]
     return count, keys, [sum(c) for c in zip(*_run(_strata_shard, tasks, workers))]
 
 
@@ -1003,7 +1155,10 @@ def _store_cached(
         "strata": result.strata,
     }
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
+    # a temporary name of this write's own (its process and 64 random bits), so
+    # that concurrent writers of one entry never move each other's file; the
+    # last replace wins, whole
+    tmp = f"{path}.{os.getpid()}-{os.urandom(8).hex()}.tmp"
     with open(tmp, "w") as fh:  # json.dump would encode in pure Python
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     os.replace(tmp, path)

@@ -40,7 +40,7 @@ from pencillab import (
     total_ramification_pencil,
 )
 from pencillab import numerology, severi_degeneration
-from pencillab.pencil_geometry import PlaneCurve, base_locus, squarefree_form
+from pencillab.pencil_geometry import PlaneCurve, base_locus, has_ramification_at, squarefree_form
 from pencillab.fields import QQ, Field
 
 from conftest import form, point, projective_points, random_form, random_pencil
@@ -404,6 +404,27 @@ class TestSearch:
         search_pencils_ffield(2, 5, constraint, cache_dir=str(cache))
         assert [p.name for p in cache.iterdir()] == [os.path.basename(path)]
 
+    def test_a_writer_between_another_writers_write_and_replace(self, tmp_path, monkeypatch):
+        # two runs storing one entry at once: the second writes and replaces
+        # while the first has written its file and not yet replaced the entry
+        sd = severi_degeneration
+        F = Field(5)
+        constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 0), point(F, 1, 2)),))
+        result = search_pencils_ffield(2, 5, constraint)
+        path = sd._cache_path(str(tmp_path), 2, 5, constraint)
+        replace = os.replace
+
+        def interleaved(src, dst):
+            monkeypatch.setattr(os, "replace", replace)
+            sd._store_cached(path, 2, 5, constraint, result)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved)
+        sd._store_cached(path, 2, 5, constraint, result)
+        assert os.replace is replace  # the second writer ran
+        assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
+        assert sd._load_cached(path, 2, 5, constraint, False) == result
+
 
 def classify_stratum(pencil):
     """The stratum of a pencil's base divisor, from its gcd in Python: the classifier's oracle."""
@@ -425,8 +446,9 @@ def echelon_pencil(F, k, cell, f_vals, g_vals):
 
 def kernel_mats(k, q, constraint):
     """compile_constraint's matrices as the rank kernel takes them: one m x (k+1) x (k+1) array."""
-    mats = severi_degeneration.compile_constraint(k, q, constraint)
-    return np.array(mats, dtype=np.int64).reshape(-1, k + 1, k + 1)
+    sd = severi_degeneration
+    mats = sd.compile_constraint(k, q, constraint)
+    return np.array(mats, dtype=sd._kernel_dtype(k, q)).reshape(-1, k + 1, k + 1)
 
 
 def oracle_cell_matches(k, q, mats, cell):
@@ -633,7 +655,7 @@ def side_matches(k, q, mats, cell_idx, fixed):
     (_, cols), _ = sd._sides(k, cell_idx, fixed)
     batches = [
         np.concatenate(batch, axis=1)
-        for rows, pivots, ok in sd._systems(q, k, cell_idx, fixed, 0, q ** len(cols), mats)
+        for _, rows, pivots, ok in sd._systems(q, k, [cell_idx], fixed, 0, q ** len(cols), mats)
         for batch in sd._matches(q, k, cell_idx, fixed, rows[ok], pivots[ok],
                                  q ** pivots.shape[1])
     ]
@@ -675,11 +697,44 @@ def test_system_chunks_grow_fourfold_to_the_caps():
     sd = severi_degeneration
     no_conditions = np.zeros((0, 4, 4), dtype=np.int64)
     # the f-row walk from one row: 2048 at most within the first 8192 rows
-    sizes = [len(rows) for rows, _, _ in sd._systems(101, 3, 0, "f", 0, 101**2, no_conditions, 1)]
+    chunks = sd._systems(101, 3, [0], "f", 0, 101**2, no_conditions, 1)
+    sizes = [len(rows) for _, rows, _, _ in chunks]
     assert sizes == [1, 4, 16, 64, 256, 1024, 2048, 2048, 2048, 2048, 644]
     # the rank pass, on a g-range not starting at 0: 8192 once its first 8192 rows are done
-    sizes = [len(rows) for rows, _, _ in sd._systems(211, 3, 0, "g", 5, 211**2, no_conditions)]
+    sizes = [len(rows) for _, rows, _, _ in sd._systems(211, 3, [0], "g", 5, 211**2, no_conditions)]
     assert sizes == [2048] * 4 + [8192] * 4 + [211**2 - 5 - 5 * 8192]
+    # the packed g index of every cell takes the same chunks; the last runs
+    # from inside cell (0, 1) over all five other cells
+    chunks = list(sd._g_systems(211, 3, 0, 211**2 + 2 * 211 + 3, no_conditions))
+    assert [len(rows) for _, rows, _, _ in chunks] == [2048] * 4 + [8192] * 4 + [3986]
+    assert np.bincount(chunks[-1][0]).tolist() == [211**2 - 5 * 8192, 211, 1, 211, 1, 1]
+
+
+@pytest.mark.parametrize("k,q", [(2, 7), (3, 5), (3, 11), (4, 5)])
+def test_packed_pivots_are_each_cells_own(k, q):
+    """Each cell's slice of the shared, padded eliminations is its own elimination."""
+    sd = severi_degeneration
+    rng = random.Random(f"packed:{k}:{q}")
+    total = sum(q ** len(sd._free_columns(k, i, j)[1]) for i, j in sd._cells(k))
+    for name, constraint in oracle_constraints(Field(q), k, rng):
+        mats = kernel_mats(k, q, constraint)
+        chunks = [(cell, rows, pivots, ok) for cell, rows, pivots, ok
+                  in sd._systems(q, k, range(len(sd._cells(k))), "g", 0, total, mats, 7)]
+        parts = {}
+        for c, rows, pivots in sd._cell_parts(k, [chunk[:3] for chunk in chunks]):
+            parts.setdefault(c, []).append((rows, pivots))
+        solvable = np.concatenate([ok for *_, ok in chunks])
+        at = 0
+        for c in range(len(sd._cells(k))):
+            (_, cols), _ = sd._sides(k, c, "g")
+            own = list(sd._systems(q, k, [c], "g", 0, q ** len(cols), mats))
+            rows, pivots = (np.concatenate(a) for a in zip(*parts[c]))
+            assert np.array_equal(rows, np.concatenate([r for _, r, _, _ in own])), (name, c)
+            assert np.array_equal(pivots, np.concatenate([p for _, _, p, _ in own])), (name, c)
+            own_ok = np.concatenate([ok for *_, ok in own])
+            assert np.array_equal(solvable[at : at + len(rows)], own_ok), (name, c)
+            at += len(rows)
+        assert at == total
 
 
 def pencil_with_common_factor(F, k, rng):
@@ -780,18 +835,28 @@ def seeded_systems(rng, q, m, width, count=12):
 
 # the largest prime p with (p-1)^2 < 2^63, the bound of the fraction-free update
 INT64_EDGE_PRIME = 3037000493
+# the largest prime p with (p-1)^2 < 2^31, the same bound in int32
+INT32_EDGE_PRIME = 46337
 
 
-@pytest.mark.parametrize("q", [3, 5, 101, 2**31 - 1, INT64_EDGE_PRIME])
-def test_eliminate_matches_the_python_oracle(q):
+def with_int32(int64_qs, int32_qs):
+    """(q, dtype) parameters: the int64 ones keep their ids, the int32 ones end in -int32."""
+    return ([pytest.param(q, np.int64, id=str(q)) for q in int64_qs]
+            + [pytest.param(q, np.int32, id=f"{q}-int32") for q in int32_qs])
+
+
+@pytest.mark.parametrize("q,dtype", with_int32([3, 5, 101, 2**31 - 1, INT64_EDGE_PRIME],
+                                               [3, 5, 101, INT32_EDGE_PRIME]))
+def test_eliminate_matches_the_python_oracle(q, dtype):
     rng = random.Random(f"eliminate:{q}")
     for m in range(0, 7):
         for width in range(1, 7):
             systems = seeded_systems(rng, q, m, width)
-            S = np.array(systems, dtype=np.int64).reshape(len(systems), m, width)
+            S = np.array(systems, dtype=dtype).reshape(len(systems), m, width)
             pivots, solvable = severi_degeneration._eliminate(S.copy(), q)
             n = width - 1
             assert pivots.shape == (len(systems), n, width)
+            assert pivots.dtype == dtype
             ranks = severi_degeneration._rank(pivots)
             for b, rows in enumerate(systems):
                 coeffs = [row[:n] for row in rows]
@@ -833,19 +898,23 @@ def bezout_by_division(pencil, q):
     return Q
 
 
-@pytest.mark.parametrize("q", [3, 101, 2**31 - 1, INT64_EDGE_PRIME])
-def test_mod_matches_the_remainder_operator(q):
-    # the kernel's entries stay within (k+1)(q-1)^2 < 2^63 in size, so draw
-    # from the whole int64 range, with the extremes and the multiples of q
+@pytest.mark.parametrize("q,dtype", with_int32([3, 101, 2**31 - 1, INT64_EDGE_PRIME],
+                                               [3, 101, INT32_EDGE_PRIME, 2**31 - 1]))
+def test_mod_matches_the_remainder_operator(q, dtype):
+    # the kernel's entries stay within (k+1)(q-1)^2 < 2^63 (2^31 in int32) in
+    # size, so draw from the dtype's whole range, with the extremes and the
+    # multiples of q that fit
     rng = np.random.default_rng(q)
-    top = np.iinfo(np.int64)
+    top = np.iinfo(dtype)
     edges = [top.min, top.min + 1, top.max, 0, 1, -1, q, -q, q - 1, 1 - q, (q - 1) ** 2,
              -((q - 1) ** 2), 2 * q, -2 * q]
-    small = rng.integers(-5 * q, 5 * q, size=(64, 8), dtype=np.int64)
-    wide = rng.integers(top.min, top.max, size=(64, 8), dtype=np.int64, endpoint=True)
-    for a in [np.array(edges, dtype=np.int64), small, wide]:
+    edges = [x for x in edges if top.min <= x <= top.max]
+    small = rng.integers(max(-5 * q, top.min), min(5 * q, top.max), size=(64, 8), dtype=dtype)
+    wide = rng.integers(top.min, top.max, size=(64, 8), dtype=dtype, endpoint=True)
+    for a in [np.array(edges, dtype=dtype), small, wide]:
         want = a % q
         got = severi_degeneration._mod(a.copy(), q)
+        assert got.dtype == dtype
         assert np.array_equal(got, want)
         work = np.empty_like(a)
         assert np.array_equal(severi_degeneration._mod(a.copy(), q, work), want)
@@ -882,7 +951,11 @@ def test_bezout_rank_gives_the_base_locus_degree(k):
 
 
 def test_ladder_strata_match_the_frozen_answers(monkeypatch):
-    """The strata search of every ladder variant against perfbench/expected.json."""
+    """Every search of every ladder variant against perfbench/expected.json.
+
+    Each count equals the frozen one, every sample meets its constraint, and
+    the strata search's strata equal the frozen ones.
+    """
     bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
     with open(os.path.join(bench, "expected.json")) as fh:
         frozen = json.load(fh)["ladder"]
@@ -891,14 +964,26 @@ def test_ladder_strata_match_the_frozen_answers(monkeypatch):
     from pencillab import fields
     from workloads import LADDER_VARIANTS, ladder_searches
 
-    assert len(frozen["strata"]) == LADDER_VARIANTS
+    assert len(frozen["strata"]) == len(frozen["counts"]) == LADDER_VARIANTS
+    searched = 0
     for variant in range(LADDER_VARIANTS):
         searches = ladder_searches(pencillab, fields, severi_degeneration, variant,
                                    frozen["incidence_pairs"])
-        (label, _, q, constraint, jobs, _), = [s for s in searches if s[5]]
-        res = search_pencils_ffield(3, q, constraint, jobs=jobs, report_strata=True)
-        assert res.count == frozen["counts"][variant][label], variant
-        assert res.strata == frozen["strata"][variant], variant
+        assert len(searches) == len(frozen["counts"][variant]) == 13, variant
+        for label, _, q, constraint, jobs, strata in searches:
+            name = (variant, label)
+            res = search_pencils_ffield(3, q, constraint, jobs=jobs, report_strata=strata)
+            assert res.count == frozen["counts"][variant][label], name
+            assert len(res.samples) == min(res.count, severi_degeneration.SAMPLE_LIMIT), name
+            for pen in res.samples:
+                curve = bezoutian_curve(pen)
+                assert all(curve.contains(sp) for sp in constraint.incidences), name
+                assert all(has_ramification_at(pen, pt, e)
+                           for pt, e in constraint.ramifications), name
+            if strata:
+                assert res.strata == frozen["strata"][variant], name
+            searched += 1
+    assert searched == 13 * LADDER_VARIANTS
 
 
 def boundary_searches():
@@ -1037,6 +1122,36 @@ def test_int64_guard_refuses_before_searching(monkeypatch):
         search_pencils_ffield(2, q, constraint, budget=10**30)
     with pytest.raises(AssertionError, match="the search started"):
         search_pencils_ffield(1, q, constraint, budget=10**30)
+
+
+@pytest.mark.parametrize("q", [26737, 26759])
+def test_kernel_dtype_on_both_sides_of_the_int32_rule(q, monkeypatch):
+    """k = 2 at the last prime with 3(q-1)^2 < 2^31, in int32, and at the next, in int64.
+
+    One incidence cuts the plane of k = 2 pencils in a line: q + 1 of them.
+    The results equal those of a run forced into int64.
+    """
+    sd = severi_degeneration
+    F = Field(q)
+    xi = sym_point(point(F, 1, 2), point(F, 1, q - 3))
+    constraint = SearchConstraint(incidences=(xi,))
+    dtypes = set()
+    eliminate = sd._eliminate
+
+    def spy(S, q):
+        dtypes.add(S.dtype)
+        return eliminate(S, q)
+
+    monkeypatch.setattr(sd, "_eliminate", spy)
+    res = search_pencils_ffield(2, q, constraint)
+    assert dtypes == {np.dtype(np.int32 if q == 26737 else np.int64)}
+    assert res.count == q + 1
+    assert len(res.samples) == sd.SAMPLE_LIMIT
+    assert all(bezoutian_curve(pen).contains(xi) for pen in res.samples)
+    monkeypatch.setattr(sd, "_kernel_dtype", lambda k, q: np.int64)
+    dtypes.clear()
+    assert search_pencils_ffield(2, q, constraint) == res
+    assert dtypes == {np.dtype(np.int64)}
 
 
 def test_k4_over_f101_is_prompt():

@@ -13,7 +13,9 @@ the same call read faster and flatter the kernel: an in-place kernel read
 The cases, in the order each repeat runs them:
 
 - `_eliminate` on fixed seeded chunks shaped like the F_101 count rungs'
-  largest cell (four conditions, two unknowns) at 2048 and 8192 rows;
+  packed systems (four conditions, the two unknowns of the largest cell) at
+  2048 and 8192 rows, in int32 as those searches run them
+  (4 * 100^2 < 2^31);
 - `Field.coerce` of a plain int and `_move_to_origin` at k = 3 over F_31,
   in microseconds per call over a loop of MICRO_CALLS calls;
 - each search of the `ladder` workload for variants 0-7, with its jobs and
@@ -56,8 +58,8 @@ def _eliminate_cases(sd):
 
     rng = np.random.default_rng(13)
     for rows in (2048, 8192):
-        S = rng.integers(0, 101, size=(rows, 4, 3), dtype=np.int64)
-        yield f"_eliminate F_101 {rows}x4x3", "ms", lambda S=S: sd._eliminate(S, 101)
+        S = rng.integers(0, 101, size=(rows, 4, 3), dtype=np.int32)
+        yield f"_eliminate F_101 {rows}x4x3 int32", "ms", lambda S=S: sd._eliminate(S, 101)
 
 
 def _micro_cases(P, fields):
