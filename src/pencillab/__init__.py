@@ -77,6 +77,7 @@ _EXPORTS = {
         "diagonal_conic",
         "has_multiple_base_points",
         "has_ramification_at",
+        "intersect_with_conic",
         "is_base_point",
         "is_reduced_curve",
         "linear_form",
@@ -99,7 +100,6 @@ _EXPORTS = {
         "build_limit_curve",
         "descends",
         "dimension_estimate",
-        "intersect_with_conic",
         "search_pencils_ffield",
     ),
 }

@@ -16,7 +16,6 @@ search code.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -308,7 +307,7 @@ def _cmd_pencil_sym_point(args):
 
 
 def _cmd_pencil_conic_section(args):
-    from . import pencil_geometry, severi_degeneration
+    from . import pencil_geometry
 
     pencil = _parse_pencil(args)
     curve = pencil_geometry.bezoutian_curve(pencil)
@@ -317,7 +316,7 @@ def _cmd_pencil_conic_section(args):
     else:
         coeffs = [tok.strip() for tok in args.conic.split(",")]
         conic = pencil_geometry.PlaneCurve(pencil.field, 2, tuple(coeffs))
-    report = severi_degeneration.intersect_with_conic(curve, conic)
+    report = pencil_geometry.intersect_with_conic(curve, conic)
     return report.to_json_dict(), 0
 
 
@@ -457,36 +456,9 @@ def _cmd_reproduce(args):
 # parser assembly
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-
-    search_common = argparse.ArgumentParser(add_help=False)
-    search_common.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1, help="worker processes"
-    )
-    search_common.add_argument(
-        "--no-cache", action="store_true", help="neither read nor write the cache"
-    )
-    search_common.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="max work a search may do: g-rows x conditions, "
-        "plus the matches to classify with --strata",
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="pencillab",
-        description="pencils of binary forms: numerology, monodromy, plane geometry, "
-        "and finite-field dimension experiments",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
+def _add_numerology(sub, parents) -> None:
     p_num = sub.add_parser(
-        "numerology", parents=[common], help="invariants of a ramification profile"
+        "numerology", parents=[parents.common], help="invariants of a ramification profile"
     )
     p_num.add_argument("--g", type=int, required=True)
     p_num.add_argument("--k", type=int, required=True)
@@ -494,6 +466,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_num.add_argument("--n", type=int, default=None, help="cross-check for len(e)")
     p_num.set_defaults(handler=_cmd_numerology)
 
+
+def _add_monodromy(sub, parents) -> None:
+    common = parents.common
     p_mon = sub.add_parser("monodromy", help="cycle tuples for genus-0 covers")
     mon_sub = p_mon.add_subparsers(dest="action", required=True)
     m_con = mon_sub.add_parser("construct", parents=[common])
@@ -519,14 +494,9 @@ def _build_parser() -> argparse.ArgumentParser:
     m_pad.add_argument("--e", type=str, required=True)
     m_pad.set_defaults(handler=_cmd_monodromy_pad)
 
-    field_opt = argparse.ArgumentParser(add_help=False)
-    field_opt.add_argument(
-        "--q", type=int, default=None, help="odd prime; omit for rationals"
-    )
-    pform = argparse.ArgumentParser(add_help=False)
-    pform.add_argument("--f", type=str, required=True, help="comma coefficient list")
-    pform.add_argument("--g", type=str, required=True, help="comma coefficient list")
 
+def _add_pencil(sub, parents) -> None:
+    common, field_opt, pform = parents.common, parents.field_opt, parents.pform
     p_pen = sub.add_parser("pencil", help="exact geometry of one pencil")
     pen_sub = p_pen.add_subparsers(dest="action", required=True)
     pe_bez = pen_sub.add_parser("bezoutian", parents=[common, field_opt, pform])
@@ -568,6 +538,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pe_con.set_defaults(handler=_cmd_pencil_conic_section)
 
+
+def _add_severi(sub, parents) -> None:
+    common, field_opt, pform = parents.common, parents.field_opt, parents.pform
     p_sev = sub.add_parser("severi", help="nodal-family combinatorics")
     sev_sub = p_sev.add_subparsers(dest="action", required=True)
     sv_exi = sev_sub.add_parser("exists", parents=[common])
@@ -596,9 +569,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sv_lim.add_argument("--marked", type=str, default=None, help="x0,x1:order;...")
     sv_lim.set_defaults(handler=_cmd_severi_limit_curve)
 
+
+def _add_dimlab(sub, parents) -> None:
+    common = parents.common
     p_dim = sub.add_parser("dimlab", help="finite-field counting experiments")
     dim_sub = p_dim.add_subparsers(dest="action", required=True)
-    dl_sea = dim_sub.add_parser("search", parents=[common, search_common])
+    dl_sea = dim_sub.add_parser("search", parents=[common, parents.search_common])
     dl_sea.add_argument("--k", type=int, required=True)
     dl_sea.add_argument("--q", type=int, required=True)
     dl_sea.add_argument("--incidence", type=str, default=None, help="u,v,w;u,v,w;...")
@@ -613,12 +589,80 @@ def _build_parser() -> argparse.ArgumentParser:
     dl_gra.add_argument("--q", type=int, required=True)
     dl_gra.set_defaults(handler=_cmd_dimlab_grassmannian)
 
+
+def _add_reproduce(sub, parents) -> None:
     p_rep = sub.add_parser(
-        "reproduce", parents=[common, search_common], help="rerun worked examples"
+        "reproduce", parents=[parents.common, parents.search_common],
+        help="rerun worked examples",
     )
     p_rep.add_argument("target", choices=("example-p345", "unique-pencil"))
     p_rep.set_defaults(handler=_cmd_reproduce)
 
+
+# each subcommand and the builder of its subtree, in the order help lists them
+_SUBCOMMANDS = {
+    "numerology": _add_numerology,
+    "monodromy": _add_monodromy,
+    "pencil": _add_pencil,
+    "severi": _add_severi,
+    "dimlab": _add_dimlab,
+    "reproduce": _add_reproduce,
+}
+
+
+def _parents() -> argparse.Namespace:
+    """The option groups that subcommands share, as parent parsers."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="output format"
+    )
+
+    search_common = argparse.ArgumentParser(add_help=False)
+    search_common.add_argument(
+        "--jobs", type=int, default=os.cpu_count() or 1, help="worker processes"
+    )
+    search_common.add_argument(
+        "--no-cache", action="store_true", help="neither read nor write the cache"
+    )
+    search_common.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="max work a search may do: g-rows x conditions, "
+        "plus the matches to classify with --strata",
+    )
+
+    field_opt = argparse.ArgumentParser(add_help=False)
+    field_opt.add_argument(
+        "--q", type=int, default=None, help="odd prime; omit for rationals"
+    )
+    pform = argparse.ArgumentParser(add_help=False)
+    pform.add_argument("--f", type=str, required=True, help="comma coefficient list")
+    pform.add_argument("--g", type=str, required=True, help="comma coefficient list")
+    return argparse.Namespace(
+        common=common, search_common=search_common, field_opt=field_opt, pform=pform
+    )
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The pencillab parser: every subtree, or with only set, only that subcommand's.
+
+    The other subcommands are still named, by parsers of their own with no
+    options, so that usage lines and errors list all six as the full tree
+    does.
+    """
+    parser = argparse.ArgumentParser(
+        prog="pencillab",
+        description="pencils of binary forms: numerology, monodromy, plane geometry, "
+        "and finite-field dimension experiments",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    parents = _parents()
+    for name, add in _SUBCOMMANDS.items():
+        if only in (None, name):
+            add(sub, parents)
+        else:
+            sub.add_parser(name, add_help=False)
     return parser
 
 
@@ -654,6 +698,8 @@ def _csv_text(payload) -> str | None:
                 val = " ".join(str(x) for x in val)
             flat[key] = val
         flat_rows.append(flat)
+    import csv
+
     header = sorted({key for row in flat_rows for key in row})
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -664,7 +710,10 @@ def _csv_text(payload) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a named subcommand builds its subtree alone: its help, usage and errors
+    # read as the full tree's
+    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         payload, code = args.handler(args)

@@ -11,11 +11,10 @@ plane-curve geometry leans on degenerates there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import CharacteristicObstruction, ResourceLimit
+from .errors import CharacteristicObstruction, Frozen, ResourceLimit
 
 Element = Union[Fraction, int]
 
@@ -51,21 +50,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Frozen):
     """q = 0 means the rationals, otherwise an odd prime modulus."""
 
-    q: int = 0
+    q: int
 
-    def __post_init__(self):
-        if self.q == 0:
-            return
-        if self.q == 2:
-            raise CharacteristicObstruction(
-                "characteristic 2 not supported (diagonal conic degenerates)"
-            )
-        if not _is_prime(self.q):
-            raise ValueError(f"modulus {self.q} is not prime")
+    def __init__(self, q: int = 0):
+        if q != 0:
+            if q == 2:
+                raise CharacteristicObstruction(
+                    "characteristic 2 not supported (diagonal conic degenerates)"
+                )
+            if not _is_prime(q):
+                raise ValueError(f"modulus {q} is not prime")
+        object.__setattr__(self, "q", q)
 
     @property
     def is_rational(self) -> bool:
@@ -93,6 +91,14 @@ class Field:
                 )
             return (num * pow(den, -1, self.q)) % self.q
         raise TypeError(f"cannot coerce {value!r} into {self}")
+
+    def coerce_all(self, values) -> tuple:
+        """coerce of each value; over F_q a tuple of plain ints is reduced in one pass."""
+        values = tuple(values)
+        q = self.q
+        if q and set(map(type, values)) == {int}:
+            return tuple([v % q for v in values])
+        return tuple(map(self.coerce, values))
 
     @property
     def zero(self) -> Element:

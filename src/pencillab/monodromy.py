@@ -15,11 +15,10 @@ transitive group, with consecutive cycles sharing a symbol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, reduce, total_ordering
 from itertools import combinations, permutations as iter_permutations, product as iter_product
 
-from .errors import ProfileInfeasible, ResourceLimit
+from .errors import Frozen, ProfileInfeasible, ResourceLimit
 
 # enumerate_tuples and count_tuples refuse k > MAX_K or more than MAX_N orders:
 # the walk visits up to prod_i (number of e_i-cycles) prefixes.
@@ -32,16 +31,25 @@ MAX_N = 6
 MAX_CONSTRUCT_K = 500
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """A bijection of {1..k}, stored as the tuple of images of 1, 2, ..., k."""
+@total_ordering
+class Permutation(Frozen):
+    """A bijection of {1..k}, stored as the tuple of images of 1, 2, ..., k.
+
+    Permutations of one degree sort by their image tuples.
+    """
 
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a bijection of 1..{len(self.images)}: {self.images}")
+    def __init__(self, images):
+        images = tuple(images)
+        object.__setattr__(self, "images", images)
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a bijection of 1..{len(images)}: {images}")
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images < other.images
+        return NotImplemented
 
     @classmethod
     def identity(cls, k: int) -> "Permutation":
@@ -128,15 +136,15 @@ def _orbit_count(images: tuple[int, ...]) -> int:
     return orbits
 
 
-@dataclass(frozen=True)
-class MonodromyTuple:
+class MonodromyTuple(Frozen):
     """An ordered tuple of single cycles in the symmetric group on 1..k."""
 
     k: int
     cycles: tuple[Permutation, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "cycles", tuple(self.cycles))
+    def __init__(self, k: int, cycles):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "cycles", tuple(cycles))
         if self.k < 1:
             raise ValueError(f"degree k must be at least 1, got {self.k}")
         for sigma in self.cycles:
@@ -167,8 +175,7 @@ class MonodromyTuple:
         return cls(k=k, cycles=cycles)
 
 
-@dataclass(frozen=True)
-class TupleReport:
+class TupleReport(Frozen):
     product_is_identity: bool
     transitive: bool
     consecutive_nondisjoint: bool

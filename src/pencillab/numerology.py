@@ -18,12 +18,11 @@ closed-form count of pencils of degree-k forms over F_q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import add, mul
 
-from .errors import FormulationMismatch, ResourceLimit, RiemannHurwitzViolation
+from .errors import FormulationMismatch, Frozen, ResourceLimit, RiemannHurwitzViolation
 from .fields import _is_prime
 
 #: Inputs are capped at this magnitude.  Python integers cannot overflow, so the
@@ -57,8 +56,7 @@ def brill_noether_number(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
-@dataclass(frozen=True)
-class RamificationProfile:
+class RamificationProfile(Frozen):
     """A genus, a pencil degree and ramification orders at marked points.
 
     e is the tuple of prescribed orders, one per marked point; each order lies
@@ -70,10 +68,12 @@ class RamificationProfile:
 
     g: int
     k: int
-    e: tuple[int, ...] = ()
+    e: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "e", tuple(self.e))
+    def __init__(self, g: int, k: int, e=()):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "e", tuple(e))
         _check_magnitude(g=self.g, k=self.k)
         for i, ei in enumerate(self.e):
             _check_magnitude(**{f"e[{i}]": ei})
@@ -140,8 +140,7 @@ class VerdictTag(str, Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class HurwitzVerdict:
+class HurwitzVerdict(Frozen):
     """Behaviour of the cover space -> moduli-of-curves forgetful map."""
 
     tag: VerdictTag
@@ -245,27 +244,27 @@ def profile_report(profile: RamificationProfile) -> dict:
 # alpha-tuples
 
 
-@dataclass(frozen=True)
-class AlphaTuple:
+class AlphaTuple(Frozen):
     """Chain multiplicities (alpha_1..alpha_p) of a degenerate p-section."""
 
     p: int
     alphas: tuple
 
-    def __post_init__(self):
+    def __init__(self, p: int, alphas):
         # every pass below runs in C, so long tuples are checked at C speed;
         # int() costs a call an entry, so it runs only on tuples that need it
-        alphas = tuple(self.alphas)
+        alphas = tuple(alphas)
         if set(map(type, alphas)) != {int}:
             alphas = tuple(map(int, alphas))
-        if self.p < 1:
+        if p < 1:
             raise ValueError("p must be positive")
-        if len(alphas) != self.p:
-            raise ValueError(f"need exactly {self.p} multiplicities")
+        if len(alphas) != p:
+            raise ValueError(f"need exactly {p} multiplicities")
         if min(alphas) < 0:
             raise ValueError("multiplicities must be nonnegative")
-        if sum(map(mul, range(1, self.p + 1), alphas)) != self.p:
+        if sum(map(mul, range(1, p + 1), alphas)) != p:
             raise ValueError("weighted chain lengths must sum to p")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "alphas", alphas)
         # g = sum alpha_j and p - delta count the same nodes two ways
         assert self.genus == self.p - self.delta

@@ -19,7 +19,6 @@ Everything is exact (Fraction over Q, residues over F_q); no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -32,6 +31,7 @@ from .errors import (
     CharacteristicObstruction,
     CoincidentPoints,
     DegeneratePencil,
+    Frozen,
     ResourceLimit,
 )
 from .fields import Element, Field, _is_prime
@@ -55,23 +55,23 @@ MAX_TOTAL_RAM_K = 2000
 # points
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Frozen):
     """A point of the projective line, normalized so equality is syntactic."""
 
     field: Field
     x0: Element
     x1: Element
 
-    def __post_init__(self):
-        x0 = self.field.coerce(self.x0)
-        x1 = self.field.coerce(self.x1)
-        if self.field.is_zero(x0) and self.field.is_zero(x1):
+    def __init__(self, field: Field, x0, x1):
+        x0 = field.coerce(x0)
+        x1 = field.coerce(x1)
+        if field.is_zero(x0) and field.is_zero(x1):
             raise ValueError("(0, 0) is not a projective point")
-        if not self.field.is_zero(x0):
-            x0, x1 = self.field.one, self.field.div(x1, x0)
+        if not field.is_zero(x0):
+            x0, x1 = field.one, field.div(x1, x0)
         else:
-            x0, x1 = self.field.zero, self.field.one
+            x0, x1 = field.zero, field.one
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "x1", x1)
 
@@ -82,8 +82,7 @@ class ProjPoint:
         return [self.field.to_str(self.x0), self.field.to_str(self.x1)]
 
 
-@dataclass(frozen=True)
-class SymPoint:
+class SymPoint(Frozen):
     """A point of the plane receiving the symmetric square, normalized."""
 
     field: Field
@@ -91,14 +90,16 @@ class SymPoint:
     v: Element
     w: Element
 
-    def __post_init__(self):
-        coords = [self.field.coerce(c) for c in (self.u, self.v, self.w)]
-        pivot = next((c for c in coords if not self.field.is_zero(c)), None)
+    def __init__(self, field: Field, u, v, w):
+        coords = [field.coerce(c) for c in (u, v, w)]
+        pivot = next((c for c in coords if not field.is_zero(c)), None)
         if pivot is None:
             raise ValueError("(0, 0, 0) is not a projective point")
-        coords = [self.field.div(c, pivot) for c in coords]
-        for name, val in zip(("u", "v", "w"), coords):
-            object.__setattr__(self, name, val)
+        u, v, w = (field.div(c, pivot) for c in coords)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
 
     def coords(self) -> tuple[Element, Element, Element]:
         return (self.u, self.v, self.w)
@@ -129,19 +130,19 @@ def sym_point(p: ProjPoint, q: ProjPoint) -> SymPoint:
 # binary forms
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(Frozen):
     field: Field
     degree: int
     coeffs: tuple
 
-    def __post_init__(self):
-        coeffs = tuple(self.field.coerce(c) for c in self.coeffs)
-        if self.degree < 0 or len(coeffs) != self.degree + 1:
+    def __init__(self, field: Field, degree: int, coeffs):
+        coeffs = field.coerce_all(coeffs)
+        if degree < 0 or len(coeffs) != degree + 1:
             raise ValueError(
-                f"degree {self.degree} needs {self.degree + 1} coefficients, "
-                f"got {len(coeffs)}"
+                f"degree {degree} needs {degree + 1} coefficients, got {len(coeffs)}"
             )
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
@@ -170,7 +171,7 @@ class BinaryForm:
         if pivot is None or F.eq(pivot, F.one):
             return self
         inv = F.inv(pivot)
-        return BinaryForm(F, self.degree, tuple(F.mul(inv, c) for c in self.coeffs))
+        return BinaryForm(F, self.degree, [inv * c for c in self.coeffs])
 
     def scale(self, c) -> "BinaryForm":
         c = self.field.coerce(c)
@@ -216,10 +217,7 @@ class BinaryForm:
         return self.degree + 1
 
     def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coeffs": [self.field.to_str(c) for c in self.coeffs],
-        }
+        return {"degree": self.degree, "coeffs": list(map(str, self.coeffs))}
 
     @classmethod
     def from_json_dict(cls, field: Field, data: dict) -> "BinaryForm":
@@ -447,16 +445,17 @@ def curve_monomials(degree: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PlaneCurve:
+class PlaneCurve(Frozen):
     field: Field
     degree: int
     coeffs: tuple
 
-    def __post_init__(self):
-        coeffs = tuple(self.field.coerce(c) for c in self.coeffs)
-        if len(coeffs) != len(curve_monomials(self.degree)):
+    def __init__(self, field: Field, degree: int, coeffs):
+        coeffs = field.coerce_all(coeffs)
+        if len(coeffs) != len(curve_monomials(degree)):
             raise ValueError("coefficient count does not match the degree")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
@@ -497,13 +496,10 @@ class PlaneCurve:
         if pivot is None or F.eq(pivot, F.one):
             return self
         inv = F.inv(pivot)
-        return PlaneCurve(F, self.degree, tuple(F.mul(inv, c) for c in self.coeffs))
+        return PlaneCurve(F, self.degree, [inv * c for c in self.coeffs])
 
     def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coeffs": [self.field.to_str(c) for c in self.coeffs],
-        }
+        return {"degree": self.degree, "coeffs": list(map(str, self.coeffs))}
 
 
 def sum_line(p: ProjPoint) -> PlaneCurve:
@@ -524,22 +520,23 @@ def diagonal_conic(field: Field) -> PlaneCurve:
 # pencils
 
 
-@dataclass(frozen=True)
-class Pencil:
+class Pencil(Frozen):
     """Two linearly independent binary forms of one degree, spanning the pencil."""
 
     f: BinaryForm
     g: BinaryForm
 
-    def __post_init__(self):
-        if self.f.field != self.g.field:
+    def __init__(self, f: BinaryForm, g: BinaryForm):
+        if f.field != g.field:
             raise ValueError("generators live over different fields")
-        if self.f.degree != self.g.degree:
+        if f.degree != g.degree:
             raise ValueError("generators must have equal degree")
-        if self.f.degree < 1:
+        if f.degree < 1:
             raise ValueError("degree must be at least 1")
-        if _dependent(self.f, self.g):
+        if _dependent(f, g):
             raise DegeneratePencil("generators are linearly dependent")
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
 
     @property
     def field(self) -> Field:
@@ -558,14 +555,20 @@ class Pencil:
 
 
 def _dependent(f: BinaryForm, g: BinaryForm) -> bool:
-    F = f.field
-    if f.is_zero() or g.is_zero():
-        return True
-    i0 = next(i for i, c in enumerate(f.coeffs) if not F.is_zero(c))
-    if F.is_zero(g.coeffs[i0]):
-        return False
-    ratio = F.div(g.coeffs[i0], f.coeffs[i0])
-    return all(F.eq(gc, F.mul(ratio, fc)) for fc, gc in zip(f.coeffs, g.coeffs))
+    """Whether f and g are linearly dependent: every 2 x 2 minor of their coefficients vanishes.
+
+    If some coefficient column (a, b) = (f_i, g_i) is nonzero, the others are
+    its multiples exactly when their minors with it vanish; the test stops at
+    the first minor that does not.  Two zero forms are dependent.
+    """
+    q = f.field.q
+    columns = list(zip(f.coeffs, g.coeffs))
+    a, b = next((col for col in columns if any(col)), (0, 0))
+    for c, d in columns:
+        minor = a * d - b * c
+        if minor % q if q else minor:
+            return False
+    return True
 
 
 def change_basis(pencil: Pencil, a, b, c, d) -> Pencil:
@@ -615,6 +618,18 @@ def _wedge_terms(k: int, i: int, j: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _bezoutian_plan(k: int) -> tuple:
+    """(i, j, terms) for i < j: the _wedge_terms of (i, j) as (index in curve_monomials(k - 1),
+    integer coefficient) pairs."""
+    index = {expo: n for n, expo in enumerate(curve_monomials(k - 1))}
+    return tuple(
+        (i, j, tuple((index[expo], c) for expo, c in _wedge_terms(k, i, j)))
+        for i in range(k + 1)
+        for j in range(i + 1, k + 1)
+    )
+
+
 def bezoutian_curve(pencil: Pencil) -> PlaneCurve:
     """The degree k-1 plane curve swept by the pairs lying in single members.
 
@@ -625,20 +640,17 @@ def bezoutian_curve(pencil: Pencil) -> PlaneCurve:
     nonzero because Pencil refuses dependent generators, and it is normalized
     so its first nonzero coefficient is 1.
     """
-    F = pencil.field
     k = pencil.degree
     f, g = pencil.f.coeffs, pencil.g.coeffs
-    index = {expo: n for n, expo in enumerate(curve_monomials(k - 1))}
-    coeffs = [F.zero] * len(index)  # plain sums; PlaneCurve reduces them mod q
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            # the Plucker coordinate, unreduced: plucker_coordinates reduces
-            # each minor, which doubled this function's time at k = 3
-            p = f[i] * g[j] - f[j] * g[i]
-            if p:
-                for expo, c in _wedge_terms(k, i, j):
-                    coeffs[index[expo]] += p * c
-    return PlaneCurve(F, k - 1, tuple(coeffs)).normalized()
+    coeffs = [0] * len(curve_monomials(k - 1))  # plain sums; PlaneCurve reduces them once
+    for i, j, terms in _bezoutian_plan(k):
+        # the Plucker coordinate, unreduced: plucker_coordinates reduces
+        # each minor, which doubled this function's time at k = 3
+        p = f[i] * g[j] - f[j] * g[i]
+        if p:
+            for n, c in terms:
+                coeffs[n] += p * c
+    return PlaneCurve(pencil.field, k - 1, coeffs).normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +730,13 @@ def has_ramification_at(pencil: Pencil, p: ProjPoint, order: int) -> bool:
     """
     if not 2 <= order <= pencil.degree:
         raise ValueError(f"order must lie in 2..{pencil.degree}")
-    F = pencil.field
+    q = pencil.field.q
     ft = _move_to_origin(pencil.f, p, order)
     gt = _move_to_origin(pencil.g, p, order)
     for a in range(order):
         for b in range(a + 1, order):
-            if not F.is_zero(F.sub(F.mul(ft[a], gt[b]), F.mul(ft[b], gt[a]))):
+            minor = ft[a] * gt[b] - ft[b] * gt[a]  # on plain residues, reduced once
+            if minor % q if q else minor:
                 return False
     return True
 
@@ -883,3 +896,80 @@ def is_reduced_curve(curve: PlaneCurve) -> bool:
             if not any(F.coerce(c) for c in _interpolate(values)):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# conic sections of plane curves
+
+
+class ConicSectionReport(Frozen):
+    """Resultant-based summary of curve-conic intersection.
+
+    transversal is a proxy: full expected degree and a squarefree resultant.
+    A resultant of two forms is itself a form, so homogeneous is true exactly
+    when the resultant is nonzero; the field is kept so the JSON output keeps
+    its keys.
+    """
+
+    expected_degree: int
+    degree: int
+    homogeneous: bool
+    squarefree: bool | None
+    transversal: bool
+    resultant: BinaryForm | None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "expected_degree": self.expected_degree,
+            "degree": self.degree,
+            "homogeneous": self.homogeneous,
+            "squarefree": self.squarefree,
+            "transversal": self.transversal,
+            "resultant": None if self.resultant is None else self.resultant.to_json_dict(),
+        }
+
+
+def intersect_with_conic(curve: PlaneCurve, conic: PlaneCurve) -> ConicSectionReport:
+    """Eliminate w between the curve and a conic; report the (u, v) resultant.
+
+    Transversal intersection shows up as a squarefree resultant of degree
+    2 * deg(curve): each of the 2*deg intersection points contributes one
+    simple root.  With m and n the actual w-degrees of the curve and the
+    conic, the resultant is a form of degree D = deg(curve)*n + 2*m - m*n in
+    (u, v), which is 2*deg(curve) when the conic has a w^2 term.
+    curve_resultant evaluates the Sylvester determinant at (u : v) = (1 : t)
+    for t = 0..D and interpolates.  Over F_q it computes the integer
+    resultant of the residues lifted to 0..q-1 and reduces it mod q; that is
+    exact because lifting keeps m and n and the determinant is an integer
+    polynomial in the matrix entries, and it needs no D+1 points of F_q.
+    A resultant that vanishes (over F_q: one divisible by q) means a shared
+    component and is reported with degree -1.
+    """
+    if conic.degree != 2:
+        raise ValueError("second argument must be a conic")
+    if curve.field != conic.field:
+        raise ValueError("field mismatch")
+    if curve.is_zero() or conic.is_zero():
+        raise ValueError("zero input")
+    field = curve.field
+    expected = 2 * curve.degree
+    coeffs = curve_resultant(curve, conic, 2)
+    if all(field.is_zero(c) for c in coeffs):
+        return ConicSectionReport(
+            expected_degree=expected,
+            degree=-1,
+            homogeneous=False,
+            squarefree=None,
+            transversal=False,
+            resultant=None,
+        )
+    form = BinaryForm.from_coeffs(field, coeffs)
+    sqf = squarefree_form(form)
+    return ConicSectionReport(
+        expected_degree=expected,
+        degree=form.degree,
+        homogeneous=True,
+        squarefree=sqf,
+        transversal=form.degree == expected and sqf,
+        resultant=form,
+    )

@@ -31,17 +31,16 @@ every echelon pair is tested in pure Python, and numpy is never imported.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 
 from .errors import (
     ChainMismatch,
+    Frozen,
     PencillabError,
     PointCollision,
     ResourceLimit,
@@ -54,16 +53,16 @@ from .numerology import (  # re-exported for callers of this module
     exists_alpha,
     grassmannian_pencil_count,
 )
-from .pencil_geometry import (
+from .pencil_geometry import (  # the conic sections re-exported for callers of this module
     BinaryForm,
+    ConicSectionReport,
     Pencil,
-    PlaneCurve,
     ProjPoint,
     SymPoint,
     _move_to_origin,
     _wedge_terms,
     base_locus,
-    curve_resultant,
+    intersect_with_conic,
     squarefree_form,
 )
 
@@ -134,36 +133,35 @@ _BRUTE_FORCE_MAX_TESTS = 500
 # chains and limit-curve models
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Frozen):
     """A chain of 2m-1 ruling lines, remembered by its distinguished pair."""
 
     m: int
     pair: tuple
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, pair):
+        if m < 1:
             raise ValueError("chain parameter m must be at least 1")
-        a, b = self.pair
+        a, b = pair
         if not isinstance(a, ProjPoint) or not isinstance(b, ProjPoint):
             raise TypeError("pair must hold two projective points")
         if a == b:
             raise PointCollision("distinguished pair must be two distinct points")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "pair", (a, b))
 
 
-@dataclass(frozen=True)
-class LimitCurveModel:
+class LimitCurveModel(Frozen):
     """A g-nodal model of the sectional line: node pairs plus marked points."""
 
     node_pairs: tuple
     marked_points: tuple
     orders: tuple
 
-    def __post_init__(self):
-        pairs = tuple((a, b) for a, b in self.node_pairs)
-        marked = tuple(self.marked_points)
-        orders = tuple(int(e) for e in self.orders)
+    def __init__(self, node_pairs, marked_points, orders):
+        pairs = tuple((a, b) for a, b in node_pairs)
+        marked = tuple(marked_points)
+        orders = tuple(int(e) for e in orders)
         if len(marked) != len(orders):
             raise ValueError("one order per marked point")
         if any(e < 2 for e in orders):
@@ -215,8 +213,7 @@ def build_limit_curve(
 # descent of pencils to nodal models
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(Frozen):
     """Per-node and per-marked-point verdicts for a pencil on a nodal model."""
 
     pair_in_fiber: tuple
@@ -278,8 +275,7 @@ def descends(
 # finite-field search
 
 
-@dataclass(frozen=True)
-class SearchConstraint:
+class SearchConstraint(Frozen):
     """Incidence and ramification conditions imposed on a pencil.
 
     incidences: SymPoints the induced plane curve must pass through.
@@ -287,12 +283,12 @@ class SearchConstraint:
     at least that order there.
     """
 
-    incidences: tuple = ()
-    ramifications: tuple = ()
+    incidences: tuple
+    ramifications: tuple
 
-    def __post_init__(self):
-        inc = tuple(self.incidences)
-        ram = tuple((pt, int(e)) for pt, e in self.ramifications)
+    def __init__(self, incidences=(), ramifications=()):
+        inc = tuple(incidences)
+        ram = tuple((pt, int(e)) for pt, e in ramifications)
         for sp in inc:
             if not isinstance(sp, SymPoint):
                 raise TypeError("incidences must be SymPoints")
@@ -311,8 +307,7 @@ class SearchConstraint:
         }
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Frozen):
     count: int
     samples: tuple
     strata: dict | None
@@ -1133,6 +1128,8 @@ def _check_strata_budget(steps: int, budget: int) -> None:
 
 
 def _cache_key(k: int, q: int, constraint: SearchConstraint) -> str:
+    import hashlib
+
     doc = {"k": k, "q": q, "constraint": constraint.to_json_dict()}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -1219,8 +1216,7 @@ def _load_cached(
 # dimension estimation
 
 
-@dataclass(frozen=True)
-class DimensionEstimate:
+class DimensionEstimate(Frozen):
     raw: float
     rational: Fraction
     nearest: int
@@ -1273,84 +1269,6 @@ def dimension_estimate(counts: list[tuple[int, int]]) -> DimensionEstimate:
     nearest = round(raw)
     return DimensionEstimate(
         raw=raw, rational=rational, nearest=nearest, residual=raw - nearest
-    )
-
-
-# ---------------------------------------------------------------------------
-# conic sections of plane curves
-
-
-@dataclass(frozen=True)
-class ConicSectionReport:
-    """Resultant-based summary of curve-conic intersection.
-
-    transversal is a proxy: full expected degree and a squarefree resultant.
-    A resultant of two forms is itself a form, so homogeneous is true exactly
-    when the resultant is nonzero; the field is kept so the JSON output keeps
-    its keys.
-    """
-
-    expected_degree: int
-    degree: int
-    homogeneous: bool
-    squarefree: bool | None
-    transversal: bool
-    resultant: BinaryForm | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "expected_degree": self.expected_degree,
-            "degree": self.degree,
-            "homogeneous": self.homogeneous,
-            "squarefree": self.squarefree,
-            "transversal": self.transversal,
-            "resultant": None if self.resultant is None else self.resultant.to_json_dict(),
-        }
-
-
-def intersect_with_conic(curve: PlaneCurve, conic: PlaneCurve) -> ConicSectionReport:
-    """Eliminate w between the curve and a conic; report the (u, v) resultant.
-
-    Transversal intersection shows up as a squarefree resultant of degree
-    2 * deg(curve): each of the 2*deg intersection points contributes one
-    simple root.  With m and n the actual w-degrees of the curve and the
-    conic, the resultant is a form of degree D = deg(curve)*n + 2*m - m*n in
-    (u, v), which is 2*deg(curve) when the conic has a w^2 term.
-    curve_resultant evaluates the Sylvester determinant at (u : v) = (1 : t)
-    for t = 0..D and interpolates.  Over F_q it computes the integer
-    resultant of the residues lifted to 0..q-1 and reduces it mod q; that is
-    exact because lifting keeps m and n and the determinant is an integer
-    polynomial in the matrix entries, and it needs no D+1 points of F_q.
-    A resultant that vanishes (over F_q: one divisible by q) means a shared
-    component and is reported with degree -1.
-    """
-    if conic.degree != 2:
-        raise ValueError("second argument must be a conic")
-    if curve.field != conic.field:
-        raise ValueError("field mismatch")
-    if curve.is_zero() or conic.is_zero():
-        raise ValueError("zero input")
-    field = curve.field
-    expected = 2 * curve.degree
-    coeffs = curve_resultant(curve, conic, 2)
-    if all(field.is_zero(c) for c in coeffs):
-        return ConicSectionReport(
-            expected_degree=expected,
-            degree=-1,
-            homogeneous=False,
-            squarefree=None,
-            transversal=False,
-            resultant=None,
-        )
-    form = BinaryForm.from_coeffs(field, coeffs)
-    sqf = squarefree_form(form)
-    return ConicSectionReport(
-        expected_degree=expected,
-        degree=form.degree,
-        homogeneous=True,
-        squarefree=sqf,
-        transversal=form.degree == expected and sqf,
-        resultant=form,
     )
 
 

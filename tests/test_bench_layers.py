@@ -44,3 +44,28 @@ def test_bench_layers_times_cold_searches_on_both_paths(tmp_path):
     assert sorted(doc["ms"]) == ["cold dimlab search k=2 F_7, 57 tests",
                                  "cold dimlab search k=3 F_7, 2850 tests"]
     assert all(value > 0 for value in doc["ms"].values())
+
+
+def test_bench_layers_times_cold_loads_by_module_group(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--repeats", "1", "--only", "cold load"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert sorted(doc["ms"]) == ["cold load numerology", "cold load pencil conic-section",
+                                 "cold load pencil reduced",
+                                 "cold load reproduce unique-pencil, cache hit"]
+    assert all(value > 0 for value in doc["ms"].values())
+    assert os.listdir(tmp_path) == []  # the primed cache lived in a temporary directory
+
+
+def test_bench_layers_times_int64_systems(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--repeats", "1", "--only", "_systems"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    (label, value), = doc["ms"].items()
+    assert label == "_systems k=2 F_100003 100005 g-rows int64" and value > 0

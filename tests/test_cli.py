@@ -1,5 +1,6 @@
 """End-to-end command line checks: output shape, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import shlex
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from pencillab.cli import main
+from pencillab.cli import _build_parser, main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 FROZEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected.json")
@@ -70,6 +71,50 @@ def test_usage_error_exit_code(capsys):
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run(["numerology", "--g", "1", "--k", "2", "--wat", "3"], capsys)
     assert code == 2
+
+
+SUBCOMMANDS = ("numerology", "monodromy", "pencil", "severi", "dimlab", "reproduce")
+
+
+def _subparsers(parser) -> dict:
+    """The parser's subcommands by name, or nothing if it has none."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _parse(parser, argv, capsys):
+    try:
+        parser.parse_args(argv)
+        code = 0
+    except SystemExit as ex:
+        code = ex.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_subtree_parses_as_the_full_tree(capsys):
+    full = _build_parser()
+    assert tuple(_subparsers(full)) == SUBCOMMANDS
+    argvs = []
+    for name, sub in _subparsers(full).items():
+        argvs += [[name, "--help"], [name], [name, "--no-such-flag"]]
+        for action in _subparsers(sub):
+            argvs += [[name, action, "--help"], [name, action], [name, action, "--no-such-flag"]]
+    argvs.append(["numerology", "--g", "4", "--k", "2", "unexpected"])  # the top-level usage
+    assert len(argvs) == 3 * 6 + 3 * (5 + 9 + 5 + 3) + 1
+    for argv in argvs:
+        expected = _parse(full, argv, capsys)
+        assert expected[0] in (0, 2) and expected[1] + expected[2], argv
+        assert _parse(_build_parser(argv[0]), argv, capsys) == expected, argv
+
+
+@pytest.mark.parametrize("argv", [[], ["nonsense"], ["--help"]])
+def test_the_full_tree_lists_every_subcommand(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == (0 if argv == ["--help"] else 2)
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out + err
 
 
 def test_seed_flag_is_gone(capsys):
@@ -517,10 +562,12 @@ THEMES = tuple(
     f"pencillab.{m}"
     for m in ("numerology", "monodromy", "pencil_geometry", "severi_degeneration")
 )
+# standard modules that only some commands need: none of them needs the first two
+LIGHT = ("dataclasses", "inspect", "hashlib", "csv")
 
 # Run in a fresh interpreter: imports pencillab, then pencillab.cli, then runs
-# each command in turn, and prints which HEAVY and THEMES modules are loaded
-# after each of these steps.
+# each command in turn, and prints which HEAVY, THEMES and LIGHT modules are
+# loaded after each of these steps.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 watched = %r
@@ -535,7 +582,7 @@ for argv in json.loads(sys.argv[1]):
         pencillab.cli.main(argv)
     steps.append(loaded())
 print(json.dumps(steps))
-""" % (HEAVY + THEMES,)
+""" % (HEAVY + THEMES + LIGHT,)
 
 
 def probe_loads(tmp_path, commands):
@@ -568,14 +615,32 @@ def test_heavy_modules_load_only_where_used(tmp_path):
     large = ["dimlab", "search", "--no-cache", "--k", "3", "--q", "7", "--incidence", "5,0,1"]
     steps = probe_loads(tmp_path, integer + [conic, small, unique, large])
     assert list((tmp_path / "cache").glob("search-*.json")), "unique-pencil wrote no entry"
-    # import pencillab, then import pencillab.cli: no theme module, nothing heavy
+    # import pencillab, then import pencillab.cli: no theme module, nothing heavy or light
     assert steps[:2] == [set(), set()]
     # the integer commands need neither the pencil geometry nor the search code
     assert steps[1 + len(integer)] == {"pencillab.numerology", "pencillab.monodromy"}
+    # the conic section needs the pencil geometry alone
+    assert steps[2 + len(integer)] - steps[1 + len(integer)] == {"pencillab.pencil_geometry"}
+    # a search that neither reads nor writes the cache hashes no key
+    assert "hashlib" not in steps[3 + len(integer)]
     # loads accumulate: nothing heavy through the conic section and both small searches
     assert not steps[-2] & set(HEAVY)
     # a search this large runs in one process at the default --jobs
     assert steps[-1] & set(HEAVY) == {"numpy"}
+    assert not steps[-1] & {"dataclasses", "csv"}
+
+    # numpy loads inspect, but no search without the cache loads hashlib
+    steps = probe_loads(tmp_path, [small, large])
+    assert steps[-1] & {"hashlib", "pencillab.severi_degeneration"} == {
+        "pencillab.severi_degeneration"}
+
+    # csv is loaded to print CSV, and only then
+    steps = probe_loads(tmp_path, [integer[0], integer[0] + ["--format", "csv"]])
+    assert [step & set(LIGHT) for step in steps] == [set()] * 3 + [{"csv"}]
+
+    # no frozen cli_cold invocation loads dataclasses or inspect
+    steps = probe_loads(tmp_path, [entry["argv"] for entry in frozen_invocations()])
+    assert not steps[-1] & {"dataclasses", "inspect"} and not steps[-1] & set(HEAVY)
 
     geometry = [
         ["pencil", "bezoutian", "--f", "0,1,0", "--g", "0,0,1"],
@@ -584,6 +649,7 @@ def test_heavy_modules_load_only_where_used(tmp_path):
         # not reduced over F_5, where a cubic's discriminants reach degree 6 >= q,
         # so their vanishing values are interpolated
         ["pencil", "reduced", "--q", "5", "--f", "0,0,0,0,1", "--g", "0,0,0,1,0"],
+        conic,
     ]
     steps = probe_loads(tmp_path, geometry)
     assert steps[-1] == {"pencillab.pencil_geometry"}

@@ -16,6 +16,8 @@ The cases, in the order each repeat runs them:
   packed systems (four conditions, the two unknowns of the largest cell) at
   2048 and 8192 rows, in int32 as those searches run them
   (4 * 100^2 < 2^31);
+- `_systems` over the whole packed g index of a k = 2 search over F_100003
+  with one incidence, in int64 as searches past the int32 rule run it;
 - `Field.coerce` of a plain int and `_move_to_origin` at k = 3 over F_31,
   in microseconds per call over a loop of MICRO_CALLS calls;
 - each search of the `ladder` workload for variants 0-7, with its jobs and
@@ -28,8 +30,14 @@ The cases, in the order each repeat runs them:
 - a cold `pencillab dimlab search --no-cache` process on each side of
   `_BRUTE_FORCE_MAX_TESTS`: k = 2 over F_7 with one incidence (57 pencil
   tests, brute-forced in Python without numpy) and k = 3 over F_7 with one
-  incidence (2850 tests, the numpy rank kernel).  Python's bytecode cache
-  follows the environment (`PYTHONDONTWRITEBYTECODE`).
+  incidence (2850 tests, the numpy rank kernel);
+- a cold `pencillab` process for each group of modules a command loads:
+  `numerology` (numerology alone), `pencil reduced` and `pencil
+  conic-section` (pencil_geometry alone) on frozen `cli_cold` pencils, and
+  a `reproduce unique-pencil` cache hit (pencil_geometry, numerology and the
+  search module), its entry primed in a temporary cache directory.
+
+Python's bytecode cache follows the environment (`PYTHONDONTWRITEBYTECODE`).
 
 The output holds `nproc`, the versions, the tree measured, and `ms` (or
 `us_per_call`) by case.  Times are raw, not scaled to a reference speed, so
@@ -45,6 +53,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,6 +69,20 @@ def _eliminate_cases(sd):
     for rows in (2048, 8192):
         S = rng.integers(0, 101, size=(rows, 4, 3), dtype=np.int32)
         yield f"_eliminate F_101 {rows}x4x3 int32", "ms", lambda S=S: sd._eliminate(S, 101)
+
+
+def _systems_cases(P, fields, sd):
+    import numpy as np
+
+    k, q = 2, 100003
+    F = fields.Field(q)
+    constraint = sd.SearchConstraint(
+        incidences=(P.sym_point(P.ProjPoint(F, 1, 1), P.ProjPoint(F, 1, 4)),))
+    mats = np.array(sd.compile_constraint(k, q, constraint), dtype=sd._kernel_dtype(k, q))
+    mats = mats.reshape(-1, k + 1, k + 1)
+    rows = sum(q ** (k - j) for _, j in sd._cells(k))
+    yield (f"_systems k={k} F_{q} {rows} g-rows {mats.dtype}", "ms",
+           lambda: list(sd._g_systems(q, k, 0, rows, mats)))
 
 
 def _micro_cases(P, fields):
@@ -118,18 +141,25 @@ def _geometry_cases(P, fields, sd, pools):
     yield "is_reduced_curve, 8 cli reduced pencils", "ms", lambda: [
         P.is_reduced_curve(c) for c in reduced]
     yield "intersect_with_conic, 8 cli conic pencils", "ms", lambda: [
-        sd.intersect_with_conic(c, diagonal) for c in conic]
+        P.intersect_with_conic(c, diagonal) for c in conic]
 
 
-def _cold_cases(src):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+def _cold_cases(src, cache_dir, pools):
+    env = dict(os.environ, PENCILLAB_CACHE=cache_dir, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+
+    def run(argv):
+        command = [sys.executable, "-m", "pencillab.cli", *argv]
+        return lambda: subprocess.run(command, env=env, stdout=subprocess.DEVNULL, check=True)
+
     for k, tests in ((2, 57), (3, 2850)):
-        argv = [sys.executable, "-m", "pencillab.cli", "dimlab", "search", "--no-cache",
-                "--k", str(k), "--q", "7", "--incidence", "5,0,1"]
         yield (f"cold dimlab search k={k} F_7, {tests} tests", "ms",
-               lambda argv=argv: subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
-                                                check=True))
+               run(["dimlab", "search", "--no-cache", "--k", str(k), "--q", "7",
+                    "--incidence", "5,0,1"]))
+    yield "cold load numerology", "ms", run(["numerology", "--g", "4", "--k", "2", "--e", "2,2"])
+    yield "cold load pencil reduced", "ms", run(pools["reduced"][0]["argv"])
+    yield "cold load pencil conic-section", "ms", run(pools["conic"][0]["argv"])
+    yield "cold load reproduce unique-pencil, cache hit", "ms", run(["reproduce", "unique-pencil"])
 
 
 def main(argv=None) -> int:
@@ -152,23 +182,29 @@ def main(argv=None) -> int:
     with open(os.path.join(PERFBENCH, "expected.json")) as fh:
         expected = json.load(fh)
     pairs = expected["ladder"]["incidence_pairs"]  # the ladder's, variant 0
-    cases = []
-    for group in (_eliminate_cases(sd), _micro_cases(P, fields),
-                  _ladder_cases(P, fields, sd, pairs), _large_cases(P, fields, sd, pairs),
-                  _geometry_cases(P, fields, sd, expected["cli"]["pools"]),
-                  _cold_cases(args.src)):
-        cases += [c for c in group if args.only in c[0]]
-    if not cases:
-        ap.error(f"no case matches {args.only!r}")
-    times: dict[str, list[float]] = {label: [] for label, _, _ in cases}
-    for _ in range(args.repeats):
-        for label, unit, fn in cases:
-            for call in fn if isinstance(fn, list) else [fn]:
-                reference_times()
-                start = time.perf_counter()
-                call()
-                elapsed = time.perf_counter() - start
-                times[label].append(elapsed * 1e6 / MICRO_CALLS if unit == "us" else elapsed * 1e3)
+    pools = expected["cli"]["pools"]
+    with tempfile.TemporaryDirectory() as cache:
+        cases = []
+        for group in (_eliminate_cases(sd), _systems_cases(P, fields, sd),
+                      _micro_cases(P, fields), _ladder_cases(P, fields, sd, pairs),
+                      _large_cases(P, fields, sd, pairs), _geometry_cases(P, fields, sd, pools),
+                      _cold_cases(args.src, cache, pools)):
+            cases += [c for c in group if args.only in c[0]]
+        if not cases:
+            ap.error(f"no case matches {args.only!r}")
+        for label, _, fn in cases:
+            if label.endswith("cache hit"):
+                fn()  # primes the entry that the timed calls hit
+        times: dict[str, list[float]] = {label: [] for label, _, _ in cases}
+        for _ in range(args.repeats):
+            for label, unit, fn in cases:
+                for call in fn if isinstance(fn, list) else [fn]:
+                    reference_times()
+                    start = time.perf_counter()
+                    call()
+                    elapsed = time.perf_counter() - start
+                    times[label].append(
+                        elapsed * 1e6 / MICRO_CALLS if unit == "us" else elapsed * 1e3)
     doc = {
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
