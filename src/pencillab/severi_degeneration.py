@@ -15,18 +15,20 @@ vectors, so a subspace matches iff one (hence any) basis pair (f, g) does.
 In each echelon cell g has no more free coordinates than f, so g is fixed:
 the forms are then linear in f, and each g-row's matches are the solutions
 of a linear system mod q.  The g-rows of every cell are numbered in one
-packed index, their systems padded to one width, and eliminated together in
-batches in numpy, in int32 where (k+1)(q-1)^2 < 2^31 and in int64 otherwise.
-Counts come from the ranks.  The samples, the first matches in (cell, f, g)
-order, are worked out after the count, cell by cell until there are enough:
-solved for per g-row where the cell is sparse, and found by walking the
-f-rows, with g solved for, where it is dense.  Strata solve for every
-match, from the g-rows that the count kept or eliminated again, and
-classify the matches together by two more ranks mod q, through the same
-elimination: the rank of the pencil's Bezout matrix, and, where that shows a
-base point, the rank of the multiples of the four partials.  Only small
-searches, of at most _BRUTE_FORCE_MAX_TESTS pencil tests, are brute-forced:
-every echelon pair is tested in pure Python, and numpy is never imported.
+packed index, and their systems, padded to one width, are built and
+eliminated together in chunks, the chunk on the last axis of every array,
+in numpy int32 where (k+1)(q-1)^2 < 2^31 and in int64 otherwise.  The
+elimination counts the pivots it finds, and the counts come from those
+ranks.  The samples, the first matches in (cell, f, g) order, are worked out
+after the count, cell by cell until there are enough: solved for per g-row
+where the cell is sparse, and found by walking the f-rows, with g solved
+for, where it is dense.  Strata solve for every match, from the g-rows that
+the count kept or eliminated again, and classify the matches together by
+two more ranks mod q, through the same elimination: the rank of the
+pencil's Bezout matrix, and, where that shows a base point, the rank of the
+multiples of the four partials.  Only small searches, of at most
+_BRUTE_FORCE_MAX_TESTS pencil tests, are brute-forced: every echelon pair is
+tested in pure Python, and numpy is never imported.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import math
 import os
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations, product
 
 from .errors import (
@@ -320,8 +323,9 @@ class SearchResult(Frozen):
         }
 
 
-def _cells(k: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
+@lru_cache
+def _cells(k: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i in range(k + 1) for j in range(i + 1, k + 1))
 
 
 def _free_columns(k: int, i: int, j: int) -> tuple[list[int], list[int]]:
@@ -446,80 +450,67 @@ def _kernel_dtype(k: int, q: int):
     return np.int32 if (k + 1) * (q - 1) ** 2 < 2**31 else np.int64
 
 
-def _eliminate(S: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot equations and solvability of a batch of linear systems over F_q.
+def _eliminate(W: np.ndarray, q: int, spare: np.ndarray | None = None):
+    """Pivot equations, rank and solvability of a batch of linear systems over F_q.
 
-    S is B x m x (n+1): B augmented systems of m equations in n unknowns, the
-    last column holding the constants.  Gaussian elimination runs on all B
-    systems at once, from the last unknown to the first, each system taking
-    as pivot its first equation with a nonzero coefficient.  Every equation r
-    is then replaced fraction-free by p*r - r[c]*pivot, p the pivot entry, so
-    no inverse mod q is needed and no product exceeds (q-1)^2.  That update
+    W is m x (n+1) x B: B augmented systems of m equations in n unknowns, the
+    batch on the last axis, column 0 holding the constants and column c + 1
+    unknown c.  It is eliminated in place, spare (a buffer like it) taking
+    the temporaries.  Gaussian elimination runs on all B systems at once,
+    from the last unknown to the first, each system taking as pivot its
+    first equation with a nonzero coefficient.  Every equation r is then
+    replaced fraction-free by p*r - r[c]*pivot, p the pivot entry, so no
+    inverse mod q is needed and no product exceeds (q-1)^2.  That update
     zeroes the pivot equation itself, so it is never chosen again, and it
-    zeroes column c in every equation, so column c is dropped.  While it
-    runs, the batch is the last axis and the constants the first column.
-    Row c of the returned B x n x (n+1) array is the pivot equation of
-    unknown c as chosen, so it involves c and only the more significant
-    unknowns before it; it is zero where c is free, and the rank is the number
-    of nonzero diagonal entries.  A system is solvable iff no equation keeps a
-    nonzero constant.  The arrays returned have the dtype of S.
+    zeroes column c in every equation, so column c is dropped.  Row c of the
+    returned n x (n+1) x B pivots is the pivot equation of unknown c as
+    chosen, in the columns of W, so it involves c and only the more
+    significant unknowns before it; it is zero where c is free.  The rank is
+    the number of steps that found a pivot, and a system is solvable iff no
+    equation keeps a nonzero constant.  The pivots have the dtype of W.
     """
     import numpy as np
 
-    B, m, width = S.shape
-    n = width - 1
-    # m x (n+1) x B: column 0 the constants, column c+1 unknown c; each step
-    # updates the first c columns in place, through one spare buffer
-    W = np.empty((m, width, B), dtype=S.dtype)
-    W[:, 0] = S[:, :, n].T
-    W[:, 1:] = S[:, :, :n].transpose(1, 2, 0)
-    spare = np.empty_like(W)
-    pivots = np.zeros((B, n, width), dtype=S.dtype)
-    for c in range(n, 0, -1):
+    m, width, B = W.shape
+    spare = np.empty_like(W) if spare is None else spare
+    pivots = np.zeros((width - 1, width, B), dtype=W.dtype)
+    rank = np.zeros(B, dtype=np.intp)
+    for c in range(width - 1, 0, -1):
         col = W[:, c]
         nonzero = col != 0
         has = nonzero.any(axis=0)
         if not has.any():
             W = W[:, :c]
             continue
-        P = np.zeros((c + 1, B), dtype=S.dtype)  # the first equation with col != 0
+        rank += has
+        P = pivots[c - 1, : c + 1]  # the first equation with col != 0
         for r in range(m - 1, -1, -1):
             np.copyto(P, W[r], where=nonzero[r])
-        pivots[:, c - 1, :c] = P[1:].T
-        pivots[:, c - 1, n] = P[0]
         W, T = W[:, :c], spare[:, :c]
         W *= np.where(has, P[c], 1)
         W -= np.multiply(col[:, None], P[:c], out=T)
         _mod(W, q, T)
-    solvable = ~(W[:, 0] != 0).any(axis=0)
-    return pivots, solvable
-
-
-def _rank(pivots: np.ndarray) -> np.ndarray:
-    """Rank of each system's coefficient matrix, from _eliminate's pivots."""
-    import numpy as np
-
-    return (np.diagonal(pivots, axis1=1, axis2=2) != 0).sum(axis=1)
+    return pivots, rank, ~(W[:, 0] != 0).any(axis=0)
 
 
 def _solutions(pivots: np.ndarray, q: int, cap: int):
     """Yield (row positions, R x count x n solutions) for the solvable systems given.
 
-    pivots comes from _eliminate.  Rows are grouped by their free unknowns,
-    and each gets its first count = min(q^free, cap) solutions, about
-    _BATCH_ROWS solutions per batch.  The free unknowns run through
-    base-q order and each pivot unknown is solved from the more significant
-    ones, so two solutions first differ in a free unknown: the order is
-    lexicographic.
+    pivots comes from _eliminate, n x (n+1) x B.  Rows are grouped by their
+    free unknowns, and each gets its first count = min(q^free, cap)
+    solutions, about _BATCH_ROWS solutions per batch.  The free unknowns run
+    through base-q order and each pivot unknown is solved from the more
+    significant ones, so two solutions first differ in a free unknown: the
+    order is lexicographic.
     """
     import numpy as np
 
-    n = pivots.shape[1]
-    free = np.diagonal(pivots, axis1=1, axis2=2) == 0
-    pattern = free @ (1 << np.arange(n))
+    n = pivots.shape[0]
+    free = pivots[range(n), range(1, n + 1)] == 0
+    pattern = (1 << np.arange(n)) @ free
     for pat in set(pattern.tolist()):
         rows = np.flatnonzero(pattern == pat)
-        mask = free[rows[0]]
+        mask = free[:, rows[0]]
         count = min(q ** int(mask.sum()), cap)
         step = max(1, _BATCH_ROWS // count)
         for lo in range(0, len(rows), step):
@@ -527,9 +518,9 @@ def _solutions(pivots: np.ndarray, q: int, cap: int):
             G = np.zeros((len(part), count, n), dtype=pivots.dtype)
             G[:, :, mask] = _digits(np.arange(count), q, int(mask.sum()))
             for c in np.flatnonzero(~mask).tolist():
-                eq = pivots[part, c]
-                inv = np.array([pow(a, -1, q) for a in eq[:, c].tolist()], dtype=pivots.dtype)
-                rhs = (G[:, :, :c] @ eq[:, :c, None])[:, :, 0] + eq[:, None, n]
+                eq = pivots[c][:, part].T
+                inv = np.array([pow(a, -1, q) for a in eq[:, c + 1].tolist()], dtype=pivots.dtype)
+                rhs = (G[:, :, :c] @ eq[:, 1 : c + 1, None])[:, :, 0] + eq[:, None, 0]
                 G[:, :, c] = _mod(_mod(-rhs, q) * inv[:, None], q)
             yield part, G
 
@@ -541,39 +532,41 @@ _STRATA = ("base_point_free", "simple_base_divisor", "multiple_base_points")
 def _multiples(forms: np.ndarray, shifts: int) -> np.ndarray:
     """The products of each batch's forms with the monomials of degree shifts - 1.
 
-    forms is B x r x (d+1), r forms of degree d per batch.  Multiplying by a
-    monomial shifts a coefficient vector, so the result is the B x (r*shifts)
-    x (d+shifts) matrix of those products, with a zero constant column
-    appended for _eliminate.
+    forms is r x (d+1) x B, r forms of degree d per system, the batch on the
+    last axis.  Multiplying by a monomial shifts a coefficient vector, so the
+    result is the (r*shifts) x (d+shifts+1) x B batch of those products for
+    _eliminate, after a zero constant column.
     """
     import numpy as np
 
-    B, r, width = forms.shape
-    out = np.zeros((B, r * shifts, width + shifts), dtype=forms.dtype)
+    r, width, B = forms.shape
+    out = np.zeros((r * shifts, width + shifts, B), dtype=forms.dtype)
     for a in range(shifts):
-        out[:, a::shifts, a : a + width] = forms
+        out[a::shifts, 1 + a : 1 + a + width] = forms
     return out
 
 
 def _bezout_matrices(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """The k x k Bezout matrix mod q of each pencil span(F[b], G[b]), as a batch.
+    """The k x k Bezout matrix mod q of each pencil span(F[b], G[b]), batch last.
 
     The coordinate pencil (x0^(k-i) x1^i, x0^(k-j) x1^j) has Bezoutian
     (f(x)g(y) - f(y)g(x)) / (x0*y1 - x1*y0) equal to the sum of x^a y^b over
     a + b = i + j - 1 and i <= a, b <= j - 1 (x^a standing for x0^(k-1-a)
     x1^a), so a pencil's Bezout matrix is the sum of those terms weighted by
     its Plucker coordinates p_ij = f_i g_j - f_j g_i, as in bezoutian_curve.
-    The result is B x k x (k+1), with a zero constant column for _eliminate.
+    The result is k x (k+1) x B for _eliminate: a zero constant column, then
+    column b + 1 holding the coefficients of y^b.
     """
     import numpy as np
 
     pairs = _cells(k)
     first, second = np.array(pairs).T
-    plucker = F[:, first] * G[:, second] - F[:, second] * G[:, first]
-    out = np.zeros((len(F), k, k + 1), dtype=F.dtype)
+    F, G = F.T, G.T
+    plucker = F[first] * G[second] - F[second] * G[first]
+    out = np.zeros((k, k + 1, F.shape[1]), dtype=F.dtype)
     for t, (i, j) in enumerate(pairs):
         for a in range(i, j):
-            out[:, a, i + j - 1 - a] += plucker[:, t]
+            out[a, i + j - a] += plucker[t]
     return _mod(out, q)
 
 
@@ -593,15 +586,13 @@ def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     import numpy as np
 
     codes = np.zeros(len(F), dtype=np.int64)
-    based = np.flatnonzero(_rank(_eliminate(_bezout_matrices(q, k, F, G), q)[0]) < k)
+    based = np.flatnonzero(_eliminate(_bezout_matrices(q, k, F, G), q)[1] < k)
     if based.size:  # never at k = 1, where independent forms are coprime
-        t = np.arange(k + 1, dtype=F.dtype)
-        f, g = F[based], G[based]
-        partials = _mod(np.stack([
-            f[:, :-1] * t[::-1][:-1], f[:, 1:] * t[1:],
-            g[:, :-1] * t[::-1][:-1], g[:, 1:] * t[1:],
-        ], axis=1), q)
-        ranks = _rank(_eliminate(_multiples(partials, k - 1), q)[0])
+        t = np.arange(k + 1, dtype=F.dtype)[:, None]
+        f, g = F[based].T, G[based].T
+        partials = _mod(np.stack([f[:-1] * t[::-1][:-1], f[1:] * t[1:],
+                                  g[:-1] * t[::-1][:-1], g[1:] * t[1:]]), q)
+        ranks = _eliminate(_multiples(partials, k - 1), q)[1]
         codes[based] = np.where(ranks < 2 * k - 2, 2, 1)
     return codes
 
@@ -616,7 +607,7 @@ def _sides(k: int, cell_idx: int, fixed: str) -> tuple[tuple, tuple]:
 
 def _systems(q: int, k: int, cells, fixed: str, lo: int, hi: int, mats,
              first: int = _RANK_CHUNK_ROWS):
-    """Yield (cell, rows, pivots, solvable) for rows lo..hi-1 of the cells' fixed side, by chunks.
+    """Yield (cell, rows, pivots, rank, solvable) for rows lo..hi-1 of the cells' fixed side, by chunks.
 
     fixed is "f" or "g", and cells a sequence of cell indices.  The fixed
     side's rows of the cells are numbered one cell after another, each cell's
@@ -626,14 +617,18 @@ def _systems(q: int, k: int, cells, fixed: str, lo: int, hi: int, mats,
     f^T A g = 0 is one linear equation in the other side's free coordinates:
     the entries of A h there, its constant at that side's pivot 1.  With f
     fixed that reads g^T A f = -f^T A g (A is antisymmetric), each equation
-    negated, with the same solutions and rank.  Every system has the n
-    unknowns of the cells' widest, a cell with n_c taking n - n_c zero
-    columns first: zero columns are never pivots, so the cell's pivots are
-    pivots[:, n - n_c:, n - n_c:], as its own elimination would give them,
-    and its rank and solvability are the shared ones.  _eliminate takes
-    chunks that start at first rows and grow fourfold, to at most
-    _RANK_CHUNK_ROWS within the range's first _BATCH_ROWS rows and
-    _BATCH_ROWS after that.  The arrays have the dtype of mats.
+    negated, with the same solutions and rank.  A h is linear in h, so a
+    chunk's systems, batch last, are each cell's A at the fixed pivot plus
+    its A at each free coordinate times that coordinate's row of values.
+    Every system has the n unknowns of the cells' widest, a cell with n_c
+    taking n - n_c zero columns last: zero columns are never pivots and
+    eliminating them changes nothing, so the cell's pivots are
+    pivots[:n_c, :n_c + 1], as its own elimination would give them, and its
+    rank and solvability are the shared ones.  _eliminate takes chunks that
+    start at first rows and grow fourfold, to at most _RANK_CHUNK_ROWS within
+    the range's first _BATCH_ROWS rows and _BATCH_ROWS after that, all built
+    and eliminated in one buffer.  The arrays
+    have the dtype of mats, rows B x (k+1) and the rest batch last.
     """
     import numpy as np
 
@@ -641,31 +636,35 @@ def _systems(q: int, k: int, cells, fixed: str, lo: int, hi: int, mats,
     starts = list(accumulate((q ** len(cols) for (_, cols), _ in sides), initial=0))
     n, m = max(len(x_cols) for _, (_, x_cols) in sides), len(mats)
     # each cell's rows of every A that meet the solved side, row k + 1 being
-    # zero: zero columns, its unknowns, its pivot 1
-    picks = [[k + 1] * (n - len(x_cols)) + x_cols + [x_pivot] for _, (x_pivot, x_cols) in sides]
+    # zero: its pivot 1 (the constant), its unknowns, zero columns
+    picks = [[x_pivot] + x_cols + [k + 1] * (n - len(x_cols)) for _, (x_pivot, x_cols) in sides]
     padded = np.concatenate([mats, np.zeros((m, 1, k + 1), dtype=mats.dtype)], axis=1)
-    systems = padded[:, picks, :].transpose(1, 3, 0, 2).reshape(len(sides), k + 1, m * (n + 1))
-    start, size = lo, first
+    # cell, fixed coordinate, equation, column of the solved side, batch
+    systems = padded[:, picks, :].transpose(1, 3, 0, 2)[..., None]
+    buffer = np.empty(2 * m * (n + 1) * min(hi - lo, _BATCH_ROWS), dtype=mats.dtype)
+    start, chunk = lo, first
     while lo < hi:
-        size = min(size, _RANK_CHUNK_ROWS if lo - start < _BATCH_ROWS else _BATCH_ROWS)
-        stop = min(lo + size, hi)
-        rows = np.zeros((stop - lo, k + 1), dtype=mats.dtype)
-        S = np.empty((stop - lo, m * (n + 1)), dtype=mats.dtype)
-        cell = np.empty(stop - lo, dtype=np.intp)
+        chunk = min(chunk, _RANK_CHUNK_ROWS if lo - start < _BATCH_ROWS else _BATCH_ROWS)
+        stop = min(lo + chunk, hi)
+        B = stop - lo
+        W, T = buffer[: 2 * m * (n + 1) * B].reshape(2, m, n + 1, B)
+        rows = np.zeros((k + 1, B), dtype=mats.dtype)
+        cell = np.empty(B, dtype=np.intp)
         t = bisect_right(starts, lo) - 1
         while starts[t] < stop:
             a, b = max(lo, starts[t]), min(stop, starts[t + 1])
             part = slice(a - lo, b - lo)
             (pivot, cols), _ = sides[t]
-            rows[part, pivot] = 1
-            rows[part, cols] = _digits(np.arange(a - starts[t], b - starts[t]), q, len(cols))
-            # integer einsum beats matmul in int32: 2048 x 4 rows by 4 x 12 took
-            # 66 against 93 us, and 8192 rows 226 against 402 us (warm, 2 cores)
-            np.einsum("bc,cx->bx", rows[part], systems[t], out=S[part])
+            rows[pivot, part] = 1
+            W[..., part] = systems[t, pivot]
+            if cols:
+                rows[cols, part] = _digits(np.arange(a - starts[t], b - starts[t]), q, len(cols)).T
+            for c in cols:
+                W[..., part] += np.multiply(systems[t, c], rows[c, part], out=T[..., part])
             cell[part] = cells[t]
             t += 1
-        lo, size = stop, 4 * size
-        yield (cell, rows, *_eliminate(_mod(S, q).reshape(len(rows), m, n + 1), q))
+        lo, chunk = stop, 4 * chunk
+        yield (cell, rows.T, *_eliminate(_mod(W, q, T), q, T))
 
 
 def _g_systems(q: int, k: int, lo: int, hi: int, mats):
@@ -691,9 +690,9 @@ def _cell_parts(k: int, chunks, cells=None):
     for cell, rows, pivots in chunks:
         ends = np.searchsorted(cell, np.arange(len(pads) + 1)).tolist()
         for c in cells:
-            a, b, pad = ends[c], ends[c + 1], pads[c]
+            a, b, n = ends[c], ends[c + 1], k - 1 - pads[c]
             if a < b:
-                yield c, rows[a:b], pivots[a:b, pad:, pad:]
+                yield c, rows[a:b], pivots[:n, : n + 1, a:b]
 
 
 def _matches(q: int, k: int, cell_idx: int, fixed: str, rows, pivots, cap: int):
@@ -734,11 +733,11 @@ def _walk_f_rows(q: int, k: int, cell_idx: int, mats, start: int) -> list[tuple]
 
     (_, f_cols), _ = _sides(k, cell_idx, "f")
     batches, found = [], 0
-    for _, F_rows, pivots, solvable in _systems(q, k, [cell_idx], "f", 0, q ** len(f_cols),
-                                                mats, start):
+    for _, F_rows, pivots, _, solvable in _systems(q, k, [cell_idx], "f", 0, q ** len(f_cols),
+                                                   mats, start):
         need = SAMPLE_LIMIT - found
         hits = np.flatnonzero(solvable)[:need]
-        for batch in _matches(q, k, cell_idx, "f", F_rows[hits], pivots[hits], need):
+        for batch in _matches(q, k, cell_idx, "f", F_rows[hits], pivots[..., hits], need):
             batches.append(batch)
             found += len(batch[0])
         if found >= SAMPLE_LIMIT:
@@ -791,13 +790,13 @@ def _count_shard(payload) -> tuple[list, list, bool]:
     q, k, lo, hi, mats, strata_budget = payload
     cells = _cells(k)
     n = k - 1
-    pads = np.array([i for i, _ in cells])
+    unknowns = np.array([n - i for i, _ in cells])
     by_exp = [[0] * (n + 1) for _ in cells]
     keep = np.ones(len(cells), dtype=bool)  # cells still sparse
     keep_all = strata_budget is not None
     kept, count = [], 0
-    for cell, rows, pivots, solvable in _g_systems(q, k, lo, hi, mats):
-        codes = cell * (n + 1) + (n - pads[cell] - _rank(pivots))
+    for cell, rows, pivots, rank, solvable in _g_systems(q, k, lo, hi, mats):
+        codes = cell * (n + 1) + unknowns[cell] - rank
         hist = np.bincount(codes[solvable], minlength=len(cells) * (n + 1)).tolist()
         for c in range(int(cell[0]), int(cell[-1]) + 1):
             row = hist[c * (n + 1) : (c + 1) * (n + 1)]
@@ -810,10 +809,10 @@ def _count_shard(payload) -> tuple[list, list, bool]:
                 keep[c] = False
         if keep_all and count * (k - 1) > _POOL_MIN_STRATA_WORK:
             keep_all = False  # strata will eliminate again: keep the sparse cells' rows only
-            kept = [tuple(a[keep[chunk[0]]] for a in chunk) for chunk in kept]
+            kept = [(c[w], r[w], p[..., w]) for c, r, p in kept for w in [keep[c]]]
         wanted = solvable if keep_all else solvable & keep[cell]
         if wanted.any():
-            kept.append((cell[wanted], rows[wanted], pivots[wanted]))
+            kept.append((cell[wanted], rows[wanted], pivots[..., wanted]))
     return by_exp, kept, keep_all
 
 
@@ -843,8 +842,8 @@ def _sample_keys(q: int, k: int, mats, by_exp: list, kept: list) -> list[tuple]:
             keys += _walk_f_rows(q, k, cell_idx, mats, start)
             continue
         _, rows, pivots = zip(*_cell_parts(k, kept, [cell_idx]))
-        batches = _matches(q, k, cell_idx, "g", np.concatenate(rows), np.concatenate(pivots),
-                           SAMPLE_LIMIT)
+        batches = _matches(q, k, cell_idx, "g", np.concatenate(rows),
+                           np.concatenate(pivots, axis=-1), SAMPLE_LIMIT)
         F, G = (np.concatenate(b) for b in zip(*batches))
         keys += _first_keys(cell_idx, F, G)
     return keys[:SAMPLE_LIMIT]
@@ -881,8 +880,8 @@ def _strata_shard(payload) -> list[int]:
 
     q, k, mats, kept, ranges = payload
     if kept is None:
-        kept = ((cell[ok], rows[ok], pivots[ok]) for lo, hi in ranges
-                for cell, rows, pivots, ok in _g_systems(q, k, lo, hi, mats))
+        kept = ((cell[ok], rows[ok], pivots[..., ok]) for lo, hi in ranges
+                for cell, rows, pivots, _, ok in _g_systems(q, k, lo, hi, mats))
     tally = np.zeros(len(_STRATA), dtype=np.int64)
     pending: list[tuple] = []
 
@@ -892,7 +891,7 @@ def _strata_shard(payload) -> list[int]:
         pending.clear()
 
     for cell_idx, rows, pivots in _cell_parts(k, kept):
-        for batch in _matches(q, k, cell_idx, "g", rows, pivots, q ** pivots.shape[1]):
+        for batch in _matches(q, k, cell_idx, "g", rows, pivots, q ** pivots.shape[0]):
             if pending and sum(len(F) for F, _ in pending + [batch]) > _BATCH_ROWS:
                 classify()
             pending.append(batch)

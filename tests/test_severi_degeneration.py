@@ -655,9 +655,10 @@ def side_matches(k, q, mats, cell_idx, fixed):
     (_, cols), _ = sd._sides(k, cell_idx, fixed)
     batches = [
         np.concatenate(batch, axis=1)
-        for _, rows, pivots, ok in sd._systems(q, k, [cell_idx], fixed, 0, q ** len(cols), mats)
-        for batch in sd._matches(q, k, cell_idx, fixed, rows[ok], pivots[ok],
-                                 q ** pivots.shape[1])
+        for _, rows, pivots, _, ok in sd._systems(q, k, [cell_idx], fixed, 0, q ** len(cols),
+                                                  mats)
+        for batch in sd._matches(q, k, cell_idx, fixed, rows[ok], pivots[..., ok],
+                                 q ** pivots.shape[0])
     ]
     found = np.concatenate(batches) if batches else np.zeros((0, 2 * k + 2), dtype=np.int64)
     return found[np.lexsort(found.T[::-1])]
@@ -698,15 +699,15 @@ def test_system_chunks_grow_fourfold_to_the_caps():
     no_conditions = np.zeros((0, 4, 4), dtype=np.int64)
     # the f-row walk from one row: 2048 at most within the first 8192 rows
     chunks = sd._systems(101, 3, [0], "f", 0, 101**2, no_conditions, 1)
-    sizes = [len(rows) for _, rows, _, _ in chunks]
+    sizes = [len(rows) for _, rows, *_ in chunks]
     assert sizes == [1, 4, 16, 64, 256, 1024, 2048, 2048, 2048, 2048, 644]
     # the rank pass, on a g-range not starting at 0: 8192 once its first 8192 rows are done
-    sizes = [len(rows) for _, rows, _, _ in sd._systems(211, 3, [0], "g", 5, 211**2, no_conditions)]
+    sizes = [len(rows) for _, rows, *_ in sd._systems(211, 3, [0], "g", 5, 211**2, no_conditions)]
     assert sizes == [2048] * 4 + [8192] * 4 + [211**2 - 5 - 5 * 8192]
     # the packed g index of every cell takes the same chunks; the last runs
     # from inside cell (0, 1) over all five other cells
     chunks = list(sd._g_systems(211, 3, 0, 211**2 + 2 * 211 + 3, no_conditions))
-    assert [len(rows) for _, rows, _, _ in chunks] == [2048] * 4 + [8192] * 4 + [3986]
+    assert [len(rows) for _, rows, *_ in chunks] == [2048] * 4 + [8192] * 4 + [3986]
     assert np.bincount(chunks[-1][0]).tolist() == [211**2 - 5 * 8192, 211, 1, 211, 1, 1]
 
 
@@ -718,7 +719,7 @@ def test_packed_pivots_are_each_cells_own(k, q):
     total = sum(q ** len(sd._free_columns(k, i, j)[1]) for i, j in sd._cells(k))
     for name, constraint in oracle_constraints(Field(q), k, rng):
         mats = kernel_mats(k, q, constraint)
-        chunks = [(cell, rows, pivots, ok) for cell, rows, pivots, ok
+        chunks = [(cell, rows, pivots, ok) for cell, rows, pivots, _, ok
                   in sd._systems(q, k, range(len(sd._cells(k))), "g", 0, total, mats, 7)]
         parts = {}
         for c, rows, pivots in sd._cell_parts(k, [chunk[:3] for chunk in chunks]):
@@ -728,9 +729,10 @@ def test_packed_pivots_are_each_cells_own(k, q):
         for c in range(len(sd._cells(k))):
             (_, cols), _ = sd._sides(k, c, "g")
             own = list(sd._systems(q, k, [c], "g", 0, q ** len(cols), mats))
-            rows, pivots = (np.concatenate(a) for a in zip(*parts[c]))
-            assert np.array_equal(rows, np.concatenate([r for _, r, _, _ in own])), (name, c)
-            assert np.array_equal(pivots, np.concatenate([p for _, _, p, _ in own])), (name, c)
+            rows, pivots = (np.concatenate(a, axis=axis) for a, axis in zip(zip(*parts[c]), (0, -1)))
+            assert np.array_equal(rows, np.concatenate([r for _, r, *_ in own])), (name, c)
+            assert np.array_equal(pivots, np.concatenate([p for _, _, p, *_ in own], axis=-1)), (
+                name, c)
             own_ok = np.concatenate([ok for *_, ok in own])
             assert np.array_equal(solvable[at : at + len(rows)], own_ok), (name, c)
             at += len(rows)
@@ -852,18 +854,20 @@ def test_eliminate_matches_the_python_oracle(q, dtype):
     for m in range(0, 7):
         for width in range(1, 7):
             systems = seeded_systems(rng, q, m, width)
-            S = np.array(systems, dtype=dtype).reshape(len(systems), m, width)
-            pivots, solvable = severi_degeneration._eliminate(S.copy(), q)
             n = width - 1
-            assert pivots.shape == (len(systems), n, width)
+            # batch last, the constants (each row's last entry) in column 0
+            S = np.array(systems, dtype=dtype).reshape(len(systems), m, width)
+            W = np.ascontiguousarray(np.roll(S, 1, axis=2).transpose(1, 2, 0))
+            pivots, ranks, solvable = severi_degeneration._eliminate(W, q)
+            assert pivots.shape == (n, width, len(systems))
             assert pivots.dtype == dtype
-            ranks = severi_degeneration._rank(pivots)
             for b, rows in enumerate(systems):
                 coeffs = [row[:n] for row in rows]
                 rank = oracle_rank(coeffs, q)
                 assert ranks[b] == rank, (m, width, b)
                 assert solvable[b] == (oracle_rank(rows, q) == rank), (m, width, b)
-                eqs = pivots[b].tolist()
+                # each pivot equation as a row of the system: unknowns, then the constant
+                eqs = np.roll(pivots[:, :, b], -1, axis=1).tolist()
                 assert all(0 <= x < q for eq in eqs for x in eq)
                 for c, eq in enumerate(eqs):
                     # only its own unknown and more significant ones
@@ -939,11 +943,12 @@ def test_bezout_rank_gives_the_base_locus_degree(k):
         F_rows = np.array([p.f.coeffs for p in pencils], dtype=np.int64).reshape(-1, k + 1)
         G_rows = np.array([p.g.coeffs for p in pencils], dtype=np.int64).reshape(-1, k + 1)
         batch = sd._bezout_matrices(q, k, F_rows, G_rows)
-        assert not batch[:, :, k].any()
+        assert batch.shape == (k, k + 1, len(pencils))
+        assert not batch[:, 0].any()  # the constant column
         degrees = set()
-        for pencil, bezout in zip(pencils, batch):
+        for b, pencil in enumerate(pencils):
             want = bezout_by_division(pencil, q)
-            assert bezout[:, :k].tolist() == want
+            assert batch[:, 1:, b].tolist() == want
             degree = base_locus(pencil).degree
             assert k - oracle_rank(want, q) == degree
             degrees.add(degree)
@@ -1089,13 +1094,14 @@ def test_strata_budget_refuses_as_the_matches_are_counted(monkeypatch):
     q, k = 211, 4
     F = Field(q)
     constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 2), point(F, 1, 3)),))
-    chunks = []  # (unknowns, pivots, solvable) of each elimination, in order
+    chunks = []  # (unknowns, rank, solvable) of each elimination, in order
     eliminate = sd._eliminate
 
-    def counted(S, q):
-        pivots, solvable = eliminate(S, q)
-        chunks.append((S.shape[2] - 1, pivots, solvable))
-        return pivots, solvable
+    def counted(W, q, spare=None):
+        n = W.shape[1] - 1
+        pivots, rank, solvable = eliminate(W, q, spare)
+        chunks.append((n, rank, solvable))
+        return pivots, rank, solvable
 
     monkeypatch.setattr(sd, "_eliminate", counted)
     with pytest.raises(ResourceLimit, match="classifying strata"):
@@ -1104,7 +1110,7 @@ def test_strata_budget_refuses_as_the_matches_are_counted(monkeypatch):
     # q^(n - rank) matches
     work = sum(q ** len(sd._free_columns(k, i, j)[1]) for i, j in sd._cells(k))
     matches = itertools.accumulate(
-        int((q ** (n - sd._rank(pivots)[solvable])).sum()) for n, pivots, solvable in chunks)
+        int((q ** (n - rank[solvable])).sum()) for n, rank, solvable in chunks)
     over = [work + count > sd.DEFAULT_SEARCH_BUDGET for count in matches]
     assert over[-1] and not any(over[:-1]), over
 
@@ -1138,9 +1144,9 @@ def test_kernel_dtype_on_both_sides_of_the_int32_rule(q, monkeypatch):
     dtypes = set()
     eliminate = sd._eliminate
 
-    def spy(S, q):
-        dtypes.add(S.dtype)
-        return eliminate(S, q)
+    def spy(W, q, spare=None):
+        dtypes.add(W.dtype)
+        return eliminate(W, q, spare)
 
     monkeypatch.setattr(sd, "_eliminate", spy)
     res = search_pencils_ffield(2, q, constraint)
