@@ -317,6 +317,12 @@ FORMER_HANGS = [
     # the pencil is refused
     (["pencil", "total-ram", "--a", "1,0", "--b", "0,1", "--k", "100000"], 1,
      lambda doc: doc["error"] == "resource_limit"),
+    # Permutation.identity's range overflowed; past MAX_TUPLE_K the tuple is refused
+    (["monodromy", "verify", "--k", "100000000000000000039", "--cycles", "[]"], 1,
+     lambda doc: doc["error"] == "resource_limit"),
+    # a count of about 2.6 * 10^9 digits: refused by its digit count, before any arithmetic
+    (["dimlab", "grassmannian", "--k", "4294967311", "--q", "2"], 1,
+     lambda doc: doc["error"] == "resource_limit"),
 ]
 
 

@@ -95,6 +95,22 @@ def test_pad_profile_caps_k_as_construct_does():
         pad_profile(k + 1, (k + 1,) * 3)
 
 
+def test_tuple_caps_k_before_reading_its_cycles():
+    from pencillab.monodromy import MAX_TUPLE_K
+
+    def unread():
+        raise AssertionError("the cycles were read")
+        yield
+
+    k = MAX_TUPLE_K
+    mt = MonodromyTuple.from_json_dict({"k": k, "cycles": [[1, 2], [1, 2]]})
+    assert verify_tuple(mt).product_is_identity
+    with pytest.raises(ResourceLimit):
+        MonodromyTuple(k + 1, unread())
+    with pytest.raises(ResourceLimit):
+        MonodromyTuple.from_json_dict({"k": 100000000000000000039, "cycles": []})
+
+
 def test_pad_profile_always_balances():
     for k in range(2, 6):
         for n in range(0, 3):

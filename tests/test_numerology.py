@@ -7,6 +7,7 @@ import pytest
 
 from pencillab import (
     RamificationProfile,
+    ResourceLimit,
     RiemannHurwitzViolation,
     VerdictTag,
     adjusted_rho,
@@ -14,6 +15,7 @@ from pencillab import (
     delta_zero,
     expected_codimension,
     expected_pencil_dimension,
+    grassmannian_pencil_count,
     hurwitz_dimension,
     hurwitz_to_moduli_verdict,
     profile_report,
@@ -249,3 +251,15 @@ def test_profile_report_shape():
         "codim": 4,
         "verdict": "GenericallyFinite",
     }
+
+
+def test_grassmannian_count_refuses_by_its_digit_count():
+    from pencillab.numerology import MAX_COUNT_DIGITS
+
+    assert grassmannian_pencil_count(3, 101) == 105111206
+    # about 2(k - 1) log10 q digits: 99720 at k = 59000 over F_7, 100060 at 59201
+    count = grassmannian_pencil_count(59000, 7)
+    assert 10**99719 < count < 10**MAX_COUNT_DIGITS
+    for k, q in [(59201, 7), (4294967311, 2), (10**400, 3)]:
+        with pytest.raises(ResourceLimit, match="digits"):
+            grassmannian_pencil_count(k, q)
