@@ -69,3 +69,14 @@ def test_bench_layers_times_int64_systems(tmp_path):
     doc = json.loads(proc.stdout)
     (label, value), = doc["ms"].items()
     assert label == "_systems k=2 F_100003 100005 g-rows int64" and value > 0
+
+
+def test_bench_layers_times_the_strata_ranks(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--repeats", "1", "--only", "_strata_codes"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    (label, value), = doc["ms"].items()
+    assert label == "_strata_codes k=3 F_13 2549 matches" and value > 0

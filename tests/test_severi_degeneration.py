@@ -739,6 +739,50 @@ def test_packed_pivots_are_each_cells_own(k, q):
         assert at == total
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("k,q", [(2, 7), (3, 5), (3, 11), (4, 5)])
+def test_built_systems_are_each_rows_product_with_its_cells_system(k, q, dtype, monkeypatch):
+    """Each system _systems builds, batch last, is its fixed row times its cell's system mod q.
+
+    Cell c's (k+1) x m x (n+1) system holds, for each condition A, the rows
+    of A at the solved side's pivot (the constant) and free coordinates, then
+    zeros up to the widest cell's n unknowns.  Chunks from 7 rows up span
+    several cells of the packed index, with f or g held fixed.
+    """
+    sd = severi_degeneration
+    built = []
+    eliminate = sd._eliminate
+
+    def spy(W, q, spare=None):
+        built.append(W.copy())
+        return eliminate(W, q, spare)
+
+    monkeypatch.setattr(sd, "_eliminate", spy)
+    rng = random.Random(f"systems:{k}:{q}")
+    cells = range(len(sd._cells(k)))
+    for name, constraint in oracle_constraints(Field(q), k, rng):
+        mats = kernel_mats(k, q, constraint).astype(dtype)
+        for fixed in "fg":
+            sides = [sd._sides(k, c, fixed) for c in cells]
+            total = sum(q ** len(cols) for (_, cols), _ in sides)
+            n = max(len(x_cols) for _, (_, x_cols) in sides)
+            systems = []
+            for _, (x_pivot, x_cols) in sides:
+                system = np.zeros((k + 1, len(mats), n + 1), dtype=np.int64)
+                for e, A in enumerate(mats.astype(np.int64)):
+                    system[:, e, : len(x_cols) + 1] = A[[x_pivot] + x_cols].T
+                systems.append(system.reshape(k + 1, -1))
+            built.clear()
+            chunks = list(sd._systems(q, k, cells, fixed, 0, total, mats, 7))
+            assert len(built) == len(chunks)
+            assert any(len(set(cell.tolist())) > 1 for cell, *_ in chunks)
+            for (cell, rows, *_), W in zip(chunks, built):
+                assert W.dtype == rows.dtype == dtype
+                want = np.stack([rows[b].astype(np.int64) @ systems[c] % q
+                                 for b, c in enumerate(cell.tolist())], axis=-1)
+                assert np.array_equal(W.reshape(-1, len(cell)), want), (name, fixed)
+
+
 def pencil_with_common_factor(F, k, rng):
     """A seeded pencil of degree k whose generators share a factor of random degree.
 

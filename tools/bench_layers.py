@@ -15,9 +15,12 @@ The cases, in the order each repeat runs them:
 - `_eliminate` on fixed seeded chunks shaped like the F_101 count rungs'
   packed systems (four conditions, the two unknowns of the largest cell) at
   2048 and 8192 rows, in int32 as those searches run them
-  (4 * 100^2 < 2^31);
+  (4 * 100^2 < 2^31), batch last, each call on a fresh copy as
+  `_eliminate` works in place;
 - `_systems` over the whole packed g index of a k = 2 search over F_100003
   with one incidence, in int64 as searches past the int32 rule run it;
+- `_strata_codes` on every match of the ladder's `F_13 strata` search
+  (variant 0), the two ranks that classify them;
 - `Field.coerce` of a plain int and `_move_to_origin` at k = 3 over F_31,
   in microseconds per call over a loop of MICRO_CALLS calls;
 - each search of the `ladder` workload for variants 0-7, with its jobs and
@@ -67,8 +70,9 @@ def _eliminate_cases(sd):
 
     rng = np.random.default_rng(13)
     for rows in (2048, 8192):
-        S = rng.integers(0, 101, size=(rows, 4, 3), dtype=np.int32)
-        yield f"_eliminate F_101 {rows}x4x3 int32", "ms", lambda S=S: sd._eliminate(S, 101)
+        W = rng.integers(0, 101, size=(4, 3, rows), dtype=np.int32)
+        # _eliminate works in place, so each call takes a fresh copy
+        yield f"_eliminate F_101 {rows}x4x3 int32", "ms", lambda W=W: sd._eliminate(W.copy(), 101)
 
 
 def _systems_cases(P, fields, sd):
@@ -83,6 +87,25 @@ def _systems_cases(P, fields, sd):
     rows = sum(q ** (k - j) for _, j in sd._cells(k))
     yield (f"_systems k={k} F_{q} {rows} g-rows {mats.dtype}", "ms",
            lambda: list(sd._g_systems(q, k, 0, rows, mats)))
+
+
+def _strata_cases(P, fields, sd, pairs):
+    import numpy as np
+
+    k, q = 3, 13
+    F13 = fields.Field(q)
+    a, b = pairs[0]  # the ladder's F_13 strata search, variant 0
+    constraint = sd.SearchConstraint(
+        incidences=(P.sym_point(P.ProjPoint(F13, *a), P.ProjPoint(F13, *b)),))
+    mats = np.array(sd.compile_constraint(k, q, constraint), dtype=sd._kernel_dtype(k, q))
+    rows = sum(q ** (k - j) for _, j in sd._cells(k))
+    kept = [(cell[ok], g[ok], pivots[..., ok])
+            for cell, g, pivots, _, ok in sd._g_systems(q, k, 0, rows, mats.reshape(-1, k + 1, k + 1))]
+    F, G = (np.concatenate(side) for side in zip(*(
+        batch for c, g, pivots in sd._cell_parts(k, kept)
+        for batch in sd._matches(q, k, c, "g", g, pivots, q ** pivots.shape[0]))))
+    yield (f"_strata_codes k={k} F_{q} {len(F)} matches", "ms",
+           lambda: sd._strata_codes(q, k, F, G))
 
 
 def _micro_cases(P, fields):
@@ -186,7 +209,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as cache:
         cases = []
         for group in (_eliminate_cases(sd), _systems_cases(P, fields, sd),
-                      _micro_cases(P, fields), _ladder_cases(P, fields, sd, pairs),
+                      _strata_cases(P, fields, sd, pairs), _micro_cases(P, fields), _ladder_cases(P, fields, sd, pairs),
                       _large_cases(P, fields, sd, pairs), _geometry_cases(P, fields, sd, pools),
                       _cold_cases(args.src, cache, pools)):
             cases += [c for c in group if args.only in c[0]]
