@@ -607,7 +607,7 @@ def _sides(k: int, cell_idx: int, fixed: str) -> tuple[tuple, tuple]:
 
 def _systems(q: int, k: int, cells, fixed: str, lo: int, hi: int, mats,
              first: int = _RANK_CHUNK_ROWS):
-    """Yield (cell, rows, pivots, rank, solvable) for rows lo..hi-1 of the cells' fixed side, by chunks.
+    """Yield (cell, rows, pivots, rank, solvable) of rows lo..hi-1 of the cells' fixed side.
 
     fixed is "f" or "g", and cells a sequence of cell indices.  The fixed
     side's rows of the cells are numbered one cell after another, each cell's
@@ -624,11 +624,11 @@ def _systems(q: int, k: int, cells, fixed: str, lo: int, hi: int, mats,
     taking n - n_c zero columns last: zero columns are never pivots and
     eliminating them changes nothing, so the cell's pivots are
     pivots[:n_c, :n_c + 1], as its own elimination would give them, and its
-    rank and solvability are the shared ones.  _eliminate takes chunks that
+    rank and solvability are the shared ones.  The rows come in chunks that
     start at first rows and grow fourfold, to at most _RANK_CHUNK_ROWS within
-    the range's first _BATCH_ROWS rows and _BATCH_ROWS after that, all built
-    and eliminated in one buffer.  The arrays
-    have the dtype of mats, rows B x (k+1) and the rest batch last.
+    the range's first _BATCH_ROWS rows and _BATCH_ROWS after that, each built
+    and eliminated in one buffer.  The arrays have the dtype of mats, rows
+    B x (k+1) and the rest batch last.
     """
     import numpy as np
 
@@ -685,12 +685,12 @@ def _cell_parts(k: int, chunks, cells=None):
     """
     import numpy as np
 
-    pads = [i for i, _ in _cells(k)]
-    cells = range(len(pads)) if cells is None else cells
+    unknowns = [k - 1 - i for i, _ in _cells(k)]
+    cells = range(len(unknowns)) if cells is None else cells
     for cell, rows, pivots in chunks:
-        ends = np.searchsorted(cell, np.arange(len(pads) + 1)).tolist()
+        ends = np.searchsorted(cell, np.arange(len(unknowns) + 1)).tolist()
         for c in cells:
-            a, b, n = ends[c], ends[c + 1], k - 1 - pads[c]
+            a, b, n = ends[c], ends[c + 1], unknowns[c]
             if a < b:
                 yield c, rows[a:b], pivots[:n, : n + 1, a:b]
 

@@ -729,7 +729,8 @@ def test_packed_pivots_are_each_cells_own(k, q):
         for c in range(len(sd._cells(k))):
             (_, cols), _ = sd._sides(k, c, "g")
             own = list(sd._systems(q, k, [c], "g", 0, q ** len(cols), mats))
-            rows, pivots = (np.concatenate(a, axis=axis) for a, axis in zip(zip(*parts[c]), (0, -1)))
+            rows, pivots = zip(*parts[c])
+            rows, pivots = np.concatenate(rows), np.concatenate(pivots, axis=-1)
             assert np.array_equal(rows, np.concatenate([r for _, r, *_ in own])), (name, c)
             assert np.array_equal(pivots, np.concatenate([p for _, _, p, *_ in own], axis=-1)), (
                 name, c)

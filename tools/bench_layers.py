@@ -98,9 +98,10 @@ def _strata_cases(P, fields, sd, pairs):
     constraint = sd.SearchConstraint(
         incidences=(P.sym_point(P.ProjPoint(F13, *a), P.ProjPoint(F13, *b)),))
     mats = np.array(sd.compile_constraint(k, q, constraint), dtype=sd._kernel_dtype(k, q))
+    mats = mats.reshape(-1, k + 1, k + 1)
     rows = sum(q ** (k - j) for _, j in sd._cells(k))
     kept = [(cell[ok], g[ok], pivots[..., ok])
-            for cell, g, pivots, _, ok in sd._g_systems(q, k, 0, rows, mats.reshape(-1, k + 1, k + 1))]
+            for cell, g, pivots, _, ok in sd._g_systems(q, k, 0, rows, mats)]
     F, G = (np.concatenate(side) for side in zip(*(
         batch for c, g, pivots in sd._cell_parts(k, kept)
         for batch in sd._matches(q, k, c, "g", g, pivots, q ** pivots.shape[0]))))
@@ -209,7 +210,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as cache:
         cases = []
         for group in (_eliminate_cases(sd), _systems_cases(P, fields, sd),
-                      _strata_cases(P, fields, sd, pairs), _micro_cases(P, fields), _ladder_cases(P, fields, sd, pairs),
+                      _strata_cases(P, fields, sd, pairs), _micro_cases(P, fields),
+                      _ladder_cases(P, fields, sd, pairs),
                       _large_cases(P, fields, sd, pairs), _geometry_cases(P, fields, sd, pools),
                       _cold_cases(args.src, cache, pools)):
             cases += [c for c in group if args.only in c[0]]
