@@ -384,20 +384,22 @@ def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> tuple:
     return tuple(tuple(map(tuple, A)) for A in mats)
 
 
-def _digits(idx, q: int, width: int) -> np.ndarray:
+def _digits(idx, q: int, width: int, out=None) -> np.ndarray:
     """Base-q digits of an index (or an array of them), most significant first.
 
     This is the one codec between enumeration order and coordinates: index t
     of a cell's f-range (or g-range) stands for the free coordinates digits(t),
-    so ranges of indices are lexicographic ranges of coordinate tuples.
+    so ranges of indices are lexicographic ranges of coordinate tuples.  The
+    digits come as a new ... x width int64 array, or, with out given, are
+    written into its width arrays shaped like idx, of any integer dtype.
     """
     import numpy as np
 
     idx = np.array(idx, dtype=np.int64)
-    out = np.empty(idx.shape + (width,), dtype=np.int64)
+    digits = np.empty(idx.shape + (width,), dtype=np.int64) if out is None else None
     for pos in range(width - 1, -1, -1):
-        idx, out[..., pos] = np.divmod(idx, q)
-    return out
+        np.divmod(idx, q, out=(idx, digits[..., pos] if out is None else out[pos]))
+    return digits
 
 
 def _echelon_rows(k: int, pivot: int, cols: list[int], coords) -> np.ndarray:
@@ -454,12 +456,11 @@ def _eliminate(W: np.ndarray, q: int, spare: np.ndarray | None = None):
     """Pivot equations, rank and solvability of a batch of linear systems over F_q.
 
     W is m x (n+1) x B: B augmented systems of m equations in n unknowns, the
-    batch on the last axis, column 0 holding the constants and column c + 1
-    unknown c.  It is eliminated in place, spare (a buffer like it) taking
-    the temporaries.  Gaussian elimination runs on all B systems at once,
-    from the last unknown to the first, each system taking as pivot its
-    first equation with a nonzero coefficient.  Every equation r is then
-    replaced fraction-free by p*r - r[c]*pivot, p the pivot entry, so no
+    batch last, column 0 holding the constants and column c + 1 unknown c.
+    It is eliminated in place, spare (a buffer like it) taking the
+    temporaries, from the last unknown to the first, each system taking as
+    pivot its first equation with a nonzero coefficient.  Every equation r is
+    then replaced fraction-free by p*r - r[c]*pivot, p the pivot entry, so no
     inverse mod q is needed and no product exceeds (q-1)^2.  That update
     zeroes the pivot equation itself, so it is never chosen again, and it
     zeroes column c in every equation, so column c is dropped.  Row c of the
@@ -612,23 +613,21 @@ def _systems(q: int, k: int, cells, fixed: str, lo: int, hi: int, mats,
     fixed is "f" or "g", and cells a sequence of cell indices.  The fixed
     side's rows of the cells are numbered one cell after another, each cell's
     in index order (_digits): a range of that packed index runs over whole
-    and partial cells, each chunk of it is eliminated in one call, and the
-    yielded cell[r] is the cell of row r.  For a fixed row h, each compiled
-    f^T A g = 0 is one linear equation in the other side's free coordinates:
-    the entries of A h there, its constant at that side's pivot 1.  With f
-    fixed that reads g^T A f = -f^T A g (A is antisymmetric), each equation
-    negated, with the same solutions and rank.  A h is linear in h, so a
-    chunk's systems, batch last, are each cell's A at the fixed pivot plus
-    its A at each free coordinate times that coordinate's row of values.
-    Every system has the n unknowns of the cells' widest, a cell with n_c
-    taking n - n_c zero columns last: zero columns are never pivots and
-    eliminating them changes nothing, so the cell's pivots are
-    pivots[:n_c, :n_c + 1], as its own elimination would give them, and its
-    rank and solvability are the shared ones.  The rows come in chunks that
-    start at first rows and grow fourfold, to at most _RANK_CHUNK_ROWS within
-    the range's first _BATCH_ROWS rows and _BATCH_ROWS after that, each built
-    and eliminated in one buffer.  The arrays have the dtype of mats, rows
-    B x (k+1) and the rest batch last.
+    and partial cells, and cell[r] is the cell of row r.  For a fixed row h,
+    each compiled f^T A g = 0 is one linear equation in the other side's free
+    coordinates: the entries of A h there, its constant at that side's pivot
+    1.  With f fixed that reads g^T A f = -f^T A g (A is antisymmetric), each
+    equation negated, with the same solutions and rank.  A h is linear in h,
+    so each system is the cell's A at the fixed pivot plus its A at each free
+    coordinate times that coordinate.  Every system has the n unknowns of the
+    cells' widest, a cell with n_c taking n - n_c zero columns last: zero
+    columns are never pivots and eliminating them changes nothing, so the
+    cell's pivots are pivots[:n_c, :n_c + 1], as its own elimination gives
+    them, and its rank and solvability are the shared ones.  Chunks start at
+    first rows and grow fourfold, to at most _RANK_CHUNK_ROWS within the
+    range's first _BATCH_ROWS rows and _BATCH_ROWS after that; each is built
+    and eliminated in one call, in one buffer.  The arrays have the dtype of
+    mats, rows B x (k+1) and the rest batch last.
     """
     import numpy as np
 
@@ -657,8 +656,9 @@ def _systems(q: int, k: int, cells, fixed: str, lo: int, hi: int, mats,
             (pivot, cols), _ = sides[t]
             rows[pivot, part] = 1
             W[..., part] = systems[t, pivot]
-            if cols:
-                rows[cols, part] = _digits(np.arange(a - starts[t], b - starts[t]), q, len(cols)).T
+            if cols:  # the digits straight into the rows, a view per free coordinate
+                _digits(np.arange(a - starts[t], b - starts[t]), q, len(cols),
+                        [rows[c, part] for c in cols])
             for c in cols:
                 W[..., part] += np.multiply(systems[t, c], rows[c, part], out=T[..., part])
             cell[part] = cells[t]
@@ -790,13 +790,13 @@ def _count_shard(payload) -> tuple[list, list, bool]:
     q, k, lo, hi, mats, strata_budget = payload
     cells = _cells(k)
     n = k - 1
-    unknowns = np.array([n - i for i, _ in cells])
+    offsets = np.array([c * (n + 1) + n - i for c, (i, _) in enumerate(cells)])  # c(n+1) + n_c
     by_exp = [[0] * (n + 1) for _ in cells]
     keep = np.ones(len(cells), dtype=bool)  # cells still sparse
     keep_all = strata_budget is not None
     kept, count = [], 0
     for cell, rows, pivots, rank, solvable in _g_systems(q, k, lo, hi, mats):
-        codes = cell * (n + 1) + unknowns[cell] - rank
+        codes = offsets[cell] - rank
         hist = np.bincount(codes[solvable], minlength=len(cells) * (n + 1)).tolist()
         for c in range(int(cell[0]), int(cell[-1]) + 1):
             row = hist[c * (n + 1) : (c + 1) * (n + 1)]

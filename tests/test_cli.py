@@ -317,8 +317,11 @@ FORMER_HANGS = [
     # the pencil is refused
     (["pencil", "total-ram", "--a", "1,0", "--b", "0,1", "--k", "100000"], 1,
      lambda doc: doc["error"] == "resource_limit"),
-    # Permutation.identity's range overflowed; past MAX_TUPLE_K the tuple is refused
+    # Permutation.identity's range overflowed, and 10^7 took 3.8 s; past MAX_TUPLE_K
+    # the tuple is refused
     (["monodromy", "verify", "--k", "100000000000000000039", "--cycles", "[]"], 1,
+     lambda doc: doc["error"] == "resource_limit"),
+    (["monodromy", "verify", "--k", "10000000", "--cycles", "[]"], 1,
      lambda doc: doc["error"] == "resource_limit"),
     # a count of about 2.6 * 10^9 digits: refused by its digit count, before any arithmetic
     (["dimlab", "grassmannian", "--k", "4294967311", "--q", "2"], 1,
