@@ -384,7 +384,7 @@ def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> tuple:
     return tuple(tuple(map(tuple, A)) for A in mats)
 
 
-def _digits(idx, q: int, width: int, out=None) -> np.ndarray:
+def _digits(idx, q: int, width: int, out=None) -> np.ndarray | None:
     """Base-q digits of an index (or an array of them), most significant first.
 
     This is the one codec between enumeration order and coordinates: index t
@@ -452,7 +452,7 @@ def _kernel_dtype(k: int, q: int):
     return np.int32 if (k + 1) * (q - 1) ** 2 < 2**31 else np.int64
 
 
-def _eliminate(W: np.ndarray, q: int, spare: np.ndarray | None = None):
+def _eliminate(W: np.ndarray, q: int, spare: np.ndarray | None = None) -> tuple:
     """Pivot equations, rank and solvability of a batch of linear systems over F_q.
 
     W is m x (n+1) x B: B augmented systems of m equations in n unknowns, the
