@@ -21,10 +21,12 @@ in numpy int32 where (k+1)(q-1)^2 < 2^31 and in int64 otherwise.  The
 elimination counts the pivots it finds, and the counts come from those
 ranks.  The samples, the first matches in (cell, f, g) order, are worked out
 after the count, cell by cell until there are enough: solved for per g-row
-where the cell is sparse, and found by walking the f-rows, with g solved
-for, where it is dense.  Strata solve for every match, from the g-rows that
-the count kept or eliminated again, and classify the matches together by
-two more ranks mod q, through the same elimination: the rank of the
+where the cell is sparse, and found by walking the f-rows where it is dense,
+the walk solving its few solvable rows for g on plain ints.  Either way the
+keys are residues of independent echelon pairs, so the sample pencils are
+built from them unchecked.  Strata solve for every match, from the g-rows
+that the count kept or eliminated again, and classify the matches together
+by two more ranks mod q, through the same elimination: the rank of the
 pencil's Bezout matrix, and, where that shows a base point, the rank of the
 multiples of the four partials.  Only small searches, of at most
 _BRUTE_FORCE_MAX_TESTS pencil tests, are brute-forced: every echelon pair is
@@ -40,6 +42,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, product
+from operator import mul
 
 from .errors import (
     ChainMismatch,
@@ -62,7 +65,7 @@ from .pencil_geometry import (  # the conic sections re-exported for callers of 
     Pencil,
     ProjPoint,
     SymPoint,
-    _move_to_origin,
+    _trusted_pencil,
     _wedge_terms,
     base_locus,
     intersect_with_conic,
@@ -328,19 +331,9 @@ def _cells(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(k + 1) for j in range(i + 1, k + 1))
 
 
-def _free_columns(k: int, i: int, j: int) -> tuple[list[int], list[int]]:
-    cols0 = [c for c in range(i + 1, k + 1) if c != j]
-    cols1 = list(range(j + 1, k + 1))
-    return cols0, cols1
-
-
-def _taylor_rows(field: Field, k: int, p: ProjPoint, order: int) -> list[list[int]]:
-    """Rows a < order of the matrix taking coefficients to Taylor coefficients at p."""
-    columns = [
-        _move_to_origin(BinaryForm(field, k, tuple(int(t == col) for t in range(k + 1))), p, order)
-        for col in range(k + 1)
-    ]
-    return [list(row) for row in zip(*columns)]
+@lru_cache
+def _free_columns(k: int, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return tuple(c for c in range(i + 1, k + 1) if c != j), tuple(range(j + 1, k + 1))
 
 
 def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> tuple:
@@ -352,11 +345,14 @@ def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> tuple:
     its _wedge_terms (so the test agrees with bezoutian_curve evaluation).
     Ramification of order e contributes the C(e, 2) Taylor minors that
     has_ramification_at checks, each the antisymmetrized outer product of two
-    Taylor rows.  Basis invariance is automatic: antisymmetric bilinear
-    values rescale by the determinant under basis change.  Entries are plain
-    ints in 0..q-1, so a search that brute-forces its pencils needs no numpy;
-    the rank kernel converts them to one m x (k+1) x (k+1) array of its dtype
-    (_kernel_dtype).
+    Taylor rows.  Taylor row t takes coefficients to the t-th Taylor
+    coefficient at the point, as _move_to_origin gives it: at [1:x1] its
+    entry at column col is C(col, t) x1^(col-t) (0 for col < t), and at
+    [0:1] it picks column k - t.  Basis invariance is automatic:
+    antisymmetric bilinear values rescale by the determinant under basis
+    change.  Entries are plain ints in 0..q-1, so a search that brute-forces
+    its pencils needs no numpy; the rank kernel converts them to one
+    m x (k+1) x (k+1) array of its dtype (_kernel_dtype).
     """
     field = Field(q)
     mats = []
@@ -378,7 +374,11 @@ def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> tuple:
             raise ValueError("ramification point field does not match q")
         if order > k:
             raise ValueError("ramification order exceeds the degree")
-        T = _taylor_rows(field, k, pt, order)
+        if pt.x0:  # [1:x1]
+            T = [[math.comb(col, t) * pow(pt.x1, col - t, q) % q if col >= t else 0
+                  for col in span] for t in range(order)]
+        else:  # [0:1]
+            T = [[int(col == k - t) for col in span] for t in range(order)]
         mats += [[[(T[a][r] * T[b][c] - T[b][r] * T[a][c]) % q for c in span] for r in span]
                  for a, b in combinations(range(order), 2)]
     return tuple(tuple(map(tuple, A)) for A in mats)
@@ -598,6 +598,7 @@ def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return codes
 
 
+@lru_cache
 def _sides(k: int, cell_idx: int, fixed: str) -> tuple[tuple, tuple]:
     """(pivot, free columns) of the side held fixed, "f" or "g", then of the side solved for."""
     i, j = _cells(k)[cell_idx]
@@ -636,7 +637,7 @@ def _systems(q: int, k: int, cells, fixed: str, lo: int, hi: int, mats,
     n, m = max(len(x_cols) for _, (_, x_cols) in sides), len(mats)
     # each cell's rows of every A that meet the solved side, row k + 1 being
     # zero: its pivot 1 (the constant), its unknowns, zero columns
-    picks = [[x_pivot] + x_cols + [k + 1] * (n - len(x_cols)) for _, (x_pivot, x_cols) in sides]
+    picks = [[x_pivot, *x_cols] + [k + 1] * (n - len(x_cols)) for _, (x_pivot, x_cols) in sides]
     padded = np.concatenate([mats, np.zeros((m, 1, k + 1), dtype=mats.dtype)], axis=1)
     # cell, fixed coordinate, equation, column of the solved side, batch
     systems = padded[:, picks, :].transpose(1, 3, 0, 2)[..., None]
@@ -726,64 +727,65 @@ def _first_keys(cell_idx: int, F, G) -> list[tuple]:
 def _walk_f_rows(q: int, k: int, cell_idx: int, mats, start: int) -> list[tuple]:
     """Keys of a cell's first SAMPLE_LIMIT matches, walking its f-rows in order.
 
-    Each f-row's first matches are solved for in g order, in _systems chunks
-    of start rows up, and the walk stops once it has SAMPLE_LIMIT.
+    The f-rows' systems are built and eliminated in _systems chunks of start
+    rows up.  Each chunk's solvable rows, no more than the walk still needs,
+    are then solved on plain ints, in order, each for its first g's as
+    _solutions orders them: the free unknowns run through base-q order and
+    each pivot unknown is solved from the more significant ones.  So the keys
+    come in (f, g) order, and the walk stops once it has SAMPLE_LIMIT.
     """
     import numpy as np
 
-    (_, f_cols), _ = _sides(k, cell_idx, "f")
-    batches, found = [], 0
+    (_, f_cols), (j, g_cols) = _sides(k, cell_idx, "f")  # g_cols are j + 1..k
+    n, keys = len(g_cols), []
     for _, F_rows, pivots, _, solvable in _systems(q, k, [cell_idx], "f", 0, q ** len(f_cols),
                                                    mats, start):
-        need = SAMPLE_LIMIT - found
-        hits = np.flatnonzero(solvable)[:need]
-        for batch in _matches(q, k, cell_idx, "f", F_rows[hits], pivots[..., hits], need):
-            batches.append(batch)
-            found += len(batch[0])
-        if found >= SAMPLE_LIMIT:
+        hits = np.flatnonzero(solvable)[: SAMPLE_LIMIT - len(keys)]
+        for f, eqs in zip(F_rows[hits].tolist(), pivots[..., hits].transpose(2, 0, 1).tolist()):
+            inverses = [pow(eq[c + 1], -1, q) if eq[c + 1] else 0 for c, eq in enumerate(eqs)]
+            free = [c for c, inv in enumerate(inverses) if not inv]
+            for index in range(min(q ** len(free), SAMPLE_LIMIT - len(keys))):
+                x = [0] * n
+                for c in reversed(free):
+                    index, x[c] = divmod(index, q)
+                for c, (eq, inv) in enumerate(zip(eqs, inverses)):
+                    if inv:
+                        x[c] = -(eq[0] + sum(map(mul, eq[1 : c + 1], x))) * inv % q
+                keys.append((cell_idx, tuple(f), (0,) * j + (1, *x)))
+        if len(keys) >= SAMPLE_LIMIT:
             break
-    if not batches:
-        return []
-    return _first_keys(cell_idx, *(np.concatenate(b) for b in zip(*batches)))
+    return keys
 
 
-def _cell_figures(q: int, by_exp: list[int]) -> tuple[int, int]:
-    """(matches, sparse cost) of a cell's solvable g-rows, by_exp[e] of them with q^e matches each.
+def _is_dense(count: int, sparse: int, f_rows: int) -> bool:
+    """Whether a cell's sparse sample route costs more than walking its f-rows.
 
-    The sparse cost is the number of f's the sparse sample route solves for,
-    at most SAMPLE_LIMIT per row.
+    count is the cell's matches, sparse its sparse cost (the f's the sparse
+    route solves for, at most SAMPLE_LIMIT per solvable g-row) and f_rows
+    its f-rows.  It is dense when that cost exceeds what the walk would pay
+    if the matches were spread evenly over the f-rows.  Both figures only
+    grow with the rows counted, so a part of a cell that is dense shows the
+    whole cell dense.
     """
-    count = sum(rows * q**e for e, rows in enumerate(by_exp))
-    return count, sum(rows * min(q**e, SAMPLE_LIMIT) for e, rows in enumerate(by_exp))
+    return sparse * count > SAMPLE_LIMIT * f_rows
 
 
-def _is_dense(q: int, k: int, cell_idx: int, by_exp: list[int]) -> bool:
-    """Whether solving each solvable g-row for its first f's costs more than walking the f-rows.
-
-    That is, more than the walk would if the matches were spread evenly over
-    the cell's f-rows.  Both figures only grow with the rows counted, so a
-    part of a cell that is dense shows the whole cell dense.
-    """
-    count, sparse = _cell_figures(q, by_exp)
-    return sparse * count > SAMPLE_LIMIT * q ** (k - 1 - _cells(k)[cell_idx][0])
-
-
-def _count_shard(payload) -> tuple[list, list, bool]:
+def _count_shard(payload) -> tuple[list, list, list, bool]:
     """Count the matches of a range of the packed g index; top-level for pickling.
 
     A g-row of cell (i, j), where f has k - 1 - i free coordinates, has
     q^(k - 1 - i - rank) matches if its system is solvable and none
-    otherwise.  Returns each cell's solvable g-rows by that exponent, the
+    otherwise.  Returns each cell's matches and sparse cost (_is_dense), the
     solvable g-rows kept, as packed (cell, g-rows, pivots) chunks, and
     whether every solvable row was kept for strata.  A cell keeps its rows
-    until it shows dense (_is_dense), so while the sparse sample route may
-    want them.  With strata, every solvable row is kept while the range's
-    matches times k - 1 are within _POOL_MIN_STRATA_WORK, so at most that
-    many rows: a search with more has the strata pass eliminate its g-rows
-    again.  strata_budget is None for a plain search; with strata it is
-    (work, budget) of search_pencils_ffield, and a cell whose matches in the
-    range alone take the work past the budget raises ResourceLimit after the
-    chunk that shows it.
+    until it shows dense, so while the sparse sample route may want them.
+    With strata, every solvable row is kept while the range's matches times
+    k - 1 are within _POOL_MIN_STRATA_WORK, so at most that many rows: a
+    search with more has the strata pass eliminate its g-rows again.
+    strata_budget is None for a plain search; with strata it is (work,
+    budget) of search_pencils_ffield, and a cell whose matches in the range
+    alone take the work past the budget raises ResourceLimit after the chunk
+    that shows it.
     """
     import numpy as np
 
@@ -791,7 +793,9 @@ def _count_shard(payload) -> tuple[list, list, bool]:
     cells = _cells(k)
     n = k - 1
     offsets = np.array([c * (n + 1) + n - i for c, (i, _) in enumerate(cells)])  # c(n+1) + n_c
-    by_exp = [[0] * (n + 1) for _ in cells]
+    powers = [q**e for e in range(n + 1)]  # a row's matches, and its sparse cost
+    capped = [min(p, SAMPLE_LIMIT) for p in powers]
+    matches, sparse = [0] * len(cells), [0] * len(cells)
     keep = np.ones(len(cells), dtype=bool)  # cells still sparse
     keep_all = strata_budget is not None
     kept, count = [], 0
@@ -800,12 +804,15 @@ def _count_shard(payload) -> tuple[list, list, bool]:
         hist = np.bincount(codes[solvable], minlength=len(cells) * (n + 1)).tolist()
         for c in range(int(cell[0]), int(cell[-1]) + 1):
             row = hist[c * (n + 1) : (c + 1) * (n + 1)]
-            by_exp[c] = [a + b for a, b in zip(by_exp[c], row)]
-            count += _cell_figures(q, row)[0]
+            if not any(row):
+                continue
+            found = sum(map(mul, row, powers))
+            count += found
+            matches[c] += found
+            sparse[c] += sum(map(mul, row, capped))
             if strata_budget is not None:
-                _check_strata_budget(strata_budget[0] + _cell_figures(q, by_exp[c])[0],
-                                     strata_budget[1])
-            if keep[c] and _is_dense(q, k, c, by_exp[c]):
+                _check_strata_budget(strata_budget[0] + matches[c], strata_budget[1])
+            if keep[c] and _is_dense(matches[c], sparse[c], powers[n - cells[c][0]]):
                 keep[c] = False
         if keep_all and count * (k - 1) > _POOL_MIN_STRATA_WORK:
             keep_all = False  # strata will eliminate again: keep the sparse cells' rows only
@@ -813,20 +820,20 @@ def _count_shard(payload) -> tuple[list, list, bool]:
         wanted = solvable if keep_all else solvable & keep[cell]
         if wanted.any():
             kept.append((cell[wanted], rows[wanted], pivots[..., wanted]))
-    return by_exp, kept, keep_all
+    return matches, sparse, kept, keep_all
 
 
-def _sample_keys(q: int, k: int, mats, by_exp: list, kept: list) -> list[tuple]:
+def _sample_keys(q: int, k: int, mats, counts: list, sparse: list, kept: list) -> list[tuple]:
     """Keys of the search's first SAMPLE_LIMIT matches, from the cells in order until it has them.
 
     A cell's keys are those of its first SAMPLE_LIMIT matches, by one of two
-    exact routes chosen from its solvable g-rows by exponent.  A sparse cell
-    solves each solvable g-row, as the count kept it, for its first
-    SAMPLE_LIMIT f's and merges them (each of the cell's first SAMPLE_LIMIT
-    matches is among its own g-row's first SAMPLE_LIMIT).  A dense one
-    (_is_dense) walks its f-rows until it has SAMPLE_LIMIT matches
-    (_walk_f_rows), from a first chunk that should hold twice that many if
-    the matches were spread evenly.
+    exact routes chosen from its matches, counts[c], and its sparse cost,
+    sparse[c].  A sparse cell solves each solvable g-row, as the count kept
+    it, for its first SAMPLE_LIMIT f's and merges them (each of the cell's
+    first SAMPLE_LIMIT matches is among its own g-row's first SAMPLE_LIMIT).
+    A dense one (_is_dense) walks its f-rows until it has SAMPLE_LIMIT
+    matches (_walk_f_rows), from a first chunk that should hold twice that
+    many if the matches were spread evenly.
     """
     import numpy as np
 
@@ -834,12 +841,11 @@ def _sample_keys(q: int, k: int, mats, by_exp: list, kept: list) -> list[tuple]:
     for cell_idx, (i, _) in enumerate(_cells(k)):
         if len(keys) >= SAMPLE_LIMIT:
             break
-        count = _cell_figures(q, by_exp[cell_idx])[0]
+        count, f_rows = counts[cell_idx], q ** (k - 1 - i)
         if not count:
             continue
-        if _is_dense(q, k, cell_idx, by_exp[cell_idx]):
-            start = 2 * SAMPLE_LIMIT * q ** (k - 1 - i) // count + 1
-            keys += _walk_f_rows(q, k, cell_idx, mats, start)
+        if _is_dense(count, sparse[cell_idx], f_rows):
+            keys += _walk_f_rows(q, k, cell_idx, mats, 2 * SAMPLE_LIMIT * f_rows // count + 1)
             continue
         _, rows, pivots = zip(*_cell_parts(k, kept, [cell_idx]))
         batches = _matches(q, k, cell_idx, "g", np.concatenate(rows),
@@ -1013,8 +1019,9 @@ def search_pencils_ffield(
         )
     cache_path = None
     if cache_dir is not None:
-        cache_path = _cache_path(cache_dir, k, q, constraint)
-        cached = _load_cached(cache_path, k, q, constraint, report_strata)
+        spec = constraint.to_json_dict()
+        cache_path = _cache_path(cache_dir, k, q, spec)
+        cached = _load_cached(cache_path, k, q, spec, report_strata)
         if cached is not None:
             return cached
     widths = [_free_columns(k, i, j) for i, j in _cells(k)]
@@ -1031,14 +1038,12 @@ def search_pencils_ffield(
         count, keys, tally = _brute_force(q, k, mats, strata_budget)
     else:
         count, keys, tally = _rank_search(q, k, mats, work, strata_budget, jobs)
-    samples = tuple(
-        Pencil(BinaryForm(field, k, f), BinaryForm(field, k, g))
-        for _, f, g in keys[:SAMPLE_LIMIT]
-    )
+    # the keys are echelon pairs of residues, independent as their pivots differ
+    samples = tuple(_trusted_pencil(field, k, f, g) for _, f, g in keys[:SAMPLE_LIMIT])
     strata = None if tally is None else {name: c for name, c in zip(_STRATA, tally) if c}
     result = SearchResult(count=count, samples=samples, strata=strata)
     if cache_path is not None:
-        _store_cached(cache_path, k, q, constraint, result)
+        _store_cached(cache_path, k, q, spec, result)
     return result
 
 
@@ -1076,7 +1081,7 @@ def _brute_force(q: int, k: int, mats: tuple, strata_budget) -> tuple[int, list,
     _check_strata_budget(strata_budget[0] + count, strata_budget[1])
     field, tally = Field(q), [0] * len(_STRATA)
     for _, f, g in keys:
-        locus = base_locus(Pencil(BinaryForm(field, k, f), BinaryForm(field, k, g)))
+        locus = base_locus(_trusted_pencil(field, k, f, g))
         tally[0 if locus.degree == 0 else 1 if squarefree_form(locus) else 2] += 1
     return count, keys, tally
 
@@ -1097,15 +1102,14 @@ def _rank_search(q: int, k: int, mats: tuple, work: int, strata_budget, jobs: in
     total = sum(q ** (k - j) for _, j in _cells(k))
     bounds = [round(s * total / workers) for s in range(workers + 1)]
     tasks = [(q, k, lo, hi, mats, strata_budget) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    by_exp_parts, kept_parts, kept_all = zip(*_run(_count_shard, tasks, workers))
-    # each cell's solvable g-rows by exponent, summed over the ranges
-    by_exp = [[sum(rows) for rows in zip(*cell_parts)] for cell_parts in zip(*by_exp_parts)]
-    counts = [_cell_figures(q, rows)[0] for rows in by_exp]
+    match_parts, sparse_parts, kept_parts, kept_all = zip(*_run(_count_shard, tasks, workers))
+    # each cell's matches and sparse cost, summed over the ranges
+    counts, sparse = ([sum(cell) for cell in zip(*parts)] for parts in (match_parts, sparse_parts))
     count = sum(counts)
     if strata_budget is not None:
         _check_strata_budget(strata_budget[0] + count, strata_budget[1])
     kept = [chunk for part in kept_parts for chunk in part]
-    keys = _sample_keys(q, k, mats, by_exp, kept)
+    keys = _sample_keys(q, k, mats, counts, sparse, kept)
     if strata_budget is None:
         return count, keys, None
     workers = jobs if count * (k - 1) >= _POOL_MIN_STRATA_WORK else 1
@@ -1126,37 +1130,48 @@ def _check_strata_budget(steps: int, budget: int) -> None:
 # --- cache plumbing ---
 
 
-def _cache_key(k: int, q: int, constraint: SearchConstraint) -> str:
+def _cache_key(k: int, q: int, spec: dict) -> str:
+    """The content hash of a question, spec being its constraint's to_json_dict()."""
     import hashlib
 
-    doc = {"k": k, "q": q, "constraint": constraint.to_json_dict()}
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # keys in sorted order, as are spec's: the bytes of json.dumps with sort_keys
+    blob = json.dumps({"constraint": spec, "k": k, "q": q}, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_path(cache_dir: str, k: int, q: int, constraint: SearchConstraint) -> str:
-    return os.path.join(cache_dir, f"search-{_cache_key(k, q, constraint)[:24]}.json")
+def _cache_path(cache_dir: str, k: int, q: int, spec: dict) -> str:
+    return os.path.join(cache_dir, f"search-{_cache_key(k, q, spec)[:24]}.json")
 
 
-def _store_cached(
-    path: str, k: int, q: int, constraint: SearchConstraint, result: SearchResult
-) -> None:
+def _store_cached(path: str, k: int, q: int, spec: dict, result: SearchResult) -> None:
+    """Write the entry of a question (spec as for _cache_key) and its result.
+
+    The document is built in sorted key order, each sample straight from its
+    residues as Pencil.to_json_dict() would give it, so json.dumps writes the
+    bytes it would with sort_keys.
+    """
+    field = {"q": q}
+
+    def form(coeffs):
+        return {"coeffs": list(map(str, coeffs)), "degree": k}
+
     doc = {
-        "schema": 1,
+        "constraint": spec,
+        "count": result.count,
         "k": k,
         "q": q,
-        "constraint": constraint.to_json_dict(),
-        "count": result.count,
-        "samples": [p.to_json_dict() for p in result.samples],
-        "strata": result.strata,
+        "samples": [{"f": form(p.f.coeffs), "field": field, "g": form(p.g.coeffs)}
+                    for p in result.samples],
+        "schema": 1,
+        "strata": None if result.strata is None else dict(sorted(result.strata.items())),
     }
     os.makedirs(os.path.dirname(path), exist_ok=True)
     # a temporary name of this write's own (its process and 64 random bits), so
     # that concurrent writers of one entry never move each other's file; the
     # last replace wins, whole
     tmp = f"{path}.{os.getpid()}-{os.urandom(8).hex()}.tmp"
-    with open(tmp, "w") as fh:  # json.dump would encode in pure Python
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    with open(tmp, "w") as fh:  # json.dump would encode in pure Python; doc has no cycles
+        fh.write(json.dumps(doc, separators=(",", ":"), check_circular=False))
     os.replace(tmp, path)
 
 
@@ -1165,7 +1180,7 @@ def _is_count(value) -> bool:
 
 
 def _load_cached(
-    path: str, k: int, q: int, constraint: SearchConstraint, report_strata: bool
+    path: str, k: int, q: int, spec: dict, report_strata: bool
 ) -> SearchResult | None:
     """The stored result, or None if absent, unreadable, malformed or for another question.
 
@@ -1183,7 +1198,7 @@ def _load_cached(
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         return None
     stored = (doc.get("k"), doc.get("q"), doc.get("constraint"))
-    if stored != (k, q, constraint.to_json_dict()):
+    if stored != (k, q, spec):
         return None  # a colliding or doctored entry; recompute
     strata = doc.get("strata")
     if report_strata and strata is None:

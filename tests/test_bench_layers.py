@@ -80,3 +80,16 @@ def test_bench_layers_times_the_strata_ranks(tmp_path):
     doc = json.loads(proc.stdout)
     (label, value), = doc["ms"].items()
     assert label == "_strata_codes k=3 F_13 2549 matches" and value > 0
+
+
+def test_bench_layers_times_a_small_search_around_its_rank_pass(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--repeats", "1", "--only", "small search"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert sorted(doc["ms"]) == ["small search: F_31 c=2 dense walk",
+                                 "small search: F_31 c=2 with a fresh cache"]
+    assert all(value > 0 for value in doc["ms"].values())
+    assert os.listdir(tmp_path) == []  # the cache directories were temporary

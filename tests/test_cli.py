@@ -1,8 +1,11 @@
 """End-to-end command line checks: output shape, exit codes, determinism."""
 
 import argparse
+import ast
 import json
 import os
+import random
+import re
 import shlex
 import subprocess
 import sys
@@ -340,6 +343,91 @@ def test_former_hangs_return_promptly(argv, code, check, tmp_path):
     )
     assert proc.returncode == code, proc.stderr
     assert check(json.loads(proc.stdout))
+
+
+# A seeded sample of the numeric-argument mutation: every literal argv list
+# of this file and every frozen perfbench invocation, with one integer in one
+# argument replaced by one of these values, from -1 and 0 past 2^64.
+MUTATION_VALUES = (-1, 0, 1, 2, 3, 5, 13, 1000, 10**6, 2**31 - 1, 2**32 + 15, 10**20 + 39,
+                   10**26)
+MUTATION_SEED = "cli-mutation"
+# cases replayed in this process, and mutations of FORMER_HANGS, replayed in
+# one child process under a timeout; the two take about 2 s together
+MUTATIONS_IN_PROCESS, MUTATIONS_OF_HANGS = 800, 24
+
+# Runs each argv of the JSON list on stdin through cli.main, printing
+# [exit code, stdout, stderr] per argv.
+MUTATION_CHILD = """
+import contextlib, io, json, sys
+from pencillab.cli import main
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            code = ex.code
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def mutation_sample():
+    """(in-process cases, cases from FORMER_HANGS), each a seeded sample of argv lists."""
+    with open(__file__) as fh:
+        tree = ast.parse(fh.read())
+    argvs = [[e.value for e in node.elts] for node in ast.walk(tree)
+             if isinstance(node, ast.List) and node.elts
+             and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts)]
+    argvs += [entry["argv"] for entry in frozen_invocations()]
+    hung = {tuple(argv) for argv, _, _ in FORMER_HANGS}
+    cases = {False: [], True: []}
+    for argv in dict.fromkeys(tuple(a) for a in argvs if a[0] in SUBCOMMANDS):
+        for t, arg in enumerate(argv):
+            for number in re.finditer(r"-?\d+", arg):
+                for value in MUTATION_VALUES:
+                    new = f"{arg[:number.start()]}{value}{arg[number.end():]}"
+                    if new != arg:
+                        cases[argv in hung].append([*argv[:t], new, *argv[t + 1:]])
+    rng = random.Random(MUTATION_SEED)
+    return (rng.sample(cases[False], MUTATIONS_IN_PROCESS),
+            rng.sample(cases[True], MUTATIONS_OF_HANGS))
+
+
+def assert_mutation_outcome(argv, code, out, err):
+    """No traceback, exit 0, 1 or 2, and on exit 1 a JSON object: an error or a negative answer.
+
+    The negative answers are those docs/schemas/cli.md lists with exit 1:
+    `severi exists` false, no `severi delta0`, a search count of 0.
+    """
+    assert "Traceback" not in out + err, argv
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        doc = json.loads(out)
+        assert isinstance(doc, dict), (argv, out)
+        negative = (doc.get("exists") is False or doc.get("count") == 0
+                    or "delta0" in doc and doc["delta0"] is None)
+        assert "error" in doc or negative, (argv, out)
+
+
+def test_mutated_numeric_arguments_are_answered_or_refused(capsys):
+    in_process, _ = mutation_sample()
+    for argv in in_process:
+        assert_mutation_outcome(argv, *run(argv, capsys))
+
+
+def test_mutated_former_hangs_are_answered_or_refused(tmp_path):
+    _, of_hangs = mutation_sample()
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MUTATION_CHILD], input=json.dumps(of_hangs),
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    outcomes = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(outcomes) == len(of_hangs)
+    for argv, outcome in zip(of_hangs, outcomes):
+        assert_mutation_outcome(argv, *outcome)
 
 
 def test_severi_delta0(capsys):

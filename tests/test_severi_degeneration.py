@@ -40,7 +40,14 @@ from pencillab import (
     total_ramification_pencil,
 )
 from pencillab import numerology, severi_degeneration
-from pencillab.pencil_geometry import PlaneCurve, base_locus, has_ramification_at, squarefree_form
+from pencillab.pencil_geometry import (
+    BinaryForm,
+    PlaneCurve,
+    _move_to_origin,
+    base_locus,
+    has_ramification_at,
+    squarefree_form,
+)
 from pencillab.fields import QQ, Field
 
 from conftest import form, point, projective_points, random_form, random_pencil
@@ -398,8 +405,9 @@ class TestSearch:
         cache = tmp_path / "cache"
         F = Field(5)
         constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 0), point(F, 1, 2)),))
-        path = severi_degeneration._cache_path(str(cache), 2, 5, constraint)
-        assert severi_degeneration._load_cached(path, 2, 5, constraint, False) is None
+        spec = constraint.to_json_dict()
+        path = severi_degeneration._cache_path(str(cache), 2, 5, spec)
+        assert severi_degeneration._load_cached(path, 2, 5, spec, False) is None
         assert not cache.exists()
         search_pencils_ffield(2, 5, constraint, cache_dir=str(cache))
         assert [p.name for p in cache.iterdir()] == [os.path.basename(path)]
@@ -411,19 +419,20 @@ class TestSearch:
         F = Field(5)
         constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 0), point(F, 1, 2)),))
         result = search_pencils_ffield(2, 5, constraint)
-        path = sd._cache_path(str(tmp_path), 2, 5, constraint)
+        spec = constraint.to_json_dict()
+        path = sd._cache_path(str(tmp_path), 2, 5, spec)
         replace = os.replace
 
         def interleaved(src, dst):
             monkeypatch.setattr(os, "replace", replace)
-            sd._store_cached(path, 2, 5, constraint, result)
+            sd._store_cached(path, 2, 5, spec, result)
             replace(src, dst)
 
         monkeypatch.setattr(os, "replace", interleaved)
-        sd._store_cached(path, 2, 5, constraint, result)
+        sd._store_cached(path, 2, 5, spec, result)
         assert os.replace is replace  # the second writer ran
         assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
-        assert sd._load_cached(path, 2, 5, constraint, False) == result
+        assert sd._load_cached(path, 2, 5, spec, False) == result
 
 
 def classify_stratum(pencil):
@@ -649,6 +658,112 @@ def test_g_side_search_matches_brute_force(monkeypatch):
     assert routes["dense"] and routes["sparse"], routes
 
 
+def test_samples_equal_the_checked_pencils(monkeypatch, tmp_path):
+    """Samples, built from residues unchecked, equal the validating constructors' pencils.
+
+    Their coefficients are plain ints, and they equal the oracle's samples.
+    Every route that yields keys runs, at jobs 1 and 2: the brute force, the
+    kernel's dense cells (the f-row walk) and sparse ones, and the keys of an
+    unconstrained search; and each search again as a cache hit, which decodes
+    its entry through the validating constructors.
+    """
+    sd = severi_degeneration
+    monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks
+    routes = dict.fromkeys(
+        ["_brute_force", "_walk_f_rows", "_first_keys", "_unconstrained_keys"], 0)
+    for name in routes:
+        def spy(*args, _fn=getattr(sd, name), _name=name):
+            routes[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sd, name, spy)
+    F7, F13 = Field(7), Field(13)
+    pts = projective_points(F13)
+    rng = random.Random("trusted samples")
+    searches = [
+        (2, 7, SearchConstraint(incidences=(sym_point(point(F7, 1, 5), point(F7, 0, 1)),))),
+        (3, 13, SearchConstraint(ramifications=((pts[5], 2),))),
+        (3, 13, SearchConstraint(incidences=tuple(
+            sym_point(*rng.sample(pts, 2)) for _ in range(4)))),
+        (3, 7, SearchConstraint()),
+    ] + list(seeded_search_grid(rng, 8))
+    for n, (k, q, constraint) in enumerate(searches):
+        name = (k, q, constraint.to_json_dict())
+        want = brute_force_search(k, q, constraint, strata=False)[1]
+        for jobs in (1, 2):
+            cache = str(tmp_path / f"{n}-{jobs}")
+            fresh = search_pencils_ffield(k, q, constraint, jobs=jobs, cache_dir=cache)
+            hit = search_pencils_ffield(k, q, constraint, jobs=jobs, cache_dir=cache)
+            for p in fresh.samples:
+                assert all(type(c) is int for c in p.f.coeffs + p.g.coeffs), name
+            checked = tuple(Pencil(BinaryForm(Field(q), k, p.f.coeffs),
+                                   BinaryForm(Field(q), k, p.g.coeffs)) for p in fresh.samples)
+            assert fresh.samples == checked == hit.samples == want, (name, jobs)
+            assert list(map(hash, fresh.samples)) == list(map(hash, checked)), (name, jobs)
+    assert all(routes.values()), routes
+
+
+def test_cache_entries_are_the_sorted_documents(tmp_path):
+    """An entry is json.dumps of its document with sort_keys, samples from Pencil.to_json_dict().
+
+    Its name is the hash of the question's sorted document.  The searches
+    hold incidences, ramifications at [1:0], [0:1] and elsewhere, and strata
+    with every stratum present.
+    """
+    import hashlib
+
+    F = Field(13)
+    pts = projective_points(F)
+    rng = random.Random("cache bytes")
+    searches = [
+        (3, 13, SearchConstraint(incidences=(sym_point(pts[1], pts[4]),),
+                                 ramifications=((pts[0], 2), (pts[-1], 3))), True),
+        (3, 5, SearchConstraint(), True),
+        (2, 13, SearchConstraint(ramifications=((pts[7], 2),)), False),
+    ] + [(k, q, constraint, strata)
+         for (k, q, constraint), strata in zip(seeded_search_grid(rng, 8), itertools.cycle((0, 1)))]
+    seen = set()
+    for n, (k, q, constraint, strata) in enumerate(searches):
+        cache = tmp_path / str(n)
+        result = search_pencils_ffield(k, q, constraint, cache_dir=str(cache),
+                                       report_strata=bool(strata))
+        question = {"k": k, "q": q, "constraint": constraint.to_json_dict()}
+        key = hashlib.sha256(
+            json.dumps(question, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        doc = dict(question, schema=1, count=result.count, strata=result.strata,
+                   samples=[p.to_json_dict() for p in result.samples])
+        (path,) = cache.iterdir()
+        assert path.name == f"search-{key[:24]}.json"
+        assert path.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")), n
+        seen.update(result.strata or ())
+    assert seen == set(severi_degeneration._STRATA)
+
+
+@pytest.mark.parametrize("q", [7, 11, 31])
+def test_ramification_rows_are_the_taylor_shift(q):
+    """compile_constraint's ramification matrices from the Taylor rows of _move_to_origin.
+
+    Taylor row t holds coefficient t of each basis form moved to the point,
+    and each order-e ramification contributes the antisymmetrized products of
+    rows a < b < e, at [0:1], [1:0] and seeded [1:t], for orders 2..k.
+    """
+    F = Field(q)
+    rng = random.Random(f"taylor:{q}")
+    for k in range(2, 7):
+        span = range(k + 1)
+        basis = [BinaryForm(F, k, [int(t == col) for t in span]) for col in span]
+        for pt in [point(F, 0, 1), point(F, 1, 0)] + [point(F, 1, rng.randrange(1, q))
+                                                      for _ in range(3)]:
+            for order in range(2, k + 1):
+                T = list(zip(*(_move_to_origin(b, pt, order) for b in basis)))
+                want = tuple(
+                    tuple(tuple((T[a][r] * T[b][c] - T[b][r] * T[a][c]) % q for c in span)
+                          for r in span)
+                    for a, b in itertools.combinations(range(order), 2))
+                constraint = SearchConstraint(ramifications=((pt, order),))
+                got = severi_degeneration.compile_constraint(k, q, constraint)
+                assert got == want, (k, pt.to_json(), order)
+
+
 def side_matches(k, q, mats, cell_idx, fixed):
     """Every match of a cell, solved for with the given side held fixed: sorted f|g rows."""
     sd = severi_degeneration
@@ -771,7 +886,7 @@ def test_built_systems_are_each_rows_product_with_its_cells_system(k, q, dtype, 
             for _, (x_pivot, x_cols) in sides:
                 system = np.zeros((k + 1, len(mats), n + 1), dtype=np.int64)
                 for e, A in enumerate(mats.astype(np.int64)):
-                    system[:, e, : len(x_cols) + 1] = A[[x_pivot] + x_cols].T
+                    system[:, e, : len(x_cols) + 1] = A[[x_pivot, *x_cols]].T
                 systems.append(system.reshape(k + 1, -1))
             built.clear()
             chunks = list(sd._systems(q, k, cells, fixed, 0, total, mats, 7))

@@ -25,6 +25,11 @@ The cases, in the order each repeat runs them:
   in microseconds per call over a loop of MICRO_CALLS calls;
 - each search of the `ladder` workload for variants 0-7, with its jobs and
   no cache, the median taken over the variants and the repeats;
+- the costs of a small search around its rank pass, on the ladder's F_31
+  c = 2 search for variants 0-7: the whole search writing its entry into a
+  fresh cache directory, as each `ladder` round's first search does, and
+  its dense-cell f-row walk alone (`_walk_f_rows`, from the first chunk the
+  search takes);
 - the k = 4 count over F_101 with four incidences (the ladder's incidence
   pairs of variant 0) and the unconstrained k = 4 strata search over F_7;
 - `is_reduced_curve` on the pair curves of the 8 `pencil reduced` pencils
@@ -50,6 +55,7 @@ compare two trees only within one machine and one hour, alternating them.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -141,6 +147,28 @@ def _ladder_cases(P, fields, sd, pairs):
         yield f"ladder {label}", "ms", calls
 
 
+def _small_search_cases(P, fields, sd, pairs, cache):
+    import workloads
+
+    directories = (os.path.join(cache, f"fresh-{n}") for n in itertools.count())
+    walk, searches, walks = sd._walk_f_rows, [], []
+    for variant in LADDER_VARIANTS:
+        (q, constraint), = [(q, c) for label, _, q, c, _, _ in workloads.ladder_searches(
+            P, fields, sd, variant, pairs) if label == "F_31 c=2"]
+        searches.append(lambda q=q, c=constraint:
+                        sd.search_pencils_ffield(3, q, c, cache_dir=next(directories)))
+        calls = []  # the walks the search takes, as it calls them
+        sd._walk_f_rows = lambda *args, calls=calls: calls.append(args) or walk(*args)
+        try:
+            sd.search_pencils_ffield(3, q, constraint)
+        finally:
+            sd._walk_f_rows = walk
+        if calls:
+            walks.append(lambda calls=calls: [walk(*args) for args in calls])
+    yield "small search: F_31 c=2 with a fresh cache", "ms", searches
+    yield "small search: F_31 c=2 dense walk", "ms", walks
+
+
 def _large_cases(P, fields, sd, pairs):
     F101 = fields.Field(101)
     incidences = tuple(P.sym_point(P.ProjPoint(F101, *a), P.ProjPoint(F101, *b))
@@ -212,6 +240,7 @@ def main(argv=None) -> int:
         for group in (_eliminate_cases(sd), _systems_cases(P, fields, sd),
                       _strata_cases(P, fields, sd, pairs), _micro_cases(P, fields),
                       _ladder_cases(P, fields, sd, pairs),
+                      _small_search_cases(P, fields, sd, pairs, cache),
                       _large_cases(P, fields, sd, pairs), _geometry_cases(P, fields, sd, pools),
                       _cold_cases(args.src, cache, pools)):
             cases += [c for c in group if args.only in c[0]]
