@@ -133,7 +133,7 @@ def _cache_dir(args) -> str | None:
     """Where searches cache their results; None under --no-cache."""
     if args.no_cache:
         return None
-    return os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
+    return os.environ.get(CACHE_ENV) or DEFAULT_CACHE_DIR  # an empty value counts as unset
 
 
 def _search_options(args) -> dict:
@@ -720,7 +720,7 @@ def main(argv: list[str] | None = None) -> int:
         # rendered before any output, so an unprintable value (an int past
         # Python's int-to-str digit limit) is an error
         text = _csv_text(payload) if args.format == "csv" else _json_text(payload)
-    except (PencillabError, ValueError, ZeroDivisionError) as exc:
+    except (PencillabError, OSError, ValueError, ZeroDivisionError) as exc:  # OSError: the cache
         sys.stdout.write(_json_text({"error": _snake(type(exc).__name__), "detail": str(exc)}))
         return 1
     if text is None:

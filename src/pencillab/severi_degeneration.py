@@ -21,16 +21,16 @@ in numpy int32 where (k+1)(q-1)^2 < 2^31 and in int64 otherwise.  The
 elimination counts the pivots it finds, and the counts come from those
 ranks.  The samples, the first matches in (cell, f, g) order, are worked out
 after the count, cell by cell until there are enough: solved for per g-row
-where the cell is sparse, and found by walking the f-rows where it is dense,
-the walk solving its few solvable rows for g on plain ints.  Either way the
-keys are residues of independent echelon pairs, so the sample pencils are
-built from them unchecked.  Strata solve for every match, from the g-rows
-that the count kept or eliminated again, and classify the matches together
-by two more ranks mod q, through the same elimination: the rank of the
-pencil's Bezout matrix, and, where that shows a base point, the rank of the
-multiples of the four partials.  Only small searches, of at most
-_BRUTE_FORCE_MAX_TESTS pencil tests, are brute-forced: every echelon pair is
-tested in pure Python, and numpy is never imported.
+where the cell is sparse, and found by walking the f-rows where it is dense.
+Either way the keys are residues of independent echelon pairs, so the
+sample pencils are built from them unchecked.  Strata solve for every
+match, from the g-rows that the count kept or eliminated again, and
+classify the matches together by two more ranks mod q, through the same
+elimination: the rank of the pencil's Bezout matrix, and, where that shows
+a base point, the rank of the multiples of the four partials.  The walk of f-rows, each row's system in g
+built and eliminated on plain ints, also counts the small searches, of at
+most _PLAIN_MAX_TESTS pencil tests, and finds the samples of a search with
+no conditions: neither imports numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import os
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, chain, combinations, product
 from operator import mul
 
 from .errors import (
@@ -81,12 +81,11 @@ SAMPLE_LIMIT = 20
 # order of magnitude larger.
 DEFAULT_SEARCH_BUDGET = 200_000_000
 
-# Rows per call of the kernel (_systems).  A range's chunks grow fourfold from
-# their first size (_RANK_CHUNK_ROWS in the rank pass over the packed g index,
-# less in the f-row walk) to at most _RANK_CHUNK_ROWS within its first
-# _BATCH_ROWS rows and _BATCH_ROWS after that: a small search pays for the
-# first touch of its temporaries, which grow with the chunk, and a long range
-# for the calls, which shrink with it.  Cold, on 2 cores, the ladder's F_101
+# Rows per call of the kernel (_systems).  A range's chunks hold
+# _RANK_CHUNK_ROWS rows within its first _BATCH_ROWS rows and _BATCH_ROWS
+# after that: a small search pays for the first touch of its temporaries,
+# which grow with the chunk, and a long range for the calls, which shrink
+# with it.  Cold, on 2 cores, the ladder's F_101
 # counts (at most 10,201 g-rows a cell) ran 5-10% faster in 2048-row chunks
 # than in 8192-row ones, with a third of the page faults, while the k = 4
 # count over F_101 (about 10^6 g-rows) ran about 15% slower.  Only that k = 4
@@ -121,18 +120,19 @@ _POOL_MIN_ROW_WORK = 2_500_000
 # about this many rows; a larger search eliminates its g-rows again, which
 # costs little beside classifying that many matches.
 _POOL_MIN_STRATA_WORK = 250_000
-# A search tests its echelon pairs one by one in Python (_brute_force), and
-# never imports numpy, while its Grassmannian's pencils x max(1, conditions)
-# are at most this.  A cold process saves the numpy import, 70-130 ms.  Warm,
-# in-process with numpy loaded (2 cores, median of 31), Python against the
-# kernel by pencil tests: 57 (k = 2 over F_7, one incidence) 0.21 vs 0.44 ms,
-# 133 (F_11) 0.37 vs 0.50 ms, 381 (F_19) 0.78 vs 0.54 ms, 553 (F_23) 0.98 vs
-# 0.44 ms, 806 (k = 3 over F_5) 1.5 vs 1.0 ms and 2850 (F_7) 4.2 vs 1.2 ms;
-# with strata, 381 (F_19) 1.1 vs 0.84 ms.  So a warm caller loses at most
-# about 0.5 ms here.  Python classifies a match by its gcd in about 20 us, so
-# a strata search with no conditions, where every pencil matches, takes the
-# kernel: 183 pencils (k = 2 over F_13) took 3.9 vs 0.91 ms.
-_BRUTE_FORCE_MAX_TESTS = 500
+# A search with conditions walks its f-rows on plain ints (_plain_search), and
+# never imports numpy, while its Grassmannian's pencils x conditions are at
+# most this.  A cold process saves the numpy import, 70-130 ms.  Warm,
+# in-process with numpy loaded (2 cores, median of 31), the walk against the
+# kernel by pencil tests, with one incidence: 57 (k = 2 over F_7) 0.13 vs
+# 0.50 ms, 133 (F_11) 0.15 vs 0.30 ms, 381 (F_19) 0.16 vs 0.31 ms, 553 (F_23)
+# 0.18 vs 0.22 ms, 806 (k = 3 over F_5) 0.42 vs 0.21 ms and 2850 (F_7) 0.82
+# vs 0.23 ms; with strata, 381 (F_19) 0.46 vs 0.63 ms.  So a warm caller
+# loses nothing here; a larger constant waits for a cold measurement.  Python
+# classifies a match by its gcd in about 20 us, so a strata search with no
+# conditions, where every pencil matches, takes the kernel: 183 pencils
+# (k = 2 over F_13) took 3.1 vs 0.46 ms.
+_PLAIN_MAX_TESTS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +350,8 @@ def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> tuple:
     entry at column col is C(col, t) x1^(col-t) (0 for col < t), and at
     [0:1] it picks column k - t.  Basis invariance is automatic:
     antisymmetric bilinear values rescale by the determinant under basis
-    change.  Entries are plain ints in 0..q-1, so a search that brute-forces
-    its pencils needs no numpy; the rank kernel converts them to one
+    change.  Entries are plain ints in 0..q-1, so the f-row walk
+    (_f_row_walk) needs no numpy; the rank kernel converts them to one
     m x (k+1) x (k+1) array of its dtype (_kernel_dtype).
     """
     field = Field(q)
@@ -598,54 +598,41 @@ def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return codes
 
 
-@lru_cache
-def _sides(k: int, cell_idx: int, fixed: str) -> tuple[tuple, tuple]:
-    """(pivot, free columns) of the side held fixed, "f" or "g", then of the side solved for."""
-    i, j = _cells(k)[cell_idx]
-    cols0, cols1 = _free_columns(k, i, j)
-    f_side, g_side = (i, cols0), (j, cols1)
-    return (f_side, g_side) if fixed == "f" else (g_side, f_side)
+def _systems(q: int, k: int, lo: int, hi: int, mats):
+    """Yield (cell, rows, pivots, rank, solvable) of rows lo..hi-1 of the packed g index.
 
-
-def _systems(q: int, k: int, cells, fixed: str, lo: int, hi: int, mats,
-             first: int = _RANK_CHUNK_ROWS):
-    """Yield (cell, rows, pivots, rank, solvable) of rows lo..hi-1 of the cells' fixed side.
-
-    fixed is "f" or "g", and cells a sequence of cell indices.  The fixed
-    side's rows of the cells are numbered one cell after another, each cell's
+    The g-rows of every cell are numbered one cell after another, each cell's
     in index order (_digits): a range of that packed index runs over whole
-    and partial cells, and cell[r] is the cell of row r.  For a fixed row h,
-    each compiled f^T A g = 0 is one linear equation in the other side's free
-    coordinates: the entries of A h there, its constant at that side's pivot
-    1.  With f fixed that reads g^T A f = -f^T A g (A is antisymmetric), each
-    equation negated, with the same solutions and rank.  A h is linear in h,
-    so each system is the cell's A at the fixed pivot plus its A at each free
-    coordinate times that coordinate.  Every system has the n unknowns of the
-    cells' widest, a cell with n_c taking n - n_c zero columns last: zero
-    columns are never pivots and eliminating them changes nothing, so the
-    cell's pivots are pivots[:n_c, :n_c + 1], as its own elimination gives
-    them, and its rank and solvability are the shared ones.  Chunks start at
-    first rows and grow fourfold, to at most _RANK_CHUNK_ROWS within the
-    range's first _BATCH_ROWS rows and _BATCH_ROWS after that; each is built
-    and eliminated in one call, in one buffer.  The arrays have the dtype of
-    mats, rows B x (k+1) and the rest batch last.
+    and partial cells, and cell[r] is the cell of row r.  For a fixed g-row,
+    each compiled f^T A g = 0 is one linear equation in f's free coordinates:
+    the entries of A g there, its constant at f's pivot 1.  A g is linear in
+    g, so each system is the cell's A at g's pivot plus its A at each free
+    coordinate times that coordinate.  Every system has the k - 1 unknowns of
+    cell (0, 1), cell (i, j), whose f has k - 1 - i free coordinates, taking
+    i zero columns last: zero columns are never pivots and eliminating them
+    changes nothing, so the cell's pivots are pivots[:n_c, :n_c + 1], as its
+    own elimination gives them, and its rank and solvability are the shared
+    ones.  Chunks hold _RANK_CHUNK_ROWS rows within the range's first
+    _BATCH_ROWS rows and _BATCH_ROWS after that; each is built and eliminated
+    in one call, in one buffer.  The arrays have the dtype of mats, rows
+    B x (k+1) and the rest batch last.
     """
     import numpy as np
 
-    sides = [_sides(k, c, fixed) for c in cells]
-    starts = list(accumulate((q ** len(cols) for (_, cols), _ in sides), initial=0))
-    n, m = max(len(x_cols) for _, (_, x_cols) in sides), len(mats)
-    # each cell's rows of every A that meet the solved side, row k + 1 being
-    # zero: its pivot 1 (the constant), its unknowns, zero columns
-    picks = [[x_pivot, *x_cols] + [k + 1] * (n - len(x_cols)) for _, (x_pivot, x_cols) in sides]
+    cells = _cells(k)
+    widths = [_free_columns(k, i, j) for i, j in cells]
+    starts = list(accumulate((q ** len(cols1) for _, cols1 in widths), initial=0))
+    n, m = k - 1, len(mats)
+    # each cell's rows of every A that meet f: its pivot 1 (the constant), its
+    # unknowns, zero columns from row k + 1, which is zero
+    picks = [[i, *cols0] + [k + 1] * (n - len(cols0)) for (i, _), (cols0, _) in zip(cells, widths)]
     padded = np.concatenate([mats, np.zeros((m, 1, k + 1), dtype=mats.dtype)], axis=1)
-    # cell, fixed coordinate, equation, column of the solved side, batch
+    # cell, g coordinate, equation, column of f, batch
     systems = padded[:, picks, :].transpose(1, 3, 0, 2)[..., None]
     buffer = np.empty(2 * m * (n + 1) * min(hi - lo, _BATCH_ROWS), dtype=mats.dtype)
-    start, chunk = lo, first
+    start = lo
     while lo < hi:
-        chunk = min(chunk, _RANK_CHUNK_ROWS if lo - start < _BATCH_ROWS else _BATCH_ROWS)
-        stop = min(lo + chunk, hi)
+        stop = min(lo + (_RANK_CHUNK_ROWS if lo - start < _BATCH_ROWS else _BATCH_ROWS), hi)
         B = stop - lo
         W, T = buffer[: 2 * m * (n + 1) * B].reshape(2, m, n + 1, B)
         rows = np.zeros((k + 1, B), dtype=mats.dtype)
@@ -654,7 +641,7 @@ def _systems(q: int, k: int, cells, fixed: str, lo: int, hi: int, mats,
         while starts[t] < stop:
             a, b = max(lo, starts[t]), min(stop, starts[t + 1])
             part = slice(a - lo, b - lo)
-            (pivot, cols), _ = sides[t]
+            (_, pivot), (_, cols) = cells[t], widths[t]
             rows[pivot, part] = 1
             W[..., part] = systems[t, pivot]
             if cols:  # the digits straight into the rows, a view per free coordinate
@@ -662,25 +649,16 @@ def _systems(q: int, k: int, cells, fixed: str, lo: int, hi: int, mats,
                         [rows[c, part] for c in cols])
             for c in cols:
                 W[..., part] += np.multiply(systems[t, c], rows[c, part], out=T[..., part])
-            cell[part] = cells[t]
+            cell[part] = t
             t += 1
-        lo, chunk = stop, 4 * chunk
+        lo = stop
         yield (cell, rows.T, *_eliminate(_mod(W, q, T), q, T))
-
-
-def _g_systems(q: int, k: int, lo: int, hi: int, mats):
-    """_systems of every cell's g-rows lo..hi-1: the packed g index of a search.
-
-    Each system has the k - 1 unknowns of cell (0, 1), and cell (i, j)'s f
-    has k - 1 - i free coordinates, so it takes i zero columns.
-    """
-    return _systems(q, k, range(len(_cells(k))), "g", lo, hi, mats)
 
 
 def _cell_parts(k: int, chunks, cells=None):
     """Yield (cell index, g-rows, pivots) of the given cells (default all) from packed chunks.
 
-    chunks are (cell, g-rows, pivots) of rows in packed order, as _g_systems
+    chunks are (cell, g-rows, pivots) of rows in packed order, as _systems
     numbers them; each part is a run of one cell's rows, with the pivots cut
     to that cell's unknowns.
     """
@@ -696,20 +674,20 @@ def _cell_parts(k: int, chunks, cells=None):
                 yield c, rows[a:b], pivots[:n, : n + 1, a:b]
 
 
-def _matches(q: int, k: int, cell_idx: int, fixed: str, rows, pivots, cap: int):
-    """Yield (F, G) batches of matched coefficient rows: each fixed row's first cap matches.
+def _matches(q: int, k: int, cell_idx: int, rows, pivots, cap: int):
+    """Yield (F, G) batches of matched coefficient rows: each g-row's first cap matches.
 
-    rows are solvable rows of the side held fixed and pivots their systems
-    from _systems, cut to the cell's unknowns, so _solutions lists each
-    row's matches in lexicographic order of the other side.
+    rows are solvable g-rows and pivots their systems from _systems, cut to
+    the cell's unknowns, so _solutions lists each row's matches in
+    lexicographic order of f.
     """
     import numpy as np
 
-    _, (pivot, cols) = _sides(k, cell_idx, fixed)
+    i, j = _cells(k)[cell_idx]
+    cols0 = _free_columns(k, i, j)[0]
     for part, X in _solutions(pivots, q, cap):
-        solved = _echelon_rows(k, pivot, cols, X).reshape(-1, k + 1)
-        held = np.repeat(rows[part], X.shape[1], axis=0)
-        yield (held, solved) if fixed == "f" else (solved, held)
+        F = _echelon_rows(k, i, cols0, X).reshape(-1, k + 1)
+        yield F, np.repeat(rows[part], X.shape[1], axis=0)
 
 
 def _first_keys(cell_idx: int, F, G) -> list[tuple]:
@@ -724,37 +702,84 @@ def _first_keys(cell_idx: int, F, G) -> list[tuple]:
     return [(cell_idx, tuple(f), tuple(g)) for f, g in zip(F[order].tolist(), G[order].tolist())]
 
 
-def _walk_f_rows(q: int, k: int, cell_idx: int, mats, start: int) -> list[tuple]:
-    """Keys of a cell's first SAMPLE_LIMIT matches, walking its f-rows in order.
+def _eliminate_plain(W: list, width: int, q: int) -> tuple[list, int, bool]:
+    """_eliminate's steps on one system of plain ints: pivot equations, rank and solvability.
 
-    The f-rows' systems are built and eliminated in _systems chunks of start
-    rows up.  Each chunk's solvable rows, no more than the walk still needs,
-    are then solved on plain ints, in order, each for its first g's as
-    _solutions orders them: the free unknowns run through base-q order and
-    each pivot unknown is solved from the more significant ones.  So the keys
-    come in (f, g) order, and the walk stops once it has SAMPLE_LIMIT.
+    W is a list of equations, each width residues, the constant first and
+    unknown c at c + 1.  Entry c of the pivots is the pivot equation of
+    unknown c, its first c + 2 entries as _eliminate gives them, or None
+    where c is free.  The update zeroes the pivot equation, which is dropped.
     """
-    import numpy as np
+    pivots, rank = [None] * (width - 1), 0
+    for c in range(width - 1, 0, -1):
+        for P in W:
+            if P[c]:
+                break
+        else:
+            continue
+        p, rank = P[c], rank + 1
+        pivots[c - 1] = P[: c + 1]
+        W = [[(p * a - r[c] * b) % q for a, b in zip(r[:c], P)] for r in W if r is not P]
+    return pivots, rank, not any(r[0] for r in W)
 
-    (_, f_cols), (j, g_cols) = _sides(k, cell_idx, "f")  # g_cols are j + 1..k
-    n, keys = len(g_cols), []
-    for _, F_rows, pivots, _, solvable in _systems(q, k, [cell_idx], "f", 0, q ** len(f_cols),
-                                                   mats, start):
-        hits = np.flatnonzero(solvable)[: SAMPLE_LIMIT - len(keys)]
-        for f, eqs in zip(F_rows[hits].tolist(), pivots[..., hits].transpose(2, 0, 1).tolist()):
-            inverses = [pow(eq[c + 1], -1, q) if eq[c + 1] else 0 for c, eq in enumerate(eqs)]
-            free = [c for c, inv in enumerate(inverses) if not inv]
-            for index in range(min(q ** len(free), SAMPLE_LIMIT - len(keys))):
-                x = [0] * n
-                for c in reversed(free):
-                    index, x[c] = divmod(index, q)
-                for c, (eq, inv) in enumerate(zip(eqs, inverses)):
-                    if inv:
-                        x[c] = -(eq[0] + sum(map(mul, eq[1 : c + 1], x))) * inv % q
-                keys.append((cell_idx, tuple(f), (0,) * j + (1, *x)))
-        if len(keys) >= SAMPLE_LIMIT:
+
+def _f_row_walk(q: int, k: int, cell_idx: int, mats: tuple, cap: int):
+    """Yield (matches, keys) of each solvable f-row of a cell in order: its first cap keys.
+
+    mats are compile_constraint's.  For a fixed f-row each f^T A g = 0 is
+    one linear equation in g's n = k - j free coordinates: the entries of
+    f^T A there, its constant at g's pivot 1.  f^T A is linear in f, so
+    along f's last free coordinate each row's system is the last one plus
+    A's rows at that coordinate.  A solvable system has q^(n - rank)
+    matches, and the row's first cap are solved for as _solutions orders
+    them: the free unknowns run through base-q order and each pivot unknown
+    is solved from the more significant ones.  So the keys come in (f, g)
+    order.
+    """
+    i, j = _cells(k)[cell_idx]
+    f_cols, g_cols = _free_columns(k, i, j)
+    n, g_pivot = len(g_cols), (0,) * j + (1,)
+    # row c of each A at g's pivot and free coordinates
+    rows = {c: [[A[c][s] for s in (j, *g_cols)] for A in mats] for c in (i, *f_cols)}
+    lead, last = f_cols[:-1], f_cols[-1] if f_cols else None
+    step = rows.get(last)
+    f = [0] * (k + 1)
+    f[i] = 1
+    for head in product(range(q), repeat=len(lead)):
+        system = rows[i]
+        for c, x in zip(lead, head):
+            f[c] = x
+            system = [[a + x * b for a, b in zip(r, d)] for r, d in zip(system, rows[c])]
+        system = [[a % q for a in r] for r in system]
+        for x in range(q if f_cols else 1):
+            if f_cols:
+                f[last] = x
+            if x:
+                system = [[(a + b) % q for a, b in zip(r, d)] for r, d in zip(system, step)]
+            pivots, rank, solvable = _eliminate_plain(system, n + 1, q)
+            if not solvable:
+                continue
+            matches, key_f, keys = q ** (n - rank), tuple(f), []
+            for index in range(min(matches, cap)):
+                g, place = [], matches
+                for eq in pivots:
+                    if eq is None:  # free: the next base-q digit of index
+                        place //= q
+                        g.append(index // place % q)
+                    else:
+                        g.append(-(eq[0] + sum(map(mul, eq[1:], g))) * pow(eq[-1], -1, q) % q)
+                keys.append((cell_idx, key_f, g_pivot + tuple(g)))
+            yield matches, keys
+
+
+def _walked_keys(q: int, k: int, mats: tuple, cells, limit: int) -> list[tuple]:
+    """Keys of the first limit matches of the given cells, walking their f-rows in order."""
+    keys: list[tuple] = []
+    for _, row_keys in chain.from_iterable(_f_row_walk(q, k, c, mats, limit) for c in cells):
+        keys += row_keys
+        if len(keys) >= limit:
             break
-    return keys
+    return keys[:limit]
 
 
 def _is_dense(count: int, sparse: int, f_rows: int) -> bool:
@@ -799,7 +824,7 @@ def _count_shard(payload) -> tuple[list, list, list, bool]:
     keep = np.ones(len(cells), dtype=bool)  # cells still sparse
     keep_all = strata_budget is not None
     kept, count = [], 0
-    for cell, rows, pivots, rank, solvable in _g_systems(q, k, lo, hi, mats):
+    for cell, rows, pivots, rank, solvable in _systems(q, k, lo, hi, mats):
         codes = offsets[cell] - rank
         hist = np.bincount(codes[solvable], minlength=len(cells) * (n + 1)).tolist()
         for c in range(int(cell[0]), int(cell[-1]) + 1):
@@ -826,14 +851,13 @@ def _count_shard(payload) -> tuple[list, list, list, bool]:
 def _sample_keys(q: int, k: int, mats, counts: list, sparse: list, kept: list) -> list[tuple]:
     """Keys of the search's first SAMPLE_LIMIT matches, from the cells in order until it has them.
 
-    A cell's keys are those of its first SAMPLE_LIMIT matches, by one of two
-    exact routes chosen from its matches, counts[c], and its sparse cost,
-    sparse[c].  A sparse cell solves each solvable g-row, as the count kept
-    it, for its first SAMPLE_LIMIT f's and merges them (each of the cell's
-    first SAMPLE_LIMIT matches is among its own g-row's first SAMPLE_LIMIT).
-    A dense one (_is_dense) walks its f-rows until it has SAMPLE_LIMIT
-    matches (_walk_f_rows), from a first chunk that should hold twice that
-    many if the matches were spread evenly.
+    A cell's keys are those of its first matches, by one of two exact routes
+    chosen from its matches, counts[c], and its sparse cost, sparse[c].  A
+    sparse cell solves each solvable g-row, as the count kept it, for its
+    first SAMPLE_LIMIT f's and merges them (each of the cell's first
+    SAMPLE_LIMIT matches is among its own g-row's first SAMPLE_LIMIT).  A
+    dense one (_is_dense) walks its f-rows until the search has
+    SAMPLE_LIMIT keys (_walked_keys), mats being compile_constraint's.
     """
     import numpy as np
 
@@ -845,29 +869,13 @@ def _sample_keys(q: int, k: int, mats, counts: list, sparse: list, kept: list) -
         if not count:
             continue
         if _is_dense(count, sparse[cell_idx], f_rows):
-            keys += _walk_f_rows(q, k, cell_idx, mats, 2 * SAMPLE_LIMIT * f_rows // count + 1)
+            keys += _walked_keys(q, k, mats, [cell_idx], SAMPLE_LIMIT - len(keys))
             continue
         _, rows, pivots = zip(*_cell_parts(k, kept, [cell_idx]))
-        batches = _matches(q, k, cell_idx, "g", np.concatenate(rows),
+        batches = _matches(q, k, cell_idx, np.concatenate(rows),
                            np.concatenate(pivots, axis=-1), SAMPLE_LIMIT)
         F, G = (np.concatenate(b) for b in zip(*batches))
         keys += _first_keys(cell_idx, F, G)
-    return keys[:SAMPLE_LIMIT]
-
-
-def _unconstrained_keys(q: int, k: int) -> list[tuple]:
-    """Keys of the first SAMPLE_LIMIT pencils in (cell, f, g) order: every pencil matches."""
-    import numpy as np
-
-    keys: list[tuple] = []
-    for cell_idx, (i, j) in enumerate(_cells(k)):
-        first = []
-        for pivot, cols in zip((i, j), _free_columns(k, i, j)):
-            idx = np.arange(min(q ** len(cols), SAMPLE_LIMIT))
-            first.append(_echelon_rows(k, pivot, cols, _digits(idx, q, len(cols))).tolist())
-        keys += [(cell_idx, tuple(f), tuple(g)) for f in first[0] for g in first[1]]
-        if len(keys) >= SAMPLE_LIMIT:
-            break
     return keys[:SAMPLE_LIMIT]
 
 
@@ -876,7 +884,7 @@ def _strata_shard(payload) -> list[int]:
 
     payload is (q, k, mats, kept, ranges): the packed (cell, g-rows, pivots)
     chunks of every solvable g-row, as the count kept them, or None to
-    eliminate the packed ranges again (_g_systems).  Every match is solved
+    eliminate the packed ranges again (_systems).  Every match is solved
     for, in _solutions batches of about _BATCH_ROWS, and the matches of all
     cells are classified together by _strata_codes, gathered up to
     _BATCH_ROWS: a small search takes one call, and a large one about one per
@@ -887,7 +895,7 @@ def _strata_shard(payload) -> list[int]:
     q, k, mats, kept, ranges = payload
     if kept is None:
         kept = ((cell[ok], rows[ok], pivots[..., ok]) for lo, hi in ranges
-                for cell, rows, pivots, _, ok in _g_systems(q, k, lo, hi, mats))
+                for cell, rows, pivots, _, ok in _systems(q, k, lo, hi, mats))
     tally = np.zeros(len(_STRATA), dtype=np.int64)
     pending: list[tuple] = []
 
@@ -897,7 +905,7 @@ def _strata_shard(payload) -> list[int]:
         pending.clear()
 
     for cell_idx, rows, pivots in _cell_parts(k, kept):
-        for batch in _matches(q, k, cell_idx, "g", rows, pivots, q ** pivots.shape[0]):
+        for batch in _matches(q, k, cell_idx, rows, pivots, q ** pivots.shape[0]):
             if pending and sum(len(F) for F, _ in pending + [batch]) > _BATCH_ROWS:
                 classify()
             pending.append(batch)
@@ -957,38 +965,38 @@ def search_pencils_ffield(
 
     Every 2-dimensional subspace of degree-k forms is counted exactly once
     through reduced-row-echelon representatives (f, g), grouped into cells by
-    pivot pair.  A small search, whose Grassmannian's pencils times
-    max(1, compiled conditions) are at most _BRUTE_FORCE_MAX_TESTS, tests
-    every pair in pure Python (_brute_force), without numpy, and classifies
-    its matches for strata by their gcd; jobs has no effect there.  A strata
-    search with no conditions is never small in that sense, as it classifies
-    every pencil.
+    pivot pair.  With no conditions and no strata the count is the
+    Grassmannian's, and the samples are the first 20 pencils of a walk of
+    the cells' f-rows on plain ints (_f_row_walk).  A small search, whose
+    pencils times compiled conditions are at most _PLAIN_MAX_TESTS, counts
+    by that walk too (_plain_search), without numpy, and classifies its
+    matches for strata by their gcd; jobs has no effect there.  A strata
+    search with no conditions is never small, as it classifies every pencil.
 
     Above that size the rank kernel runs, in numpy int32 where
-    (k+1)(q-1)^2 < 2^31 and in int64 otherwise (_kernel_dtype).  With no
-    constraint (and no strata request) the counts are summed arithmetically.
-    Otherwise each g-row's conditions form a linear system in f, the side
-    with at least as many free coordinates (see _count_shard): the row has
-    q^(n - rank) matches if the system is solvable and none otherwise.  One
-    rank pass counts every cell: the g-rows of all cells are numbered in one
-    packed index, and their systems, padded to one width, are eliminated
-    together in batches by _eliminate (_g_systems).  jobs > 1 cuts that
-    index into contiguous ranges over a process pool, except while g-rows
-    times conditions times C(k, 2) is below _POOL_MIN_ROW_WORK.  The samples
-    are the first matches in (cell, f, g) lexicographic order, worked out
-    after the count for the cells in order until there are 20
-    (_sample_keys).  A sparse cell solves each solvable g-row for its first
-    20 f's and merges them; a dense one, where that would cost more, walks
-    its f-rows with g solved for and stops at 20 matches.  Both are exact,
-    so results are independent of jobs, which must be at least 1.  Strata
-    take a second pass: it solves for every match and classifies the
-    matches together by two ranks mod q (see _strata_codes): the rank of
-    the k x k Bezout matrix gives the degree of the base divisor, and a rank
-    of the multiples of the four partials tells a multiple base point from
-    simple ones.  It runs in this process while matches times k - 1 are
-    below _POOL_MIN_STRATA_WORK, on the solvable g-rows the first pass kept;
-    a larger search eliminates the g-rows of its cells with matches again,
-    so neither pass holds more than about that many rows.
+    (k+1)(q-1)^2 < 2^31 and in int64 otherwise (_kernel_dtype).  Each
+    g-row's conditions form a linear system in f, the side with at least as
+    many free coordinates (see _count_shard): the row has q^(n - rank)
+    matches if the system is solvable and none otherwise.  One rank pass
+    counts every cell: the g-rows of all cells are numbered in one packed
+    index, and their systems, padded to one width, are eliminated together
+    in batches by _eliminate (_systems).  jobs > 1 cuts that index into
+    contiguous ranges over a process pool, except while g-rows times
+    conditions times C(k, 2) is below _POOL_MIN_ROW_WORK.  The samples are
+    the first matches in (cell, f, g) lexicographic order, worked out after
+    the count for the cells in order until there are 20 (_sample_keys).  A
+    sparse cell solves each solvable g-row for its first 20 f's and merges
+    them; a dense one, where that would cost more, takes the f-row walk
+    until the search has 20 matches.  Both are exact, so results are
+    independent of jobs, which must be at least 1.  Strata take a second
+    pass: it solves for every match and classifies the matches together by
+    two ranks mod q (see _strata_codes): the rank of the k x k Bezout matrix
+    gives the degree of the base divisor, and a rank of the multiples of
+    the four partials tells a multiple base point from simple ones.  It runs
+    in this process while matches times k - 1 are below
+    _POOL_MIN_STRATA_WORK, on the solvable g-rows the first pass kept; a
+    larger search eliminates the g-rows of its cells with matches again, so
+    neither pass holds more than about that many rows.
 
     budget, which must be at least 0, bounds the work: g-rows times compiled
     conditions, summed over cells, checked before the search starts; with
@@ -1034,8 +1042,11 @@ def search_pencils_ffield(
     if report_strata:  # with no conditions every pencil matches: the count is known now
         _check_strata_budget(work + (0 if len(mats) else total), budget)
         strata_budget = (work, budget)
-    if total * max(1, len(mats)) <= _BRUTE_FORCE_MAX_TESTS and (len(mats) or not report_strata):
-        count, keys, tally = _brute_force(q, k, mats, strata_budget)
+    if not mats and not report_strata:  # every pencil matches
+        count, tally = grassmannian_pencil_count(k, q), None
+        keys = _walked_keys(q, k, mats, range(len(widths)), SAMPLE_LIMIT)
+    elif mats and total * len(mats) <= _PLAIN_MAX_TESTS:
+        count, keys, tally = _plain_search(q, k, mats, strata_budget)
     else:
         count, keys, tally = _rank_search(q, k, mats, work, strata_budget, jobs)
     # the keys are echelon pairs of residues, independent as their pivots differ
@@ -1047,37 +1058,22 @@ def search_pencils_ffield(
     return result
 
 
-def _brute_force(q: int, k: int, mats: tuple, strata_budget) -> tuple[int, list, list | None]:
-    """Count, sample keys and strata tally of a search, testing every echelon pair in Python.
+def _plain_search(q: int, k: int, mats: tuple, strata_budget) -> tuple[int, list, list | None]:
+    """Count, sample keys and strata tally of a search, walking every cell's f-rows on plain ints.
 
-    The pairs run in (cell, f, g) order, so the keys kept, those of the first
-    SAMPLE_LIMIT matches (of every match, for strata), are in key order.
-    Each f-row's forms f^T A are taken once, and every g of the cell tested
-    against them.  strata_budget is as for _count_shard; the count is
-    checked against it before the matches are classified by base_locus.
+    The walk (_f_row_walk) runs in (cell, f, g) order, so the keys kept, those
+    of the first SAMPLE_LIMIT matches (of every match, for strata), are in key
+    order.  strata_budget is as for _count_shard; the count is checked
+    against it before the matches are classified by base_locus.
     """
-
-    def row(pivot, cols, free):
-        out = [0] * (k + 1)
-        out[pivot] = 1
-        for c, x in zip(cols, free):
-            out[c] = x
-        return tuple(out)
-
+    cap = SAMPLE_LIMIT if strata_budget is None else q**k  # for strata, every match
     count, keys = 0, []
-    for cell_idx, (i, j) in enumerate(_cells(k)):
-        cols0, cols1 = _free_columns(k, i, j)
-        for f_free in product(range(q), repeat=len(cols0)):
-            f = row(i, cols0, f_free)
-            forms = [[sum(x * a for x, a in zip(f, col)) % q for col in zip(*A)] for A in mats]
-            for g_free in product(range(q), repeat=len(cols1)):
-                if any((v[j] + sum(v[c] * x for c, x in zip(cols1, g_free))) % q for v in forms):
-                    continue
-                count += 1
-                if len(keys) < SAMPLE_LIMIT or strata_budget is not None:
-                    keys.append((cell_idx, f, row(j, cols1, g_free)))
+    for cell_idx in range(len(_cells(k))):
+        for found, row_keys in _f_row_walk(q, k, cell_idx, mats, cap):
+            count += found
+            keys += row_keys
     if strata_budget is None:
-        return count, keys, None
+        return count, keys[:SAMPLE_LIMIT], None
     _check_strata_budget(strata_budget[0] + count, strata_budget[1])
     field, tally = Field(q), [0] * len(_STRATA)
     for _, f, g in keys:
@@ -1090,18 +1086,17 @@ def _rank_search(q: int, k: int, mats: tuple, work: int, strata_budget, jobs: in
     """Count, sample keys in order and strata tally (or None) of a search, by the rank kernel.
 
     One rank pass counts every cell's g-rows, in ranges of the packed g index
-    (_g_systems), one per worker; the samples and the strata follow from it.
+    (_systems), one per worker; the samples and the strata follow from it.
     """
     import numpy as np
 
-    mats = np.array(mats, dtype=_kernel_dtype(k, q)).reshape(-1, k + 1, k + 1)
-    if not len(mats) and strata_budget is None:  # every pencil matches
-        return grassmannian_pencil_count(k, q), _unconstrained_keys(q, k), None
+    kernel = np.array(mats, dtype=_kernel_dtype(k, q)).reshape(-1, k + 1, k + 1)
     # below the threshold a pool costs more than it shares
     workers = jobs if work * math.comb(k, 2) >= _POOL_MIN_ROW_WORK else 1
     total = sum(q ** (k - j) for _, j in _cells(k))
     bounds = [round(s * total / workers) for s in range(workers + 1)]
-    tasks = [(q, k, lo, hi, mats, strata_budget) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    tasks = [(q, k, lo, hi, kernel, strata_budget)
+             for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     match_parts, sparse_parts, kept_parts, kept_all = zip(*_run(_count_shard, tasks, workers))
     # each cell's matches and sparse cost, summed over the ranges
     counts, sparse = ([sum(cell) for cell in zip(*parts)] for parts in (match_parts, sparse_parts))
@@ -1114,9 +1109,9 @@ def _rank_search(q: int, k: int, mats: tuple, work: int, strata_budget, jobs: in
         return count, keys, None
     workers = jobs if count * (k - 1) >= _POOL_MIN_STRATA_WORK else 1
     if workers == 1 and all(kept_all):
-        tasks = [(q, k, mats, kept, None)]
+        tasks = [(q, k, kernel, kept, None)]
     else:
-        tasks = [(q, k, mats, None, ranges) for ranges in _strata_ranges(q, k, counts, workers)]
+        tasks = [(q, k, kernel, None, ranges) for ranges in _strata_ranges(q, k, counts, workers)]
     return count, keys, [sum(c) for c in zip(*_run(_strata_shard, tasks, workers))]
 
 

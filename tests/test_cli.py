@@ -547,6 +547,28 @@ def test_malformed_cache_entry_prints_a_fresh_search(doctor, capsys, tmp_path):
     assert json.loads(entry.read_text()) == honest
 
 
+def test_empty_cache_variable_counts_as_unset(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("PENCILLAB_CACHE", "")
+    monkeypatch.chdir(tmp_path)
+    argv = ["dimlab", "search", "--k", "2", "--q", "7", "--incidence", "5,0,1"]
+    fresh = run(argv + ["--no-cache"], capsys)
+    assert fresh[0] == 0
+    assert run(argv, capsys) == fresh
+    assert len(list((tmp_path / ".pencillab-cache").glob("search-*.json"))) == 1
+
+
+def test_unwritable_cache_directory_is_an_error_object(capsys, tmp_path, monkeypatch):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("PENCILLAB_CACHE", str(blocker / "cache"))
+    code, out, err = run(["dimlab", "search", "--k", "2", "--q", "7", "--incidence", "5,0,1"],
+                         capsys)
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["error"] == "not_a_directory_error", doc
+    assert str(blocker) in doc["detail"]
+
+
 def test_dimlab_search_empty_result_exit_one(capsys):
     doc = run_json(
         ["dimlab", "search", "--k", "2", "--q", "5",
@@ -706,11 +728,13 @@ def test_heavy_modules_load_only_where_used(tmp_path):
         ["reproduce", "example-p345"],
     ]
     conic = ["pencil", "conic-section", "--f", "1,2,3", "--g", "0,1,1"]
-    # 57 and 62 pencil tests are brute-forced in Python; 2850 take the rank kernel
+    # 57 and 62 pencil tests run on plain ints; 2850 take the rank kernel
     small = ["dimlab", "search", "--no-cache", "--k", "2", "--q", "7", "--incidence", "5,0,1"]
     unique = ["reproduce", "unique-pencil"]  # a cache miss: the cache starts empty
+    # no conditions: 2850 pencils, all matching, counted by formula and walked for samples
+    unconstrained = ["dimlab", "search", "--no-cache", "--k", "3", "--q", "7"]
     large = ["dimlab", "search", "--no-cache", "--k", "3", "--q", "7", "--incidence", "5,0,1"]
-    steps = probe_loads(tmp_path, integer + [conic, small, unique, large])
+    steps = probe_loads(tmp_path, integer + [conic, small, unique, unconstrained, large])
     assert list((tmp_path / "cache").glob("search-*.json")), "unique-pencil wrote no entry"
     # import pencillab, then import pencillab.cli: no theme module, nothing heavy or light
     assert steps[:2] == [set(), set()]
@@ -720,7 +744,8 @@ def test_heavy_modules_load_only_where_used(tmp_path):
     assert steps[2 + len(integer)] - steps[1 + len(integer)] == {"pencillab.pencil_geometry"}
     # a search that neither reads nor writes the cache hashes no key
     assert "hashlib" not in steps[3 + len(integer)]
-    # loads accumulate: nothing heavy through the conic section and both small searches
+    # loads accumulate: nothing heavy through the conic section, both small
+    # searches and the unconstrained one
     assert not steps[-2] & set(HEAVY)
     # a search this large runs in one process at the default --jobs
     assert steps[-1] & set(HEAVY) == {"numpy"}

@@ -528,29 +528,30 @@ def oracle_constraints(F, k, rng):
 # seconds.  test_strata_codes_on_a_whole_grassmannian checks the classifier
 # itself on a larger family.
 STRATA_CAP = 5000
-# The oracle comparisons run the search's own brute force too, with no size
-# limit, up to this many pencil tests (Grassmannian x max(1, conditions));
-# above it the Python loop takes seconds a search.
+# The oracle comparisons run the search's plain-int path too, with no size
+# limit, up to this many pencil tests (Grassmannian x max(1, conditions)).
 PYTHON_PATH_CAP = 100_000
 
 
 def search_paths(monkeypatch, k, q, constraint):
-    """Yield (path, jobs) to compare, with _BRUTE_FORCE_MAX_TESTS set for the path.
+    """Yield (path, jobs) to compare, with _PLAIN_MAX_TESTS set for the path.
 
-    The rank kernel runs at jobs 1 and 2 whatever the size; the brute force,
-    which ignores jobs, at jobs 1 up to PYTHON_PATH_CAP pencil tests.
+    The rank kernel runs at jobs 1 and 2 whatever the size; the plain-int
+    walk, which ignores jobs, at jobs 1 up to PYTHON_PATH_CAP pencil tests.
+    A search with no conditions and no strata takes neither: it walks for
+    its samples alone.
     """
     sd = severi_degeneration
     tests = grassmannian_pencil_count(k, q) * max(1, len(sd.compile_constraint(k, q, constraint)))
-    default = sd._BRUTE_FORCE_MAX_TESTS
+    default = sd._PLAIN_MAX_TESTS
     paths = [("kernel", 0, (1, 2))]
     if tests <= PYTHON_PATH_CAP:
         paths.append(("python", float("inf"), (1,)))
     for path, cap, jobs_values in paths:
-        monkeypatch.setattr(sd, "_BRUTE_FORCE_MAX_TESTS", cap)
+        monkeypatch.setattr(sd, "_PLAIN_MAX_TESTS", cap)
         for jobs in jobs_values:
             yield path, jobs
-    monkeypatch.setattr(sd, "_BRUTE_FORCE_MAX_TESTS", default)
+    monkeypatch.setattr(sd, "_PLAIN_MAX_TESTS", default)
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])
@@ -599,29 +600,30 @@ def test_g_side_search_matches_brute_force(monkeypatch):
     The grid holds dense cells (a single ramification, and seeded searches
     with few conditions), whose samples come from the f-row walk, and sparse
     ones (four incidences, and seeded searches with more), whose samples are
-    solved for per g-row; both routes must run.  The walk alone, from one
-    f-row up, must also find every cell's first matches.  Strata come from
-    g-rows eliminated again (pooled, and dense cells with the threshold at 0)
-    and from the g-rows the count kept (the default threshold).
+    solved for per g-row; both routes must run.  The walk alone must also
+    find every cell's first matches.  Strata come from g-rows eliminated
+    again (pooled, and dense cells with the threshold at 0) and from the
+    g-rows the count kept (the default threshold).
     """
     sd = severi_degeneration
     keep_rows = sd._POOL_MIN_STRATA_WORK
     monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks for both passes
     monkeypatch.setattr(sd, "_POOL_MIN_STRATA_WORK", 0)
     routes = {"dense": 0, "sparse": 0}
-    walk, matches = sd._walk_f_rows, sd._matches
+    walk, matches = sd._walked_keys, sd._matches
 
-    def counted_walk(*args):
-        routes["dense"] += 1
-        return walk(*args)
+    def counted_walk(q, k, mats, cells, limit):
+        # a search with no conditions walks too, for its samples alone
+        routes["dense"] += bool(mats)
+        return walk(q, k, mats, cells, limit)
 
-    def counted_matches(q, k, cell_idx, fixed, rows, pivots, cap):
-        # the sparse route solves g-fixed systems for SAMPLE_LIMIT f's each; the
-        # walk holds f fixed, and the strata pass takes every match
-        routes["sparse"] += fixed == "g" and cap == sd.SAMPLE_LIMIT
-        return matches(q, k, cell_idx, fixed, rows, pivots, cap)
+    def counted_matches(q, k, cell_idx, rows, pivots, cap):
+        # the sparse route solves g-rows for SAMPLE_LIMIT f's each; the strata
+        # pass takes every match
+        routes["sparse"] += cap == sd.SAMPLE_LIMIT
+        return matches(q, k, cell_idx, rows, pivots, cap)
 
-    monkeypatch.setattr(sd, "_walk_f_rows", counted_walk)
+    monkeypatch.setattr(sd, "_walked_keys", counted_walk)
     monkeypatch.setattr(sd, "_matches", counted_matches)
     F13 = Field(13)
     pts = projective_points(F13)
@@ -634,13 +636,14 @@ def test_g_side_search_matches_brute_force(monkeypatch):
     ] + list(seeded_search_grid(rng, 24))
     for k, q, constraint in grid:
         name = (k, q, constraint.to_json_dict())
-        # the walk alone, from one f-row up, finds each cell's first matches
+        # the walk alone finds each cell's first matches
         mats = kernel_mats(k, q, constraint)
+        plain = sd.compile_constraint(k, q, constraint)
         for cell_idx, cell in enumerate(sd._cells(k)):
             want = [echelon_pencil(Field(q), k, cell, f, g)
                     for f, g in oracle_cell_matches(k, q, mats, cell)[:sd.SAMPLE_LIMIT]]
             got = [Pencil(form(Field(q), f), form(Field(q), g))
-                   for _, f, g in walk(q, k, cell_idx, mats, 1)]
+                   for _, f, g in walk(q, k, plain, [cell_idx], sd.SAMPLE_LIMIT)]
             assert got == want, (name, cell)
         want = SearchResult(*brute_force_search(k, q, constraint, strata=False))
         for path, jobs in search_paths(monkeypatch, k, q, constraint):
@@ -653,7 +656,7 @@ def test_g_side_search_matches_brute_force(monkeypatch):
                 assert got == want, (name, path, jobs)
             with monkeypatch.context() as m:
                 m.setattr(sd, "_POOL_MIN_STRATA_WORK", keep_rows)
-                m.setattr(sd, "_BRUTE_FORCE_MAX_TESTS", 0)
+                m.setattr(sd, "_PLAIN_MAX_TESTS", 0)
                 assert search_pencils_ffield(k, q, constraint, report_strata=True) == want, name
     assert routes["dense"] and routes["sparse"], routes
 
@@ -662,15 +665,16 @@ def test_samples_equal_the_checked_pencils(monkeypatch, tmp_path):
     """Samples, built from residues unchecked, equal the validating constructors' pencils.
 
     Their coefficients are plain ints, and they equal the oracle's samples.
-    Every route that yields keys runs, at jobs 1 and 2: the brute force, the
-    kernel's dense cells (the f-row walk) and sparse ones, and the keys of an
-    unconstrained search; and each search again as a cache hit, which decodes
-    its entry through the validating constructors.
+    Every route that yields keys runs, at jobs 1 and 2: the plain-int search,
+    the kernel's dense cells (the f-row walk) and sparse ones, and the walk
+    of an unconstrained search; and each search again as a cache hit, which
+    decodes its entry through the validating constructors.
     """
     sd = severi_degeneration
     monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks
     routes = dict.fromkeys(
-        ["_brute_force", "_walk_f_rows", "_first_keys", "_unconstrained_keys"], 0)
+        ["_plain_search", "_rank_search", "_walked_keys", "_first_keys",
+         "grassmannian_pencil_count"], 0)
     for name in routes:
         def spy(*args, _fn=getattr(sd, name), _name=name):
             routes[_name] += 1
@@ -764,16 +768,16 @@ def test_ramification_rows_are_the_taylor_shift(q):
                 assert got == want, (k, pt.to_json(), order)
 
 
-def side_matches(k, q, mats, cell_idx, fixed):
-    """Every match of a cell, solved for with the given side held fixed: sorted f|g rows."""
+def side_matches(k, q, mats, cell_idx):
+    """Every match of a cell, solved for by the rank kernel with g fixed: sorted f|g rows."""
     sd = severi_degeneration
-    (_, cols), _ = sd._sides(k, cell_idx, fixed)
+    total = sum(q ** len(sd._free_columns(k, i, j)[1]) for i, j in sd._cells(k))
+    chunks = [(cell[ok], rows[ok], pivots[..., ok])
+              for cell, rows, pivots, _, ok in sd._systems(q, k, 0, total, mats)]
     batches = [
         np.concatenate(batch, axis=1)
-        for _, rows, pivots, _, ok in sd._systems(q, k, [cell_idx], fixed, 0, q ** len(cols),
-                                                  mats)
-        for batch in sd._matches(q, k, cell_idx, fixed, rows[ok], pivots[..., ok],
-                                 q ** pivots.shape[0])
+        for c, rows, pivots in sd._cell_parts(k, chunks, [cell_idx])
+        for batch in sd._matches(q, k, c, rows, pivots, q ** pivots.shape[0])
     ]
     found = np.concatenate(batches) if batches else np.zeros((0, 2 * k + 2), dtype=np.int64)
     return found[np.lexsort(found.T[::-1])]
@@ -782,74 +786,99 @@ def side_matches(k, q, mats, cell_idx, fixed):
 @pytest.mark.parametrize("q", [5, 7, 11])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_f_and_g_fixed_systems_find_the_same_matches(k, q):
-    """A^T = -A, so holding f fixed negates each g-fixed equation and keeps its solutions."""
+    """The plain-int walk, f fixed, finds every match the kernel finds with g fixed, in order.
+
+    With cap = q^n each f-row yields all its matches, and their number is
+    the row's count.
+    """
     sd = severi_degeneration
     rng = random.Random(f"rank-oracle:{k}:{q}")
     for name, constraint in oracle_constraints(Field(q), k, rng):
         mats = kernel_mats(k, q, constraint)
+        plain = sd.compile_constraint(k, q, constraint)
         found = 0
-        for cell_idx in range(len(sd._cells(k))):
-            by_f = side_matches(k, q, mats, cell_idx, "f")
-            assert np.array_equal(by_f, side_matches(k, q, mats, cell_idx, "g")), (name, cell_idx)
+        for cell_idx, (_, j) in enumerate(sd._cells(k)):
+            rows = list(sd._f_row_walk(q, k, cell_idx, plain, q ** (k - j)))
+            assert all(count == len(keys) for count, keys in rows), (name, cell_idx)
+            by_f = [[*f, *g] for _, keys in rows for _, f, g in keys]
+            assert by_f == side_matches(k, q, mats, cell_idx).tolist(), (name, cell_idx)
             found += len(by_f)
         assert (found == 0) == (name == "inconsistent"), name
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_walk_keys_do_not_depend_on_the_first_chunk(k, q):
+def test_walk_keys_do_not_depend_on_the_first_chunk(k, q, monkeypatch):
+    """The samples, from the walk and the sparse route, whatever chunks the rank pass takes.
+
+    The rank pass decides each cell's route, and keeps the sparse cells'
+    g-rows, chunk by chunk; with chunks of 1, 7 and 2048 rows the keys are
+    those of each cell's first matches.
+    """
     sd = severi_degeneration
     rng = random.Random(f"rank-oracle:{k}:{q}")
     for name, constraint in oracle_constraints(Field(q), k, rng):
         mats = kernel_mats(k, q, constraint)
-        for cell_idx in range(len(sd._cells(k))):
-            first = side_matches(k, q, mats, cell_idx, "g")[:sd.SAMPLE_LIMIT].tolist()
-            want = [(cell_idx, tuple(row[: k + 1]), tuple(row[k + 1 :])) for row in first]
-            for start in (1, 7, 2048):
-                assert sd._walk_f_rows(q, k, cell_idx, mats, start) == want, (name, start)
+        want = [(c, tuple(row[: k + 1]), tuple(row[k + 1 :]))
+                for c in range(len(sd._cells(k)))
+                for row in side_matches(k, q, mats, c)[:sd.SAMPLE_LIMIT].tolist()]
+        for rows in (1, 7, 2048):
+            monkeypatch.setattr(sd, "_RANK_CHUNK_ROWS", rows)
+            got = sd._rank_search(q, k, sd.compile_constraint(k, q, constraint), 0, None, 1)[1]
+            assert got == want[:sd.SAMPLE_LIMIT], (name, rows)
 
 
 def test_system_chunks_grow_fourfold_to_the_caps():
     sd = severi_degeneration
     no_conditions = np.zeros((0, 4, 4), dtype=np.int64)
-    # the f-row walk from one row: 2048 at most within the first 8192 rows
-    chunks = sd._systems(101, 3, [0], "f", 0, 101**2, no_conditions, 1)
-    sizes = [len(rows) for _, rows, *_ in chunks]
-    assert sizes == [1, 4, 16, 64, 256, 1024, 2048, 2048, 2048, 2048, 644]
-    # the rank pass, on a g-range not starting at 0: 8192 once its first 8192 rows are done
-    sizes = [len(rows) for _, rows, *_ in sd._systems(211, 3, [0], "g", 5, 211**2, no_conditions)]
+    # a g-range not starting at 0: 8192 once its first 8192 rows are done
+    sizes = [len(rows) for _, rows, *_ in sd._systems(211, 3, 5, 211**2, no_conditions)]
     assert sizes == [2048] * 4 + [8192] * 4 + [211**2 - 5 - 5 * 8192]
     # the packed g index of every cell takes the same chunks; the last runs
     # from inside cell (0, 1) over all five other cells
-    chunks = list(sd._g_systems(211, 3, 0, 211**2 + 2 * 211 + 3, no_conditions))
+    chunks = list(sd._systems(211, 3, 0, 211**2 + 2 * 211 + 3, no_conditions))
     assert [len(rows) for _, rows, *_ in chunks] == [2048] * 4 + [8192] * 4 + [3986]
     assert np.bincount(chunks[-1][0]).tolist() == [211**2 - 5 * 8192, 211, 1, 211, 1, 1]
 
 
+def cell_systems(k, q, mats, cell_idx):
+    """The (k+1) x m x (n+1) system of a cell: each condition's rows at f's pivot and unknowns.
+
+    A g-row's system, m equations in f's n free coordinates, is the row times
+    this, zero-padded to the k - 1 unknowns of the widest cell.
+    """
+    i, j = severi_degeneration._cells(k)[cell_idx]
+    cols0, _ = severi_degeneration._free_columns(k, i, j)
+    system = np.zeros((k + 1, len(mats), k), dtype=np.int64)
+    for e, A in enumerate(mats.astype(np.int64)):
+        system[:, e, : len(cols0) + 1] = A[[i, *cols0]].T
+    return system
+
+
 @pytest.mark.parametrize("k,q", [(2, 7), (3, 5), (3, 11), (4, 5)])
-def test_packed_pivots_are_each_cells_own(k, q):
+def test_packed_pivots_are_each_cells_own(k, q, monkeypatch):
     """Each cell's slice of the shared, padded eliminations is its own elimination."""
     sd = severi_degeneration
+    monkeypatch.setattr(sd, "_RANK_CHUNK_ROWS", 7)  # chunks that span cells
     rng = random.Random(f"packed:{k}:{q}")
     total = sum(q ** len(sd._free_columns(k, i, j)[1]) for i, j in sd._cells(k))
     for name, constraint in oracle_constraints(Field(q), k, rng):
         mats = kernel_mats(k, q, constraint)
-        chunks = [(cell, rows, pivots, ok) for cell, rows, pivots, _, ok
-                  in sd._systems(q, k, range(len(sd._cells(k))), "g", 0, total, mats, 7)]
+        chunks = list(sd._systems(q, k, 0, total, mats))
+        assert any(len(set(cell.tolist())) > 1 for cell, *_ in chunks)
+        solvable = np.concatenate([ok for *_, ok in chunks])
         parts = {}
         for c, rows, pivots in sd._cell_parts(k, [chunk[:3] for chunk in chunks]):
             parts.setdefault(c, []).append((rows, pivots))
-        solvable = np.concatenate([ok for *_, ok in chunks])
         at = 0
-        for c in range(len(sd._cells(k))):
-            (_, cols), _ = sd._sides(k, c, "g")
-            own = list(sd._systems(q, k, [c], "g", 0, q ** len(cols), mats))
+        for c, (i, _) in enumerate(sd._cells(k)):
+            n = k - 1 - i
             rows, pivots = zip(*parts[c])
             rows, pivots = np.concatenate(rows), np.concatenate(pivots, axis=-1)
-            assert np.array_equal(rows, np.concatenate([r for _, r, *_ in own])), (name, c)
-            assert np.array_equal(pivots, np.concatenate([p for _, _, p, *_ in own], axis=-1)), (
-                name, c)
-            own_ok = np.concatenate([ok for *_, ok in own])
+            # the cell's own systems, unpadded, eliminated alone
+            W = np.einsum("bs,sen->enb", rows, cell_systems(k, q, mats, c)[..., : n + 1]) % q
+            own, _, own_ok = sd._eliminate(np.ascontiguousarray(W), q)
+            assert np.array_equal(pivots, own), (name, c)
             assert np.array_equal(solvable[at : at + len(rows)], own_ok), (name, c)
             at += len(rows)
         assert at == total
@@ -858,12 +887,12 @@ def test_packed_pivots_are_each_cells_own(k, q):
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 @pytest.mark.parametrize("k,q", [(2, 7), (3, 5), (3, 11), (4, 5)])
 def test_built_systems_are_each_rows_product_with_its_cells_system(k, q, dtype, monkeypatch):
-    """Each system _systems builds, batch last, is its fixed row times its cell's system mod q.
+    """Each system _systems builds, batch last, is its g-row times its cell's system mod q.
 
     Cell c's (k+1) x m x (n+1) system holds, for each condition A, the rows
-    of A at the solved side's pivot (the constant) and free coordinates, then
-    zeros up to the widest cell's n unknowns.  Chunks from 7 rows up span
-    several cells of the packed index, with f or g held fixed.
+    of A at f's pivot (the constant) and free coordinates, then zeros up to
+    the widest cell's n unknowns.  Chunks of 7 rows span several cells of
+    the packed index.
     """
     sd = severi_degeneration
     built = []
@@ -874,29 +903,22 @@ def test_built_systems_are_each_rows_product_with_its_cells_system(k, q, dtype, 
         return eliminate(W, q, spare)
 
     monkeypatch.setattr(sd, "_eliminate", spy)
+    monkeypatch.setattr(sd, "_RANK_CHUNK_ROWS", 7)
     rng = random.Random(f"systems:{k}:{q}")
     cells = range(len(sd._cells(k)))
+    total = sum(q ** len(sd._free_columns(k, i, j)[1]) for i, j in sd._cells(k))
     for name, constraint in oracle_constraints(Field(q), k, rng):
         mats = kernel_mats(k, q, constraint).astype(dtype)
-        for fixed in "fg":
-            sides = [sd._sides(k, c, fixed) for c in cells]
-            total = sum(q ** len(cols) for (_, cols), _ in sides)
-            n = max(len(x_cols) for _, (_, x_cols) in sides)
-            systems = []
-            for _, (x_pivot, x_cols) in sides:
-                system = np.zeros((k + 1, len(mats), n + 1), dtype=np.int64)
-                for e, A in enumerate(mats.astype(np.int64)):
-                    system[:, e, : len(x_cols) + 1] = A[[x_pivot, *x_cols]].T
-                systems.append(system.reshape(k + 1, -1))
-            built.clear()
-            chunks = list(sd._systems(q, k, cells, fixed, 0, total, mats, 7))
-            assert len(built) == len(chunks)
-            assert any(len(set(cell.tolist())) > 1 for cell, *_ in chunks)
-            for (cell, rows, *_), W in zip(chunks, built):
-                assert W.dtype == rows.dtype == dtype
-                want = np.stack([rows[b].astype(np.int64) @ systems[c] % q
-                                 for b, c in enumerate(cell.tolist())], axis=-1)
-                assert np.array_equal(W.reshape(-1, len(cell)), want), (name, fixed)
+        systems = [cell_systems(k, q, mats, c).reshape(k + 1, -1) for c in cells]
+        built.clear()
+        chunks = list(sd._systems(q, k, 0, total, mats))
+        assert len(built) == len(chunks)
+        assert any(len(set(cell.tolist())) > 1 for cell, *_ in chunks)
+        for (cell, rows, *_), W in zip(chunks, built):
+            assert W.dtype == rows.dtype == dtype
+            want = np.stack([rows[b].astype(np.int64) @ systems[c] % q
+                             for b, c in enumerate(cell.tolist())], axis=-1)
+            assert np.array_equal(W.reshape(-1, len(cell)), want), name
 
 
 def pencil_with_common_factor(F, k, rng):
@@ -1040,6 +1062,31 @@ def test_eliminate_matches_the_python_oracle(q, dtype):
                     assert oracle_rank(eqs, q) == oracle_rank(rows, q)
 
 
+@pytest.mark.parametrize("q", [3, 5, 101, 2**31 - 1, INT64_EDGE_PRIME])
+def test_plain_elimination_matches_the_kernel(q):
+    """_eliminate_plain gives _eliminate's pivot equations, rank and solvability.
+
+    The systems are those of test_eliminate_matches_the_python_oracle, each
+    eliminated alone on plain ints; a free unknown's pivot equation is None,
+    where _eliminate's is zero, and a pivot equation stops at its unknown.
+    """
+    sd = severi_degeneration
+    rng = random.Random(f"eliminate:{q}")
+    for m in range(0, 7):
+        for width in range(1, 7):
+            systems = seeded_systems(rng, q, m, width)
+            S = np.array(systems, dtype=np.int64).reshape(len(systems), m, width)
+            W = np.ascontiguousarray(np.roll(S, 1, axis=2).transpose(1, 2, 0))
+            pivots, ranks, solvable = sd._eliminate(W, q)
+            for b, rows in enumerate(systems):
+                eqs = [row[-1:] + row[:-1] for row in rows]  # the constant first
+                plain, rank, ok = sd._eliminate_plain(eqs, width, q)
+                padded = [[0] * width if eq is None else eq + [0] * (width - len(eq))
+                          for eq in plain]
+                assert padded == pivots[:, :, b].tolist(), (m, width, b)
+                assert (rank, ok) == (ranks[b], solvable[b]), (m, width, b)
+
+
 def bezout_by_division(pencil, q):
     """Coefficients Q[a][b] of x^a y^b in (f(x)g(y) - f(y)g(x)) / (y - x), dehomogenized.
 
@@ -1168,15 +1215,17 @@ def boundary_searches():
 
 
 def test_results_agree_on_both_sides_of_the_brute_force_size(monkeypatch, tmp_path):
-    """With the constant at a search's pencil tests it is brute-forced; one below, ranked.
+    """With the constant at a search's pencil tests it runs on plain ints; one below, ranked.
 
     Count, samples, strata and the cache entry's bytes agree, and so do the
     budget refusals: one step short of the work, and with strata one short of
-    the work plus the matches.
+    the work plus the matches.  A search with no conditions and no strata
+    takes neither path: its count is the Grassmannian's and its samples come
+    from the walk.
     """
     sd = severi_degeneration
     ran = []
-    for name in ("_brute_force", "_rank_search"):
+    for name in ("_plain_search", "_rank_search"):
         def spy(*args, _fn=getattr(sd, name), _name=name):
             ran.append(_name)
             return _fn(*args)
@@ -1187,13 +1236,13 @@ def test_results_agree_on_both_sides_of_the_brute_force_size(monkeypatch, tmp_pa
         tests = grassmannian_pencil_count(k, q) * max(1, len(mats))
         work = len(mats) * sum(q ** len(sd._free_columns(k, i, j)[1]) for i, j in sd._cells(k))
         results, entries = [], []
-        for side, cap in (("_brute_force", tests), ("_rank_search", tests - 1)):
-            monkeypatch.setattr(sd, "_BRUTE_FORCE_MAX_TESTS", cap)
+        for side, cap in (("_plain_search", tests), ("_rank_search", tests - 1)):
+            monkeypatch.setattr(sd, "_PLAIN_MAX_TESTS", cap)
             cache = tmp_path / f"{n}{side}"
             ran.clear()
             results.append(search_pencils_ffield(k, q, constraint, cache_dir=str(cache),
                                                  report_strata=strata))
-            assert ran == [side], (label, ran)
+            assert ran == ([side] if mats or strata else []), (label, ran)
             entries.append([p.read_bytes() for p in cache.iterdir()])
             count = results[-1].count
             if work:

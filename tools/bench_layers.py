@@ -28,17 +28,19 @@ The cases, in the order each repeat runs them:
 - the costs of a small search around its rank pass, on the ladder's F_31
   c = 2 search for variants 0-7: the whole search writing its entry into a
   fresh cache directory, as each `ladder` round's first search does, and
-  its dense-cell f-row walk alone (`_walk_f_rows`, from the first chunk the
-  search takes);
+  its dense-cell f-row walk alone (`_walked_keys`, on plain ints, as the
+  search calls it);
 - the k = 4 count over F_101 with four incidences (the ladder's incidence
   pairs of variant 0) and the unconstrained k = 4 strata search over F_7;
 - `is_reduced_curve` on the pair curves of the 8 `pencil reduced` pencils
   frozen for `cli_cold`, and `intersect_with_conic` with the diagonal conic
   on those of its 8 `pencil conic-section` pencils, 8 calls a case;
 - a cold `pencillab dimlab search --no-cache` process on each side of
-  `_BRUTE_FORCE_MAX_TESTS`: k = 2 over F_7 with one incidence (57 pencil
-  tests, brute-forced in Python without numpy) and k = 3 over F_7 with one
-  incidence (2850 tests, the numpy rank kernel);
+  `_PLAIN_MAX_TESTS`: k = 2 over F_7 with one incidence (57 pencil tests,
+  walked on plain ints without numpy) and k = 3 over F_7 with one
+  incidence (2850 tests, the numpy rank kernel); and k = 3 over F_7 with
+  no conditions (2850 pencils, counted by formula and walked for samples,
+  without numpy);
 - a cold `pencillab` process for each group of modules a command loads:
   `numerology` (numerology alone), `pencil reduced` and `pencil
   conic-section` (pencil_geometry alone) on frozen `cli_cold` pencils, and
@@ -92,7 +94,7 @@ def _systems_cases(P, fields, sd):
     mats = mats.reshape(-1, k + 1, k + 1)
     rows = sum(q ** (k - j) for _, j in sd._cells(k))
     yield (f"_systems k={k} F_{q} {rows} g-rows {mats.dtype}", "ms",
-           lambda: list(sd._g_systems(q, k, 0, rows, mats)))
+           lambda: list(sd._systems(q, k, 0, rows, mats)))
 
 
 def _strata_cases(P, fields, sd, pairs):
@@ -107,10 +109,10 @@ def _strata_cases(P, fields, sd, pairs):
     mats = mats.reshape(-1, k + 1, k + 1)
     rows = sum(q ** (k - j) for _, j in sd._cells(k))
     kept = [(cell[ok], g[ok], pivots[..., ok])
-            for cell, g, pivots, _, ok in sd._g_systems(q, k, 0, rows, mats)]
+            for cell, g, pivots, _, ok in sd._systems(q, k, 0, rows, mats)]
     F, G = (np.concatenate(side) for side in zip(*(
         batch for c, g, pivots in sd._cell_parts(k, kept)
-        for batch in sd._matches(q, k, c, "g", g, pivots, q ** pivots.shape[0]))))
+        for batch in sd._matches(q, k, c, g, pivots, q ** pivots.shape[0]))))
     yield (f"_strata_codes k={k} F_{q} {len(F)} matches", "ms",
            lambda: sd._strata_codes(q, k, F, G))
 
@@ -151,18 +153,18 @@ def _small_search_cases(P, fields, sd, pairs, cache):
     import workloads
 
     directories = (os.path.join(cache, f"fresh-{n}") for n in itertools.count())
-    walk, searches, walks = sd._walk_f_rows, [], []
+    walk, searches, walks = sd._walked_keys, [], []
     for variant in LADDER_VARIANTS:
         (q, constraint), = [(q, c) for label, _, q, c, _, _ in workloads.ladder_searches(
             P, fields, sd, variant, pairs) if label == "F_31 c=2"]
         searches.append(lambda q=q, c=constraint:
                         sd.search_pencils_ffield(3, q, c, cache_dir=next(directories)))
         calls = []  # the walks the search takes, as it calls them
-        sd._walk_f_rows = lambda *args, calls=calls: calls.append(args) or walk(*args)
+        sd._walked_keys = lambda *args, calls=calls: calls.append(args) or walk(*args)
         try:
             sd.search_pencils_ffield(3, q, constraint)
         finally:
-            sd._walk_f_rows = walk
+            sd._walked_keys = walk
         if calls:
             walks.append(lambda calls=calls: [walk(*args) for args in calls])
     yield "small search: F_31 c=2 with a fresh cache", "ms", searches
@@ -204,10 +206,12 @@ def _cold_cases(src, cache_dir, pools):
         command = [sys.executable, "-m", "pencillab.cli", *argv]
         return lambda: subprocess.run(command, env=env, stdout=subprocess.DEVNULL, check=True)
 
-    for k, tests in ((2, 57), (3, 2850)):
-        yield (f"cold dimlab search k={k} F_7, {tests} tests", "ms",
+    for k, tests, path in ((2, 57, "plain ints"), (3, 2850, "rank kernel")):
+        yield (f"cold dimlab search k={k} F_7, {tests} tests, {path}", "ms",
                run(["dimlab", "search", "--no-cache", "--k", str(k), "--q", "7",
                     "--incidence", "5,0,1"]))
+    yield ("cold dimlab search k=3 F_7, no conditions", "ms",
+           run(["dimlab", "search", "--no-cache", "--k", "3", "--q", "7"]))
     yield "cold load numerology", "ms", run(["numerology", "--g", "4", "--k", "2", "--e", "2,2"])
     yield "cold load pencil reduced", "ms", run(pools["reduced"][0]["argv"])
     yield "cold load pencil conic-section", "ms", run(pools["conic"][0]["argv"])
