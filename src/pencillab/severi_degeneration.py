@@ -47,7 +47,6 @@ from operator import mul
 from .errors import (
     ChainMismatch,
     Frozen,
-    PencillabError,
     PointCollision,
     ResourceLimit,
     ZeroCount,
@@ -60,7 +59,6 @@ from .numerology import (  # re-exported for callers of this module
     grassmannian_pencil_count,
 )
 from .pencil_geometry import (  # the conic sections re-exported for callers of this module
-    BinaryForm,
     ConicSectionReport,
     Pencil,
     ProjPoint,
@@ -94,6 +92,10 @@ DEFAULT_SEARCH_BUDGET = 200_000_000
 # _strata_codes call; strata calls of 16k and 32k pencils were 5-20% slower.
 _RANK_CHUNK_ROWS = 2048
 _BATCH_ROWS = 8192
+# Chunk layouts (_layout) kept for the next search at the same (q, k): a
+# k = 3 ladder over F_31, F_13 and F_101 uses seven, and a search of more
+# chunks, such as the k = 4 count over F_101 (about 130), cycles through them.
+_LAYOUT_CHUNKS = 16
 # A search runs its rank pass in one process whatever jobs is while g-rows x
 # conditions x C(k, 2) is below this.  C(k, 2) counts the columns that one
 # g-row's elimination visits, padded to the k - 1 unknowns of the largest
@@ -598,12 +600,47 @@ def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _systems(q: int, k: int, lo: int, hi: int, mats):
-    """Yield (cell, rows, pivots, rank, solvable) of rows lo..hi-1 of the packed g index.
+@lru_cache(maxsize=_LAYOUT_CHUNKS)
+def _layout(q: int, k: int, lo: int, stop: int, dtype) -> tuple:
+    """(cell, rows, parts) of the chunk lo..stop-1 of the packed g index, in dtype, read-only.
 
     The g-rows of every cell are numbered one cell after another, each cell's
     in index order (_digits): a range of that packed index runs over whole
-    and partial cells, and cell[r] is the cell of row r.  For a fixed g-row,
+    and partial cells.  cell[r] is the cell of row r (intp), rows the
+    (k+1) x B echelon g-rows, and parts one (cell index, slice of the chunk,
+    g's pivot, g's free columns) per cell the chunk meets.  None of it
+    depends on the constraint, so every search at (q, k) shares it: the
+    cache holds the last _LAYOUT_CHUNKS chunks, at most 8(k+2) bytes a row,
+    so at most _LAYOUT_CHUNKS x _BATCH_ROWS x 8(k+2) bytes, (k+2) MiB.
+    """
+    import numpy as np
+
+    cells = _cells(k)
+    widths = [_free_columns(k, i, j)[1] for i, j in cells]
+    starts = list(accumulate((q ** len(cols) for cols in widths), initial=0))
+    rows = np.zeros((k + 1, stop - lo), dtype=dtype)
+    cell = np.empty(stop - lo, dtype=np.intp)
+    parts = []
+    t = bisect_right(starts, lo) - 1
+    while starts[t] < stop:
+        a, b = max(lo, starts[t]), min(stop, starts[t + 1])
+        part, pivot, cols = slice(a - lo, b - lo), cells[t][1], widths[t]
+        rows[pivot, part] = 1
+        if cols:  # the digits straight into the rows, a view per free coordinate
+            _digits(np.arange(a - starts[t], b - starts[t]), q, len(cols),
+                    [rows[c, part] for c in cols])
+        cell[part] = t
+        parts.append((t, part, pivot, cols))
+        t += 1
+    rows.flags.writeable = cell.flags.writeable = False
+    return cell, rows, tuple(parts)
+
+
+def _systems(q: int, k: int, lo: int, hi: int, mats):
+    """Yield (cell, rows, pivots, rank, solvable) of rows lo..hi-1 of the packed g index.
+
+    The rows and cells of each chunk come from _layout, shared by every
+    search at (q, k); only the systems depend on mats.  For a fixed g-row,
     each compiled f^T A g = 0 is one linear equation in f's free coordinates:
     the entries of A g there, its constant at f's pivot 1.  A g is linear in
     g, so each system is the cell's A at g's pivot plus its A at each free
@@ -615,13 +652,12 @@ def _systems(q: int, k: int, lo: int, hi: int, mats):
     ones.  Chunks hold _RANK_CHUNK_ROWS rows within the range's first
     _BATCH_ROWS rows and _BATCH_ROWS after that; each is built and eliminated
     in one call, in one buffer.  The arrays have the dtype of mats, rows
-    B x (k+1) and the rest batch last.
+    B x (k+1) and the rest batch last; cell and rows are _layout's, read-only.
     """
     import numpy as np
 
     cells = _cells(k)
     widths = [_free_columns(k, i, j) for i, j in cells]
-    starts = list(accumulate((q ** len(cols1) for _, cols1 in widths), initial=0))
     n, m = k - 1, len(mats)
     # each cell's rows of every A that meet f: its pivot 1 (the constant), its
     # unknowns, zero columns from row k + 1, which is zero
@@ -633,24 +669,12 @@ def _systems(q: int, k: int, lo: int, hi: int, mats):
     start = lo
     while lo < hi:
         stop = min(lo + (_RANK_CHUNK_ROWS if lo - start < _BATCH_ROWS else _BATCH_ROWS), hi)
-        B = stop - lo
-        W, T = buffer[: 2 * m * (n + 1) * B].reshape(2, m, n + 1, B)
-        rows = np.zeros((k + 1, B), dtype=mats.dtype)
-        cell = np.empty(B, dtype=np.intp)
-        t = bisect_right(starts, lo) - 1
-        while starts[t] < stop:
-            a, b = max(lo, starts[t]), min(stop, starts[t + 1])
-            part = slice(a - lo, b - lo)
-            (_, pivot), (_, cols) = cells[t], widths[t]
-            rows[pivot, part] = 1
+        cell, rows, parts = _layout(q, k, lo, stop, mats.dtype)
+        W, T = buffer[: 2 * m * (n + 1) * (stop - lo)].reshape(2, m, n + 1, stop - lo)
+        for t, part, pivot, cols in parts:
             W[..., part] = systems[t, pivot]
-            if cols:  # the digits straight into the rows, a view per free coordinate
-                _digits(np.arange(a - starts[t], b - starts[t]), q, len(cols),
-                        [rows[c, part] for c in cols])
             for c in cols:
                 W[..., part] += np.multiply(systems[t, c], rows[c, part], out=T[..., part])
-            cell[part] = t
-            t += 1
         lo = stop
         yield (cell, rows.T, *_eliminate(_mod(W, q, T), q, T))
 
@@ -1008,8 +1032,10 @@ def search_pencils_ffield(
     (k+1)(q-1)^2 would overflow int64.
 
     With cache_dir set, results persist as JSON keyed by a content hash of
-    (k, q, constraint); an entry is used only if it records that same question.
-    With cache_dir None the cache is neither read nor written.
+    (k, q, constraint); an entry is used only if it records that same question
+    and holds canonical residues (_load_cached).  With cache_dir None the
+    cache is neither read nor written; an empty cache_dir raises ValueError
+    before anything is read or computed.
     """
     field = Field(q)  # rejects q = 2 and composites
     if k < 1:
@@ -1025,10 +1051,13 @@ def search_pencils_ffield(
             f"q = {q} is too large for int64 arithmetic at k = {k}: "
             "need (k+1)(q-1)^2 < 2^63"
         )
+    if cache_dir == "":
+        raise ValueError("cache_dir must name a directory, or be None for no cache")
     cache_path = None
     if cache_dir is not None:
         spec = constraint.to_json_dict()
-        cache_path = _cache_path(cache_dir, k, q, spec)
+        spec_text = json.dumps(spec, separators=(",", ":"))
+        cache_path = _cache_path(cache_dir, k, q, spec_text)
         cached = _load_cached(cache_path, k, q, spec, report_strata)
         if cached is not None:
             return cached
@@ -1054,7 +1083,7 @@ def search_pencils_ffield(
     strata = None if tally is None else {name: c for name, c in zip(_STRATA, tally) if c}
     result = SearchResult(count=count, samples=samples, strata=strata)
     if cache_path is not None:
-        _store_cached(cache_path, k, q, spec, result)
+        _store_cached(cache_path, k, q, spec_text, result)
     return result
 
 
@@ -1125,53 +1154,70 @@ def _check_strata_budget(steps: int, budget: int) -> None:
 # --- cache plumbing ---
 
 
-def _cache_key(k: int, q: int, spec: dict) -> str:
-    """The content hash of a question, spec being its constraint's to_json_dict()."""
+def _cache_key(k: int, q: int, spec_text: str) -> str:
+    """The content hash of a question, spec_text its constraint's to_json_dict() as compact JSON."""
     import hashlib
 
-    # keys in sorted order, as are spec's: the bytes of json.dumps with sort_keys
-    blob = json.dumps({"constraint": spec, "k": k, "q": q}, separators=(",", ":"))
+    # the bytes of json.dumps with sort_keys: these keys are sorted, as are spec's
+    blob = '{"constraint":%s,"k":%d,"q":%d}' % (spec_text, k, q)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_path(cache_dir: str, k: int, q: int, spec: dict) -> str:
-    return os.path.join(cache_dir, f"search-{_cache_key(k, q, spec)[:24]}.json")
+def _cache_path(cache_dir: str, k: int, q: int, spec_text: str) -> str:
+    return os.path.join(cache_dir, f"search-{_cache_key(k, q, spec_text)[:24]}.json")
 
 
-def _store_cached(path: str, k: int, q: int, spec: dict, result: SearchResult) -> None:
-    """Write the entry of a question (spec as for _cache_key) and its result.
+@lru_cache
+def _sample_template(k: int, q: int) -> str:
+    """A sample's Pencil.to_json_dict() as compact sorted JSON, with "%d" for each coefficient."""
+    form = '{"coeffs":[%s],"degree":%d}' % (",".join(['"%d"'] * (k + 1)), k)
+    return '{"f":%s,"field":{"q":%d},"g":%s}' % (form, q, form)
 
-    The document is built in sorted key order, each sample straight from its
-    residues as Pencil.to_json_dict() would give it, so json.dumps writes the
-    bytes it would with sort_keys.
+
+def _store_cached(path: str, k: int, q: int, spec_text: str, result: SearchResult) -> None:
+    """Write the entry of a question (spec_text as for _cache_key) and its result.
+
+    The text is written straight in sorted key order, each sample filled into
+    _sample_template from its residues, so it is the bytes that json.dumps
+    with sort_keys gives of the document with the samples' to_json_dict().
     """
-    field = {"q": q}
-
-    def form(coeffs):
-        return {"coeffs": list(map(str, coeffs)), "degree": k}
-
-    doc = {
-        "constraint": spec,
-        "count": result.count,
-        "k": k,
-        "q": q,
-        "samples": [{"f": form(p.f.coeffs), "field": field, "g": form(p.g.coeffs)}
-                    for p in result.samples],
-        "schema": 1,
-        "strata": None if result.strata is None else dict(sorted(result.strata.items())),
-    }
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    template = _sample_template(k, q)
+    samples = ",".join([template % (*p.f.coeffs, *p.g.coeffs) for p in result.samples])
+    strata = "null" if result.strata is None else "{%s}" % ",".join(
+        f'"{name}":{c}' for name, c in sorted(result.strata.items()))
+    text = ('{"constraint":%s,"count":%d,"k":%d,"q":%d,"samples":[%s],"schema":1,"strata":%s}'
+            % (spec_text, result.count, k, q, samples, strata))
     # a temporary name of this write's own (its process and 64 random bits), so
     # that concurrent writers of one entry never move each other's file; the
     # last replace wins, whole
     tmp = f"{path}.{os.getpid()}-{os.urandom(8).hex()}.tmp"
-    with open(tmp, "w") as fh:  # json.dump would encode in pure Python; doc has no cycles
-        fh.write(json.dumps(doc, separators=(",", ":"), check_circular=False))
+    try:
+        fh = open(tmp, "wb")
+    except FileNotFoundError:  # the directory's first entry
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fh = open(tmp, "wb")
+    with fh:
+        fh.write(text.encode())
     os.replace(tmp, path)
 
 
 def _is_count(value) -> bool:
     return type(value) is int and value >= 0  # bool is an int subclass
+
+
+def _stored_residues(form, k: int, q: int) -> tuple:
+    """The k + 1 coefficients of a stored form of degree k, as written; ValueError otherwise.
+
+    Each must be the decimal string of a residue mod q as str gives it: no
+    sign, space, leading zero, fraction or non-ASCII digit.
+    """
+    coeffs = form["coeffs"]
+    if form["degree"] != k or len(coeffs) != k + 1:
+        raise ValueError("not a stored form of degree k")
+    values = tuple(map(int, coeffs))
+    if list(map(str, values)) != coeffs or not all(0 <= v < q for v in values):
+        raise ValueError("not canonical residues")
+    return values
 
 
 def _load_cached(
@@ -1180,14 +1226,17 @@ def _load_cached(
     """The stored result, or None if absent, unreadable, malformed or for another question.
 
     An entry must hold a nonnegative int count, strata that are None or
-    stratum names mapped to such counts, and samples that decode to pencils
-    of degree k; anything else is recomputed.  Stored strata are returned
-    only when report_strata asks for them, so a hit prints what a fresh
-    search would.
+    stratum names mapped to such counts, and samples whose two forms each
+    have degree k and exactly k + 1 coefficients, each a residue mod q
+    written as _store_cached writes it (_stored_residues), the two forms
+    independent (a nonzero 2 x 2 minor mod q); anything else is recomputed.
+    Such samples are built unchecked (_trusted_pencil).  Stored strata are
+    returned only when report_strata asks for them, so a hit prints what a
+    fresh search would.
     """
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read())
     except (OSError, ValueError):
         return None
     if not isinstance(doc, dict) or doc.get("schema") != 1:
@@ -1203,21 +1252,19 @@ def _load_cached(
     )
     if not (strata_ok and _is_count(doc.get("count"))):
         return None  # malformed; recompute
-    field = Field(q)
     try:
-        samples = tuple(
-            Pencil(
-                BinaryForm.from_json_dict(field, s["f"]),
-                BinaryForm.from_json_dict(field, s["g"]),
-            )
-            for s in doc["samples"]
-        )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, PencillabError):
+        pairs = [(_stored_residues(s["f"], k, q), _stored_residues(s["g"], k, q))
+                 for s in doc["samples"]]
+    except (KeyError, TypeError, ValueError):
         return None
-    if any(p.degree != k for p in samples):
-        return None
+    if not all(any((a * d - b * c) % q for (a, c), (b, d) in combinations(zip(f, g), 2))
+               for f, g in pairs):
+        return None  # a dependent pair
+    field = Field(q)
     return SearchResult(
-        count=doc["count"], samples=samples, strata=strata if report_strata else None
+        count=doc["count"],
+        samples=tuple(_trusted_pencil(field, k, f, g) for f, g in pairs),
+        strata=strata if report_strata else None,
     )
 
 

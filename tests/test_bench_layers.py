@@ -94,3 +94,17 @@ def test_bench_layers_times_a_small_search_around_its_rank_pass(tmp_path):
                                  "small search: F_31 c=2 with a fresh cache"]
     assert all(value > 0 for value in doc["ms"].values())
     assert os.listdir(tmp_path) == []  # the cache directories were temporary
+
+
+def test_bench_layers_times_the_cache_and_a_warm_ladder(tmp_path):
+    labels = {}
+    for only in ("cache", "layout warm"):
+        proc = subprocess.run(
+            [sys.executable, SCRIPT, "--repeats", "1", "--only", only],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        labels.update(json.loads(proc.stdout)["ms"])
+    for label in ("cache write, 20 samples", "cache hit", "ladder searches, layout warm"):
+        assert labels[label] > 0, label
+    assert os.listdir(tmp_path) == []  # the cache directories were temporary

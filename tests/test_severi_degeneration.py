@@ -406,7 +406,8 @@ class TestSearch:
         F = Field(5)
         constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 0), point(F, 1, 2)),))
         spec = constraint.to_json_dict()
-        path = severi_degeneration._cache_path(str(cache), 2, 5, spec)
+        spec_text = json.dumps(spec, separators=(",", ":"))
+        path = severi_degeneration._cache_path(str(cache), 2, 5, spec_text)
         assert severi_degeneration._load_cached(path, 2, 5, spec, False) is None
         assert not cache.exists()
         search_pencils_ffield(2, 5, constraint, cache_dir=str(cache))
@@ -420,19 +421,39 @@ class TestSearch:
         constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 0), point(F, 1, 2)),))
         result = search_pencils_ffield(2, 5, constraint)
         spec = constraint.to_json_dict()
-        path = sd._cache_path(str(tmp_path), 2, 5, spec)
+        spec_text = json.dumps(spec, separators=(",", ":"))
+        path = sd._cache_path(str(tmp_path), 2, 5, spec_text)
         replace = os.replace
 
         def interleaved(src, dst):
             monkeypatch.setattr(os, "replace", replace)
-            sd._store_cached(path, 2, 5, spec, result)
+            sd._store_cached(path, 2, 5, spec_text, result)
             replace(src, dst)
 
         monkeypatch.setattr(os, "replace", interleaved)
-        sd._store_cached(path, 2, 5, spec, result)
+        sd._store_cached(path, 2, 5, spec_text, result)
         assert os.replace is replace  # the second writer ran
         assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
         assert sd._load_cached(path, 2, 5, spec, False) == result
+
+    def test_an_empty_cache_dir_is_refused_before_anything_runs(self, tmp_path, monkeypatch):
+        # an entry in the working directory, where a lookup in "" would read
+        sd = severi_degeneration
+        F = Field(5)
+        constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 0), point(F, 1, 2)),))
+        search_pencils_ffield(2, 5, constraint, cache_dir=str(tmp_path))
+        (entry,) = tmp_path.iterdir()
+        honest = entry.read_bytes()
+        monkeypatch.chdir(tmp_path)
+
+        def untouched(*args):
+            raise AssertionError("ran before refusing")
+
+        for name in ("_load_cached", "compile_constraint", "_store_cached"):
+            monkeypatch.setattr(sd, name, untouched)
+        with pytest.raises(ValueError, match="cache_dir"):
+            search_pencils_ffield(2, 5, constraint, cache_dir="")
+        assert list(tmp_path.iterdir()) == [entry] and entry.read_bytes() == honest
 
 
 def classify_stratum(pencil):
@@ -668,7 +689,8 @@ def test_samples_equal_the_checked_pencils(monkeypatch, tmp_path):
     Every route that yields keys runs, at jobs 1 and 2: the plain-int search,
     the kernel's dense cells (the f-row walk) and sparse ones, and the walk
     of an unconstrained search; and each search again as a cache hit, which
-    decodes its entry through the validating constructors.
+    checks its entry's residues and independence on plain ints and builds
+    its samples unchecked too.
     """
     sd = severi_degeneration
     monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks
@@ -702,7 +724,8 @@ def test_samples_equal_the_checked_pencils(monkeypatch, tmp_path):
             checked = tuple(Pencil(BinaryForm(Field(q), k, p.f.coeffs),
                                    BinaryForm(Field(q), k, p.g.coeffs)) for p in fresh.samples)
             assert fresh.samples == checked == hit.samples == want, (name, jobs)
-            assert list(map(hash, fresh.samples)) == list(map(hash, checked)), (name, jobs)
+            assert (list(map(hash, fresh.samples)) == list(map(hash, checked))
+                    == list(map(hash, hit.samples))), (name, jobs)
     assert all(routes.values()), routes
 
 
@@ -710,8 +733,9 @@ def test_cache_entries_are_the_sorted_documents(tmp_path):
     """An entry is json.dumps of its document with sort_keys, samples from Pencil.to_json_dict().
 
     Its name is the hash of the question's sorted document.  The searches
-    hold incidences, ramifications at [1:0], [0:1] and elsewhere, and strata
-    with every stratum present.
+    hold incidences, ramifications at [1:0], [0:1] and elsewhere, strata
+    with every stratum present and with none, entries of no samples, and
+    k = 1..5; each is read back as a hit that equals the fresh result.
     """
     import hashlib
 
@@ -723,9 +747,20 @@ def test_cache_entries_are_the_sorted_documents(tmp_path):
                                  ramifications=((pts[0], 2), (pts[-1], 3))), True),
         (3, 5, SearchConstraint(), True),
         (2, 13, SearchConstraint(ramifications=((pts[7], 2),)), False),
+        # Riemann-Hurwitz: no pencil is totally ramified at three points
+        (3, 13, SearchConstraint(ramifications=((pts[0], 3), (pts[1], 3), (pts[-1], 3))), True),
+        (2, 13, SearchConstraint(ramifications=((pts[2], 2), (pts[3], 2), (pts[-1], 2))), False),
+        (1, 5, SearchConstraint(), True),
+        (1, 13, SearchConstraint(incidences=(sym_point(pts[2], pts[9]),)), False),
+        (4, 7, SearchConstraint(incidences=(sym_point(point(Field(7), 1, 2), point(Field(7), 0, 1)),),
+                                ramifications=((point(Field(7), 1, 0), 3),)), True),
+        (5, 7, SearchConstraint(incidences=tuple(
+            sym_point(point(Field(7), 1, a), point(Field(7), 1, b))
+            for a, b in [(0, 1), (2, 3), (4, 5), (6, 1)])), True),
+        (5, 11, SearchConstraint(ramifications=((point(Field(11), 0, 1), 4),)), False),
     ] + [(k, q, constraint, strata)
          for (k, q, constraint), strata in zip(seeded_search_grid(rng, 8), itertools.cycle((0, 1)))]
-    seen = set()
+    seen, sizes = set(), set()
     for n, (k, q, constraint, strata) in enumerate(searches):
         cache = tmp_path / str(n)
         result = search_pencils_ffield(k, q, constraint, cache_dir=str(cache),
@@ -738,8 +773,147 @@ def test_cache_entries_are_the_sorted_documents(tmp_path):
         (path,) = cache.iterdir()
         assert path.name == f"search-{key[:24]}.json"
         assert path.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")), n
+        hit = search_pencils_ffield(k, q, constraint, cache_dir=str(cache),
+                                    report_strata=bool(strata))
+        assert hit == result, n
         seen.update(result.strata or ())
+        sizes.add((k, len(result.samples), result.strata == {}))
     assert seen == set(severi_degeneration._STRATA)
+    assert {k for k, _, _ in sizes} == {1, 2, 3, 4, 5}
+    assert (3, 0, True) in sizes and (2, 0, False) in sizes  # zero samples, with and without strata
+
+
+def test_a_hit_decodes_only_residues_as_written(tmp_path):
+    """A hit equals the fresh result; an entry whose samples differ from what is written is recomputed.
+
+    Every doctored entry also claims one more match, so returning it would
+    show; each is recomputed and overwritten with the honest entry.
+    """
+    F = Field(31)
+    rng = random.Random("strict reader")
+    pts = projective_points(F)
+    constraint = SearchConstraint(incidences=tuple(sym_point(*rng.sample(pts, 2)) for _ in range(2)))
+    cache = tmp_path / "cache"
+    truth = search_pencils_ffield(3, 31, constraint, cache_dir=str(cache))
+    assert len(truth.samples) == severi_degeneration.SAMPLE_LIMIT
+    assert search_pencils_ffield(3, 31, constraint, cache_dir=str(cache)) == truth
+    (path,) = cache.iterdir()
+    honest = path.read_bytes()
+
+    def doctored(f=None, g=None, degree=3):
+        doc = json.loads(honest)
+        doc["count"] += 1
+        sample = doc["samples"][-1]
+        sample["f"]["degree"] = sample["g"]["degree"] = degree
+        if f is not None:
+            sample["f"]["coeffs"] = f
+        if g is not None:
+            sample["g"]["coeffs"] = g
+        return doc
+
+    coeffs = json.loads(honest)["samples"][-1]["f"]["coeffs"]
+    bad = {"negative": "-3", "q itself": "31", "above q": "45", "a fraction": "1/2",
+           "non-ASCII digits": "\u0663", "a leading zero": "03", "a sign": "+3",
+           "a space": " 3", "a decimal point": "3.0", "empty": "", "an int": 3, "null": None}
+    cases = {name: doctored(f=coeffs[:-1] + [value]) for name, value in bad.items()}
+    cases.update({
+        "too few coefficients": doctored(f=coeffs[:-1]),
+        "too many coefficients": doctored(f=coeffs + ["0"]),
+        "another degree": doctored(degree=2),
+        "a dependent pair": doctored(g=[str(2 * int(c) % 31) for c in coeffs]),
+        "a zero form": doctored(g=["0"] * 4),
+    })
+    cases["raw non-ASCII digits"] = json.dumps(cases["non-ASCII digits"], ensure_ascii=False)
+    for name, doc in cases.items():
+        path.write_bytes(doc.encode() if isinstance(doc, str) else json.dumps(doc).encode())
+        assert search_pencils_ffield(3, 31, constraint, cache_dir=str(cache)) == truth, name
+        assert path.read_bytes() == honest, name
+
+
+def packed_g_rows(k, q):
+    """Cell and g-row of every row of the packed g index: each cell's echelon rows from _digits."""
+    sd = severi_degeneration
+    cells, rows = [], []
+    for c, (i, j) in enumerate(sd._cells(k)):
+        cols = sd._free_columns(k, i, j)[1]
+        rows.append(sd._echelon_rows(k, j, cols, sd._digits(np.arange(q ** len(cols)), q, len(cols))))
+        cells += [c] * len(rows[-1])
+    return np.array(cells), np.concatenate(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("k,q", [(1, 5), (2, 7), (3, 5), (4, 5)])
+def test_cached_layouts_are_fresh_digit_builds(k, q, dtype, monkeypatch):
+    """Each chunk's cells, g-rows and parts, as _layout keeps them, are the packed index's.
+
+    The chunks of 7 rows span cells; _systems yields the cached arrays
+    themselves, read-only, and a second pass over the index builds nothing.
+    """
+    sd = severi_degeneration
+    monkeypatch.setattr(sd, "_RANK_CHUNK_ROWS", 7)
+    sd._layout.cache_clear()
+    want_cell, want_rows = packed_g_rows(k, q)
+    mats = np.zeros((1, k + 1, k + 1), dtype=dtype)
+    lo = chunks = 0
+    spans = False
+    for cell, rows, *_ in sd._systems(q, k, 0, len(want_cell), mats):
+        stop, chunks = lo + len(cell), chunks + 1
+        cached_cell, cached_rows, parts = sd._layout(q, k, lo, stop, np.dtype(dtype))
+        assert cell is cached_cell and rows.base is cached_rows
+        assert cached_rows.dtype == dtype and cached_rows.shape == (k + 1, stop - lo)
+        assert np.array_equal(cell, want_cell[lo:stop]) and np.array_equal(rows, want_rows[lo:stop])
+        for array in (cached_cell, cached_rows, rows):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        at = 0
+        for t, part, pivot, cols in parts:
+            i, j = sd._cells(k)[t]
+            assert part.start == at and (cell[part] == t).all()
+            assert (pivot, cols) == (j, sd._free_columns(k, i, j)[1])
+            at = part.stop
+        assert at == stop - lo
+        lo = stop
+        spans = spans or len(parts) > 1
+    assert lo == len(want_cell) and (spans or k == 1)
+    assert sd._layout.cache_info().misses == chunks
+    if chunks <= sd._LAYOUT_CHUNKS:  # all still kept: a second pass builds nothing
+        list(sd._systems(q, k, 0, len(want_cell), mats))
+        assert sd._layout.cache_info().misses == chunks
+
+
+def test_the_layout_cache_keeps_at_most_its_chunks(monkeypatch):
+    """A search of more chunks than _LAYOUT_CHUNKS leaves that many in the cache."""
+    sd = severi_degeneration
+    monkeypatch.setattr(sd, "_RANK_CHUNK_ROWS", 7)  # 198 g-rows at k = 3 over F_13: 29 chunks
+    monkeypatch.setattr(sd, "_PLAIN_MAX_TESTS", 0)
+    sd._layout.cache_clear()
+    F = Field(13)
+    search_pencils_ffield(3, 13, SearchConstraint(incidences=(sym_point(point(F, 1, 2),
+                                                                        point(F, 0, 1)),)))
+    info = sd._layout.cache_info()
+    assert info.misses == 29 > sd._LAYOUT_CHUNKS
+    assert info.currsize == info.maxsize == sd._LAYOUT_CHUNKS
+
+
+@pytest.mark.parametrize("k,q", [(2, 7), (3, 5), (4, 5)])
+def test_results_do_not_depend_on_the_layout_cache(k, q, monkeypatch):
+    """Counts, samples and strata, cold and warm, at jobs 1 and 2, by the kernel."""
+    sd = severi_degeneration
+    monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks
+    monkeypatch.setattr(sd, "_POOL_MIN_STRATA_WORK", 0)  # strata eliminate again
+    monkeypatch.setattr(sd, "_PLAIN_MAX_TESTS", 0)
+    monkeypatch.setattr(sd, "_RANK_CHUNK_ROWS", 7)
+    rng = random.Random(f"layouts:{k}:{q}")
+    for name, constraint in oracle_constraints(Field(q), k, rng):
+        for strata in (False, True):
+            results = []
+            for jobs in (1, 2):
+                sd._layout.cache_clear()
+                for _ in range(2):  # cold, then warm
+                    results.append(search_pencils_ffield(k, q, constraint, jobs=jobs,
+                                                         report_strata=strata))
+            assert all(r == results[0] for r in results), (name, strata)
 
 
 @pytest.mark.parametrize("q", [7, 11, 31])

@@ -25,11 +25,17 @@ The cases, in the order each repeat runs them:
   in microseconds per call over a loop of MICRO_CALLS calls;
 - each search of the `ladder` workload for variants 0-7, with its jobs and
   no cache, the median taken over the variants and the repeats;
+- the 13 searches of a `ladder` round in one call, for each of variants
+  0-7, with no cache and the chunk layouts of `_systems` already built
+  (every search of the round shares them);
 - the costs of a small search around its rank pass, on the ladder's F_31
   c = 2 search for variants 0-7: the whole search writing its entry into a
   fresh cache directory, as each `ladder` round's first search does, and
   its dense-cell f-row walk alone (`_walked_keys`, on plain ints, as the
   search calls it);
+- the cache on the ladder's F_31 c=2 search of variant 0 (20 samples):
+  `_store_cached` writing its entry over the last one, and the whole
+  search as a hit on an entry primed before the repeats;
 - the k = 4 count over F_101 with four incidences (the ladder's incidence
   pairs of variant 0) and the unconstrained k = 4 strata search over F_7;
 - `is_reduced_curve` on the pair curves of the 8 `pencil reduced` pencils
@@ -171,6 +177,33 @@ def _small_search_cases(P, fields, sd, pairs, cache):
     yield "small search: F_31 c=2 dense walk", "ms", walks
 
 
+def _cache_cases(P, fields, sd, pairs, cache):
+    import workloads
+
+    (q, constraint), = [(q, c) for label, _, q, c, _, _ in workloads.ladder_searches(
+        P, fields, sd, 0, pairs) if label == "F_31 c=2"]
+    result = sd.search_pencils_ffield(3, q, constraint)
+    assert len(result.samples) == sd.SAMPLE_LIMIT
+    spec_text = json.dumps(constraint.to_json_dict(), separators=(",", ":"))
+    path = sd._cache_path(os.path.join(cache, "write"), 3, q, spec_text)
+    hits = os.path.join(cache, "hit")
+    yield ("cache write, 20 samples", "ms",
+           lambda: sd._store_cached(path, 3, q, spec_text, result))
+    yield "cache hit", "ms", lambda: sd.search_pencils_ffield(3, q, constraint, cache_dir=hits)
+
+
+def _warm_ladder_cases(P, fields, sd, pairs):
+    import workloads
+
+    rounds = []
+    for variant in LADDER_VARIANTS:
+        searches = workloads.ladder_searches(P, fields, sd, variant, pairs)
+        rounds.append(lambda searches=searches: [
+            sd.search_pencils_ffield(3, q, c, jobs=j, report_strata=s)
+            for _, _, q, c, j, s in searches])
+    yield "ladder searches, layout warm", "ms", rounds
+
+
 def _large_cases(P, fields, sd, pairs):
     F101 = fields.Field(101)
     incidences = tuple(P.sym_point(P.ProjPoint(F101, *a), P.ProjPoint(F101, *b))
@@ -243,16 +276,19 @@ def main(argv=None) -> int:
         cases = []
         for group in (_eliminate_cases(sd), _systems_cases(P, fields, sd),
                       _strata_cases(P, fields, sd, pairs), _micro_cases(P, fields),
-                      _ladder_cases(P, fields, sd, pairs),
+                      _ladder_cases(P, fields, sd, pairs), _warm_ladder_cases(P, fields, sd, pairs),
                       _small_search_cases(P, fields, sd, pairs, cache),
+                      _cache_cases(P, fields, sd, pairs, cache),
                       _large_cases(P, fields, sd, pairs), _geometry_cases(P, fields, sd, pools),
                       _cold_cases(args.src, cache, pools)):
             cases += [c for c in group if args.only in c[0]]
         if not cases:
             ap.error(f"no case matches {args.only!r}")
         for label, _, fn in cases:
-            if label.endswith("cache hit"):
-                fn()  # primes the entry that the timed calls hit
+            if label.endswith(("cache hit", "layout warm")):
+                # primes the entry that the timed calls hit, or the chunk layouts
+                for call in fn if isinstance(fn, list) else [fn]:
+                    call()
         times: dict[str, list[float]] = {label: [] for label, _, _ in cases}
         for _ in range(args.repeats):
             for label, unit, fn in cases:
