@@ -17,7 +17,10 @@ the forms are then linear in f, and each g-row's matches are the solutions
 of a linear system mod q.  The g-rows of every cell are numbered in one
 packed index, and their systems, padded to one width, are built and
 eliminated together in chunks, the chunk on the last axis of every array,
-in numpy int32 where (k+1)(q-1)^2 < 2^31 and in int64 otherwise.  The
+in numpy int32 where (k+1)(q-1)^2 < 2^31 and in int64 otherwise.  A chunk's
+g-rows and cells do not depend on the constraint, so they are built once
+and kept for the next searches at (q, k), the last _LAYOUT_CHUNKS chunks
+((k+2) MiB at most; _layout).  The
 elimination counts the pivots it finds, and the counts come from those
 ranks.  The samples, the first matches in (cell, f, g) order, are worked out
 after the count, cell by cell until there are enough: solved for per g-row
@@ -27,10 +30,14 @@ sample pencils are built from them unchecked.  Strata solve for every
 match, from the g-rows that the count kept or eliminated again, and
 classify the matches together by two more ranks mod q, through the same
 elimination: the rank of the pencil's Bezout matrix, and, where that shows
-a base point, the rank of the multiples of the four partials.  The walk of f-rows, each row's system in g
-built and eliminated on plain ints, also counts the small searches, of at
-most _PLAIN_MAX_TESTS pencil tests, and finds the samples of a search with
-no conditions: neither imports numpy.
+a base point, the rank of the multiples of the four partials.  The walk of
+f-rows, each row's system in g built and eliminated on plain ints, also
+counts the small searches, of at most _PLAIN_MAX_TESTS pencil tests, and
+finds the samples of a search with no conditions: neither imports numpy.
+A cache entry is written as text, its samples filled into a per-(k, q)
+template, and read back strictly: only residues written as the writer
+writes them, in independent pairs, make a hit, whose samples are then
+built unchecked too.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from .pencil_geometry import (  # the conic sections re-exported for callers of 
     Pencil,
     ProjPoint,
     SymPoint,
+    _dependent,
     _trusted_pencil,
     _wedge_terms,
     base_locus,
@@ -1183,8 +1191,7 @@ def _store_cached(path: str, k: int, q: int, spec_text: str, result: SearchResul
     """
     template = _sample_template(k, q)
     samples = ",".join([template % (*p.f.coeffs, *p.g.coeffs) for p in result.samples])
-    strata = "null" if result.strata is None else "{%s}" % ",".join(
-        f'"{name}":{c}' for name, c in sorted(result.strata.items()))
+    strata = json.dumps(result.strata, separators=(",", ":"), sort_keys=True)
     text = ('{"constraint":%s,"count":%d,"k":%d,"q":%d,"samples":[%s],"schema":1,"strata":%s}'
             % (spec_text, result.count, k, q, samples, strata))
     # a temporary name of this write's own (its process and 64 random bits), so
@@ -1212,7 +1219,7 @@ def _stored_residues(form, k: int, q: int) -> tuple:
     sign, space, leading zero, fraction or non-ASCII digit.
     """
     coeffs = form["coeffs"]
-    if form["degree"] != k or len(coeffs) != k + 1:
+    if type(form["degree"]) is not int or form["degree"] != k or len(coeffs) != k + 1:
         raise ValueError("not a stored form of degree k")
     values = tuple(map(int, coeffs))
     if list(map(str, values)) != coeffs or not all(0 <= v < q for v in values):
@@ -1229,8 +1236,9 @@ def _load_cached(
     stratum names mapped to such counts, and samples whose two forms each
     have degree k and exactly k + 1 coefficients, each a residue mod q
     written as _store_cached writes it (_stored_residues), the two forms
-    independent (a nonzero 2 x 2 minor mod q); anything else is recomputed.
-    Such samples are built unchecked (_trusted_pencil).  Stored strata are
+    independent; anything else is recomputed.  The samples are built
+    unchecked (_trusted_pencil) and tested for independence on their plain
+    ints (_dependent) before any is returned.  Stored strata are
     returned only when report_strata asks for them, so a hit prints what a
     fresh search would.
     """
@@ -1257,14 +1265,12 @@ def _load_cached(
                  for s in doc["samples"]]
     except (KeyError, TypeError, ValueError):
         return None
-    if not all(any((a * d - b * c) % q for (a, c), (b, d) in combinations(zip(f, g), 2))
-               for f, g in pairs):
-        return None  # a dependent pair
     field = Field(q)
+    samples = tuple(_trusted_pencil(field, k, f, g) for f, g in pairs)
+    if any(_dependent(p.f, p.g) for p in samples):
+        return None
     return SearchResult(
-        count=doc["count"],
-        samples=tuple(_trusted_pencil(field, k, f, g) for f, g in pairs),
-        strata=strata if report_strata else None,
+        count=doc["count"], samples=samples, strata=strata if report_strata else None
     )
 
 

@@ -820,6 +820,7 @@ def test_a_hit_decodes_only_residues_as_written(tmp_path):
         "too few coefficients": doctored(f=coeffs[:-1]),
         "too many coefficients": doctored(f=coeffs + ["0"]),
         "another degree": doctored(degree=2),
+        "a float degree": doctored(degree=3.0),
         "a dependent pair": doctored(g=[str(2 * int(c) % 31) for c in coeffs]),
         "a zero form": doctored(g=["0"] * 4),
     })
