@@ -17,27 +17,28 @@ the forms are then linear in f, and each g-row's matches are the solutions
 of a linear system mod q.  The g-rows of every cell are numbered in one
 packed index, and their systems, padded to one width, are built and
 eliminated together in chunks, the chunk on the last axis of every array,
-in numpy int32 where (k+1)(q-1)^2 < 2^31 and in int64 otherwise.  A chunk's
-g-rows and cells do not depend on the constraint, so they are built once
-and kept for the next searches at (q, k), the last _LAYOUT_CHUNKS chunks
-((k+2) MiB at most; _layout).  The
-elimination counts the pivots it finds, and the counts come from those
-ranks.  The samples, the first matches in (cell, f, g) order, are worked out
-after the count, cell by cell until there are enough: solved for per g-row
-where the cell is sparse, and found by walking the f-rows where it is dense.
-Either way the keys are residues of independent echelon pairs, so the
-sample pencils are built from them unchecked.  Strata solve for every
-match, from the g-rows that the count kept or eliminated again, and
-classify the matches together by two more ranks mod q, through the same
-elimination: the rank of the pencil's Bezout matrix, and, where that shows
-a base point, the rank of the multiples of the four partials.  The walk of
-f-rows, each row's system in g built and eliminated on plain ints, also
-counts the small searches, of at most _PLAIN_MAX_TESTS pencil tests, and
-finds the samples of a search with no conditions: neither imports numpy.
+in the narrowest of numpy int16, int32 and int64 that holds an exact bound
+on every entry (_kernel_dtype).  A chunk's g-rows and cells do not depend
+on the constraint, so they are built once and kept for the next searches
+at (q, k), the last _LAYOUT_CHUNKS chunks ((k+1) MiB + 128 KiB at most;
+_layout).  The elimination counts the pivots it finds, and the counts come
+from those ranks.  The samples, the first matches in (cell, f, g) order,
+are worked out after the count, cell by cell until there are enough: solved
+for per g-row where the cell is sparse, and found by walking the f-rows
+where it is dense.  Either way the keys are residues of independent
+echelon pairs, so the sample pencils are built from them unchecked.  Strata
+solve for every match, from the g-rows that the count kept or eliminated
+again, and classify the matches together by two more ranks mod q, through
+the same elimination: the rank of the pencil's Bezout matrix, and, where
+that shows a base divisor of degree 2 or more, the rank of the multiples of
+the four partials.  The walk of f-rows, each row's system in g built and
+eliminated on plain ints, also counts the small searches, of at most
+_PLAIN_MAX_TESTS pencil tests, and finds the samples of a search with no
+conditions: neither imports numpy.
 A cache entry is written as text, its samples filled into a per-(k, q)
-template, and read back strictly: only residues written as the writer
-writes them, in independent pairs, make a hit, whose samples are then
-built unchecked too.
+template, and read back strictly: only as many samples as the count gives,
+of residues written as the writer writes them, in reduced echelon pairs and
+in order, make a hit, whose samples are then built unchecked too.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .pencil_geometry import (  # the conic sections re-exported for callers of 
     Pencil,
     ProjPoint,
     SymPoint,
-    _dependent,
     _trusted_pencil,
     _wedge_terms,
     base_locus,
@@ -429,14 +429,14 @@ def _echelon_rows(k: int, pivot: int, cols: list[int], coords) -> np.ndarray:
 
 
 def _mod(a: np.ndarray, q: int, work: np.ndarray | None = None) -> np.ndarray:
-    """a mod q, in place in a, an int32 or int64 array the caller owns; work is a buffer like it.
+    """a mod q, in place in a, an int16/32/64 array the caller owns; work is a buffer like it.
 
     numpy's integer % by a scalar divides in hardware, element by element; its
     // by a scalar does not, so a - (a // q) * q costs about half as much.
     The quotient is the floor, so negative entries reduce into 0..q-1 as with
     %.  (a // q) * q lies less than q below a; within q of the dtype's least
-    value it wraps modulo 2^32 or 2^64, and the subtraction wraps back, so
-    every entry of either dtype is exact.
+    value it wraps modulo 2^16, 2^32 or 2^64, and the subtraction wraps back,
+    so every entry of each dtype is exact.
     """
     import numpy as np
 
@@ -447,19 +447,26 @@ def _mod(a: np.ndarray, q: int, work: np.ndarray | None = None) -> np.ndarray:
 
 
 def _kernel_dtype(k: int, q: int):
-    """The rank kernel's integer dtype at (k, q): int32 if (k+1)(q-1)^2 < 2^31, else int64.
+    """The rank kernel's integer dtype at (k, q): the narrowest of int16, int32, int64 holding M.
 
     Every array of a search is built in it, and each helper takes the dtype
-    of its input.  No entry exceeds (k+1)(q-1)^2 in size: a system's entries
-    sum k+1 products of residues (_systems), the fraction-free update of
-    _eliminate forms differences of two products, a Bezout matrix entry sums
-    fewer than k + 1 Plucker coordinates, and a solved coordinate sums fewer
-    than k products.  Half the bytes make the kernel's temporaries cheaper
-    to touch.
+    of its input.  With r = q - 1, no entry exceeds M = max(1, k-1) r^2 + r
+    in size: a system sums one residue and at most k - 1 products of two
+    (_systems), the fraction-free update of _eliminate forms the difference
+    of two products, a solved coordinate's right-hand side sums at most
+    k - 2 products and a residue (_solutions), a Bezout matrix entry sums at
+    most ceil(k/2) Plucker coordinates, each a difference of two products,
+    and a partial is at most k r (_strata_codes).  So int16 serves q <= 181
+    at k <= 2, q <= 127 at k = 3 and q <= 103 at k = 4, and int32 q <= 46337
+    at k <= 2.  The plain ints mixed into kernel arrays, q and 1, are below
+    M, so numpy's casting takes them as the dtype.  Fewer bytes make the
+    kernel's temporaries cheaper to touch.  ResourceLimit's int64 guard
+    (search_pencils_ffield) stays on the looser (k+1)(q-1)^2.
     """
     import numpy as np
 
-    return np.int32 if (k + 1) * (q - 1) ** 2 < 2**31 else np.int64
+    bound = max(1, k - 1) * (q - 1) ** 2 + q - 1
+    return np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
 
 
 def _eliminate(W: np.ndarray, q: int, spare: np.ndarray | None = None) -> tuple:
@@ -587,8 +594,9 @@ def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     F and G are B x (k+1) coefficient rows mod q of independent forms.  Two
     ranks, both through _eliminate, decide it.  deg gcd(f, g) is k minus the
     rank of the k x k Bezout matrix of f and g, the coefficient matrix of the
-    pencil's pair curve (see _bezout_matrices).  Where that degree is
-    positive, a base point is multiple iff it is a root of the four partials
+    pencil's pair curve (see _bezout_matrices).  A base divisor of degree 1
+    is one F_q-point of multiplicity 1, so simple.  Where the degree is 2 or
+    more, a base point is multiple iff it is a root of the four partials
     d0f, d1f, d0g, d1g: with q > k, Euler's relation k*f = x0*d0f + x1*d1f
     makes those the roots of f and g of multiplicity at least 2.  Forms of
     degree k-1 share a root iff their multiples by the monomials of degree k-2
@@ -596,15 +604,16 @@ def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    codes = np.zeros(len(F), dtype=np.int64)
-    based = np.flatnonzero(_eliminate(_bezout_matrices(q, k, F, G), q)[1] < k)
-    if based.size:  # never at k = 1, where independent forms are coprime
+    ranks = _eliminate(_bezout_matrices(q, k, F, G), q)[1]
+    codes = (ranks < k).astype(np.int64)
+    wide = np.flatnonzero(ranks < k - 1)  # base divisors of degree >= 2
+    if wide.size:  # never at k <= 2, where independent forms share at most k - 1 roots
         t = np.arange(k + 1, dtype=F.dtype)[:, None]
-        f, g = F[based].T, G[based].T
+        f, g = F[wide].T, G[wide].T
         partials = _mod(np.stack([f[:-1] * t[::-1][:-1], f[1:] * t[1:],
                                   g[:-1] * t[::-1][:-1], g[1:] * t[1:]]), q)
         ranks = _eliminate(_multiples(partials, k - 1), q)[1]
-        codes[based] = np.where(ranks < 2 * k - 2, 2, 1)
+        codes[wide] = np.where(ranks < 2 * k - 2, 2, 1)
     return codes
 
 
@@ -614,12 +623,14 @@ def _layout(q: int, k: int, lo: int, stop: int, dtype) -> tuple:
 
     The g-rows of every cell are numbered one cell after another, each cell's
     in index order (_digits): a range of that packed index runs over whole
-    and partial cells.  cell[r] is the cell of row r (intp), rows the
+    and partial cells.  cell[r] is the cell of row r, in the narrowest
+    unsigned dtype that holds C(k+1, 2) - 1 (uint8 up to k = 22), rows the
     (k+1) x B echelon g-rows, and parts one (cell index, slice of the chunk,
     g's pivot, g's free columns) per cell the chunk meets.  None of it
     depends on the constraint, so every search at (q, k) shares it: the
-    cache holds the last _LAYOUT_CHUNKS chunks, at most 8(k+2) bytes a row,
-    so at most _LAYOUT_CHUNKS x _BATCH_ROWS x 8(k+2) bytes, (k+2) MiB.
+    cache holds the last _LAYOUT_CHUNKS chunks, of (k+1) itemsize + 1 bytes
+    a row up to k = 22 (9 at k = 3 in int16), so at most _LAYOUT_CHUNKS x
+    _BATCH_ROWS x (8(k+1) + 1) bytes, (k+1) MiB + 128 KiB.
     """
     import numpy as np
 
@@ -627,7 +638,7 @@ def _layout(q: int, k: int, lo: int, stop: int, dtype) -> tuple:
     widths = [_free_columns(k, i, j)[1] for i, j in cells]
     starts = list(accumulate((q ** len(cols) for cols in widths), initial=0))
     rows = np.zeros((k + 1, stop - lo), dtype=dtype)
-    cell = np.empty(stop - lo, dtype=np.intp)
+    cell = np.empty(stop - lo, dtype=np.min_scalar_type(len(cells) - 1))
     parts = []
     t = bisect_right(starts, lo) - 1
     while starts[t] < stop:
@@ -699,7 +710,10 @@ def _cell_parts(k: int, chunks, cells=None):
     unknowns = [k - 1 - i for i, _ in _cells(k)]
     cells = range(len(unknowns)) if cells is None else cells
     for cell, rows, pivots in chunks:
-        ends = np.searchsorted(cell, np.arange(len(unknowns) + 1)).tolist()
+        # keys in cell's dtype, which numpy would otherwise copy cell out of;
+        # the last cell ends where the chunk does
+        ends = np.searchsorted(cell, np.arange(len(unknowns), dtype=cell.dtype)).tolist()
+        ends.append(len(cell))
         for c in cells:
             a, b, n = ends[c], ends[c + 1], unknowns[c]
             if a < b:
@@ -857,7 +871,8 @@ def _count_shard(payload) -> tuple[list, list, list, bool]:
     keep_all = strata_budget is not None
     kept, count = [], 0
     for cell, rows, pivots, rank, solvable in _systems(q, k, lo, hi, mats):
-        codes = offsets[cell] - rank
+        index = cell.astype(np.intp)  # numpy indexes by intp: one conversion, not two
+        codes = offsets[index] - rank
         hist = np.bincount(codes[solvable], minlength=len(cells) * (n + 1)).tolist()
         for c in range(int(cell[0]), int(cell[-1]) + 1):
             row = hist[c * (n + 1) : (c + 1) * (n + 1)]
@@ -874,7 +889,7 @@ def _count_shard(payload) -> tuple[list, list, list, bool]:
         if keep_all and count * (k - 1) > _POOL_MIN_STRATA_WORK:
             keep_all = False  # strata will eliminate again: keep the sparse cells' rows only
             kept = [(c[w], r[w], p[..., w]) for c, r, p in kept for w in [keep[c]]]
-        wanted = solvable if keep_all else solvable & keep[cell]
+        wanted = solvable if keep_all else solvable & keep[index]
         if wanted.any():
             kept.append((cell[wanted], rows[wanted], pivots[..., wanted]))
     return matches, sparse, kept, keep_all
@@ -1005,8 +1020,9 @@ def search_pencils_ffield(
     matches for strata by their gcd; jobs has no effect there.  A strata
     search with no conditions is never small, as it classifies every pencil.
 
-    Above that size the rank kernel runs, in numpy int32 where
-    (k+1)(q-1)^2 < 2^31 and in int64 otherwise (_kernel_dtype).  Each
+    Above that size the rank kernel runs, in the narrowest of numpy int16,
+    int32 and int64 that holds max(1, k-1)(q-1)^2 + q - 1, a bound on every
+    entry of the kernel (_kernel_dtype): int16 for q <= 127 at k = 3.  Each
     g-row's conditions form a linear system in f, the side with at least as
     many free coordinates (see _count_shard): the row has q^(n - rank)
     matches if the system is solvable and none otherwise.  One rank pass
@@ -1023,12 +1039,13 @@ def search_pencils_ffield(
     independent of jobs, which must be at least 1.  Strata take a second
     pass: it solves for every match and classifies the matches together by
     two ranks mod q (see _strata_codes): the rank of the k x k Bezout matrix
-    gives the degree of the base divisor, and a rank of the multiples of
-    the four partials tells a multiple base point from simple ones.  It runs
-    in this process while matches times k - 1 are below
-    _POOL_MIN_STRATA_WORK, on the solvable g-rows the first pass kept; a
-    larger search eliminates the g-rows of its cells with matches again, so
-    neither pass holds more than about that many rows.
+    gives the degree of the base divisor, and where that degree is 2 or
+    more, a rank of the multiples of the four partials tells a multiple
+    base point from simple ones.  It runs in this process while matches
+    times k - 1 are below _POOL_MIN_STRATA_WORK, on the solvable g-rows the
+    first pass kept; a larger search eliminates the g-rows of its cells
+    with matches again, so neither pass holds more than about that many
+    rows.
 
     budget, which must be at least 0, bounds the work: g-rows times compiled
     conditions, summed over cells, checked before the search starts; with
@@ -1227,20 +1244,34 @@ def _stored_residues(form, k: int, q: int) -> tuple:
     return values
 
 
+def _echelon_key(f: tuple, g: tuple) -> tuple | None:
+    """(i, j, f, g), sorting as (cell, f, g) does, if (f, g) is a reduced echelon pair; else None.
+
+    The pair of cell (i, j) has f's first nonzero entry a 1 at i, g's a 1 at
+    j > i, and f zero at j, so its forms are independent.
+    """
+    if 1 not in f or 1 not in g:
+        return None
+    i, j = f.index(1), g.index(1)
+    return (i, j, f, g) if i < j and not any(f[:i] + g[:j]) and not f[j] else None
+
+
 def _load_cached(
     path: str, k: int, q: int, spec: dict, report_strata: bool
 ) -> SearchResult | None:
     """The stored result, or None if absent, unreadable, malformed or for another question.
 
     An entry must hold a nonnegative int count, strata that are None or
-    stratum names mapped to such counts, and samples whose two forms each
-    have degree k and exactly k + 1 coefficients, each a residue mod q
-    written as _store_cached writes it (_stored_residues), the two forms
-    independent; anything else is recomputed.  The samples are built
-    unchecked (_trusted_pencil) and tested for independence on their plain
-    ints (_dependent) before any is returned.  Stored strata are
-    returned only when report_strata asks for them, so a hit prints what a
-    fresh search would.
+    stratum names mapped to such counts, summing to the count, and
+    min(count, SAMPLE_LIMIT) samples whose two forms each have degree k and
+    exactly k + 1 coefficients, each a residue mod q written as
+    _store_cached writes it (_stored_residues).  The samples must be reduced
+    echelon pairs, so independent, in strictly increasing (cell, f, g)
+    order, as a search gives them (_echelon_key); anything else is
+    recomputed.  All of it is checked on plain ints, and only then are the
+    samples built, unchecked (_trusted_pencil).  Stored strata are returned
+    only when report_strata asks for them, so a hit prints what a fresh
+    search would.
     """
     try:
         with open(path, "rb") as fh:
@@ -1258,20 +1289,23 @@ def _load_cached(
     strata_ok = strata is None or isinstance(strata, dict) and all(
         name in _STRATA and _is_count(c) for name, c in strata.items()
     )
-    if not (strata_ok and _is_count(doc.get("count"))):
+    count = doc.get("count")
+    if not (strata_ok and _is_count(count)):
         return None  # malformed; recompute
+    if strata is not None and sum(strata.values()) != count:
+        return None
     try:
-        pairs = [(_stored_residues(s["f"], k, q), _stored_residues(s["g"], k, q))
-                 for s in doc["samples"]]
+        keys = [_echelon_key(_stored_residues(s["f"], k, q), _stored_residues(s["g"], k, q))
+                for s in doc["samples"]]
     except (KeyError, TypeError, ValueError):
         return None
-    field = Field(q)
-    samples = tuple(_trusted_pencil(field, k, f, g) for f, g in pairs)
-    if any(_dependent(p.f, p.g) for p in samples):
+    if len(keys) != min(count, SAMPLE_LIMIT) or None in keys:
         return None
-    return SearchResult(
-        count=doc["count"], samples=samples, strata=strata if report_strata else None
-    )
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return None  # not the search's first matches in order
+    field = Field(q)
+    samples = tuple(_trusted_pencil(field, k, f, g) for _, _, f, g in keys)
+    return SearchResult(count=count, samples=samples, strata=strata if report_strata else None)
 
 
 # ---------------------------------------------------------------------------

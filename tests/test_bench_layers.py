@@ -108,3 +108,15 @@ def test_bench_layers_times_the_cache_and_a_warm_ladder(tmp_path):
     for label in ("cache write, 20 samples", "cache hit", "ladder searches, layout warm"):
         assert labels[label] > 0, label
     assert os.listdir(tmp_path) == []  # the cache directories were temporary
+
+
+def test_bench_layers_times_eliminate_in_int32_and_int16(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--repeats", "1", "--only", "_eliminate"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert sorted(doc["ms"]) == [f"_eliminate F_101 {rows}x4x3 {dtype}"
+                                 for rows in (2048, 8192) for dtype in ("int16", "int32")]
+    assert all(value > 0 for value in doc["ms"].values())

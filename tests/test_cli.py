@@ -516,9 +516,11 @@ def test_no_cache_neither_reads_nor_writes(capsys, tmp_path):
     assert run_json(argv, capsys) == first
     (entry,) = (tmp_path / "cache").glob("search-*.json")
     doc = json.loads(entry.read_text())
-    entry.write_text(json.dumps(dict(doc, samples=[])))
+    # an entry as a search with one match fewer would write it
+    entry.write_text(json.dumps(dict(doc, count=doc["count"] - 1, samples=doc["samples"][:-1])))
     assert run_json(argv + ["--no-cache"], capsys) == first
-    assert run_json(argv, capsys)["samples"] == []  # the entry is read without the flag
+    hit = run_json(argv, capsys)  # the entry is read without the flag
+    assert hit == dict(first, count=first["count"] - 1, samples=first["samples"][:-1])
 
 
 def test_cached_strata_do_not_leak_into_a_plain_search(capsys):

@@ -825,6 +825,23 @@ def test_a_hit_decodes_only_residues_as_written(tmp_path):
         "a zero form": doctored(g=["0"] * 4),
     })
     cases["raw non-ASCII digits"] = json.dumps(cases["non-ASCII digits"], ensure_ascii=False)
+    # entries of canonical residues that no search writes
+    cases["one sample fewer"] = doctored()
+    cases["one sample fewer"]["samples"].pop()
+    cases["strata summing to another count"] = dict(doctored(),
+                                                    strata={"base_point_free": truth.count})
+    cases["samples out of order"] = doctored()
+    samples = cases["samples out of order"]["samples"]
+    samples[0], samples[1] = samples[1], samples[0]
+    cases["a repeated sample"] = doctored()
+    cases["a repeated sample"]["samples"][-1] = cases["a repeated sample"]["samples"][-2]
+    # an independent pair of residues, but g - f in place of g: not in echelon form
+    g_last = json.loads(honest)["samples"][-1]["g"]["coeffs"]
+    cases["not an echelon pair"] = doctored(g=[str((int(b) - int(a)) % 31)
+                                             for a, b in zip(coeffs, g_last)])
+    cases["f and g swapped"] = doctored(f=g_last, g=coeffs)
+    cases["f not reduced at g's pivot"] = doctored(
+        f=[c if t != g_last.index("1") else "1" for t, c in enumerate(coeffs)])
     for name, doc in cases.items():
         path.write_bytes(doc.encode() if isinstance(doc, str) else json.dumps(doc).encode())
         assert search_pencils_ffield(3, 31, constraint, cache_dir=str(cache)) == truth, name
@@ -842,7 +859,7 @@ def packed_g_rows(k, q):
     return np.array(cells), np.concatenate(rows)
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
 @pytest.mark.parametrize("k,q", [(1, 5), (2, 7), (3, 5), (4, 5)])
 def test_cached_layouts_are_fresh_digit_builds(k, q, dtype, monkeypatch):
     """Each chunk's cells, g-rows and parts, as _layout keeps them, are the packed index's.
@@ -862,6 +879,7 @@ def test_cached_layouts_are_fresh_digit_builds(k, q, dtype, monkeypatch):
         cached_cell, cached_rows, parts = sd._layout(q, k, lo, stop, np.dtype(dtype))
         assert cell is cached_cell and rows.base is cached_rows
         assert cached_rows.dtype == dtype and cached_rows.shape == (k + 1, stop - lo)
+        assert cached_cell.dtype == np.uint8  # a cell index is below C(k + 1, 2)
         assert np.array_equal(cell, want_cell[lo:stop]) and np.array_equal(rows, want_rows[lo:stop])
         for array in (cached_cell, cached_rows, rows):
             assert not array.flags.writeable
@@ -1132,16 +1150,40 @@ def assert_codes_match_oracle(q, k, pencils):
     return set(got)
 
 
+def partials(pencil, q):
+    """The coefficients of d0f, d1f, d0g and d1g mod q, as _strata_codes stacks them."""
+    out = []
+    for coeffs in (pencil.f.coeffs, pencil.g.coeffs):
+        k = len(coeffs) - 1
+        out.append([(k - t) * int(c) % q for t, c in enumerate(coeffs[:-1])])
+        out.append([t * int(c) % q for t, c in enumerate(coeffs) if t])
+    return out
+
+
 @pytest.mark.parametrize("k,q", [(k, q) for k in range(1, 7) for q in (7, 11, 13)]
                          + [(2, 3), (3, 5), (4, 5)])
-def test_strata_codes_match_the_oracle(k, q):
+def test_strata_codes_match_the_oracle(k, q, monkeypatch):
+    """The codes are the gcd oracle's; only base divisors of degree >= 2 take the partials' rank.
+
+    A Bezout rank of k - 1 is a base divisor of degree 1, one simple point;
+    the spy on _multiples sees exactly the partials of the pencils of Bezout
+    rank <= k - 2, whose base divisor has degree >= 2.
+    """
+    sd = severi_degeneration
     F = Field(q)
     rng = random.Random(f"strata-codes:{k}:{q}")
     pencils = [pencil_with_common_factor(F, k, rng) for _ in range(300)]
     pencils += [random_pencil(F, k, rng) for _ in range(50)]
+    batches = []
+    multiples = sd._multiples
+    monkeypatch.setattr(sd, "_multiples", lambda forms, shifts: (
+        batches.append(forms.transpose(2, 0, 1).tolist()) or multiples(forms, shifts)))
     seen = assert_codes_match_oracle(q, k, pencils)
     # two independent forms of degree k share at most k - 1 roots
-    assert seen == set(severi_degeneration._STRATA[: min(k, 3)])
+    assert seen == set(sd._STRATA[: min(k, 3)])
+    wide = [partials(pen, q) for pen in pencils if base_locus(pen).degree >= 2]
+    assert batches == ([wide] if wide else [])
+    assert bool(wide) == (k >= 3)
 
 
 def test_strata_codes_on_a_whole_grassmannian():
@@ -1196,16 +1238,20 @@ def seeded_systems(rng, q, m, width, count=12):
 INT64_EDGE_PRIME = 3037000493
 # the largest prime p with (p-1)^2 < 2^31, the same bound in int32
 INT32_EDGE_PRIME = 46337
+# the largest prime p with (p-1)^2 < 2^15, the same bound in int16
+INT16_EDGE_PRIME = 181
 
 
-def with_int32(int64_qs, int32_qs):
-    """(q, dtype) parameters: the int64 ones keep their ids, the int32 ones end in -int32."""
+def with_narrow(int64_qs, int32_qs, int16_qs):
+    """(q, dtype) parameters: the int64 ones keep their ids, the others end in -int32 or -int16."""
     return ([pytest.param(q, np.int64, id=str(q)) for q in int64_qs]
-            + [pytest.param(q, np.int32, id=f"{q}-int32") for q in int32_qs])
+            + [pytest.param(q, np.int32, id=f"{q}-int32") for q in int32_qs]
+            + [pytest.param(q, np.int16, id=f"{q}-int16") for q in int16_qs])
 
 
-@pytest.mark.parametrize("q,dtype", with_int32([3, 5, 101, 2**31 - 1, INT64_EDGE_PRIME],
-                                               [3, 5, 101, INT32_EDGE_PRIME]))
+@pytest.mark.parametrize("q,dtype", with_narrow([3, 5, 101, 2**31 - 1, INT64_EDGE_PRIME],
+                                                [3, 5, 101, INT32_EDGE_PRIME],
+                                                [3, 5, 101, INT16_EDGE_PRIME]))
 def test_eliminate_matches_the_python_oracle(q, dtype):
     rng = random.Random(f"eliminate:{q}")
     for m in range(0, 7):
@@ -1284,12 +1330,14 @@ def bezout_by_division(pencil, q):
     return Q
 
 
-@pytest.mark.parametrize("q,dtype", with_int32([3, 101, 2**31 - 1, INT64_EDGE_PRIME],
-                                               [3, 101, INT32_EDGE_PRIME, 2**31 - 1]))
+@pytest.mark.parametrize("q,dtype", with_narrow([3, 101, 2**31 - 1, INT64_EDGE_PRIME],
+                                                [3, 101, INT32_EDGE_PRIME, 2**31 - 1],
+                                                [3, 5, 101, INT16_EDGE_PRIME]))
 def test_mod_matches_the_remainder_operator(q, dtype):
-    # the kernel's entries stay within (k+1)(q-1)^2 < 2^63 (2^31 in int32) in
-    # size, so draw from the dtype's whole range, with the extremes and the
-    # multiples of q that fit
+    # the kernel's entries stay within max(1, k-1)(q-1)^2 + q - 1 in size,
+    # below 2^15 in int16 and 2^31 in int32 (_kernel_dtype), and within
+    # (k+1)(q-1)^2 < 2^63 in int64 (the guard), so draw from the dtype's whole
+    # range, with the extremes and the multiples of q that fit
     rng = np.random.default_rng(q)
     top = np.iinfo(dtype)
     edges = [top.min, top.min + 1, top.max, 0, 1, -1, q, -q, q - 1, 1 - q, (q - 1) ** 2,
@@ -1514,17 +1562,9 @@ def test_int64_guard_refuses_before_searching(monkeypatch):
         search_pencils_ffield(1, q, constraint, budget=10**30)
 
 
-@pytest.mark.parametrize("q", [26737, 26759])
-def test_kernel_dtype_on_both_sides_of_the_int32_rule(q, monkeypatch):
-    """k = 2 at the last prime with 3(q-1)^2 < 2^31, in int32, and at the next, in int64.
-
-    One incidence cuts the plane of k = 2 pencils in a line: q + 1 of them.
-    The results equal those of a run forced into int64.
-    """
+def eliminated_dtypes(monkeypatch):
+    """The set that a spy on _eliminate fills with the dtype of every batch it eliminates."""
     sd = severi_degeneration
-    F = Field(q)
-    xi = sym_point(point(F, 1, 2), point(F, 1, q - 3))
-    constraint = SearchConstraint(incidences=(xi,))
     dtypes = set()
     eliminate = sd._eliminate
 
@@ -1533,8 +1573,52 @@ def test_kernel_dtype_on_both_sides_of_the_int32_rule(q, monkeypatch):
         return eliminate(W, q, spare)
 
     monkeypatch.setattr(sd, "_eliminate", spy)
+    return dtypes
+
+
+# the ladder's incidence pairs (test_acceptance.INCIDENCE_PAIRS)
+EDGE_PAIRS = (((1, 0), (1, 1)), ((1, -1), (1, 2)), ((1, 3), (0, 1)), ((1, 4), (1, -3)))
+
+
+@pytest.mark.parametrize("k,q,incidences,dtype", [
+    (2, 181, 1, np.int16), (2, 191, 1, np.int32), (3, 127, 2, np.int16),
+    (3, 131, 2, np.int32), (4, 103, 4, np.int16), (4, 107, 4, np.int32),
+    (4, 101, 4, np.int16)])
+def test_kernel_dtype_on_both_sides_of_the_int16_rule(k, q, incidences, dtype, monkeypatch):
+    """k = 2, 3, 4 at the last prime whose kernel bound fits int16, in int16, and the next in int32.
+
+    The bound is max(1, k-1)(q-1)^2 + q - 1 < 2^15 (_kernel_dtype).  Also
+    the k = 4 count over F_101 with four incidences.  Each search, with
+    strata, equals a run forced into int64.
+    """
+    sd = severi_degeneration
+    F = Field(q)
+    constraint = SearchConstraint(incidences=tuple(
+        sym_point(point(F, *a), point(F, *b)) for a, b in EDGE_PAIRS[:incidences]))
+    dtypes = eliminated_dtypes(monkeypatch)
+    res = search_pencils_ffield(k, q, constraint, report_strata=True)
+    assert dtypes == {np.dtype(dtype)}
+    assert sum(res.strata.values()) == res.count > sd.SAMPLE_LIMIT
+    monkeypatch.setattr(sd, "_kernel_dtype", lambda k, q: np.int64)
+    dtypes.clear()
+    assert search_pencils_ffield(k, q, constraint, report_strata=True) == res
+    assert dtypes == {np.dtype(np.int64)}
+
+
+@pytest.mark.parametrize("q", [46337, 46349])
+def test_kernel_dtype_on_both_sides_of_the_int32_rule(q, monkeypatch):
+    """k = 2 at the last prime with (q-1)^2 + q - 1 < 2^31, in int32, and at the next, in int64.
+
+    One incidence cuts the plane of k = 2 pencils in a line: q + 1 of them.
+    The results equal those of a run forced into int64.
+    """
+    sd = severi_degeneration
+    F = Field(q)
+    xi = sym_point(point(F, 1, 2), point(F, 1, q - 3))
+    constraint = SearchConstraint(incidences=(xi,))
+    dtypes = eliminated_dtypes(monkeypatch)
     res = search_pencils_ffield(2, q, constraint)
-    assert dtypes == {np.dtype(np.int32 if q == 26737 else np.int64)}
+    assert dtypes == {np.dtype(np.int32 if q == 46337 else np.int64)}
     assert res.count == q + 1
     assert len(res.samples) == sd.SAMPLE_LIMIT
     assert all(bezoutian_curve(pen).contains(xi) for pen in res.samples)

@@ -14,9 +14,10 @@ The cases, in the order each repeat runs them:
 
 - `_eliminate` on fixed seeded chunks shaped like the F_101 count rungs'
   packed systems (four conditions, the two unknowns of the largest cell) at
-  2048 and 8192 rows, in int32 as those searches run them
-  (4 * 100^2 < 2^31), batch last, each call on a fresh copy as
-  `_eliminate` works in place;
+  2048 and 8192 rows, in int16 as those searches run them (their bound
+  2 * 100^2 + 100 < 2^15, see `_kernel_dtype`) and in int32 as they ran
+  before, batch last, each call on a fresh copy as `_eliminate` works in
+  place;
 - `_systems` over the whole packed g index of a k = 2 search over F_100003
   with one incidence, in int64 as searches past the int32 rule run it;
 - `_strata_codes` on every match of the ladder's `F_13 strata` search
@@ -86,7 +87,9 @@ def _eliminate_cases(sd):
     for rows in (2048, 8192):
         W = rng.integers(0, 101, size=(4, 3, rows), dtype=np.int32)
         # _eliminate works in place, so each call takes a fresh copy
-        yield f"_eliminate F_101 {rows}x4x3 int32", "ms", lambda W=W: sd._eliminate(W.copy(), 101)
+        for dtype in (np.int32, np.int16):
+            yield (f"_eliminate F_101 {rows}x4x3 {np.dtype(dtype)}", "ms",
+                   lambda W=W.astype(dtype): sd._eliminate(W.copy(), 101))
 
 
 def _systems_cases(P, fields, sd):
