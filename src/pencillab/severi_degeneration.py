@@ -32,9 +32,9 @@ again, and classify the matches together by two more ranks mod q, through
 the same elimination: the rank of the pencil's Bezout matrix, and, where
 that shows a base divisor of degree 2 or more, the rank of the multiples of
 the four partials.  The walk of f-rows, each row's system in g built and
-eliminated on plain ints, also counts the small searches, of at most
-_PLAIN_MAX_TESTS pencil tests, and finds the samples of a search with no
-conditions: neither imports numpy.
+eliminated on plain ints, also counts the small searches without strata, of
+at most _PLAIN_MAX_TESTS pencil tests, and finds the samples of a search
+with no conditions: neither imports numpy.
 A cache entry is written as text, its samples filled into a per-(k, q)
 template, and read back strictly: only as many samples as the count gives,
 of residues written as the writer writes them, in reduced echelon pairs and
@@ -73,9 +73,7 @@ from .pencil_geometry import (  # the conic sections re-exported for callers of 
     SymPoint,
     _trusted_pencil,
     _wedge_terms,
-    base_locus,
     intersect_with_conic,
-    squarefree_form,
 )
 
 SAMPLE_LIMIT = 20
@@ -130,18 +128,18 @@ _POOL_MIN_ROW_WORK = 2_500_000
 # about this many rows; a larger search eliminates its g-rows again, which
 # costs little beside classifying that many matches.
 _POOL_MIN_STRATA_WORK = 250_000
-# A search with conditions walks its f-rows on plain ints (_plain_search), and
-# never imports numpy, while its Grassmannian's pencils x conditions are at
-# most this.  A cold process saves the numpy import, 70-130 ms.  Warm,
-# in-process with numpy loaded (2 cores, median of 31), the walk against the
-# kernel by pencil tests, with one incidence: 57 (k = 2 over F_7) 0.13 vs
-# 0.50 ms, 133 (F_11) 0.15 vs 0.30 ms, 381 (F_19) 0.16 vs 0.31 ms, 553 (F_23)
-# 0.18 vs 0.22 ms, 806 (k = 3 over F_5) 0.42 vs 0.21 ms and 2850 (F_7) 0.82
-# vs 0.23 ms; with strata, 381 (F_19) 0.46 vs 0.63 ms.  So a warm caller
-# loses nothing here; a larger constant waits for a cold measurement.  Python
-# classifies a match by its gcd in about 20 us, so a strata search with no
-# conditions, where every pencil matches, takes the kernel: 183 pencils
-# (k = 2 over F_13) took 3.1 vs 0.46 ms.
+# A search with conditions and no strata walks its f-rows on plain ints
+# (_plain_search), and never imports numpy, while its Grassmannian's pencils x
+# conditions are at most this.  A cold process saves the numpy import,
+# 70-130 ms.  Warm, in-process with numpy loaded (2 cores, median of 31), the
+# walk against the kernel by pencil tests, with one incidence: 57 (k = 2 over
+# F_7) 0.13 vs 0.50 ms, 133 (F_11) 0.15 vs 0.30 ms, 381 (F_19) 0.16 vs
+# 0.31 ms, 553 (F_23) 0.18 vs 0.22 ms, 806 (k = 3 over F_5) 0.42 vs 0.21 ms
+# and 2850 (F_7) 0.82 vs 0.23 ms.  So a warm caller loses nothing here; a
+# larger constant waits for a cold measurement.  Every strata search takes
+# the kernel, whose two ranks classify its matches: a small one pays for it,
+# 381 tests (F_19) 0.63 ms where the walk and a gcd per match took 0.46, and
+# cold the numpy import.
 _PLAIN_MAX_TESTS = 500
 
 
@@ -1014,15 +1012,15 @@ def search_pencils_ffield(
     through reduced-row-echelon representatives (f, g), grouped into cells by
     pivot pair.  With no conditions and no strata the count is the
     Grassmannian's, and the samples are the first 20 pencils of a walk of
-    the cells' f-rows on plain ints (_f_row_walk).  A small search, whose
-    pencils times compiled conditions are at most _PLAIN_MAX_TESTS, counts
-    by that walk too (_plain_search), without numpy, and classifies its
-    matches for strata by their gcd; jobs has no effect there.  A strata
-    search with no conditions is never small, as it classifies every pencil.
+    the cells' f-rows on plain ints (_f_row_walk).  A small search without
+    strata, whose pencils times compiled conditions are at most
+    _PLAIN_MAX_TESTS, counts by that walk too (_plain_search), without numpy;
+    jobs has no effect there.
 
-    Above that size the rank kernel runs, in the narrowest of numpy int16,
-    int32 and int64 that holds max(1, k-1)(q-1)^2 + q - 1, a bound on every
-    entry of the kernel (_kernel_dtype): int16 for q <= 127 at k = 3.  Each
+    Every other search, so every strata search, runs the rank kernel, in
+    the narrowest of numpy int16, int32 and int64 that holds
+    max(1, k-1)(q-1)^2 + q - 1, a bound on every entry of the kernel
+    (_kernel_dtype): int16 for q <= 127 at k = 3.  Each
     g-row's conditions form a linear system in f, the side with at least as
     many free coordinates (see _count_shard): the row has q^(n - rank)
     matches if the system is solvable and none otherwise.  One rank pass
@@ -1096,11 +1094,12 @@ def search_pencils_ffield(
     if report_strata:  # with no conditions every pencil matches: the count is known now
         _check_strata_budget(work + (0 if len(mats) else total), budget)
         strata_budget = (work, budget)
+    tally = None
     if not mats and not report_strata:  # every pencil matches
-        count, tally = grassmannian_pencil_count(k, q), None
+        count = grassmannian_pencil_count(k, q)
         keys = _walked_keys(q, k, mats, range(len(widths)), SAMPLE_LIMIT)
-    elif mats and total * len(mats) <= _PLAIN_MAX_TESTS:
-        count, keys, tally = _plain_search(q, k, mats, strata_budget)
+    elif not report_strata and total * len(mats) <= _PLAIN_MAX_TESTS:
+        count, keys = _plain_search(q, k, mats)
     else:
         count, keys, tally = _rank_search(q, k, mats, work, strata_budget, jobs)
     # the keys are echelon pairs of residues, independent as their pivots differ
@@ -1112,28 +1111,18 @@ def search_pencils_ffield(
     return result
 
 
-def _plain_search(q: int, k: int, mats: tuple, strata_budget) -> tuple[int, list, list | None]:
-    """Count, sample keys and strata tally of a search, walking every cell's f-rows on plain ints.
+def _plain_search(q: int, k: int, mats: tuple) -> tuple[int, list]:
+    """Count and sample keys of a search, walking every cell's f-rows on plain ints.
 
     The walk (_f_row_walk) runs in (cell, f, g) order, so the keys kept, those
-    of the first SAMPLE_LIMIT matches (of every match, for strata), are in key
-    order.  strata_budget is as for _count_shard; the count is checked
-    against it before the matches are classified by base_locus.
+    of the first SAMPLE_LIMIT matches, are in key order.
     """
-    cap = SAMPLE_LIMIT if strata_budget is None else q**k  # for strata, every match
     count, keys = 0, []
     for cell_idx in range(len(_cells(k))):
-        for found, row_keys in _f_row_walk(q, k, cell_idx, mats, cap):
+        for found, row_keys in _f_row_walk(q, k, cell_idx, mats, SAMPLE_LIMIT):
             count += found
             keys += row_keys
-    if strata_budget is None:
-        return count, keys[:SAMPLE_LIMIT], None
-    _check_strata_budget(strata_budget[0] + count, strata_budget[1])
-    field, tally = Field(q), [0] * len(_STRATA)
-    for _, f, g in keys:
-        locus = base_locus(_trusted_pencil(field, k, f, g))
-        tally[0 if locus.degree == 0 else 1 if squarefree_form(locus) else 2] += 1
-    return count, keys, tally
+    return count, keys[:SAMPLE_LIMIT]
 
 
 def _rank_search(q: int, k: int, mats: tuple, work: int, strata_budget, jobs: int):

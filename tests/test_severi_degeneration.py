@@ -554,19 +554,20 @@ STRATA_CAP = 5000
 PYTHON_PATH_CAP = 100_000
 
 
-def search_paths(monkeypatch, k, q, constraint):
+def search_paths(monkeypatch, k, q, constraint, strata=False):
     """Yield (path, jobs) to compare, with _PLAIN_MAX_TESTS set for the path.
 
     The rank kernel runs at jobs 1 and 2 whatever the size; the plain-int
-    walk, which ignores jobs, at jobs 1 up to PYTHON_PATH_CAP pencil tests.
-    A search with no conditions and no strata takes neither: it walks for
-    its samples alone.
+    walk, which ignores jobs, at jobs 1 up to PYTHON_PATH_CAP pencil tests,
+    and only without strata: every strata search takes the kernel.  A search
+    with no conditions and no strata takes neither: it walks for its samples
+    alone.
     """
     sd = severi_degeneration
     tests = grassmannian_pencil_count(k, q) * max(1, len(sd.compile_constraint(k, q, constraint)))
     default = sd._PLAIN_MAX_TESTS
     paths = [("kernel", 0, (1, 2))]
-    if tests <= PYTHON_PATH_CAP:
+    if tests <= PYTHON_PATH_CAP and not strata:
         paths.append(("python", float("inf"), (1,)))
     for path, cap, jobs_values in paths:
         monkeypatch.setattr(sd, "_PLAIN_MAX_TESTS", cap)
@@ -591,7 +592,7 @@ def test_rank_kernel_matches_brute_force(k, q, monkeypatch):
         if want.count <= STRATA_CAP:
             want = SearchResult(*brute_force_search(k, q, constraint))
             assert sum(want.strata.values()) == want.count, name
-            for path, jobs in search_paths(monkeypatch, k, q, constraint):
+            for path, jobs in search_paths(monkeypatch, k, q, constraint, strata=True):
                 got = search_pencils_ffield(k, q, constraint, jobs=jobs, report_strata=True)
                 assert got == want, (name, path, jobs)
         counts[name] = want.count
@@ -672,12 +673,11 @@ def test_g_side_search_matches_brute_force(monkeypatch):
             assert got == want, (name, path, jobs)
         if want.count <= STRATA_CAP:
             want = SearchResult(*brute_force_search(k, q, constraint))
-            for path, jobs in search_paths(monkeypatch, k, q, constraint):
+            for path, jobs in search_paths(monkeypatch, k, q, constraint, strata=True):
                 got = search_pencils_ffield(k, q, constraint, jobs=jobs, report_strata=True)
                 assert got == want, (name, path, jobs)
             with monkeypatch.context() as m:
                 m.setattr(sd, "_POOL_MIN_STRATA_WORK", keep_rows)
-                m.setattr(sd, "_PLAIN_MAX_TESTS", 0)
                 assert search_pencils_ffield(k, q, constraint, report_strata=True) == want, name
     assert routes["dense"] and routes["sparse"], routes
 
@@ -1440,11 +1440,11 @@ def boundary_searches():
 def test_results_agree_on_both_sides_of_the_brute_force_size(monkeypatch, tmp_path):
     """With the constant at a search's pencil tests it runs on plain ints; one below, ranked.
 
-    Count, samples, strata and the cache entry's bytes agree, and so do the
-    budget refusals: one step short of the work, and with strata one short of
-    the work plus the matches.  A search with no conditions and no strata
-    takes neither path: its count is the Grassmannian's and its samples come
-    from the walk.
+    A strata search is ranked on both sides.  Count, samples, strata and the
+    cache entry's bytes agree, and so do the budget refusals: one step short
+    of the work, and with strata one short of the work plus the matches.  A
+    search with no conditions and no strata takes neither path: its count is
+    the Grassmannian's and its samples come from the walk.
     """
     sd = severi_degeneration
     ran = []
@@ -1465,7 +1465,8 @@ def test_results_agree_on_both_sides_of_the_brute_force_size(monkeypatch, tmp_pa
             ran.clear()
             results.append(search_pencils_ffield(k, q, constraint, cache_dir=str(cache),
                                                  report_strata=strata))
-            assert ran == ([side] if mats or strata else []), (label, ran)
+            want = ["_rank_search"] if strata else [side] if mats else []
+            assert ran == want, (label, ran)
             entries.append([p.read_bytes() for p in cache.iterdir()])
             count = results[-1].count
             if work:
