@@ -38,7 +38,8 @@ with no conditions: neither imports numpy.
 A cache entry is written as text, its samples filled into a per-(k, q)
 template, and read back strictly: only as many samples as the count gives,
 of residues written as the writer writes them, in reduced echelon pairs and
-in order, make a hit, whose samples are then built unchecked too.
+in order, each meeting the conditions, make a hit, whose samples are then
+built unchecked too.
 """
 
 from __future__ import annotations
@@ -1056,9 +1057,11 @@ def search_pencils_ffield(
 
     With cache_dir set, results persist as JSON keyed by a content hash of
     (k, q, constraint); an entry is used only if it records that same question
-    and holds canonical residues (_load_cached).  With cache_dir None the
-    cache is neither read nor written; an empty cache_dir raises ValueError
-    before anything is read or computed.
+    and holds canonical residues of samples that meet the conditions
+    (_load_cached).  The constraint is compiled first, so a hit refuses what
+    a fresh search refuses, such as points over another field.  With
+    cache_dir None the cache is neither read nor written; an empty cache_dir
+    raises ValueError before anything is read or computed.
     """
     field = Field(q)  # rejects q = 2 and composites
     if k < 1:
@@ -1076,17 +1079,17 @@ def search_pencils_ffield(
         )
     if cache_dir == "":
         raise ValueError("cache_dir must name a directory, or be None for no cache")
+    mats = compile_constraint(k, q, constraint)  # a hit too must ask a valid question
     cache_path = None
     if cache_dir is not None:
         spec = constraint.to_json_dict()
         spec_text = json.dumps(spec, separators=(",", ":"))
         cache_path = _cache_path(cache_dir, k, q, spec_text)
-        cached = _load_cached(cache_path, k, q, spec, report_strata)
+        cached = _load_cached(cache_path, k, q, spec, mats, report_strata)
         if cached is not None:
             return cached
     widths = [_free_columns(k, i, j) for i, j in _cells(k)]
     total = sum(q ** (len(c0) + len(c1)) for c0, c1 in widths)
-    mats = compile_constraint(k, q, constraint)
     work = len(mats) * sum(q ** len(c1) for _, c1 in widths)
     if work > budget:
         raise ResourceLimit(f"counting by rank takes {work} steps, over the budget of {budget}")
@@ -1246,7 +1249,7 @@ def _echelon_key(f: tuple, g: tuple) -> tuple | None:
 
 
 def _load_cached(
-    path: str, k: int, q: int, spec: dict, report_strata: bool
+    path: str, k: int, q: int, spec: dict, mats: tuple, report_strata: bool
 ) -> SearchResult | None:
     """The stored result, or None if absent, unreadable, malformed or for another question.
 
@@ -1256,11 +1259,11 @@ def _load_cached(
     exactly k + 1 coefficients, each a residue mod q written as
     _store_cached writes it (_stored_residues).  The samples must be reduced
     echelon pairs, so independent, in strictly increasing (cell, f, g)
-    order, as a search gives them (_echelon_key); anything else is
-    recomputed.  All of it is checked on plain ints, and only then are the
-    samples built, unchecked (_trusted_pencil).  Stored strata are returned
-    only when report_strata asks for them, so a hit prints what a fresh
-    search would.
+    order, as a search gives them (_echelon_key), and each must meet every
+    condition of mats, compile_constraint's; anything else is recomputed.
+    All of it is checked on plain ints, and only then are the samples built,
+    unchecked (_trusted_pencil).  Stored strata are returned only when
+    report_strata asks for them, so a hit prints what a fresh search would.
     """
     try:
         with open(path, "rb") as fh:
@@ -1292,6 +1295,14 @@ def _load_cached(
         return None
     if any(a >= b for a, b in zip(keys, keys[1:])):
         return None  # not the search's first matches in order
+    # A is antisymmetric, so f^T A g is its upper triangle against the
+    # pair's Plucker coordinates f_i g_j - f_j g_i
+    cells = _cells(k)
+    uppers = [[A[i][j] for i, j in cells] for A in mats]
+    for _, _, f, g in keys:
+        plucker = [f[i] * g[j] - f[j] * g[i] for i, j in cells]
+        if any(sum(map(mul, a, plucker)) % q for a in uppers):
+            return None  # not a match
     field = Field(q)
     samples = tuple(_trusted_pencil(field, k, f, g) for _, _, f, g in keys)
     return SearchResult(count=count, samples=samples, strata=strata if report_strata else None)

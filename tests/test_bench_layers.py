@@ -41,7 +41,8 @@ def test_bench_layers_times_cold_searches_on_both_paths(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert sorted(doc["ms"]) == ["cold dimlab search k=2 F_7, 57 tests, plain ints",
+    assert sorted(doc["ms"]) == ["cold dimlab search k=2 F_7, 57 tests, --strata",
+                                 "cold dimlab search k=2 F_7, 57 tests, plain ints",
                                  "cold dimlab search k=3 F_7, 2850 tests, rank kernel",
                                  "cold dimlab search k=3 F_7, no conditions"]
     assert all(value > 0 for value in doc["ms"].values())

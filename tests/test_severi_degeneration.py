@@ -408,7 +408,8 @@ class TestSearch:
         spec = constraint.to_json_dict()
         spec_text = json.dumps(spec, separators=(",", ":"))
         path = severi_degeneration._cache_path(str(cache), 2, 5, spec_text)
-        assert severi_degeneration._load_cached(path, 2, 5, spec, False) is None
+        mats = severi_degeneration.compile_constraint(2, 5, constraint)
+        assert severi_degeneration._load_cached(path, 2, 5, spec, mats, False) is None
         assert not cache.exists()
         search_pencils_ffield(2, 5, constraint, cache_dir=str(cache))
         assert [p.name for p in cache.iterdir()] == [os.path.basename(path)]
@@ -434,7 +435,29 @@ class TestSearch:
         sd._store_cached(path, 2, 5, spec_text, result)
         assert os.replace is replace  # the second writer ran
         assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
-        assert sd._load_cached(path, 2, 5, spec, False) == result
+        mats = sd.compile_constraint(2, 5, constraint)
+        assert sd._load_cached(path, 2, 5, spec, mats, False) == result
+
+    def test_points_over_another_field_are_refused_in_both_cache_states(self, tmp_path):
+        # the entry stores coordinates, not their field, so the same residues
+        # over F_7 prime the entry that the F_5 question would look up
+        def constraint(q):
+            F = Field(q)
+            return SearchConstraint(incidences=(sym_point(point(F, 1, 0), point(F, 1, 2)),))
+
+        assert constraint(5).to_json_dict() == constraint(7).to_json_dict()
+        for cache_dir in (None, str(tmp_path)):
+            with pytest.raises(ValueError, match="field does not match q"):
+                search_pencils_ffield(2, 7, constraint(5), cache_dir=cache_dir)
+        assert not list(tmp_path.iterdir())  # the refusal wrote nothing
+        assert search_pencils_ffield(2, 7, constraint(7), cache_dir=str(tmp_path)).count == 8
+        (entry,) = tmp_path.iterdir()
+        honest = entry.read_bytes()
+        for strata in (False, True):
+            with pytest.raises(ValueError, match="field does not match q"):
+                search_pencils_ffield(2, 7, constraint(5), cache_dir=str(tmp_path),
+                                      report_strata=strata)
+        assert list(tmp_path.iterdir()) == [entry] and entry.read_bytes() == honest
 
     def test_an_empty_cache_dir_is_refused_before_anything_runs(self, tmp_path, monkeypatch):
         # an entry in the working directory, where a lookup in "" would read
@@ -786,8 +809,10 @@ def test_cache_entries_are_the_sorted_documents(tmp_path):
 def test_a_hit_decodes_only_residues_as_written(tmp_path):
     """A hit equals the fresh result; an entry whose samples differ from what is written is recomputed.
 
-    Every doctored entry also claims one more match, so returning it would
-    show; each is recomputed and overwritten with the honest entry.
+    So is an entry whose samples, though written as a search writes them,
+    miss the conditions.  Every doctored entry of the F_31 search also claims
+    one more match, so returning it would show; each is recomputed and
+    overwritten with the honest entry.
     """
     F = Field(31)
     rng = random.Random("strict reader")
@@ -842,10 +867,36 @@ def test_a_hit_decodes_only_residues_as_written(tmp_path):
     cases["f and g swapped"] = doctored(f=g_last, g=coeffs)
     cases["f not reduced at g's pivot"] = doctored(
         f=[c if t != g_last.index("1") else "1" for t, c in enumerate(coeffs)])
+    # a reduced echelon pair that misses the conditions, its g's last
+    # coordinate changed: the sample before it has the same f and a g that
+    # differs earlier, so the samples stay in order
+    before, last = (json.loads(honest)["samples"][n] for n in (-2, -1))
+    assert g_last.index("1") < 3
+    assert ([int(c) for c in before["f"]["coeffs"] + before["g"]["coeffs"][:-1]]
+            < [int(c) for c in last["f"]["coeffs"] + last["g"]["coeffs"][:-1]])
+    mats = kernel_mats(3, 31, constraint).astype(np.int64)
+    f, g = np.array(coeffs, dtype=np.int64), np.array(g_last, dtype=np.int64)
+    g[-1] = next(x for x in range(31) if (f @ mats @ [*g[:-1], x] % 31).any())
+    cases["a sample that misses the conditions"] = doctored(g=list(map(str, g.tolist())))
     for name, doc in cases.items():
         path.write_bytes(doc.encode() if isinstance(doc, str) else json.dumps(doc).encode())
         assert search_pencils_ffield(3, 31, constraint, cache_dir=str(cache)) == truth, name
         assert path.read_bytes() == honest, name
+
+    # dimlab search --k 3 --q 7 --incidence 5,0,1: its last sample's g 0,1,5,3
+    # becomes 0,1,5,4, still after the sample before it, and off the incidence
+    F7 = Field(7)
+    constraint = SearchConstraint(incidences=(severi_degeneration.SymPoint(F7, 5, 0, 1),))
+    cache = tmp_path / "f7"
+    truth = search_pencils_ffield(3, 7, constraint, cache_dir=str(cache))
+    (path,) = cache.iterdir()
+    honest = path.read_bytes()
+    doc = json.loads(honest)
+    assert doc["samples"][-1]["g"]["coeffs"] == ["0", "1", "5", "3"]
+    doc["samples"][-1]["g"]["coeffs"][-1] = "4"
+    path.write_bytes(json.dumps(doc).encode())
+    assert search_pencils_ffield(3, 7, constraint, cache_dir=str(cache)) == truth
+    assert path.read_bytes() == honest
 
 
 def packed_g_rows(k, q):

@@ -45,9 +45,10 @@ The cases, in the order each repeat runs them:
 - a cold `pencillab dimlab search --no-cache` process on each side of
   `_PLAIN_MAX_TESTS`: k = 2 over F_7 with one incidence (57 pencil tests,
   walked on plain ints without numpy) and k = 3 over F_7 with one
-  incidence (2850 tests, the numpy rank kernel); and k = 3 over F_7 with
-  no conditions (2850 pencils, counted by formula and walked for samples,
-  without numpy);
+  incidence (2850 tests, the numpy rank kernel); the same k = 2 search
+  with `--strata`, which takes the rank kernel however small; and k = 3
+  over F_7 with no conditions (2850 pencils, counted by formula and walked
+  for samples, without numpy);
 - a cold `pencillab` process for each group of modules a command loads:
   `numerology` (numerology alone), `pencil reduced` and `pencil
   conic-section` (pencil_geometry alone) on frozen `cli_cold` pencils, and
@@ -242,10 +243,11 @@ def _cold_cases(src, cache_dir, pools):
         command = [sys.executable, "-m", "pencillab.cli", *argv]
         return lambda: subprocess.run(command, env=env, stdout=subprocess.DEVNULL, check=True)
 
-    for k, tests, path in ((2, 57, "plain ints"), (3, 2850, "rank kernel")):
+    for k, tests, path, flags in ((2, 57, "plain ints", []), (3, 2850, "rank kernel", []),
+                                  (2, 57, "--strata", ["--strata"])):
         yield (f"cold dimlab search k={k} F_7, {tests} tests, {path}", "ms",
                run(["dimlab", "search", "--no-cache", "--k", str(k), "--q", "7",
-                    "--incidence", "5,0,1"]))
+                    "--incidence", "5,0,1", *flags]))
     yield ("cold dimlab search k=3 F_7, no conditions", "ms",
            run(["dimlab", "search", "--no-cache", "--k", "3", "--q", "7"]))
     yield "cold load numerology", "ms", run(["numerology", "--g", "4", "--k", "2", "--e", "2,2"])
