@@ -868,8 +868,8 @@ def test_a_hit_decodes_only_residues_as_written(tmp_path):
     cases["f not reduced at g's pivot"] = doctored(
         f=[c if t != g_last.index("1") else "1" for t, c in enumerate(coeffs)])
     # a reduced echelon pair that misses the conditions, its g's last
-    # coordinate changed: the sample before it has the same f and a g that
-    # differs earlier, so the samples stay in order
+    # coordinate changed: the sample before it already comes first on f and
+    # g's other coordinates, so the samples stay in order
     before, last = (json.loads(honest)["samples"][n] for n in (-2, -1))
     assert g_last.index("1") < 3
     assert ([int(c) for c in before["f"]["coeffs"] + before["g"]["coeffs"][:-1]]
