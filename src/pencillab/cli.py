@@ -579,7 +579,7 @@ def _add_dimlab(sub, parents) -> None:
     dl_sea.add_argument("--q", type=int, required=True)
     dl_sea.add_argument("--incidence", type=str, default=None, help="u,v,w;u,v,w;...")
     dl_sea.add_argument("--ram", type=str, default=None, help="x0,x1:order;...")
-    dl_sea.add_argument("--strata", action="store_true", help="classify base divisors")
+    dl_sea.add_argument("--strata", action="store_true", help="split the count by base divisor")
     dl_sea.set_defaults(handler=_cmd_dimlab_search)
     dl_est = dim_sub.add_parser("estimate", parents=[common])
     dl_est.add_argument("--counts", type=str, required=True, help="q:count,q:count,...")
@@ -628,8 +628,8 @@ def _parents() -> argparse.Namespace:
         "--budget",
         type=int,
         default=None,
-        help="max work a search may do: g-rows x conditions, "
-        "plus the matches to classify with --strata",
+        help="max work a search may do: g-rows x conditions, plus with --strata "
+        "the smaller counts' and their enumeration's",
     )
 
     field_opt = argparse.ArgumentParser(add_help=False)

@@ -26,15 +26,13 @@ from those ranks.  The samples, the first matches in (cell, f, g) order,
 are worked out after the count, cell by cell until there are enough: solved
 for per g-row where the cell is sparse, and found by walking the f-rows
 where it is dense.  Either way the keys are residues of independent
-echelon pairs, so the sample pencils are built from them unchecked.  Strata
-solve for every match, from the g-rows that the count kept or eliminated
-again, and classify the matches together by two more ranks mod q, through
-the same elimination: the rank of the pencil's Bezout matrix, and, where
-that shows a base divisor of degree 2 or more, the rank of the multiples of
-the four partials.  The walk of f-rows, each row's system in g built and
-eliminated on plain ints, also counts the small searches without strata, of
-at most _PLAIN_MAX_TESTS pencil tests, and finds the samples of a search
-with no conditions: neither imports numpy.
+echelon pairs, so the sample pencils are built from them unchecked.  The
+walk of f-rows, each row's system in g built and eliminated on plain ints,
+also counts the small searches, of at most _PLAIN_MAX_TESTS pencil tests,
+and finds the samples of a search with no conditions: neither imports
+numpy.  Strata classify no pencil: a pencil is its base divisor times a
+base-point-free pencil whose conditions follow in closed form, so they come
+from counts of smaller degree, in plain ints (_strata_from_counts).
 A cache entry is written as text, its samples filled into a per-(k, q)
 template, and read back strictly: only as many samples as the count gives,
 of residues written as the writer writes them, in reduced echelon pairs and
@@ -81,9 +79,8 @@ SAMPLE_LIMIT = 20
 
 # Work budget of a search, in the units search_pencils_ffield documents.  A
 # k=4 count over F_101 takes about 1.05*10^6 steps per condition; the default
-# leaves room for that and for strata searches that classify up to the k=3
-# Grassmannian over F_101 (105,111,206 pencils), and refuses anything an
-# order of magnitude larger.
+# leaves room for that with many conditions, and refuses a count whose
+# g-rows times conditions are an order of magnitude more.
 DEFAULT_SEARCH_BUDGET = 200_000_000
 
 # Rows per call of the kernel (_systems).  A range's chunks hold
@@ -95,8 +92,7 @@ DEFAULT_SEARCH_BUDGET = 200_000_000
 # than in 8192-row ones, with a third of the page faults, while the k = 4
 # count over F_101 (about 10^6 g-rows) ran about 15% slower.  Only that k = 4
 # count, in tools/bench_layers.py, measures the 8192-row side: no perfbench
-# workload reaches it.  _BATCH_ROWS also bounds a _solutions batch and a
-# _strata_codes call; strata calls of 16k and 32k pencils were 5-20% slower.
+# workload reaches it.  _BATCH_ROWS also bounds a _solutions batch.
 _RANK_CHUNK_ROWS = 2048
 _BATCH_ROWS = 8192
 # Chunk layouts (_layout) kept for the next search at the same (q, k): a
@@ -114,22 +110,7 @@ _LAYOUT_CHUNKS = 16
 # 7.3*10^5 at k = 3 and 5*10^5 at k = 4, 2.2*10^6 and 3.0*10^6 once weighted
 # by C(3, 2) = 3 and C(4, 2) = 6; the threshold sits between them.
 _POOL_MIN_ROW_WORK = 2_500_000
-# A strata search classifies its matches in one process whatever jobs is
-# while matches x (k - 1) is below this.  A match costs more to classify as k
-# grows, and the pool's break-even in matches falls about as 1 / (k - 1).
-# On 2 cores, alone against a pool of two (after a warm-up pool, median of 7
-# or 9), unconstrained unless incidences are named: k = 2 over F_307 (94557
-# matches) 26 vs 38 ms and over F_509 (259591) 59 vs 60 ms; k = 3 over F_17
-# (89030) 64 vs 67 ms and over F_19 (137922) 76 vs 72 ms; k = 4 over F_5
-# (20306) 53 vs 63 ms, over F_13 with two incidences (35504) 78 vs 141 ms,
-# over F_17 with two (98856) 205 vs 187 ms and over F_7 (140050) 252 vs
-# 169 ms.  Weighted, the break-evens are near 2.6*10^5, 2.3*10^5 and
-# 2.6*10^5.  The rank pass also keeps every solvable g-row for the strata
-# pass while a range's weighted matches are within this, so it holds at most
-# about this many rows; a larger search eliminates its g-rows again, which
-# costs little beside classifying that many matches.
-_POOL_MIN_STRATA_WORK = 250_000
-# A search with conditions and no strata walks its f-rows on plain ints
+# A search with conditions walks its f-rows on plain ints
 # (_plain_search), and never imports numpy, while its Grassmannian's pencils x
 # conditions are at most this.  A cold process saves the numpy import,
 # 70-130 ms.  Warm, in-process with numpy loaded (2 cores, median of 31), the
@@ -137,11 +118,14 @@ _POOL_MIN_STRATA_WORK = 250_000
 # F_7) 0.13 vs 0.50 ms, 133 (F_11) 0.15 vs 0.30 ms, 381 (F_19) 0.16 vs
 # 0.31 ms, 553 (F_23) 0.18 vs 0.22 ms, 806 (k = 3 over F_5) 0.42 vs 0.21 ms
 # and 2850 (F_7) 0.82 vs 0.23 ms.  So a warm caller loses nothing here; a
-# larger constant waits for a cold measurement.  Every strata search takes
-# the kernel, whose two ranks classify its matches: a small one pays for it,
-# 381 tests (F_19) 0.63 ms where the walk and a gcd per match took 0.46, and
-# cold the numpy import.
+# larger constant waits for a cold measurement.  The counts behind a strata
+# search (_strata_from_counts) take the same rule.
 _PLAIN_MAX_TESTS = 500
+# Budget steps charged for each state of the point-group enumeration behind
+# the strata (_strata_from_counts), before it runs.  A state took 13-19 us
+# (sixteen incidences through one point over F_17, k = 4..6, 2-core VM),
+# about what 600 g-rows x conditions take in the rank kernel.
+_STATE_STEPS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +436,8 @@ def _kernel_dtype(k: int, q: int):
     of its input.  With r = q - 1, no entry exceeds M = max(1, k-1) r^2 + r
     in size: a system sums one residue and at most k - 1 products of two
     (_systems), the fraction-free update of _eliminate forms the difference
-    of two products, a solved coordinate's right-hand side sums at most
-    k - 2 products and a residue (_solutions), a Bezout matrix entry sums at
-    most ceil(k/2) Plucker coordinates, each a difference of two products,
-    and a partial is at most k r (_strata_codes).  So int16 serves q <= 181
+    of two products, and a solved coordinate's right-hand side sums at most
+    k - 2 products and a residue (_solutions).  So int16 serves q <= 181
     at k <= 2, q <= 127 at k = 3 and q <= 103 at k = 4, and int32 q <= 46337
     at k <= 2.  The plain ints mixed into kernel arrays, q and 1, are below
     M, so numpy's casting takes them as the dtype.  Fewer bytes make the
@@ -540,80 +522,6 @@ def _solutions(pivots: np.ndarray, q: int, cap: int):
                 rhs = (G[:, :, :c] @ eq[:, 1 : c + 1, None])[:, :, 0] + eq[:, None, 0]
                 G[:, :, c] = _mod(_mod(-rhs, q) * inv[:, None], q)
             yield part, G
-
-
-# Base-divisor strata, in the order of _strata_codes
-_STRATA = ("base_point_free", "simple_base_divisor", "multiple_base_points")
-
-
-def _multiples(forms: np.ndarray, shifts: int) -> np.ndarray:
-    """The products of each batch's forms with the monomials of degree shifts - 1.
-
-    forms is r x (d+1) x B, r forms of degree d per system, the batch on the
-    last axis.  Multiplying by a monomial shifts a coefficient vector, so the
-    result is the (r*shifts) x (d+shifts+1) x B batch of those products for
-    _eliminate, after a zero constant column.
-    """
-    import numpy as np
-
-    r, width, B = forms.shape
-    out = np.zeros((r * shifts, width + shifts, B), dtype=forms.dtype)
-    for a in range(shifts):
-        out[a::shifts, 1 + a : 1 + a + width] = forms
-    return out
-
-
-def _bezout_matrices(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """The k x k Bezout matrix mod q of each pencil span(F[b], G[b]), batch last.
-
-    The coordinate pencil (x0^(k-i) x1^i, x0^(k-j) x1^j) has Bezoutian
-    (f(x)g(y) - f(y)g(x)) / (x0*y1 - x1*y0) equal to the sum of x^a y^b over
-    a + b = i + j - 1 and i <= a, b <= j - 1 (x^a standing for x0^(k-1-a)
-    x1^a), so a pencil's Bezout matrix is the sum of those terms weighted by
-    its Plucker coordinates p_ij = f_i g_j - f_j g_i, as in bezoutian_curve.
-    The result is k x (k+1) x B for _eliminate: a zero constant column, then
-    column b + 1 holding the coefficients of y^b.
-    """
-    import numpy as np
-
-    pairs = _cells(k)
-    first, second = np.array(pairs).T
-    F, G = F.T, G.T
-    plucker = F[first] * G[second] - F[second] * G[first]
-    out = np.zeros((k, k + 1, F.shape[1]), dtype=F.dtype)
-    for t, (i, j) in enumerate(pairs):
-        for a in range(i, j):
-            out[a, i + j - a] += plucker[t]
-    return _mod(out, q)
-
-
-def _strata_codes(q: int, k: int, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Index into _STRATA of the base divisor of each pencil span(F[b], G[b]).
-
-    F and G are B x (k+1) coefficient rows mod q of independent forms.  Two
-    ranks, both through _eliminate, decide it.  deg gcd(f, g) is k minus the
-    rank of the k x k Bezout matrix of f and g, the coefficient matrix of the
-    pencil's pair curve (see _bezout_matrices).  A base divisor of degree 1
-    is one F_q-point of multiplicity 1, so simple.  Where the degree is 2 or
-    more, a base point is multiple iff it is a root of the four partials
-    d0f, d1f, d0g, d1g: with q > k, Euler's relation k*f = x0*d0f + x1*d1f
-    makes those the roots of f and g of multiplicity at least 2.  Forms of
-    degree k-1 share a root iff their multiples by the monomials of degree k-2
-    span less than all 2k-2 forms of degree 2k-3.
-    """
-    import numpy as np
-
-    ranks = _eliminate(_bezout_matrices(q, k, F, G), q)[1]
-    codes = (ranks < k).astype(np.int64)
-    wide = np.flatnonzero(ranks < k - 1)  # base divisors of degree >= 2
-    if wide.size:  # never at k <= 2, where independent forms share at most k - 1 roots
-        t = np.arange(k + 1, dtype=F.dtype)[:, None]
-        f, g = F[wide].T, G[wide].T
-        partials = _mod(np.stack([f[:-1] * t[::-1][:-1], f[1:] * t[1:],
-                                  g[:-1] * t[::-1][:-1], g[1:] * t[1:]]), q)
-        ranks = _eliminate(_multiples(partials, k - 1), q)[1]
-        codes[wide] = np.where(ranks < 2 * k - 2, 2, 1)
-    return codes
 
 
 @lru_cache(maxsize=_LAYOUT_CHUNKS)
@@ -840,35 +748,27 @@ def _is_dense(count: int, sparse: int, f_rows: int) -> bool:
     return sparse * count > SAMPLE_LIMIT * f_rows
 
 
-def _count_shard(payload) -> tuple[list, list, list, bool]:
+def _count_shard(payload) -> tuple[list, list, list]:
     """Count the matches of a range of the packed g index; top-level for pickling.
 
     A g-row of cell (i, j), where f has k - 1 - i free coordinates, has
     q^(k - 1 - i - rank) matches if its system is solvable and none
-    otherwise.  Returns each cell's matches and sparse cost (_is_dense), the
-    solvable g-rows kept, as packed (cell, g-rows, pivots) chunks, and
-    whether every solvable row was kept for strata.  A cell keeps its rows
-    until it shows dense, so while the sparse sample route may want them.
-    With strata, every solvable row is kept while the range's matches times
-    k - 1 are within _POOL_MIN_STRATA_WORK, so at most that many rows: a
-    search with more has the strata pass eliminate its g-rows again.
-    strata_budget is None for a plain search; with strata it is (work,
-    budget) of search_pencils_ffield, and a cell whose matches in the range
-    alone take the work past the budget raises ResourceLimit after the chunk
-    that shows it.
+    otherwise.  Returns each cell's matches and sparse cost (_is_dense), and
+    the solvable g-rows kept, as packed (cell, g-rows, pivots) chunks.  With
+    samples, a cell keeps its rows until it shows dense, so while the sparse
+    sample route may want them; without, none is kept.
     """
     import numpy as np
 
-    q, k, lo, hi, mats, strata_budget = payload
+    q, k, lo, hi, mats, samples = payload
     cells = _cells(k)
     n = k - 1
     offsets = np.array([c * (n + 1) + n - i for c, (i, _) in enumerate(cells)])  # c(n+1) + n_c
     powers = [q**e for e in range(n + 1)]  # a row's matches, and its sparse cost
     capped = [min(p, SAMPLE_LIMIT) for p in powers]
     matches, sparse = [0] * len(cells), [0] * len(cells)
-    keep = np.ones(len(cells), dtype=bool)  # cells still sparse
-    keep_all = strata_budget is not None
-    kept, count = [], 0
+    keep = np.full(len(cells), samples)  # cells still sparse
+    kept = []
     for cell, rows, pivots, rank, solvable in _systems(q, k, lo, hi, mats):
         index = cell.astype(np.intp)  # numpy indexes by intp: one conversion, not two
         codes = offsets[index] - rank
@@ -877,21 +777,14 @@ def _count_shard(payload) -> tuple[list, list, list, bool]:
             row = hist[c * (n + 1) : (c + 1) * (n + 1)]
             if not any(row):
                 continue
-            found = sum(map(mul, row, powers))
-            count += found
-            matches[c] += found
+            matches[c] += sum(map(mul, row, powers))
             sparse[c] += sum(map(mul, row, capped))
-            if strata_budget is not None:
-                _check_strata_budget(strata_budget[0] + matches[c], strata_budget[1])
             if keep[c] and _is_dense(matches[c], sparse[c], powers[n - cells[c][0]]):
                 keep[c] = False
-        if keep_all and count * (k - 1) > _POOL_MIN_STRATA_WORK:
-            keep_all = False  # strata will eliminate again: keep the sparse cells' rows only
-            kept = [(c[w], r[w], p[..., w]) for c, r, p in kept for w in [keep[c]]]
-        wanted = solvable if keep_all else solvable & keep[index]
+        wanted = solvable & keep[index]
         if wanted.any():
             kept.append((cell[wanted], rows[wanted], pivots[..., wanted]))
-    return matches, sparse, kept, keep_all
+    return matches, sparse, kept
 
 
 def _sample_keys(q: int, k: int, mats, counts: list, sparse: list, kept: list) -> list[tuple]:
@@ -925,69 +818,6 @@ def _sample_keys(q: int, k: int, mats, counts: list, sparse: list, kept: list) -
     return keys[:SAMPLE_LIMIT]
 
 
-def _strata_shard(payload) -> list[int]:
-    """Matches per stratum of _STRATA among kept g-rows or packed g-ranges.
-
-    payload is (q, k, mats, kept, ranges): the packed (cell, g-rows, pivots)
-    chunks of every solvable g-row, as the count kept them, or None to
-    eliminate the packed ranges again (_systems).  Every match is solved
-    for, in _solutions batches of about _BATCH_ROWS, and the matches of all
-    cells are classified together by _strata_codes, gathered up to
-    _BATCH_ROWS: a small search takes one call, and a large one about one per
-    batch.
-    """
-    import numpy as np
-
-    q, k, mats, kept, ranges = payload
-    if kept is None:
-        kept = ((cell[ok], rows[ok], pivots[..., ok]) for lo, hi in ranges
-                for cell, rows, pivots, _, ok in _systems(q, k, lo, hi, mats))
-    tally = np.zeros(len(_STRATA), dtype=np.int64)
-    pending: list[tuple] = []
-
-    def classify():
-        F, G = (np.concatenate(rows) for rows in zip(*pending))
-        tally[:] += np.bincount(_strata_codes(q, k, F, G), minlength=len(_STRATA))
-        pending.clear()
-
-    for cell_idx, rows, pivots in _cell_parts(k, kept):
-        for batch in _matches(q, k, cell_idx, rows, pivots, q ** pivots.shape[0]):
-            if pending and sum(len(F) for F, _ in pending + [batch]) > _BATCH_ROWS:
-                classify()
-            pending.append(batch)
-    if pending:
-        classify()
-    return tally.tolist()
-
-
-def _strata_ranges(q: int, k: int, counts: list[int], workers: int) -> list[list[tuple]]:
-    """Packed g-ranges for the strata pass to eliminate again, as one list per task.
-
-    Only the cells with matches are eliminated.  With one worker they run as
-    one task, adjacent cells in one range.  For a pool each such cell is cut into
-    contiguous g-ranges, as many as its share of workers * count matches,
-    each a task, so the pieces hold about count / workers matches each if
-    the matches are spread evenly over the g-rows.
-    """
-    total, start, ranges = sum(counts), 0, []
-    for (_, j), count in zip(_cells(k), counts):
-        n_g = q ** (k - j)
-        if count:
-            pieces = 1 if workers == 1 else min(n_g, math.ceil(workers * count / total))
-            bounds = [start + round(s * n_g / pieces) for s in range(pieces + 1)]
-            ranges += zip(bounds, bounds[1:])
-        start += n_g
-    if workers > 1:
-        return [[r] for r in ranges]
-    merged = ranges[:1]
-    for lo, hi in ranges[1:]:
-        if merged[-1][1] == lo:
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return [merged]
-
-
 def _run(fn, tasks: list, jobs: int) -> list:
     """fn over tasks: in a pool of jobs processes if jobs > 1 and there is more than one task."""
     if jobs > 1 and len(tasks) > 1:
@@ -1011,49 +841,41 @@ def search_pencils_ffield(
 
     Every 2-dimensional subspace of degree-k forms is counted exactly once
     through reduced-row-echelon representatives (f, g), grouped into cells by
-    pivot pair.  With no conditions and no strata the count is the
-    Grassmannian's, and the samples are the first 20 pencils of a walk of
-    the cells' f-rows on plain ints (_f_row_walk).  A small search without
-    strata, whose pencils times compiled conditions are at most
-    _PLAIN_MAX_TESTS, counts by that walk too (_plain_search), without numpy;
-    jobs has no effect there.
+    pivot pair.  With no conditions the count is the Grassmannian's, and the
+    samples are the first 20 pencils of a walk of the cells' f-rows on plain
+    ints (_f_row_walk).  A small search, whose pencils times compiled
+    conditions are at most _PLAIN_MAX_TESTS, counts by that walk too
+    (_plain_search), without numpy; jobs has no effect there.
 
-    Every other search, so every strata search, runs the rank kernel, in
-    the narrowest of numpy int16, int32 and int64 that holds
-    max(1, k-1)(q-1)^2 + q - 1, a bound on every entry of the kernel
-    (_kernel_dtype): int16 for q <= 127 at k = 3.  Each
-    g-row's conditions form a linear system in f, the side with at least as
-    many free coordinates (see _count_shard): the row has q^(n - rank)
-    matches if the system is solvable and none otherwise.  One rank pass
-    counts every cell: the g-rows of all cells are numbered in one packed
-    index, and their systems, padded to one width, are eliminated together
-    in batches by _eliminate (_systems).  jobs > 1 cuts that index into
-    contiguous ranges over a process pool, except while g-rows times
+    Every other search runs the rank kernel, in the narrowest of numpy
+    int16, int32 and int64 that holds max(1, k-1)(q-1)^2 + q - 1, a bound on
+    every entry of the kernel (_kernel_dtype): int16 for q <= 127 at k = 3.
+    Each g-row's conditions form a linear system in f, the side with at
+    least as many free coordinates (see _count_shard): the row has
+    q^(n - rank) matches if the system is solvable and none otherwise.  One
+    rank pass counts every cell: the g-rows of all cells are numbered in one
+    packed index, and their systems, padded to one width, are eliminated
+    together in batches by _eliminate (_systems).  jobs > 1 cuts that index
+    into contiguous ranges over a process pool, except while g-rows times
     conditions times C(k, 2) is below _POOL_MIN_ROW_WORK.  The samples are
     the first matches in (cell, f, g) lexicographic order, worked out after
     the count for the cells in order until there are 20 (_sample_keys).  A
     sparse cell solves each solvable g-row for its first 20 f's and merges
     them; a dense one, where that would cost more, takes the f-row walk
     until the search has 20 matches.  Both are exact, so results are
-    independent of jobs, which must be at least 1.  Strata take a second
-    pass: it solves for every match and classifies the matches together by
-    two ranks mod q (see _strata_codes): the rank of the k x k Bezout matrix
-    gives the degree of the base divisor, and where that degree is 2 or
-    more, a rank of the multiples of the four partials tells a multiple
-    base point from simple ones.  It runs in this process while matches
-    times k - 1 are below _POOL_MIN_STRATA_WORK, on the solvable g-rows the
-    first pass kept; a larger search eliminates the g-rows of its cells
-    with matches again, so neither pass holds more than about that many
-    rows.
+    independent of jobs, which must be at least 1.
+
+    report_strata splits the count by base divisor: none, a squarefree one,
+    or one with a multiple point.  The split comes from counts of smaller
+    degree, made by the same rules without samples, and closed forms
+    (_strata_from_counts); no pencil is classified.
 
     budget, which must be at least 0, bounds the work: g-rows times compiled
-    conditions, summed over cells, checked before the search starts; with
-    report_strata, that plus the matches to classify, checked as the first
-    pass counts them (with no conditions every pencil matches, so at once):
-    a cell whose matches so far in a range take the work past the budget
-    raises at once, and the whole count is checked after the pass.  A
-    larger figure raises ResourceLimit, as does a q so large that
-    (k+1)(q-1)^2 would overflow int64.
+    conditions, summed over cells, checked before the search starts.  With
+    report_strata, the work of each smaller count is added before it runs,
+    and _STATE_STEPS for each state of the enumeration behind the strata
+    before that starts.  A larger figure raises ResourceLimit, as does a q so
+    large that (k+1)(q-1)^2 would overflow int64.
 
     With cache_dir set, results persist as JSON keyed by a content hash of
     (k, q, constraint); an entry is used only if it records that same question
@@ -1088,33 +910,43 @@ def search_pencils_ffield(
         cached = _load_cached(cache_path, k, q, spec, mats, report_strata)
         if cached is not None:
             return cached
-    widths = [_free_columns(k, i, j) for i, j in _cells(k)]
-    total = sum(q ** (len(c0) + len(c1)) for c0, c1 in widths)
-    work = len(mats) * sum(q ** len(c1) for _, c1 in widths)
+    work = _work(k, q, mats)
     if work > budget:
         raise ResourceLimit(f"counting by rank takes {work} steps, over the budget of {budget}")
-    strata_budget = None
-    if report_strata:  # with no conditions every pencil matches: the count is known now
-        _check_strata_budget(work + (0 if len(mats) else total), budget)
-        strata_budget = (work, budget)
-    tally = None
-    if not mats and not report_strata:  # every pencil matches
-        count = grassmannian_pencil_count(k, q)
-        keys = _walked_keys(q, k, mats, range(len(widths)), SAMPLE_LIMIT)
-    elif not report_strata and total * len(mats) <= _PLAIN_MAX_TESTS:
-        count, keys = _plain_search(q, k, mats)
-    else:
-        count, keys, tally = _rank_search(q, k, mats, work, strata_budget, jobs)
+    count, keys = _count(q, k, mats, work, jobs, True)
     # the keys are echelon pairs of residues, independent as their pivots differ
-    samples = tuple(_trusted_pencil(field, k, f, g) for _, f, g in keys[:SAMPLE_LIMIT])
-    strata = None if tally is None else {name: c for name, c in zip(_STRATA, tally) if c}
+    samples = tuple(_trusted_pencil(field, k, f, g) for _, f, g in keys)
+    strata = None
+    if report_strata:
+        tally = _strata_from_counts(k, q, constraint, count, jobs, work, budget)
+        strata = {name: c for name, c in zip(_STRATA, tally) if c}
     result = SearchResult(count=count, samples=samples, strata=strata)
     if cache_path is not None:
         _store_cached(cache_path, k, q, spec_text, result)
     return result
 
 
-def _plain_search(q: int, k: int, mats: tuple) -> tuple[int, list]:
+def _work(k: int, q: int, mats: tuple) -> int:
+    """The budget steps of a count: g-rows times compiled conditions, summed over cells."""
+    return len(mats) * sum(q ** (k - j) for _, j in _cells(k))
+
+
+def _count(q: int, k: int, mats: tuple, work: int, jobs: int, samples: bool):
+    """Count and sample keys of a search (none without samples), by the path its size takes.
+
+    With no conditions every pencil matches, and the samples come from the
+    walk; up to _PLAIN_MAX_TESTS pencil tests the walk counts too, and above
+    that the rank kernel does.  work is _work's.
+    """
+    if not mats:
+        keys = _walked_keys(q, k, mats, range(len(_cells(k))), SAMPLE_LIMIT) if samples else []
+        return grassmannian_pencil_count(k, q), keys
+    if grassmannian_pencil_count(k, q) * len(mats) <= _PLAIN_MAX_TESTS:
+        return _plain_search(q, k, mats, samples)
+    return _rank_search(q, k, mats, work, jobs, samples)
+
+
+def _plain_search(q: int, k: int, mats: tuple, samples: bool) -> tuple[int, list]:
     """Count and sample keys of a search, walking every cell's f-rows on plain ints.
 
     The walk (_f_row_walk) runs in (cell, f, g) order, so the keys kept, those
@@ -1122,17 +954,17 @@ def _plain_search(q: int, k: int, mats: tuple) -> tuple[int, list]:
     """
     count, keys = 0, []
     for cell_idx in range(len(_cells(k))):
-        for found, row_keys in _f_row_walk(q, k, cell_idx, mats, SAMPLE_LIMIT):
+        for found, row_keys in _f_row_walk(q, k, cell_idx, mats, SAMPLE_LIMIT if samples else 0):
             count += found
             keys += row_keys
     return count, keys[:SAMPLE_LIMIT]
 
 
-def _rank_search(q: int, k: int, mats: tuple, work: int, strata_budget, jobs: int):
-    """Count, sample keys in order and strata tally (or None) of a search, by the rank kernel.
+def _rank_search(q: int, k: int, mats: tuple, work: int, jobs: int, samples: bool):
+    """Count and sample keys in order (none without samples) of a search, by the rank kernel.
 
     One rank pass counts every cell's g-rows, in ranges of the packed g index
-    (_systems), one per worker; the samples and the strata follow from it.
+    (_systems), one per worker; the samples follow from it.
     """
     import numpy as np
 
@@ -1141,31 +973,238 @@ def _rank_search(q: int, k: int, mats: tuple, work: int, strata_budget, jobs: in
     workers = jobs if work * math.comb(k, 2) >= _POOL_MIN_ROW_WORK else 1
     total = sum(q ** (k - j) for _, j in _cells(k))
     bounds = [round(s * total / workers) for s in range(workers + 1)]
-    tasks = [(q, k, lo, hi, kernel, strata_budget)
-             for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    match_parts, sparse_parts, kept_parts, kept_all = zip(*_run(_count_shard, tasks, workers))
+    tasks = [(q, k, lo, hi, kernel, samples) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    match_parts, sparse_parts, kept_parts = zip(*_run(_count_shard, tasks, workers))
     # each cell's matches and sparse cost, summed over the ranges
     counts, sparse = ([sum(cell) for cell in zip(*parts)] for parts in (match_parts, sparse_parts))
-    count = sum(counts)
-    if strata_budget is not None:
-        _check_strata_budget(strata_budget[0] + count, strata_budget[1])
+    if not samples:
+        return sum(counts), []
     kept = [chunk for part in kept_parts for chunk in part]
-    keys = _sample_keys(q, k, mats, counts, sparse, kept)
-    if strata_budget is None:
-        return count, keys, None
-    workers = jobs if count * (k - 1) >= _POOL_MIN_STRATA_WORK else 1
-    if workers == 1 and all(kept_all):
-        tasks = [(q, k, kernel, kept, None)]
-    else:
-        tasks = [(q, k, kernel, None, ranges) for ranges in _strata_ranges(q, k, counts, workers)]
-    return count, keys, [sum(c) for c in zip(*_run(_strata_shard, tasks, workers))]
+    return sum(counts), _sample_keys(q, k, mats, counts, sparse, kept)
 
 
-def _check_strata_budget(steps: int, budget: int) -> None:
-    if steps > budget:
-        raise ResourceLimit(
-            f"classifying strata takes at least {steps} steps, over the budget of {budget}"
-        )
+# ---------------------------------------------------------------------------
+# strata from counts
+
+# Base-divisor strata, as SearchResult.strata names them
+_STRATA = ("base_point_free", "simple_base_divisor", "multiple_base_points")
+
+
+def _sqrt_mod(a: int, q: int) -> int | None:
+    """A square root of a mod the odd prime q, or None where a is no square (Tonelli-Shanks)."""
+    a %= q
+    if pow(a, (q - 1) // 2, q) > 1:
+        return None
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = t 2^s, t odd
+    t = (q - 1) >> s
+    z = next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1)  # a non-square
+    c, x, b = pow(z, t, q), pow(a, (t + 1) // 2, q), pow(a, t, q)
+    while b > 1:  # x^2 = a b, and the order 2^i of b falls at each step
+        i = next(i for i in range(1, s) if pow(b, 1 << i, q) == 1)
+        d = pow(c, 1 << (s - i - 1), q)
+        s, c, x, b = i, d * d % q, x * d % q, b * d * d % q
+    return x
+
+
+def _pair_points(q: int, u: int, v: int, w: int) -> tuple:
+    """The closed points of P^1 over F_q in the pair (u : v : w), each once.
+
+    sym_point(a, b) is the pair whose form w x0^2 - v x0 x1 + u x1^2 vanishes
+    at a and b.  Its F_q-points come as their normalized (x0, x1); where
+    v^2 - 4uw is no square, its roots are conjugate over F_(q^2), one closed
+    point of degree 2, which comes as (u, v, w).  So a point's degree is its
+    length less 1.
+    """
+    if u == 0:  # [0:1] is a root, and [v:w] the other
+        return tuple(dict.fromkeys([(0, 1), (1, w * pow(v, -1, q) % q) if v else (0, 1)]))
+    root = _sqrt_mod(v * v - 4 * u * w, q)
+    if root is None:
+        return ((u, v, w),)
+    half = pow(2 * u, -1, q)
+    return tuple(dict.fromkeys([(1, (v + root) * half % q), (1, (v - root) * half % q)]))
+
+
+def _times(a: list, b: list) -> list:
+    """The product of two power series in t, to as many terms as a."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: len(a) - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _over(a: list, b: list) -> list:
+    """a / b as a power series in t, to as many terms as a; b starts with 1."""
+    out: list = []
+    for d, x in enumerate(a):
+        out.append(x - sum(y * out[d - j] for j, y in enumerate(b[1 : d + 1], 1)))
+    return out
+
+
+def _divisor_options(q: int, m: int, conds: tuple, roots: dict, squarefree: bool) -> tuple:
+    """(base, options): how the effective divisors h of degree below m change conds.
+
+    conds are sorted (incidences, ramifications): incidences keyed as in
+    roots, which gives their closed points (_pair_points), ramifications as
+    (F_q-point, order).  h acts only at those points: at a ramification
+    point by its order there, up to e - 1, past which the condition holds for
+    every pencil, and elsewhere by vanishing or not, which makes the
+    incidences through the point hold.  Points that make the same ones hold
+    form a group, met or not.  Each ramification point and group is an
+    option, (its index in conds' ramifications, or None for a group, its
+    states past order 0 or not met, by lowest degree), a state being (series,
+    lowest degree, incidences made to hold, ramification left or None), its
+    series in t counting that part of h by degree: t^n for order n,
+    t^(e-1) / (1 - t) past it, and prod 1 / (1 - t^deg) - 1 over a group's
+    points.  base counts the rest of h, on none of the points:
+    prod (1 - t^deg) / ((1 - t)(1 - q t)).  With squarefree, h is squarefree:
+    order 1 at most, prod (1 + t^deg) - 1 for a group, and base
+    (1 + t)(1 - q t^2) / ((1 - q t) prod (1 + t^deg)).  Series run to m terms.
+    """
+    incs, rams = conds
+    kills: dict = {}  # each closed point of the incidences, and the incidences through it
+    for c in incs:
+        for p in roots[c]:
+            kills.setdefault(p, []).append(c)
+    one, sign = [1] + [0] * (m - 1), 1 if squarefree else -1
+    options = []
+    for at, (p, e) in enumerate(rams):  # order e - 1 stands for every higher one too
+        options.append((at, [(([0] * n + (one if squarefree or n < e - 1 else [1] * m))[:m], n,
+                              frozenset(kills.get(p, ())), (p, e - n) if e - n > 1 else None)
+                             for n in range(1, 2 if squarefree else e)]))
+    groups: dict = {}
+    for p, dead in kills.items():
+        if p not in dict(rams):
+            groups.setdefault(frozenset(dead), []).append(len(p) - 1)
+    prod = one  # prod (1 + sign t^deg) over every point
+    for p in set(kills) | set(dict(rams)):
+        prod = _times(prod, [1] + [0] * (len(p) - 2) + [sign])
+    for dead, degrees in groups.items():
+        met = one
+        for d in degrees:
+            met = _times(met, [1] + [0] * (d - 1) + [sign])
+        met = met if squarefree else _over(one, met)
+        options.append((None, [([met[0] - 1] + met[1:], min(degrees), dead, None)]))
+    if squarefree:
+        return _over(([1, 1, -q, -q] + one)[:m], _times(prod, [1, -q])), options
+    return _over(prod, [1, -1 - q, q]), options
+
+
+def _divisor_terms(q: int, m: int, conds: tuple, roots: dict, squarefree: bool):
+    """Yield (d, c, C_h): c effective divisors h of degree d < m turn conds into C_h.
+
+    All of them, or with squarefree only the squarefree ones; h = 1 is the
+    term (0, 1, conds).  The states of _divisor_options are taken one per
+    option, depth first, an option left out taking its first state.  Every
+    other state has a lowest degree of 1 or more, so the walk goes at most
+    m - 1 options deep, and with the options in order of lowest degree it
+    stops where the next would reach m.  The series of the states that leave
+    the same conditions are summed before base multiplies them.
+    """
+    incs, rams = conds
+    base, options = _divisor_options(q, m, conds, roots, squarefree)
+    options.sort(key=lambda option: option[1][0][1])
+    found: dict = {}  # (incidences made to hold, ramifications left) -> series
+
+    def walk(start: int, series: list, low: int, held: frozenset, left: tuple) -> None:
+        key = (held, left)
+        found[key] = [a + b for a, b in zip(found[key], series)] if key in found else series
+        for index, states in options[start:]:
+            start += 1
+            if low + states[0][1] >= m:
+                break
+            for part, part_low, dead, ram in states:
+                if low + part_low < m:
+                    walk(start, _times(series, part), low + part_low, held | dead,
+                         left if index is None else left[:index] + (ram,) + left[index + 1:])
+
+    walk(0, [1] + [0] * (m - 1), 0, frozenset(), rams)
+    for (held, left), series in found.items():
+        sub = (tuple(c for c in incs if c not in held), tuple(r for r in left if r))
+        for d, c in enumerate(_times(base, series)):
+            if c:
+                yield d, c, sub
+
+
+def _enumeration_states(q: int, k: int, conds: tuple, roots: dict) -> int:
+    """A bound, from the options alone, on the states that _strata_from_counts walks.
+
+    T(j), the tuples of one state per option whose lowest degrees sum to at
+    most j, bounds the states of the conditions that any h leaves, at degree
+    j + 1: they have fewer options, of fewer states.  A count at degree m is
+    reached from at most T(k - m) tuples and walks T(m - 1) states; the
+    squarefree walk at degree k adds T(k - 1).
+    """
+    tuples = [1] + [0] * (k - 1)
+    for _, states in _divisor_options(q, k, conds, roots, False)[1]:
+        tuples = _times(tuples, [1] + [sum(low == d for _, low, *_ in states) for d in range(1, k)])
+    T = list(accumulate(tuples))
+    return sum(T[k - m] * T[m - 1] for m in range(2, k + 1)) + T[k - 1]
+
+
+def _strata_from_counts(k: int, q: int, constraint, count: int, jobs: int,
+                        spent: int, budget: int) -> list[int]:
+    """Pencils per stratum of _STRATA among a search's count, from counts of smaller degree.
+
+    A pencil V whose base divisor h has degree d is h V' for a unique
+    base-point-free V' of degree k - d, whose conditions C_h follow in
+    closed form: V's pair curve is h(x)h(y) times V''s, so V meets an
+    incidence iff h vanishes at one of its points or V' meets it; and V has
+    a member of order e at p iff V' has one of order e - ord_p(h), which
+    every pencil has below 2.  So N_m(C), the pencils of degree m meeting C,
+    is the sum of BPF_(m - deg h)(C_h) over the effective h of degree below
+    m (_divisor_terms), BPF counting base-point-free pencils, and BPF_m(C)
+    is N_m(C) less the terms of h != 1, by recursion on the degree.  The
+    strata are BPF_k(C), the same sum over the squarefree h != 1, and the
+    rest.  Each N_m(C') with m < k is a search's count (_count), without
+    samples or cache, or with no conditions the Grassmannian's, and 0 at
+    m = 1 or below an order.  A zero count takes no terms.  spent is the
+    search's work: the enumeration's bound (_enumeration_states) times
+    _STATE_STEPS is added before it starts, and each count's work before it
+    runs; past budget, ResourceLimit.
+    """
+    if not count:
+        return [0, 0, 0]
+    syms = {sp.coords(): sp for sp in constraint.incidences}
+    points = {pt.coords(): pt for pt, _ in constraint.ramifications}
+    # the highest order at each point implies the others
+    orders = {p: max(e for pt, e in constraint.ramifications if pt.coords() == p) for p in points}
+    roots = {c: _pair_points(q, *c) for c in syms}
+    top = (tuple(sorted(syms)), tuple(sorted(orders.items())))
+    counts, free = {(k, top): count}, {}
+
+    def charge(steps: int) -> None:
+        nonlocal spent
+        spent += steps
+        if spent > budget:
+            raise ResourceLimit(f"the strata take at least {spent} steps, over the budget of {budget}")
+
+    def n(m: int, conds: tuple) -> int:
+        incs, rams = conds
+        if not (incs or rams):
+            return grassmannian_pencil_count(m, q)
+        if m == 1 or any(e > m for _, e in rams):
+            return 0
+        if (m, conds) not in counts:
+            mats = compile_constraint(m, q, SearchConstraint(
+                [syms[c] for c in incs], [(points[p], e) for p, e in rams]))
+            work = _work(m, q, mats)
+            charge(work)
+            counts[m, conds] = _count(q, m, mats, work, jobs, False)[0]
+        return counts[m, conds]
+
+    def bpf(m: int, conds: tuple) -> int:
+        if (m, conds) not in free:
+            total = n(m, conds)
+            free[m, conds] = total and total - sum(
+                c * bpf(m - d, sub) for d, c, sub in _divisor_terms(q, m, conds, roots, False) if d)
+        return free[m, conds]
+
+    charge(_STATE_STEPS * _enumeration_states(q, k, top, roots))
+    base_free = bpf(k, top)
+    simple = sum(c * bpf(k - d, sub) for d, c, sub in _divisor_terms(q, k, top, roots, True) if d)
+    return [base_free, simple, count - base_free - simple]
 
 
 # --- cache plumbing ---
@@ -1254,10 +1293,11 @@ def _load_cached(
     """The stored result, or None if absent, unreadable, malformed or for another question.
 
     An entry must hold a nonnegative int count, strata that are None or
-    stratum names mapped to such counts, summing to the count, and
-    min(count, SAMPLE_LIMIT) samples whose two forms each have degree k and
-    exactly k + 1 coefficients, each a residue mod q written as
-    _store_cached writes it (_stored_residues).  The samples must be reduced
+    stratum names mapped to positive int counts (the writer omits empty
+    strata) summing to the count, and min(count, SAMPLE_LIMIT) samples whose
+    two forms each have degree k and exactly k + 1 coefficients, each a
+    residue mod q written as _store_cached writes it (_stored_residues).
+    The samples must be reduced
     echelon pairs, so independent, in strictly increasing (cell, f, g)
     order, as a search gives them (_echelon_key), and each must meet every
     condition of mats, compile_constraint's; anything else is recomputed.
@@ -1279,7 +1319,7 @@ def _load_cached(
     if report_strata and strata is None:
         return None  # cached run lacks the strata breakdown; recompute
     strata_ok = strata is None or isinstance(strata, dict) and all(
-        name in _STRATA and _is_count(c) for name, c in strata.items()
+        name in _STRATA and _is_count(c) and c for name, c in strata.items()
     )
     count = doc.get("count")
     if not (strata_ok and _is_count(count)):

@@ -73,15 +73,17 @@ def test_bench_layers_times_int64_systems(tmp_path):
     assert label == "_systems k=2 F_100003 100005 g-rows int64" and value > 0
 
 
-def test_bench_layers_times_the_strata_ranks(tmp_path):
+def test_bench_layers_times_the_strata_search(tmp_path):
     proc = subprocess.run(
-        [sys.executable, SCRIPT, "--repeats", "1", "--only", "_strata_codes"],
+        [sys.executable, SCRIPT, "--repeats", "1", "--only", "strata"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    (label, value), = doc["ms"].items()
-    assert label == "_strata_codes k=3 F_13 2549 matches" and value > 0
+    assert sorted(doc["ms"]) == ["cold dimlab search k=2 F_7, 57 tests, --strata",
+                                 "k=4 F_17 c=2 strata", "ladder F_13 strata",
+                                 "strata search k=3 F_13 2549 matches"]
+    assert all(value > 0 for value in doc["ms"].values())
 
 
 def test_bench_layers_times_a_small_search_around_its_rank_pass(tmp_path):

@@ -287,16 +287,17 @@ FORMER_HANGS = [
     # 21408078129 tuples: counted, then refused before any is listed
     (["severi", "alphas", "--p", "300", "--delta", "290", "--k", "2"], 1,
      lambda doc: doc["error"] == "resource_limit"),
-    # four incidences leave no pencil; the strata budget counts g-rows and
-    # matches, not the 1991602626 pencils of the Grassmannian (exit 1: count 0)
+    # four incidences leave no pencil; the budget counts g-rows, not the
+    # 1991602626 pencils of the Grassmannian, and a count of 0 has empty
+    # strata (exit 1: count 0)
     (["dimlab", "search", "--k", "3", "--q", "211", "--incidence", "1,2,3;4,5,6;7,8,10;2,9,5",
       "--strata", "--no-cache"], 1,
      lambda doc: doc["count"] == 0 and doc["strata"] == {}),
-    # 9.5 * 10^6 g-rows x conditions fit the budget, about 211^7 matches do not:
-    # refused as the first g-rows are counted, before the rest are eliminated
+    # 9.5 * 10^6 g-rows x conditions fit the budget; about 211^7 matches once
+    # took a classifier past it, and now their strata come from smaller counts
     (["dimlab", "search", "--k", "4", "--q", "211", "--incidence", "1,2,3",
-      "--strata", "--no-cache"], 1,
-     lambda doc: doc["error"] == "resource_limit"),
+      "--strata", "--no-cache"], 0,
+     lambda doc: sum(doc["strata"].values()) == doc["count"] == 422210318049),
     # the Wronskian's roots over F_q: evaluated by Horner at all q + 1 points,
     # multiplicities taken at the roots only (once a Taylor shift per point)
     (["pencil", "wronskian", "--q", "100003", "--f", "1,2,3", "--g", "0,1,1"], 0,
@@ -584,9 +585,9 @@ def test_dimlab_search_empty_result_exit_one(capsys):
 def test_omitted_budget_is_the_search_default(capsys):
     from pencillab.severi_degeneration import DEFAULT_SEARCH_BUDGET
 
-    # with no conditions every one of the k=3 Grassmannian's 2*10^9 pencils over
-    # F_211 matches, so the strata budget refuses before the search starts
-    argv = ["dimlab", "search", "--k", "3", "--q", "211", "--strata", "--no-cache"]
+    # k = 5 over F_211 has about 2*10^9 g-rows, so one incidence takes the
+    # count past the budget before the search starts
+    argv = ["dimlab", "search", "--k", "5", "--q", "211", "--incidence", "1,2,3", "--no-cache"]
     doc = run_json(argv, capsys, expect_code=1)
     assert doc["error"] == "resource_limit"
     assert doc["detail"].endswith(f"over the budget of {DEFAULT_SEARCH_BUDGET}")
@@ -732,11 +733,14 @@ def test_heavy_modules_load_only_where_used(tmp_path):
     conic = ["pencil", "conic-section", "--f", "1,2,3", "--g", "0,1,1"]
     # 57 and 62 pencil tests run on plain ints; 2850 take the rank kernel
     small = ["dimlab", "search", "--no-cache", "--k", "2", "--q", "7", "--incidence", "5,0,1"]
+    # its strata: a smaller count at k = 1 is a closed form
+    small_strata = small + ["--strata"]
     unique = ["reproduce", "unique-pencil"]  # a cache miss: the cache starts empty
     # no conditions: 2850 pencils, all matching, counted by formula and walked for samples
     unconstrained = ["dimlab", "search", "--no-cache", "--k", "3", "--q", "7"]
     large = ["dimlab", "search", "--no-cache", "--k", "3", "--q", "7", "--incidence", "5,0,1"]
-    steps = probe_loads(tmp_path, integer + [conic, small, unique, unconstrained, large])
+    steps = probe_loads(tmp_path, integer + [conic, small, small_strata, unique, unconstrained,
+                                             large])
     assert list((tmp_path / "cache").glob("search-*.json")), "unique-pencil wrote no entry"
     # import pencillab, then import pencillab.cli: no theme module, nothing heavy or light
     assert steps[:2] == [set(), set()]
@@ -747,7 +751,7 @@ def test_heavy_modules_load_only_where_used(tmp_path):
     # a search that neither reads nor writes the cache hashes no key
     assert "hashlib" not in steps[3 + len(integer)]
     # loads accumulate: nothing heavy through the conic section, both small
-    # searches and the unconstrained one
+    # searches, the small one's strata and the unconstrained one
     assert not steps[-2] & set(HEAVY)
     # a search this large runs in one process at the default --jobs
     assert steps[-1] & set(HEAVY) == {"numpy"}

@@ -15,7 +15,6 @@ from pencillab import (
     AlphaTuple,
     ChainMismatch,
     ChainSpec,
-    DegeneratePencil,
     LimitCurveModel,
     Pencil,
     PointCollision,
@@ -50,7 +49,7 @@ from pencillab.pencil_geometry import (
 )
 from pencillab.fields import QQ, Field
 
-from conftest import form, point, projective_points, random_form, random_pencil
+from conftest import form, point, projective_points, random_pencil
 
 
 def oracle_alpha_walk(p, delta, k):
@@ -544,8 +543,22 @@ def brute_force_search(k, q, constraint, strata=True):
     return count, tuple(samples[:20]), found
 
 
+def conjugate_pair(F, rng):
+    """A seeded point of the plane whose pair is conjugate over F_(q^2): v^2 - 4uw is no square."""
+    q = F.q
+    while True:
+        v, w = rng.randrange(q), rng.randrange(q)
+        if pow((v * v - 4 * w) % q, (q - 1) // 2, q) == q - 1:
+            return severi_degeneration.SymPoint(F, 1, v, w)
+
+
 def oracle_constraints(F, k, rng):
-    """Seeded constraints of every kind the rank kernel must count: (name, constraint)."""
+    """Seeded constraints of every kind the rank kernel must count: (name, constraint).
+
+    Incidences at pairs of two F_q-points, at doubled points and at
+    conjugate pairs; ramifications alone, on an incidence, and two at one
+    point.
+    """
     pts = projective_points(F)
 
     def xi():
@@ -562,6 +575,10 @@ def oracle_constraints(F, k, rng):
         ("repeated incidence", SearchConstraint(incidences=(first, first))),
         ("ramification", SearchConstraint(ramifications=(ram(rng.randint(2, k)),))),
         ("mixed", SearchConstraint(incidences=(xi(),), ramifications=(ram(2),))),
+        ("doubled point and conjugate pair",
+         SearchConstraint(incidences=(sym_point(a, a), conjugate_pair(F, rng)))),
+        ("two ramifications on an incidence",
+         SearchConstraint(incidences=(sym_point(a, b),), ramifications=((a, 2), (a, k)))),
         # Riemann-Hurwitz leaves no pencil totally ramified at three points
         ("inconsistent", SearchConstraint(ramifications=((a, k), (b, k), (c, k)))),
     ]
@@ -569,28 +586,26 @@ def oracle_constraints(F, k, rng):
 
 # The oracle classifies each match in Python, about 15 us apiece, so strata
 # are compared where the count is at most this; above it a comparison takes
-# seconds.  test_strata_codes_on_a_whole_grassmannian checks the classifier
-# itself on a larger family.
+# seconds.
 STRATA_CAP = 5000
 # The oracle comparisons run the search's plain-int path too, with no size
 # limit, up to this many pencil tests (Grassmannian x max(1, conditions)).
 PYTHON_PATH_CAP = 100_000
 
 
-def search_paths(monkeypatch, k, q, constraint, strata=False):
+def search_paths(monkeypatch, k, q, constraint):
     """Yield (path, jobs) to compare, with _PLAIN_MAX_TESTS set for the path.
 
     The rank kernel runs at jobs 1 and 2 whatever the size; the plain-int
-    walk, which ignores jobs, at jobs 1 up to PYTHON_PATH_CAP pencil tests,
-    and only without strata: every strata search takes the kernel.  A search
-    with no conditions and no strata takes neither: it walks for its samples
-    alone.
+    walk, which ignores jobs, at jobs 1 up to PYTHON_PATH_CAP pencil tests.
+    The counts behind strata take the path too.  A search with no conditions
+    takes neither: it walks for its samples alone.
     """
     sd = severi_degeneration
     tests = grassmannian_pencil_count(k, q) * max(1, len(sd.compile_constraint(k, q, constraint)))
     default = sd._PLAIN_MAX_TESTS
     paths = [("kernel", 0, (1, 2))]
-    if tests <= PYTHON_PATH_CAP and not strata:
+    if tests <= PYTHON_PATH_CAP:
         paths.append(("python", float("inf"), (1,)))
     for path, cap, jobs_values in paths:
         monkeypatch.setattr(sd, "_PLAIN_MAX_TESTS", cap)
@@ -615,7 +630,7 @@ def test_rank_kernel_matches_brute_force(k, q, monkeypatch):
         if want.count <= STRATA_CAP:
             want = SearchResult(*brute_force_search(k, q, constraint))
             assert sum(want.strata.values()) == want.count, name
-            for path, jobs in search_paths(monkeypatch, k, q, constraint, strata=True):
+            for path, jobs in search_paths(monkeypatch, k, q, constraint):
                 got = search_pencils_ffield(k, q, constraint, jobs=jobs, report_strata=True)
                 assert got == want, (name, path, jobs)
         counts[name] = want.count
@@ -626,16 +641,30 @@ def test_rank_kernel_matches_brute_force(k, q, monkeypatch):
 def seeded_search_grid(rng, size):
     """(k, q, constraint) drawn from k = 2..4, q = 5..31, 0-5 incidences, some ramifications.
 
-    The oracle tests about q^(2k-2) echelon pairs in the largest cell, so k = 4
-    keeps to q <= 11.
+    An incidence is at two F_q-points, a doubled point or a conjugate pair.
+    A ramification point lies on an incidence about half the time, and
+    sometimes carries a second order.  The oracle tests about q^(2k-2)
+    echelon pairs in the largest cell, so k = 4 keeps to q <= 11.
     """
     primes = [5, 7, 11, 13, 17, 19, 23, 29, 31]
     for _ in range(size):
         k = rng.randint(2, 4)
         q = rng.choice(primes[:3] if k == 4 else primes)
-        pts = projective_points(Field(q))
-        incidences = tuple(sym_point(*rng.sample(pts, 2)) for _ in range(rng.randint(0, 5)))
-        rams = ((rng.choice(pts), rng.randint(2, k)),) if rng.random() < 0.3 else ()
+        F = Field(q)
+        pts = projective_points(F)
+        incidences, on = [], []
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.random()
+            if kind < 0.2:
+                incidences.append(conjugate_pair(F, rng))
+                continue
+            pair = [rng.choice(pts)] * 2 if kind < 0.4 else rng.sample(pts, 2)
+            incidences.append(sym_point(*pair))
+            on += pair
+        rams = ()
+        if rng.random() < 0.3:
+            at = rng.choice(on) if on and rng.random() < 0.5 else rng.choice(pts)
+            rams = tuple((at, rng.randint(2, k)) for _ in range(1 + (rng.random() < 0.3)))
         yield k, q, SearchConstraint(incidences=incidences, ramifications=rams)
 
 
@@ -646,14 +675,11 @@ def test_g_side_search_matches_brute_force(monkeypatch):
     with few conditions), whose samples come from the f-row walk, and sparse
     ones (four incidences, and seeded searches with more), whose samples are
     solved for per g-row; both routes must run.  The walk alone must also
-    find every cell's first matches.  Strata come from g-rows eliminated
-    again (pooled, and dense cells with the threshold at 0) and from the
-    g-rows the count kept (the default threshold).
+    find every cell's first matches.  Strata come from the counts of
+    smaller degree, on both paths too.
     """
     sd = severi_degeneration
-    keep_rows = sd._POOL_MIN_STRATA_WORK
-    monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks for both passes
-    monkeypatch.setattr(sd, "_POOL_MIN_STRATA_WORK", 0)
+    monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks
     routes = {"dense": 0, "sparse": 0}
     walk, matches = sd._walked_keys, sd._matches
 
@@ -663,8 +689,7 @@ def test_g_side_search_matches_brute_force(monkeypatch):
         return walk(q, k, mats, cells, limit)
 
     def counted_matches(q, k, cell_idx, rows, pivots, cap):
-        # the sparse route solves g-rows for SAMPLE_LIMIT f's each; the strata
-        # pass takes every match
+        # the sparse route solves g-rows for SAMPLE_LIMIT f's each
         routes["sparse"] += cap == sd.SAMPLE_LIMIT
         return matches(q, k, cell_idx, rows, pivots, cap)
 
@@ -696,12 +721,9 @@ def test_g_side_search_matches_brute_force(monkeypatch):
             assert got == want, (name, path, jobs)
         if want.count <= STRATA_CAP:
             want = SearchResult(*brute_force_search(k, q, constraint))
-            for path, jobs in search_paths(monkeypatch, k, q, constraint, strata=True):
+            for path, jobs in search_paths(monkeypatch, k, q, constraint):
                 got = search_pencils_ffield(k, q, constraint, jobs=jobs, report_strata=True)
                 assert got == want, (name, path, jobs)
-            with monkeypatch.context() as m:
-                m.setattr(sd, "_POOL_MIN_STRATA_WORK", keep_rows)
-                assert search_pencils_ffield(k, q, constraint, report_strata=True) == want, name
     assert routes["dense"] and routes["sparse"], routes
 
 
@@ -810,7 +832,8 @@ def test_a_hit_decodes_only_residues_as_written(tmp_path):
     """A hit equals the fresh result; an entry whose samples differ from what is written is recomputed.
 
     So is an entry whose samples, though written as a search writes them,
-    miss the conditions.  Every doctored entry of the F_31 search also claims
+    miss the conditions, and one that holds a stratum of 0, which no search
+    writes.  Every doctored entry of the F_31 search also claims
     one more match, so returning it would show; each is recomputed and
     overwritten with the honest entry.
     """
@@ -898,6 +921,21 @@ def test_a_hit_decodes_only_residues_as_written(tmp_path):
     assert search_pencils_ffield(3, 7, constraint, cache_dir=str(cache)) == truth
     assert path.read_bytes() == honest
 
+    # dimlab search --k 2 --q 7 --incidence 1,2,3 --strata, its entry given a
+    # stratum of 0 that the writer omits: a fresh search never prints it
+    constraint = SearchConstraint(incidences=(severi_degeneration.SymPoint(F7, 1, 2, 3),))
+    cache = tmp_path / "strata"
+    truth = search_pencils_ffield(2, 7, constraint, cache_dir=str(cache), report_strata=True)
+    assert truth.strata == {"base_point_free": 8}
+    (path,) = cache.iterdir()
+    honest = path.read_bytes()
+    doc = json.loads(honest)
+    doc["strata"]["simple_base_divisor"] = 0
+    path.write_bytes(json.dumps(doc).encode())
+    assert search_pencils_ffield(2, 7, constraint, cache_dir=str(cache),
+                                 report_strata=True) == truth
+    assert path.read_bytes() == honest
+
 
 def packed_g_rows(k, q):
     """Cell and g-row of every row of the packed g index: each cell's echelon rows from _digits."""
@@ -971,7 +1009,6 @@ def test_results_do_not_depend_on_the_layout_cache(k, q, monkeypatch):
     """Counts, samples and strata, cold and warm, at jobs 1 and 2, by the kernel."""
     sd = severi_degeneration
     monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks
-    monkeypatch.setattr(sd, "_POOL_MIN_STRATA_WORK", 0)  # strata eliminate again
     monkeypatch.setattr(sd, "_PLAIN_MAX_TESTS", 0)
     monkeypatch.setattr(sd, "_RANK_CHUNK_ROWS", 7)
     rng = random.Random(f"layouts:{k}:{q}")
@@ -1068,7 +1105,7 @@ def test_walk_keys_do_not_depend_on_the_first_chunk(k, q, monkeypatch):
                 for row in side_matches(k, q, mats, c)[:sd.SAMPLE_LIMIT].tolist()]
         for rows in (1, 7, 2048):
             monkeypatch.setattr(sd, "_RANK_CHUNK_ROWS", rows)
-            got = sd._rank_search(q, k, sd.compile_constraint(k, q, constraint), 0, None, 1)[1]
+            got = sd._rank_search(q, k, sd.compile_constraint(k, q, constraint), 0, 1, True)[1]
             assert got == want[:sd.SAMPLE_LIMIT], (name, rows)
 
 
@@ -1163,91 +1200,6 @@ def test_built_systems_are_each_rows_product_with_its_cells_system(k, q, dtype, 
             want = np.stack([rows[b].astype(np.int64) @ systems[c] % q
                              for b, c in enumerate(cell.tolist())], axis=-1)
             assert np.array_equal(W.reshape(-1, len(cell)), want), name
-
-
-def pencil_with_common_factor(F, k, rng):
-    """A seeded pencil of degree k whose generators share a factor of random degree.
-
-    The factor multiplies linear forms, often repeated and often vanishing at
-    [0:1] or [1:0], and random forms of degree up to 2, which may be irreducible.
-    """
-    pts = projective_points(F)
-    special = [point(F, 1, 0), point(F, 0, 1)]
-    while True:
-        h = form(F, [1])
-        for _ in range(rng.randint(0, k - 1)):
-            if rng.random() < 0.3:
-                piece = random_form(F, rng.randint(1, 2), rng)
-            else:
-                piece = linear_form(rng.choice(pts + special * 3))
-            for _ in range(rng.choice([1, 1, 2, 3])):
-                h = h.multiply(piece)
-        if h.is_zero() or h.degree >= k:
-            continue
-        rest = k - h.degree
-        try:
-            return Pencil(h.multiply(random_form(F, rest, rng)),
-                          h.multiply(random_form(F, rest, rng)))
-        except DegeneratePencil:
-            continue
-
-
-def assert_codes_match_oracle(q, k, pencils):
-    F_rows = np.array([pen.f.coeffs for pen in pencils], dtype=np.int64).reshape(-1, k + 1)
-    G_rows = np.array([pen.g.coeffs for pen in pencils], dtype=np.int64).reshape(-1, k + 1)
-    codes = severi_degeneration._strata_codes(q, k, F_rows, G_rows)
-    got = [severi_degeneration._STRATA[c] for c in codes.tolist()]
-    assert got == [classify_stratum(pen) for pen in pencils]
-    return set(got)
-
-
-def partials(pencil, q):
-    """The coefficients of d0f, d1f, d0g and d1g mod q, as _strata_codes stacks them."""
-    out = []
-    for coeffs in (pencil.f.coeffs, pencil.g.coeffs):
-        k = len(coeffs) - 1
-        out.append([(k - t) * int(c) % q for t, c in enumerate(coeffs[:-1])])
-        out.append([t * int(c) % q for t, c in enumerate(coeffs) if t])
-    return out
-
-
-@pytest.mark.parametrize("k,q", [(k, q) for k in range(1, 7) for q in (7, 11, 13)]
-                         + [(2, 3), (3, 5), (4, 5)])
-def test_strata_codes_match_the_oracle(k, q, monkeypatch):
-    """The codes are the gcd oracle's; only base divisors of degree >= 2 take the partials' rank.
-
-    A Bezout rank of k - 1 is a base divisor of degree 1, one simple point;
-    the spy on _multiples sees exactly the partials of the pencils of Bezout
-    rank <= k - 2, whose base divisor has degree >= 2.
-    """
-    sd = severi_degeneration
-    F = Field(q)
-    rng = random.Random(f"strata-codes:{k}:{q}")
-    pencils = [pencil_with_common_factor(F, k, rng) for _ in range(300)]
-    pencils += [random_pencil(F, k, rng) for _ in range(50)]
-    batches = []
-    multiples = sd._multiples
-    monkeypatch.setattr(sd, "_multiples", lambda forms, shifts: (
-        batches.append(forms.transpose(2, 0, 1).tolist()) or multiples(forms, shifts)))
-    seen = assert_codes_match_oracle(q, k, pencils)
-    # two independent forms of degree k share at most k - 1 roots
-    assert seen == set(sd._STRATA[: min(k, 3)])
-    wide = [partials(pen, q) for pen in pencils if base_locus(pen).degree >= 2]
-    assert batches == ([wide] if wide else [])
-    assert bool(wide) == (k >= 3)
-
-
-def test_strata_codes_on_a_whole_grassmannian():
-    k, q = 4, 5
-    sd = severi_degeneration
-    pencils = []
-    for cell in sd._cells(k):
-        cols0, cols1 = sd._free_columns(k, *cell)
-        for f_vals in itertools.product(range(q), repeat=len(cols0)):
-            for g_vals in itertools.product(range(q), repeat=len(cols1)):
-                pencils.append(echelon_pencil(Field(q), k, cell, f_vals, g_vals))
-    assert len(pencils) == grassmannian_pencil_count(k, q)
-    assert assert_codes_match_oracle(q, k, pencils) == set(sd._STRATA)
 
 
 def oracle_rank(rows, q):
@@ -1359,28 +1311,6 @@ def test_plain_elimination_matches_the_kernel(q):
                 assert (rank, ok) == (ranks[b], solvable[b]), (m, width, b)
 
 
-def bezout_by_division(pencil, q):
-    """Coefficients Q[a][b] of x^a y^b in (f(x)g(y) - f(y)g(x)) / (y - x), dehomogenized.
-
-    (y - x) Q = N reads N[a][b] = Q[a][b-1] - Q[a-1][b], solved for Q row by
-    row; the remainder of the division is checked to vanish.
-    """
-    f = [int(c) for c in pencil.f.coeffs]
-    g = [int(c) for c in pencil.g.coeffs]
-    k = len(f) - 1
-    N = [[(f[a] * g[b] - f[b] * g[a]) % q for b in range(k + 1)] for a in range(k + 1)]
-    Q = [[0] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            Q[a][b] = (N[a][b + 1] + (Q[a - 1][b + 1] if a and b + 1 < k else 0)) % q
-    for a in range(k + 1):
-        for b in range(k + 1):
-            left = Q[a][b - 1] if a < k and b else 0
-            below = Q[a - 1][b] if a and b < k else 0
-            assert (left - below - N[a][b]) % q == 0, "y - x does not divide"
-    return Q
-
-
 @pytest.mark.parametrize("q,dtype", with_narrow([3, 101, 2**31 - 1, INT64_EDGE_PRIME],
                                                 [3, 101, INT32_EDGE_PRIME, 2**31 - 1],
                                                 [3, 5, 101, INT16_EDGE_PRIME]))
@@ -1403,37 +1333,6 @@ def test_mod_matches_the_remainder_operator(q, dtype):
         assert np.array_equal(got, want)
         work = np.empty_like(a)
         assert np.array_equal(severi_degeneration._mod(a.copy(), q, work), want)
-
-
-@pytest.mark.parametrize("k", range(1, 7))
-def test_bezout_rank_gives_the_base_locus_degree(k):
-    sd = severi_degeneration
-    for q in (7, 13):
-        F = Field(q)
-        rng = random.Random(f"bezout:{k}:{q}")
-        pencils = [pencil_with_common_factor(F, k, rng) for _ in range(80)]
-        pencils += [random_pencil(F, k, rng) for _ in range(20)]
-        # common factors vanishing at [0:1] and at [1:0]
-        for special in (point(F, 0, 1), point(F, 1, 0)):
-            for e in range(1, k):
-                h = linear_form(special)
-                for _ in range(e - 1):
-                    h = h.multiply(linear_form(special))
-                pen = random_pencil(F, k - e, rng)
-                pencils.append(Pencil(pen.f.multiply(h), pen.g.multiply(h)))
-        F_rows = np.array([p.f.coeffs for p in pencils], dtype=np.int64).reshape(-1, k + 1)
-        G_rows = np.array([p.g.coeffs for p in pencils], dtype=np.int64).reshape(-1, k + 1)
-        batch = sd._bezout_matrices(q, k, F_rows, G_rows)
-        assert batch.shape == (k, k + 1, len(pencils))
-        assert not batch[:, 0].any()  # the constant column
-        degrees = set()
-        for b, pencil in enumerate(pencils):
-            want = bezout_by_division(pencil, q)
-            assert batch[:, 1:, b].tolist() == want
-            degree = base_locus(pencil).degree
-            assert k - oracle_rank(want, q) == degree
-            degrees.add(degree)
-        assert degrees == set(range(k))
 
 
 def test_ladder_strata_match_the_frozen_answers(monkeypatch):
@@ -1472,6 +1371,52 @@ def test_ladder_strata_match_the_frozen_answers(monkeypatch):
     assert searched == 13 * LADDER_VARIANTS
 
 
+@pytest.mark.parametrize("q", [7, 13])
+def test_pair_points_factor_every_pair(q):
+    """_pair_points gives back {a, b} from sym_point(a, b), for every pair of F_q-points, a = b too.
+
+    Every other point of the plane has a discriminant that is no square, and
+    is one closed point of degree 2: q(q - 1)/2 of them.
+    """
+    sd = severi_degeneration
+    F = Field(q)
+    pts = projective_points(F)
+    split = set()
+    for a, b in itertools.combinations_with_replacement(pts, 2):
+        sp = sym_point(a, b)
+        assert sorted(sd._pair_points(q, *sp.coords())) == sorted({a.coords(), b.coords()})
+        split.add(sp.coords())
+    plane = [(1, v, w) for v in range(q) for w in range(q)] + [(0, 1, w) for w in range(q)]
+    conjugate = [c for c in plane + [(0, 0, 1)] if c not in split]
+    assert len(split) == (q + 1) * (q + 2) // 2 and len(conjugate) == q * (q - 1) // 2
+    for u, v, w in conjugate:
+        assert pow((v * v - 4 * u * w) % q, (q - 1) // 2, q) == q - 1
+        assert sd._pair_points(q, u, v, w) == ((u, v, w),)
+    assert all(sd._sqrt_mod(x * x, q) in (x, q - x) for x in range(q))
+
+
+def test_strata_with_no_conditions_are_the_closed_forms():
+    """BPF_k = q^(2k-2), and the strata sum to the Grassmannian, for k = 1..8.
+
+    The strata come from the closed forms alone, so q <= k is checked too,
+    through _strata_from_counts; a search needs q > k.  k = 3 over F_101
+    splits as 104,060,401 / 1,050,703 / 102.
+    """
+    sd = severi_degeneration
+    for q in (3, 5, 7, 11, 13, 101):
+        for k in range(1, 9):
+            count = grassmannian_pencil_count(k, q)
+            free, simple, multiple = sd._strata_from_counts(
+                k, q, SearchConstraint(), count, 1, 0, sd.DEFAULT_SEARCH_BUDGET)
+            assert free == q ** (2 * k - 2), (k, q)
+            assert free + simple + multiple == count and min(simple, multiple) >= 0, (k, q)
+            assert (simple > 0) == (k > 1) and (multiple > 0) == (k > 2), (k, q)
+    res = search_pencils_ffield(3, 101, SearchConstraint(), report_strata=True)
+    assert res.strata == {"base_point_free": 104060401, "simple_base_divisor": 1050703,
+                          "multiple_base_points": 102}
+    assert res.count == grassmannian_pencil_count(3, 101)
+
+
 def boundary_searches():
     """(k, q, constraint, strata) of small searches, k = 1 included, for the path boundary."""
     F3, F5, F7 = Field(3), Field(5), Field(7)
@@ -1491,11 +1436,11 @@ def boundary_searches():
 def test_results_agree_on_both_sides_of_the_brute_force_size(monkeypatch, tmp_path):
     """With the constant at a search's pencil tests it runs on plain ints; one below, ranked.
 
-    A strata search is ranked on both sides.  Count, samples, strata and the
-    cache entry's bytes agree, and so do the budget refusals: one step short
-    of the work, and with strata one short of the work plus the matches.  A
-    search with no conditions and no strata takes neither path: its count is
-    the Grassmannian's and its samples come from the walk.
+    A strata search too; its smaller counts follow, each by its own size.
+    Count, samples, strata and the cache entry's bytes agree, and so do the
+    budget refusals: one step short of the work, and with strata the work
+    alone.  A search with no conditions takes neither path: its count is the
+    Grassmannian's and its samples come from the walk.
     """
     sd = severi_degeneration
     ran = []
@@ -1516,8 +1461,7 @@ def test_results_agree_on_both_sides_of_the_brute_force_size(monkeypatch, tmp_pa
             ran.clear()
             results.append(search_pencils_ffield(k, q, constraint, cache_dir=str(cache),
                                                  report_strata=strata))
-            want = ["_rank_search"] if strata else [side] if mats else []
-            assert ran == want, (label, ran)
+            assert ran[:1] == ([side] if mats else []), (label, ran)
             entries.append([p.read_bytes() for p in cache.iterdir()])
             count = results[-1].count
             if work:
@@ -1525,11 +1469,8 @@ def test_results_agree_on_both_sides_of_the_brute_force_size(monkeypatch, tmp_pa
                     search_pencils_ffield(k, q, constraint, budget=work - 1,
                                           report_strata=strata)
             if strata and count:
-                with pytest.raises(ResourceLimit, match="classifying strata"):
-                    search_pencils_ffield(k, q, constraint, budget=work + count - 1,
-                                          report_strata=True)
-                assert search_pencils_ffield(k, q, constraint, budget=work + count,
-                                             report_strata=True) == results[-1], label
+                with pytest.raises(ResourceLimit, match="the strata take"):
+                    search_pencils_ffield(k, q, constraint, budget=work, report_strata=True)
         assert results[0] == results[1], label
         assert entries[0] == entries[1] and len(entries[0]) == 1, label
 
@@ -1551,7 +1492,6 @@ def test_small_count_forks_no_pool(monkeypatch):
     monkeypatch.setattr(severi_degeneration, "_POOL_MIN_ROW_WORK", 0)
     with pytest.raises(AssertionError, match="a pool was forked"):
         search_pencils_ffield(3, 11, constraint, jobs=2)
-    monkeypatch.setattr(severi_degeneration, "_POOL_MIN_STRATA_WORK", 0)
     with pytest.raises(AssertionError, match="a pool was forked"):
         search_pencils_ffield(3, 7, small, jobs=2, report_strata=True)
 
@@ -1564,39 +1504,67 @@ def test_budget_counts_the_rank_work():
     assert search_pencils_ffield(3, 11, constraint, budget=work).count > 0
     with pytest.raises(ResourceLimit):
         search_pencils_ffield(3, 11, constraint, budget=work - 1)
-    # strata classify every match on top of that
+    # strata charge their smaller counts and their enumeration on top of that
     with pytest.raises(ResourceLimit):
         search_pencils_ffield(3, 11, constraint, budget=work, report_strata=True)
 
 
-def test_strata_budget_refuses_as_the_matches_are_counted(monkeypatch):
-    # k = 4 over F_211, one incidence: 9.5 * 10^6 g-rows x conditions fit the
-    # default budget, but about q^7 matches do not, and the first chunk of
-    # g-rows whose work plus matches pass the budget shows it, before any
-    # more rows are eliminated or kept
+def test_strata_charge_their_counts_and_enumeration_to_the_budget(monkeypatch):
+    """The strata add the work of each smaller count and their enumeration's bound.
+
+    Each count at degree m < k adds its own work (_work), before it runs, and
+    the enumeration _STATE_STEPS for each state of its bound
+    (_enumeration_states), before it starts: at the sum of all that the
+    search answers, and one step short it is refused.  k = 4 over F_13 with
+    two incidences and a ramification on one of them counts at degrees 2
+    and 3.
+    """
     sd = severi_degeneration
-    q, k = 211, 4
-    F = Field(q)
-    constraint = SearchConstraint(incidences=(sym_point(point(F, 1, 2), point(F, 1, 3)),))
-    chunks = []  # (unknowns, rank, solvable) of each elimination, in order
-    eliminate = sd._eliminate
+    F = Field(13)
+    a, b, c = point(F, 1, 2), point(F, 1, 5), point(F, 0, 1)
+    constraint = SearchConstraint(incidences=(sym_point(a, b), sym_point(b, c)),
+                                  ramifications=((a, 2),))
+    charged, bounds = [], []
+    work, bound = sd._work, sd._enumeration_states
+    monkeypatch.setattr(sd, "_work", lambda k, q, mats: charged.append((k, work(k, q, mats)))
+                        or charged[-1][1])
+    monkeypatch.setattr(sd, "_enumeration_states", lambda *args: bounds.append(bound(*args))
+                        or bounds[-1])
+    want = search_pencils_ffield(4, 13, constraint, report_strata=True)
+    (top, own), *counts = charged
+    assert top == 4 and {m for m, _ in counts} == {2, 3} and bounds[0] > 1
+    counted = own + sum(w for _, w in counts)
+    total = counted + sd._STATE_STEPS * bounds[0]
+    assert search_pencils_ffield(4, 13, constraint, budget=total, report_strata=True) == want
+    with pytest.raises(ResourceLimit, match="the strata take at least"):
+        search_pencils_ffield(4, 13, constraint, budget=total - 1, report_strata=True)
+    # without the enumeration's charge, the smaller counts' work alone still counts
+    monkeypatch.setattr(sd, "_STATE_STEPS", 0)
+    with pytest.raises(ResourceLimit, match="the strata take at least"):
+        search_pencils_ffield(4, 13, constraint, budget=counted - 1, report_strata=True)
+    assert search_pencils_ffield(4, 13, constraint, budget=own).count == want.count
 
-    def counted(W, q, spare=None):
-        n = W.shape[1] - 1
-        pivots, rank, solvable = eliminate(W, q, spare)
-        chunks.append((n, rank, solvable))
-        return pivots, rank, solvable
 
-    monkeypatch.setattr(sd, "_eliminate", counted)
-    with pytest.raises(ResourceLimit, match="classifying strata"):
-        search_pencils_ffield(k, q, constraint, report_strata=True)
-    # one condition: the work is the number of g-rows; a solvable g-row has
-    # q^(n - rank) matches
-    work = sum(q ** len(sd._free_columns(k, i, j)[1]) for i, j in sd._cells(k))
-    matches = itertools.accumulate(
-        int((q ** (n - rank[solvable])).sum()) for n, rank, solvable in chunks)
-    over = [work + count > sd.DEFAULT_SEARCH_BUDGET for count in matches]
-    assert over[-1] and not any(over[:-1]), over
+def test_strata_of_many_incidences_through_one_point_are_prompt():
+    """Sixteen incidences through one point answer, or are refused, within 2 s.
+
+    A pencil with a base point there meets them all, so no smaller count is
+    zero, and the enumeration grows with its 17 groups of points: at k = 4
+    and 5 it answers, and at k = 6 its bound passes the default budget.
+    """
+    F = Field(17)
+    pts = projective_points(F)
+    hub, others = pts[0], [p for p in pts[1:]][:16]
+    constraint = SearchConstraint(incidences=tuple(sym_point(hub, p) for p in others))
+    for k in (4, 5, 6):
+        start = time.perf_counter()
+        try:
+            res = search_pencils_ffield(k, 17, constraint, report_strata=True)
+            assert sum(res.strata.values()) == res.count > 0 and k < 6
+        except ResourceLimit:
+            assert k == 6
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2, (k, elapsed)
 
 
 def test_int64_guard_refuses_before_searching(monkeypatch):
@@ -1640,20 +1608,23 @@ def test_kernel_dtype_on_both_sides_of_the_int16_rule(k, q, incidences, dtype, m
     """k = 2, 3, 4 at the last prime whose kernel bound fits int16, in int16, and the next in int32.
 
     The bound is max(1, k-1)(q-1)^2 + q - 1 < 2^15 (_kernel_dtype).  Also
-    the k = 4 count over F_101 with four incidences.  Each search, with
-    strata, equals a run forced into int64.
+    the k = 4 count over F_101 with four incidences.  Each search, and its
+    strata, whose smaller counts take their own dtypes, equal a run forced
+    into int64.
     """
     sd = severi_degeneration
     F = Field(q)
     constraint = SearchConstraint(incidences=tuple(
         sym_point(point(F, *a), point(F, *b)) for a, b in EDGE_PAIRS[:incidences]))
     dtypes = eliminated_dtypes(monkeypatch)
-    res = search_pencils_ffield(k, q, constraint, report_strata=True)
+    res = search_pencils_ffield(k, q, constraint)
     assert dtypes == {np.dtype(dtype)}
-    assert sum(res.strata.values()) == res.count > sd.SAMPLE_LIMIT
+    strata = search_pencils_ffield(k, q, constraint, report_strata=True).strata
+    assert sum(strata.values()) == res.count > sd.SAMPLE_LIMIT
     monkeypatch.setattr(sd, "_kernel_dtype", lambda k, q: np.int64)
     dtypes.clear()
-    assert search_pencils_ffield(k, q, constraint, report_strata=True) == res
+    assert search_pencils_ffield(k, q, constraint) == res
+    assert search_pencils_ffield(k, q, constraint, report_strata=True).strata == strata
     assert dtypes == {np.dtype(np.int64)}
 
 

@@ -20,8 +20,8 @@ The cases, in the order each repeat runs them:
   place;
 - `_systems` over the whole packed g index of a k = 2 search over F_100003
   with one incidence, in int64 as searches past the int32 rule run it;
-- `_strata_codes` on every match of the ladder's `F_13 strata` search
-  (variant 0), the two ranks that classify them;
+- the ladder's `F_13 strata` search (variant 0), whole: its count and the
+  smaller counts that its strata come from;
 - `Field.coerce` of a plain int and `_move_to_origin` at k = 3 over F_31,
   in microseconds per call over a loop of MICRO_CALLS calls;
 - each search of the `ladder` workload for variants 0-7, with its jobs and
@@ -38,7 +38,8 @@ The cases, in the order each repeat runs them:
   `_store_cached` writing its entry over the last one, and the whole
   search as a hit on an entry primed before the repeats;
 - the k = 4 count over F_101 with four incidences (the ladder's incidence
-  pairs of variant 0) and the unconstrained k = 4 strata search over F_7;
+  pairs of variant 0), and the k = 4 strata search over F_17 with the
+  first two of them;
 - `is_reduced_curve` on the pair curves of the 8 `pencil reduced` pencils
   frozen for `cli_cold`, and `intersect_with_conic` with the diagonal conic
   on those of its 8 `pencil conic-section` pencils, 8 calls a case;
@@ -46,7 +47,8 @@ The cases, in the order each repeat runs them:
   `_PLAIN_MAX_TESTS`: k = 2 over F_7 with one incidence (57 pencil tests,
   walked on plain ints without numpy) and k = 3 over F_7 with one
   incidence (2850 tests, the numpy rank kernel); the same k = 2 search
-  with `--strata`, which takes the rank kernel however small; and k = 3
+  with `--strata`, whose strata take only a closed form besides, so it too
+  runs without numpy; and k = 3
   over F_7 with no conditions (2850 pencils, counted by formula and walked
   for samples, without numpy);
 - a cold `pencillab` process for each group of modules a command loads:
@@ -108,23 +110,14 @@ def _systems_cases(P, fields, sd):
 
 
 def _strata_cases(P, fields, sd, pairs):
-    import numpy as np
-
     k, q = 3, 13
     F13 = fields.Field(q)
     a, b = pairs[0]  # the ladder's F_13 strata search, variant 0
     constraint = sd.SearchConstraint(
         incidences=(P.sym_point(P.ProjPoint(F13, *a), P.ProjPoint(F13, *b)),))
-    mats = np.array(sd.compile_constraint(k, q, constraint), dtype=sd._kernel_dtype(k, q))
-    mats = mats.reshape(-1, k + 1, k + 1)
-    rows = sum(q ** (k - j) for _, j in sd._cells(k))
-    kept = [(cell[ok], g[ok], pivots[..., ok])
-            for cell, g, pivots, _, ok in sd._systems(q, k, 0, rows, mats)]
-    F, G = (np.concatenate(side) for side in zip(*(
-        batch for c, g, pivots in sd._cell_parts(k, kept)
-        for batch in sd._matches(q, k, c, g, pivots, q ** pivots.shape[0]))))
-    yield (f"_strata_codes k={k} F_{q} {len(F)} matches", "ms",
-           lambda: sd._strata_codes(q, k, F, G))
+    count = sd.search_pencils_ffield(k, q, constraint).count
+    yield (f"strata search k={k} F_{q} {count} matches", "ms",
+           lambda: sd.search_pencils_ffield(k, q, constraint, report_strata=True))
 
 
 def _micro_cases(P, fields):
@@ -214,8 +207,11 @@ def _large_cases(P, fields, sd, pairs):
                        for a, b in pairs)
     four = sd.SearchConstraint(incidences=incidences)
     yield "k=4 F_101 c=4 count", "ms", lambda: sd.search_pencils_ffield(4, 101, four)
-    yield "k=4 F_7 strata, no conditions", "ms", lambda: sd.search_pencils_ffield(
-        4, 7, sd.SearchConstraint(), report_strata=True)
+    F17 = fields.Field(17)
+    two = sd.SearchConstraint(incidences=tuple(
+        P.sym_point(P.ProjPoint(F17, *a), P.ProjPoint(F17, *b)) for a, b in pairs[:2]))
+    yield "k=4 F_17 c=2 strata", "ms", lambda: sd.search_pencils_ffield(
+        4, 17, two, report_strata=True)
 
 
 def _geometry_cases(P, fields, sd, pools):
