@@ -1297,10 +1297,10 @@ def _load_cached(
     strata) summing to the count, and min(count, SAMPLE_LIMIT) samples whose
     two forms each have degree k and exactly k + 1 coefficients, each a
     residue mod q written as _store_cached writes it (_stored_residues).
-    The samples must be reduced
-    echelon pairs, so independent, in strictly increasing (cell, f, g)
-    order, as a search gives them (_echelon_key), and each must meet every
-    condition of mats, compile_constraint's; anything else is recomputed.
+    The samples must be reduced echelon pairs, so independent, in strictly
+    increasing (cell, f, g) order, as a search gives them (_echelon_key),
+    and each must meet every condition of mats, compile_constraint's;
+    anything else is recomputed.
     All of it is checked on plain ints, and only then are the samples built,
     unchecked (_trusted_pencil).  Stored strata are returned only when
     report_strata asks for them, so a hit prints what a fresh search would.
