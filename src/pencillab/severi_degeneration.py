@@ -121,11 +121,12 @@ _POOL_MIN_ROW_WORK = 2_500_000
 # larger constant waits for a cold measurement.  The counts behind a strata
 # search (_strata_from_counts) take the same rule.
 _PLAIN_MAX_TESTS = 500
-# Budget steps charged for each state of the point-group enumeration behind
-# the strata (_strata_from_counts), before it runs.  A state took 13-19 us
-# (sixteen incidences through one point over F_17, k = 4..6, 2-core VM),
-# about what 600 g-rows x conditions take in the rank kernel.
-_STATE_STEPS = 1000
+# Budget steps charged, before the strata's walks start (_strata_from_counts),
+# for each count of smaller degree that the walks might make.  With sixteen
+# incidences through one point over F_17 (2-core VM), a count and its share of
+# the walk took 0.53 ms at k = 6 (3368 counts in 1.79 s), what about 37,000
+# steps take in the rank kernel (7*10^7 a second at k = 4 over F_101).
+_STATE_STEPS = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -872,9 +873,9 @@ def search_pencils_ffield(
 
     budget, which must be at least 0, bounds the work: g-rows times compiled
     conditions, summed over cells, checked before the search starts.  With
-    report_strata, the work of each smaller count is added before it runs,
-    and _STATE_STEPS for each state of the enumeration behind the strata
-    before that starts.  A larger figure raises ResourceLimit, as does a q so
+    report_strata, _STATE_STEPS for each count of smaller degree that the
+    strata might need is added before any runs, and each one's work before it
+    runs.  A larger figure raises ResourceLimit, as does a q so
     large that (k+1)(q-1)^2 would overflow int64.
 
     With cache_dir set, results persist as JSON keyed by a content hash of
@@ -992,7 +993,6 @@ _STRATA = ("base_point_free", "simple_base_divisor", "multiple_base_points")
 
 def _sqrt_mod(a: int, q: int) -> int | None:
     """A square root of a mod the odd prime q, or None where a is no square (Tonelli-Shanks)."""
-    a %= q
     if pow(a, (q - 1) // 2, q) > 1:
         return None
     s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = t 2^s, t odd
@@ -1034,145 +1034,52 @@ def _times(a: list, b: list) -> list:
     return out
 
 
-def _over(a: list, b: list) -> list:
-    """a / b as a power series in t, to as many terms as a; b starts with 1."""
-    out: list = []
-    for d, x in enumerate(a):
-        out.append(x - sum(y * out[d - j] for j, y in enumerate(b[1 : d + 1], 1)))
-    return out
-
-
-def _divisor_options(q: int, m: int, conds: tuple, roots: dict, squarefree: bool) -> tuple:
-    """(base, options): how the effective divisors h of degree below m change conds.
-
-    conds are sorted (incidences, ramifications): incidences keyed as in
-    roots, which gives their closed points (_pair_points), ramifications as
-    (F_q-point, order).  h acts only at those points: at a ramification
-    point by its order there, up to e - 1, past which the condition holds for
-    every pencil, and elsewhere by vanishing or not, which makes the
-    incidences through the point hold.  Points that make the same ones hold
-    form a group, met or not.  Each ramification point and group is an
-    option, (its index in conds' ramifications, or None for a group, its
-    states past order 0 or not met, by lowest degree), a state being (series,
-    lowest degree, incidences made to hold, ramification left or None), its
-    series in t counting that part of h by degree: t^n for order n,
-    t^(e-1) / (1 - t) past it, and prod 1 / (1 - t^deg) - 1 over a group's
-    points.  base counts the rest of h, on none of the points:
-    prod (1 - t^deg) / ((1 - t)(1 - q t)).  With squarefree, h is squarefree:
-    order 1 at most, prod (1 + t^deg) - 1 for a group, and base
-    (1 + t)(1 - q t^2) / ((1 - q t) prod (1 + t^deg)).  Series run to m terms.
-    """
-    incs, rams = conds
-    kills: dict = {}  # each closed point of the incidences, and the incidences through it
-    for c in incs:
-        for p in roots[c]:
-            kills.setdefault(p, []).append(c)
-    one, sign = [1] + [0] * (m - 1), 1 if squarefree else -1
-    options = []
-    for at, (p, e) in enumerate(rams):  # order e - 1 stands for every higher one too
-        options.append((at, [(([0] * n + (one if squarefree or n < e - 1 else [1] * m))[:m], n,
-                              frozenset(kills.get(p, ())), (p, e - n) if e - n > 1 else None)
-                             for n in range(1, 2 if squarefree else e)]))
-    groups: dict = {}
-    for p, dead in kills.items():
-        if p not in dict(rams):
-            groups.setdefault(frozenset(dead), []).append(len(p) - 1)
-    prod = one  # prod (1 + sign t^deg) over every point
-    for p in set(kills) | set(dict(rams)):
-        prod = _times(prod, [1] + [0] * (len(p) - 2) + [sign])
-    for dead, degrees in groups.items():
-        met = one
-        for d in degrees:
-            met = _times(met, [1] + [0] * (d - 1) + [sign])
-        met = met if squarefree else _over(one, met)
-        options.append((None, [([met[0] - 1] + met[1:], min(degrees), dead, None)]))
-    if squarefree:
-        return _over(([1, 1, -q, -q] + one)[:m], _times(prod, [1, -q])), options
-    return _over(prod, [1, -1 - q, q]), options
-
-
-def _divisor_terms(q: int, m: int, conds: tuple, roots: dict, squarefree: bool):
-    """Yield (d, c, C_h): c effective divisors h of degree d < m turn conds into C_h.
-
-    All of them, or with squarefree only the squarefree ones; h = 1 is the
-    term (0, 1, conds).  The states of _divisor_options are taken one per
-    option, depth first, an option left out taking its first state.  Every
-    other state has a lowest degree of 1 or more, so the walk goes at most
-    m - 1 options deep, and with the options in order of lowest degree it
-    stops where the next would reach m.  The series of the states that leave
-    the same conditions are summed before base multiplies them.
-    """
-    incs, rams = conds
-    base, options = _divisor_options(q, m, conds, roots, squarefree)
-    options.sort(key=lambda option: option[1][0][1])
-    found: dict = {}  # (incidences made to hold, ramifications left) -> series
-
-    def walk(start: int, series: list, low: int, held: frozenset, left: tuple) -> None:
-        key = (held, left)
-        found[key] = [a + b for a, b in zip(found[key], series)] if key in found else series
-        for index, states in options[start:]:
-            start += 1
-            if low + states[0][1] >= m:
-                break
-            for part, part_low, dead, ram in states:
-                if low + part_low < m:
-                    walk(start, _times(series, part), low + part_low, held | dead,
-                         left if index is None else left[:index] + (ram,) + left[index + 1:])
-
-    walk(0, [1] + [0] * (m - 1), 0, frozenset(), rams)
-    for (held, left), series in found.items():
-        sub = (tuple(c for c in incs if c not in held), tuple(r for r in left if r))
-        for d, c in enumerate(_times(base, series)):
-            if c:
-                yield d, c, sub
-
-
-def _enumeration_states(q: int, k: int, conds: tuple, roots: dict) -> int:
-    """A bound, from the options alone, on the states that _strata_from_counts walks.
-
-    T(j), the tuples of one state per option whose lowest degrees sum to at
-    most j, bounds the states of the conditions that any h leaves, at degree
-    j + 1: they have fewer options, of fewer states.  A count at degree m is
-    reached from at most T(k - m) tuples and walks T(m - 1) states; the
-    squarefree walk at degree k adds T(k - 1).
-    """
-    tuples = [1] + [0] * (k - 1)
-    for _, states in _divisor_options(q, k, conds, roots, False)[1]:
-        tuples = _times(tuples, [1] + [sum(low == d for _, low, *_ in states) for d in range(1, k)])
-    T = list(accumulate(tuples))
-    return sum(T[k - m] * T[m - 1] for m in range(2, k + 1)) + T[k - 1]
-
-
 def _strata_from_counts(k: int, q: int, constraint, count: int, jobs: int,
                         spent: int, budget: int) -> list[int]:
     """Pencils per stratum of _STRATA among a search's count, from counts of smaller degree.
 
-    A pencil V whose base divisor h has degree d is h V' for a unique
-    base-point-free V' of degree k - d, whose conditions C_h follow in
-    closed form: V's pair curve is h(x)h(y) times V''s, so V meets an
-    incidence iff h vanishes at one of its points or V' meets it; and V has
+    The pencils V of degree k whose base divisor h divides are the h V' for
+    the pencils V' of degree k - deg h, and V meets the conditions C iff V'
+    meets C_h: V's pair curve is h(x)h(y) times V''s, so V meets an
+    incidence iff h vanishes at one of its points or V' meets it, and V has
     a member of order e at p iff V' has one of order e - ord_p(h), which
-    every pencil has below 2.  So N_m(C), the pencils of degree m meeting C,
-    is the sum of BPF_(m - deg h)(C_h) over the effective h of degree below
-    m (_divisor_terms), BPF counting base-point-free pencils, and BPF_m(C)
-    is N_m(C) less the terms of h != 1, by recursion on the degree.  The
-    strata are BPF_k(C), the same sum over the squarefree h != 1, and the
-    rest.  Each N_m(C') with m < k is a search's count (_count), without
-    samples or cache, or with no conditions the Grassmannian's, and 0 at
-    m = 1 or below an order.  A zero count takes no terms.  spent is the
-    search's work: the enumeration's bound (_enumeration_states) times
-    _STATE_STEPS is added before it starts, and each count's work before it
-    runs; past budget, ResourceLimit.
+    every pencil has below 2.  So N_(k - deg h)(C_h) pencils meeting C have
+    h in their base divisor, and by Moebius inversion over the squarefree g,
+    sum mu(g) N_(k - deg g)(C_g) have none and sum mu(g) N_(k - 2 deg g)(C_(g^2))
+    a squarefree one.
+
+    g acts only through the closed points of C (_pair_points) it contains.
+    Each ramification point is an option, as is each group of the other
+    points on the same incidences; an option in g multiplies the series of
+    mu by degree by prod (1 - t^deg) - 1 over its points (t^2 for g^2), and
+    the points off C give (1 - t)(1 - q t) / prod (1 - t^deg) over C's.
+    N_k(C) is count; N_m(C') for m < k is a search's count (_count, without
+    samples or cache), the Grassmannian's with no conditions, and 0 at m = 1
+    or below an order.  A zero N_m(C') makes every term below it zero, so
+    the options are walked depth first and a walk stops there.  spent is the
+    search's work: _STATE_STEPS for each count that the walks might make is
+    added before they start, and each count's work before it runs; past
+    budget, ResourceLimit.
     """
     if not count:
         return [0, 0, 0]
     syms = {sp.coords(): sp for sp in constraint.incidences}
     points = {pt.coords(): pt for pt, _ in constraint.ramifications}
     # the highest order at each point implies the others
-    orders = {p: max(e for pt, e in constraint.ramifications if pt.coords() == p) for p in points}
-    roots = {c: _pair_points(q, *c) for c in syms}
-    top = (tuple(sorted(syms)), tuple(sorted(orders.items())))
-    counts, free = {(k, top): count}, {}
+    rams = sorted((p, max(e for pt, e in constraint.ramifications if pt.coords() == p))
+                  for p in points)
+    incs = tuple(sorted(syms))
+    kills: dict = {}  # each closed point of the incidences, and the incidences through it
+    for c in incs:
+        for p in _pair_points(q, *c):
+            kills.setdefault(p, set()).add(c)
+    groups: dict = {}  # the other points by the incidences through them: their degrees
+    for p in kills.keys() - points.keys():
+        groups.setdefault(frozenset(kills[p]), []).append(len(p) - 1)
+    # (degrees, lowest degree, incidences made to hold, index in rams or None)
+    options = [([1], 1, frozenset(kills.get(p, ())), at) for at, (p, _) in enumerate(rams)]
+    options += [(degrees, min(degrees), dead, None) for dead, degrees in groups.items()]
+    counts = {(k, (incs, tuple(rams))): count}
 
     def charge(steps: int) -> None:
         nonlocal spent
@@ -1181,30 +1088,53 @@ def _strata_from_counts(k: int, q: int, constraint, count: int, jobs: int,
             raise ResourceLimit(f"the strata take at least {spent} steps, over the budget of {budget}")
 
     def n(m: int, conds: tuple) -> int:
-        incs, rams = conds
-        if not (incs or rams):
+        if not any(conds):
             return grassmannian_pencil_count(m, q)
-        if m == 1 or any(e > m for _, e in rams):
+        if m == 1 or any(e > m for _, e in conds[1]):
             return 0
         if (m, conds) not in counts:
             mats = compile_constraint(m, q, SearchConstraint(
-                [syms[c] for c in incs], [(points[p], e) for p, e in rams]))
+                [syms[c] for c in conds[0]], [(points[p], e) for p, e in conds[1]]))
             work = _work(m, q, mats)
             charge(work)
             counts[m, conds] = _count(q, m, mats, work, jobs, False)[0]
         return counts[m, conds]
 
-    def bpf(m: int, conds: tuple) -> int:
-        if (m, conds) not in free:
-            total = n(m, conds)
-            free[m, conds] = total and total - sum(
-                c * bpf(m - d, sub) for d, c, sub in _divisor_terms(q, m, conds, roots, False) if d)
-        return free[m, conds]
+    def series(degrees, s: int, a: int = 1) -> list:
+        """prod (1 - a t^(s d)) over degrees d, to k terms."""
+        out = [1] + [0] * (k - 1)
+        for d in degrees:
+            out = _times(out, ([1] + [0] * (s * d - 1) + [-a] + [0] * k)[:k])
+        return out
 
-    charge(_STATE_STEPS * _enumeration_states(q, k, top, roots))
-    base_free = bpf(k, top)
-    simple = sum(c * bpf(k - d, sub) for d, c, sub in _divisor_terms(q, k, top, roots, True) if d)
-    return [base_free, simple, count - base_free - simple]
+    def sieve(s: int) -> int:
+        """The sum of mu(g) N_(k - s deg g)(C_(g^s)) over squarefree g."""
+        base = _times(series([1], s), series([1], s, q))
+        for p in kills.keys() | points.keys():
+            base = _times(base, [int(i % (s * (len(p) - 1)) == 0) for i in range(k)])
+        found: dict = {}  # conditions left -> the series of mu(g) over the g that leave them
+
+        def walk(start: int, part: list, low: int, held: frozenset, orders: tuple) -> None:
+            conds = (tuple(c for c in incs if c not in held),
+                     tuple((p, e) for (p, _), e in zip(rams, orders) if e > 1))
+            if n(k - low, conds):
+                found[conds] = [a + b for a, b in zip(found.get(conds, [0] * k), part)]
+                for i, (degrees, least, dead, at) in enumerate(options[start:], start):
+                    if low + s * least < k:  # times prod (1 - t^(s d)) - 1
+                        more = [x - y for x, y in zip(_times(part, series(degrees, s)), part)]
+                        walk(i + 1, more, low + s * least, held | dead,
+                             orders if at is None else orders[:at] + (orders[at] - s,) + orders[at + 1:])
+
+        walk(0, [1] + [0] * (k - 1), 0, frozenset(), tuple(e for _, e in rams))
+        return sum(c * n(k - d, conds) for conds, part in found.items()
+                   for d, c in enumerate(_times(base, part)) if c)
+
+    # the sets of options by lowest degree j, each reaching counts at degrees 2..k - j
+    lows = [least for _, least, _, _ in options]
+    charge(_STATE_STEPS * sum(c * (k - 1 - j) for s in (1, 2)
+                              for j, c in enumerate(series(lows, s, -1))))
+    base_free, squarefree = sieve(1), sieve(2)
+    return [base_free, squarefree - base_free, count - squarefree]
 
 
 # --- cache plumbing ---
