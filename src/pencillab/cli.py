@@ -629,7 +629,7 @@ def _parents() -> argparse.Namespace:
         type=int,
         default=None,
         help="max work a search may do: g-rows x conditions, plus with --strata "
-        "the smaller counts' and their enumeration's",
+        "the smaller counts' and a bound on how many",
     )
 
     field_opt = argparse.ArgumentParser(add_help=False)

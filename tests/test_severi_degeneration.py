@@ -5,8 +5,10 @@ import itertools
 import json
 import os
 import random
+import re
 import time
 from fractions import Fraction
+from operator import sub
 
 import numpy as np
 import pytest
@@ -1396,25 +1398,160 @@ def test_pair_points_factor_every_pair(q):
 
 
 def test_strata_with_no_conditions_are_the_closed_forms():
-    """BPF_k = q^(2k-2), and the strata sum to the Grassmannian, for k = 1..8.
+    """BPF_k = q^(2k-2), simple = sum S_d q^(2(k-d)-2), and the strata sum to the Grassmannian.
 
-    The strata come from the closed forms alone, so q <= k is checked too,
-    through _strata_from_counts; a search needs q > k.  k = 3 over F_101
-    splits as 104,060,401 / 1,050,703 / 102.
+    S_d counts the squarefree effective divisors of degree d on the line:
+    S_1 = q + 1, S_2 = q^2 and S_d = q^d - q^(d-2) from d = 3.  Each is a
+    base divisor h of h V' for the q^(2(k-d)-2) base-point-free V'.  For
+    k = 1..8, from the closed forms alone, so q <= k is checked too, through
+    _strata_from_counts; a search needs q > k.  k = 3 over F_101 splits as
+    104,060,401 / 1,050,703 / 102.
     """
     sd = severi_degeneration
     for q in (3, 5, 7, 11, 13, 101):
+        squarefree = [1, q + 1, q * q] + [q**d - q ** (d - 2) for d in range(3, 8)]
         for k in range(1, 9):
             count = grassmannian_pencil_count(k, q)
             free, simple, multiple = sd._strata_from_counts(
                 k, q, SearchConstraint(), count, 1, 0, sd.DEFAULT_SEARCH_BUDGET)
             assert free == q ** (2 * k - 2), (k, q)
-            assert free + simple + multiple == count and min(simple, multiple) >= 0, (k, q)
-            assert (simple > 0) == (k > 1) and (multiple > 0) == (k > 2), (k, q)
+            assert simple == sum(squarefree[d] * q ** (2 * (k - d) - 2) for d in range(1, k)), (k, q)
+            assert free + simple + multiple == count and multiple >= 0, (k, q)
+            assert (multiple > 0) == (k > 2), (k, q)
     res = search_pencils_ffield(3, 101, SearchConstraint(), report_strata=True)
     assert res.strata == {"base_point_free": 104060401, "simple_base_divisor": 1050703,
                           "multiple_base_points": 102}
     assert res.count == grassmannian_pencil_count(3, 101)
+
+
+def trimmed(f):
+    """The coefficients of f, constant term first, without the zeros at the top."""
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def poly_rem(a, b, q):
+    """a mod b over F_q, coefficients from the constant term up, b's last one nonzero."""
+    a = list(a)
+    for top in range(len(a) - 1, len(b) - 2, -1):
+        c = a[top] * pow(b[-1], -1, q)
+        for i, y in enumerate(b):
+            a[top - len(b) + 1 + i] = (a[top - len(b) + 1 + i] - c * y) % q
+    return trimmed(a)
+
+
+def is_squarefree(f, q):
+    """Whether f over F_q, constant term first and of degree below q, has no square factor."""
+    a, b = trimmed(f), trimmed([i * c % q for i, c in enumerate(f)][1:])
+    while b:  # Euclid: gcd(f, f') is a constant
+        a, b = b, poly_rem(a, b, q)
+    return len(a) <= 1
+
+
+def form_order(c, p, q):
+    """The order at p of the binary form sum c_i x0^(d-i) x1^i."""
+    if p == (0, 1):  # x0^n divides it: its last n coefficients vanish
+        return next(n for n in range(len(c)) if c[len(c) - 1 - n])
+    f, t, n = list(c), p[1], 0  # its value at (1, x), divided by x - t while t is a root
+    while sum(x * pow(t, i, q) for i, x in enumerate(f)) % q == 0:
+        quotient, acc = [0] * (len(f) - 1), 0
+        for i in range(len(f) - 1, 0, -1):
+            acc = (f[i] + t * acc) % q
+            quotient[i - 1] = acc
+        f, n = quotient, n + 1
+    return n
+
+
+def divisor_oracle_strata(k, q, constraint):
+    """Strata from every base divisor written out: BPF by recursion on the degree.
+
+    Every binary form h = sum c_i x0^(d-i) x1^i of degree 1..k-1, up to a
+    scalar, is an effective divisor.  The pencils of degree m meeting C
+    with base divisor exactly h are h V' for the base-point-free V' meeting
+    C_h, so N_m(C), a search's count, is the sum of BPF_(m - deg h)(C_h) over
+    h, h = 1 included.  h kills an incidence iff it shares a root with the
+    pair's form w x0^2 - v x0 x1 + u x1^2: a root among the points of the
+    line, or the whole form where it has none.  It lowers each ramification
+    order by its order at the point.  The simple stratum sums BPF over the
+    squarefree h != 1.
+    """
+    count = search_pencils_ffield(k, q, constraint).count
+    if not count:
+        return {}
+    pts = [p.coords() for p in projective_points(Field(q))]
+    syms = {sp.coords(): sp for sp in constraint.incidences}
+    points = {pt.coords(): pt for pt, _ in constraint.ramifications}
+    rams = sorted((p, max(e for pt, e in constraint.ramifications if pt.coords() == p))
+                  for p in points)
+    roots = {(u, v, w): [p for p in pts if (w * p[0] ** 2 - v * p[0] * p[1] + u * p[1] ** 2) % q == 0]
+             for u, v, w in syms}
+    effects = {}  # (degree, incidences killed, orders at the ramification points, squarefree)
+    for d in range(1, k):
+        for lead in range(d + 1):
+            for rest in itertools.product(range(q), repeat=d - lead):
+                c = (0,) * lead + (1,) + rest
+                killed = frozenset(
+                    s for s in syms
+                    if (any(form_order(c, p, q) for p in roots[s]) if roots[s]
+                        else not poly_rem(c, (s[2], -s[1] % q, s[0]), q)))
+                key = (d, killed, tuple(form_order(c, p, q) for p, _ in rams),
+                       form_order(c, (0, 1), q) <= 1 and is_squarefree(c, q))
+                effects[key] = effects.get(key, 0) + 1
+    free = {}
+
+    def bpf(m, alive, orders):
+        if (m, alive, orders) not in free:
+            conds = SearchConstraint([syms[s] for s in sorted(alive)],
+                                     [(points[p], e) for (p, _), e in zip(rams, orders) if e > 1])
+            total = 0 if max(orders, default=0) > m else search_pencils_ffield(m, q, conds).count
+            if total:  # else every term is 0 too
+                total -= sum(c * bpf(m - d, alive - killed, tuple(map(sub, orders, ords)))
+                             for (d, killed, ords, _), c in effects.items() if d < m)
+            free[m, alive, orders] = total
+        return free[m, alive, orders]
+
+    alive, orders = frozenset(syms), tuple(e for _, e in rams)
+    base_free = bpf(k, alive, orders)
+    simple = sum(c * bpf(k - d, alive - killed, tuple(map(sub, orders, ords)))
+                 for (d, killed, ords, squarefree), c in effects.items() if squarefree)
+    strata = zip(severi_degeneration._STRATA, (base_free, simple, count - base_free - simple))
+    return {name: c for name, c in strata if c}
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_strata_match_the_divisor_oracle(k):
+    """Strata at k = 5 and 6 over F_7 against the divisor oracle, on constraints of every kind.
+
+    The brute-force oracle, which classifies every match, is too slow here.
+    At k = 6 the oracle writes out 22,874 divisors a constraint, so only
+    the kinds with an incidence of each sort and a ramification run.
+    """
+    rng = random.Random(f"divisor-oracle:{k}")
+    kinds = {"incidence", "mixed", "doubled point and conjugate pair",
+             "two ramifications on an incidence", "inconsistent"}
+    for name, constraint in oracle_constraints(Field(7), k, rng):
+        if k == 6 and name not in kinds:
+            continue
+        got = search_pencils_ffield(k, 7, constraint, report_strata=True)
+        assert got.strata == divisor_oracle_strata(k, 7, constraint), name
+
+
+def test_divisor_oracle_matches_brute_force():
+    """The divisor oracle against the classifying one, on every kind at k = 3 and 4.
+
+    And at k = 5 over F_7, where four incidences leave few enough matches
+    to classify.
+    """
+    grid = [(k, q, constraint) for k, q in ((3, 5), (3, 7), (4, 5))
+            for _, constraint in oracle_constraints(Field(q), k, random.Random(f"div:{k}:{q}"))]
+    rng = random.Random("div:5:7")
+    pts = projective_points(Field(7))
+    grid.append((5, 7, SearchConstraint(incidences=[sym_point(*rng.sample(pts, 2)) for _ in range(4)])))
+    for k, q, constraint in grid:
+        want = brute_force_search(k, q, constraint)[2]
+        assert divisor_oracle_strata(k, q, constraint) == want, (k, q, constraint.to_json_dict())
 
 
 def boundary_searches():
@@ -1509,62 +1646,80 @@ def test_budget_counts_the_rank_work():
         search_pencils_ffield(3, 11, constraint, budget=work, report_strata=True)
 
 
-def test_strata_charge_their_counts_and_enumeration_to_the_budget(monkeypatch):
-    """The strata add the work of each smaller count and their enumeration's bound.
+def strata_counts(monkeypatch):
+    """The degree of every count that a search runs (_count), listed as they run."""
+    sd = severi_degeneration
+    ran, count = [], sd._count
+    monkeypatch.setattr(sd, "_count", lambda q, k, *args: ran.append(k) or count(q, k, *args))
+    return ran
 
-    Each count at degree m < k adds its own work (_work), before it runs, and
-    the enumeration _STATE_STEPS for each state of its bound
-    (_enumeration_states), before it starts: at the sum of all that the
-    search answers, and one step short it is refused.  k = 4 over F_13 with
-    two incidences and a ramification on one of them counts at degrees 2
-    and 3.
+
+def strata_figure(k, q, constraint, own):
+    """The steps that the strata add before any smaller count runs, from their refusal."""
+    with pytest.raises(ResourceLimit, match="the strata take at least") as refusal:
+        search_pencils_ffield(k, q, constraint, budget=own, report_strata=True)
+    return int(re.search(r"at least (\d+) steps", str(refusal.value)).group(1)) - own
+
+
+def test_strata_charge_their_counts_to_the_budget(monkeypatch):
+    """The strata add _STATE_STEPS for each count they might make, then each count's work.
+
+    The first figure is added before any smaller count runs, so a budget of
+    the search's own work refuses the strata with no count but its own; it
+    bounds the counts made.  Each count at degree m < k adds its work (_work)
+    before it runs: at the sum of all that the search answers, and one step
+    short it is refused.  k = 4 over F_13 with two incidences and a
+    ramification on one of them counts at degrees 2 and 3.
     """
     sd = severi_degeneration
     F = Field(13)
     a, b, c = point(F, 1, 2), point(F, 1, 5), point(F, 0, 1)
     constraint = SearchConstraint(incidences=(sym_point(a, b), sym_point(b, c)),
                                   ramifications=((a, 2),))
-    charged, bounds = [], []
-    work, bound = sd._work, sd._enumeration_states
+    charged, work = [], sd._work
     monkeypatch.setattr(sd, "_work", lambda k, q, mats: charged.append((k, work(k, q, mats)))
                         or charged[-1][1])
-    monkeypatch.setattr(sd, "_enumeration_states", lambda *args: bounds.append(bound(*args))
-                        or bounds[-1])
+    ran = strata_counts(monkeypatch)
     want = search_pencils_ffield(4, 13, constraint, report_strata=True)
     (top, own), *counts = charged
-    assert top == 4 and {m for m, _ in counts} == {2, 3} and bounds[0] > 1
-    counted = own + sum(w for _, w in counts)
-    total = counted + sd._STATE_STEPS * bounds[0]
+    assert top == 4 and {m for m, _ in counts} == {2, 3} and ran[1:] == [m for m, _ in counts]
+    ran.clear()
+    figure = strata_figure(4, 13, constraint, own)
+    assert ran == [4] and figure >= sd._STATE_STEPS * len(counts) > 0
+    total = own + figure + sum(w for _, w in counts)
     assert search_pencils_ffield(4, 13, constraint, budget=total, report_strata=True) == want
     with pytest.raises(ResourceLimit, match="the strata take at least"):
         search_pencils_ffield(4, 13, constraint, budget=total - 1, report_strata=True)
-    # without the enumeration's charge, the smaller counts' work alone still counts
-    monkeypatch.setattr(sd, "_STATE_STEPS", 0)
-    with pytest.raises(ResourceLimit, match="the strata take at least"):
-        search_pencils_ffield(4, 13, constraint, budget=counted - 1, report_strata=True)
     assert search_pencils_ffield(4, 13, constraint, budget=own).count == want.count
 
 
-def test_strata_of_many_incidences_through_one_point_are_prompt():
-    """Sixteen incidences through one point answer, or are refused, within 2 s.
+def test_strata_of_many_incidences_through_one_point_are_bounded(monkeypatch):
+    """Sixteen incidences through one point: the figure bounds the counts, or refuses them.
 
     A pencil with a base point there meets them all, so no smaller count is
-    zero, and the enumeration grows with its 17 groups of points: at k = 4
-    and 5 it answers, and at k = 6 its bound passes the default budget.
+    zero, and the counts grow with the subsets of the 17 groups of points.
+    At k = 4 and 5 the search answers, having made no more counts than its
+    figure allows for; at k = 6 the figure alone takes it past the default
+    budget, before any smaller count runs.
     """
+    sd = severi_degeneration
     F = Field(17)
     pts = projective_points(F)
-    hub, others = pts[0], [p for p in pts[1:]][:16]
-    constraint = SearchConstraint(incidences=tuple(sym_point(hub, p) for p in others))
+    constraint = SearchConstraint(incidences=tuple(sym_point(pts[0], p) for p in pts[1:17]))
+    ran = strata_counts(monkeypatch)
     for k in (4, 5, 6):
-        start = time.perf_counter()
-        try:
+        own = sd._work(k, 17, sd.compile_constraint(k, 17, constraint))
+        figure = strata_figure(k, 17, constraint, own)
+        ran.clear()
+        if k < 6:
             res = search_pencils_ffield(k, 17, constraint, report_strata=True)
-            assert sum(res.strata.values()) == res.count > 0 and k < 6
-        except ResourceLimit:
-            assert k == 6
-        elapsed = time.perf_counter() - start
-        assert elapsed < 2, (k, elapsed)
+            assert sum(res.strata.values()) == res.count > 0
+            assert 0 < sd._STATE_STEPS * (len(ran) - 1) <= figure, k
+        else:
+            assert own + figure > sd.DEFAULT_SEARCH_BUDGET
+            with pytest.raises(ResourceLimit, match="the strata take at least"):
+                search_pencils_ffield(k, 17, constraint, report_strata=True)
+            assert ran == [6]
 
 
 def test_int64_guard_refuses_before_searching(monkeypatch):

@@ -20,8 +20,6 @@ The cases, in the order each repeat runs them:
   place;
 - `_systems` over the whole packed g index of a k = 2 search over F_100003
   with one incidence, in int64 as searches past the int32 rule run it;
-- the ladder's `F_13 strata` search (variant 0), whole: its count and the
-  smaller counts that its strata come from;
 - `Field.coerce` of a plain int and `_move_to_origin` at k = 3 over F_31,
   in microseconds per call over a loop of MICRO_CALLS calls;
 - each search of the `ladder` workload for variants 0-7, with its jobs and
@@ -107,17 +105,6 @@ def _systems_cases(P, fields, sd):
     rows = sum(q ** (k - j) for _, j in sd._cells(k))
     yield (f"_systems k={k} F_{q} {rows} g-rows {mats.dtype}", "ms",
            lambda: list(sd._systems(q, k, 0, rows, mats)))
-
-
-def _strata_cases(P, fields, sd, pairs):
-    k, q = 3, 13
-    F13 = fields.Field(q)
-    a, b = pairs[0]  # the ladder's F_13 strata search, variant 0
-    constraint = sd.SearchConstraint(
-        incidences=(P.sym_point(P.ProjPoint(F13, *a), P.ProjPoint(F13, *b)),))
-    count = sd.search_pencils_ffield(k, q, constraint).count
-    yield (f"strata search k={k} F_{q} {count} matches", "ms",
-           lambda: sd.search_pencils_ffield(k, q, constraint, report_strata=True))
 
 
 def _micro_cases(P, fields):
@@ -276,7 +263,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as cache:
         cases = []
         for group in (_eliminate_cases(sd), _systems_cases(P, fields, sd),
-                      _strata_cases(P, fields, sd, pairs), _micro_cases(P, fields),
+                      _micro_cases(P, fields),
                       _ladder_cases(P, fields, sd, pairs), _warm_ladder_cases(P, fields, sd, pairs),
                       _small_search_cases(P, fields, sd, pairs, cache),
                       _cache_cases(P, fields, sd, pairs, cache),
