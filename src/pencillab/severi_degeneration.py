@@ -23,16 +23,17 @@ on the constraint, so they are built once and kept for the next searches
 at (q, k), the last _LAYOUT_CHUNKS chunks ((k+1) MiB + 128 KiB at most;
 _layout).  The elimination counts the pivots it finds, and the counts come
 from those ranks.  The samples, the first matches in (cell, f, g) order,
-are worked out after the count, cell by cell until there are enough: solved
-for per g-row where the cell is sparse, and found by walking the f-rows
-where it is dense.  Either way the keys are residues of independent
-echelon pairs, so the sample pencils are built from them unchecked.  The
-walk of f-rows, each row's system in g built and eliminated on plain ints,
-also counts the small searches, of at most _PLAIN_MAX_TESTS pencil tests,
-and finds the samples of a search with no conditions: neither imports
-numpy.  Strata classify no pencil: a pencil is its base divisor times a
-base-point-free pencil whose conditions follow in closed form, so they come
-from counts of smaller degree, in plain ints (_strata_from_counts).
+are worked out after the count, cell by cell until there are enough: found
+by walking the f-rows where the cell is dense, and where it is sparse
+solved for per g-row that the count kept, on plain ints by the walk's own
+solver.  Either way the keys are residues of independent echelon pairs, so
+the sample pencils are built from them unchecked.  The walk of f-rows, each
+row's system in g built and eliminated on plain ints, also counts the small
+searches, of at most _PLAIN_MAX_TESTS pencil tests, and finds the samples
+of a search with no conditions: neither imports numpy.  Strata classify no
+pencil: a pencil is its base divisor times a base-point-free pencil whose
+conditions follow in closed form, so they come from counts of smaller
+degree, in plain ints (_strata_from_counts).
 A cache entry is written as text, its samples filled into a per-(k, q)
 template, and read back strictly: only as many samples as the count gives,
 of residues written as the writer writes them, in reduced echelon pairs and
@@ -92,7 +93,7 @@ DEFAULT_SEARCH_BUDGET = 200_000_000
 # than in 8192-row ones, with a third of the page faults, while the k = 4
 # count over F_101 (about 10^6 g-rows) ran about 15% slower.  Only that k = 4
 # count, in tools/bench_layers.py, measures the 8192-row side: no perfbench
-# workload reaches it.  _BATCH_ROWS also bounds a _solutions batch.
+# workload reaches it.
 _RANK_CHUNK_ROWS = 2048
 _BATCH_ROWS = 8192
 # Chunk layouts (_layout) kept for the next search at the same (q, k): a
@@ -378,38 +379,20 @@ def compile_constraint(k: int, q: int, constraint: SearchConstraint) -> tuple:
     return tuple(tuple(map(tuple, A)) for A in mats)
 
 
-def _digits(idx, q: int, width: int, out=None) -> np.ndarray | None:
-    """Base-q digits of an index (or an array of them), most significant first.
+def _digits(idx, q: int, out: list) -> None:
+    """Write the base-q digits of an array of indices into out, most significant first.
 
     This is the one codec between enumeration order and coordinates: index t
-    of a cell's f-range (or g-range) stands for the free coordinates digits(t),
-    so ranges of indices are lexicographic ranges of coordinate tuples.  The
-    digits come as a new ... x width int64 array, or, with out given, are
-    written into its width arrays shaped like idx, of any integer dtype.
+    of a cell's g-range stands for the free coordinates digits(t), so ranges
+    of indices are lexicographic ranges of coordinate tuples, as the f-row
+    walk and _solved run through them.  out holds one array shaped like idx
+    per digit, of any integer dtype.
     """
     import numpy as np
 
     idx = np.array(idx, dtype=np.int64)
-    digits = np.empty(idx.shape + (width,), dtype=np.int64) if out is None else None
-    for pos in range(width - 1, -1, -1):
-        np.divmod(idx, q, out=(idx, digits[..., pos] if out is None else out[pos]))
-    return digits
-
-
-def _echelon_rows(k: int, pivot: int, cols: list[int], coords) -> np.ndarray:
-    """Echelon coefficient rows: 1 at pivot, coords (... x len(cols)) at cols, 0 elsewhere.
-
-    Within a cell only the free columns vary, so the rows of lexicographically
-    ordered coordinates are themselves in lexicographic order.  The rows have
-    the dtype of coords.
-    """
-    import numpy as np
-
-    coords = np.asarray(coords)
-    rows = np.zeros(coords.shape[:-1] + (k + 1,), dtype=coords.dtype)
-    rows[..., pivot] = 1
-    rows[..., cols] = coords
-    return rows
+    for digit in reversed(out):
+        np.divmod(idx, q, out=(idx, digit))
 
 
 def _mod(a: np.ndarray, q: int, work: np.ndarray | None = None) -> np.ndarray:
@@ -436,14 +419,14 @@ def _kernel_dtype(k: int, q: int):
     Every array of a search is built in it, and each helper takes the dtype
     of its input.  With r = q - 1, no entry exceeds M = max(1, k-1) r^2 + r
     in size: a system sums one residue and at most k - 1 products of two
-    (_systems), the fraction-free update of _eliminate forms the difference
-    of two products, and a solved coordinate's right-hand side sums at most
-    k - 2 products and a residue (_solutions).  So int16 serves q <= 181
-    at k <= 2, q <= 127 at k = 3 and q <= 103 at k = 4, and int32 q <= 46337
-    at k <= 2.  The plain ints mixed into kernel arrays, q and 1, are below
-    M, so numpy's casting takes them as the dtype.  Fewer bytes make the
+    (_systems), and the fraction-free update of _eliminate forms the
+    difference of two products.  So int16 serves q <= 181 at k <= 2,
+    q <= 127 at k = 3 and q <= 103 at k = 4, and int32 q <= 46337 at
+    k <= 2.  The plain ints mixed into kernel arrays, q and 1, are below M,
+    so numpy's casting takes them as the dtype.  Fewer bytes make the
     kernel's temporaries cheaper to touch.  ResourceLimit's int64 guard
-    (search_pencils_ffield) stays on the looser (k+1)(q-1)^2.
+    (search_pencils_ffield) stays on the looser (k+1)(q-1)^2.  No numpy
+    array is solved: the samples are solved for on plain ints (_solved).
     """
     import numpy as np
 
@@ -493,38 +476,6 @@ def _eliminate(W: np.ndarray, q: int, spare: np.ndarray | None = None) -> tuple:
     return pivots, rank, ~(W[:, 0] != 0).any(axis=0)
 
 
-def _solutions(pivots: np.ndarray, q: int, cap: int):
-    """Yield (row positions, R x count x n solutions) for the solvable systems given.
-
-    pivots comes from _eliminate, n x (n+1) x B.  Rows are grouped by their
-    free unknowns, and each gets its first count = min(q^free, cap)
-    solutions, about _BATCH_ROWS solutions per batch.  The free unknowns run
-    through base-q order and each pivot unknown is solved from the more
-    significant ones, so two solutions first differ in a free unknown: the
-    order is lexicographic.
-    """
-    import numpy as np
-
-    n = pivots.shape[0]
-    free = pivots[range(n), range(1, n + 1)] == 0
-    pattern = (1 << np.arange(n)) @ free
-    for pat in set(pattern.tolist()):
-        rows = np.flatnonzero(pattern == pat)
-        mask = free[:, rows[0]]
-        count = min(q ** int(mask.sum()), cap)
-        step = max(1, _BATCH_ROWS // count)
-        for lo in range(0, len(rows), step):
-            part = rows[lo : lo + step]
-            G = np.zeros((len(part), count, n), dtype=pivots.dtype)
-            G[:, :, mask] = _digits(np.arange(count), q, int(mask.sum()))
-            for c in np.flatnonzero(~mask).tolist():
-                eq = pivots[c][:, part].T
-                inv = np.array([pow(a, -1, q) for a in eq[:, c + 1].tolist()], dtype=pivots.dtype)
-                rhs = (G[:, :, :c] @ eq[:, 1 : c + 1, None])[:, :, 0] + eq[:, None, 0]
-                G[:, :, c] = _mod(_mod(-rhs, q) * inv[:, None], q)
-            yield part, G
-
-
 @lru_cache(maxsize=_LAYOUT_CHUNKS)
 def _layout(q: int, k: int, lo: int, stop: int, dtype) -> tuple:
     """(cell, rows, parts) of the chunk lo..stop-1 of the packed g index, in dtype, read-only.
@@ -554,8 +505,7 @@ def _layout(q: int, k: int, lo: int, stop: int, dtype) -> tuple:
         part, pivot, cols = slice(a - lo, b - lo), cells[t][1], widths[t]
         rows[pivot, part] = 1
         if cols:  # the digits straight into the rows, a view per free coordinate
-            _digits(np.arange(a - starts[t], b - starts[t]), q, len(cols),
-                    [rows[c, part] for c in cols])
+            _digits(np.arange(a - starts[t], b - starts[t]), q, [rows[c, part] for c in cols])
         cell[part] = t
         parts.append((t, part, pivot, cols))
         t += 1
@@ -606,56 +556,6 @@ def _systems(q: int, k: int, lo: int, hi: int, mats):
         yield (cell, rows.T, *_eliminate(_mod(W, q, T), q, T))
 
 
-def _cell_parts(k: int, chunks, cells=None):
-    """Yield (cell index, g-rows, pivots) of the given cells (default all) from packed chunks.
-
-    chunks are (cell, g-rows, pivots) of rows in packed order, as _systems
-    numbers them; each part is a run of one cell's rows, with the pivots cut
-    to that cell's unknowns.
-    """
-    import numpy as np
-
-    unknowns = [k - 1 - i for i, _ in _cells(k)]
-    cells = range(len(unknowns)) if cells is None else cells
-    for cell, rows, pivots in chunks:
-        # keys in cell's dtype, which numpy would otherwise copy cell out of;
-        # the last cell ends where the chunk does
-        ends = np.searchsorted(cell, np.arange(len(unknowns), dtype=cell.dtype)).tolist()
-        ends.append(len(cell))
-        for c in cells:
-            a, b, n = ends[c], ends[c + 1], unknowns[c]
-            if a < b:
-                yield c, rows[a:b], pivots[:n, : n + 1, a:b]
-
-
-def _matches(q: int, k: int, cell_idx: int, rows, pivots, cap: int):
-    """Yield (F, G) batches of matched coefficient rows: each g-row's first cap matches.
-
-    rows are solvable g-rows and pivots their systems from _systems, cut to
-    the cell's unknowns, so _solutions lists each row's matches in
-    lexicographic order of f.
-    """
-    import numpy as np
-
-    i, j = _cells(k)[cell_idx]
-    cols0 = _free_columns(k, i, j)[0]
-    for part, X in _solutions(pivots, q, cap):
-        F = _echelon_rows(k, i, cols0, X).reshape(-1, k + 1)
-        yield F, np.repeat(rows[part], X.shape[1], axis=0)
-
-
-def _first_keys(cell_idx: int, F, G) -> list[tuple]:
-    """(cell, f row, g row) keys of the SAMPLE_LIMIT first of the given matches of one cell.
-
-    A cell's rows differ only in its free columns, so whole rows sort as the
-    matches do.
-    """
-    import numpy as np
-
-    order = np.lexsort(np.concatenate([F, G], axis=1).T[::-1])[:SAMPLE_LIMIT]
-    return [(cell_idx, tuple(f), tuple(g)) for f, g in zip(F[order].tolist(), G[order].tolist())]
-
-
 def _eliminate_plain(W: list, width: int, q: int) -> tuple[list, int, bool]:
     """_eliminate's steps on one system of plain ints: pivot equations, rank and solvability.
 
@@ -677,6 +577,26 @@ def _eliminate_plain(W: list, width: int, q: int) -> tuple[list, int, bool]:
     return pivots, rank, not any(r[0] for r in W)
 
 
+def _solved(pivots: list, q: int, matches: int, cap: int) -> list[tuple]:
+    """The first min(matches, cap) solutions of a solvable system, in lexicographic order.
+
+    pivots are _eliminate_plain's, and matches is q^free.  The free unknowns
+    run through base-q order and each pivot unknown is solved from the more
+    significant ones, so two solutions first differ in a free unknown.
+    """
+    solutions = []
+    for index in range(min(matches, cap)):
+        x, place = [], matches
+        for eq in pivots:
+            if eq is None:  # free: the next base-q digit of index
+                place //= q
+                x.append(index // place % q)
+            else:
+                x.append(-(eq[0] + sum(map(mul, eq[1:], x))) * pow(eq[-1], -1, q) % q)
+        solutions.append(tuple(x))
+    return solutions
+
+
 def _f_row_walk(q: int, k: int, cell_idx: int, mats: tuple, cap: int):
     """Yield (matches, keys) of each solvable f-row of a cell in order: its first cap keys.
 
@@ -685,10 +605,8 @@ def _f_row_walk(q: int, k: int, cell_idx: int, mats: tuple, cap: int):
     f^T A there, its constant at g's pivot 1.  f^T A is linear in f, so
     along f's last free coordinate each row's system is the last one plus
     A's rows at that coordinate.  A solvable system has q^(n - rank)
-    matches, and the row's first cap are solved for as _solutions orders
-    them: the free unknowns run through base-q order and each pivot unknown
-    is solved from the more significant ones.  So the keys come in (f, g)
-    order.
+    matches, and the row's first cap are solved for in order (_solved), so
+    the keys come in (f, g) order.
     """
     i, j = _cells(k)[cell_idx]
     f_cols, g_cols = _free_columns(k, i, j)
@@ -713,17 +631,9 @@ def _f_row_walk(q: int, k: int, cell_idx: int, mats: tuple, cap: int):
             pivots, rank, solvable = _eliminate_plain(system, n + 1, q)
             if not solvable:
                 continue
-            matches, key_f, keys = q ** (n - rank), tuple(f), []
-            for index in range(min(matches, cap)):
-                g, place = [], matches
-                for eq in pivots:
-                    if eq is None:  # free: the next base-q digit of index
-                        place //= q
-                        g.append(index // place % q)
-                    else:
-                        g.append(-(eq[0] + sum(map(mul, eq[1:], g))) * pow(eq[-1], -1, q) % q)
-                keys.append((cell_idx, key_f, g_pivot + tuple(g)))
-            yield matches, keys
+            matches, key_f = q ** (n - rank), tuple(f)
+            yield matches, [(cell_idx, key_f, g_pivot + g)
+                            for g in _solved(pivots, q, matches, cap)]
 
 
 def _walked_keys(q: int, k: int, mats: tuple, cells, limit: int) -> list[tuple]:
@@ -794,28 +704,35 @@ def _sample_keys(q: int, k: int, mats, counts: list, sparse: list, kept: list) -
     A cell's keys are those of its first matches, by one of two exact routes
     chosen from its matches, counts[c], and its sparse cost, sparse[c].  A
     sparse cell solves each solvable g-row, as the count kept it, for its
-    first SAMPLE_LIMIT f's and merges them (each of the cell's first
-    SAMPLE_LIMIT matches is among its own g-row's first SAMPLE_LIMIT).  A
-    dense one (_is_dense) walks its f-rows until the search has
-    SAMPLE_LIMIT keys (_walked_keys), mats being compile_constraint's.
+    first SAMPLE_LIMIT f's on plain ints, by the walk's solver (_solved),
+    and sorts them (each of the cell's first SAMPLE_LIMIT matches is among
+    its own g-row's first SAMPLE_LIMIT).  Only the kept rows of the cells
+    the samples reach leave numpy, their pivots cut to the cell's
+    n = k - 1 - i unknowns.  A dense cell (_is_dense) walks its f-rows
+    until the search has SAMPLE_LIMIT keys (_walked_keys), mats being
+    compile_constraint's.
     """
-    import numpy as np
-
     keys: list[tuple] = []
-    for cell_idx, (i, _) in enumerate(_cells(k)):
+    for cell_idx, (i, j) in enumerate(_cells(k)):
         if len(keys) >= SAMPLE_LIMIT:
             break
-        count, f_rows = counts[cell_idx], q ** (k - 1 - i)
+        count, n = counts[cell_idx], k - 1 - i
         if not count:
             continue
-        if _is_dense(count, sparse[cell_idx], f_rows):
+        if _is_dense(count, sparse[cell_idx], q**n):
             keys += _walked_keys(q, k, mats, [cell_idx], SAMPLE_LIMIT - len(keys))
             continue
-        _, rows, pivots = zip(*_cell_parts(k, kept, [cell_idx]))
-        batches = _matches(q, k, cell_idx, np.concatenate(rows),
-                           np.concatenate(pivots, axis=-1), SAMPLE_LIMIT)
-        F, G = (np.concatenate(b) for b in zip(*batches))
-        keys += _first_keys(cell_idx, F, G)
+        found = []  # (f's free coordinates, g): they sort as the keys do
+        for cell, rows, pivots in kept:
+            at = cell == cell_idx
+            systems = pivots[:n, : n + 1, at].transpose(2, 0, 1).tolist()
+            for g, eqs in zip(map(tuple, rows[at].tolist()), systems):
+                eqs = [r[: u + 2] if r[u + 1] else None for u, r in enumerate(eqs)]
+                found += [(x, g) for x in _solved(eqs, q, q ** eqs.count(None), SAMPLE_LIMIT)]
+        # f is 1 at i, 0 at j and its free coordinates in the other columns
+        head, cut = (0,) * i + (1,), j - i - 1
+        keys += [(cell_idx, head + x[:cut] + (0,) + x[cut:], g)
+                 for x, g in sorted(found)[:SAMPLE_LIMIT]]
     return keys[:SAMPLE_LIMIT]
 
 
@@ -861,10 +778,11 @@ def search_pencils_ffield(
     conditions times C(k, 2) is below _POOL_MIN_ROW_WORK.  The samples are
     the first matches in (cell, f, g) lexicographic order, worked out after
     the count for the cells in order until there are 20 (_sample_keys).  A
-    sparse cell solves each solvable g-row for its first 20 f's and merges
-    them; a dense one, where that would cost more, takes the f-row walk
-    until the search has 20 matches.  Both are exact, so results are
-    independent of jobs, which must be at least 1.
+    sparse cell solves each solvable g-row the rank pass kept for its first
+    20 f's, on plain ints by the walk's solver, and sorts them; a dense
+    one, where that would cost more, takes the f-row walk until the search
+    has 20 matches.  Both are exact, so results are independent of jobs,
+    which must be at least 1.
 
     report_strata splits the count by base divisor: none, a squarefree one,
     or one with a multiple point.  The split comes from counts of smaller

@@ -86,15 +86,18 @@ def test_bench_layers_times_the_strata_search(tmp_path):
 
 
 def test_bench_layers_times_a_small_search_around_its_rank_pass(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, SCRIPT, "--repeats", "1", "--only", "small search"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert sorted(doc["ms"]) == ["small search: F_31 c=2 dense walk",
-                                 "small search: F_31 c=2 with a fresh cache"]
-    assert all(value > 0 for value in doc["ms"].values())
+    labels = {}
+    for only in ("small search", "sparse route"):
+        proc = subprocess.run(
+            [sys.executable, SCRIPT, "--repeats", "1", "--only", only],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        labels[only] = json.loads(proc.stdout)["ms"]
+    assert sorted(labels["small search"]) == ["small search: F_31 c=2 dense walk",
+                                              "small search: F_31 c=2 with a fresh cache"]
+    assert list(labels["sparse route"]) == ["sparse route: F_101 c=3 _sample_keys"]
+    assert all(value > 0 for ms in labels.values() for value in ms.values())
     assert os.listdir(tmp_path) == []  # the cache directories were temporary
 
 

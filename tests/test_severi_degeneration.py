@@ -8,7 +8,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
 import numpy as np
 import pytest
@@ -361,15 +361,20 @@ class TestSearch:
     def test_index_codec_is_lexicographic(self):
         sd = severi_degeneration
         for q, width in [(3, 0), (5, 1), (7, 3)]:
-            rows = sd._digits(np.arange(q**width), q, width)
-            assert rows.tolist() == [list(t) for t in itertools.product(range(q), repeat=width)]
-            assert sd._digits(q**width - 1, q, width).tolist() == [q - 1] * width
+            for dtype in (np.int16, np.int64):
+                out = [np.empty(q**width, dtype=dtype) for _ in range(width)]
+                sd._digits(np.arange(q**width), q, out)
+                rows = np.array([d.tolist() for d in out]).T.reshape(q**width, width)
+                assert rows.tolist() == [list(t) for t in itertools.product(range(q), repeat=width)]
+                last = [np.empty(1, dtype=dtype) for _ in range(width)]
+                sd._digits([q**width - 1], q, last)
+                assert [int(d[0]) for d in last] == [q - 1] * width
         # a cell's echelon rows keep that order, so sample keys sort as the matches do
         q, k = 5, 4
         for cell in sd._cells(k):
             for pivot, cols in zip(cell, sd._free_columns(k, *cell)):
-                coords = sd._digits(np.arange(q ** len(cols)), q, len(cols))
-                rows = sd._echelon_rows(k, pivot, cols, coords)
+                coords = coordinates(q, len(cols))
+                rows = echelon_rows(k, pivot, cols, coords)
                 assert rows[:, pivot].tolist() == [1] * len(rows)
                 assert rows[:, cols].tolist() == coords.tolist()
                 assert sorted(map(tuple, rows.tolist())) == list(map(tuple, rows.tolist()))
@@ -498,6 +503,20 @@ def echelon_pencil(F, k, cell, f_vals, g_vals):
                   form(F, [int(g.get(c, 0)) for c in range(k + 1)]))
 
 
+def coordinates(q, width):
+    """Every tuple of width residues mod q, lexicographically: a q^width x width array."""
+    return np.array(list(itertools.product(range(q), repeat=width)),
+                    dtype=np.int64).reshape(q**width, width)
+
+
+def echelon_rows(k, pivot, cols, coords):
+    """Echelon coefficient rows: 1 at pivot, coords (N x len(cols)) at cols, 0 elsewhere."""
+    rows = np.zeros((len(coords), k + 1), dtype=np.int64)
+    rows[:, pivot] = 1
+    rows[:, cols] = coords
+    return rows
+
+
 def kernel_mats(k, q, constraint):
     """compile_constraint's matrices as the rank kernel takes them: one m x (k+1) x (k+1) array."""
     sd = severi_degeneration
@@ -510,11 +529,8 @@ def oracle_cell_matches(k, q, mats, cell):
     sd = severi_degeneration
     i, j = cell
     cols0, cols1 = sd._free_columns(k, i, j)
-    f_assign = sd._digits(np.arange(q ** len(cols0)), q, len(cols0))
-    g_assign = sd._digits(np.arange(q ** len(cols1)), q, len(cols1))
-    F_rows = np.zeros((len(f_assign), k + 1), dtype=np.int64)
-    F_rows[:, i] = 1
-    F_rows[:, cols0] = f_assign
+    f_assign, g_assign = coordinates(q, len(cols0)), coordinates(q, len(cols1))
+    F_rows = echelon_rows(k, i, cols0, f_assign)
     mask = np.ones((len(f_assign), len(g_assign)), dtype=bool)
     for A in mats:
         R = (F_rows @ A) % q
@@ -670,6 +686,40 @@ def seeded_search_grid(rng, size):
         yield k, q, SearchConstraint(incidences=incidences, ramifications=rams)
 
 
+def sample_routes(monkeypatch):
+    """Spy on the rank search's two sample routes: {"dense": walks, "sparse": solves}, as they run.
+
+    A dense cell's keys come from _walked_keys (a search with no conditions
+    walks too, for its samples alone, and is not counted), a sparse cell's
+    from _solved called by _sample_keys itself, outside any walk.
+    """
+    sd = severi_degeneration
+    routes, inside = {"dense": 0, "sparse": 0}, []
+    walk, sample_keys, solved = sd._walked_keys, sd._sample_keys, sd._solved
+
+    def within(name, fn):
+        def run(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return run
+
+    def counted_walk(q, k, mats, cells, limit):
+        routes["dense"] += bool(mats)
+        return within("walk", walk)(q, k, mats, cells, limit)
+
+    def counted_solved(pivots, q, matches, cap):
+        routes["sparse"] += inside[-1:] == ["sample keys"]
+        return solved(pivots, q, matches, cap)
+
+    monkeypatch.setattr(sd, "_walked_keys", counted_walk)
+    monkeypatch.setattr(sd, "_sample_keys", within("sample keys", sample_keys))
+    monkeypatch.setattr(sd, "_solved", counted_solved)
+    return routes
+
+
 def test_g_side_search_matches_brute_force(monkeypatch):
     """Counts, the 20 samples in order, and strata against the oracle, on both search paths.
 
@@ -682,21 +732,8 @@ def test_g_side_search_matches_brute_force(monkeypatch):
     """
     sd = severi_degeneration
     monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks
-    routes = {"dense": 0, "sparse": 0}
-    walk, matches = sd._walked_keys, sd._matches
-
-    def counted_walk(q, k, mats, cells, limit):
-        # a search with no conditions walks too, for its samples alone
-        routes["dense"] += bool(mats)
-        return walk(q, k, mats, cells, limit)
-
-    def counted_matches(q, k, cell_idx, rows, pivots, cap):
-        # the sparse route solves g-rows for SAMPLE_LIMIT f's each
-        routes["sparse"] += cap == sd.SAMPLE_LIMIT
-        return matches(q, k, cell_idx, rows, pivots, cap)
-
-    monkeypatch.setattr(sd, "_walked_keys", counted_walk)
-    monkeypatch.setattr(sd, "_matches", counted_matches)
+    walk = sd._walked_keys
+    routes = sample_routes(monkeypatch)
     F13 = Field(13)
     pts = projective_points(F13)
     rng = random.Random("g-side oracle")
@@ -741,9 +778,9 @@ def test_samples_equal_the_checked_pencils(monkeypatch, tmp_path):
     """
     sd = severi_degeneration
     monkeypatch.setattr(sd, "_POOL_MIN_ROW_WORK", 0)  # jobs=2 forks
+    sample = sample_routes(monkeypatch)
     routes = dict.fromkeys(
-        ["_plain_search", "_rank_search", "_walked_keys", "_first_keys",
-         "grassmannian_pencil_count"], 0)
+        ["_plain_search", "_rank_search", "_walked_keys", "grassmannian_pencil_count"], 0)
     for name in routes:
         def spy(*args, _fn=getattr(sd, name), _name=name):
             routes[_name] += 1
@@ -773,7 +810,7 @@ def test_samples_equal_the_checked_pencils(monkeypatch, tmp_path):
             assert fresh.samples == checked == hit.samples == want, (name, jobs)
             assert (list(map(hash, fresh.samples)) == list(map(hash, checked))
                     == list(map(hash, hit.samples))), (name, jobs)
-    assert all(routes.values()), routes
+    assert all(routes.values()) and all(sample.values()), (routes, sample)
 
 
 def test_cache_entries_are_the_sorted_documents(tmp_path):
@@ -940,12 +977,12 @@ def test_a_hit_decodes_only_residues_as_written(tmp_path):
 
 
 def packed_g_rows(k, q):
-    """Cell and g-row of every row of the packed g index: each cell's echelon rows from _digits."""
+    """Cell and g-row of every row of the packed g index: each cell's echelon rows in order."""
     sd = severi_degeneration
     cells, rows = [], []
     for c, (i, j) in enumerate(sd._cells(k)):
         cols = sd._free_columns(k, i, j)[1]
-        rows.append(sd._echelon_rows(k, j, cols, sd._digits(np.arange(q ** len(cols)), q, len(cols))))
+        rows.append(echelon_rows(k, j, cols, coordinates(q, len(cols))))
         cells += [c] * len(rows[-1])
     return np.array(cells), np.concatenate(rows)
 
@@ -1051,19 +1088,35 @@ def test_ramification_rows_are_the_taylor_shift(q):
                 assert got == want, (k, pt.to_json(), order)
 
 
+def plain_pivots(eqs):
+    """A g-row's kernel pivot equations, cut to its cell's unknowns, as _sample_keys cuts them.
+
+    eqs is the row's n x (n+1) slice of _eliminate's pivots, as lists: entry
+    u keeps its first u + 2 residues where unknown u has a pivot, and is None
+    where it is free, as _eliminate_plain gives them.
+    """
+    return [r[: u + 2] if r[u + 1] else None for u, r in enumerate(eqs)]
+
+
 def side_matches(k, q, mats, cell_idx):
-    """Every match of a cell, solved for by the rank kernel with g fixed: sorted f|g rows."""
+    """Every match of a cell, solved for by the rank kernel with g fixed: sorted f|g rows.
+
+    Each solvable g-row's pivots go to the shared solver (_solved) with the
+    cap q^n, which lists all of the row's matches.
+    """
     sd = severi_degeneration
-    total = sum(q ** len(sd._free_columns(k, i, j)[1]) for i, j in sd._cells(k))
-    chunks = [(cell[ok], rows[ok], pivots[..., ok])
-              for cell, rows, pivots, _, ok in sd._systems(q, k, 0, total, mats)]
-    batches = [
-        np.concatenate(batch, axis=1)
-        for c, rows, pivots in sd._cell_parts(k, chunks, [cell_idx])
-        for batch in sd._matches(q, k, c, rows, pivots, q ** pivots.shape[0])
-    ]
-    found = np.concatenate(batches) if batches else np.zeros((0, 2 * k + 2), dtype=np.int64)
-    return found[np.lexsort(found.T[::-1])]
+    i, j = sd._cells(k)[cell_idx]
+    cols0 = sd._free_columns(k, i, j)[0]
+    n = len(cols0)
+    total = sum(q ** len(sd._free_columns(k, a, b)[1]) for a, b in sd._cells(k))
+    found = []  # f's free coordinates, then g: they sort as f|g does
+    for cell, rows, pivots, _, ok in sd._systems(q, k, 0, total, mats):
+        at = ok & (cell == cell_idx)
+        for g, eqs in zip(rows[at].tolist(), pivots[:n, : n + 1, at].transpose(2, 0, 1).tolist()):
+            eqs = plain_pivots(eqs)
+            found += [[*x, *g] for x in sd._solved(eqs, q, q ** eqs.count(None), q**n)]
+    found = np.array(sorted(found), dtype=np.int64).reshape(-1, n + k + 1)
+    return np.concatenate([echelon_rows(k, i, cols0, found[:, :n]), found[:, n:]], axis=1).tolist()
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])
@@ -1084,7 +1137,7 @@ def test_f_and_g_fixed_systems_find_the_same_matches(k, q):
             rows = list(sd._f_row_walk(q, k, cell_idx, plain, q ** (k - j)))
             assert all(count == len(keys) for count, keys in rows), (name, cell_idx)
             by_f = [[*f, *g] for _, keys in rows for _, f, g in keys]
-            assert by_f == side_matches(k, q, mats, cell_idx).tolist(), (name, cell_idx)
+            assert by_f == side_matches(k, q, mats, cell_idx), (name, cell_idx)
             found += len(by_f)
         assert (found == 0) == (name == "inconsistent"), name
 
@@ -1104,7 +1157,7 @@ def test_walk_keys_do_not_depend_on_the_first_chunk(k, q, monkeypatch):
         mats = kernel_mats(k, q, constraint)
         want = [(c, tuple(row[: k + 1]), tuple(row[k + 1 :]))
                 for c in range(len(sd._cells(k)))
-                for row in side_matches(k, q, mats, c)[:sd.SAMPLE_LIMIT].tolist()]
+                for row in side_matches(k, q, mats, c)[:sd.SAMPLE_LIMIT]]
         for rows in (1, 7, 2048):
             monkeypatch.setattr(sd, "_RANK_CHUNK_ROWS", rows)
             got = sd._rank_search(q, k, sd.compile_constraint(k, q, constraint), 0, 1, True)[1]
@@ -1149,15 +1202,14 @@ def test_packed_pivots_are_each_cells_own(k, q, monkeypatch):
         mats = kernel_mats(k, q, constraint)
         chunks = list(sd._systems(q, k, 0, total, mats))
         assert any(len(set(cell.tolist())) > 1 for cell, *_ in chunks)
-        solvable = np.concatenate([ok for *_, ok in chunks])
-        parts = {}
-        for c, rows, pivots in sd._cell_parts(k, [chunk[:3] for chunk in chunks]):
-            parts.setdefault(c, []).append((rows, pivots))
+        cells, all_rows, solvable = (np.concatenate([chunk[at] for chunk in chunks])
+                                     for at in (0, 1, 4))
+        all_pivots = np.concatenate([chunk[2] for chunk in chunks], axis=-1)
         at = 0
         for c, (i, _) in enumerate(sd._cells(k)):
             n = k - 1 - i
-            rows, pivots = zip(*parts[c])
-            rows, pivots = np.concatenate(rows), np.concatenate(pivots, axis=-1)
+            # the cell's run of the packed index, its pivots cut to its unknowns
+            rows, pivots = all_rows[cells == c], all_pivots[:n, : n + 1, cells == c]
             # the cell's own systems, unpadded, eliminated alone
             W = np.einsum("bs,sen->enb", rows, cell_systems(k, q, mats, c)[..., : n + 1]) % q
             own, _, own_ok = sd._eliminate(np.ascontiguousarray(W), q)
@@ -1295,6 +1347,13 @@ def test_plain_elimination_matches_the_kernel(q):
     The systems are those of test_eliminate_matches_the_python_oracle, each
     eliminated alone on plain ints; a free unknown's pivot equation is None,
     where _eliminate's is zero, and a pivot equation stops at its unknown.
+    The kernel's pivots, cut as _sample_keys cuts them, are the plain ones.
+    For each solvable system the shared solver (_solved), from either, gives
+    the first cap solutions in lexicographic order at caps 1, 20 and q^free:
+    the first of F_q^n, listed whole, that satisfy the equations, where
+    F_q^n has at most 101^2 points (every system over F_3 and F_5, and up to
+    two unknowns over F_101).  Elsewhere, at caps 1 and 20, the solutions
+    satisfy the equations, rise strictly, and number min(q^free, cap).
     """
     sd = severi_degeneration
     rng = random.Random(f"eliminate:{q}")
@@ -1304,6 +1363,9 @@ def test_plain_elimination_matches_the_kernel(q):
             S = np.array(systems, dtype=np.int64).reshape(len(systems), m, width)
             W = np.ascontiguousarray(np.roll(S, 1, axis=2).transpose(1, 2, 0))
             pivots, ranks, solvable = sd._eliminate(W, q)
+            n = width - 1
+            listed = q**n <= 101**2
+            points = coordinates(q, n) if listed else None
             for b, rows in enumerate(systems):
                 eqs = [row[-1:] + row[:-1] for row in rows]  # the constant first
                 plain, rank, ok = sd._eliminate_plain(eqs, width, q)
@@ -1311,6 +1373,26 @@ def test_plain_elimination_matches_the_kernel(q):
                           for eq in plain]
                 assert padded == pivots[:, :, b].tolist(), (m, width, b)
                 assert (rank, ok) == (ranks[b], solvable[b]), (m, width, b)
+                if not ok:
+                    continue
+                converted = plain_pivots(pivots[:, :, b].tolist())
+                assert converted == plain, (m, width, b)
+                matches = q ** plain.count(None)
+                assert matches == q ** (n - rank), (m, width, b)
+                if listed:
+                    E = np.array(eqs, dtype=np.int64).reshape(m, width)
+                    hits = ((points @ E[:, 1:].T + E[:, 0]) % q == 0).all(axis=1)
+                    want = list(map(tuple, points[hits].tolist()))
+                    assert len(want) == matches, (m, width, b)
+                for cap in [1, 20] + [matches] * listed:
+                    for given in (plain, converted):
+                        got = sd._solved(given, q, matches, cap)
+                        if listed:
+                            assert got == want[:cap], (m, width, b, cap)
+                            continue
+                        assert len(got) == min(matches, cap) and got == sorted(set(got))
+                        assert all((e[0] + sum(map(mul, e[1:], x))) % q == 0
+                                   for x in got for e in eqs), (m, width, b, cap)
 
 
 @pytest.mark.parametrize("q,dtype", with_narrow([3, 101, 2**31 - 1, INT64_EDGE_PRIME],

@@ -32,6 +32,10 @@ The cases, in the order each repeat runs them:
   fresh cache directory, as each `ladder` round's first search does, and
   its dense-cell f-row walk alone (`_walked_keys`, on plain ints, as the
   search calls it);
+- the sparse sample route alone: `_sample_keys` on the ladder's F_101 c=3
+  search for variants 0-7, the ladder's largest sparse route (102-203 kept
+  g-rows), from the counts and kept rows of its rank pass, which runs once
+  before the repeats;
 - the cache on the ladder's F_31 c=2 search of variant 0 (20 samples):
   `_store_cached` writing its entry over the last one, and the whole
   search as a hit on an entry primed before the repeats;
@@ -161,6 +165,23 @@ def _small_search_cases(P, fields, sd, pairs, cache):
     yield "small search: F_31 c=2 dense walk", "ms", walks
 
 
+def _sparse_route_cases(P, fields, sd, pairs):
+    import workloads
+
+    sample_keys, calls = sd._sample_keys, []
+    for variant in LADDER_VARIANTS:
+        (q, constraint, jobs), = [(q, c, j) for label, _, q, c, j, _ in workloads.ladder_searches(
+            P, fields, sd, variant, pairs) if label == "F_101 c=3"]
+        # the arguments the search's rank pass hands to _sample_keys
+        sd._sample_keys = lambda *args: calls.append(args) or sample_keys(*args)
+        try:
+            sd.search_pencils_ffield(3, q, constraint, jobs=jobs)
+        finally:
+            sd._sample_keys = sample_keys
+    yield ("sparse route: F_101 c=3 _sample_keys", "ms",
+           [lambda args=args: sample_keys(*args) for args in calls])
+
+
 def _cache_cases(P, fields, sd, pairs, cache):
     import workloads
 
@@ -266,6 +287,7 @@ def main(argv=None) -> int:
                       _micro_cases(P, fields),
                       _ladder_cases(P, fields, sd, pairs), _warm_ladder_cases(P, fields, sd, pairs),
                       _small_search_cases(P, fields, sd, pairs, cache),
+                      _sparse_route_cases(P, fields, sd, pairs),
                       _cache_cases(P, fields, sd, pairs, cache),
                       _large_cases(P, fields, sd, pairs), _geometry_cases(P, fields, sd, pools),
                       _cold_cases(args.src, cache, pools)):
